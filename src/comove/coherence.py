@@ -63,14 +63,18 @@ class CoherenceField:
             raise ValueError(f"need between 2 and 8 series, got {p}")
         if len(self.labels) != p:
             raise ValueError(f"{len(self.labels)} labels for {p} series")
-        herm_err = np.abs(cells - np.conj(np.swapaxes(cells, 2, 3))).max()
+        # One entry pair at a time: temporaries over the whole cell array
+        # would cost several times its size.
+        pairs = [(i, j) for i in range(p) for j in range(i, p)]
+        herm_err = np.max([
+            np.abs(cells[:, :, i, j] - np.conj(cells[:, :, j, i])).max() for i, j in pairs
+        ])
         if herm_err > _HERMITIAN_TOL:
             raise ValueError(f"cells not Hermitian (max deviation {herm_err:.3g})")
-        diag = cells[:, :, np.arange(p), np.arange(p)]
-        diag_err = np.abs(diag - 1.0).max()
+        diag_err = np.max([np.abs(cells[:, :, i, i] - 1.0).max() for i in range(p)])
         if diag_err > _HERMITIAN_TOL:
             raise ValueError(f"cells lack unit diagonal (max deviation {diag_err:.3g})")
-        mag = np.abs(cells).max()
+        mag = np.max([np.abs(cells[:, :, i, j]).max() for i in range(p) for j in range(p)])
         if mag > 1.0 + _UNIT_DISC_TOL:
             raise ValueError(f"coherency magnitude {mag} exceeds 1")
         cells.flags.writeable = False
@@ -192,19 +196,19 @@ def multiple_coherence(field: CoherenceField, target: int = 0) -> np.ndarray:
     -------
     ndarray, shape (num_scales, n)
     """
-    grid_r2, _ = _multiple_with_flags(field, target)
+    _check_target(field.p, target)
+    ctt = _cofactor_grids(field.cells, target, target).real
+    grid_r2, _ = _multiple_with_flags(field, ctt)
     return grid_r2
 
 
 def _multiple_with_flags(
-    field: CoherenceField, target: int
+    field: CoherenceField, ctt: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    _check_target(field.p, target)
-    c = _permute_target_first(field.cells, target)
-    det_full = np.linalg.det(c).real
-    det_minor = np.linalg.det(c[:, :, 1:, 1:]).real
-    singular = np.abs(det_minor) < _SINGULAR_MINOR_TOL
-    safe = np.where(singular, 1.0, det_minor)
+    """Multiple coherence and singular-minor flags, given ``cof(C, t, t)``."""
+    det_full = np.linalg.det(field.cells).real
+    singular = np.abs(ctt) < _SINGULAR_MINOR_TOL
+    safe = np.where(singular, 1.0, ctt)
     r2 = 1.0 - det_full / safe
     r2[singular] = 1.0
     return np.clip(r2, 0.0, 1.0), singular
@@ -214,7 +218,8 @@ def _cofactor_grids(
     cells: np.ndarray, row: int, col: int
 ) -> np.ndarray:
     """Signed cofactor of each (p, p) cell at (row, col), vectorized."""
-    minor = np.delete(np.delete(cells, row, axis=-2), col, axis=-1)
+    keep = np.arange(cells.shape[-1])
+    minor = cells[..., np.delete(keep, row)[:, None], np.delete(keep, col)]
     return (-1.0) ** (row + col) * np.linalg.det(minor)
 
 
@@ -234,20 +239,21 @@ def partial_coherence(
     phase : ndarray, in (-pi, pi]
         Two-argument arctangent of rho's imaginary over real part.
     """
-    rho, r2, phase, _ = _partial_with_flags(field, target, j)
-    return rho, r2, phase
-
-
-def _partial_with_flags(
-    field: CoherenceField, target: int, j: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     p = field.p
     _check_target(p, target)
     _check_target(p, j)
     if target == j:
         raise ValueError("partial coherence needs two distinct series")
+    ctt = _cofactor_grids(field.cells, target, target).real
+    rho, r2, phase, _ = _partial_with_flags(field, target, j, ctt)
+    return rho, r2, phase
+
+
+def _partial_with_flags(
+    field: CoherenceField, target: int, j: int, ctt: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Partial coherency of (target, j) and its flags, given ``cof(C, t, t)``."""
     cells = field.cells
-    ctt = _cofactor_grids(cells, target, target).real
     cjj = _cofactor_grids(cells, j, j).real
     cjt = _cofactor_grids(cells, j, target)
     denom_sq = ctt * cjj
@@ -397,14 +403,15 @@ def coherence_result(field: CoherenceField, target: int = 0) -> CoherenceResult:
     degenerate cells and singular minors from any of the computations.
     """
     _check_target(field.p, target)
-    r2, singular = _multiple_with_flags(field, target)
+    ctt = _cofactor_grids(field.cells, target, target).real
+    r2, singular = _multiple_with_flags(field, ctt)
     flagged = field.degenerate | singular
     partial_sq: dict[int, np.ndarray] = {}
     partial_phase: dict[int, np.ndarray] = {}
     for j in range(field.p):
         if j == target:
             continue
-        _, psq, phase, bad = _partial_with_flags(field, target, j)
+        _, psq, phase, bad = _partial_with_flags(field, target, j, ctt)
         partial_sq[j] = psq
         partial_phase[j] = phase
         flagged = flagged | bad

@@ -13,7 +13,8 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.ndimage import gaussian_filter1d, uniform_filter1d
+from scipy.fft import dct, idct, rfft
+from scipy.ndimage import convolve1d
 
 OMEGA0 = 6.0
 DEFAULT_DJ = 1.0 / 12.0
@@ -256,13 +257,41 @@ def cross_spectrum(a: WaveletField, b: WaveletField) -> CrossSpectrumField:
     return CrossSpectrumField(values=a.coeffs * np.conj(b.coeffs), smoothed=False)
 
 
+def _gaussian_gains(sigmas: np.ndarray, n: int) -> np.ndarray:
+    """DCT-II gains, shape (len(sigmas), n), of reflect-mode Gaussian filters.
+
+    Row j is the cosine transform of the kernel ``gaussian_filter1d`` samples
+    for ``sigmas[j]``: ``exp(-m**2 / (2 sigma**2))`` on ``|m| <= int(4 sigma +
+    0.5)``, normalized to unit sum, then folded onto the period 2n of the
+    reflected signal (a kernel wider than the period wraps several times).
+    """
+    period = 2 * n
+    folded = np.empty((sigmas.size, period))
+    for j, s in enumerate(sigmas):
+        radius = int(4.0 * s + 0.5)
+        m = np.arange(-radius, radius + 1)
+        h = np.exp(-0.5 * (m / s) ** 2)
+        folded[j] = np.bincount(m % period, weights=h / h.sum(), minlength=period)
+    return rfft(folded, axis=1).real[:, :n]
+
+
 def smooth(field: CrossSpectrumField, grid: ScaleGrid, dt: float) -> CrossSpectrumField:
     """Separable smoothing: Gaussian in time per scale, boxcar across scales.
 
     The time kernel at scale s is a Gaussian with standard deviation ``s/dt``
-    samples (the wavelet's own footprint), applied with reflected ends. The
-    scale kernel is a centered boxcar spanning 0.6 octaves, i.e.
-    ``round(0.6/dj)`` rows forced odd, with edge rows repeated.
+    samples (the wavelet's own footprint), truncated at 4 standard deviations
+    and applied with reflected ends. The scale kernel is a centered boxcar
+    spanning 0.6 octaves, i.e. ``round(0.6/dj)`` rows forced odd, with edge
+    rows repeated.
+
+    Reflected ends make the signal 2n-periodic and even, which the DCT-II
+    diagonalizes: the time pass is one orthonormal DCT-II along time over the
+    whole (scales, n) field, a per-scale gain (the cosine transform of the
+    same truncated, normalized kernel ``scipy.ndimage.gaussian_filter1d``
+    samples) and one inverse DCT. It costs O(S n log n) for S scales and
+    matches the direct convolution to rounding. The boxcar is a direct sum
+    over the rows, not a running sum, so small auto-spectra next to large
+    ones do not pick up cancellation error.
 
     Both kernels are nonnegative and shared across series, so smoothing a
     matrix of cross-spectra cell by cell preserves positive semidefiniteness;
@@ -278,18 +307,15 @@ def smooth(field: CrossSpectrumField, grid: ScaleGrid, dt: float) -> CrossSpectr
     vals = field.values
     if vals.shape[0] != grid.num_scales:
         raise ValueError("field does not match the scale grid")
-    out = np.empty_like(vals)
-    sigmas = grid.scales / dt
-    for j, s in enumerate(sigmas):
-        re = gaussian_filter1d(vals[j].real, sigma=s, mode="reflect")
-        im = gaussian_filter1d(vals[j].imag, sigma=s, mode="reflect")
-        out[j] = re + 1j * im
+    gains = _gaussian_gains(grid.scales / dt, vals.shape[1])
+    out = idct(gains * dct(vals, norm="ortho", axis=1), norm="ortho", axis=1)
     width = int(round(SCALE_SMOOTH_OCTAVES / grid.dj))
     if width % 2 == 0:
         width += 1
     if width > 1:
-        re = uniform_filter1d(out.real, size=width, axis=0, mode="nearest")
-        im = uniform_filter1d(out.imag, size=width, axis=0, mode="nearest")
+        box = np.full(width, 1.0 / width)
+        re = convolve1d(out.real, box, axis=0, mode="nearest")
+        im = convolve1d(out.imag, box, axis=0, mode="nearest")
         out = re + 1j * im
     return CrossSpectrumField(values=out, smoothed=True)
 

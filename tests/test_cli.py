@@ -423,3 +423,31 @@ def test_pipeline_reruns_byte_identical(tmp_path):
     assert names == sorted(p.name for p in second.iterdir())
     for name in names:
         assert (first / name).read_bytes() == (second / name).read_bytes(), name
+
+
+def write_random_walks(path, n=1461, p=4, seed=0, period=64.0):
+    """CSV of p price-like random walks; the first two share one cycle."""
+    rng = np.random.default_rng(seed)
+    logp = np.log(100.0) + np.cumsum(0.01 * rng.standard_normal((n, p)), axis=0)
+    logp[:, :2] += 0.04 * np.sin(2.0 * np.pi * np.arange(n) / period)[:, None]
+    data = np.exp(logp)
+    with open(path, "w") as fh:
+        fh.write("date," + ",".join(f"s{k}" for k in range(p)) + "\n")
+        for i in range(n):
+            fh.write(f"{date_str(i)}," + ",".join(format(v, ".12g") for v in data[i]) + "\n")
+
+
+def test_pipeline_random_walks_stay_in_unit_interval(tmp_path):
+    # tiny smoothed auto-spectra of the packet noise variant once went
+    # negative under a running-sum scale boxcar, pushing |rho| past 1
+    src = tmp_path / "walks.csv"
+    write_random_walks(src, seed=1)
+    out = tmp_path / "out"
+    argv = ["pipeline", "--input", str(src), "--target", "s0",
+            "--end", date_str(1430), "--out-dir", str(out)]
+    assert main(argv) == 0
+    grids = sorted(out.glob("mwc_*.csv")) + sorted(out.glob("pwc_*.csv"))
+    assert grids
+    for path in grids:
+        values = np.loadtxt(path, delimiter=",", skiprows=1, usecols=2)
+        assert values.min() >= 0.0 and values.max() <= 1.0, path.name
