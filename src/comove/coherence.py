@@ -3,15 +3,19 @@
 Everything here operates on a field of small Hermitian matrices: at each
 (scale, time) cell, entry (i, j) is the smoothed cross-coherency between
 series i and j, with unit diagonal. Multiple coherence of a target on the
-remaining series, partial coherencies with the others held fixed, and the
-closed-form four-series expansion are all determinant identities on that
-matrix, evaluated vectorized over the whole grid.
+remaining series and partial coherencies with the others held fixed are
+cofactor identities on that matrix; the closed-form four-series expansion
+writes one of them out by hand.
 
-Conventions: the squared multiple coherence is ``1 - det(C) / det(M11)``
-where ``M11`` deletes the target row and column, and the partial coherency of
-target t with series j given the rest is ``-cof(C, j, t) /
-sqrt(cof(C, t, t) * cof(C, j, j))`` with signed cofactors. Both are invariant
-to how the non-target series are ordered.
+Conventions: the squared multiple coherence is ``1 - det(C) / cof(C, t, t)``,
+where ``cof(C, t, t)`` is the determinant of C with the target row and column
+deleted, and the partial coherency of target t with series j given the rest
+is ``-cof(C, j, t) / sqrt(cof(C, t, t) * cof(C, j, j))`` with signed
+cofactors. Both are invariant to how the non-target series are ordered.
+
+All of them come from one LDL^H factorization per cell, run vectorized over
+each scale row with the target ordered last: the last pivot is
+``det(C) / cof(C, t, t)`` and the last row of ``L^-1`` gives every partial.
 """
 
 from __future__ import annotations
@@ -64,18 +68,19 @@ class CoherenceField:
         if len(self.labels) != p:
             raise ValueError(f"{len(self.labels)} labels for {p} series")
         # One entry pair at a time: temporaries over the whole cell array
-        # would cost several times its size.
+        # would cost several times its size. Each test is written so that a
+        # NaN deviation fails it.
         pairs = [(i, j) for i in range(p) for j in range(i, p)]
         herm_err = np.max([
             np.abs(cells[:, :, i, j] - np.conj(cells[:, :, j, i])).max() for i, j in pairs
         ])
-        if herm_err > _HERMITIAN_TOL:
+        if not herm_err <= _HERMITIAN_TOL:
             raise ValueError(f"cells not Hermitian (max deviation {herm_err:.3g})")
         diag_err = np.max([np.abs(cells[:, :, i, i] - 1.0).max() for i in range(p)])
-        if diag_err > _HERMITIAN_TOL:
+        if not diag_err <= _HERMITIAN_TOL:
             raise ValueError(f"cells lack unit diagonal (max deviation {diag_err:.3g})")
         mag = np.max([np.abs(cells[:, :, i, j]).max() for i in range(p) for j in range(p)])
-        if mag > 1.0 + _UNIT_DISC_TOL:
+        if not mag <= 1.0 + _UNIT_DISC_TOL:
             raise ValueError(f"coherency magnitude {mag} exceeds 1")
         cells.flags.writeable = False
         object.__setattr__(self, "cells", cells)
@@ -185,33 +190,93 @@ def _check_target(p: int, target: int) -> None:
         raise ValueError(f"target index {target} out of range for {p} series")
 
 
+def _solve(
+    field: CoherenceField, target: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Multiple and partial coherencies of the target from one LDL^H pass.
+
+    Per scale row, the cells are permuted so the target comes last and laid
+    out as a ``(p, 2p, n)`` array ``[C | I]`` with cells on the last axis.
+    Elimination without pivoting, one broadcast rank-1 update per step, leaves
+    ``D L^H`` in its upper triangle and ``L^-1`` on the right, for ``C = L D
+    L^H``. A non-target pivot below
+    ``_SINGULAR_MINOR_TOL`` (or not finite) marks the cell singular and is
+    replaced by 1 before dividing, so every output stays finite.
+
+    With ``M = L^-1`` and pivots ``d``: ``cof(t, t) = prod(d[:-1])``, the
+    squared multiple coherence is ``1 - d[-1]``, and for each other series j
+    ``rho = -M[-1, j] / sqrt(a_j)`` with ``a_j = |M[-1, j]|**2 + d[-1] *
+    sum_{j <= k < p-1} |M[k, j]|**2 / d[k]``, because ``cof(j, j) = cof(t, t)
+    * a_j``. ``rho`` stays finite when det(C) vanishes.
+
+    Returns
+    -------
+    r2 : ndarray, shape (num_scales, n)
+        Squared multiple coherence, clipped to [0, 1]; 1 on singular cells.
+    singular : ndarray, bool, shape (num_scales, n)
+        ``cof(t, t) < 1e-14``, or a weak pivot before the target's.
+    rho : ndarray, complex, shape (p - 1, num_scales, n)
+        Partial coherency of the target with each other series, in index
+        order; 0 where ``bad``.
+    bad : ndarray, bool, shape (p - 1, num_scales, n)
+        ``cof(t, t) * cof(j, j) < 1e-14``, or the cell is singular.
+    """
+    cells = field.cells
+    nj, nt, p, _ = cells.shape
+    last = p - 1
+    order = np.array([i for i in range(p) if i != target] + [target])
+    r2 = np.empty((nj, nt))
+    singular = np.empty((nj, nt), dtype=bool)
+    rho = np.empty((last, nj, nt), dtype=complex)
+    bad = np.empty((last, nj, nt), dtype=bool)
+    aug = np.empty((p, 2 * p, nt), dtype=complex)
+    piv = np.empty((p, nt))
+    for s in range(nj):
+        aug[:, :p] = cells[s][:, order[:, None], order].transpose(1, 2, 0)
+        aug[:, p:] = 0.0
+        aug[np.arange(p), p + np.arange(p)] = 1.0
+        weak = np.zeros(nt, dtype=bool)
+        for k in range(p):
+            d = aug[k, k].real.copy()
+            if k < last:
+                w = ~(d >= _SINGULAR_MINOR_TOL)
+                weak |= w
+                d[w] = 1.0
+                # Row k matters only in columns k+1 .. p+k: the ones left of
+                # them are eliminated, and L^-1 is lower triangular.
+                span = slice(k + 1, p + k + 1)
+                aug[k + 1 :, span] -= (aug[k + 1 :, k] / d)[:, None] * aug[k, span]
+            piv[k] = d
+        m_inv = aug[:, p:]
+        ctt = np.prod(piv[:last], axis=0)
+        sing = weak | (ctt < _SINGULAR_MINOR_TOL)
+        singular[s] = sing
+        r2[s] = np.where(sing, 1.0, np.clip(1.0 - piv[last], 0.0, 1.0))
+        row = m_inv[last, :last]
+        tail = (np.abs(m_inv[:last, :last]) ** 2 / piv[:last, None]).sum(axis=0)
+        a = np.abs(row) ** 2 + piv[last] * tail
+        bad_s = sing | (ctt**2 * a < _SINGULAR_MINOR_TOL)
+        rho_s = -row / np.sqrt(np.where(bad_s, 1.0, a))
+        rho_s[bad_s] = 0.0
+        rho[:, s] = rho_s
+        bad[:, s] = bad_s
+    return r2, singular, rho, bad
+
+
 def multiple_coherence(field: CoherenceField, target: int = 0) -> np.ndarray:
     """Squared multiple coherence of the target on all remaining series.
 
-    Computed per cell as ``1 - det(C) / det(M)`` where M is C with the target
-    row and column deleted. Cells with a numerically singular minor
-    (``|det(M)| < 1e-14``) report 1. The result is clipped to [0, 1].
+    Computed per cell as ``1 - det(C) / cof(C, t, t)``, the last pivot of an
+    LDL^H factorization with the target ordered last. Cells whose target
+    cofactor is numerically singular (``cof(C, t, t) < 1e-14``) report 1. The
+    result is clipped to [0, 1].
 
     Returns
     -------
     ndarray, shape (num_scales, n)
     """
     _check_target(field.p, target)
-    ctt = _cofactor_grids(field.cells, target, target).real
-    grid_r2, _ = _multiple_with_flags(field, ctt)
-    return grid_r2
-
-
-def _multiple_with_flags(
-    field: CoherenceField, ctt: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Multiple coherence and singular-minor flags, given ``cof(C, t, t)``."""
-    det_full = np.linalg.det(field.cells).real
-    singular = np.abs(ctt) < _SINGULAR_MINOR_TOL
-    safe = np.where(singular, 1.0, ctt)
-    r2 = 1.0 - det_full / safe
-    r2[singular] = 1.0
-    return np.clip(r2, 0.0, 1.0), singular
+    return _solve(field, target)[0]
 
 
 def _cofactor_grids(
@@ -229,7 +294,7 @@ def partial_coherence(
     """Partial coherency of the target with series j, all others held fixed.
 
     Per cell, ``rho = -cof(C, j, t) / sqrt(cof(C, t, t) * cof(C, j, j))``.
-    Cells where either diagonal cofactor vanishes report rho = 0.
+    Cells where ``cof(C, t, t) * cof(C, j, j) < 1e-14`` report rho = 0.
 
     Returns
     -------
@@ -244,26 +309,8 @@ def partial_coherence(
     _check_target(p, j)
     if target == j:
         raise ValueError("partial coherence needs two distinct series")
-    ctt = _cofactor_grids(field.cells, target, target).real
-    rho, r2, phase, _ = _partial_with_flags(field, target, j, ctt)
-    return rho, r2, phase
-
-
-def _partial_with_flags(
-    field: CoherenceField, target: int, j: int, ctt: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Partial coherency of (target, j) and its flags, given ``cof(C, t, t)``."""
-    cells = field.cells
-    cjj = _cofactor_grids(cells, j, j).real
-    cjt = _cofactor_grids(cells, j, target)
-    denom_sq = ctt * cjj
-    bad = denom_sq < _SINGULAR_MINOR_TOL
-    denom = np.sqrt(np.where(bad, 1.0, denom_sq))
-    rho = -cjt / denom
-    rho[bad] = 0.0
-    r2 = np.clip(np.abs(rho) ** 2, 0.0, 1.0)
-    phase = np.angle(rho)
-    return rho, r2, phase, bad
+    rho = _solve(field, target)[2][j if j < target else j - 1]
+    return rho, np.clip(np.abs(rho) ** 2, 0.0, 1.0), np.angle(rho)
 
 
 def multiple_from_partials(field: CoherenceField, target: int = 0) -> np.ndarray:
@@ -403,18 +450,11 @@ def coherence_result(field: CoherenceField, target: int = 0) -> CoherenceResult:
     degenerate cells and singular minors from any of the computations.
     """
     _check_target(field.p, target)
-    ctt = _cofactor_grids(field.cells, target, target).real
-    r2, singular = _multiple_with_flags(field, ctt)
-    flagged = field.degenerate | singular
-    partial_sq: dict[int, np.ndarray] = {}
-    partial_phase: dict[int, np.ndarray] = {}
-    for j in range(field.p):
-        if j == target:
-            continue
-        _, psq, phase, bad = _partial_with_flags(field, target, j, ctt)
-        partial_sq[j] = psq
-        partial_phase[j] = phase
-        flagged = flagged | bad
+    r2, singular, rho, bad = _solve(field, target)
+    others = [j for j in range(field.p) if j != target]
+    partial_sq = {j: np.clip(np.abs(rho[q]) ** 2, 0.0, 1.0) for q, j in enumerate(others)}
+    partial_phase = {j: np.angle(rho[q]) for q, j in enumerate(others)}
+    flagged = field.degenerate | singular | bad.any(axis=0)
     return CoherenceResult(
         target=target,
         labels=field.labels,

@@ -9,12 +9,12 @@ conventions (scale grid, cone of influence, smoothing spans).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 from scipy.fft import dct, idct, rfft
-from scipy.ndimage import convolve1d
 
 OMEGA0 = 6.0
 DEFAULT_DJ = 1.0 / 12.0
@@ -257,22 +257,26 @@ def cross_spectrum(a: WaveletField, b: WaveletField) -> CrossSpectrumField:
     return CrossSpectrumField(values=a.coeffs * np.conj(b.coeffs), smoothed=False)
 
 
-def _gaussian_gains(sigmas: np.ndarray, n: int) -> np.ndarray:
+@functools.lru_cache(maxsize=4)
+def _gaussian_gains(sigmas: tuple[float, ...], n: int) -> np.ndarray:
     """DCT-II gains, shape (len(sigmas), n), of reflect-mode Gaussian filters.
 
     Row j is the cosine transform of the kernel ``gaussian_filter1d`` samples
     for ``sigmas[j]``: ``exp(-m**2 / (2 sigma**2))`` on ``|m| <= int(4 sigma +
     0.5)``, normalized to unit sum, then folded onto the period 2n of the
     reflected signal (a kernel wider than the period wraps several times).
+    Cached per grid, so the result is read-only.
     """
     period = 2 * n
-    folded = np.empty((sigmas.size, period))
+    folded = np.empty((len(sigmas), period))
     for j, s in enumerate(sigmas):
         radius = int(4.0 * s + 0.5)
         m = np.arange(-radius, radius + 1)
         h = np.exp(-0.5 * (m / s) ** 2)
         folded[j] = np.bincount(m % period, weights=h / h.sum(), minlength=period)
-    return rfft(folded, axis=1).real[:, :n]
+    gains = rfft(folded, axis=1).real[:, :n]
+    gains.flags.writeable = False
+    return gains
 
 
 def smooth(field: CrossSpectrumField, grid: ScaleGrid, dt: float) -> CrossSpectrumField:
@@ -290,8 +294,9 @@ def smooth(field: CrossSpectrumField, grid: ScaleGrid, dt: float) -> CrossSpectr
     same truncated, normalized kernel ``scipy.ndimage.gaussian_filter1d``
     samples) and one inverse DCT. It costs O(S n log n) for S scales and
     matches the direct convolution to rounding. The boxcar is a direct sum
-    over the rows, not a running sum, so small auto-spectra next to large
-    ones do not pick up cancellation error.
+    of ``width`` shifted copies of the edge-padded rows, not a running sum, so
+    small auto-spectra next to large ones do not pick up cancellation error.
+    The gains are built once per (grid, n) and cached.
 
     Both kernels are nonnegative and shared across series, so smoothing a
     matrix of cross-spectra cell by cell preserves positive semidefiniteness;
@@ -307,16 +312,18 @@ def smooth(field: CrossSpectrumField, grid: ScaleGrid, dt: float) -> CrossSpectr
     vals = field.values
     if vals.shape[0] != grid.num_scales:
         raise ValueError("field does not match the scale grid")
-    gains = _gaussian_gains(grid.scales / dt, vals.shape[1])
+    gains = _gaussian_gains(tuple((grid.scales / dt).tolist()), vals.shape[1])
     out = idct(gains * dct(vals, norm="ortho", axis=1), norm="ortho", axis=1)
     width = int(round(SCALE_SMOOTH_OCTAVES / grid.dj))
     if width % 2 == 0:
         width += 1
     if width > 1:
-        box = np.full(width, 1.0 / width)
-        re = convolve1d(out.real, box, axis=0, mode="nearest")
-        im = convolve1d(out.imag, box, axis=0, mode="nearest")
-        out = re + 1j * im
+        half, rows = width // 2, out.shape[0]
+        padded = np.pad(out, ((half, half), (0, 0)), mode="edge")
+        out = padded[:rows].copy()
+        for k in range(1, width):
+            out += padded[k : k + rows]
+        out /= width
     return CrossSpectrumField(values=out, smoothed=True)
 
 

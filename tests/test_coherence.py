@@ -157,6 +157,78 @@ def test_singular_minor_reports_one():
     assert np.all(rho == 0.0) and np.all(r2 == 0.0)
 
 
+def _determinant_route(cells, target):
+    """The cofactor route the LDL^H solve replaced: one LAPACK determinant per
+    cofactor, flags from ``|cof(t, t)| < 1e-14`` and ``cof(t, t) * cof(j, j)
+    < 1e-14``. Returns the multiple R^2, the partial rho per j and the flags."""
+    keep = np.arange(cells.shape[-1])
+
+    def cof(row, col):
+        minor = cells[..., np.delete(keep, row)[:, None], np.delete(keep, col)]
+        return (-1.0) ** (row + col) * np.linalg.det(minor)
+
+    ctt = cof(target, target).real
+    flagged = np.abs(ctt) < 1e-14
+    r2 = np.clip(1.0 - np.linalg.det(cells).real / np.where(flagged, 1.0, ctt), 0.0, 1.0)
+    r2[flagged] = 1.0
+    rhos = {}
+    for j in keep[keep != target]:
+        denom_sq = ctt * cof(j, j).real
+        bad = denom_sq < 1e-14
+        rhos[j] = -cof(j, target) / np.sqrt(np.where(bad, 1.0, denom_sq))
+        rhos[j][bad] = 0.0
+        flagged = flagged | bad
+    return r2, rhos, flagged
+
+
+def _near_rank_deficient_cells(rng, p, eps, nj=4, nt=64):
+    """Unit-diagonal Gram cells of rank p - 2 plus eps-sized full-rank noise.
+
+    At eps = 1e-3 this flags about 7% (p = 6) to 70% (p = 8) of the cells; at
+    eps = 1e-5 every cell with p >= 3."""
+    def cnormal(*shape):
+        return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+    cols = np.concatenate([cnormal(nj, nt, p, p - 2), eps * cnormal(nj, nt, p, p)], axis=-1)
+    gram = cols @ cols.conj().swapaxes(-1, -2)
+    d = np.sqrt(np.einsum("...ii->...i", gram).real)
+    cells = gram / (d[..., :, None] * d[..., None, :])
+    cells = 0.5 * (cells + cells.conj().swapaxes(-1, -2))
+    cells[..., np.arange(p), np.arange(p)] = 1.0
+    return cells
+
+
+@pytest.mark.parametrize("p", range(2, 9))
+@pytest.mark.parametrize("eps", [1.0, 1e-3, 1e-5])
+def test_solve_matches_determinant_route(p, eps):
+    rng = np.random.default_rng([p, int(-np.log10(eps))])
+    base = _near_rank_deficient_cells(rng, p, eps)
+    for target in range(p):
+        cells = base.copy()
+        if p >= 3:
+            # one cell whose two non-target series are collinear
+            a, b = [i for i in range(p) if i != target][:2]
+            v = rng.normal(size=(p, 2 * p)) + 1j * rng.normal(size=(p, 2 * p))
+            v[b] = np.exp(0.7j) * v[a]
+            v /= np.linalg.norm(v, axis=1, keepdims=True)
+            cells[0, 0] = v @ v.conj().T
+            cells[0, 0][np.arange(p), np.arange(p)] = 1.0
+        field = CoherenceField(**_field_kwargs(cells, p))
+        r2_old, rho_old, flagged_old = _determinant_route(field.cells, target)
+        res = coherence_result(field, target)
+        assert np.array_equal(res.flagged, flagged_old)
+        if p >= 3:
+            assert res.flagged[0, 0]
+        ok = ~res.flagged
+        assert np.isfinite(res.multiple).all()
+        assert np.abs(res.multiple - r2_old)[ok].max(initial=0.0) <= 1e-8
+        for j, want in rho_old.items():
+            rho, r2, phase = partial_coherence(field, target, j)
+            assert np.isfinite(rho).all() and np.isfinite(r2).all() and np.isfinite(phase).all()
+            assert np.abs(rho - want)[ok].max(initial=0.0) <= 1e-8
+            np.testing.assert_array_equal(res.partial_sq[j], r2)
+
+
 # ----------------------------------------------------- four-series expansion
 
 
@@ -316,6 +388,18 @@ def test_field_rejects_coherency_above_one():
     cells[0, 0] = [[1.0, 1.5], [1.5, 1.0]]
     with pytest.raises(ValueError, match="exceeds 1"):
         CoherenceField(**_field_kwargs(cells, 2))
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, complex(np.nan, 0.5)])
+def test_field_rejects_non_finite_cells(value):
+    rng = np.random.default_rng(31)
+    cells = build_field(4, seed=31).cells.copy()
+    a, b = rng.integers(cells.shape[0]), rng.integers(cells.shape[1])
+    i, j = rng.choice(4, size=2, replace=False)
+    cells[a, b, i, j] = value
+    cells[a, b, j, i] = np.conj(value)
+    with pytest.raises(ValueError, match="not Hermitian"):
+        CoherenceField(**_field_kwargs(cells, 4))
 
 
 def test_field_rejects_single_series():
