@@ -67,19 +67,25 @@ class CoherenceField:
             raise ValueError(f"need between 2 and 8 series, got {p}")
         if len(self.labels) != p:
             raise ValueError(f"{len(self.labels)} labels for {p} series")
-        # One entry pair at a time: temporaries over the whole cell array
-        # would cost several times its size. Each test is written so that a
-        # NaN deviation fails it.
-        pairs = [(i, j) for i in range(p) for j in range(i, p)]
-        herm_err = np.max([
-            np.abs(cells[:, :, i, j] - np.conj(cells[:, :, j, i])).max() for i, j in pairs
-        ])
+        # One scale row at a time into two reused row-sized buffers: each
+        # entry is read once from a contiguous block (per-entry slices of the
+        # whole array are strided reads, temporaries over it several times its
+        # size). Each test is written so that a NaN deviation fails it; inf -
+        # inf is such a NaN, hence the errstate.
+        herm, diag, mags = [], [], []
+        dev = np.empty(cells.shape[1:], dtype=complex)
+        modulus = np.empty(cells.shape[1:])
+        with np.errstate(invalid="ignore"):
+            for row in cells:
+                np.subtract(row, np.conj(np.swapaxes(row, 1, 2), out=dev), out=dev)
+                herm.append(np.abs(dev, out=modulus).max())
+                diag.append(np.abs(np.diagonal(row, axis1=1, axis2=2) - 1.0).max())
+                mags.append(np.abs(row, out=modulus).max())
+        herm_err, diag_err, mag = np.max(herm), np.max(diag), np.max(mags)
         if not herm_err <= _HERMITIAN_TOL:
             raise ValueError(f"cells not Hermitian (max deviation {herm_err:.3g})")
-        diag_err = np.max([np.abs(cells[:, :, i, i] - 1.0).max() for i in range(p)])
         if not diag_err <= _HERMITIAN_TOL:
             raise ValueError(f"cells lack unit diagonal (max deviation {diag_err:.3g})")
-        mag = np.max([np.abs(cells[:, :, i, j]).max() for i in range(p) for j in range(p)])
         if not mag <= 1.0 + _UNIT_DISC_TOL:
             raise ValueError(f"coherency magnitude {mag} exceeds 1")
         cells.flags.writeable = False

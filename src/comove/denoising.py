@@ -12,7 +12,7 @@ the convention string travels inside the report.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -218,22 +218,19 @@ def denoise(
     """
     coeffs = dwt_forward(x, level=level, wavelet=wavelet)
     thresholds = select_threshold(coeffs, method, sigma=sigma)
+    return _shrink_and_invert(coeffs, thresholds, rule)[1]
+
+
+def _shrink_and_invert(
+    coeffs: DwtCoeffs, thresholds: float | list[float], rule: str
+) -> tuple[tuple[float, ...], np.ndarray]:
+    """Shrink each detail level by its threshold (one float serves every
+    level) and invert; returns the per-level thresholds and the signal."""
     if isinstance(thresholds, float):
-        per_level = [thresholds] * coeffs.level
-    else:
-        per_level = list(thresholds)
-    shrunk = tuple(
-        np.asarray(apply_shrinkage(d, t, rule))
-        for d, t in zip(coeffs.details, per_level)
-    )
-    out = DwtCoeffs(
-        approx=coeffs.approx,
-        details=shrunk,
-        wavelet=coeffs.wavelet,
-        original_length=coeffs.original_length,
-        padded_length=coeffs.padded_length,
-    )
-    return dwt_inverse(out)
+        thresholds = [thresholds] * coeffs.level
+    per_level = tuple(thresholds)
+    shrunk = tuple(apply_shrinkage(d, t, rule) for d, t in zip(coeffs.details, per_level))
+    return per_level, dwt_inverse(replace(coeffs, details=shrunk))
 
 
 class Fidelity(NamedTuple):
@@ -349,30 +346,13 @@ def method_sweep(
     for method in METHODS:
         use_rule = rule if rule is not None else CONVENTIONAL_RULE[method]
         thresholds = select_threshold(coeffs, method)
-        per_level = (
-            [thresholds] * coeffs.level
-            if isinstance(thresholds, float)
-            else list(thresholds)
-        )
-        shrunk = tuple(
-            np.asarray(apply_shrinkage(d, t, use_rule))
-            for d, t in zip(coeffs.details, per_level)
-        )
-        est = dwt_inverse(
-            DwtCoeffs(
-                approx=coeffs.approx,
-                details=shrunk,
-                wavelet=coeffs.wavelet,
-                original_length=coeffs.original_length,
-                padded_length=coeffs.padded_length,
-            )
-        )
+        per_level, est = _shrink_and_invert(coeffs, thresholds, use_rule)
         fid = fidelity_metrics(ref, est)
         scores.append(
             MethodScore(
                 method=method,
                 rule=use_rule,
-                thresholds=tuple(per_level),
+                thresholds=per_level,
                 snr=fid.snr,
                 psnr=fid.psnr,
                 identical=fid.identical,

@@ -1,11 +1,14 @@
 """Wavelet packet and plain wavelet transforms with periodic extension.
 
-Orthonormal filter banks (db3 by default, Haar for cross-checks), decimating
-analysis steps with periodic boundary handling, and a full packet tree keyed
-by binary paths: () is the root, path + (0,) the lowpass child, path + (1,)
-the highpass child. Node {0,...,0} collects the trend, {1,...,1} the most
-oscillatory content. Signals whose length is not divisible by 2**level are
-extended periodically and trimmed back on reconstruction.
+Orthonormal filter banks (db3 by default, Haar for cross-checks) and one
+decimating analysis step, with its transpose, over the last axis of a stack
+of signals. The packet tree is built a depth at a time on the whole
+``(2**depth, m)`` node array: row r splits into rows 2r (lowpass) and 2r + 1
+(highpass), so rows stay in natural (Paley) order, and the leaves are keyed
+by binary paths: node {0,...,0} holds the trend, {1,...,1} the most
+oscillatory content. One leaf is rebuilt along its own branch with a zero
+sibling at each depth. The plain DWT is the row-0 spine of the same steps.
+Lengths not divisible by 2**level are extended periodically and trimmed back.
 """
 
 from __future__ import annotations
@@ -46,38 +49,52 @@ def highpass(h: np.ndarray) -> np.ndarray:
 def analysis_step(x: np.ndarray, h: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """One decimating analysis step with periodic extension.
 
-    a[i] = sum_k h[k] * x[(2i + k) mod N], and likewise d with g.
-    N must be even.
+    a[i] = sum_k h[k] * x[(2i + k) mod N], and likewise d with g, along the
+    last axis; leading axes are a batch of independent signals. N must be
+    even.
     """
     x = np.asarray(x, dtype=float)
-    n = x.size
+    n = x.shape[-1]
     if n % 2:
         raise ValueError(f"analysis step needs even length, got {n}")
     idx = (2 * np.arange(n // 2)[:, None] + np.arange(h.size)[None, :]) % n
-    windows = x[idx]
+    windows = x[..., idx]
     return windows @ h, windows @ g
 
 
 def synthesis_step(a: np.ndarray, d: np.ndarray, h: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """Inverse of :func:`analysis_step` (exact, the bank is orthonormal)."""
+    """Inverse of :func:`analysis_step` (exact, the bank is orthonormal).
+
+    The transpose of the analysis gather, one output phase r per column:
+    x[2j + r] = sum_q h[r + 2q] a[(j - q) mod N/2] + g[r + 2q] d[(j - q) mod N/2]
+    along the last axis; leading axes are a batch of independent signals.
+    """
     a = np.asarray(a, dtype=float)
     d = np.asarray(d, dtype=float)
     if a.shape != d.shape:
         raise ValueError("approximation and detail lengths differ")
-    n = 2 * a.size
-    x = np.zeros(n)
-    pos = (2 * np.arange(a.size)[:, None] + np.arange(h.size)[None, :]) % n
-    np.add.at(x, pos, a[:, None] * h[None, :] + d[:, None] * g[None, :])
-    return x
+    half = a.shape[-1]
+    idx = (np.arange(half)[:, None] - np.arange(h.size // 2)[None, :]) % half
+    windows = np.concatenate([a[..., idx], d[..., idx]], axis=-1)
+    phases = np.concatenate([h.reshape(-1, 2), g.reshape(-1, 2)])  # column r: taps r::2
+    return (windows @ phases).reshape(*a.shape[:-1], 2 * half)
 
 
-def _pad_periodic(x: np.ndarray, level: int) -> np.ndarray:
-    n = x.size
+def _prepare(x: np.ndarray, level: int, wavelet: str) -> tuple[np.ndarray, ...]:
+    """Validated signal, extended periodically to a multiple of 2**level,
+    with the lowpass and highpass filters."""
+    x = np.asarray(x, dtype=float)
+    if x.ndim != 1:
+        raise ValueError("signal must be one-dimensional")
+    if not np.all(np.isfinite(x)):
+        raise ValueError("signal contains non-finite values")
+    if level < 1:
+        raise ValueError(f"level must be at least 1, got {level}")
+    h = lowpass(wavelet)
     block = 2**level
-    if n % block == 0:
-        return x
-    target = ((n + block - 1) // block) * block
-    return np.resize(x, target)
+    if x.size < block:
+        raise ValueError(f"{x.size} samples cannot be split {level} times")
+    return np.resize(x, -(-x.size // block) * block), h, highpass(h)
 
 
 @dataclass(frozen=True)
@@ -126,31 +143,16 @@ def wpt_forward(x: np.ndarray, level: int, wavelet: str = "db3") -> PacketTree:
         to survive ``level`` halvings (padded length must leave at least one
         coefficient per leaf).
     """
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 1:
-        raise ValueError("signal must be one-dimensional")
-    if not np.all(np.isfinite(x)):
-        raise ValueError("signal contains non-finite values")
-    if level < 1:
-        raise ValueError(f"level must be at least 1, got {level}")
-    h = lowpass(wavelet)
-    g = highpass(h)
-    n = x.size
-    if n < 2**level:
-        raise ValueError(f"{n} samples cannot be split {level} times")
-    xp = _pad_periodic(x, level)
-    nodes: dict[tuple[int, ...], np.ndarray] = {(): xp}
-    for depth in range(level):
-        for path in [p for p in nodes if len(p) == depth]:
-            data = nodes.pop(path)
-            a, d = analysis_step(data, h, g)
-            nodes[path + (0,)] = a
-            nodes[path + (1,)] = d
+    xp, h, g = _prepare(x, level, wavelet)
+    rows = xp[None, :]
+    for _ in range(level):
+        a, d = analysis_step(rows, h, g)
+        rows = np.stack([a, d], axis=1).reshape(2 * len(rows), -1)
     return PacketTree(
-        nodes=nodes,
+        nodes=dict(zip(np.ndindex(*(2,) * level), rows)),
         level=level,
         wavelet=wavelet,
-        original_length=n,
+        original_length=np.size(x),
         padded_length=xp.size,
     )
 
@@ -159,13 +161,10 @@ def wpt_inverse(tree: PacketTree) -> np.ndarray:
     """Rebuild the signal from all leaves, trimmed to the original length."""
     h = lowpass(tree.wavelet)
     g = highpass(h)
-    nodes = dict(tree.nodes)
-    for depth in range(tree.level, 0, -1):
-        for path in [p for p in nodes if len(p) == depth and p[-1] == 0]:
-            a = nodes.pop(path)
-            d = nodes.pop(path[:-1] + (1,))
-            nodes[path[:-1]] = synthesis_step(a, d, h, g)
-    return nodes[()][: tree.original_length]
+    rows = np.stack([tree.nodes[p] for p in tree.paths()])
+    for _ in range(tree.level):
+        rows = synthesis_step(rows[0::2], rows[1::2], h, g)
+    return rows[0, : tree.original_length]
 
 
 def reconstruct_node(tree: PacketTree, path: tuple[int, ...]) -> np.ndarray:
@@ -176,15 +175,13 @@ def reconstruct_node(tree: PacketTree, path: tuple[int, ...]) -> np.ndarray:
     path = tuple(path)
     if path not in tree.nodes:
         raise ValueError(f"no node {path} at level {tree.level}")
-    nodes = {p: (c if p == path else np.zeros_like(c)) for p, c in tree.nodes.items()}
-    lone = PacketTree(
-        nodes=nodes,
-        level=tree.level,
-        wavelet=tree.wavelet,
-        original_length=tree.original_length,
-        padded_length=tree.padded_length,
-    )
-    return wpt_inverse(lone)
+    h = lowpass(tree.wavelet)
+    g = highpass(h)
+    c = tree.nodes[path]
+    for branch in reversed(path):
+        zero = np.zeros_like(c)
+        c = synthesis_step(zero, c, h, g) if branch else synthesis_step(c, zero, h, g)
+    return c[: tree.original_length]
 
 
 def energy_fractions(
@@ -223,18 +220,7 @@ class DwtCoeffs:
 
 def dwt_forward(x: np.ndarray, level: int, wavelet: str = "db3") -> DwtCoeffs:
     """Discrete wavelet transform: split the approximation branch only."""
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 1:
-        raise ValueError("signal must be one-dimensional")
-    if not np.all(np.isfinite(x)):
-        raise ValueError("signal contains non-finite values")
-    if level < 1:
-        raise ValueError(f"level must be at least 1, got {level}")
-    if x.size < 2**level:
-        raise ValueError(f"{x.size} samples cannot be split {level} times")
-    h = lowpass(wavelet)
-    g = highpass(h)
-    xp = _pad_periodic(x, level)
+    xp, h, g = _prepare(x, level, wavelet)
     details = []
     a = xp
     for _ in range(level):
@@ -244,7 +230,7 @@ def dwt_forward(x: np.ndarray, level: int, wavelet: str = "db3") -> DwtCoeffs:
         approx=a,
         details=tuple(details),
         wavelet=wavelet,
-        original_length=x.size,
+        original_length=np.size(x),
         padded_length=xp.size,
     )
 

@@ -205,8 +205,12 @@ def fit_arma11(x: np.ndarray, css: bool = True) -> ArmaModel:
     )
 
 
-def fit_varma11(data: np.ndarray, css: bool = False) -> VarmaModel:
+def fit_varma11(data: np.ndarray) -> VarmaModel:
     """Fit a vector ARMA(1,1) by the two-stage Hannan-Rissanen procedure.
+
+    Unlike :func:`fit_arma11` there is no CSS refinement: the univariate
+    refinement does not generalize cheaply, and the two-stage fit is already
+    consistent.
 
     Parameters
     ----------
@@ -214,11 +218,6 @@ def fit_varma11(data: np.ndarray, css: bool = False) -> VarmaModel:
         Columns are series; 2 <= p <= 8, n >= 50, finite, and no constant
         column. Objects with a ``values_matrix`` method (the package's
         MultiSeries) are accepted too.
-    css : bool
-        Accepted for signature symmetry with :func:`fit_arma11`; the vector
-        path always returns the two-stage estimate (the univariate CSS
-        refinement does not generalize cheaply, and the two-stage fit is
-        already consistent).
 
     Raises
     ------

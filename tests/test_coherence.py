@@ -402,6 +402,41 @@ def test_field_rejects_non_finite_cells(value):
         CoherenceField(**_field_kwargs(cells, 4))
 
 
+@pytest.mark.parametrize("factor,accepted", [(0.99, True), (1.01, False)])
+@pytest.mark.parametrize(
+    "kind", ["hermitian-upper", "hermitian-lower", "hermitian-diagonal", "diagonal",
+             "disc-upper", "disc-lower"]
+)
+def test_field_checks_sit_at_their_tolerances(kind, factor, accepted):
+    # One seeded entry moved to `factor` times its tolerance (1e-8 Hermitian
+    # and diagonal, 1e-9 past the unit disc) from a valid value.
+    rng = np.random.default_rng(37)
+    cells = build_field(4, seed=37).cells.copy()
+    a, b = rng.integers(cells.shape[0]), rng.integers(cells.shape[1])
+    i, j = sorted(rng.choice(4, size=2, replace=False))
+    if kind.endswith("lower"):
+        i, j = j, i
+    phase = np.exp(2j * np.pi * rng.random())
+    if kind == "hermitian-diagonal":
+        cells[a, b, i, i] += 0.5j * factor * 1e-8
+        match = "not Hermitian"
+    elif kind.startswith("hermitian"):
+        cells[a, b, i, j] += factor * 1e-8 * phase
+        match = "not Hermitian"
+    elif kind == "diagonal":
+        cells[a, b, i, i] = 1.0 - factor * 1e-8
+        match = "unit diagonal"
+    else:
+        cells[a, b, i, j] = (1.0 + factor * 1e-9) * phase
+        cells[a, b, j, i] = np.conj(phase)
+        match = "exceeds 1"
+    if accepted:
+        CoherenceField(**_field_kwargs(cells, 4))
+    else:
+        with pytest.raises(ValueError, match=match):
+            CoherenceField(**_field_kwargs(cells, 4))
+
+
 def test_field_rejects_single_series():
     cells = np.ones((1, 1, 1, 1), dtype=complex)
     with pytest.raises(ValueError, match="between 2 and 8"):

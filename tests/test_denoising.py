@@ -392,3 +392,12 @@ def test_sweep_rows_shape():
         assert isinstance(thresholds, str) and thresholds
         assert isinstance(identical, bool)
         float(snr), float(psnr)
+
+
+@pytest.mark.parametrize("rule", [None, "hard", "soft", "garrote"])
+def test_sweep_rows_match_denoise(rule):
+    # each sweep row scores exactly the signal denoise returns for it
+    _, noisy = noisy_sinusoid(seed=7)
+    for s in method_sweep(noisy, rule=rule, level=3).scores:
+        fid = fidelity_metrics(noisy, denoise(noisy, s.method, s.rule, level=3))
+        assert (s.snr, s.psnr, s.identical) == (fid.snr, fid.psnr, fid.identical)

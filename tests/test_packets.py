@@ -1,8 +1,11 @@
 """Wavelet packet tree, pyramid transform, filters, energies."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from comove import packets
 from comove.packets import (
     analysis_step,
     dwt_forward,
@@ -105,6 +108,23 @@ def test_analysis_step_needs_even_length():
         analysis_step(np.zeros(5), h, highpass(h))
 
 
+@pytest.mark.parametrize("wavelet", ["db3", "haar"])
+@pytest.mark.parametrize("n", [2, 8, 40])
+def test_steps_on_a_stack_match_row_by_row(wavelet, n):
+    rng = np.random.default_rng(11)
+    h = lowpass(wavelet)
+    g = highpass(h)
+    x = rng.normal(size=(5, n))
+    a, d = analysis_step(x, h, g)
+    back = synthesis_step(a, d, h, g)
+    for k in range(5):
+        ak, dk = analysis_step(x[k], h, g)
+        np.testing.assert_allclose(a[k], ak, rtol=0, atol=1e-14)
+        np.testing.assert_allclose(d[k], dk, rtol=0, atol=1e-14)
+        np.testing.assert_allclose(back[k], synthesis_step(ak, dk, h, g), rtol=0, atol=1e-14)
+    np.testing.assert_allclose(back, x, rtol=0, atol=1e-13)
+
+
 def test_synthesis_step_length_mismatch():
     h = lowpass("haar")
     with pytest.raises(ValueError, match="lengths differ"):
@@ -165,6 +185,44 @@ def test_node_reconstructions_sum_to_signal():
         assert part.size == 64
         total += part
     assert np.abs(total - x).max() < 1e-10
+
+
+@pytest.mark.parametrize("wavelet", ["db3", "haar"])
+@pytest.mark.parametrize("level", [1, 2, 3, 4])
+@pytest.mark.parametrize("n", [64, 100])
+def test_reconstruct_node_matches_zeroed_tree_inverse(wavelet, level, n):
+    x = np.cumsum(np.random.default_rng(12).normal(size=n))
+    tree = wpt_forward(x, level, wavelet=wavelet)
+    for path in tree.paths():
+        # oracle: zero every other leaf, then invert the whole tree
+        nodes = {p: (c if p == path else np.zeros_like(c)) for p, c in tree.nodes.items()}
+        lone = replace(tree, nodes=nodes)
+        np.testing.assert_allclose(
+            reconstruct_node(tree, path), wpt_inverse(lone), rtol=0, atol=1e-12 * np.abs(x).max()
+        )
+
+
+@pytest.mark.parametrize("level", [1, 3, 5])
+def test_one_filter_bank_call_per_depth(monkeypatch, level):
+    calls = []
+
+    def counted(step):
+        def wrapper(*args):
+            calls.append(step.__name__)
+            return step(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(packets, "analysis_step", counted(analysis_step))
+    monkeypatch.setattr(packets, "synthesis_step", counted(synthesis_step))
+    tree = wpt_forward(np.arange(100.0), level)
+    assert calls == ["analysis_step"] * level
+    calls.clear()
+    wpt_inverse(tree)
+    assert calls == ["synthesis_step"] * level
+    calls.clear()
+    reconstruct_node(tree, (1,) * level)
+    assert calls == ["synthesis_step"] * level
 
 
 def test_reconstruct_unknown_node():
