@@ -12,6 +12,8 @@ the convention string travels inside the report.
 
 from __future__ import annotations
 
+import functools
+from collections.abc import Callable
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
@@ -147,22 +149,34 @@ def select_threshold(
         Unknown method, or every detail coefficient is exactly zero (nothing
         to estimate noise from).
     """
-    method = canonical_method(method)
-    details = [np.asarray(d, dtype=float) for d in coeffs.details]
-    if all(not np.any(d) for d in details):
+    return _threshold(canonical_method(method), coeffs, _noise_sigmas(coeffs, sigma))
+
+
+def _noise_sigmas(coeffs: DwtCoeffs, sigma: float | None) -> Callable[[int], float]:
+    """Noise level of detail level j (0 is the finest): ``sigma`` if given,
+    else the level's MAD estimate, computed once on first use."""
+    if all(not np.any(d) for d in coeffs.details):
         raise ValueError("all detail coefficients are zero; nothing to threshold")
+    if sigma is not None:
+        return lambda j: float(sigma)
+    return functools.cache(lambda j: estimate_noise_sigma(coeffs.details[j]))
+
+
+def _threshold(
+    method: str, coeffs: DwtCoeffs, sigma_at: Callable[[int], float]
+) -> float | list[float]:
+    """:func:`select_threshold` for a canonical method name and noise levels."""
+    details = [np.asarray(d, dtype=float) for d in coeffs.details]
     n = coeffs.original_length
-    sigma_g = estimate_noise_sigma(details[0]) if sigma is None else float(sigma)
+    sigma_g = sigma_at(0)
 
     if method in ("Universal", "VisuShrink"):
         return sigma_g * float(np.sqrt(2.0 * np.log(n)))
 
     if method in ("UniversalLevel", "VisuShrinkLevel"):
-        out = []
-        for d in details:
-            s_j = estimate_noise_sigma(d) if sigma is None else float(sigma)
-            out.append(s_j * float(np.sqrt(2.0 * np.log(d.size))))
-        return out
+        return [
+            sigma_at(j) * float(np.sqrt(2.0 * np.log(d.size))) for j, d in enumerate(details)
+        ]
 
     if method == "SURE":
         pooled = np.concatenate(details)
@@ -172,8 +186,8 @@ def select_threshold(
 
     if method == "SURELevel":
         out = []
-        for d in details:
-            s_j = estimate_noise_sigma(d) if sigma is None else float(sigma)
+        for j, d in enumerate(details):
+            s_j = sigma_at(j)
             out.append(0.0 if s_j == 0.0 else s_j * _sure_t(d / s_j))
         return out
 
@@ -218,19 +232,24 @@ def denoise(
     """
     coeffs = dwt_forward(x, level=level, wavelet=wavelet)
     thresholds = select_threshold(coeffs, method, sigma=sigma)
-    return _shrink_and_invert(coeffs, thresholds, rule)[1]
+    return _shrink_and_invert(coeffs, [thresholds], [rule])[1][0]
 
 
 def _shrink_and_invert(
-    coeffs: DwtCoeffs, thresholds: float | list[float], rule: str
-) -> tuple[tuple[float, ...], np.ndarray]:
-    """Shrink each detail level by its threshold (one float serves every
-    level) and invert; returns the per-level thresholds and the signal."""
-    if isinstance(thresholds, float):
-        thresholds = [thresholds] * coeffs.level
-    per_level = tuple(thresholds)
-    shrunk = tuple(apply_shrinkage(d, t, rule) for d, t in zip(coeffs.details, per_level))
-    return per_level, dwt_inverse(replace(coeffs, details=shrunk))
+    coeffs: DwtCoeffs, thresholds: list[float | list[float]], rules: list[str]
+) -> tuple[list[tuple[float, ...]], np.ndarray]:
+    """Shrink the detail levels once per row i, by thresholds[i] (one float
+    serves every level) under rules[i], and invert all rows in one batched
+    pass; returns each row's per-level thresholds and the (rows, n) signals."""
+    per_level = [
+        (t,) * coeffs.level if isinstance(t, float) else tuple(t) for t in thresholds
+    ]
+    shrunk = tuple(
+        np.stack([apply_shrinkage(d, ts[j], r) for ts, r in zip(per_level, rules)])
+        for j, d in enumerate(coeffs.details)
+    )
+    approx = np.broadcast_to(coeffs.approx, (len(rules), coeffs.approx.size))
+    return per_level, dwt_inverse(replace(coeffs, approx=approx, details=shrunk))
 
 
 class Fidelity(NamedTuple):
@@ -342,17 +361,18 @@ def method_sweep(
     if rule is not None and rule not in SHRINKAGE_RULES:
         raise ValueError(f"unknown rule {rule!r}; have {SHRINKAGE_RULES}")
     coeffs = dwt_forward(x, level=level, wavelet=wavelet)
+    sigma_at = _noise_sigmas(coeffs, None)
+    thresholds = [_threshold(method, coeffs, sigma_at) for method in METHODS]
+    rules = [rule if rule is not None else CONVENTIONAL_RULE[m] for m in METHODS]
+    per_level, estimates = _shrink_and_invert(coeffs, thresholds, rules)
     scores = []
-    for method in METHODS:
-        use_rule = rule if rule is not None else CONVENTIONAL_RULE[method]
-        thresholds = select_threshold(coeffs, method)
-        per_level, est = _shrink_and_invert(coeffs, thresholds, use_rule)
+    for method, use_rule, ts, est in zip(METHODS, rules, per_level, estimates):
         fid = fidelity_metrics(ref, est)
         scores.append(
             MethodScore(
                 method=method,
                 rule=use_rule,
-                thresholds=per_level,
+                thresholds=ts,
                 snr=fid.snr,
                 psnr=fid.psnr,
                 identical=fid.identical,

@@ -236,10 +236,14 @@ def dwt_forward(x: np.ndarray, level: int, wavelet: str = "db3") -> DwtCoeffs:
 
 
 def dwt_inverse(coeffs: DwtCoeffs) -> np.ndarray:
-    """Invert :func:`dwt_forward`, trimmed to the original length."""
+    """Invert :func:`dwt_forward`, trimmed to the original length.
+
+    Leading axes shared by ``approx`` and every detail level are a batch of
+    decompositions, inverted together.
+    """
     h = lowpass(coeffs.wavelet)
     g = highpass(h)
     a = coeffs.approx
     for d in reversed(coeffs.details):
         a = synthesis_step(a, d, h, g)
-    return a[: coeffs.original_length]
+    return a[..., : coeffs.original_length]

@@ -12,7 +12,9 @@ pure noise.
 
 Forecasts iterate the difference equation from the last observation and last
 residual; forecast-error covariances accumulate psi-weight outer products,
-and 95% bands use the plain Gaussian 1.96 multiplier.
+and 95% bands use the plain Gaussian 1.96 multiplier. Every first-order
+recursion (residuals, simulated paths, forecast points and psi weights) runs
+as one log-depth prefix scan: ceil(log2 n) batched matrix products, no loop.
 """
 
 from __future__ import annotations
@@ -279,13 +281,19 @@ def fit_varma11(data: np.ndarray) -> VarmaModel:
     )
 
 
+def _linear_recursion(u: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """x_0 = u_0, x_t = u_t + a x_{t-1} along axis 0, as a doubling scan."""
+    x, k = u.copy(), 1
+    while k < len(x):
+        x[k:] += x[:-k] @ a.T  # row t now sums a^j u_{t-j} over j < 2k
+        a, k = a @ a, 2 * k
+    return x
+
+
 def _varma_residuals(z: np.ndarray, phi: np.ndarray, theta: np.ndarray) -> np.ndarray:
     """Residual recursion e_t = z_t - Phi z_{t-1} - Theta e_{t-1}, e_0 = 0."""
-    n, p = z.shape
-    e = np.zeros((n, p))
-    for t in range(1, n):
-        e[t] = z[t] - phi @ z[t - 1] - theta @ e[t - 1]
-    return e
+    u = np.vstack([np.zeros_like(z[:1]), z[1:] - z[:-1] @ phi.T])
+    return _linear_recursion(u, -theta)
 
 
 def residuals(model: ArmaModel | VarmaModel, data: np.ndarray) -> np.ndarray:
@@ -375,21 +383,15 @@ def forecast(
         if e.shape != (p,):
             raise ValueError(f"e_last must have shape ({p},), got {e.shape}")
 
-    points = np.empty((horizon, p))
-    dev = phi @ (y - mu) + theta @ e
-    points[0] = mu + dev
-    for h in range(1, horizon):
-        dev = phi @ dev
-        points[h] = mu + dev
+    dev = np.zeros((horizon, p))
+    dev[0] = phi @ (y - mu) + theta @ e
+    points = mu + _linear_recursion(dev, phi)
 
-    cov = np.empty((horizon, p, p))
-    psi = np.eye(p)
-    acc = psi @ sigma @ psi.T
-    cov[0] = acc
-    for h in range(1, horizon):
-        psi = (phi + theta) if h == 1 else phi @ psi
-        acc = acc + psi @ sigma @ psi.T
-        cov[h] = acc
+    psi_t = np.zeros((horizon, p, p))  # drive I, Theta', 0, ...: row h becomes Psi_h'
+    psi_t[0] = np.eye(p)
+    psi_t[1:2] = theta.T
+    psi_t = _linear_recursion(psi_t, phi)
+    cov = np.cumsum(np.swapaxes(psi_t, 1, 2) @ sigma @ psi_t, axis=0)
     sd = np.sqrt(np.maximum(np.diagonal(cov, axis1=1, axis2=2), 0.0))
     return ForecastResult(
         horizon=horizon,
@@ -501,9 +503,6 @@ def simulate_varma(
         chol = np.linalg.cholesky(sigma + 1e-12 * np.eye(p))
     except np.linalg.LinAlgError as exc:
         raise ValueError("innovation covariance is not positive definite") from exc
-    eps = rng.standard_normal((n + burn_in, p)) @ chol.T
-    z = np.zeros((n + burn_in, p))
-    z[0] = eps[0]
-    for t in range(1, n + burn_in):
-        z[t] = phi @ z[t - 1] + eps[t] + theta @ eps[t - 1]
-    return z[burn_in:] + mu
+    u = rng.standard_normal((n + burn_in, p)) @ chol.T
+    u[1:] += u[:-1] @ theta.T  # drive eps_t + Theta eps_{t-1}, eps_{-1} = 0
+    return _linear_recursion(u, phi)[burn_in:] + mu

@@ -6,6 +6,7 @@ checks compare against the defining recursions computed with explicit loops.
 
 import numpy as np
 import pytest
+from scipy.signal import lfilter
 
 from comove.varma import (
     ArmaModel,
@@ -18,6 +19,7 @@ from comove.varma import (
     residuals,
     simulate_varma,
 )
+from comove.varma import _linear_recursion
 
 
 # ---------------------------------------------------------------- models
@@ -81,6 +83,34 @@ def test_simulate_shapes():
         n_obs=0,
     )
     assert simulate_varma(m2, 50, seed=0).shape == (50, 3)
+
+
+@pytest.mark.parametrize("p", [1, 3])
+def test_simulate_satisfies_recursion(p):
+    # z_t = Phi z_{t-1} + eps_t + Theta eps_{t-1} from a zero state, eps drawn
+    # as N(0, I) rows times the Cholesky factor of sigma
+    rng = np.random.default_rng(34 + p)
+    phi = rng.normal(size=(p, p))
+    phi *= 0.95 / np.max(np.abs(np.linalg.eigvals(phi)))
+    theta = rng.normal(size=(p, p))
+    theta *= 0.8 / np.max(np.abs(np.linalg.eigvals(theta)))
+    b = rng.normal(size=(p, p))
+    sigma = b @ b.T + np.eye(p)
+    mu = rng.normal(size=p)
+    if p == 1:
+        m = ArmaModel(mu=mu[0], phi=phi[0, 0], theta=theta[0, 0], sigma2=sigma[0, 0], n_obs=0)
+    else:
+        m = VarmaModel(mu=mu, phi=phi, theta=theta, sigma=sigma, n_obs=0)
+    n, burn_in, seed = 700, 300, 35
+    chol = np.linalg.cholesky(sigma + 1e-12 * np.eye(p))
+    eps = np.random.default_rng(seed).standard_normal((n + burn_in, p)) @ chol.T
+    z = np.zeros((n + burn_in, p))
+    z[0] = eps[0]
+    for t in range(1, n + burn_in):
+        z[t] = phi @ z[t - 1] + eps[t] + theta @ eps[t - 1]
+    want = z[burn_in:] + mu
+    got = simulate_varma(m, n, seed=seed, burn_in=burn_in)
+    assert np.abs(got - want).max() <= 1e-11 * np.abs(want).max()
 
 
 def test_simulate_respects_mean():
@@ -239,6 +269,17 @@ def test_varma_residuals_satisfy_recursion():
     for t in range(1, 200):
         want[t] = zc[t] - m.phi @ zc[t - 1] - m.theta @ want[t - 1]
     np.testing.assert_allclose(e[1:], want[1:], atol=1e-10)
+
+
+def test_arma_residuals_match_lfilter():
+    m = ArmaModel(mu=0.4, phi=0.8, theta=-0.7, sigma2=2.0, n_obs=0)
+    x = simulate_varma(m, 3000, seed=33).ravel()
+    z = x - m.mu
+    want = np.zeros_like(z)
+    want[1:] = lfilter([1.0], [1.0, m.theta], z[1:] - m.phi * z[:-1])
+    e = residuals(m, x)
+    assert e[0] == 0.0
+    assert np.abs(e - want).max() <= 1e-12 * np.abs(want).max()
 
 
 def test_residuals_recover_innovations():
@@ -418,3 +459,31 @@ def test_mse_comparison_tie_tolerance():
 def test_mse_comparison_length_mismatch():
     with pytest.raises(ValueError, match="matching lengths"):
         mse_comparison(("a",), np.array([1.0, 2.0]), np.array([1.0]))
+
+
+# ---------------------------------------------------------------- prefix scan
+
+
+def _scan_matrix(kind: str, p: int) -> np.ndarray:
+    rng = np.random.default_rng(36 + p)
+    if kind == "nonnormal":
+        # eigenvalues near 0.9 under large upper couplings: powers grow by
+        # orders of magnitude before they decay
+        return np.triu(rng.normal(scale=3.0, size=(p, p)), 1) + np.diag(rng.uniform(0.8, 0.99, p))
+    a = rng.normal(size=(p, p))
+    a *= 0.9999 / np.max(np.abs(np.linalg.eigvals(a)))
+    return -a if kind == "negated" else a
+
+
+@pytest.mark.parametrize("kind", ["random", "negated", "nonnormal"])
+@pytest.mark.parametrize("p", [1, 2, 8])
+@pytest.mark.parametrize("n", [1, 2, 3, 50, 1461, 4097])
+def test_linear_recursion_matches_loop(kind, p, n):
+    a = _scan_matrix(kind, p)
+    u = np.random.default_rng(n).normal(size=(n, p))
+    want = u.copy()
+    for t in range(1, n):
+        want[t] = u[t] + a @ want[t - 1]
+    x = _linear_recursion(u, a)
+    assert x.shape == (n, p)
+    assert np.abs(x - want).max() <= 1e-11 * np.abs(want).max()
