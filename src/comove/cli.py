@@ -50,9 +50,6 @@ from .denoising import CONVENTIONAL_RULE, canonical_method
 from .denoising import denoise as _denoise_series
 from .denoising import method_sweep
 
-DEFAULT_SEED = 1729
-
-
 class UsageError(Exception):
     """Bad invocation: unknown keys, unparseable values, unknown subcommand."""
 
@@ -76,7 +73,6 @@ class PipelineConfig:
     wavelet: str = "db3"
     horizon: int = 30
     out_dir: str = "out"
-    seed: int = DEFAULT_SEED
 
     def echo(self) -> str:
         parts = []
@@ -95,7 +91,7 @@ _BOOL_FALSE = {"0", "false", "no", "off"}
 
 
 def _coerce(key: str, raw: str) -> object:
-    if key in ("depth", "denoise_level", "horizon", "seed"):
+    if key in ("depth", "denoise_level", "horizon"):
         try:
             return int(raw)
         except ValueError:
@@ -200,7 +196,6 @@ def _build_parser() -> _Parser:
         p.add_argument("--wavelet", default=None, help="db3 or haar")
         p.add_argument("--horizon", type=int, default=None)
         p.add_argument("--out-dir", dest="out_dir", default=None)
-        p.add_argument("--seed", type=int, default=None)
     return parser
 
 

@@ -2,10 +2,12 @@
 
 Everything here operates on a field of small Hermitian matrices: at each
 (scale, time) cell, entry (i, j) is the smoothed cross-coherency between
-series i and j, with unit diagonal. Multiple coherence of a target on the
-remaining series and partial coherencies with the others held fixed are
-cofactor identities on that matrix; the closed-form four-series expansion
-writes one of them out by hand.
+series i and j, with unit diagonal. The field stores only the p(p-1)/2
+entries above the diagonal, so symmetry and the unit diagonal hold by
+construction. Multiple coherence of a target on the remaining series and
+partial coherencies with the others held fixed are cofactor identities on
+that matrix; the closed-form four-series expansion writes one of them out by
+hand.
 
 Conventions: the squared multiple coherence is ``1 - det(C) / cof(C, t, t)``,
 where ``cof(C, t, t)`` is the determinant of C with the target row and column
@@ -24,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cwt import Smoother, WaveletField, cross_spectrum, smooth
+from .cwt import WaveletField, cross_spectrum, smooth
 
 _SINGULAR_MINOR_TOL = 1e-14
 _HERMITIAN_TOL = 1e-8
@@ -33,25 +35,26 @@ _UNIT_DISC_TOL = 1e-9
 
 @dataclass(frozen=True)
 class CoherenceField:
-    """Grid of Hermitian unit-diagonal coherency matrices.
+    """Grid of Hermitian unit-diagonal coherency matrices, stored packed.
 
     Attributes
     ----------
-    cells : ndarray, complex, shape (num_scales, n, p, p)
-        Coherency matrix per (scale, time) cell. Hermitian with unit
-        diagonal; off-diagonal magnitudes at most 1 up to rounding.
+    pairs : ndarray, complex, shape (p * (p - 1) // 2, num_scales, n)
+        Entry (i, j), i < j, of every cell, one row per pair in
+        ``np.triu_indices(p, 1)`` order; magnitudes at most 1 up to rounding.
+        Entry (j, i) is its conjugate and the diagonal is one.
     labels : tuple of str
-        Series names, one per matrix row.
+        Series names, one per matrix row; their number is p.
     scales : ndarray, shape (num_scales,)
     dt : float
     coi_outside : ndarray, bool, shape (num_scales, n)
         True where the cell lies outside the cone of influence.
     degenerate : ndarray, bool, shape (num_scales, n)
-        True where a smoothed auto-spectrum vanished (constant input); the
-        cell is stored as the identity matrix.
+        True where a smoothed auto-spectrum vanished (constant input); every
+        pair is 0 there, so the cell is the identity matrix.
     """
 
-    cells: np.ndarray
+    pairs: np.ndarray
     labels: tuple[str, ...]
     scales: np.ndarray
     dt: float
@@ -59,49 +62,48 @@ class CoherenceField:
     degenerate: np.ndarray
 
     def __post_init__(self) -> None:
-        cells = np.asarray(self.cells, dtype=complex)
-        if cells.ndim != 4 or cells.shape[2] != cells.shape[3]:
-            raise ValueError(f"cells must be (scales, times, p, p), got {cells.shape}")
-        p = cells.shape[2]
+        p = len(self.labels)
         if not 2 <= p <= 8:
             raise ValueError(f"need between 2 and 8 series, got {p}")
-        if len(self.labels) != p:
-            raise ValueError(f"{len(self.labels)} labels for {p} series")
-        # One scale row at a time into two reused row-sized buffers: each
-        # entry is read once from a contiguous block (per-entry slices of the
-        # whole array are strided reads, temporaries over it several times its
-        # size). Each test is written so that a NaN deviation fails it; inf -
-        # inf is such a NaN, hence the errstate.
-        herm, diag, mags = [], [], []
-        dev = np.empty(cells.shape[1:], dtype=complex)
-        modulus = np.empty(cells.shape[1:])
-        with np.errstate(invalid="ignore"):
-            for row in cells:
-                np.subtract(row, np.conj(np.swapaxes(row, 1, 2), out=dev), out=dev)
-                herm.append(np.abs(dev, out=modulus).max())
-                diag.append(np.abs(np.diagonal(row, axis1=1, axis2=2) - 1.0).max())
-                mags.append(np.abs(row, out=modulus).max())
-        herm_err, diag_err, mag = np.max(herm), np.max(diag), np.max(mags)
-        if not herm_err <= _HERMITIAN_TOL:
-            raise ValueError(f"cells not Hermitian (max deviation {herm_err:.3g})")
-        if not diag_err <= _HERMITIAN_TOL:
-            raise ValueError(f"cells lack unit diagonal (max deviation {diag_err:.3g})")
-        if not mag <= 1.0 + _UNIT_DISC_TOL:
-            raise ValueError(f"coherency magnitude {mag} exceeds 1")
-        cells.flags.writeable = False
-        object.__setattr__(self, "cells", cells)
-        for name in ("scales", "coi_outside", "degenerate"):
+        pairs = np.asarray(self.pairs, dtype=complex)
+        if pairs.ndim != 3 or pairs.shape[0] != p * (p - 1) // 2:
+            raise ValueError(f"pairs shape {pairs.shape} does not fit {p} series")
+        grid = pairs.shape[1:]
+        for name, shape in (("scales", grid[:1]), ("coi_outside", grid), ("degenerate", grid)):
             arr = np.asarray(getattr(self, name))
+            if arr.shape != shape:
+                raise ValueError(f"{name} has shape {arr.shape}, expected {shape}")
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
+        # One pair at a time into a reused grid-sized buffer; a NaN magnitude
+        # fails the test, so non-finite entries are rejected too.
+        modulus = np.empty(grid)
+        mag = np.max([np.abs(row, out=modulus).max() for row in pairs])
+        if not mag <= 1.0 + _UNIT_DISC_TOL:
+            raise ValueError(f"coherency magnitude {mag} exceeds 1")
+        pairs.flags.writeable = False
+        object.__setattr__(self, "pairs", pairs)
 
     @property
     def p(self) -> int:
-        return int(self.cells.shape[2])
+        return len(self.labels)
 
     @property
     def shape(self) -> tuple[int, int]:
-        return (int(self.cells.shape[0]), int(self.cells.shape[1]))
+        return self.pairs.shape[1:]
+
+    @property
+    def cells(self) -> np.ndarray:
+        """Dense read-only (num_scales, n, p, p) matrices, built on each access."""
+        p = self.p
+        i, j = np.triu_indices(p, 1)
+        upper = np.moveaxis(self.pairs, 0, -1)
+        cells = np.empty(self.shape + (p, p), dtype=complex)
+        cells[..., i, j] = upper
+        cells[..., j, i] = np.conj(upper)
+        cells[..., np.arange(p), np.arange(p)] = 1.0
+        cells.flags.writeable = False
+        return cells
 
     def index_of(self, label: str) -> int:
         try:
@@ -112,20 +114,21 @@ class CoherenceField:
 
 def coherence_matrix_field(
     fields: list[WaveletField] | tuple[WaveletField, ...],
-    smoother: Smoother | None = None,
     labels: tuple[str, ...] | None = None,
 ) -> CoherenceField:
-    """Assemble the coherency-matrix field from per-series wavelet fields.
+    """Assemble the packed coherency field from per-series wavelet fields.
+
+    Every auto-spectrum and every pair's cross-spectrum is smoothed by
+    :func:`~comove.cwt.smooth` on the shared grid, one call per spectrum
+    (p(p+1)/2 in all), and written into a preallocated row; each pair row is
+    then normalised in place by the smoothed auto-spectra. The same operator
+    is applied to every spectrum, which is what keeps each cell positive
+    semidefinite.
 
     Parameters
     ----------
     fields : sequence of WaveletField
         Two to eight transforms on the same scale grid and time axis.
-    smoother : callable, optional
-        Maps a raw CrossSpectrumField to a smoothed one. Defaults to the
-        standard separable smoother on the shared grid. The same operator is
-        applied to every auto- and cross-spectrum, which is what keeps each
-        cell positive semidefinite.
     labels : tuple of str, optional
         Names for the series, defaulting to series0..seriesN.
 
@@ -146,37 +149,28 @@ def coherence_matrix_field(
             raise ValueError("wavelet fields are on different scale grids")
         if f.n_times != first.n_times or f.dt != first.dt:
             raise ValueError("wavelet fields have different time axes")
-    grid, dt = first.grid, first.dt
-    if smoother is None:
-        smoother = lambda fld: smooth(fld, grid, dt)
-
-    nj, nt = grid.num_scales, first.n_times
-    tiny = np.finfo(float).tiny
-
-    autos = np.empty((p, nj, nt))
-    for i, f in enumerate(fields):
-        autos[i] = smoother(cross_spectrum(f, f)).values.real
-    degenerate = np.zeros((nj, nt), dtype=bool)
-    for i in range(p):
-        degenerate |= ~(autos[i] > tiny)
-    denom = np.sqrt(np.clip(autos, tiny, None))
-
-    cells = np.zeros((nj, nt, p, p), dtype=complex)
-    cells[:, :, np.arange(p), np.arange(p)] = 1.0
-    for i in range(p):
-        for j in range(i + 1, p):
-            sij = smoother(cross_spectrum(fields[i], fields[j])).values
-            rho = sij / (denom[i] * denom[j])
-            rho[degenerate] = 0.0
-            cells[:, :, i, j] = rho
-            cells[:, :, j, i] = np.conj(rho)
-
     if labels is None:
         labels = tuple(f"series{i}" for i in range(p))
     elif len(labels) != p:
         raise ValueError(f"{len(labels)} labels for {p} series")
+    grid, dt = first.grid, first.dt
+    tiny = np.finfo(float).tiny
+
+    autos = np.empty((p, grid.num_scales, first.n_times))
+    for i, f in enumerate(fields):
+        autos[i] = smooth(cross_spectrum(f, f), grid, dt).values.real
+    degenerate = ~(autos > tiny).all(axis=0)
+    denom = np.sqrt(np.clip(autos, tiny, None, out=autos), out=autos)
+
+    upper = np.triu_indices(p, 1)
+    pairs = np.empty((len(upper[0]),) + autos.shape[1:], dtype=complex)
+    for k, (i, j) in enumerate(zip(*upper)):
+        pairs[k] = smooth(cross_spectrum(fields[i], fields[j]), grid, dt).values
+        pairs[k] /= denom[i] * denom[j]
+    pairs[:, degenerate] = 0.0
+
     return CoherenceField(
-        cells=cells,
+        pairs=pairs,
         labels=tuple(labels),
         scales=grid.scales,
         dt=dt,
@@ -201,11 +195,11 @@ def _solve(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Multiple and partial coherencies of the target from one LDL^H pass.
 
-    Per scale row, the cells are permuted so the target comes last and laid
-    out as a ``(p, 2p, n)`` array ``[C | I]`` with cells on the last axis.
-    Elimination without pivoting, one broadcast rank-1 update per step, leaves
-    ``D L^H`` in its upper triangle and ``L^-1`` on the right, for ``C = L D
-    L^H``. A non-target pivot below
+    Per scale row, the cells are gathered from the packed pairs with the
+    target ordered last and laid out as a ``(p, 2p, n)`` array ``[C | I]``
+    with cells on the last axis. Elimination without pivoting, one broadcast
+    rank-1 update per step, leaves ``D L^H`` in its upper triangle and
+    ``L^-1`` on the right, for ``C = L D L^H``. A non-target pivot below
     ``_SINGULAR_MINOR_TOL`` (or not finite) marks the cell singular and is
     replaced by 1 before dividing, so every output stays finite.
 
@@ -227,10 +221,20 @@ def _solve(
     bad : ndarray, bool, shape (p - 1, num_scales, n)
         ``cof(t, t) * cof(j, j) < 1e-14``, or the cell is singular.
     """
-    cells = field.cells
-    nj, nt, p, _ = cells.shape
+    pairs = field.pairs
+    npairs, nj, nt = pairs.shape
+    p = field.p
     last = p - 1
-    order = np.array([i for i in range(p) if i != target] + [target])
+    # Row of the stack [pairs; conj(pairs); ones] that holds each entry of a
+    # target-last cell: k for pair k above the diagonal, P + k below it and
+    # 2P on it.
+    where = np.full((p, p), 2 * npairs)
+    i, j = np.triu_indices(p, 1)
+    where[i, j], where[j, i] = np.arange(npairs), npairs + np.arange(npairs)
+    order = [k for k in range(p) if k != target] + [target]
+    where = where[np.ix_(order, order)]
+    src = np.empty((2 * npairs + 1, nt), dtype=complex)
+    src[-1] = 1.0
     r2 = np.empty((nj, nt))
     singular = np.empty((nj, nt), dtype=bool)
     rho = np.empty((last, nj, nt), dtype=complex)
@@ -238,7 +242,9 @@ def _solve(
     aug = np.empty((p, 2 * p, nt), dtype=complex)
     piv = np.empty((p, nt))
     for s in range(nj):
-        aug[:, :p] = cells[s][:, order[:, None], order].transpose(1, 2, 0)
+        src[:npairs] = pairs[:, s]
+        np.conj(pairs[:, s], out=src[npairs:-1])
+        aug[:, :p] = src[where]
         aug[:, p:] = 0.0
         aug[np.arange(p), p + np.arange(p)] = 1.0
         weak = np.zeros(nt, dtype=bool)

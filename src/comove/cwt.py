@@ -11,8 +11,6 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Callable
-
 import numpy as np
 from scipy.fft import dct, idct, rfft
 
@@ -325,6 +323,3 @@ def smooth(field: CrossSpectrumField, grid: ScaleGrid, dt: float) -> CrossSpectr
             out += padded[k : k + rows]
         out /= width
     return CrossSpectrumField(values=out, smoothed=True)
-
-
-Smoother = Callable[[CrossSpectrumField], CrossSpectrumField]

@@ -34,3 +34,36 @@ def random_coherency_cell(rng: np.random.Generator, p: int) -> np.ndarray:
     cell = 0.5 * (cell + cell.conj().T)
     np.fill_diagonal(cell, 1.0)
     return cell
+
+
+def pack_cells(cells) -> np.ndarray:
+    """Dense (..., p, p) cells in the packed ``CoherenceField.pairs`` layout.
+
+    Keeps the entries above the diagonal, one leading row per pair in
+    ``np.triu_indices(p, 1)`` order; the lower triangle and the diagonal are
+    dropped, as the field does not store them.
+    """
+    cells = np.asarray(cells)
+    i, j = np.triu_indices(cells.shape[-1], 1)
+    return np.moveaxis(cells[..., i, j], -1, 0)
+
+
+def unsmoothed_field(fields):
+    """Field of the raw coherencies ``W_i conj(W_j) / (|W_i| |W_j|)``.
+
+    Without smoothing every cell is the outer product of one unit-modulus
+    vector with itself, so it has rank one.
+    """
+    from comove.coherence import CoherenceField
+
+    w = np.stack([f.coeffs for f in fields])
+    i, j = np.triu_indices(len(fields), 1)
+    pairs = w[i] * np.conj(w[j]) / (np.abs(w[i]) * np.abs(w[j]))
+    return CoherenceField(
+        pairs=pairs,
+        labels=tuple(f"series{k}" for k in range(len(fields))),
+        scales=fields[0].grid.scales,
+        dt=fields[0].dt,
+        coi_outside=fields[0].outside_coi(),
+        degenerate=np.zeros(pairs.shape[1:], dtype=bool),
+    )

@@ -12,13 +12,12 @@ import time
 
 import numpy as np
 import pytest
-from conftest import laplace_det, random_coherency_cell
+from conftest import laplace_det, pack_cells, random_coherency_cell, unsmoothed_field
 
 import comove as cm
 from comove import timeseries as tsm
 from comove.cli import main as cli_main
 from comove.coherence import CoherenceField
-from comove.cwt import CrossSpectrumField
 
 
 def report(capsys, ok: bool, name: str, detail: str) -> None:
@@ -47,7 +46,7 @@ def test_coherence_determinant_identities(capsys):
         )
 
     field = CoherenceField(
-        cells=cells,
+        pairs=pack_cells(cells),
         labels=("a", "b", "c", "d"),
         scales=np.geomspace(2.0, 64.0, 10),
         dt=1.0,
@@ -393,7 +392,6 @@ def test_pipeline_determinism(tmp_path, capsys):
         "depth = 3\n"
         "denoise_level = 3\n"
         "horizon = 5\n"
-        "seed = 1729\n"
     )
     outs = []
     for name in ("first", "second"):
@@ -412,7 +410,7 @@ def test_pipeline_determinism(tmp_path, capsys):
         capsys,
         ok,
         "pipeline determinism",
-        f"two runs from one config/seed: {len(names)} output files byte-identical",
+        f"two runs from one config: {len(names)} output files byte-identical",
     )
     assert identical
     assert len(names) >= 10
@@ -441,10 +439,7 @@ def test_degenerate_inputs(tmp_path, capsys):
         cm.fit_arma11(np.full(100, 2.5))
 
     # unsmoothed spectra make every cell rank one: all cells flagged
-    passthrough = lambda f: CrossSpectrumField(values=f.values, smoothed=True)
-    rank_one = cm.coherence_result(
-        cm.coherence_matrix_field([fx, fy, fz], smoother=passthrough), 0
-    )
+    rank_one = cm.coherence_result(unsmoothed_field([fx, fy, fz]), 0)
     rank_one_ok = bool(rank_one.flagged.all())
 
     # representative error contracts, one or two per module (the unit suite

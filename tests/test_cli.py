@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 
 from comove.cli import (
-    DEFAULT_SEED,
     PipelineConfig,
     UsageError,
     main,
@@ -136,22 +135,14 @@ def test_flags_override_config_file(tmp_path, capsys):
     src = tmp_path / "in.csv"
     write_input(src, n=64)
     cfg = tmp_path / "run.cfg"
-    cfg.write_text(f"input = {src}\nhorizon = 7\nseed = 42\n")
+    cfg.write_text(f"input = {src}\nhorizon = 7\ndepth = 3\n")
     code = main(
-        ["packet", "--config", str(cfg), "--seed", "99", "--out-dir", str(tmp_path / "o")]
+        ["packet", "--config", str(cfg), "--depth", "2", "--out-dir", str(tmp_path / "o")]
     )
     assert code == 0
     out = capsys.readouterr().out
-    assert "config seed=99" in out  # flag wins
+    assert "config depth=2" in out  # flag wins
     assert "config horizon=7" in out  # file survives where no flag given
-
-
-def test_default_seed_is_echoed(tmp_path, capsys):
-    src = tmp_path / "in.csv"
-    write_input(src, n=64)
-    assert main(["packet", "--input", str(src), "--out-dir", str(tmp_path / "o")]) == 0
-    assert f"config seed={DEFAULT_SEED}" in capsys.readouterr().out
-    assert DEFAULT_SEED == 1729
 
 
 def test_config_echo_is_sorted_and_complete(capsys):
@@ -372,7 +363,7 @@ def test_forecast_bad_horizon(tmp_path, capsys):
 # ---------------------------------------------------------------- pipeline
 
 
-def run_pipeline(tmp_path, out_name, seed_arg=None):
+def run_pipeline(tmp_path, out_name):
     src = tmp_path / "in.csv"
     if not src.exists():
         write_input(src, n=150, p=2, seed=5)
@@ -392,8 +383,6 @@ def run_pipeline(tmp_path, out_name, seed_arg=None):
         "--out-dir",
         str(out),
     ]
-    if seed_arg is not None:
-        argv += ["--seed", str(seed_arg)]
     assert main(argv) == 0
     return out
 

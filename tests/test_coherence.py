@@ -2,13 +2,15 @@
 
 Oracles come from conftest: a recursive Laplace-expansion determinant (so the
 closed forms are not checked against the same LAPACK routine they could have
-wrapped) and a Gram-matrix generator for random valid coherency cells.
+wrapped) and a Gram-matrix generator for random valid coherency cells, which
+``pack_cells`` turns into the field's packed upper-triangle layout.
 """
 
 import numpy as np
 import pytest
-from conftest import laplace_det, random_coherency_cell
+from conftest import laplace_det, pack_cells, random_coherency_cell, unsmoothed_field
 
+from comove import coherence
 from comove.coherence import (
     CoherenceField,
     coherence_matrix_field,
@@ -18,7 +20,7 @@ from comove.coherence import (
     multiple_from_partials,
     partial_coherence,
 )
-from comove.cwt import CrossSpectrumField, cwt_morlet
+from comove.cwt import cross_spectrum, cwt_morlet, smooth
 
 
 def build_field(p, nj=4, nt=6, seed=0):
@@ -28,7 +30,7 @@ def build_field(p, nj=4, nt=6, seed=0):
         for b in range(nt):
             cells[a, b] = random_coherency_cell(rng, p)
     return CoherenceField(
-        cells=cells,
+        pairs=pack_cells(cells),
         labels=tuple(f"s{i}" for i in range(p)),
         scales=np.geomspace(2.0, 32.0, nj),
         dt=1.0,
@@ -120,7 +122,7 @@ def test_results_invariant_to_series_permutation():
     perm = [2, 0, 3, 1]
     cells_p = field.cells[:, :, perm, :][:, :, :, perm]
     field_p = CoherenceField(
-        cells=cells_p,
+        pairs=pack_cells(cells_p),
         labels=tuple(field.labels[i] for i in perm),
         scales=field.scales,
         dt=field.dt,
@@ -142,7 +144,7 @@ def test_singular_minor_reports_one():
     cell = np.ones((p, p), dtype=complex)
     cells = np.broadcast_to(cell, (2, 2, p, p)).copy()
     field = CoherenceField(
-        cells=cells,
+        pairs=pack_cells(cells),
         labels=("a", "b", "c"),
         scales=np.array([2.0, 4.0]),
         dt=1.0,
@@ -310,8 +312,7 @@ def test_matrix_field_identity_smoother_gives_unit_coherence():
     # without smoothing every cell is rank one and coherence is identically 1
     rng = np.random.default_rng(13)
     cols = [rng.normal(size=64) for _ in range(2)]
-    passthrough = lambda f: CrossSpectrumField(values=f.values, smoothed=True)
-    field = coherence_matrix_field(_wavelet_fields(64, cols), smoother=passthrough)
+    field = unsmoothed_field(_wavelet_fields(64, cols))
     r2 = multiple_coherence(field, 0)
     np.testing.assert_allclose(r2, 1.0, atol=1e-9)
 
@@ -354,33 +355,60 @@ def test_matrix_field_rejects_wrong_label_count():
         coherence_matrix_field(fields, labels=("only-one",))
 
 
+def _dense_assembly(fields):
+    """The per-pair dense assembly the packed field replaced: each smoothed
+    pair, normalised, and its conjugate scattered into (scales, n, p, p)."""
+    grid, dt, p = fields[0].grid, fields[0].dt, len(fields)
+    tiny = np.finfo(float).tiny
+    autos = np.array([smooth(cross_spectrum(f, f), grid, dt).values.real for f in fields])
+    degenerate = ~(autos > tiny).all(axis=0)
+    denom = np.sqrt(np.clip(autos, tiny, None))
+    cells = np.zeros(autos.shape[1:] + (p, p), dtype=complex)
+    cells[:, :, np.arange(p), np.arange(p)] = 1.0
+    for i in range(p):
+        for j in range(i + 1, p):
+            sij = smooth(cross_spectrum(fields[i], fields[j]), grid, dt).values
+            rho = sij / (denom[i] * denom[j])
+            rho[degenerate] = 0.0
+            cells[:, :, i, j] = rho
+            cells[:, :, j, i] = np.conj(rho)
+    return cells
+
+
+@pytest.mark.parametrize("p", [2, 3, 6])
+def test_packed_assembly_matches_dense_assembly(p, monkeypatch):
+    rng = np.random.default_rng([19, p])
+    n = 300
+    common = np.cumsum(rng.normal(size=n))
+    cols = [rng.uniform(0.2, 1.0) * common + np.cumsum(rng.normal(size=n)) for _ in range(p)]
+    fields = _wavelet_fields(n, cols)
+    calls = []
+    monkeypatch.setattr(
+        coherence, "smooth", lambda *args: calls.append(1) or smooth(*args)
+    )
+    field = coherence_matrix_field(fields)
+    assert len(calls) == p * (p + 1) // 2  # one smoothing call per spectrum
+    cells = field.cells
+    assert field.pairs.shape == (p * (p - 1) // 2,) + field.shape
+    assert np.array_equal(cells, _dense_assembly(fields))
+    assert np.array_equal(cells, np.conj(np.swapaxes(cells, -1, -2)))
+    assert np.all(np.diagonal(cells, axis1=-2, axis2=-1) == 1.0)
+    assert not cells.flags.writeable and not field.pairs.flags.writeable
+
+
 # ----------------------------------------------------- CoherenceField checks
 
 
 def _field_kwargs(cells, p):
     nj, nt = cells.shape[:2]
     return dict(
-        cells=cells,
+        pairs=pack_cells(cells),
         labels=tuple(f"s{i}" for i in range(p)),
         scales=np.geomspace(2.0, 32.0, nj),
         dt=1.0,
         coi_outside=np.zeros((nj, nt), dtype=bool),
         degenerate=np.zeros((nj, nt), dtype=bool),
     )
-
-
-def test_field_rejects_non_hermitian_cells():
-    cells = np.zeros((1, 1, 2, 2), dtype=complex)
-    cells[0, 0] = [[1.0, 0.5], [0.1, 1.0]]
-    with pytest.raises(ValueError, match="not Hermitian"):
-        CoherenceField(**_field_kwargs(cells, 2))
-
-
-def test_field_rejects_bad_diagonal():
-    cells = np.zeros((1, 1, 2, 2), dtype=complex)
-    cells[0, 0] = [[2.0, 0.0], [0.0, 1.0]]
-    with pytest.raises(ValueError, match="unit diagonal"):
-        CoherenceField(**_field_kwargs(cells, 2))
 
 
 def test_field_rejects_coherency_above_one():
@@ -398,43 +426,53 @@ def test_field_rejects_non_finite_cells(value):
     i, j = rng.choice(4, size=2, replace=False)
     cells[a, b, i, j] = value
     cells[a, b, j, i] = np.conj(value)
-    with pytest.raises(ValueError, match="not Hermitian"):
+    with pytest.raises(ValueError, match="exceeds 1"):
         CoherenceField(**_field_kwargs(cells, 4))
 
 
 @pytest.mark.parametrize("factor,accepted", [(0.99, True), (1.01, False)])
-@pytest.mark.parametrize(
-    "kind", ["hermitian-upper", "hermitian-lower", "hermitian-diagonal", "diagonal",
-             "disc-upper", "disc-lower"]
-)
+@pytest.mark.parametrize("kind", ["disc-upper", "disc-lower"])
 def test_field_checks_sit_at_their_tolerances(kind, factor, accepted):
-    # One seeded entry moved to `factor` times its tolerance (1e-8 Hermitian
-    # and diagonal, 1e-9 past the unit disc) from a valid value.
+    # One seeded entry, and its conjugate across the diagonal, moved to
+    # `factor` times the 1e-9 tolerance past the unit disc.
     rng = np.random.default_rng(37)
     cells = build_field(4, seed=37).cells.copy()
     a, b = rng.integers(cells.shape[0]), rng.integers(cells.shape[1])
     i, j = sorted(rng.choice(4, size=2, replace=False))
-    if kind.endswith("lower"):
+    if kind == "disc-lower":
         i, j = j, i
     phase = np.exp(2j * np.pi * rng.random())
-    if kind == "hermitian-diagonal":
-        cells[a, b, i, i] += 0.5j * factor * 1e-8
-        match = "not Hermitian"
-    elif kind.startswith("hermitian"):
-        cells[a, b, i, j] += factor * 1e-8 * phase
-        match = "not Hermitian"
-    elif kind == "diagonal":
-        cells[a, b, i, i] = 1.0 - factor * 1e-8
-        match = "unit diagonal"
-    else:
-        cells[a, b, i, j] = (1.0 + factor * 1e-9) * phase
-        cells[a, b, j, i] = np.conj(phase)
-        match = "exceeds 1"
+    cells[a, b, i, j] = (1.0 + factor * 1e-9) * phase
+    cells[a, b, j, i] = np.conj(cells[a, b, i, j])
     if accepted:
         CoherenceField(**_field_kwargs(cells, 4))
     else:
-        with pytest.raises(ValueError, match=match):
+        with pytest.raises(ValueError, match="exceeds 1"):
             CoherenceField(**_field_kwargs(cells, 4))
+
+
+@pytest.mark.parametrize(
+    "name,shape",
+    [("scales", (1,)), ("scales", (4, 1)), ("coi_outside", (1, 6)),
+     ("degenerate", (1, 6)), ("degenerate", (4, 7)), ("degenerate", (6, 4))],
+    ids=lambda v: "x".join(map(str, v)) if isinstance(v, tuple) else v,
+)
+def test_field_rejects_mismatched_grid_shapes(name, shape):
+    # A (1, n) mask on a 4-row field would broadcast over every row, and a
+    # one-element scale axis would label four rows; both must be refused.
+    rng = np.random.default_rng(43)
+    kwargs = _field_kwargs(build_field(3, seed=43).cells, 3)
+    kwargs[name] = rng.random(shape) < 0.5 if name != "scales" else rng.uniform(2.0, 32.0, shape)
+    with pytest.raises(ValueError, match=f"{name} has shape"):
+        CoherenceField(**kwargs)
+
+
+def test_field_rejects_pairs_of_the_wrong_count():
+    pairs = build_field(3, seed=44).pairs
+    kwargs = _field_kwargs(build_field(4, seed=44).cells, 4)
+    kwargs["pairs"] = pairs
+    with pytest.raises(ValueError, match="does not fit"):
+        CoherenceField(**kwargs)
 
 
 def test_field_rejects_single_series():
