@@ -35,6 +35,7 @@ Output files, written under ``out_dir``:
 from __future__ import annotations
 
 import argparse
+import itertools
 import os
 import sys
 from dataclasses import dataclass, fields, replace
@@ -249,24 +250,22 @@ def _write_grid(
     grid: np.ndarray,
     coi_outside: np.ndarray,
 ) -> None:
+    # one % operation per scale row; %.17g prints what _fmt prints
+    n = grid.shape[1]
+    index = range(n)
     with w.open(name) as fh:
         fh.write("scale,time_index,value,coi_flag\n")
-        for j, s in enumerate(scales):
-            srow = _fmt(s)
-            vals = grid[j]
-            flags = coi_outside[j]
-            fh.writelines(
-                f"{srow},{t},{_fmt(vals[t])},{1 if flags[t] else 0}\n"
-                for t in range(vals.size)
-            )
+        for s, vals, flags in zip(scales, grid.tolist(), coi_outside.tolist()):
+            row = _fmt(s) + ",%d,%.17g,%d\n"
+            fh.write(row * n % tuple(itertools.chain.from_iterable(zip(index, vals, flags))))
 
 
 def _write_series_table(w: _Writer, name: str, stamps: np.ndarray, columns: dict[str, np.ndarray]) -> None:
+    row = "%s" + ",%.17g" * len(columns) + "\n"
+    values = np.column_stack([np.asarray(c, dtype=float) for c in columns.values()]).tolist()
     with w.open(name) as fh:
         fh.write("date," + ",".join(columns) + "\n")
-        cols = list(columns.values())
-        for i, stamp in enumerate(stamps):
-            fh.write(str(stamp) + "," + ",".join(_fmt(c[i]) for c in cols) + "\n")
+        fh.writelines(row % (stamp, *vals) for stamp, vals in zip(stamps, values))
 
 
 def _load(config: PipelineConfig) -> tuple[ts.MultiSeries, ts.MultiSeries]:

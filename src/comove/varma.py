@@ -4,17 +4,21 @@ Estimation is the two-stage Hannan-Rissanen procedure: a long autoregression
 of order round(10 * log10(n)) supplies residual proxies, then the (1,1)
 coefficients come from least squares of the demeaned data on its own lag and
 the lagged proxy residuals. The univariate path refines the two-stage
-estimate by minimizing the conditional sum of squares; if the refined fit is
-not significantly better than white noise (an LR-style statistic under the
-chi-square(2) 99% point), the model collapses to white noise, since on the
-phi = -theta ridge a (1,1) model is unidentified and the raw estimates are
-pure noise.
+estimate by minimizing the conditional sum of squares (CSS) with a projected
+Newton method on the box |phi|, |theta| <= 1 - 1e-4: the residual and its
+first and second derivatives in (phi, theta) are first-order recursions with
+the same coefficient -theta, so value, gradient and exact Hessian cost three
+scalar scans per iteration. If the refined fit is not significantly better than
+white noise (an LR-style statistic under the chi-square(2) 99% point), the
+model collapses to white noise, since on the phi = -theta ridge a (1,1)
+model is unidentified and the raw estimates are pure noise.
 
 Forecasts iterate the difference equation from the last observation and last
 residual; forecast-error covariances accumulate psi-weight outer products,
 and 95% bands use the plain Gaussian 1.96 multiplier. Every first-order
-recursion (residuals, simulated paths, forecast points and psi weights) runs
-as one log-depth prefix scan: ceil(log2 n) batched matrix products, no loop.
+recursion (residuals, CSS derivatives, simulated paths, forecast points and
+psi weights) runs as one log-depth prefix scan: ceil(log2 n) batched
+products, no loop.
 """
 
 from __future__ import annotations
@@ -22,14 +26,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
-from scipy.signal import lfilter
 
 _STATIONARITY_MARGIN = 1e-4
 _REDUNDANCY_CHI2_99 = 9.21
 _MIN_OBS = 50
 _COLLINEARITY_LIMIT = 1e12
 _BAND_MULTIPLIER = 1.96
+_CSS_MAX_ITER = 50
+_CSS_MAX_STEP = 0.05  # a walk across the box (width 2) fits in 40 iterations
+_CSS_XTOL = 1e-9  # stop once no coordinate moves by more than this
+_CSS_FTOL = 1e-12  # ... or the CSS falls by at most this fraction
 
 
 @dataclass(frozen=True)
@@ -112,13 +118,79 @@ def _long_ar_order(n: int, p: int) -> int:
     return max(1, min(m, cap))
 
 
-def _css_arma(params: np.ndarray, z: np.ndarray) -> float:
-    phi, theta = params
-    if abs(phi) >= 1.0 or abs(theta) >= 1.0:
-        return np.inf
-    u = z[1:] - phi * z[:-1]
-    e = lfilter([1.0], [1.0, theta], u)
-    return float(e @ e)
+def _css_residuals(z: np.ndarray, phi: float, theta: float) -> np.ndarray:
+    """CSS residuals e_t = z_t - phi z_{t-1} - theta e_{t-1} for t >= 1, e_0 = 0."""
+    return _linear_recursion(z[1:] - phi * z[:-1], -theta)
+
+
+def _css_derivatives(
+    z: np.ndarray, theta: float, e: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Gradient, exact Hessian and Gauss-Newton matrix of the CSS ``e @ e``.
+
+    ``e`` is linear in phi, so d2e/dphi2 = 0. The other derivatives follow
+    the residual's recursion with other drives: de/dphi by -z_{t-1}, de/dtheta
+    by -e_{t-1}, d2e/dphi dtheta by -(de/dphi)_{t-1} and d2e/dtheta2 by
+    -2 (de/dtheta)_{t-1}.
+    """
+    drive = np.zeros((e.size, 2))
+    drive[:, 0] = -z[:-1]
+    drive[1:, 1] = -e[:-1]
+    jac = _linear_recursion(drive, -theta)
+    drive[0] = 0.0
+    drive[1:] = jac[:-1] * (-1.0, -2.0)
+    e_pt, e_tt = 2.0 * (e @ _linear_recursion(drive, -theta))
+    gauss_newton = 2.0 * (jac.T @ jac)
+    hess = gauss_newton + np.array([[0.0, e_pt], [e_pt, e_tt]])
+    return 2.0 * (e @ jac), hess, gauss_newton
+
+
+def _css_refine(
+    z: np.ndarray, phi: float, theta: float, limit: float
+) -> tuple[float, float] | None:
+    """Minimize the CSS of demeaned ``z`` over [-limit, limit]^2 from (phi, theta).
+
+    Projected Newton: a coordinate at a bound whose descent direction points
+    outward is held, and the free ones take a Newton step, or a Gauss-Newton
+    step when their Hessian block is not positive definite. The step is
+    taken along the block's eigenvectors, each move capped at _CSS_MAX_STEP,
+    so a flat direction (the phi = -theta ridge) is walked rather than
+    jumped and a zero eigenvalue gets no move. Each trial point is projected
+    onto the box and the step halved until the CSS does not rise. Stops when
+    no coordinate moves by _CSS_XTOL or the CSS falls by at most a fraction
+    _CSS_FTOL; returns None if _CSS_MAX_ITER iterations do not get there.
+    """
+    x = np.array([phi, theta])
+    e = _css_residuals(z, phi, theta)
+    f = float(e @ e)
+    for _ in range(_CSS_MAX_ITER):
+        grad, hess, gauss_newton = _css_derivatives(z, x[1], e)
+        free = ~(((x >= limit) & (grad < 0.0)) | ((x <= -limit) & (grad > 0.0)))
+        block = np.ix_(free, free)
+        lam, vec = np.linalg.eigh(hess[block])
+        if np.any(lam <= 0.0):
+            lam, vec = np.linalg.eigh(gauss_newton[block])
+        pull = -(vec.T @ grad[free])
+        along = np.divide(pull, lam, out=np.zeros_like(pull), where=lam > 0.0)
+        step = np.zeros(2)
+        step[free] = vec @ np.clip(along, -_CSS_MAX_STEP, _CSS_MAX_STEP)
+        if not np.all(np.isfinite(step)):  # a NaN step would halve forever below
+            return None
+        f_old = f
+        while True:
+            trial = np.clip(x + step, -limit, limit)
+            move = float(np.max(np.abs(trial - x)))
+            if move < _CSS_XTOL:
+                break
+            e_trial = _css_residuals(z, trial[0], trial[1])
+            f_trial = float(e_trial @ e_trial)
+            if f_trial <= f:
+                x, e, f = trial, e_trial, f_trial
+                break
+            step *= 0.5
+        if move < _CSS_XTOL or f_old - f <= _CSS_FTOL * f_old:
+            return float(x[0]), float(x[1])
+    return None
 
 
 def fit_arma11(x: np.ndarray, css: bool = True) -> ArmaModel:
@@ -130,9 +202,10 @@ def fit_arma11(x: np.ndarray, css: bool = True) -> ArmaModel:
         At least 50 finite observations with positive variance.
     css : bool
         Refine the two-stage estimate by conditional-sum-of-squares
-        minimization (Nelder-Mead). If the optimizer fails to converge the
-        two-stage estimates are returned with a warning recorded on the
-        model.
+        minimization: projected Newton steps inside the stationary and
+        invertible box |phi|, |theta| <= 1 - 1e-4. If the refinement does
+        not converge within 50 iterations the two-stage estimates are
+        returned with a warning recorded on the model.
 
     Returns
     -------
@@ -178,20 +251,14 @@ def fit_arma11(x: np.ndarray, css: bool = True) -> ArmaModel:
 
     phi, theta = phi0, theta0
     if css:
-        res = minimize(
-            _css_arma,
-            np.array([phi0, theta0]),
-            args=(z,),
-            method="Nelder-Mead",
-            options={"maxiter": 600, "xatol": 1e-9, "fatol": 1e-12},
-        )
-        if res.success:
-            phi = float(np.clip(res.x[0], -limit, limit))
-            theta = float(np.clip(res.x[1], -limit, limit))
-        else:
+        refined = _css_refine(z, phi0, theta0, limit)
+        if refined is None:
             notes.append("CSS refinement did not converge; two-stage estimates kept")
+        else:
+            phi, theta = refined
 
-    css_fit = _css_arma(np.array([phi, theta]), z)
+    e = _css_residuals(z, phi, theta)
+    css_fit = float(e @ e)
     css_white = float(z[1:] @ z[1:])
     lr_stat = (n - 1) * np.log(max(css_white, 1e-300) / max(css_fit, 1e-300))
     if lr_stat < _REDUNDANCY_CHI2_99:
@@ -210,9 +277,11 @@ def fit_arma11(x: np.ndarray, css: bool = True) -> ArmaModel:
 def fit_varma11(data: np.ndarray) -> VarmaModel:
     """Fit a vector ARMA(1,1) by the two-stage Hannan-Rissanen procedure.
 
-    Unlike :func:`fit_arma11` there is no CSS refinement: the univariate
-    refinement does not generalize cheaply, and the two-stage fit is already
-    consistent.
+    Unlike :func:`fit_arma11` there is no CSS refinement: the two-stage fit
+    is already consistent, and the joint CSS has 2 p^2 coefficients (128 at
+    p = 8). A Newton iteration on it would scan an (n, p, 2 p^2) Jacobian
+    with matrix coefficients and solve a 2 p^2 x 2 p^2 system, where the
+    univariate refinement runs three scalar scans and a 2 x 2 eigensolve.
 
     Parameters
     ----------
@@ -281,12 +350,24 @@ def fit_varma11(data: np.ndarray) -> VarmaModel:
     )
 
 
-def _linear_recursion(u: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """x_0 = u_0, x_t = u_t + a x_{t-1} along axis 0, as a doubling scan."""
+def _linear_recursion(u: np.ndarray, a: np.ndarray | float) -> np.ndarray:
+    """x_0 = u_0, x_t = u_t + a x_{t-1} along axis 0, as a doubling scan.
+
+    ``a`` is a (p, p) matrix or a scalar. A scalar or 1 x 1 ``a`` multiplies
+    elementwise: on 1461 samples that is about 2.5 times faster than the
+    (n, 1) @ (1, 1) product, with the same numbers.
+    """
+    scalar = np.size(a) == 1
     x, k = u.copy(), 1
     while k < len(x):
-        x[k:] += x[:-k] @ a.T  # row t now sums a^j u_{t-j} over j < 2k
-        a, k = a @ a, 2 * k
+        # row t now sums a^j u_{t-j} over j < 2k
+        if scalar:
+            x[k:] += a * x[:-k]
+            a = a * a
+        else:
+            x[k:] += x[:-k] @ a.T
+            a = a @ a
+        k *= 2
     return x
 
 

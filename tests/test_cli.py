@@ -1,14 +1,20 @@
 """End-to-end checks of the command line interface.
 
-Everything runs in process through ``main(argv)`` so exit codes and the
-stdout/stderr contract are asserted directly, without subprocess overhead.
+Everything but the import probe runs in process through ``main(argv)`` so
+exit codes and the stdout/stderr contract are asserted directly, without
+subprocess overhead.
 """
 
 import datetime
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from comove import cli
 from comove.cli import (
     PipelineConfig,
     UsageError,
@@ -199,6 +205,53 @@ def test_grid_floats_round_trip(coherence_out):
         scale, _, value, _ = ln.split(",")
         assert format(float(scale), ".17g") == scale
         assert format(float(value), ".17g") == value
+
+
+def _fstring_grid(scales, grid, coi_outside):
+    """The per-cell f-string writer that cli._write_grid must match byte for byte."""
+    out = ["scale,time_index,value,coi_flag\n"]
+    for j, s in enumerate(scales):
+        srow = format(float(s), ".17g")
+        for t in range(grid.shape[1]):
+            out.append(f"{srow},{t},{format(float(grid[j, t]), '.17g')},{1 if coi_outside[j, t] else 0}\n")
+    return "".join(out)
+
+
+def _fstring_series_table(stamps, columns):
+    out = ["date," + ",".join(columns) + "\n"]
+    for i, stamp in enumerate(stamps):
+        out.append(str(stamp) + "," + ",".join(format(float(c[i]), ".17g") for c in columns.values()) + "\n")
+    return "".join(out)
+
+
+def test_writers_match_fstring_bytes(tmp_path, capsys):
+    rng = np.random.default_rng(8)
+    special = [np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, 2.2e-308, 1e16, -1.5, 1 / 3]
+    grid = rng.normal(scale=1e3, size=(4, 25))
+    grid.flat[: len(special)] = special
+    grid[3, -len(special) :] = special
+    scales = np.array([2.0, 1 / 3, 1e-5, 123456789.125])
+    coi = rng.random((4, 25)) < 0.5
+    assert coi.any() and not coi.all()
+    stamps = np.arange("2020-01-01", "2020-01-26", dtype="datetime64[D]")
+    columns = {"a": grid[0], "b-c": grid[3]}
+    w = cli._Writer(str(tmp_path))
+    cli._write_grid(w, "grid.csv", scales, grid, coi)
+    cli._write_series_table(w, "table.csv", stamps, columns)
+    assert (tmp_path / "grid.csv").read_bytes() == _fstring_grid(scales, grid, coi).encode()
+    assert (tmp_path / "table.csv").read_bytes() == _fstring_series_table(stamps, columns).encode()
+
+
+def test_import_leaves_out_optimize_and_signal():
+    # a fresh interpreter: this one has imported scipy.optimize for the oracles
+    probe = "import sys, comove, comove.cli; print(*sys.modules, sep='\\n')"
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    done = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    loaded = done.stdout.split()
+    assert "scipy.fft" in loaded
+    assert not [m for m in loaded if m.startswith(("scipy.optimize", "scipy.signal"))]
 
 
 def test_coherence_rejects_single_series(tmp_path, capsys):

@@ -2,11 +2,17 @@
 
 Estimator checks are seeded simulate-and-refit runs; forecast and residual
 checks compare against the defining recursions computed with explicit loops.
+The CSS refinement is checked against finite differences of an ``lfilter``
+CSS and against the Nelder-Mead refinement it replaced, used here as an
+oracle.
 """
 
 import numpy as np
 import pytest
+from scipy.optimize import minimize, minimize_scalar
 from scipy.signal import lfilter
+
+from comove import varma
 
 from comove.varma import (
     ArmaModel,
@@ -19,7 +25,7 @@ from comove.varma import (
     residuals,
     simulate_varma,
 )
-from comove.varma import _linear_recursion
+from comove.varma import _css_derivatives, _css_residuals, _linear_recursion
 
 
 # ---------------------------------------------------------------- models
@@ -487,3 +493,190 @@ def test_linear_recursion_matches_loop(kind, p, n):
     x = _linear_recursion(u, a)
     assert x.shape == (n, p)
     assert np.abs(x - want).max() <= 1e-11 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("n", [1, 2, 50, 1461])
+def test_linear_recursion_scalar_matches_loop(n):
+    u = np.random.default_rng(n).normal(size=(n, 2))
+    want = u.copy()
+    for t in range(1, n):
+        want[t] = u[t] - 0.9999 * want[t - 1]
+    for a in (-0.9999, np.array([[-0.9999]])):
+        x = _linear_recursion(u, a)
+        assert np.abs(x - want).max() <= 1e-11 * np.abs(want).max()
+    # a 1 x 1 matrix gives the same numbers as the matmul it replaces
+    col = u[:, :1]
+    a, x, k = np.array([[-0.9999]]), col.copy(), 1
+    while k < n:
+        x[k:] += x[:-k] @ a.T
+        a, k = a @ a, 2 * k
+    np.testing.assert_array_equal(_linear_recursion(col, np.array([[-0.9999]])), x)
+
+
+# ---------------------------------------------------------------- CSS refinement
+
+
+_LIMIT = 1.0 - 1e-4
+_NOT_CONVERGED = "CSS refinement did not converge; two-stage estimates kept"
+_COLLAPSED = "no ARMA structure significant at the 1% level; collapsed to white noise"
+
+
+def _lfilter_css(z, phi, theta):
+    if abs(phi) >= 1.0 or abs(theta) >= 1.0:
+        return np.inf
+    e = lfilter([1.0], [1.0, theta], z[1:] - phi * z[:-1])
+    return float(e @ e)
+
+
+@pytest.mark.parametrize(
+    "phi,theta", [(0.6, 0.3), (-0.4, 0.7), (0.9, -0.8), (0.3, -0.3), (0.0, 0.0)]
+)
+def test_css_derivatives_match_finite_differences(phi, theta):
+    true = ArmaModel(mu=0.0, phi=0.7, theta=0.2, sigma2=1.0, n_obs=0)
+    z = simulate_varma(true, 500, seed=50).ravel()
+    z -= z.mean()
+    e = _css_residuals(z, phi, theta)
+    assert float(e @ e) == pytest.approx(_lfilter_css(z, phi, theta), rel=1e-12)
+    grad, hess, gauss_newton = _css_derivatives(z, theta, e)
+
+    def f(dp, dt):
+        return _lfilter_css(z, phi + dp, theta + dt)
+
+    h = 1e-5
+    fd_grad = np.array([f(h, 0) - f(-h, 0), f(0, h) - f(0, -h)]) / (2 * h)
+    h = 1e-4
+    f0 = f(0, 0)
+    cross = (f(h, h) - f(h, -h) - f(-h, h) + f(-h, -h)) / (4 * h * h)
+    fd_hess = np.array(
+        [
+            [f(h, 0) - 2 * f0 + f(-h, 0), cross * h * h],
+            [cross * h * h, f(0, h) - 2 * f0 + f(0, -h)],
+        ]
+    ) / (h * h)
+    assert np.abs(grad - fd_grad).max() <= 1e-6 * np.abs(fd_grad).max()
+    assert np.abs(hess - fd_hess).max() <= 1e-6 * np.abs(fd_hess).max()
+    # the Gauss-Newton matrix is the Hessian without the e * d2e terms
+    assert gauss_newton[0, 0] == hess[0, 0]
+    assert np.all(np.linalg.eigvalsh(gauss_newton) >= 0.0)
+
+
+_KINDS = ("unit-root", "random-walk", "white-noise", "ridge", "n50", "t3")
+
+
+def _stress_series(kind, seed):
+    """Seeded series on which a (1,1) CSS is flat, near a bound or short."""
+    rng = np.random.default_rng([_KINDS.index(kind), seed])
+    n, burn_in = 1461, 300
+    if kind == "random-walk":
+        return np.cumsum(rng.normal(size=n))
+    if kind == "white-noise":
+        return rng.normal(size=n)
+    if kind == "unit-root":
+        phi, theta = rng.uniform(0.97, 0.999), rng.uniform(-0.9, 0.9)
+    elif kind == "ridge":
+        phi = rng.uniform(-0.95, 0.95)
+        theta = -phi
+    else:
+        phi, theta = rng.uniform(-0.9, 0.9, 2)
+        n = 50 if kind == "n50" else n
+    eps = rng.standard_t(3, size=n + burn_in) if kind == "t3" else rng.normal(size=n + burn_in)
+    u = eps.copy()
+    u[1:] += theta * eps[:-1]
+    return lfilter([1.0], [1.0, -phi], u)[burn_in:]
+
+
+def _spy_refinement(monkeypatch):
+    """Record each _css_refine call as (z, phi0, theta0, limit, result, path).
+
+    ``path`` is the CSS at every iterate the refinement took derivatives at.
+    """
+    calls = []
+    real_refine, real_derivatives = varma._css_refine, varma._css_derivatives
+    path = []
+
+    def derivatives(z, theta, e):
+        path.append(float(e @ e))
+        return real_derivatives(z, theta, e)
+
+    def refine(z, phi, theta, limit):
+        path.clear()
+        result = real_refine(z, phi, theta, limit)
+        calls.append((z, phi, theta, limit, result, list(path)))
+        return result
+
+    monkeypatch.setattr(varma, "_css_refine", refine)
+    monkeypatch.setattr(varma, "_css_derivatives", derivatives)
+    return calls
+
+
+def _nelder_mead_oracle(z, phi0, theta0, limit):
+    """The Nelder-Mead refinement and white-noise collapse that were replaced.
+
+    Returns the refined (phi, theta) or None, the refinement's warnings and
+    whether the fit collapses to white noise.
+    """
+    res = minimize(
+        lambda p: _lfilter_css(z, *p),
+        np.array([phi0, theta0]),
+        method="Nelder-Mead",
+        options={"maxiter": 600, "xatol": 1e-9, "fatol": 1e-12},
+    )
+    notes = []
+    if res.success:
+        refined = tuple(float(v) for v in np.clip(res.x, -limit, limit))
+    else:
+        refined = None
+        notes.append(_NOT_CONVERGED)
+    css = _lfilter_css(z, *(refined or (phi0, theta0)))
+    lr_stat = (z.size - 1) * np.log(float(z[1:] @ z[1:]) / css)
+    collapsed = bool(lr_stat < 9.21)
+    if collapsed:
+        notes.append(_COLLAPSED)
+    return refined, tuple(notes), collapsed
+
+
+@pytest.mark.parametrize("kind", _KINDS)
+def test_css_refinement_agrees_with_nelder_mead(kind, monkeypatch):
+    calls = _spy_refinement(monkeypatch)
+    for seed in range(12):
+        x = _stress_series(kind, seed)
+        fit = fit_arma11(x)
+        (z, phi0, theta0, limit, refined, path), = calls[-1:]
+        oracle, oracle_notes, oracle_collapsed = _nelder_mead_oracle(z, phi0, theta0, limit)
+        case = f"{kind} seed {seed}"
+        assert refined is not None, case
+        e = _css_residuals(z, *refined)
+        assert np.all(np.diff(path + [float(e @ e)]) <= 0.0), case
+        assert _NOT_CONVERGED not in fit.warnings, case
+        clip_notes = tuple(w for w in fit.warnings if "enforced" in w)
+        assert fit.warnings == clip_notes + oracle_notes, case
+        assert (fit.phi == 0.0 and fit.theta == 0.0) == oracle_collapsed, case
+        if max(abs(phi0), abs(theta0)) < limit:
+            assert _lfilter_css(z, *refined) <= _lfilter_css(z, *oracle) * (1 + 1e-9), case
+
+
+@pytest.mark.parametrize("seed", [0, 1, 3])
+def test_css_refinement_on_the_stationarity_bound(seed):
+    # a trending walk: the unconstrained CSS minimum lies past phi = 1, so
+    # phi stops at the bound and theta minimizes the CSS along it
+    x = np.cumsum(1.0 + np.random.default_rng([7, seed]).normal(size=1461))
+    fit = fit_arma11(x)
+    assert fit.phi == _LIMIT
+    z = x - x.mean()
+    oracle = minimize_scalar(
+        lambda t: _lfilter_css(z, _LIMIT, t),
+        bounds=(-_LIMIT, _LIMIT),
+        method="bounded",
+        options={"xatol": 1e-12},
+    )
+    assert fit.theta == pytest.approx(oracle.x, abs=1e-7)
+
+
+def test_css_refinement_iteration_cap(monkeypatch):
+    true = ArmaModel(mu=0.0, phi=0.8, theta=0.3, sigma2=1.0, n_obs=0)
+    x = simulate_varma(true, 4096, seed=11).ravel()
+    two_stage = fit_arma11(x, css=False)
+    monkeypatch.setattr(varma, "_CSS_MAX_ITER", 1)
+    fit = fit_arma11(x)
+    assert fit.warnings == (_NOT_CONVERGED,)
+    assert (fit.phi, fit.theta) == (two_stage.phi, two_stage.theta)
