@@ -53,7 +53,6 @@ from .packets import (
 from .timeseries import (
     DataError,
     MultiSeries,
-    TimeSeries,
     load_csv,
     rescale,
     window,
@@ -85,7 +84,6 @@ __all__ = [
     "MultiSeries",
     "PacketTree",
     "ScaleGrid",
-    "TimeSeries",
     "VarmaModel",
     "WaveletField",
     "apply_shrinkage",

@@ -260,12 +260,33 @@ def _write_grid(
             fh.write(row * n % tuple(itertools.chain.from_iterable(zip(index, vals, flags))))
 
 
-def _write_series_table(w: _Writer, name: str, stamps: np.ndarray, columns: dict[str, np.ndarray]) -> None:
-    row = "%s" + ",%.17g" * len(columns) + "\n"
-    values = np.column_stack([np.asarray(c, dtype=float) for c in columns.values()]).tolist()
+def _write_series_table(
+    w: _Writer, name: str, stamps: np.ndarray, names: tuple[str, ...], values: np.ndarray
+) -> None:
+    row = "%s" + ",%.17g" * len(names) + "\n"
     with w.open(name) as fh:
-        fh.write("date," + ",".join(columns) + "\n")
-        fh.writelines(row % (stamp, *vals) for stamp, vals in zip(stamps, values))
+        fh.write("date," + ",".join(names) + "\n")
+        fh.writelines(row % (stamp, *vals) for stamp, vals in zip(stamps, values.tolist()))
+
+
+def _log(names: tuple[str, ...], values: np.ndarray, where: str = "") -> np.ndarray:
+    bad = np.any(values <= 0.0, axis=0)
+    if bad.any():
+        raise ts.DataError(
+            f"series {names[int(np.argmax(bad))]!r} has nonpositive values{where}; cannot take logs"
+        )
+    return np.log(values)
+
+
+def _check_file_names(names: tuple[str, ...]) -> None:
+    """Two series whose names map to one file name part would overwrite each other."""
+    seen: dict[str, str] = {}
+    for name in names:
+        first = seen.setdefault(_safe_name(name), name)
+        if first != name:
+            raise ts.DataError(
+                f"series {first!r} and {name!r} both map to {_safe_name(name)!r} in file names"
+            )
 
 
 def _load(config: PipelineConfig) -> tuple[ts.MultiSeries, ts.MultiSeries]:
@@ -285,18 +306,7 @@ def _load(config: PipelineConfig) -> tuple[ts.MultiSeries, ts.MultiSeries]:
         end = config.end or str(work.timestamps[-1])
         work = ts.window(work, start, end)
     if config.log_transform:
-        for s in work.series:
-            if np.any(s.values <= 0.0):
-                raise ts.DataError(
-                    f"series {s.name!r} has nonpositive values; cannot take logs"
-                )
-        work = ts.MultiSeries(
-            series=tuple(
-                ts.TimeSeries(s.name, s.timestamps, np.log(s.values))
-                for s in work.series
-            ),
-            dt=work.dt,
-        )
+        work = replace(work, values=_log(work.names, work.values))
     if config.scale_factors is not None:
         work = ts.rescale(work, config.scale_factors)
     return full, work
@@ -312,7 +322,7 @@ def _coherence_grids(
     ms: ts.MultiSeries, target: int
 ) -> tuple[coh.CoherenceResult, np.ndarray]:
     grid = make_scale_grid(len(ms), ms.dt)
-    fields_ = [cwt_morlet(s.values, ms.dt, grid) for s in ms.series]
+    fields_ = [cwt_morlet(x, ms.dt, grid) for x in ms.values.T]
     cf = coh.coherence_matrix_field(fields_, labels=ms.names)
     return coh.coherence_result(cf, target), grid.scales
 
@@ -338,64 +348,57 @@ def _emit_coherence(w: _Writer, ms: ts.MultiSeries, target: int, prefix: str = "
             )
 
 
-def _packet_products(
-    ms: ts.MultiSeries, config: PipelineConfig
-) -> tuple[dict[str, dict], dict[str, np.ndarray], dict[str, np.ndarray]]:
-    energy: dict[str, dict] = {}
-    trend: dict[str, np.ndarray] = {}
-    noise: dict[str, np.ndarray] = {}
-    lo = (0,) * config.depth
-    hi = (1,) * config.depth
-    for s in ms.series:
-        tree = pk.wpt_forward(s.values, level=config.depth, wavelet=config.wavelet)
-        energy[s.name] = pk.energy_fractions(tree, ordering="natural")
-        trend[s.name] = pk.reconstruct_node(tree, lo)
-        noise[s.name] = pk.reconstruct_node(tree, hi)
-    return energy, trend, noise
-
-
-def _emit_packet(w: _Writer, ms: ts.MultiSeries, config: PipelineConfig) -> tuple[dict, dict]:
-    energy, trend, noise = _packet_products(ms, config)
+def _emit_packet(
+    w: _Writer, ms: ts.MultiSeries, config: PipelineConfig
+) -> tuple[ts.MultiSeries, ts.MultiSeries]:
+    """Write the packet tables; return the (trend, noise) variants of ``ms``."""
+    trees = [pk.wpt_forward(x, level=config.depth, wavelet=config.wavelet) for x in ms.values.T]
+    energy = [pk.energy_fractions(tree, ordering="natural") for tree in trees]
+    lo, hi = (0,) * config.depth, (1,) * config.depth
+    trend = replace(ms, values=np.column_stack([pk.reconstruct_node(tree, lo) for tree in trees]))
+    noise = replace(ms, values=np.column_stack([pk.reconstruct_node(tree, hi) for tree in trees]))
     with w.open("energy.csv") as fh:
         fh.write("series,node,frequency_index,fraction\n")
-        for name, fractions in energy.items():
+        for name, fractions in zip(ms.names, energy):
             for path, frac in fractions.items():
                 node = "".join(str(b) for b in path)
                 fh.write(f"{name},{node},{pk.frequency_index(path)},{_fmt(frac)}\n")
-    _write_series_table(w, "trend.csv", ms.timestamps, trend)
-    _write_series_table(w, "noise.csv", ms.timestamps, noise)
+    _write_series_table(w, "trend.csv", ms.timestamps, ms.names, trend.values)
+    _write_series_table(w, "noise.csv", ms.timestamps, ms.names, noise.values)
     return trend, noise
 
 
-def _emit_denoise(w: _Writer, ms: ts.MultiSeries, config: PipelineConfig) -> dict[str, np.ndarray]:
+def _emit_denoise(w: _Writer, ms: ts.MultiSeries, config: PipelineConfig) -> ts.MultiSeries:
+    """Write the sweeps and the de-noised table; return the de-noised variant of ``ms``."""
     rule = None if config.rule == "auto" else config.rule
     method = canonical_method(config.method)
     effective_rule = rule if rule is not None else CONVENTIONAL_RULE[method]
-    denoised: dict[str, np.ndarray] = {}
-    for s in ms.series:
+    denoised = np.empty_like(ms.values)
+    for k, name in enumerate(ms.names):
+        x = ms.values[:, k]
         report = method_sweep(
-            s.values,
+            x,
             rule=rule,
             level=config.denoise_level,
             wavelet=config.wavelet,
-            series_name=s.name,
+            series_name=name,
         )
-        with w.open(f"sweep_{_safe_name(s.name)}.csv") as fh:
+        with w.open(f"sweep_{_safe_name(name)}.csv") as fh:
             fh.write(f"# {report.convention}\n")
             fh.write("method,rule,thresholds,snr,psnr,identical\n")
             for method_name, rule_name, thr, snr, psnr, identical in report.rows():
                 snr_s = "identical" if identical else _fmt(snr)
                 psnr_s = "identical" if identical else _fmt(psnr)
                 fh.write(f"{method_name},{rule_name},{thr},{snr_s},{psnr_s},{int(identical)}\n")
-        denoised[s.name] = _denoise_series(
-            s.values,
+        denoised[:, k] = _denoise_series(
+            x,
             method=method,
             rule=effective_rule,
             level=config.denoise_level,
             wavelet=config.wavelet,
         )
-    _write_series_table(w, "denoised.csv", ms.timestamps, denoised)
-    return denoised
+    _write_series_table(w, "denoised.csv", ms.timestamps, ms.names, denoised)
+    return replace(ms, values=denoised)
 
 
 def _emit_forecast(
@@ -405,7 +408,7 @@ def _emit_forecast(
     if h < 1:
         raise UsageError(f"horizon must be at least 1, got {config.horizon}")
     names = work.names
-    data = work.values_matrix()
+    data = work.values
 
     arma_models = []
     arma_results = []
@@ -467,7 +470,12 @@ def _emit_forecast(
     with w.open("comparison.csv") as fh:
         fh.write("series,horizons,arma_mse,varma_mse,winner\n")
         if steps >= 1 and varma_result is not None:
-            actual = full.values_matrix()[future_mask][:steps]
+            # the realized rows get the window's log and rescale steps
+            actual = full.values[future_mask][:steps]
+            if config.log_transform:
+                actual = _log(names, actual, " after the fit window")
+            if config.scale_factors is not None:
+                actual = actual * np.asarray(config.scale_factors)
             arma_cut = [
                 vm.evaluate_mse(_truncate(r, steps), actual[:, k])
                 for k, r in enumerate(arma_results)
@@ -505,6 +513,8 @@ def run(subcommand: str, config: PipelineConfig) -> int:
         w = _Writer(config.out_dir)
         full, work = _load(config)
         target = _target_index(work, config)
+        if subcommand in ("coherence", "denoise", "pipeline"):
+            _check_file_names(work.names)
         if subcommand == "coherence":
             _emit_coherence(w, work, target)
         elif subcommand == "packet":
@@ -518,18 +528,7 @@ def run(subcommand: str, config: PipelineConfig) -> int:
             trend, noise = _emit_packet(w, work, config)
             denoised = _emit_denoise(w, work, config)
             if work.p >= 2:
-                for prefix, columns in (
-                    ("trend_", trend),
-                    ("noise_", noise),
-                    ("denoised_", denoised),
-                ):
-                    variant = ts.MultiSeries(
-                        series=tuple(
-                            ts.TimeSeries(name, work.timestamps, vals)
-                            for name, vals in columns.items()
-                        ),
-                        dt=work.dt,
-                    )
+                for prefix, variant in (("trend_", trend), ("noise_", noise), ("denoised_", denoised)):
                     _emit_coherence(w, variant, target, prefix=prefix, partials=False)
             _emit_forecast(w, full, work, config)
             w.manifest()

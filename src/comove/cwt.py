@@ -177,7 +177,7 @@ def cwt_morlet(x: np.ndarray, dt: float, grid: ScaleGrid | None = None) -> Wavel
     x : ndarray, shape (n,)
         Real signal, finite values, n >= 8.
     dt : float
-        Sampling step.
+        Sampling step; positive and finite, also when ``grid`` is given.
     grid : ScaleGrid, optional
         Defaults to ``make_scale_grid(len(x), dt)``.
 
@@ -199,6 +199,8 @@ def cwt_morlet(x: np.ndarray, dt: float, grid: ScaleGrid | None = None) -> Wavel
         raise ValueError(f"need at least 8 samples, got {n}")
     if not np.all(np.isfinite(x)):
         raise ValueError("signal contains non-finite values")
+    if not (np.isfinite(dt) and dt > 0):
+        raise ValueError(f"dt must be positive, got {dt}")
     if grid is None:
         grid = make_scale_grid(n, dt)
 

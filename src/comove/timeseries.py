@@ -1,17 +1,17 @@
 """Aligned multivariate time series: CSV loading, windowing, rescaling.
 
-All analysis code in this package consumes :class:`MultiSeries`, a bundle of
-equal-length, date-aligned series on a uniform grid. Loading is deliberately
-strict: rows with missing values are dropped (and counted), duplicate or
-unparseable dates are errors, and any window handed to the transforms must
-keep at least ``MIN_LENGTH`` samples.
+All analysis code in this package consumes :class:`MultiSeries`: named
+series held as one (n, p) matrix on one strictly increasing date grid.
+Loading is deliberately strict: rows with missing values are dropped (and
+counted), duplicate or unparseable dates are errors, and any window handed to
+the transforms must keep at least ``MIN_LENGTH`` samples.
 """
 
 from __future__ import annotations
 
 import csv
 import datetime as _dt
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -59,101 +59,68 @@ class LoadReport:
 
 
 @dataclass(frozen=True)
-class TimeSeries:
-    """A single named series on a strictly increasing daily date grid.
-
-    Arrays are locked read-only on construction; derive new instances rather
-    than mutating in place.
-    """
-
-    name: str
-    timestamps: np.ndarray
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        ts = np.asarray(self.timestamps, dtype="datetime64[D]")
-        vals = np.asarray(self.values, dtype=float)
-        if ts.ndim != 1 or vals.ndim != 1:
-            raise DataError("timestamps and values must be one-dimensional")
-        if ts.shape != vals.shape:
-            raise DataError(
-                f"series {self.name!r}: {ts.size} timestamps vs {vals.size} values"
-            )
-        if ts.size < MIN_LENGTH:
-            raise DataError(
-                f"series {self.name!r} has {ts.size} samples, need at least {MIN_LENGTH}"
-            )
-        if not np.all(np.isfinite(vals)):
-            raise DataError(f"series {self.name!r} contains non-finite values")
-        steps = np.diff(ts.astype("int64"))
-        if np.any(steps <= 0):
-            raise DataError(f"series {self.name!r}: timestamps not strictly increasing")
-        ts = ts.copy()
-        vals = vals.copy()
-        ts.flags.writeable = False
-        vals.flags.writeable = False
-        object.__setattr__(self, "timestamps", ts)
-        object.__setattr__(self, "values", vals)
-
-    def __len__(self) -> int:
-        return int(self.values.size)
-
-
-@dataclass(frozen=True)
 class MultiSeries:
-    """Up to ``MAX_SERIES`` series sharing one timestamp grid.
+    """Up to ``MAX_SERIES`` named series as one (n, p) matrix on one date grid.
+
+    Arrays are copied and locked read-only on construction; derive new
+    instances (``dataclasses.replace``) rather than mutating in place.
 
     Parameters
     ----------
-    series : tuple of TimeSeries
-        The aligned series, order significant (index 0 is the default target).
+    names : tuple of str
+        Unique column names, order significant (index 0 is the default
+        target).
+    timestamps : ndarray of datetime64[D], shape (n,)
+        Strictly increasing dates shared by every column; n >= ``MIN_LENGTH``.
+    values : ndarray, shape (n, p)
+        Finite data, one column per name.
     dt : float
         Sampling step in the time unit used by the transforms (default 1.0,
         one step per row regardless of calendar gaps).
     """
 
-    series: tuple[TimeSeries, ...]
+    names: tuple[str, ...]
+    timestamps: np.ndarray
+    values: np.ndarray
     dt: float = 1.0
     load_report: LoadReport | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        if not isinstance(self.series, tuple):
-            object.__setattr__(self, "series", tuple(self.series))
-        if not 1 <= len(self.series) <= MAX_SERIES:
+        names = tuple(self.names)
+        stamps = np.array(self.timestamps, dtype="datetime64[D]")
+        vals = np.array(self.values, dtype=float)
+        if not 1 <= len(names) <= MAX_SERIES:
+            raise DataError(f"need between 1 and {MAX_SERIES} series, got {len(names)}")
+        if len(set(names)) != len(names):
+            raise DataError(f"duplicate series names: {list(names)}")
+        if stamps.ndim != 1 or vals.shape != (stamps.size, len(names)):
             raise DataError(
-                f"need between 1 and {MAX_SERIES} series, got {len(self.series)}"
+                f"{stamps.size} timestamps vs values of shape {vals.shape} "
+                f"for {len(names)} series"
             )
+        if stamps.size < MIN_LENGTH:
+            raise DataError(f"{stamps.size} samples, need at least {MIN_LENGTH}")
+        bad = ~np.isfinite(vals).all(axis=0)
+        if bad.any():
+            raise DataError(
+                f"series {names[int(np.argmax(bad))]!r} contains non-finite values"
+            )
+        if np.any(np.diff(stamps.astype("int64")) <= 0):
+            raise DataError("timestamps not strictly increasing")
         if not (np.isfinite(self.dt) and self.dt > 0):
             raise DataError(f"dt must be a positive finite number, got {self.dt}")
-        first = self.series[0]
-        for s in self.series[1:]:
-            if not np.array_equal(s.timestamps, first.timestamps):
-                raise DataError(
-                    f"series {s.name!r} is not on the same timestamp grid as "
-                    f"{first.name!r}"
-                )
-        names = [s.name for s in self.series]
-        if len(set(names)) != len(names):
-            raise DataError(f"duplicate series names: {names}")
+        stamps.flags.writeable = False
+        vals.flags.writeable = False
+        object.__setattr__(self, "names", names)
+        object.__setattr__(self, "timestamps", stamps)
+        object.__setattr__(self, "values", vals)
 
     @property
     def p(self) -> int:
-        return len(self.series)
-
-    @property
-    def names(self) -> tuple[str, ...]:
-        return tuple(s.name for s in self.series)
-
-    @property
-    def timestamps(self) -> np.ndarray:
-        return self.series[0].timestamps
+        return len(self.names)
 
     def __len__(self) -> int:
-        return len(self.series[0])
-
-    def values_matrix(self) -> np.ndarray:
-        """Return the data as an (n, p) float array, one column per series."""
-        return np.column_stack([s.values for s in self.series])
+        return int(self.timestamps.size)
 
     def index_of(self, name: str) -> int:
         try:
@@ -249,14 +216,10 @@ def load_csv(
     stamps = np.array(dates, dtype="datetime64[D]")[order]
     data = np.asarray(rows, dtype=float)[order]
 
-    series = tuple(
-        TimeSeries(name=c, timestamps=stamps, values=data[:, k])
-        for k, c in enumerate(value_columns)
-    )
     report = LoadReport(
         path=path, rows_read=rows_read, rows_kept=len(stamps), rows_dropped=dropped
     )
-    return MultiSeries(series=series, dt=dt, load_report=report)
+    return MultiSeries(value_columns, stamps, data, dt=dt, load_report=report)
 
 
 def window(
@@ -288,11 +251,7 @@ def window(
         raise DataError(
             f"window [{start}, {end}] keeps {kept} samples, need at least {MIN_LENGTH}"
         )
-    series = tuple(
-        TimeSeries(name=s.name, timestamps=s.timestamps[mask], values=s.values[mask])
-        for s in ms.series
-    )
-    return MultiSeries(series=series, dt=ms.dt)
+    return replace(ms, timestamps=ms.timestamps[mask], values=ms.values[mask])
 
 
 def rescale(ms: MultiSeries, factors: tuple[float, ...]) -> MultiSeries:
@@ -306,8 +265,4 @@ def rescale(ms: MultiSeries, factors: tuple[float, ...]) -> MultiSeries:
     for f in factors:
         if not (np.isfinite(f) and f > 0):
             raise DataError(f"rescale factors must be positive and finite, got {f}")
-    series = tuple(
-        TimeSeries(name=s.name, timestamps=s.timestamps, values=s.values * f)
-        for s, f in zip(ms.series, factors)
-    )
-    return MultiSeries(series=series, dt=ms.dt)
+    return replace(ms, values=ms.values * np.asarray(factors))

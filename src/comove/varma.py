@@ -193,19 +193,19 @@ def _css_refine(
     return None
 
 
-def fit_arma11(x: np.ndarray, css: bool = True) -> ArmaModel:
+def fit_arma11(x: np.ndarray) -> ArmaModel:
     """Fit a univariate ARMA(1,1) by Hannan-Rissanen plus CSS refinement.
+
+    The two-stage estimate is always refined by conditional-sum-of-squares
+    minimization: projected Newton steps inside the stationary and invertible
+    box |phi|, |theta| <= 1 - 1e-4. If the refinement does not converge
+    within 50 iterations the two-stage estimates are returned with a warning
+    recorded on the model.
 
     Parameters
     ----------
     x : ndarray, shape (n,)
         At least 50 finite observations with positive variance.
-    css : bool
-        Refine the two-stage estimate by conditional-sum-of-squares
-        minimization: projected Newton steps inside the stationary and
-        invertible box |phi|, |theta| <= 1 - 1e-4. If the refinement does
-        not converge within 50 iterations the two-stage estimates are
-        returned with a warning recorded on the model.
 
     Returns
     -------
@@ -250,12 +250,11 @@ def fit_arma11(x: np.ndarray, css: bool = True) -> ArmaModel:
         notes.append("invertibility enforced on the two-stage theta estimate")
 
     phi, theta = phi0, theta0
-    if css:
-        refined = _css_refine(z, phi0, theta0, limit)
-        if refined is None:
-            notes.append("CSS refinement did not converge; two-stage estimates kept")
-        else:
-            phi, theta = refined
+    refined = _css_refine(z, phi0, theta0, limit)
+    if refined is None:
+        notes.append("CSS refinement did not converge; two-stage estimates kept")
+    else:
+        phi, theta = refined
 
     e = _css_residuals(z, phi, theta)
     css_fit = float(e @ e)
@@ -287,8 +286,7 @@ def fit_varma11(data: np.ndarray) -> VarmaModel:
     ----------
     data : ndarray, shape (n, p)
         Columns are series; 2 <= p <= 8, n >= 50, finite, and no constant
-        column. Objects with a ``values_matrix`` method (the package's
-        MultiSeries) are accepted too.
+        column.
 
     Raises
     ------
@@ -296,8 +294,6 @@ def fit_varma11(data: np.ndarray) -> VarmaModel:
         Shape problems, non-finite values, a constant column, or a
         numerically collinear regression (duplicated series).
     """
-    if hasattr(data, "values_matrix"):
-        data = data.values_matrix()
     x = np.asarray(data, dtype=float)
     if x.ndim != 2:
         raise ValueError("data must be a (n, p) matrix")
@@ -385,8 +381,6 @@ def residuals(model: ArmaModel | VarmaModel, data: np.ndarray) -> np.ndarray:
     multivariate (n, p).
     """
     mu, phi, theta, _ = _as_matrices(model)
-    if hasattr(data, "values_matrix"):
-        data = data.values_matrix()
     x = np.asarray(data, dtype=float)
     if isinstance(model, ArmaModel):
         if x.ndim != 1:

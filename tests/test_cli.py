@@ -237,7 +237,7 @@ def test_writers_match_fstring_bytes(tmp_path, capsys):
     columns = {"a": grid[0], "b-c": grid[3]}
     w = cli._Writer(str(tmp_path))
     cli._write_grid(w, "grid.csv", scales, grid, coi)
-    cli._write_series_table(w, "table.csv", stamps, columns)
+    cli._write_series_table(w, "table.csv", stamps, tuple(columns), np.column_stack(list(columns.values())))
     assert (tmp_path / "grid.csv").read_bytes() == _fstring_grid(scales, grid, coi).encode()
     assert (tmp_path / "table.csv").read_bytes() == _fstring_series_table(stamps, columns).encode()
 
@@ -379,6 +379,58 @@ def test_forecast_outputs(tmp_path):
         assert parts[4] in ("ARMA", "VARMA", "tie")
 
 
+def _set_value(path, row, col, value):
+    """Overwrite one value of a write_input CSV (row counts data rows from 0)."""
+    lines = read_lines(path)
+    cells = lines[row + 1].split(",")
+    cells[col + 1] = value
+    lines[row + 1] = ",".join(cells)
+    path.write_text("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [["--log"], ["--scale-factors", "0.01,0.01"], ["--log", "--scale-factors", "0.5,4"]],
+    ids=["log", "scale", "log-scale"],
+)
+def test_forecast_comparison_scores_transformed_rows(tmp_path, flags):
+    # the realized rows must get the fit window's log and rescale steps
+    src = tmp_path / "in.csv"
+    write_input(src, n=400, p=2, seed=9, offset=100.0)
+    _set_value(src, 390, 1, "-1")  # past the horizon: never logged
+    out = tmp_path / "out"
+    argv = ["forecast", "--input", str(src), "--end", date_str(369), "--horizon", "5",
+            "--out-dir", str(out), *flags]
+    assert main(argv) == 0
+
+    actual = np.loadtxt(src, delimiter=",", skiprows=1, usecols=(1, 2))[370:375]
+    if "--log" in flags:
+        actual = np.log(actual)
+    if "--scale-factors" in flags:
+        actual = actual * [float(f) for f in flags[-1].split(",")]
+    points = {}
+    for ln in read_lines(out / "forecasts.csv")[1:]:
+        model, series, _, point, _, _ = ln.split(",")
+        points.setdefault((model, series), []).append(float(point))
+    comp = [ln.split(",") for ln in read_lines(out / "comparison.csv")[1:]]
+    assert [r[0] for r in comp] == ["a", "b"]
+    for k, row in enumerate(comp):
+        for model, got in (("arma", row[2]), ("varma", row[3])):
+            want = np.mean((np.array(points[model, row[0]]) - actual[:, k]) ** 2)
+            assert float(got) == pytest.approx(want, rel=1e-12)
+
+
+def test_forecast_log_rejects_nonpositive_realized_row(tmp_path, capsys):
+    src = tmp_path / "in.csv"
+    write_input(src, n=400, p=2, seed=9, offset=100.0)
+    _set_value(src, 372, 1, "0")
+    argv = ["forecast", "--input", str(src), "--end", date_str(369), "--horizon", "5",
+            "--out-dir", str(tmp_path / "out"), "--log"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "series 'b' has nonpositive values after the fit window" in err
+
+
 def test_forecast_single_series_skips_comparison(tmp_path, capsys):
     src = tmp_path / "in.csv"
     write_input(src, n=150, p=2, seed=3)
@@ -456,6 +508,33 @@ def test_pipeline_manifest_matches_directory(tmp_path):
     assert "forecasts.csv" in manifest
     assert "denoised.csv" in manifest
     assert "energy.csv" in manifest
+
+
+def _write_named_input(path, names, seed):
+    write_input(path, n=150, p=len(names), seed=seed)
+    lines = read_lines(path)
+    lines[0] = "date," + ",".join(names)
+    path.write_text("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize("subcommand", ["coherence", "denoise", "pipeline"])
+def test_colliding_file_names_are_data_error(tmp_path, capsys, subcommand):
+    # "a b" and "a_b" both become "a_b" in file names
+    src = tmp_path / "in.csv"
+    _write_named_input(src, ["t", "a b", "a_b"], seed=11)
+    out = tmp_path / "out"
+    assert main([subcommand, "--input", str(src), "--out-dir", str(out)]) == 2
+    assert "series 'a b' and 'a_b' both map to 'a_b'" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
+def test_packet_accepts_names_that_share_a_file_name(tmp_path):
+    # packet writes no per-series file, so the names cannot collide
+    src = tmp_path / "in.csv"
+    _write_named_input(src, ["t", "a b", "a_b"], seed=11)
+    out = tmp_path / "out"
+    assert main(["packet", "--input", str(src), "--depth", "3", "--out-dir", str(out)]) == 0
+    assert read_lines(out / "trend.csv")[0] == "date,t,a b,a_b"
 
 
 def test_pipeline_reruns_byte_identical(tmp_path):

@@ -130,6 +130,16 @@ def test_cwt_error_contracts(x, msg):
         cwt_morlet(x, 1.0)
 
 
+@pytest.mark.parametrize("dt", [-1.0, 0.0, np.nan, np.inf])
+def test_cwt_rejects_bad_dt_with_or_without_grid(dt):
+    x = np.random.default_rng(3).normal(size=64)
+    grid = make_scale_grid(64, 1.0)
+    with pytest.raises(ValueError, match="dt must be positive"):
+        cwt_morlet(x, dt, grid)
+    with pytest.raises(ValueError, match="dt must be positive"):
+        cwt_morlet(x, dt)
+
+
 # ---------------------------------------------------------------- COI
 
 

@@ -1,6 +1,7 @@
 """CSV loading, validation, windowing, and rescaling."""
 
 import datetime as dt
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,7 +9,6 @@ import pytest
 from comove.timeseries import (
     DataError,
     MultiSeries,
-    TimeSeries,
     load_csv,
     parse_date,
     rescale,
@@ -22,12 +22,8 @@ def days(n, start="2020-01-01"):
 
 def make_ms(n=16, p=2, dt_step=1.0, seed=0):
     rng = np.random.default_rng(seed)
-    stamps = days(n)
-    series = tuple(
-        TimeSeries(name=f"s{k}", timestamps=stamps, values=rng.normal(size=n))
-        for k in range(p)
-    )
-    return MultiSeries(series=series, dt=dt_step)
+    names = tuple(f"s{k}" for k in range(p))
+    return MultiSeries(names, days(n), rng.normal(size=(n, p)), dt=dt_step)
 
 
 # ---------------------------------------------------------------- parse_date
@@ -50,56 +46,78 @@ def test_parse_date_rejects_garbage():
         parse_date("03/09/2021")
 
 
-# ---------------------------------------------------------------- TimeSeries
+# ---------------------------------------------------------------- MultiSeries
 
 
 def test_timeseries_requires_min_length():
     with pytest.raises(DataError, match="at least 8"):
-        TimeSeries("x", days(7), np.zeros(7))
+        MultiSeries(("x",), days(7), np.zeros((7, 1)))
 
 
 def test_timeseries_rejects_nan():
-    vals = np.ones(10)
+    vals = np.ones((10, 1))
     vals[3] = np.nan
     with pytest.raises(DataError, match="non-finite"):
-        TimeSeries("x", days(10), vals)
+        MultiSeries(("x",), days(10), vals)
+
+
+def test_multiseries_nonfinite_message_names_the_series():
+    vals = np.ones((10, 3))
+    vals[7, 1] = np.inf
+    with pytest.raises(DataError, match="series 'y' contains non-finite"):
+        MultiSeries(("x", "y", "z"), days(10), vals)
 
 
 def test_timeseries_rejects_unsorted_dates():
     stamps = days(10).copy()
     stamps[[2, 3]] = stamps[[3, 2]]
     with pytest.raises(DataError, match="strictly increasing"):
-        TimeSeries("x", stamps, np.ones(10))
+        MultiSeries(("x",), stamps, np.ones((10, 1)))
 
 
 def test_timeseries_rejects_duplicate_dates():
     stamps = days(10).copy()
     stamps[4] = stamps[3]
     with pytest.raises(DataError, match="strictly increasing"):
-        TimeSeries("x", stamps, np.ones(10))
+        MultiSeries(("x",), stamps, np.ones((10, 1)))
 
 
 def test_timeseries_rejects_length_mismatch():
     with pytest.raises(DataError, match="timestamps vs"):
-        TimeSeries("x", days(10), np.ones(9))
+        MultiSeries(("x",), days(10), np.ones((9, 1)))
+
+
+def test_multiseries_rejects_column_count_mismatch():
+    with pytest.raises(DataError, match="timestamps vs"):
+        MultiSeries(("x", "y"), days(10), np.ones((10, 3)))
+    with pytest.raises(DataError, match="timestamps vs"):
+        MultiSeries(("x",), days(10), np.ones(10))
 
 
 def test_timeseries_arrays_are_read_only():
-    s = TimeSeries("x", days(10), np.ones(10))
+    ms = MultiSeries(("x",), days(10), np.ones((10, 1)))
     with pytest.raises(ValueError):
-        s.values[0] = 5.0
+        ms.values[0, 0] = 5.0
     with pytest.raises(ValueError):
-        s.timestamps[0] = np.datetime64("1999-01-01")
+        ms.timestamps[0] = np.datetime64("1999-01-01")
 
 
 def test_timeseries_copies_input():
-    vals = np.ones(10)
-    s = TimeSeries("x", days(10), vals)
-    vals[0] = 99.0
-    assert s.values[0] == 1.0
+    vals = np.ones((10, 1))
+    stamps = days(10)
+    ms = MultiSeries(("x",), stamps, vals)
+    vals[0, 0] = 99.0
+    stamps[0] = np.datetime64("1999-01-01")
+    assert ms.values[0, 0] == 1.0
+    assert ms.timestamps[0] == np.datetime64("2020-01-01")
 
 
-# ---------------------------------------------------------------- MultiSeries
+def test_multiseries_replace_revalidates():
+    ms = make_ms(n=10, p=2)
+    vals = ms.values.copy()
+    vals[2, 0] = np.nan
+    with pytest.raises(DataError, match="series 's0' contains non-finite"):
+        replace(ms, values=vals)
 
 
 def test_multiseries_basic_properties():
@@ -110,42 +128,28 @@ def test_multiseries_basic_properties():
     assert ms.index_of("s1") == 1
 
 
-def test_multiseries_values_matrix_column_order():
-    ms = make_ms(n=10, p=3)
-    mat = ms.values_matrix()
-    assert mat.shape == (10, 3)
-    for k in range(3):
-        np.testing.assert_array_equal(mat[:, k], ms.series[k].values)
+def test_multiseries_values_column_order():
+    vals = np.arange(30.0).reshape(10, 3)
+    ms = MultiSeries(["a", "b", "c"], days(10), vals)
+    assert ms.names == ("a", "b", "c")
+    assert ms.values.shape == (10, 3)
+    np.testing.assert_array_equal(ms.values, vals)
 
 
 def test_multiseries_rejects_duplicate_names():
-    stamps = days(10)
-    a = TimeSeries("x", stamps, np.ones(10))
-    b = TimeSeries("x", stamps, np.zeros(10))
     with pytest.raises(DataError, match="duplicate series names"):
-        MultiSeries(series=(a, b))
-
-
-def test_multiseries_rejects_mismatched_grids():
-    a = TimeSeries("x", days(10), np.ones(10))
-    b = TimeSeries("y", days(10, start="2020-02-01"), np.ones(10))
-    with pytest.raises(DataError, match="not on the same timestamp grid"):
-        MultiSeries(series=(a, b))
+        MultiSeries(("x", "x"), days(10), np.column_stack([np.ones(10), np.zeros(10)]))
 
 
 def test_multiseries_rejects_too_many_series():
-    stamps = days(10)
-    series = tuple(
-        TimeSeries(f"s{k}", stamps, np.full(10, float(k))) for k in range(9)
-    )
+    vals = np.tile(np.arange(9.0), (10, 1))
     with pytest.raises(DataError, match="between 1 and 8"):
-        MultiSeries(series=series)
+        MultiSeries(tuple(f"s{k}" for k in range(9)), days(10), vals)
 
 
 def test_multiseries_rejects_bad_dt():
-    a = TimeSeries("x", days(10), np.ones(10))
     with pytest.raises(DataError, match="dt must be"):
-        MultiSeries(series=(a,), dt=0.0)
+        MultiSeries(("x",), days(10), np.ones((10, 1)), dt=0.0)
 
 
 def test_multiseries_unknown_name():
@@ -169,7 +173,7 @@ def test_load_csv_happy_path(tmp_path):
     ms = load_csv(write_csv(tmp_path / "m.csv", lines))
     assert ms.names == ("gold", "silver")
     assert len(ms) == 10
-    np.testing.assert_allclose(ms.series[0].values, 100 + np.arange(10.0))
+    np.testing.assert_allclose(ms.values[:, 0], 100 + np.arange(10.0))
     rep = ms.load_report
     assert rep is not None
     assert (rep.rows_read, rep.rows_kept, rep.rows_dropped) == (10, 10, 0)
@@ -194,7 +198,7 @@ def test_load_csv_sorts_rows_by_date(tmp_path):
     for k in reversed(range(9)):
         lines.append(f"2020-01-{k + 1:02d},{k}")
     ms = load_csv(write_csv(tmp_path / "m.csv", lines))
-    np.testing.assert_allclose(ms.series[0].values, np.arange(9.0))
+    np.testing.assert_allclose(ms.values[:, 0], np.arange(9.0))
 
 
 def test_load_csv_dotted_dates(tmp_path):
@@ -209,7 +213,7 @@ def test_load_csv_value_columns_subset_and_order(tmp_path):
     ]
     ms = load_csv(write_csv(tmp_path / "m.csv", lines), value_columns=("c", "a"))
     assert ms.names == ("c", "a")
-    np.testing.assert_allclose(ms.series[0].values, 20 + np.arange(9.0))
+    np.testing.assert_allclose(ms.values[:, 0], 20 + np.arange(9.0))
 
 
 def test_load_csv_duplicate_date(tmp_path):
@@ -265,6 +269,8 @@ def test_window_is_inclusive_both_ends():
     assert len(w) == 10
     assert w.timestamps[0] == np.datetime64("2020-01-03")
     assert w.timestamps[-1] == np.datetime64("2020-01-12")
+    np.testing.assert_array_equal(w.values, ms.values[2:12])
+    assert w.names == ms.names
 
 
 def test_window_accepts_date_objects():
@@ -303,15 +309,16 @@ def test_window_preserves_dt():
 def test_rescale_multiplies_each_series():
     ms = make_ms(n=10, p=2)
     out = rescale(ms, (2.0, 10.0))
-    np.testing.assert_allclose(out.series[0].values, 2.0 * ms.series[0].values)
-    np.testing.assert_allclose(out.series[1].values, 10.0 * ms.series[1].values)
+    np.testing.assert_allclose(out.values, ms.values * [2.0, 10.0])
+    assert (out.names, out.dt) == (ms.names, ms.dt)
+    np.testing.assert_array_equal(out.timestamps, ms.timestamps)
 
 
 def test_rescale_leaves_original_untouched():
     ms = make_ms(n=10, p=1)
-    before = ms.series[0].values.copy()
+    before = ms.values[:, 0].copy()
     rescale(ms, (3.0,))
-    np.testing.assert_array_equal(ms.series[0].values, before)
+    np.testing.assert_array_equal(ms.values[:, 0], before)
 
 
 def test_rescale_wrong_factor_count():

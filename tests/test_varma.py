@@ -147,10 +147,17 @@ def test_arma_fit_recovers_parameters():
     assert fit.warnings == ()
 
 
-def test_arma_fit_two_stage_only():
+def _two_stage_fit(x, monkeypatch):
+    """fit_arma11 with the CSS refinement reporting no result."""
+    with monkeypatch.context() as m:
+        m.setattr(varma, "_css_refine", lambda *args: None)
+        return fit_arma11(x)
+
+
+def test_arma_fit_two_stage_only(monkeypatch):
     true = ArmaModel(mu=0.0, phi=0.8, theta=0.3, sigma2=1.0, n_obs=0)
     z = simulate_varma(true, 4096, seed=11).ravel()
-    fit = fit_arma11(z, css=False)
+    fit = _two_stage_fit(z, monkeypatch)
     assert fit.phi == pytest.approx(0.8, abs=0.05)
     assert fit.theta == pytest.approx(0.3, abs=0.05)
 
@@ -675,7 +682,7 @@ def test_css_refinement_on_the_stationarity_bound(seed):
 def test_css_refinement_iteration_cap(monkeypatch):
     true = ArmaModel(mu=0.0, phi=0.8, theta=0.3, sigma2=1.0, n_obs=0)
     x = simulate_varma(true, 4096, seed=11).ravel()
-    two_stage = fit_arma11(x, css=False)
+    two_stage = _two_stage_fit(x, monkeypatch)
     monkeypatch.setattr(varma, "_CSS_MAX_ITER", 1)
     fit = fit_arma11(x)
     assert fit.warnings == (_NOT_CONVERGED,)
