@@ -4,7 +4,7 @@ Configuration comes from an optional flat ``key=value`` file (``--config``),
 with command line flags overriding file values. The resolved configuration is
 echoed to stdout, never into output files, so reruns with the same inputs are
 byte-identical. Floats are written with 17 significant digits (round-trip
-exact).
+exact), and series names are quoted the way ``csv`` quotes them.
 
 Exit codes: 0 success, 1 usage error (bad flags, unknown keys or subcommand),
 2 data error (missing or malformed input, analysis preconditions violated).
@@ -47,7 +47,7 @@ from . import packets as pk
 from . import timeseries as ts
 from . import varma as vm
 from .cwt import cwt_morlet, make_scale_grid
-from .denoising import CONVENTIONAL_RULE, canonical_method
+from .denoising import CONVENTIONAL_RULE, SHRINKAGE_RULES, canonical_method
 from .denoising import denoise as _denoise_series
 from .denoising import method_sweep
 
@@ -219,6 +219,13 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
+def _quote(name: str) -> str:
+    """A name as one CSV field, quoted the way ``csv`` quotes it by default."""
+    if any(c in name for c in ',"\r\n'):
+        return '"' + name.replace('"', '""') + '"'
+    return name
+
+
 def _safe_name(name: str) -> str:
     return "".join(c if (c.isalnum() or c in "-_") else "_" for c in name)
 
@@ -265,7 +272,7 @@ def _write_series_table(
 ) -> None:
     row = "%s" + ",%.17g" * len(names) + "\n"
     with w.open(name) as fh:
-        fh.write("date," + ",".join(names) + "\n")
+        fh.write("date," + ",".join(map(_quote, names)) + "\n")
         fh.writelines(row % (stamp, *vals) for stamp, vals in zip(stamps, values.tolist()))
 
 
@@ -362,7 +369,7 @@ def _emit_packet(
         for name, fractions in zip(ms.names, energy):
             for path, frac in fractions.items():
                 node = "".join(str(b) for b in path)
-                fh.write(f"{name},{node},{pk.frequency_index(path)},{_fmt(frac)}\n")
+                fh.write(f"{_quote(name)},{node},{pk.frequency_index(path)},{_fmt(frac)}\n")
     _write_series_table(w, "trend.csv", ms.timestamps, ms.names, trend.values)
     _write_series_table(w, "noise.csv", ms.timestamps, ms.names, noise.values)
     return trend, noise
@@ -405,14 +412,12 @@ def _emit_forecast(
     w: _Writer, full: ts.MultiSeries, work: ts.MultiSeries, config: PipelineConfig
 ) -> None:
     h = config.horizon
-    if h < 1:
-        raise UsageError(f"horizon must be at least 1, got {config.horizon}")
-    names = work.names
+    names = tuple(map(_quote, work.names))  # as CSV fields
     data = work.values
 
     arma_models = []
     arma_results = []
-    for k, name in enumerate(names):
+    for k in range(work.p):
         model = vm.fit_arma11(data[:, k])
         e = vm.residuals(model, data[:, k])
         arma_models.append(model)
@@ -473,7 +478,7 @@ def _emit_forecast(
             # the realized rows get the window's log and rescale steps
             actual = full.values[future_mask][:steps]
             if config.log_transform:
-                actual = _log(names, actual, " after the fit window")
+                actual = _log(work.names, actual, " after the fit window")
             if config.scale_factors is not None:
                 actual = actual * np.asarray(config.scale_factors)
             arma_cut = [
@@ -504,12 +509,26 @@ def _truncate(result: vm.ForecastResult, steps: int) -> vm.ForecastResult:
     )
 
 
+def _check_settings(config: PipelineConfig) -> None:
+    """Refuse a bad setting before any output is written."""
+    if config.horizon < 1:
+        raise UsageError(f"horizon must be at least 1, got {config.horizon}")
+    canonical_method(config.method)
+    if config.rule != "auto" and config.rule not in SHRINKAGE_RULES:
+        raise ValueError(f"unknown rule {config.rule!r}; have {SHRINKAGE_RULES} or 'auto'")
+    pk.lowpass(config.wavelet)
+    for key in ("depth", "denoise_level"):
+        if getattr(config, key) < 1:
+            raise ValueError(f"{key} must be at least 1, got {getattr(config, key)}")
+
+
 def run(subcommand: str, config: PipelineConfig) -> int:
     """Execute one subcommand; returns the process exit code."""
     try:
         if subcommand not in ("coherence", "packet", "denoise", "forecast", "pipeline"):
             raise UsageError(f"unknown subcommand {subcommand!r}")
         print(config.echo())
+        _check_settings(config)
         w = _Writer(config.out_dir)
         full, work = _load(config)
         target = _target_index(work, config)

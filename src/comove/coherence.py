@@ -22,7 +22,7 @@ each scale row with the target ordered last: the last pivot is
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -91,19 +91,6 @@ class CoherenceField:
     @property
     def shape(self) -> tuple[int, int]:
         return self.pairs.shape[1:]
-
-    @property
-    def cells(self) -> np.ndarray:
-        """Dense read-only (num_scales, n, p, p) matrices, built on each access."""
-        p = self.p
-        i, j = np.triu_indices(p, 1)
-        upper = np.moveaxis(self.pairs, 0, -1)
-        cells = np.empty(self.shape + (p, p), dtype=complex)
-        cells[..., i, j] = upper
-        cells[..., j, i] = np.conj(upper)
-        cells[..., np.arange(p), np.arange(p)] = 1.0
-        cells.flags.writeable = False
-        return cells
 
     def index_of(self, label: str) -> int:
         try:
@@ -177,12 +164,6 @@ def coherence_matrix_field(
         coi_outside=first.outside_coi(),
         degenerate=degenerate,
     )
-
-
-def _permute_target_first(cells: np.ndarray, target: int) -> np.ndarray:
-    p = cells.shape[2]
-    idx = [target] + [i for i in range(p) if i != target]
-    return cells[:, :, idx, :][:, :, :, idx]
 
 
 def _check_target(p: int, target: int) -> None:
@@ -291,15 +272,6 @@ def multiple_coherence(field: CoherenceField, target: int = 0) -> np.ndarray:
     return _solve(field, target)[0]
 
 
-def _cofactor_grids(
-    cells: np.ndarray, row: int, col: int
-) -> np.ndarray:
-    """Signed cofactor of each (p, p) cell at (row, col), vectorized."""
-    keep = np.arange(cells.shape[-1])
-    minor = cells[..., np.delete(keep, row)[:, None], np.delete(keep, col)]
-    return (-1.0) ** (row + col) * np.linalg.det(minor)
-
-
 def partial_coherence(
     field: CoherenceField, target: int, j: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -328,32 +300,35 @@ def partial_coherence(
 def multiple_from_partials(field: CoherenceField, target: int = 0) -> np.ndarray:
     """Multiple coherence via the product of nested partial coherencies.
 
-    With the target permuted first, ``R^2 = 1 - prod_k (1 - r^2_k)`` where
-    ``r^2_k`` is the squared partial coherency of the target with the k-th
-    series given the ones before it, computed on the leading k x k submatrix.
-    Agrees with :func:`multiple_coherence` to rounding on nondegenerate
-    cells; rank-deficient factors push the product to 0, so those cells
-    report 1, the same convention as the determinant form.
+    ``R^2 = 1 - prod_k (1 - r^2_k)`` where ``r^2_k`` is the squared partial
+    coherency of the target with the k-th other series given the ones before
+    it, each solved on the packed sub-field of the target and the first k
+    others. Agrees with :func:`multiple_coherence` to rounding on
+    nondegenerate cells. A flagged factor counts as 1 and an exactly
+    dependent series makes its factor 0, so rank-deficient cells report 1,
+    the same convention as the determinant form.
 
     Returns
     -------
     ndarray, shape (num_scales, n)
     """
-    _check_target(field.p, target)
-    c = _permute_target_first(field.cells, target)
     p = field.p
+    _check_target(p, target)
+    pair = np.zeros((p, p), dtype=int)  # row of field.pairs holding entry (i, j), i < j
+    pair[np.triu_indices(p, 1)] = np.arange(len(field.pairs))
+    others = [j for j in range(p) if j != target]
     prod = np.ones(field.shape)
-    for k in range(2, p + 1):
-        sub = c[:, :, :k, :k]
-        c11 = np.linalg.det(sub[:, :, 1:, 1:]).real
-        ckk = np.linalg.det(sub[:, :, : k - 1, : k - 1]).real
-        ck1 = _cofactor_grids(sub, k - 1, 0)
-        denom = c11 * ckk
-        bad = denom < _SINGULAR_MINOR_TOL
-        r2 = np.abs(ck1) ** 2 / np.where(bad, 1.0, denom)
-        factor = 1.0 - np.clip(r2, 0.0, 1.0)
-        factor[bad] = 1.0
-        prod *= factor
+    for k in range(1, p):
+        keep = sorted([target, *others[:k]])
+        sub = replace(
+            field,
+            pairs=field.pairs[pair[np.ix_(keep, keep)][np.triu_indices(k + 1, 1)]],
+            labels=tuple(field.labels[i] for i in keep),
+        )
+        # The k-th other series is the sub-field's last non-target one; its
+        # rho is 0 where flagged, so that factor is 1.
+        rho = _solve(sub, keep.index(target))[2][-1]
+        prod *= 1.0 - np.clip(np.abs(rho) ** 2, 0.0, 1.0)
     return np.clip(1.0 - prod, 0.0, 1.0)
 
 

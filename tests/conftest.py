@@ -48,6 +48,21 @@ def pack_cells(cells) -> np.ndarray:
     return np.moveaxis(cells[..., i, j], -1, 0)
 
 
+def dense_cells(field) -> np.ndarray:
+    """A field's (num_scales, n, p, p) cells, the inverse of :func:`pack_cells`.
+
+    The pairs go above the diagonal, their conjugates below it and ones on it.
+    """
+    p = field.p
+    i, j = np.triu_indices(p, 1)
+    upper = np.moveaxis(field.pairs, 0, -1)
+    cells = np.empty(field.shape + (p, p), dtype=complex)
+    cells[..., i, j] = upper
+    cells[..., j, i] = np.conj(upper)
+    cells[..., np.arange(p), np.arange(p)] = 1.0
+    return cells
+
+
 def unsmoothed_field(fields):
     """Field of the raw coherencies ``W_i conj(W_j) / (|W_i| |W_j|)``.
 

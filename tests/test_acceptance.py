@@ -12,7 +12,7 @@ import time
 
 import numpy as np
 import pytest
-from conftest import laplace_det, pack_cells, random_coherency_cell, unsmoothed_field
+from conftest import dense_cells, laplace_det, pack_cells, random_coherency_cell, unsmoothed_field
 
 import comove as cm
 from comove import timeseries as tsm
@@ -128,7 +128,7 @@ def test_common_factor_detection(capsys):
     band = (grid.scales >= 48.0) & (grid.scales <= 80.0)
     usable = band[:, None] & ~cf.coi_outside
     mwc_mean = float(res.multiple[usable].mean())
-    bivariate_mean = float((np.abs(cf.cells[:, :, 0, 1]) ** 2)[usable].mean())
+    bivariate_mean = float((np.abs(dense_cells(cf)[:, :, 0, 1]) ** 2)[usable].mean())
     elapsed = time.monotonic() - t0
 
     ok = (

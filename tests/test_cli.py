@@ -5,6 +5,7 @@ exit codes and the stdout/stderr contract are asserted directly, without
 subprocess overhead.
 """
 
+import csv
 import datetime
 import os
 import subprocess
@@ -21,6 +22,7 @@ from comove.cli import (
     main,
     read_config_file,
 )
+from comove.timeseries import load_csv
 
 START = datetime.date(2020, 1, 1)
 
@@ -572,3 +574,43 @@ def test_pipeline_random_walks_stay_in_unit_interval(tmp_path):
     for path in grids:
         values = np.loadtxt(path, delimiter=",", skiprows=1, usecols=2)
         assert values.min() >= 0.0 and values.max() <= 1.0, path.name
+
+
+def test_names_with_commas_are_quoted(tmp_path):
+    src = tmp_path / "in.csv"
+    write_input(src, n=200, p=3, seed=12)
+    lines = read_lines(src)
+    lines[0] = 'date,"a,b",c,d'
+    src.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "out"
+    assert main(["pipeline", "--input", str(src), "--end", date_str(180), "--out-dir", str(out)]) == 0
+    assert read_lines(out / "trend.csv")[0] == 'date,"a,b",c,d'
+    trend = load_csv(str(out / "trend.csv"))
+    assert trend.names == ("a,b", "c", "d") and len(trend) == 181
+    for name in ("energy.csv", "models.csv", "forecasts.csv", "comparison.csv"):
+        with open(out / name, newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert len(rows) > 1 and all(len(row) == len(rows[0]) for row in rows), name
+        assert {row[rows[0].index("series")] for row in rows[1:]} >= {"a,b", "c", "d"}, name
+
+
+@pytest.mark.parametrize(
+    "subcommand,flags,code",
+    [
+        ("pipeline", ["--horizon", "0"], 1),
+        ("forecast", ["--horizon", "-3"], 1),
+        ("coherence", ["--method", "bogus"], 2),
+        ("pipeline", ["--rule", "bogus"], 2),
+        ("pipeline", ["--wavelet", "nope"], 2),
+        ("packet", ["--depth", "0"], 2),
+        ("denoise", ["--denoise-level", "0"], 2),
+    ],
+    ids=["horizon", "negative-horizon", "method", "rule", "wavelet", "depth", "denoise-level"],
+)
+def test_bad_settings_refused_before_output(tmp_path, capsys, subcommand, flags, code):
+    src = tmp_path / "in.csv"
+    write_input(src, n=150)
+    out = tmp_path / "out"
+    assert main([subcommand, "--input", str(src), *flags, "--out-dir", str(out)]) == code
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()

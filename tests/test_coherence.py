@@ -8,7 +8,7 @@ wrapped) and a Gram-matrix generator for random valid coherency cells, which
 
 import numpy as np
 import pytest
-from conftest import laplace_det, pack_cells, random_coherency_cell, unsmoothed_field
+from conftest import dense_cells, laplace_det, pack_cells, random_coherency_cell, unsmoothed_field
 
 from comove import coherence
 from comove.coherence import (
@@ -64,9 +64,10 @@ def oracle_partial(cell, target, j):
 def test_multiple_matches_laplace_oracle(p, target):
     field = build_field(p, seed=p)
     got = multiple_coherence(field, target)
+    cells = dense_cells(field)
     for a in range(field.shape[0]):
         for b in range(field.shape[1]):
-            want = oracle_multiple(field.cells[a, b], target)
+            want = oracle_multiple(cells[a, b], target)
             assert got[a, b] == pytest.approx(want, abs=1e-10)
 
 
@@ -74,9 +75,10 @@ def test_multiple_matches_laplace_oracle(p, target):
 def test_partial_matches_laplace_oracle(p):
     field = build_field(p, seed=10 + p)
     rho, r2, phase = partial_coherence(field, 0, p - 1)
+    cells = dense_cells(field)
     for a in range(field.shape[0]):
         for b in range(field.shape[1]):
-            want = oracle_partial(field.cells[a, b], 0, p - 1)
+            want = oracle_partial(cells[a, b], 0, p - 1)
             assert rho[a, b] == pytest.approx(want, abs=1e-10)
             assert r2[a, b] == pytest.approx(abs(want) ** 2, abs=1e-10)
             assert phase[a, b] == pytest.approx(np.angle(want), abs=1e-10)
@@ -99,14 +101,14 @@ def test_multiple_is_bounded():
 def test_multiple_p2_reduces_to_squared_coherency():
     field = build_field(2, seed=4)
     r2 = multiple_coherence(field, 0)
-    want = np.abs(field.cells[:, :, 0, 1]) ** 2
+    want = np.abs(dense_cells(field)[:, :, 0, 1]) ** 2
     assert np.abs(r2 - want).max() < 1e-12
 
 
 def test_partial_p2_reduces_to_plain_coherency():
     field = build_field(2, seed=5)
     rho, _, _ = partial_coherence(field, 0, 1)
-    assert np.abs(rho - field.cells[:, :, 0, 1]).max() < 1e-12
+    assert np.abs(rho - dense_cells(field)[:, :, 0, 1]).max() < 1e-12
 
 
 def test_partial_swap_conjugates():
@@ -120,7 +122,7 @@ def test_partial_swap_conjugates():
 def test_results_invariant_to_series_permutation():
     field = build_field(4, seed=7)
     perm = [2, 0, 3, 1]
-    cells_p = field.cells[:, :, perm, :][:, :, :, perm]
+    cells_p = dense_cells(field)[:, :, perm, :][:, :, :, perm]
     field_p = CoherenceField(
         pairs=pack_cells(cells_p),
         labels=tuple(field.labels[i] for i in perm),
@@ -216,7 +218,7 @@ def test_solve_matches_determinant_route(p, eps):
             cells[0, 0] = v @ v.conj().T
             cells[0, 0][np.arange(p), np.arange(p)] = 1.0
         field = CoherenceField(**_field_kwargs(cells, p))
-        r2_old, rho_old, flagged_old = _determinant_route(field.cells, target)
+        r2_old, rho_old, flagged_old = _determinant_route(dense_cells(field), target)
         res = coherence_result(field, target)
         assert np.array_equal(res.flagged, flagged_old)
         if p >= 3:
@@ -229,6 +231,47 @@ def test_solve_matches_determinant_route(p, eps):
             assert np.isfinite(rho).all() and np.isfinite(r2).all() and np.isfinite(phase).all()
             assert np.abs(rho - want)[ok].max(initial=0.0) <= 1e-8
             np.testing.assert_array_equal(res.partial_sq[j], r2)
+
+
+def _nested_determinant_route(cells, target):
+    """The determinant route ``multiple_from_partials`` used before it solved
+    packed sub-fields: the target permuted first, and each nested factor from
+    three LAPACK determinants on the leading k x k block, flagged where
+    ``cof(0, 0) * cof(k - 1, k - 1) < 1e-14`` and then counted as 1."""
+    p = cells.shape[-1]
+    idx = [target] + [i for i in range(p) if i != target]
+    c = cells[..., idx, :][..., :, idx]
+    prod = np.ones(cells.shape[:2])
+    for k in range(2, p + 1):
+        sub = c[..., :k, :k]
+        c11 = np.linalg.det(sub[..., 1:, 1:]).real
+        ckk = np.linalg.det(sub[..., : k - 1, : k - 1]).real
+        ck1 = (-1.0) ** (k - 1) * np.linalg.det(sub[..., : k - 1, 1:])
+        denom = c11 * ckk
+        bad = denom < 1e-14
+        factor = 1.0 - np.clip(np.abs(ck1) ** 2 / np.where(bad, 1.0, denom), 0.0, 1.0)
+        factor[bad] = 1.0
+        prod *= factor
+    return np.clip(1.0 - prod, 0.0, 1.0)
+
+
+@pytest.mark.parametrize("p", range(2, 9))
+def test_nested_partials_match_determinant_route(p):
+    rng = np.random.default_rng([23, p])
+    cells = _near_rank_deficient_cells(rng, p, 1.0)
+    # about a quarter of the cells exactly rank deficient: Gram cells of rank
+    # 1 .. p - 1 with unit rows
+    for a, b in zip(*np.nonzero(rng.random(cells.shape[:2]) < 0.25)):
+        r = rng.integers(1, p)
+        v = rng.normal(size=(p, r)) + 1j * rng.normal(size=(p, r))
+        v /= np.linalg.norm(v, axis=1, keepdims=True)
+        cells[a, b] = v @ v.conj().T
+        cells[a, b][np.arange(p), np.arange(p)] = 1.0
+    field = CoherenceField(**_field_kwargs(cells, p))
+    cells = dense_cells(field)
+    for target in range(p):
+        want = _nested_determinant_route(cells, target)
+        assert np.abs(multiple_from_partials(field, target) - want).max() <= 1e-10
 
 
 # ----------------------------------------------------- four-series expansion
@@ -252,9 +295,10 @@ def test_four_series_expansion_matches_laplace():
 def test_four_series_expansion_agrees_with_field_form():
     field = build_field(4, seed=8)
     r2_field = multiple_coherence(field, 0)
+    cells = dense_cells(field)
     for a in range(field.shape[0]):
         for b in range(field.shape[1]):
-            _, _, r2 = four_series_expansion(field.cells[a, b])
+            _, _, r2 = four_series_expansion(cells[a, b])
             assert r2 == pytest.approx(r2_field[a, b], abs=1e-12)
 
 
@@ -292,10 +336,11 @@ def test_matrix_field_from_signals():
     field = coherence_matrix_field(_wavelet_fields(200, cols))
     assert field.p == 3
     assert field.labels == ("series0", "series1", "series2")
-    assert field.cells.shape[2:] == (3, 3)
+    cells = dense_cells(field)
+    assert cells.shape[2:] == (3, 3)
     assert not field.degenerate.any()
     # valid coherency structure comes from the shared smoother
-    assert np.abs(field.cells).max() <= 1.0 + 1e-9
+    assert np.abs(cells).max() <= 1.0 + 1e-9
 
 
 def test_matrix_field_custom_labels():
@@ -323,7 +368,7 @@ def test_matrix_field_constant_series_is_degenerate():
     field = coherence_matrix_field(_wavelet_fields(64, cols))
     assert field.degenerate.all()
     eye = np.eye(2)
-    assert np.abs(field.cells - eye).max() == 0.0
+    assert np.abs(dense_cells(field) - eye).max() == 0.0
     assert coherence_result(field, 0).flagged.all()
 
 
@@ -388,12 +433,12 @@ def test_packed_assembly_matches_dense_assembly(p, monkeypatch):
     )
     field = coherence_matrix_field(fields)
     assert len(calls) == p * (p + 1) // 2  # one smoothing call per spectrum
-    cells = field.cells
+    cells = dense_cells(field)
     assert field.pairs.shape == (p * (p - 1) // 2,) + field.shape
     assert np.array_equal(cells, _dense_assembly(fields))
     assert np.array_equal(cells, np.conj(np.swapaxes(cells, -1, -2)))
     assert np.all(np.diagonal(cells, axis1=-2, axis2=-1) == 1.0)
-    assert not cells.flags.writeable and not field.pairs.flags.writeable
+    assert not field.pairs.flags.writeable
 
 
 # ----------------------------------------------------- CoherenceField checks
@@ -421,7 +466,7 @@ def test_field_rejects_coherency_above_one():
 @pytest.mark.parametrize("value", [np.nan, np.inf, complex(np.nan, 0.5)])
 def test_field_rejects_non_finite_cells(value):
     rng = np.random.default_rng(31)
-    cells = build_field(4, seed=31).cells.copy()
+    cells = dense_cells(build_field(4, seed=31)).copy()
     a, b = rng.integers(cells.shape[0]), rng.integers(cells.shape[1])
     i, j = rng.choice(4, size=2, replace=False)
     cells[a, b, i, j] = value
@@ -436,7 +481,7 @@ def test_field_checks_sit_at_their_tolerances(kind, factor, accepted):
     # One seeded entry, and its conjugate across the diagonal, moved to
     # `factor` times the 1e-9 tolerance past the unit disc.
     rng = np.random.default_rng(37)
-    cells = build_field(4, seed=37).cells.copy()
+    cells = dense_cells(build_field(4, seed=37)).copy()
     a, b = rng.integers(cells.shape[0]), rng.integers(cells.shape[1])
     i, j = sorted(rng.choice(4, size=2, replace=False))
     if kind == "disc-lower":
@@ -461,7 +506,7 @@ def test_field_rejects_mismatched_grid_shapes(name, shape):
     # A (1, n) mask on a 4-row field would broadcast over every row, and a
     # one-element scale axis would label four rows; both must be refused.
     rng = np.random.default_rng(43)
-    kwargs = _field_kwargs(build_field(3, seed=43).cells, 3)
+    kwargs = _field_kwargs(dense_cells(build_field(3, seed=43)), 3)
     kwargs[name] = rng.random(shape) < 0.5 if name != "scales" else rng.uniform(2.0, 32.0, shape)
     with pytest.raises(ValueError, match=f"{name} has shape"):
         CoherenceField(**kwargs)
@@ -469,7 +514,7 @@ def test_field_rejects_mismatched_grid_shapes(name, shape):
 
 def test_field_rejects_pairs_of_the_wrong_count():
     pairs = build_field(3, seed=44).pairs
-    kwargs = _field_kwargs(build_field(4, seed=44).cells, 4)
+    kwargs = _field_kwargs(dense_cells(build_field(4, seed=44)), 4)
     kwargs["pairs"] = pairs
     with pytest.raises(ValueError, match="does not fit"):
         CoherenceField(**kwargs)
