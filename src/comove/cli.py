@@ -1,15 +1,20 @@
 """Command line interface: coherence, packet, denoise, forecast, pipeline.
 
 Configuration comes from an optional flat ``key=value`` file (``--config``),
-with command line flags overriding file values. The resolved configuration is
-echoed to stdout, never into output files, so reruns with the same inputs are
-byte-identical. Floats are written with 17 significant digits (round-trip
-exact), and series names are quoted the way ``csv`` quotes them.
+with command line flags overriding file values. Every ``PipelineConfig``
+field has one flag, named ``--`` plus the field name with ``_`` written as
+``-`` (``--date-column``, ``--out-dir``); the one exception is ``--log``,
+which sets ``log_transform``. Flag and file values are parsed alike. The
+resolved configuration is echoed to stdout, never into output files, so
+reruns with the same inputs are byte-identical. Floats are written with 17
+significant digits (round-trip exact), and series names are quoted the way
+``csv`` quotes them.
 
 Exit codes: 0 success, 1 usage error (bad flags, unknown keys or subcommand),
 2 data error (missing or malformed input, analysis preconditions violated).
 
-Output files, written under ``out_dir``:
+Output files, written under ``out_dir``, which is made at the first write
+(so a run that fails before writing leaves no directory behind):
 
 - coherence: ``mwc_<target>.csv`` plus ``pwc_<target>_<other>.csv`` and
   ``phase_<target>_<other>.csv`` per other series. Grid files are long
@@ -47,9 +52,7 @@ from . import packets as pk
 from . import timeseries as ts
 from . import varma as vm
 from .cwt import cwt_morlet, make_scale_grid
-from .denoising import CONVENTIONAL_RULE, SHRINKAGE_RULES, canonical_method
-from .denoising import denoise as _denoise_series
-from .denoising import method_sweep
+from .denoising import SHRINKAGE_RULES, canonical_method, method_sweep
 
 class UsageError(Exception):
     """Bad invocation: unknown keys, unparseable values, unknown subcommand."""
@@ -92,16 +95,17 @@ _BOOL_FALSE = {"0", "false", "no", "off"}
 
 
 def _coerce(key: str, raw: str) -> object:
+    """One setting from its text, whether it came from a flag or the config file."""
+    raw = raw.strip()
     if key in ("depth", "denoise_level", "horizon"):
         try:
             return int(raw)
         except ValueError:
             raise UsageError(f"config {key} must be an integer, got {raw!r}") from None
     if key == "log_transform":
-        low = raw.strip().lower()
-        if low in _BOOL_TRUE:
+        if raw.lower() in _BOOL_TRUE:
             return True
-        if low in _BOOL_FALSE:
+        if raw.lower() in _BOOL_FALSE:
             return False
         raise UsageError(f"config log_transform must be a boolean, got {raw!r}")
     if key == "scale_factors":
@@ -113,8 +117,8 @@ def _coerce(key: str, raw: str) -> object:
         cols = tuple(v.strip() for v in raw.split(",") if v.strip() != "")
         return cols or None
     if key in ("start", "end", "target"):
-        return raw.strip() or None
-    return raw.strip()
+        return raw or None
+    return raw
 
 
 def read_config_file(path: str) -> dict[str, object]:
@@ -140,6 +144,35 @@ def read_config_file(path: str) -> dict[str, object]:
     return out
 
 
+_SUBCOMMANDS = {
+    "coherence": "multiple/partial wavelet coherence grids",
+    "packet": "wavelet packet energy table and trend/noise split",
+    "denoise": "threshold-selection sweep and de-noised series",
+    "forecast": "ARMA vs VARMA forecasts and MSE comparison",
+    "pipeline": "everything above in one run",
+}
+
+# one help string per PipelineConfig field, and so per flag
+_HELP = {
+    "input": "input CSV path",
+    "date_column": "name of the date column",
+    "value_columns": "comma-separated column names (default: all non-date columns)",
+    "start": "window start date (inclusive)",
+    "end": "window end date (inclusive)",
+    "scale_factors": "comma-separated positive factors, one per series",
+    "log_transform": "analyze log prices instead of levels",
+    "target": "target series name",
+    "depth": "packet tree depth",
+    "method": "threshold selection method",
+    "rule": "shrinkage rule (hard/soft/garrote; 'auto' pairs each method "
+    "with its conventional rule)",
+    "denoise_level": "de-noising decomposition level",
+    "wavelet": "db3 or haar",
+    "horizon": "forecast steps",
+    "out_dir": "output directory, made at the first write",
+}
+
+
 class _Parser(argparse.ArgumentParser):
     # argparse exits 2 on usage errors by default; the contract here is 1.
     def error(self, message: str) -> None:  # type: ignore[override]
@@ -148,55 +181,18 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _build_parser() -> _Parser:
+    """One flag per config field; every value stays a string for ``_coerce``."""
     parser = _Parser(prog="comove", description=__doc__.split("\n\n")[0])
     sub = parser.add_subparsers(dest="subcommand", metavar="SUBCOMMAND")
-    for name, helptext in (
-        ("coherence", "multiple/partial wavelet coherence grids"),
-        ("packet", "wavelet packet energy table and trend/noise split"),
-        ("denoise", "threshold-selection sweep and de-noised series"),
-        ("forecast", "ARMA vs VARMA forecasts and MSE comparison"),
-        ("pipeline", "everything above in one run"),
-    ):
+    for name, helptext in _SUBCOMMANDS.items():
         p = sub.add_parser(name, help=helptext)
         p.add_argument("--config", default=None, help="key=value settings file")
-        p.add_argument("--input", default=None, help="input CSV path")
-        p.add_argument("--date-column", dest="date_column", default=None)
-        p.add_argument(
-            "--value-columns",
-            dest="value_columns",
-            default=None,
-            help="comma-separated column names (default: all non-date columns)",
-        )
-        p.add_argument("--start", default=None, help="window start date (inclusive)")
-        p.add_argument("--end", default=None, help="window end date (inclusive)")
-        p.add_argument(
-            "--scale-factors",
-            dest="scale_factors",
-            default=None,
-            help="comma-separated positive factors, one per series",
-        )
-        p.add_argument(
-            "--log",
-            dest="log_transform",
-            action="store_true",
-            default=None,
-            help="analyze log prices instead of levels",
-        )
-        p.add_argument("--target", default=None, help="target series name")
-        p.add_argument("--depth", type=int, default=None, help="packet tree depth")
-        p.add_argument("--method", default=None, help="threshold selection method")
-        p.add_argument(
-            "--rule",
-            default=None,
-            help="shrinkage rule (hard/soft/garrote; 'auto' pairs each method "
-            "with its conventional rule)",
-        )
-        p.add_argument(
-            "--denoise-level", dest="denoise_level", type=int, default=None
-        )
-        p.add_argument("--wavelet", default=None, help="db3 or haar")
-        p.add_argument("--horizon", type=int, default=None)
-        p.add_argument("--out-dir", dest="out_dir", default=None)
+        for f in fields(PipelineConfig):
+            if f.name == "log_transform":
+                p.add_argument("--log", dest=f.name, action="store_const", const="true",
+                               help=_HELP[f.name])
+            else:
+                p.add_argument("--" + f.name.replace("_", "-"), dest=f.name, help=_HELP[f.name])
     return parser
 
 
@@ -206,12 +202,9 @@ def build_config(args: argparse.Namespace) -> PipelineConfig:
     if args.config:
         settings.update(read_config_file(args.config))
     for f in fields(PipelineConfig):
-        v = getattr(args, f.name, None)
-        if v is None:
-            continue
-        if isinstance(v, str):
-            v = _coerce(f.name, v)
-        settings[f.name] = v
+        raw = getattr(args, f.name, None)
+        if raw is not None:
+            settings[f.name] = _coerce(f.name, raw)
     return replace(PipelineConfig(), **settings)
 
 
@@ -231,14 +224,15 @@ def _safe_name(name: str) -> str:
 
 
 class _Writer:
-    """Collects written paths for the manifest."""
+    """Collects written paths for the manifest; makes ``out_dir`` at the first write."""
 
     def __init__(self, out_dir: str) -> None:
         self.out_dir = out_dir
         self.written: list[str] = []
-        os.makedirs(out_dir, exist_ok=True)
 
     def open(self, name: str):
+        if not self.written:
+            os.makedirs(self.out_dir, exist_ok=True)
         self.written.append(name)
         print(f"wrote {os.path.join(self.out_dir, name)}")
         return open(os.path.join(self.out_dir, name), "w", newline="")
@@ -248,6 +242,25 @@ class _Writer:
         with open(os.path.join(self.out_dir, "manifest.txt"), "w") as fh:
             for n in names:
                 fh.write(n + "\n")
+
+
+def _field(v: object) -> str:
+    if isinstance(v, str):
+        return _quote(v)
+    if isinstance(v, float):
+        return _fmt(v)
+    return str(v)
+
+
+def _write_table(
+    w: _Writer, name: str, header: str, rows: list[tuple], comment: str | None = None
+) -> None:
+    """A small CSV table: strings quoted, floats at 17 digits, the rest as ``str``."""
+    with w.open(name) as fh:
+        if comment is not None:
+            fh.write(f"# {comment}\n")
+        fh.write(header + "\n")
+        fh.writelines(",".join(map(_field, row)) + "\n" for row in rows)
 
 
 def _write_grid(
@@ -319,40 +332,19 @@ def _load(config: PipelineConfig) -> tuple[ts.MultiSeries, ts.MultiSeries]:
     return full, work
 
 
-def _target_index(ms: ts.MultiSeries, config: PipelineConfig) -> int:
-    if config.target is None:
-        return 0
-    return ms.index_of(config.target)
-
-
-def _coherence_grids(
-    ms: ts.MultiSeries, target: int
-) -> tuple[coh.CoherenceResult, np.ndarray]:
-    grid = make_scale_grid(len(ms), ms.dt)
-    fields_ = [cwt_morlet(x, ms.dt, grid) for x in ms.values.T]
-    cf = coh.coherence_matrix_field(fields_, labels=ms.names)
-    return coh.coherence_result(cf, target), grid.scales
-
-
 def _emit_coherence(w: _Writer, ms: ts.MultiSeries, target: int, prefix: str = "", partials: bool = True) -> None:
     if ms.p < 2:
         raise ts.DataError("coherence needs at least two series")
-    res, scales = _coherence_grids(ms, target)
+    grid = make_scale_grid(len(ms), ms.dt)
+    cf = coh.coherence_matrix_field([cwt_morlet(x, ms.dt, grid) for x in ms.values.T], labels=ms.names)
+    res = coh.coherence_result(cf, target)
     tname = _safe_name(ms.names[target])
-    _write_grid(w, f"mwc_{prefix}{tname}.csv", scales, res.multiple, res.coi_outside)
+    _write_grid(w, f"mwc_{prefix}{tname}.csv", grid.scales, res.multiple, res.coi_outside)
     if partials:
         for j in sorted(res.partial_sq):
-            jname = _safe_name(ms.names[j])
-            _write_grid(
-                w, f"pwc_{prefix}{tname}_{jname}.csv", scales, res.partial_sq[j], res.coi_outside
-            )
-            _write_grid(
-                w,
-                f"phase_{prefix}{tname}_{jname}.csv",
-                scales,
-                res.partial_phase[j],
-                res.coi_outside,
-            )
+            for kind, values in (("pwc", res.partial_sq[j]), ("phase", res.partial_phase[j])):
+                name = f"{kind}_{prefix}{tname}_{_safe_name(ms.names[j])}.csv"
+                _write_grid(w, name, grid.scales, values, res.coi_outside)
 
 
 def _emit_packet(
@@ -364,149 +356,114 @@ def _emit_packet(
     lo, hi = (0,) * config.depth, (1,) * config.depth
     trend = replace(ms, values=np.column_stack([pk.reconstruct_node(tree, lo) for tree in trees]))
     noise = replace(ms, values=np.column_stack([pk.reconstruct_node(tree, hi) for tree in trees]))
-    with w.open("energy.csv") as fh:
-        fh.write("series,node,frequency_index,fraction\n")
-        for name, fractions in zip(ms.names, energy):
-            for path, frac in fractions.items():
-                node = "".join(str(b) for b in path)
-                fh.write(f"{_quote(name)},{node},{pk.frequency_index(path)},{_fmt(frac)}\n")
+    _write_table(w, "energy.csv", "series,node,frequency_index,fraction", [
+        (name, "".join(str(b) for b in path), pk.frequency_index(path), frac)
+        for name, fractions in zip(ms.names, energy)
+        for path, frac in fractions.items()
+    ])
     _write_series_table(w, "trend.csv", ms.timestamps, ms.names, trend.values)
     _write_series_table(w, "noise.csv", ms.timestamps, ms.names, noise.values)
     return trend, noise
 
 
 def _emit_denoise(w: _Writer, ms: ts.MultiSeries, config: PipelineConfig) -> ts.MultiSeries:
-    """Write the sweeps and the de-noised table; return the de-noised variant of ``ms``."""
+    """Write the sweeps and the de-noised table; return the de-noised variant of ``ms``.
+
+    The de-noised column is the chosen method's estimate from the sweep.
+    """
     rule = None if config.rule == "auto" else config.rule
     method = canonical_method(config.method)
-    effective_rule = rule if rule is not None else CONVENTIONAL_RULE[method]
     denoised = np.empty_like(ms.values)
     for k, name in enumerate(ms.names):
-        x = ms.values[:, k]
-        report = method_sweep(
-            x,
-            rule=rule,
-            level=config.denoise_level,
-            wavelet=config.wavelet,
-            series_name=name,
-        )
-        with w.open(f"sweep_{_safe_name(name)}.csv") as fh:
-            fh.write(f"# {report.convention}\n")
-            fh.write("method,rule,thresholds,snr,psnr,identical\n")
-            for method_name, rule_name, thr, snr, psnr, identical in report.rows():
-                snr_s = "identical" if identical else _fmt(snr)
-                psnr_s = "identical" if identical else _fmt(psnr)
-                fh.write(f"{method_name},{rule_name},{thr},{snr_s},{psnr_s},{int(identical)}\n")
-        denoised[:, k] = _denoise_series(
-            x,
-            method=method,
-            rule=effective_rule,
-            level=config.denoise_level,
-            wavelet=config.wavelet,
-        )
+        report = method_sweep(ms.values[:, k], rule=rule, level=config.denoise_level,
+                              wavelet=config.wavelet, series_name=name)
+        _write_table(w, f"sweep_{_safe_name(name)}.csv", "method,rule,thresholds,snr,psnr,identical", [
+            (m, r, thr, *(("identical",) * 2 if same else (snr, psnr)), int(same))
+            for m, r, thr, snr, psnr, same in report.rows()
+        ], comment=report.convention)
+        denoised[:, k] = next(s.estimate for s in report.scores if s.method == method)
     _write_series_table(w, "denoised.csv", ms.timestamps, ms.names, denoised)
     return replace(ms, values=denoised)
+
+
+def _fit(fit, data: np.ndarray, cols: int | slice, h: int) -> tuple:
+    """Fit one model to ``data[:, cols]``; return (cols, model, h-step forecast)."""
+    y = data[:, cols]
+    model = fit(y)
+    e = vm.residuals(model, y)
+    return cols, model, vm.forecast(model, y[-1], e[-1], h)
+
+
+def _model_rows(model: vm.ArmaModel | vm.VarmaModel, names: str | tuple[str, ...]) -> list[tuple]:
+    """models.csv rows after the model column: an ARMA of one series, or a VARMA of all."""
+    if isinstance(model, vm.ArmaModel):
+        params = ("mu", model.mu), ("phi", model.phi), ("theta", model.theta), ("sigma2", model.sigma2)
+        return [(names, *row) for row in (*params, *(("warning", note) for note in model.warnings))]
+    mats = (("phi", model.phi), ("theta", model.theta), ("sigma", model.sigma))
+    return (
+        [(name, "mu", mu) for name, mu in zip(names, model.mu)]
+        + [(names[i], f"{pname}[{i}.{j}]", mat[i, j])
+           for pname, mat in mats for i in range(model.p) for j in range(model.p)]
+        + [("", "warning", note) for note in model.warnings]
+    )
 
 
 def _emit_forecast(
     w: _Writer, full: ts.MultiSeries, work: ts.MultiSeries, config: PipelineConfig
 ) -> None:
-    h = config.horizon
-    names = tuple(map(_quote, work.names))  # as CSV fields
-    data = work.values
-
-    arma_models = []
-    arma_results = []
-    for k in range(work.p):
-        model = vm.fit_arma11(data[:, k])
-        e = vm.residuals(model, data[:, k])
-        arma_models.append(model)
-        arma_results.append(vm.forecast(model, data[-1, k], e[-1], h))
-
-    varma_model = None
-    varma_result = None
+    h, names, data = config.horizon, work.names, work.values
+    # each family's fits in column order: one ARMA per series, one VARMA of all
+    families = {"arma": [_fit(vm.fit_arma11, data, k, h) for k in range(work.p)]}
     if work.p >= 2:
-        varma_model = vm.fit_varma11(data)
-        ev = vm.residuals(varma_model, data)
-        varma_result = vm.forecast(varma_model, data[-1], ev[-1], h)
+        families["varma"] = [_fit(vm.fit_varma11, data, slice(None), h)]
     else:
         print("single series: VARMA comparison skipped")
 
-    with w.open("models.csv") as fh:
-        fh.write("model,series,parameter,value\n")
-        for name, m in zip(names, arma_models):
-            for pname, v in (
-                ("mu", m.mu), ("phi", m.phi), ("theta", m.theta), ("sigma2", m.sigma2),
-            ):
-                fh.write(f"arma,{name},{pname},{_fmt(v)}\n")
-            for note in m.warnings:
-                fh.write(f"arma,{name},warning,{note}\n")
-        if varma_model is not None:
-            for i, name in enumerate(names):
-                fh.write(f"varma,{name},mu,{_fmt(varma_model.mu[i])}\n")
-            for pname, mat in (("phi", varma_model.phi), ("theta", varma_model.theta), ("sigma", varma_model.sigma)):
-                for i in range(varma_model.p):
-                    for j in range(varma_model.p):
-                        fh.write(f"varma,{names[i]},{pname}[{i}.{j}],{_fmt(mat[i, j])}\n")
-            for note in varma_model.warnings:
-                fh.write(f"varma,,warning,{note}\n")
+    _write_table(w, "models.csv", "model,series,parameter,value", [
+        (family, *row)
+        for family, fits in families.items()
+        for cols, model, _ in fits
+        for row in _model_rows(model, names[cols])
+    ])
 
-    with w.open("forecasts.csv") as fh:
-        fh.write("model,series,horizon,point,lower,upper\n")
-        for name, r in zip(names, arma_results):
-            for step in range(h):
-                fh.write(
-                    f"arma,{name},{step + 1},{_fmt(r.points[step, 0])},"
-                    f"{_fmt(r.lower[step, 0])},{_fmt(r.upper[step, 0])}\n"
-                )
-        if varma_result is not None:
-            for k, name in enumerate(names):
-                for step in range(h):
-                    fh.write(
-                        f"varma,{name},{step + 1},{_fmt(varma_result.points[step, k])},"
-                        f"{_fmt(varma_result.lower[step, k])},{_fmt(varma_result.upper[step, k])}\n"
-                    )
+    # (h, p) points and bands per family
+    bands = {
+        family: [np.hstack([getattr(r, key) for _, _, r in fits]) for key in ("points", "lower", "upper")]
+        for family, fits in families.items()
+    }
+    _write_table(w, "forecasts.csv", "model,series,horizon,point,lower,upper", [
+        (family, name, step + 1, *(band[step, k] for band in fam_bands))
+        for family, fam_bands in bands.items()
+        for k, name in enumerate(names)
+        for step in range(h)
+    ])
 
     # realized data after the fit window, if the full file extends past it
-    last = work.timestamps[-1]
-    future_mask = full.timestamps > last
-    available = int(future_mask.sum())
-    steps = min(h, available)
-    with w.open("comparison.csv") as fh:
-        fh.write("series,horizons,arma_mse,varma_mse,winner\n")
-        if steps >= 1 and varma_result is not None:
-            # the realized rows get the window's log and rescale steps
-            actual = full.values[future_mask][:steps]
-            if config.log_transform:
-                actual = _log(work.names, actual, " after the fit window")
-            if config.scale_factors is not None:
-                actual = actual * np.asarray(config.scale_factors)
-            arma_cut = [
-                vm.evaluate_mse(_truncate(r, steps), actual[:, k])
-                for k, r in enumerate(arma_results)
-            ]
-            varma_cut = vm.evaluate_mse(_truncate(varma_result, steps), actual)
-            rows = vm.mse_comparison(
-                names,
-                np.array([e.cum_mse[0] for e in arma_cut]),
-                varma_cut.cum_mse,
-            )
-            for row in rows:
-                fh.write(
-                    f"{row.name},{steps},{_fmt(row.arma_mse)},{_fmt(row.varma_mse)},{row.winner}\n"
-                )
-        else:
-            print("no realized data beyond the fit window; comparison left empty")
+    future_mask = full.timestamps > work.timestamps[-1]
+    steps = min(h, int(future_mask.sum()))
+    rows = []
+    if steps >= 1 and "varma" in families:
+        # the realized rows get the window's log and rescale steps
+        actual = full.values[future_mask][:steps]
+        if config.log_transform:
+            actual = _log(names, actual, " after the fit window")
+        if config.scale_factors is not None:
+            actual = actual * np.asarray(config.scale_factors)
+        # each fit is scored on its own columns: one (steps, p) ARMA stack would
+        # sum the squared errors in another order and move last digits
+        mse = {
+            family: np.concatenate([vm.evaluate_mse(_truncate(r, steps), actual[:, cols]).cum_mse for cols, _, r in fits])
+            for family, fits in families.items()
+        }
+        rows = [(row.name, steps, row.arma_mse, row.varma_mse, row.winner)
+                for row in vm.mse_comparison(names, mse["arma"], mse["varma"])]
+    _write_table(w, "comparison.csv", "series,horizons,arma_mse,varma_mse,winner", rows)
+    if not rows:
+        print("no realized data beyond the fit window; comparison left empty")
 
 
-def _truncate(result: vm.ForecastResult, steps: int) -> vm.ForecastResult:
-    return vm.ForecastResult(
-        horizon=steps,
-        points=result.points[:steps],
-        cov=result.cov[:steps],
-        lower=result.lower[:steps],
-        upper=result.upper[:steps],
-    )
+def _truncate(r: vm.ForecastResult, steps: int) -> vm.ForecastResult:
+    return vm.ForecastResult(steps, r.points[:steps], r.cov[:steps], r.lower[:steps], r.upper[:steps])
 
 
 def _check_settings(config: PipelineConfig) -> None:
@@ -525,13 +482,13 @@ def _check_settings(config: PipelineConfig) -> None:
 def run(subcommand: str, config: PipelineConfig) -> int:
     """Execute one subcommand; returns the process exit code."""
     try:
-        if subcommand not in ("coherence", "packet", "denoise", "forecast", "pipeline"):
+        if subcommand not in _SUBCOMMANDS:
             raise UsageError(f"unknown subcommand {subcommand!r}")
         print(config.echo())
         _check_settings(config)
         w = _Writer(config.out_dir)
         full, work = _load(config)
-        target = _target_index(work, config)
+        target = 0 if config.target is None else work.index_of(config.target)
         if subcommand in ("coherence", "denoise", "pipeline"):
             _check_file_names(work.names)
         if subcommand == "coherence":
@@ -552,12 +509,14 @@ def run(subcommand: str, config: PipelineConfig) -> int:
             _emit_forecast(w, full, work, config)
             w.manifest()
         return 0
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ts.DataError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    except (UsageError, ts.DataError, ValueError, OSError) as exc:
+        return _failed(exc)
+
+
+def _failed(exc: Exception) -> int:
+    """Report an error; exit 1 for a usage error, 2 for a data error."""
+    print(f"error: {exc}", file=sys.stderr)
+    return 1 if isinstance(exc, UsageError) else 2
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -569,12 +528,8 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     try:
         config = build_config(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ts.DataError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    except (UsageError, ts.DataError) as exc:
+        return _failed(exc)
     return run(args.subcommand, config)
 
 

@@ -220,7 +220,8 @@ def cwt_morlet(x: np.ndarray, dt: float, grid: ScaleGrid | None = None) -> Wavel
     window = np.pi**-0.25 * np.exp(-0.5 * (arg - OMEGA0) ** 2)
     window *= (omega[None, :] > 0)
     norm = np.sqrt(2.0 * np.pi * scales / dt)
-    wave = np.fft.ifft(xhat[None, :] * window * norm[:, None], axis=1)[:, :n]
+    # copy the n kept columns, so the field does not pin the padded buffer
+    wave = np.fft.ifft(xhat[None, :] * window * norm[:, None], axis=1)[:, :n].copy()
 
     dist = np.minimum(np.arange(n), n - 1 - np.arange(n)).astype(float)
     coi = np.maximum(dist, _COI_EDGE_FLOOR) * dt / np.sqrt(2.0)

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import functools
 from collections.abc import Callable
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -294,7 +294,8 @@ def fidelity_metrics(reference: np.ndarray, estimate: np.ndarray) -> Fidelity:
 
 @dataclass(frozen=True)
 class MethodScore:
-    """One sweep row: a method, the rule it ran with, and its scores."""
+    """One sweep row: a method, the rule it ran with, its scores and its
+    reconstruction (``estimate``, what :func:`denoise` returns for them)."""
 
     method: str
     rule: str
@@ -302,6 +303,7 @@ class MethodScore:
     snr: float
     psnr: float
     identical: bool
+    estimate: np.ndarray = field(repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -376,6 +378,7 @@ def method_sweep(
                 snr=fid.snr,
                 psnr=fid.psnr,
                 identical=fid.identical,
+                estimate=est,
             )
         )
     best_snr = max(scores, key=lambda s: s.snr).method

@@ -6,6 +6,7 @@ subprocess overhead.
 """
 
 import csv
+import dataclasses
 import datetime
 import os
 import subprocess
@@ -16,12 +17,14 @@ import numpy as np
 import pytest
 
 from comove import cli
+from comove import varma as vm
 from comove.cli import (
     PipelineConfig,
     UsageError,
     main,
     read_config_file,
 )
+from comove.denoising import denoise
 from comove.timeseries import load_csv
 
 START = datetime.date(2020, 1, 1)
@@ -84,6 +87,7 @@ def test_missing_input_file_is_data_error(tmp_path, capsys):
     code = main(["coherence", "--input", str(missing), "--out-dir", str(tmp_path / "out")])
     assert code == 2
     assert str(missing) in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()  # made at the first write, not before the load
 
 
 def test_nonpositive_values_block_log_transform(tmp_path, capsys):
@@ -130,6 +134,46 @@ def test_config_bad_integer(tmp_path):
     cfg.write_text("depth = four\n")
     with pytest.raises(UsageError, match="must be an integer"):
         read_config_file(str(cfg))
+
+
+# one raw value per field, in the form a flag or a config line takes it
+_RAW = {
+    "input": "prices.csv",
+    "date_column": "day",
+    "value_columns": "a, b",
+    "start": "2020-01-01",
+    "end": "2020-12-31",
+    "scale_factors": "1.5,2",
+    "log_transform": "true",
+    "target": "b",
+    "depth": "3",
+    "method": "GCV",
+    "rule": "soft",
+    "denoise_level": "5",
+    "wavelet": "haar",
+    "horizon": "7",
+    "out_dir": "results",
+}
+
+
+@pytest.mark.parametrize("key", [f.name for f in dataclasses.fields(PipelineConfig)])
+def test_flag_and_config_file_parse_alike(tmp_path, key):
+    raw = _RAW[key]
+    flag = ["--log"] if key == "log_transform" else ["--" + key.replace("_", "-"), raw]
+    from_flag = cli.build_config(cli._build_parser().parse_args(["packet", *flag]))
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{key} = {raw}\n")
+    from_file = cli.build_config(cli._build_parser().parse_args(["packet", "--config", str(cfg)]))
+    assert from_flag == from_file != PipelineConfig()
+
+
+def test_bad_integer_flag_reads_like_the_file(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("depth = x\n")
+    assert main(["packet", "--config", str(cfg)]) == 1
+    assert main(["packet", "--depth", "x"]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error: config depth must be an integer, got 'x'"] * 2
 
 
 def test_config_unknown_key_via_main_exits_1(tmp_path, capsys):
@@ -244,6 +288,16 @@ def test_writers_match_fstring_bytes(tmp_path, capsys):
     assert (tmp_path / "table.csv").read_bytes() == _fstring_series_table(stamps, columns).encode()
 
 
+def test_table_writer_fields(tmp_path, capsys):
+    # strings as csv quotes them, floats at 17 digits (numpy scalars too), the rest via str
+    w = cli._Writer(str(tmp_path / "out"))
+    rows = [("a,b", 0.1, 3, 'x"y'), ("", np.float64(-0.0), True, "1e-3")]
+    cli._write_table(w, "t.csv", "s,f,i,t", rows, comment="note")
+    assert (tmp_path / "out" / "t.csv").read_text() == (
+        '# note\ns,f,i,t\n"a,b",0.10000000000000001,3,"x""y"\n,-0,True,1e-3\n'
+    )
+
+
 def test_import_leaves_out_optimize_and_signal():
     # a fresh interpreter: this one has imported scipy.optimize for the oracles
     probe = "import sys, comove, comove.cli; print(*sys.modules, sep='\\n')"
@@ -325,6 +379,16 @@ def test_denoise_outputs(tmp_path):
     assert (out / "sweep_b.csv").exists()
 
 
+def test_denoised_column_is_the_chosen_method(tmp_path):
+    src = tmp_path / "in.csv"
+    write_input(src, n=128, p=2)
+    out = tmp_path / "out"
+    assert main(["denoise", "--input", str(src), "--method", "VisuShrink", "--out-dir", str(out)]) == 0
+    x = np.loadtxt(src, delimiter=",", skiprows=1, usecols=(1, 2))
+    got = np.loadtxt(out / "denoised.csv", delimiter=",", skiprows=1, usecols=(1, 2))
+    assert np.array_equal(got, np.column_stack([denoise(c, "VisuShrink", "soft") for c in x.T]))
+
+
 def test_denoise_unknown_method(tmp_path, capsys):
     src = tmp_path / "in.csv"
     write_input(src, n=64)
@@ -379,6 +443,27 @@ def test_forecast_outputs(tmp_path):
         parts = ln.split(",")
         assert parts[1] == "5"
         assert parts[4] in ("ARMA", "VARMA", "tie")
+
+
+def test_comparison_is_scored_by_evaluate_mse(tmp_path):
+    # ARMA is scored per series, VARMA over all, each to the last bit
+    src = tmp_path / "in.csv"
+    write_input(src, n=150, p=2, seed=3)
+    out = tmp_path / "out"
+    argv = ["forecast", "--input", str(src), "--end", date_str(119), "--horizon", "5", "--out-dir", str(out)]
+    assert main(argv) == 0
+    data = np.loadtxt(src, delimiter=",", skiprows=1, usecols=(1, 2))
+    window, actual = data[:120], data[120:125]
+
+    def cum_mse(fit, y, realized):
+        model = fit(y)
+        e = vm.residuals(model, y)
+        return list(vm.evaluate_mse(vm.forecast(model, y[-1], e[-1], 5), realized).cum_mse)
+
+    comp = [ln.split(",") for ln in read_lines(out / "comparison.csv")[1:]]
+    arma = [cum_mse(vm.fit_arma11, window[:, k], actual[:, k])[0] for k in range(2)]
+    assert [float(r[2]) for r in comp] == arma
+    assert [float(r[3]) for r in comp] == cum_mse(vm.fit_varma11, window, actual)
 
 
 def _set_value(path, row, col, value):
@@ -527,7 +612,7 @@ def test_colliding_file_names_are_data_error(tmp_path, capsys, subcommand):
     out = tmp_path / "out"
     assert main([subcommand, "--input", str(src), "--out-dir", str(out)]) == 2
     assert "series 'a b' and 'a_b' both map to 'a_b'" in capsys.readouterr().err
-    assert list(out.iterdir()) == []
+    assert not out.exists()
 
 
 def test_packet_accepts_names_that_share_a_file_name(tmp_path):

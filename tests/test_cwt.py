@@ -117,6 +117,13 @@ def test_cwt_shapes_and_grid_passthrough():
     assert np.iscomplexobj(w.coeffs)
 
 
+@pytest.mark.parametrize("n", [100, 128])
+def test_cwt_coefficients_own_their_data(n):
+    # a view of the padded (S, npad) transform would pin twice the memory at n = 2^k
+    w = cwt_morlet(np.random.default_rng(1).normal(size=n), 1.0)
+    assert w.coeffs.flags.c_contiguous and w.coeffs.flags.owndata
+
+
 @pytest.mark.parametrize(
     "x,msg",
     [

@@ -401,3 +401,14 @@ def test_sweep_rows_match_denoise(rule):
     for s in method_sweep(noisy, rule=rule, level=3).scores:
         fid = fidelity_metrics(noisy, denoise(noisy, s.method, s.rule, level=3))
         assert (s.snr, s.psnr, s.identical) == (fid.snr, fid.psnr, fid.identical)
+
+
+@pytest.mark.parametrize("rule", [None, "hard", "soft", "garrote"])
+@pytest.mark.parametrize("wavelet", ["db3", "haar"])
+def test_sweep_estimates_are_denoise_bit_for_bit(rule, wavelet):
+    # the CLI writes a row's estimate as the de-noised series
+    walk = np.cumsum(np.random.default_rng(13).standard_normal(500))
+    for s in method_sweep(walk, rule=rule, level=4, wavelet=wavelet).scores:
+        expected = denoise(walk, s.method, s.rule, level=4, wavelet=wavelet)
+        assert s.estimate.shape == expected.shape
+        assert np.array_equal(s.estimate, expected), s.method
