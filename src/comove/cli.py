@@ -458,8 +458,10 @@ def _emit_forecast(
         rows = [(row.name, steps, row.arma_mse, row.varma_mse, row.winner)
                 for row in vm.mse_comparison(names, mse["arma"], mse["varma"])]
     _write_table(w, "comparison.csv", "series,horizons,arma_mse,varma_mse,winner", rows)
-    if not rows:
+    if steps < 1:
         print("no realized data beyond the fit window; comparison left empty")
+    elif not rows:
+        print("comparison left empty: no VARMA is fitted to a single series")
 
 
 def _truncate(r: vm.ForecastResult, steps: int) -> vm.ForecastResult:

@@ -3,7 +3,12 @@
 Estimation is the two-stage Hannan-Rissanen procedure: a long autoregression
 of order round(10 * log10(n)) supplies residual proxies, then the (1,1)
 coefficients come from least squares of the demeaned data on its own lag and
-the lagged proxy residuals. The univariate path refines the two-stage
+the lagged proxy residuals. The joint fit solves its long autoregression
+(1429 x 256 at n = 1461, p = 8) from the normal equations, checked for
+collinear series by a Cholesky factorization and refined twice on the
+residuals. The univariate fit keeps ``lstsq``, whose minimum-norm solution
+still fits deterministic series (a sine, a trend, a sawtooth) that make its
+design exactly rank-deficient. The univariate path refines the two-stage
 estimate by minimizing the conditional sum of squares (CSS) with a projected
 Newton method on the box |phi|, |theta| <= 1 - 1e-4: the residual and its
 first and second derivatives in (phi, theta) are first-order recursions with
@@ -31,6 +36,8 @@ _STATIONARITY_MARGIN = 1e-4
 _REDUNDANCY_CHI2_99 = 9.21
 _MIN_OBS = 50
 _COLLINEARITY_LIMIT = 1e12
+_COLLINEAR = "regressors are numerically collinear (duplicated or linearly dependent series)"
+_REFINE_STEPS = 2  # on a sine + 1e-6 noise column: 0 steps miss lstsq by up to 1.4, 2 by 3e-5
 _BAND_MULTIPLIER = 1.96
 _CSS_MAX_ITER = 50
 _CSS_MAX_STEP = 0.05  # a walk across the box (width 2) fits in 40 iterations
@@ -116,6 +123,41 @@ def _long_ar_order(n: int, p: int) -> int:
     m = int(round(10.0 * np.log10(n)))
     cap = (n - 2) // (2 * p + 1)
     return max(1, min(m, cap))
+
+
+def _lagged_design(z: np.ndarray, m: int) -> np.ndarray:
+    """Regressors of the long autoregression: lags 1..m of rows m..n-1 of ``z``, lag-major."""
+    n = len(z)
+    return np.column_stack([z[m - k - 1 : n - k - 1] for k in range(m)])
+
+
+def _long_ar_residuals(design: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Least-squares residuals of ``y`` on ``design`` from refined normal equations.
+
+    The Gram matrix G = D'D is factored by Cholesky only to check it: the
+    squared ratio of the factor's largest to smallest diagonal entry is the
+    ratio of G's largest to smallest pivot, a lower bound on cond(G). A
+    failed factorization or a ratio above _COLLINEARITY_LIMIT raises the
+    collinearity ValueError. The solve G b = D'e then runs once on e = y and
+    _REFINE_STEPS more times on the current residuals e = y - D b, adding
+    each correction to b (fixed-precision iterative refinement; Bjorck,
+    Numerical Methods for Least Squares Problems, 1996, section 2.9). Each
+    step shrinks the error by about cond(G) times the unit roundoff. numpy
+    has no triangular solve, and three LU solves of G measured faster than
+    inverting the factor once.
+    """
+    gram = design.T @ design
+    try:
+        pivots = np.diagonal(np.linalg.cholesky(gram))
+        if (pivots.max() / pivots.min()) ** 2 <= _COLLINEARITY_LIMIT:
+            beta, ehat = 0.0, y
+            for _ in range(1 + _REFINE_STEPS):
+                beta = beta + np.linalg.solve(gram, design.T @ ehat)
+                ehat = y - design @ beta
+            return ehat
+    except np.linalg.LinAlgError:
+        pass
+    raise ValueError(_COLLINEAR)
 
 
 def _css_residuals(z: np.ndarray, phi: float, theta: float) -> np.ndarray:
@@ -234,7 +276,7 @@ def fit_arma11(x: np.ndarray) -> ArmaModel:
 
     notes: list[str] = []
     m = _long_ar_order(n, 1)
-    design = np.column_stack([z[m - k - 1 : n - k - 1] for k in range(m)])
+    design = _lagged_design(z, m)
     beta, *_ = np.linalg.lstsq(design, z[m:], rcond=None)
     ehat = z[m:] - design @ beta
 
@@ -276,6 +318,13 @@ def fit_arma11(x: np.ndarray) -> ArmaModel:
 def fit_varma11(data: np.ndarray) -> VarmaModel:
     """Fit a vector ARMA(1,1) by the two-stage Hannan-Rissanen procedure.
 
+    The long autoregression is solved from Cholesky-checked normal equations
+    with two steps of iterative refinement (``_long_ar_residuals``): on its
+    1429 x 256 design at n = 1461, p = 8 that is 2.5 times faster than
+    ``lstsq``, with residuals equal to rounding. :func:`fit_arma11` keeps
+    ``lstsq``: its one-series design is exactly rank-deficient on
+    deterministic series that it fits, where the factorization fails.
+
     Unlike :func:`fit_arma11` there is no CSS refinement: the two-stage fit
     is already consistent, and the joint CSS has 2 p^2 coefficients (128 at
     p = 8). A Newton iteration on it would scan an (n, p, 2 p^2) Jacobian
@@ -292,7 +341,9 @@ def fit_varma11(data: np.ndarray) -> VarmaModel:
     ------
     ValueError
         Shape problems, non-finite values, a constant column, or a
-        numerically collinear regression (duplicated series).
+        numerically collinear regression (a duplicated, rescaled or lagged
+        copy of a series, a sum of series, or a column its own lags predict
+        exactly, such as a trend or a short cycle).
     """
     x = np.asarray(data, dtype=float)
     if x.ndim != 2:
@@ -313,17 +364,11 @@ def fit_varma11(data: np.ndarray) -> VarmaModel:
 
     notes: list[str] = []
     m = _long_ar_order(n, p)
-    design = np.column_stack([z[m - k - 1 : n - k - 1] for k in range(m)])
-    beta, *_ = np.linalg.lstsq(design, z[m:], rcond=None)
-    ehat = z[m:] - design @ beta
+    ehat = _long_ar_residuals(_lagged_design(z, m), z[m:])
 
     w = np.column_stack([z[m:-1], ehat[:-1]])
-    gram = w.T @ w
-    if np.linalg.cond(gram) > _COLLINEARITY_LIMIT:
-        raise ValueError(
-            "regressors are numerically collinear (duplicated or linearly "
-            "dependent series)"
-        )
+    if np.linalg.cond(w.T @ w) > _COLLINEARITY_LIMIT:
+        raise ValueError(_COLLINEAR)
     coef, *_ = np.linalg.lstsq(w, z[m + 1 :], rcond=None)
     phi = coef[:p].T.copy()
     theta = coef[p:].T.copy()

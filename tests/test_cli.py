@@ -307,7 +307,7 @@ def test_import_leaves_out_optimize_and_signal():
     )
     loaded = done.stdout.split()
     assert "scipy.fft" in loaded
-    assert not [m for m in loaded if m.startswith(("scipy.optimize", "scipy.signal"))]
+    assert not [m for m in loaded if m.startswith(("scipy.optimize", "scipy.signal", "scipy.linalg"))]
 
 
 def test_coherence_rejects_single_series(tmp_path, capsys):
@@ -536,9 +536,25 @@ def test_forecast_single_series_skips_comparison(tmp_path, capsys):
         ]
     )
     assert code == 0
-    assert "VARMA comparison skipped" in capsys.readouterr().out
+    printed = capsys.readouterr().out
+    assert "VARMA comparison skipped" in printed
+    assert "no realized data beyond the fit window" in printed
     models = read_lines(out / "models.csv")
     assert all(ln.startswith("arma,") for ln in models[1:])
+    assert read_lines(out / "comparison.csv") == ["series,horizons,arma_mse,varma_mse,winner"]
+
+
+def test_forecast_single_series_names_why_comparison_is_empty(tmp_path, capsys):
+    # rows exist past the fit window; the comparison is empty for want of a VARMA
+    src = tmp_path / "in.csv"
+    write_input(src, n=300, p=1, seed=4)
+    out = tmp_path / "out"
+    argv = ["forecast", "--input", str(src), "--end", date_str(199), "--horizon", "5",
+            "--out-dir", str(out)]
+    assert main(argv) == 0
+    printed = capsys.readouterr().out
+    assert "no realized data" not in printed
+    assert "comparison left empty: no VARMA is fitted to a single series" in printed
     assert read_lines(out / "comparison.csv") == ["series,horizons,arma_mse,varma_mse,winner"]
 
 
