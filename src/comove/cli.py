@@ -10,8 +10,9 @@ reruns with the same inputs are byte-identical. Floats are written with 17
 significant digits (round-trip exact), and series names are quoted the way
 ``csv`` quotes them.
 
-Exit codes: 0 success, 1 usage error (bad flags, unknown keys or subcommand),
-2 data error (missing or malformed input, analysis preconditions violated).
+Exit codes: 0 success, 1 usage error (bad flags, unknown keys or subcommand,
+a refused setting value such as an unknown method or a depth below 1), 2 data
+error (missing or malformed input, analysis preconditions violated).
 
 Output files, written under ``out_dir``, which is made at the first write
 (so a run that fails before writing leaves no directory behind):
@@ -55,7 +56,7 @@ from .cwt import cwt_morlet, make_scale_grid
 from .denoising import SHRINKAGE_RULES, canonical_method, method_sweep
 
 class UsageError(Exception):
-    """Bad invocation: unknown keys, unparseable values, unknown subcommand."""
+    """Bad invocation: unknown keys, unparseable or refused values, unknown subcommand."""
 
 
 @dataclass(frozen=True)
@@ -280,15 +281,6 @@ def _write_grid(
             fh.write(row * n % tuple(itertools.chain.from_iterable(zip(index, vals, flags))))
 
 
-def _write_series_table(
-    w: _Writer, name: str, stamps: np.ndarray, names: tuple[str, ...], values: np.ndarray
-) -> None:
-    row = "%s" + ",%.17g" * len(names) + "\n"
-    with w.open(name) as fh:
-        fh.write("date," + ",".join(map(_quote, names)) + "\n")
-        fh.writelines(row % (stamp, *vals) for stamp, vals in zip(stamps, values.tolist()))
-
-
 def _log(names: tuple[str, ...], values: np.ndarray, where: str = "") -> np.ndarray:
     bad = np.any(values <= 0.0, axis=0)
     if bad.any():
@@ -361,8 +353,9 @@ def _emit_packet(
         for name, fractions in zip(ms.names, energy)
         for path, frac in fractions.items()
     ])
-    _write_series_table(w, "trend.csv", ms.timestamps, ms.names, trend.values)
-    _write_series_table(w, "noise.csv", ms.timestamps, ms.names, noise.values)
+    for name, variant in (("trend.csv", trend), ("noise.csv", noise)):
+        _write_table(w, name, "date," + ",".join(map(_quote, ms.names)),
+                     list(zip(ms.timestamps, *variant.values.T.tolist())))
     return trend, noise
 
 
@@ -382,7 +375,8 @@ def _emit_denoise(w: _Writer, ms: ts.MultiSeries, config: PipelineConfig) -> ts.
             for m, r, thr, snr, psnr, same in report.rows()
         ], comment=report.convention)
         denoised[:, k] = next(s.estimate for s in report.scores if s.method == method)
-    _write_series_table(w, "denoised.csv", ms.timestamps, ms.names, denoised)
+    _write_table(w, "denoised.csv", "date," + ",".join(map(_quote, ms.names)),
+                 list(zip(ms.timestamps, *denoised.T.tolist())))
     return replace(ms, values=denoised)
 
 
@@ -472,13 +466,16 @@ def _check_settings(config: PipelineConfig) -> None:
     """Refuse a bad setting before any output is written."""
     if config.horizon < 1:
         raise UsageError(f"horizon must be at least 1, got {config.horizon}")
-    canonical_method(config.method)
+    try:
+        canonical_method(config.method)
+        pk.lowpass(config.wavelet)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
     if config.rule != "auto" and config.rule not in SHRINKAGE_RULES:
-        raise ValueError(f"unknown rule {config.rule!r}; have {SHRINKAGE_RULES} or 'auto'")
-    pk.lowpass(config.wavelet)
+        raise UsageError(f"unknown rule {config.rule!r}; have {SHRINKAGE_RULES} or 'auto'")
     for key in ("depth", "denoise_level"):
         if getattr(config, key) < 1:
-            raise ValueError(f"{key} must be at least 1, got {getattr(config, key)}")
+            raise UsageError(f"{key} must be at least 1, got {getattr(config, key)}")
 
 
 def run(subcommand: str, config: PipelineConfig) -> int:
@@ -505,9 +502,8 @@ def run(subcommand: str, config: PipelineConfig) -> int:
             _emit_coherence(w, work, target, prefix="original_")
             trend, noise = _emit_packet(w, work, config)
             denoised = _emit_denoise(w, work, config)
-            if work.p >= 2:
-                for prefix, variant in (("trend_", trend), ("noise_", noise), ("denoised_", denoised)):
-                    _emit_coherence(w, variant, target, prefix=prefix, partials=False)
+            for prefix, variant in (("trend_", trend), ("noise_", noise), ("denoised_", denoised)):
+                _emit_coherence(w, variant, target, prefix=prefix, partials=False)
             _emit_forecast(w, full, work, config)
             w.manifest()
         return 0

@@ -22,7 +22,7 @@ each scale row with the target ordered last: the last pivot is
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -172,17 +172,19 @@ def _check_target(p: int, target: int) -> None:
 
 
 def _solve(
-    field: CoherenceField, target: int
+    pairs: np.ndarray, p: int, target: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Multiple and partial coherencies of the target from one LDL^H pass.
 
-    Per scale row, the cells are gathered from the packed pairs with the
-    target ordered last and laid out as a ``(p, 2p, n)`` array ``[C | I]``
-    with cells on the last axis. Elimination without pivoting, one broadcast
-    rank-1 update per step, leaves ``D L^H`` in its upper triangle and
-    ``L^-1`` on the right, for ``C = L D L^H``. A non-target pivot below
-    ``_SINGULAR_MINOR_TOL`` (or not finite) marks the cell singular and is
-    replaced by 1 before dividing, so every output stays finite.
+    ``pairs`` is a ``(p(p-1)/2, num_scales, n)`` stack packed the way
+    :attr:`CoherenceField.pairs` is. Per scale row, the cells are gathered
+    from it with the target ordered last and laid out as a ``(p, 2p, n)``
+    array ``[C | I]`` with cells on the last axis. Elimination without
+    pivoting, one broadcast rank-1 update per step, leaves ``D L^H`` in its
+    upper triangle and ``L^-1`` on the right, for ``C = L D L^H``. A
+    non-target pivot below ``_SINGULAR_MINOR_TOL`` (or not finite) marks the
+    cell singular and is replaced by 1 before dividing, so every output
+    stays finite.
 
     With ``M = L^-1`` and pivots ``d``: ``cof(t, t) = prod(d[:-1])``, the
     squared multiple coherence is ``1 - d[-1]``, and for each other series j
@@ -202,9 +204,7 @@ def _solve(
     bad : ndarray, bool, shape (p - 1, num_scales, n)
         ``cof(t, t) * cof(j, j) < 1e-14``, or the cell is singular.
     """
-    pairs = field.pairs
     npairs, nj, nt = pairs.shape
-    p = field.p
     last = p - 1
     # Row of the stack [pairs; conj(pairs); ones] that holds each entry of a
     # target-last cell: k for pair k above the diagonal, P + k below it and
@@ -269,7 +269,7 @@ def multiple_coherence(field: CoherenceField, target: int = 0) -> np.ndarray:
     ndarray, shape (num_scales, n)
     """
     _check_target(field.p, target)
-    return _solve(field, target)[0]
+    return _solve(field.pairs, field.p, target)[0]
 
 
 def partial_coherence(
@@ -293,7 +293,7 @@ def partial_coherence(
     _check_target(p, j)
     if target == j:
         raise ValueError("partial coherence needs two distinct series")
-    rho = _solve(field, target)[2][j if j < target else j - 1]
+    rho = _solve(field.pairs, p, target)[2][j if j < target else j - 1]
     return rho, np.clip(np.abs(rho) ** 2, 0.0, 1.0), np.angle(rho)
 
 
@@ -302,7 +302,7 @@ def multiple_from_partials(field: CoherenceField, target: int = 0) -> np.ndarray
 
     ``R^2 = 1 - prod_k (1 - r^2_k)`` where ``r^2_k`` is the squared partial
     coherency of the target with the k-th other series given the ones before
-    it, each solved on the packed sub-field of the target and the first k
+    it, each solved on the packed pairs among the target and the first k
     others. Agrees with :func:`multiple_coherence` to rounding on
     nondegenerate cells. A flagged factor counts as 1 and an exactly
     dependent series makes its factor 0, so rank-deficient cells report 1,
@@ -320,14 +320,10 @@ def multiple_from_partials(field: CoherenceField, target: int = 0) -> np.ndarray
     prod = np.ones(field.shape)
     for k in range(1, p):
         keep = sorted([target, *others[:k]])
-        sub = replace(
-            field,
-            pairs=field.pairs[pair[np.ix_(keep, keep)][np.triu_indices(k + 1, 1)]],
-            labels=tuple(field.labels[i] for i in keep),
-        )
-        # The k-th other series is the sub-field's last non-target one; its
+        sub = field.pairs[pair[np.ix_(keep, keep)][np.triu_indices(k + 1, 1)]]
+        # The k-th other series is the sub-stack's last non-target one; its
         # rho is 0 where flagged, so that factor is 1.
-        rho = _solve(sub, keep.index(target))[2][-1]
+        rho = _solve(sub, k + 1, keep.index(target))[2][-1]
         prod *= 1.0 - np.clip(np.abs(rho) ** 2, 0.0, 1.0)
     return np.clip(1.0 - prod, 0.0, 1.0)
 
@@ -437,7 +433,7 @@ def coherence_result(field: CoherenceField, target: int = 0) -> CoherenceResult:
     degenerate cells and singular minors from any of the computations.
     """
     _check_target(field.p, target)
-    r2, singular, rho, bad = _solve(field, target)
+    r2, singular, rho, bad = _solve(field.pairs, field.p, target)
     others = [j for j in range(field.p) if j != target]
     partial_sq = {j: np.clip(np.abs(rho[q]) ** 2, 0.0, 1.0) for q, j in enumerate(others)}
     partial_phase = {j: np.angle(rho[q]) for q, j in enumerate(others)}

@@ -23,17 +23,7 @@ from .packets import DwtCoeffs, dwt_forward, dwt_inverse
 
 MAD_SCALE = 0.6745
 SHRINKAGE_RULES = ("hard", "soft", "garrote")
-METHODS = (
-    "Universal",
-    "UniversalLevel",
-    "VisuShrink",
-    "VisuShrinkLevel",
-    "SURE",
-    "SURELevel",
-    "SUREShrink",
-    "GCV",
-    "GCVLevel",
-)
+# the nine selectors, in sweep order, each with its conventional rule
 CONVENTIONAL_RULE = {
     "Universal": "hard",
     "UniversalLevel": "hard",
@@ -45,6 +35,7 @@ CONVENTIONAL_RULE = {
     "GCV": "garrote",
     "GCVLevel": "garrote",
 }
+METHODS = tuple(CONVENTIONAL_RULE)
 _SWEEP_CONVENTION = (
     "SNR/PSNR measured against the supplied reference (default: the original "
     "input), so larger means a gentler de-noising, not closer to the truth."

@@ -208,12 +208,13 @@ def load_csv(
             if day in seen:
                 raise DataError(f"{path}: duplicate date {day}")
             seen.add(day)
-    order = np.argsort(np.array(dates, dtype="datetime64[D]"))
-    if len(order) < MIN_LENGTH:
+    stamps = np.array(dates, dtype="datetime64[D]")
+    if len(stamps) < MIN_LENGTH:
         raise DataError(
-            f"{path}: {len(order)} complete rows, need at least {MIN_LENGTH}"
+            f"{path}: {len(stamps)} complete rows, need at least {MIN_LENGTH}"
         )
-    stamps = np.array(dates, dtype="datetime64[D]")[order]
+    order = np.argsort(stamps)
+    stamps = stamps[order]
     data = np.asarray(rows, dtype=float)[order]
 
     report = LoadReport(

@@ -283,7 +283,8 @@ def test_writers_match_fstring_bytes(tmp_path, capsys):
     columns = {"a": grid[0], "b-c": grid[3]}
     w = cli._Writer(str(tmp_path))
     cli._write_grid(w, "grid.csv", scales, grid, coi)
-    cli._write_series_table(w, "table.csv", stamps, tuple(columns), np.column_stack(list(columns.values())))
+    header = "date," + ",".join(map(cli._quote, columns))
+    cli._write_table(w, "table.csv", header, list(zip(stamps, *(c.tolist() for c in columns.values()))))
     assert (tmp_path / "grid.csv").read_bytes() == _fstring_grid(scales, grid, coi).encode()
     assert (tmp_path / "table.csv").read_bytes() == _fstring_series_table(stamps, columns).encode()
 
@@ -310,22 +311,15 @@ def test_import_leaves_out_optimize_and_signal():
     assert not [m for m in loaded if m.startswith(("scipy.optimize", "scipy.signal", "scipy.linalg"))]
 
 
-def test_coherence_rejects_single_series(tmp_path, capsys):
+@pytest.mark.parametrize("subcommand", ["coherence", "pipeline"])
+def test_coherence_rejects_single_series(tmp_path, capsys, subcommand):
     src = tmp_path / "in.csv"
     write_input(src, n=96, p=2)
-    code = main(
-        [
-            "coherence",
-            "--input",
-            str(src),
-            "--value-columns",
-            "a",
-            "--out-dir",
-            str(tmp_path / "o"),
-        ]
-    )
+    out = tmp_path / "o"
+    code = main([subcommand, "--input", str(src), "--value-columns", "a", "--out-dir", str(out)])
     assert code == 2
     assert "at least two series" in capsys.readouterr().err
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------- packet
@@ -395,7 +389,7 @@ def test_denoise_unknown_method(tmp_path, capsys):
     code = main(
         ["denoise", "--input", str(src), "--method", "magic", "--out-dir", str(tmp_path / "o")]
     )
-    assert code == 2
+    assert code == 1
     assert "magic" in capsys.readouterr().err
 
 
@@ -700,11 +694,11 @@ def test_names_with_commas_are_quoted(tmp_path):
     [
         ("pipeline", ["--horizon", "0"], 1),
         ("forecast", ["--horizon", "-3"], 1),
-        ("coherence", ["--method", "bogus"], 2),
-        ("pipeline", ["--rule", "bogus"], 2),
-        ("pipeline", ["--wavelet", "nope"], 2),
-        ("packet", ["--depth", "0"], 2),
-        ("denoise", ["--denoise-level", "0"], 2),
+        ("coherence", ["--method", "bogus"], 1),
+        ("pipeline", ["--rule", "bogus"], 1),
+        ("pipeline", ["--wavelet", "nope"], 1),
+        ("packet", ["--depth", "0"], 1),
+        ("denoise", ["--denoise-level", "0"], 1),
     ],
     ids=["horizon", "negative-horizon", "method", "rule", "wavelet", "depth", "denoise-level"],
 )
