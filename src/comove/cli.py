@@ -53,7 +53,7 @@ from . import packets as pk
 from . import timeseries as ts
 from . import varma as vm
 from .cwt import cwt_morlet, make_scale_grid
-from .denoising import SHRINKAGE_RULES, canonical_method, method_sweep
+from .denoising import SHRINKAGE_RULES, canonical_method, method_sweep, sweep_min_length
 
 class UsageError(Exception):
     """Bad invocation: unknown keys, unparseable or refused values, unknown subcommand."""
@@ -325,8 +325,6 @@ def _load(config: PipelineConfig) -> tuple[ts.MultiSeries, ts.MultiSeries]:
 
 
 def _emit_coherence(w: _Writer, ms: ts.MultiSeries, target: int, prefix: str = "", partials: bool = True) -> None:
-    if ms.p < 2:
-        raise ts.DataError("coherence needs at least two series")
     grid = make_scale_grid(len(ms), ms.dt)
     cf = coh.coherence_matrix_field([cwt_morlet(x, ms.dt, grid) for x in ms.values.T], labels=ms.names)
     res = coh.coherence_result(cf, target)
@@ -478,6 +476,24 @@ def _check_settings(config: PipelineConfig) -> None:
             raise UsageError(f"{key} must be at least 1, got {getattr(config, key)}")
 
 
+def _check_data(subcommand: str, config: PipelineConfig, work: ts.MultiSeries) -> None:
+    """Refuse data the subcommand's steps cannot take, before any output is written."""
+    if subcommand in ("coherence", "denoise", "pipeline"):
+        _check_file_names(work.names)
+    if subcommand in ("coherence", "pipeline") and work.p < 2:
+        raise ts.DataError("coherence needs at least two series")
+    needs = []
+    if subcommand in ("packet", "pipeline"):
+        needs.append((f"depth {config.depth}", pk.min_length(config.depth)))
+    if subcommand in ("denoise", "pipeline"):
+        needs.append((f"denoise_level {config.denoise_level}", sweep_min_length(config.denoise_level)))
+    if subcommand in ("forecast", "pipeline"):
+        needs.append(("the forecast fit", vm.MIN_OBS))
+    for what, need in needs:
+        if len(work) < need:
+            raise ts.DataError(f"{what} needs at least {need} rows in the analysis window, got {len(work)}")
+
+
 def run(subcommand: str, config: PipelineConfig) -> int:
     """Execute one subcommand; returns the process exit code."""
     try:
@@ -488,8 +504,7 @@ def run(subcommand: str, config: PipelineConfig) -> int:
         w = _Writer(config.out_dir)
         full, work = _load(config)
         target = 0 if config.target is None else work.index_of(config.target)
-        if subcommand in ("coherence", "denoise", "pipeline"):
-            _check_file_names(work.names)
+        _check_data(subcommand, config, work)
         if subcommand == "coherence":
             _emit_coherence(w, work, target)
         elif subcommand == "packet":

@@ -22,6 +22,7 @@ import numpy as np
 from .packets import DwtCoeffs, dwt_forward, dwt_inverse
 
 MAD_SCALE = 0.6745
+MIN_MAD_COEFFS = 8  # fewest detail coefficients a MAD noise estimate is taken from
 SHRINKAGE_RULES = ("hard", "soft", "garrote")
 # the nine selectors, in sweep order, each with its conventional rule
 CONVENTIONAL_RULE = {
@@ -54,16 +55,27 @@ def canonical_method(method: str) -> str:
 def estimate_noise_sigma(detail: np.ndarray) -> float:
     """MAD noise estimate ``median(|d|) / 0.6745`` from detail coefficients.
 
-    Needs at least 8 coefficients for the median to mean anything.
+    Needs at least MIN_MAD_COEFFS (8) coefficients for the median to mean
+    anything.
     """
     detail = np.asarray(detail, dtype=float)
-    if detail.size < 8:
-        raise ValueError(f"need at least 8 coefficients, got {detail.size}")
+    if detail.size < MIN_MAD_COEFFS:
+        raise ValueError(f"need at least {MIN_MAD_COEFFS} coefficients, got {detail.size}")
     return float(np.median(np.abs(detail)) / MAD_SCALE)
 
 
+def sweep_min_length(level: int) -> int:
+    """Fewest samples :func:`method_sweep` takes at ``level``.
+
+    The per-level selectors estimate the noise at every detail level, and
+    the coarsest holds ceil(n / 2**level) coefficients, so n must exceed
+    (MIN_MAD_COEFFS - 1) * 2**level.
+    """
+    return (MIN_MAD_COEFFS - 1) * 2**level + 1
+
+
 def apply_shrinkage(
-    w: np.ndarray | float, threshold: float, rule: str = "soft"
+    w: np.ndarray | float, threshold: np.ndarray | float, rule: str = "soft"
 ) -> np.ndarray | float:
     """Apply a shrinkage rule elementwise.
 
@@ -71,14 +83,20 @@ def apply_shrinkage(
     survivors toward zero by the threshold; garrote shrinks survivors by
     ``t**2 / w``, so large coefficients are nearly untouched.
 
+    ``threshold`` may be an array that broadcasts against ``w``: a column of
+    k thresholds against a length-n ``w`` gives the (k, n) stack of the k
+    scalar calls, element for element. A scalar ``w`` and scalar threshold
+    give a float.
+
     Raises
     ------
     ValueError
-        Negative or non-finite threshold, or an unknown rule.
+        A negative or non-finite threshold entry, or an unknown rule.
     """
-    t = float(threshold)
-    if not (np.isfinite(t) and t >= 0):
-        raise ValueError(f"threshold must be finite and nonnegative, got {threshold}")
+    t = np.asarray(threshold, dtype=float)
+    bad = ~(np.isfinite(t) & (t >= 0))
+    if bad.any():
+        raise ValueError(f"threshold must be finite and nonnegative, got {t[bad].flat[0]}")
     if rule not in SHRINKAGE_RULES:
         raise ValueError(f"unknown rule {rule!r}; have {SHRINKAGE_RULES}")
     arr = np.asarray(w, dtype=float)
@@ -91,7 +109,7 @@ def apply_shrinkage(
         with np.errstate(divide="ignore", invalid="ignore"):
             shrunk = arr - t**2 / arr
         out = np.where(keep, shrunk, 0.0)
-    if np.isscalar(w):
+    if np.isscalar(w) and out.ndim == 0:
         return float(out)
     return out
 
@@ -137,8 +155,8 @@ def select_threshold(
     Raises
     ------
     ValueError
-        Unknown method, or every detail coefficient is exactly zero (nothing
-        to estimate noise from).
+        Unknown method, a negative or non-finite ``sigma``, or every detail
+        coefficient is exactly zero (nothing to estimate noise from).
     """
     return _threshold(canonical_method(method), coeffs, _noise_sigmas(coeffs, sigma))
 
@@ -146,6 +164,8 @@ def select_threshold(
 def _noise_sigmas(coeffs: DwtCoeffs, sigma: float | None) -> Callable[[int], float]:
     """Noise level of detail level j (0 is the finest): ``sigma`` if given,
     else the level's MAD estimate, computed once on first use."""
+    if sigma is not None and not (np.isfinite(sigma) and sigma >= 0):
+        raise ValueError(f"sigma must be finite and nonnegative, got {sigma}")
     if all(not np.any(d) for d in coeffs.details):
         raise ValueError("all detail coefficients are zero; nothing to threshold")
     if sigma is not None:
@@ -231,16 +251,22 @@ def _shrink_and_invert(
 ) -> tuple[list[tuple[float, ...]], np.ndarray]:
     """Shrink the detail levels once per row i, by thresholds[i] (one float
     serves every level) under rules[i], and invert all rows in one batched
-    pass; returns each row's per-level thresholds and the (rows, n) signals."""
+    pass; returns each row's per-level thresholds and the (rows, n) signals.
+    Each level is shrunk once per rule, on the column of its rows' thresholds.
+    """
     per_level = [
         (t,) * coeffs.level if isinstance(t, float) else tuple(t) for t in thresholds
     ]
-    shrunk = tuple(
-        np.stack([apply_shrinkage(d, ts[j], r) for ts, r in zip(per_level, rules)])
-        for j, d in enumerate(coeffs.details)
-    )
+    table = np.array(per_level, dtype=float)  # (rows, levels)
+    groups = {r: [i for i, ri in enumerate(rules) if ri == r] for r in dict.fromkeys(rules)}
+    shrunk = []
+    for j, d in enumerate(coeffs.details):
+        level = np.empty((len(rules), d.size))
+        for r, rows in groups.items():
+            level[rows] = apply_shrinkage(d, table[rows, j, None], r)
+        shrunk.append(level)
     approx = np.broadcast_to(coeffs.approx, (len(rules), coeffs.approx.size))
-    return per_level, dwt_inverse(replace(coeffs, approx=approx, details=shrunk))
+    return per_level, dwt_inverse(replace(coeffs, approx=approx, details=tuple(shrunk)))
 
 
 class Fidelity(NamedTuple):
@@ -270,17 +296,27 @@ def fidelity_metrics(reference: np.ndarray, estimate: np.ndarray) -> Fidelity:
     est = np.asarray(estimate, dtype=float)
     if ref.shape != est.shape:
         raise ValueError(f"shape mismatch: {ref.shape} vs {est.shape}")
+    return _fidelities(ref.ravel(), est.reshape(1, -1))[0]
+
+
+def _fidelities(ref: np.ndarray, estimates: np.ndarray) -> list[Fidelity]:
+    """:func:`fidelity_metrics` of each row of ``estimates`` against ``ref``:
+    the reference's energy and peak once, the residual energies in one
+    row-wise sum."""
     energy = float(np.sum(ref**2))
     if energy <= 0.0:
         raise ValueError("reference signal has zero energy")
-    resid = float(np.sum((ref - est) ** 2))
-    if resid == 0.0:
-        return Fidelity(snr=np.inf, psnr=np.inf, identical=True)
     n = ref.size
     peak = float(np.max(np.abs(ref)))
-    snr = 10.0 * np.log10(energy / resid)
-    psnr = 10.0 * np.log10(n * peak**2 / resid)
-    return Fidelity(snr=float(snr), psnr=float(psnr), identical=False)
+    out = []
+    for resid in np.sum((ref - estimates) ** 2, axis=-1).tolist():
+        if resid == 0.0:
+            out.append(Fidelity(snr=np.inf, psnr=np.inf, identical=True))
+            continue
+        snr = 10.0 * np.log10(energy / resid)
+        psnr = 10.0 * np.log10(n * peak**2 / resid)
+        out.append(Fidelity(snr=float(snr), psnr=float(psnr), identical=False))
+    return out
 
 
 @dataclass(frozen=True)
@@ -348,30 +384,42 @@ def method_sweep(
     -------
     DenoiseReport
         Nine scores plus the winning method by SNR and by PSNR.
+
+    Raises
+    ------
+    ValueError
+        A signal shorter than :func:`sweep_min_length` at ``level``, a
+        reference of another shape, an unknown rule, or what
+        :func:`~comove.packets.dwt_forward` refuses.
     """
     x = np.asarray(x, dtype=float)
     ref = x if reference is None else np.asarray(reference, dtype=float)
+    if ref.shape != x.shape:
+        raise ValueError(f"shape mismatch: reference {ref.shape} vs signal {x.shape}")
     if rule is not None and rule not in SHRINKAGE_RULES:
         raise ValueError(f"unknown rule {rule!r}; have {SHRINKAGE_RULES}")
     coeffs = dwt_forward(x, level=level, wavelet=wavelet)
+    need = sweep_min_length(level)
+    if x.size < need:
+        raise ValueError(f"the sweep at level {level} needs at least {need} samples, got {x.size}")
     sigma_at = _noise_sigmas(coeffs, None)
     thresholds = [_threshold(method, coeffs, sigma_at) for method in METHODS]
     rules = [rule if rule is not None else CONVENTIONAL_RULE[m] for m in METHODS]
     per_level, estimates = _shrink_and_invert(coeffs, thresholds, rules)
-    scores = []
-    for method, use_rule, ts, est in zip(METHODS, rules, per_level, estimates):
-        fid = fidelity_metrics(ref, est)
-        scores.append(
-            MethodScore(
-                method=method,
-                rule=use_rule,
-                thresholds=ts,
-                snr=fid.snr,
-                psnr=fid.psnr,
-                identical=fid.identical,
-                estimate=est,
-            )
+    scores = [
+        MethodScore(
+            method=method,
+            rule=use_rule,
+            thresholds=ts,
+            snr=fid.snr,
+            psnr=fid.psnr,
+            identical=fid.identical,
+            estimate=est,
         )
+        for method, use_rule, ts, est, fid in zip(
+            METHODS, rules, per_level, estimates, _fidelities(ref, estimates)
+        )
+    ]
     best_snr = max(scores, key=lambda s: s.snr).method
     best_psnr = max(scores, key=lambda s: s.psnr).method
     return DenoiseReport(

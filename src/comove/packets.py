@@ -13,6 +13,7 @@ Lengths not divisible by 2**level are extended periodically and trimmed back.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,6 +47,22 @@ def highpass(h: np.ndarray) -> np.ndarray:
     return (-1.0) ** k * h[::-1]
 
 
+@functools.lru_cache(maxsize=32)
+def _analysis_index(n: int, taps: int) -> np.ndarray:
+    """Analysis gather index (2i + k) mod n, cached per (n, taps) and read-only."""
+    idx = (2 * np.arange(n // 2)[:, None] + np.arange(taps)[None, :]) % n
+    idx.flags.writeable = False
+    return idx
+
+
+@functools.lru_cache(maxsize=32)
+def _synthesis_index(half: int, taps: int) -> np.ndarray:
+    """Synthesis gather index (j - q) mod half, cached per (half, taps) and read-only."""
+    idx = (np.arange(half)[:, None] - np.arange(taps // 2)[None, :]) % half
+    idx.flags.writeable = False
+    return idx
+
+
 def analysis_step(x: np.ndarray, h: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """One decimating analysis step with periodic extension.
 
@@ -57,8 +74,7 @@ def analysis_step(x: np.ndarray, h: np.ndarray, g: np.ndarray) -> tuple[np.ndarr
     n = x.shape[-1]
     if n % 2:
         raise ValueError(f"analysis step needs even length, got {n}")
-    idx = (2 * np.arange(n // 2)[:, None] + np.arange(h.size)[None, :]) % n
-    windows = x[..., idx]
+    windows = x[..., _analysis_index(n, h.size)]
     return windows @ h, windows @ g
 
 
@@ -74,10 +90,15 @@ def synthesis_step(a: np.ndarray, d: np.ndarray, h: np.ndarray, g: np.ndarray) -
     if a.shape != d.shape:
         raise ValueError("approximation and detail lengths differ")
     half = a.shape[-1]
-    idx = (np.arange(half)[:, None] - np.arange(h.size // 2)[None, :]) % half
+    idx = _synthesis_index(half, h.size)
     windows = np.concatenate([a[..., idx], d[..., idx]], axis=-1)
     phases = np.concatenate([h.reshape(-1, 2), g.reshape(-1, 2)])  # column r: taps r::2
     return (windows @ phases).reshape(*a.shape[:-1], 2 * half)
+
+
+def min_length(level: int) -> int:
+    """Fewest samples a transform to ``level`` takes: one per leaf."""
+    return 2**level
 
 
 def _prepare(x: np.ndarray, level: int, wavelet: str) -> tuple[np.ndarray, ...]:
@@ -91,9 +112,9 @@ def _prepare(x: np.ndarray, level: int, wavelet: str) -> tuple[np.ndarray, ...]:
     if level < 1:
         raise ValueError(f"level must be at least 1, got {level}")
     h = lowpass(wavelet)
-    block = 2**level
-    if x.size < block:
+    if x.size < min_length(level):
         raise ValueError(f"{x.size} samples cannot be split {level} times")
+    block = 2**level
     return np.resize(x, -(-x.size // block) * block), h, highpass(h)
 
 

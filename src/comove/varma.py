@@ -34,7 +34,7 @@ import numpy as np
 
 _STATIONARITY_MARGIN = 1e-4
 _REDUNDANCY_CHI2_99 = 9.21
-_MIN_OBS = 50
+MIN_OBS = 50  # fewest observations either fit takes
 _COLLINEARITY_LIMIT = 1e12
 _COLLINEAR = "regressors are numerically collinear (duplicated or linearly dependent series)"
 _REFINE_STEPS = 2  # on a sine + 1e-6 noise column: 0 steps miss lstsq by up to 1.4, 2 by 3e-5
@@ -126,9 +126,13 @@ def _long_ar_order(n: int, p: int) -> int:
 
 
 def _lagged_design(z: np.ndarray, m: int) -> np.ndarray:
-    """Regressors of the long autoregression: lags 1..m of rows m..n-1 of ``z``, lag-major."""
-    n = len(z)
-    return np.column_stack([z[m - k - 1 : n - k - 1] for k in range(m)])
+    """Regressors of the long autoregression: lags 1..m of rows m..n-1 of ``z``, lag-major.
+
+    One C-ordered copy of the reversed windows z[t : t + m] of z[:-1].
+    """
+    windows = np.lib.stride_tricks.sliding_window_view(z[:-1], m, axis=0)  # (n - m, [p,] m)
+    lagged = np.ascontiguousarray(np.moveaxis(windows[..., ::-1], -1, 1))  # (n - m, m, [p])
+    return lagged.reshape(len(lagged), -1)
 
 
 def _long_ar_residuals(design: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -265,8 +269,8 @@ def fit_arma11(x: np.ndarray) -> ArmaModel:
     if x.ndim != 1:
         raise ValueError("series must be one-dimensional")
     n = x.size
-    if n < _MIN_OBS:
-        raise ValueError(f"need at least {_MIN_OBS} observations, got {n}")
+    if n < MIN_OBS:
+        raise ValueError(f"need at least {MIN_OBS} observations, got {n}")
     if not np.all(np.isfinite(x)):
         raise ValueError("series contains non-finite values")
     mu = float(x.mean())
@@ -351,8 +355,8 @@ def fit_varma11(data: np.ndarray) -> VarmaModel:
     n, p = x.shape
     if not 2 <= p <= 8:
         raise ValueError(f"need between 2 and 8 series, got {p}")
-    if n < _MIN_OBS:
-        raise ValueError(f"need at least {_MIN_OBS} observations, got {n}")
+    if n < MIN_OBS:
+        raise ValueError(f"need at least {MIN_OBS} observations, got {n}")
     if not np.all(np.isfinite(x)):
         raise ValueError("data contains non-finite values")
     mu = x.mean(axis=0)

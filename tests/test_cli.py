@@ -709,3 +709,21 @@ def test_bad_settings_refused_before_output(tmp_path, capsys, subcommand, flags,
     assert main([subcommand, "--input", str(src), *flags, "--out-dir", str(out)]) == code
     assert capsys.readouterr().err.startswith("error: ")
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "subcommand,rows,flags,message",
+    [
+        ("pipeline", 100, ["--target", "a"], "denoise_level 4 needs at least 113 rows in the analysis window, got 100"),
+        ("pipeline", 45, ["--denoise-level", "2"], "the forecast fit needs at least 50 rows in the analysis window, got 45"),
+        ("packet", 20, ["--depth", "5"], "depth 5 needs at least 32 rows in the analysis window, got 20"),
+    ],
+    ids=["sweep", "fit", "depth"],
+)
+def test_short_window_refused_before_output(tmp_path, capsys, subcommand, rows, flags, message):
+    src = tmp_path / "in.csv"
+    write_input(src, n=rows, p=2)
+    out = tmp_path / "out"
+    assert main([subcommand, "--input", str(src), *flags, "--out-dir", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()

@@ -13,6 +13,7 @@ from comove.denoising import (
     fidelity_metrics,
     method_sweep,
     select_threshold,
+    sweep_min_length,
 )
 from comove.packets import DwtCoeffs, dwt_forward
 
@@ -146,6 +147,21 @@ def test_shrinkage_error_contracts():
         apply_shrinkage(np.ones(3), 1.0, "medium")
     with pytest.raises(ValueError, match="finite and nonnegative"):
         apply_shrinkage(np.ones(3), -1.0, "soft")
+    # one bad entry in a column of thresholds is enough
+    for bad in (-1.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match=f"finite and nonnegative, got {bad}"):
+            apply_shrinkage(np.ones(3), np.array([[1.0], [bad], [2.0]]), "soft")
+
+
+@pytest.mark.parametrize("rule", ["hard", "soft", "garrote"])
+def test_shrinkage_column_of_thresholds_matches_scalar_calls(rule):
+    rng = np.random.default_rng(21)
+    w = np.concatenate([rng.normal(size=40), [0.0, 1.5, -1.5, 0.25]])
+    ts = [0.0, 0.25, 1.5, float(np.abs(w).max()), 0.7]
+    stacked = apply_shrinkage(w, np.array(ts)[:, None], rule)
+    assert stacked.shape == (len(ts), w.size)
+    for row, t in zip(stacked, ts):
+        assert np.array_equal(row, apply_shrinkage(w, t, rule)), t
 
 
 # ---------------------------------------------------------------- selectors
@@ -274,6 +290,16 @@ def test_selector_unknown_method():
         select_threshold(c, "oracle")
 
 
+@pytest.mark.parametrize("sigma", [-1.0, np.nan, np.inf])
+@pytest.mark.parametrize("method", ["Universal", "SURE", "GCV", "GCVLevel"])
+def test_selector_rejects_bad_sigma(sigma, method):
+    y = np.random.default_rng(12).normal(size=64)
+    with pytest.raises(ValueError, match="sigma must be finite and nonnegative"):
+        select_threshold(coeffs_from_details(y), method, sigma=sigma)
+    with pytest.raises(ValueError, match="sigma must be finite and nonnegative"):
+        denoise(np.cumsum(y), method, level=2, sigma=sigma)
+
+
 # ---------------------------------------------------------------- denoise
 
 
@@ -381,6 +407,23 @@ def test_sweep_against_external_reference():
     sure = next(s for s in report.scores if s.method == "SURE")
     baseline = fidelity_metrics(clean, noisy).snr
     assert sure.snr > baseline
+
+
+@pytest.mark.parametrize("level", [1, 2, 4])
+def test_sweep_names_its_minimum_length(level):
+    # every per-level MAD needs 8 coefficients: ceil(n / 2**level) >= 8
+    need = sweep_min_length(level)
+    assert need == 7 * 2**level + 1
+    walk = np.cumsum(np.random.default_rng(14).standard_normal(need))
+    assert len(method_sweep(walk, level=level).scores) == 9
+    with pytest.raises(ValueError, match=f"level {level} needs at least {need} samples, got {need - 1}"):
+        method_sweep(walk[:-1], level=level)
+
+
+def test_sweep_rejects_reference_of_another_shape():
+    _, noisy = noisy_sinusoid(n=256)
+    with pytest.raises(ValueError, match="shape mismatch"):
+        method_sweep(noisy, reference=noisy[:-1])
 
 
 def test_sweep_rows_shape():

@@ -125,6 +125,33 @@ def test_steps_on_a_stack_match_row_by_row(wavelet, n):
     np.testing.assert_allclose(back, x, rtol=0, atol=1e-13)
 
 
+@pytest.mark.parametrize("wavelet", ["db3", "haar"])
+def test_steps_at_interleaved_lengths_match_the_index_formula(wavelet):
+    # the gather plans are cached per (length, taps); alternate two lengths
+    # so each call must pick its own plan
+    rng = np.random.default_rng(12)
+    h = lowpass(wavelet)
+    g = highpass(h)
+    for n in (40, 12, 40, 12):
+        x = rng.normal(size=(3, n))
+        idx = (2 * np.arange(n // 2)[:, None] + np.arange(h.size)[None, :]) % n
+        a, d = analysis_step(x, h, g)
+        assert np.array_equal(a, x[..., idx] @ h) and np.array_equal(d, x[..., idx] @ g)
+        half = n // 2
+        idx = (np.arange(half)[:, None] - np.arange(h.size // 2)[None, :]) % half
+        windows = np.concatenate([a[..., idx], d[..., idx]], axis=-1)
+        phases = np.concatenate([h.reshape(-1, 2), g.reshape(-1, 2)])
+        want = (windows @ phases).reshape(3, n)
+        assert np.array_equal(synthesis_step(a, d, h, g), want)
+
+
+def test_cached_gather_plans_are_read_only():
+    for plan in (packets._analysis_index(40, 6), packets._synthesis_index(20, 6)):
+        assert not plan.flags.writeable
+        with pytest.raises(ValueError):
+            plan[0, 0] = 1
+
+
 def test_synthesis_step_length_mismatch():
     h = lowpass("haar")
     with pytest.raises(ValueError, match="lengths differ"):

@@ -343,6 +343,19 @@ def test_long_ar_residuals_match_lstsq():
     assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
 
+@pytest.mark.parametrize("p", [1, 3])
+def test_lagged_design_matches_column_stack(p):
+    z = np.random.default_rng(8).normal(size=(120, p))
+    if p == 1:
+        z = z[:, 0]
+    n = len(z)
+    for m in (1, varma._long_ar_order(n, p), (n - 2) // (2 * p + 1)):
+        want = np.column_stack([z[m - k - 1 : n - k - 1] for k in range(m)])
+        got = varma._lagged_design(z, m)
+        assert got.flags.c_contiguous
+        assert got.shape == want.shape and np.array_equal(got, want), m
+
+
 # ---------------------------------------------------------------- residuals
 
 
