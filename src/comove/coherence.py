@@ -107,10 +107,10 @@ def coherence_matrix_field(
 
     Every auto-spectrum and every pair's cross-spectrum is smoothed by
     :func:`~comove.cwt.smooth` on the shared grid, one call per spectrum
-    (p(p+1)/2 in all), and written into a preallocated row; each pair row is
-    then normalised in place by the smoothed auto-spectra. The same operator
-    is applied to every spectrum, which is what keeps each cell positive
-    semidefinite.
+    (p(p+1)/2 in all). The auto-spectra are float fields, smoothed as such;
+    each smoothed pair is divided by their square roots straight into its
+    preallocated row. The same operator is applied to every spectrum, which
+    is what keeps each cell positive semidefinite.
 
     Parameters
     ----------
@@ -145,15 +145,15 @@ def coherence_matrix_field(
 
     autos = np.empty((p, grid.num_scales, first.n_times))
     for i, f in enumerate(fields):
-        autos[i] = smooth(cross_spectrum(f, f), grid, dt).values.real
+        autos[i] = smooth(cross_spectrum(f, f), grid, dt).values
     degenerate = ~(autos > tiny).all(axis=0)
     denom = np.sqrt(np.clip(autos, tiny, None, out=autos), out=autos)
 
     upper = np.triu_indices(p, 1)
     pairs = np.empty((len(upper[0]),) + autos.shape[1:], dtype=complex)
     for k, (i, j) in enumerate(zip(*upper)):
-        pairs[k] = smooth(cross_spectrum(fields[i], fields[j]), grid, dt).values
-        pairs[k] /= denom[i] * denom[j]
+        spectrum = smooth(cross_spectrum(fields[i], fields[j]), grid, dt).values
+        np.divide(spectrum, denom[i] * denom[j], out=pairs[k])
     pairs[:, degenerate] = 0.0
 
     return CoherenceField(
@@ -173,18 +173,19 @@ def _check_target(p: int, target: int) -> None:
 
 def _solve(
     pairs: np.ndarray, p: int, target: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, list[np.ndarray], np.ndarray]:
     """Multiple and partial coherencies of the target from one LDL^H pass.
 
     ``pairs`` is a ``(p(p-1)/2, num_scales, n)`` stack packed the way
-    :attr:`CoherenceField.pairs` is. Per scale row, the cells are gathered
-    from it with the target ordered last and laid out as a ``(p, 2p, n)``
-    array ``[C | I]`` with cells on the last axis. Elimination without
-    pivoting, one broadcast rank-1 update per step, leaves ``D L^H`` in its
-    upper triangle and ``L^-1`` on the right, for ``C = L D L^H``. A
-    non-target pivot below ``_SINGULAR_MINOR_TOL`` (or not finite) marks the
-    cell singular and is replaced by 1 before dividing, so every output
-    stays finite.
+    :attr:`CoherenceField.pairs` is. Per scale row, only the entries above
+    the diagonal are gathered, target ordered last, cells on the last axis.
+    Hermitian elimination without pivoting, for ``C = L D L^H``, updates
+    only entries (i, j) with i <= j: the real diagonal loses ``|c_ki|**2 /
+    d_k``, formed as re**2 + im**2, and row i gains ``-conj(c_ki) / d_k``
+    times row k, the multiple that also builds ``L^-1`` below its unit
+    diagonal. A non-target pivot below ``_SINGULAR_MINOR_TOL`` (or not
+    finite) marks the cell singular and is replaced by 1 before dividing, so
+    every output stays finite.
 
     With ``M = L^-1`` and pivots ``d``: ``cof(t, t) = prod(d[:-1])``, the
     squared multiple coherence is ``1 - d[-1]``, and for each other series j
@@ -198,60 +199,59 @@ def _solve(
         Squared multiple coherence, clipped to [0, 1]; 1 on singular cells.
     singular : ndarray, bool, shape (num_scales, n)
         ``cof(t, t) < 1e-14``, or a weak pivot before the target's.
-    rho : ndarray, complex, shape (p - 1, num_scales, n)
+    rho : list of p - 1 ndarrays, complex, shape (num_scales, n)
         Partial coherency of the target with each other series, in index
-        order; 0 where ``bad``.
+        order; 0 where ``bad``. A list, so a caller can free each grid.
     bad : ndarray, bool, shape (p - 1, num_scales, n)
         ``cof(t, t) * cof(j, j) < 1e-14``, or the cell is singular.
     """
     npairs, nj, nt = pairs.shape
     last = p - 1
-    # Row of the stack [pairs; conj(pairs); ones] that holds each entry of a
-    # target-last cell: k for pair k above the diagonal, P + k below it and
-    # 2P on it.
-    where = np.full((p, p), 2 * npairs)
-    i, j = np.triu_indices(p, 1)
-    where[i, j], where[j, i] = np.arange(npairs), npairs + np.arange(npairs)
+    # Pair row of each entry (i, j), i < j, of a target-last cell, row by
+    # row; entry (j, t) of a series j after the target is a conjugate pair.
+    where = np.zeros((p, p), dtype=int)
+    where[np.triu_indices(p, 1)] = np.arange(npairs)
     order = [k for k in range(p) if k != target] + [target]
-    where = where[np.ix_(order, order)]
-    src = np.empty((2 * npairs + 1, nt), dtype=complex)
-    src[-1] = 1.0
+    where = (where + where.T)[np.ix_(order, order)][np.triu_indices(p, 1)]
+    ends = np.cumsum(np.arange(last, 0, -1))
+    flip = ends[target:] - 1
+    m_inv = np.empty((p, last, nt), dtype=complex)
+    piv = np.empty((p, nt))
     r2 = np.empty((nj, nt))
     singular = np.empty((nj, nt), dtype=bool)
-    rho = np.empty((last, nj, nt), dtype=complex)
+    rho = [np.empty((nj, nt), dtype=complex) for _ in range(last)]
     bad = np.empty((last, nj, nt), dtype=bool)
-    aug = np.empty((p, 2 * p, nt), dtype=complex)
-    piv = np.empty((p, nt))
     for s in range(nj):
-        src[:npairs] = pairs[:, s]
-        np.conj(pairs[:, s], out=src[npairs:-1])
-        aug[:, :p] = src[where]
-        aug[:, p:] = 0.0
-        aug[np.arange(p), p + np.arange(p)] = 1.0
+        upper = pairs[where, s]
+        upper[flip] = np.conj(upper[flip])
+        rows = np.split(upper, ends[:-1])  # views: row i holds entries (i, i+1 .. p-1)
+        piv[:] = 1.0
         weak = np.zeros(nt, dtype=bool)
-        for k in range(p):
-            d = aug[k, k].real.copy()
-            if k < last:
-                w = ~(d >= _SINGULAR_MINOR_TOL)
-                weak |= w
-                d[w] = 1.0
-                # Row k matters only in columns k+1 .. p+k: the ones left of
-                # them are eliminated, and L^-1 is lower triangular.
-                span = slice(k + 1, p + k + 1)
-                aug[k + 1 :, span] -= (aug[k + 1 :, k] / d)[:, None] * aug[k, span]
-            piv[k] = d
-        m_inv = aug[:, p:]
+        for k in range(last):
+            d = piv[k]
+            w = ~(d >= _SINGULAR_MINOR_TOL)
+            weak |= w
+            d[w] = 1.0
+            row, col = rows[k], m_inv[k + 1 :, k]  # L^-1 column k: -conj(c_ki) / d_k
+            np.multiply(np.conj(row), -1.0 / d, out=col)
+            piv[k + 1 :] -= (np.square(row.real) + np.square(row.imag)) / d
+            for i in range(k + 1, last):
+                rows[i] += col[i - k - 1] * row[i - k :]
+            m_inv[k + 1 :, :k] += col[:, None] * m_inv[k, :k]
         ctt = np.prod(piv[:last], axis=0)
         sing = weak | (ctt < _SINGULAR_MINOR_TOL)
         singular[s] = sing
         r2[s] = np.where(sing, 1.0, np.clip(1.0 - piv[last], 0.0, 1.0))
-        row = m_inv[last, :last]
-        tail = (np.abs(m_inv[:last, :last]) ** 2 / piv[:last, None]).sum(axis=0)
-        a = np.abs(row) ** 2 + piv[last] * tail
+        tail = 1.0 / piv[:last]
+        for k in range(1, last):
+            tail[:k] += (np.square(m_inv[k, :k].real) + np.square(m_inv[k, :k].imag)) / piv[k]
+        row = m_inv[last]
+        a = np.square(row.real) + np.square(row.imag) + piv[last] * tail
         bad_s = sing | (ctt**2 * a < _SINGULAR_MINOR_TOL)
-        rho_s = -row / np.sqrt(np.where(bad_s, 1.0, a))
+        rho_s = row * (-1.0 / np.sqrt(np.where(bad_s, 1.0, a)))
         rho_s[bad_s] = 0.0
-        rho[:, s] = rho_s
+        for q, out in enumerate(rho):
+            out[s] = rho_s[q]
         bad[:, s] = bad_s
     return r2, singular, rho, bad
 
@@ -434,9 +434,10 @@ def coherence_result(field: CoherenceField, target: int = 0) -> CoherenceResult:
     """
     _check_target(field.p, target)
     r2, singular, rho, bad = _solve(field.pairs, field.p, target)
-    others = [j for j in range(field.p) if j != target]
-    partial_sq = {j: np.clip(np.abs(rho[q]) ** 2, 0.0, 1.0) for q, j in enumerate(others)}
-    partial_phase = {j: np.angle(rho[q]) for q, j in enumerate(others)}
+    partial_sq, partial_phase = {}, {}
+    for j in [j for j in range(field.p) if j != target]:
+        z = rho.pop(0)  # freed once read, so the grids never all coexist
+        partial_sq[j], partial_phase[j] = np.clip(np.abs(z) ** 2, 0.0, 1.0), np.angle(z)
     flagged = field.degenerate | singular | bad.any(axis=0)
     return CoherenceResult(
         target=target,

@@ -12,7 +12,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 import numpy as np
-from scipy.fft import dct, idct, rfft
+from scipy.fft import dct, idct, ifft, rfft
 
 OMEGA0 = 6.0
 DEFAULT_DJ = 1.0 / 12.0
@@ -164,6 +164,17 @@ class WaveletField:
         return self.grid.scales[:, None] > self.coi[None, :]
 
 
+@functools.lru_cache(maxsize=4)
+def _morlet_window(scales: tuple[float, ...], npad: int, dt: float) -> np.ndarray:
+    """Morlet window per scale on FFT columns 1 .. npad/2 - 1, the positive
+    frequencies and the only ones where it is nonzero. Cached per grid, so
+    the result is read-only."""
+    omega = 2.0 * np.pi * np.fft.fftfreq(npad, d=dt)[1 : npad // 2]
+    window = np.pi**-0.25 * np.exp(-0.5 * (np.array(scales)[:, None] * omega - OMEGA0) ** 2)
+    window.flags.writeable = False
+    return window
+
+
 def cwt_morlet(x: np.ndarray, dt: float, grid: ScaleGrid | None = None) -> WaveletField:
     """Continuous wavelet transform with the analytic Morlet wavelet.
 
@@ -211,17 +222,16 @@ def cwt_morlet(x: np.ndarray, dt: float, grid: ScaleGrid | None = None) -> Wavel
     xpad[:n] = x - x.mean()
 
     xhat = np.fft.fft(xpad)
-    omega = 2.0 * np.pi * np.fft.fftfreq(npad, d=dt)
-
     scales = grid.scales
-    # Positive-frequency Morlet window per scale, L2-normalized so that the
-    # coefficient magnitude is comparable across scales.
-    arg = scales[:, None] * omega[None, :]
-    window = np.pi**-0.25 * np.exp(-0.5 * (arg - OMEGA0) ** 2)
-    window *= (omega[None, :] > 0)
+    # L2 norm per scale, so that coefficient magnitudes compare across scales
     norm = np.sqrt(2.0 * np.pi * scales / dt)
-    # copy the n kept columns, so the field does not pin the padded buffer
-    wave = np.fft.ifft(xhat[None, :] * window * norm[:, None], axis=1)[:, :n].copy()
+    window = _morlet_window(tuple(scales.tolist()), npad, dt)
+    pos = slice(1, npad // 2)
+    spec = np.zeros((scales.size, npad), dtype=complex)
+    np.multiply(xhat[pos], window, out=spec[:, pos])
+    spec[:, pos] *= norm[:, None]
+    # a plain complex copy of the n kept columns, not a view of the padded buffer
+    wave = ifft(spec, axis=1, overwrite_x=True)[:, :n].astype(complex)
 
     dist = np.minimum(np.arange(n), n - 1 - np.arange(n)).astype(float)
     coi = np.maximum(dist, _COI_EDGE_FLOOR) * dt / np.sqrt(2.0)
@@ -230,13 +240,13 @@ def cwt_morlet(x: np.ndarray, dt: float, grid: ScaleGrid | None = None) -> Wavel
 
 @dataclass(frozen=True)
 class CrossSpectrumField:
-    """Cross-wavelet spectrum ``W_a * conj(W_b)``, optionally smoothed."""
+    """Cross-wavelet spectrum ``W_a * conj(W_b)``, float for an auto-spectrum, optionally smoothed."""
 
     values: np.ndarray
     smoothed: bool = False
 
     def __post_init__(self) -> None:
-        values = np.asarray(self.values, dtype=complex)
+        values = np.asarray(self.values, dtype=complex if np.iscomplexobj(self.values) else float)
         if values.ndim != 2:
             raise ValueError("cross-spectrum must be a (scales, times) matrix")
         values.flags.writeable = False
@@ -245,6 +255,8 @@ class CrossSpectrumField:
 
 def cross_spectrum(a: WaveletField, b: WaveletField) -> CrossSpectrumField:
     """Pointwise ``W_a * conj(W_b)`` for two fields on the same grid.
+
+    The same field passed twice gives its auto-spectrum ``re**2 + im**2``, as floats.
 
     Raises
     ------
@@ -255,7 +267,9 @@ def cross_spectrum(a: WaveletField, b: WaveletField) -> CrossSpectrumField:
         raise ValueError("wavelet fields are on different scale grids")
     if a.n_times != b.n_times or a.dt != b.dt:
         raise ValueError("wavelet fields have different time axes")
-    return CrossSpectrumField(values=a.coeffs * np.conj(b.coeffs), smoothed=False)
+    if a is b:
+        return CrossSpectrumField(values=np.square(a.coeffs.real) + np.square(a.coeffs.imag))
+    return CrossSpectrumField(values=a.coeffs * np.conj(b.coeffs))
 
 
 @functools.lru_cache(maxsize=4)
@@ -295,9 +309,9 @@ def smooth(field: CrossSpectrumField, grid: ScaleGrid, dt: float) -> CrossSpectr
     same truncated, normalized kernel ``scipy.ndimage.gaussian_filter1d``
     samples) and one inverse DCT. It costs O(S n log n) for S scales and
     matches the direct convolution to rounding. The boxcar is a direct sum
-    of ``width`` shifted copies of the edge-padded rows, not a running sum, so
-    small auto-spectra next to large ones do not pick up cancellation error.
-    The gains are built once per (grid, n) and cached.
+    of the ``width`` neighbouring rows, edge rows repeated, not a running sum,
+    so small auto-spectra next to large ones do not pick up cancellation
+    error. The gains are built once per (grid, n) and cached.
 
     Both kernels are nonnegative and shared across series, so smoothing a
     matrix of cross-spectra cell by cell preserves positive semidefiniteness;
@@ -314,15 +328,20 @@ def smooth(field: CrossSpectrumField, grid: ScaleGrid, dt: float) -> CrossSpectr
     if vals.shape[0] != grid.num_scales:
         raise ValueError("field does not match the scale grid")
     gains = _gaussian_gains(tuple((grid.scales / dt).tolist()), vals.shape[1])
-    out = idct(gains * dct(vals, norm="ortho", axis=1), norm="ortho", axis=1)
+    out = idct(gains * dct(vals, norm="ortho", axis=1), norm="ortho", axis=1, overwrite_x=True)
     width = int(round(SCALE_SMOOTH_OCTAVES / grid.dj))
     if width % 2 == 0:
         width += 1
     if width > 1:
+        # Row r adds rows r - half .. r + half in that order, clamped to the
+        # grid: the sum over an edge-padded copy, to the bit, without the copy.
         half, rows = width // 2, out.shape[0]
-        padded = np.pad(out, ((half, half), (0, 0)), mode="edge")
-        out = padded[:rows].copy()
-        for k in range(1, width):
-            out += padded[k : k + rows]
-        out /= width
+        box = out[np.clip(np.arange(rows) - half, 0, rows - 1)]
+        for s in range(1 - half, half + 1):
+            lo, hi = min(max(-s, 0), rows), max(rows - max(s, 0), 0)
+            box[lo:hi] += out[lo + s : hi + s]
+            box[:lo] += out[0]
+            box[hi:] += out[-1]
+        # numpy divides complex by real as this product with the reciprocal
+        out = np.multiply(box, 1.0 / width, out=box)
     return CrossSpectrumField(values=out, smoothed=True)

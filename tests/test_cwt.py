@@ -2,8 +2,10 @@
 
 import numpy as np
 import pytest
+from scipy.fft import dct, idct
 from scipy.ndimage import convolve1d, gaussian_filter1d
 
+from comove import cwt
 from comove.cwt import (
     CrossSpectrumField,
     cross_spectrum,
@@ -124,6 +126,46 @@ def test_cwt_coefficients_own_their_data(n):
     assert w.coeffs.flags.c_contiguous and w.coeffs.flags.owndata
 
 
+def _reference_cwt(x, dt, grid):
+    """Reference transform: the full-width Morlet window, zeroed off the
+    positive frequencies, built on every call."""
+    n = x.size
+    npad = 2 ** int(np.ceil(np.log2(n)))
+    if npad <= n:
+        npad *= 2
+    xpad = np.zeros(npad)
+    xpad[:n] = x - x.mean()
+    omega = 2.0 * np.pi * np.fft.fftfreq(npad, d=dt)
+    window = np.pi**-0.25 * np.exp(-0.5 * (grid.scales[:, None] * omega[None, :] - 6.0) ** 2)
+    window *= omega[None, :] > 0
+    norm = np.sqrt(2.0 * np.pi * grid.scales / dt)
+    return np.fft.ifft(np.fft.fft(xpad)[None, :] * window * norm[:, None], axis=1)[:, :n]
+
+
+def test_cached_window_transform_matches_reference():
+    # one grid, two padded lengths (128 and 256) and two sampling steps: a
+    # window shared across lengths or steps would break the equality
+    g = make_scale_grid(100, 1.0)
+    x = np.random.default_rng(5).normal(size=128)
+    for n, dt in [(100, 1.0), (128, 1.0), (100, 0.5), (100, 1.0)]:
+        first = cwt_morlet(x[:n], dt, g).coeffs
+        assert np.array_equal(first, _reference_cwt(x[:n], dt, g))
+        assert np.array_equal(cwt_morlet(x[:n], dt, g).coeffs, first)
+
+
+def test_cached_window_is_read_only_and_keyed_by_length_and_dt():
+    scales = tuple(make_scale_grid(100, 1.0).scales.tolist())
+    window = cwt._morlet_window(scales, 128, 1.0)
+    assert window.shape == (len(scales), 63)  # columns 1 .. npad/2 - 1
+    assert cwt._morlet_window(scales, 128, 1.0) is window
+    assert not window.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        window[0, 0] = 0.0
+    assert cwt._morlet_window(scales, 256, 1.0).shape == (len(scales), 127)
+    other_dt = cwt._morlet_window(scales, 128, 0.5)
+    assert other_dt is not window and not np.array_equal(other_dt, window)
+
+
 @pytest.mark.parametrize(
     "x,msg",
     [
@@ -202,7 +244,9 @@ def test_cross_spectrum_conjugate_symmetry():
 def test_auto_spectrum_is_nonnegative_real():
     a, _ = _pair()
     aa = cross_spectrum(a, a).values
+    assert aa.dtype == float  # re**2 + im**2, not a complex product
     scale = np.abs(aa.real).max()
+    assert np.abs(aa - (a.coeffs * np.conj(a.coeffs)).real).max() <= 1e-15 * scale
     assert np.abs(aa.imag).max() <= 1e-14 * scale
     assert aa.real.min() >= 0.0
 
@@ -276,7 +320,7 @@ def test_smoothed_coherence_stays_in_unit_disc():
 def _smooth_by_rows(values, grid, dt):
     """Reference smoother: a direct Gaussian convolution per scale row, then
     a direct-sum boxcar over 0.6 octaves of scales (the DCT path's oracle)."""
-    out = np.empty_like(values)
+    out = np.empty(values.shape, dtype=complex)
     for j, s in enumerate(grid.scales / dt):
         out[j] = gaussian_filter1d(values[j].real, s, mode="reflect") + 1j * (
             gaussian_filter1d(values[j].imag, s, mode="reflect")
@@ -299,6 +343,46 @@ def test_smooth_matches_direct_convolution(n):
     out = smooth(CrossSpectrumField(values=values), g, 1.0).values
     ref = _smooth_by_rows(values, g, 1.0)
     assert np.abs(out - ref).max() <= 1e-12 * np.abs(values).max()
+
+
+@pytest.mark.parametrize("n", [64, 1000, 4096])
+def test_smooth_keeps_a_float_field_float(n):
+    g = make_scale_grid(n, 1.0)
+    rng = np.random.default_rng([n, 1])
+    values = rng.normal(size=(g.num_scales, n)) * np.exp(rng.normal(scale=3.0, size=(g.num_scales, 1)))
+    out = smooth(CrossSpectrumField(values=values), g, 1.0).values
+    assert out.dtype == float
+    assert np.abs(out - _smooth_by_rows(values, g, 1.0)).max() <= 1e-12 * np.abs(values).max()
+    as_complex = smooth(CrossSpectrumField(values=values + 0j), g, 1.0).values.real
+    assert np.abs(out - as_complex).max() <= 1e-15 * np.abs(as_complex).max()
+
+
+def _padded_boxcar_smooth(values, grid, dt):
+    """Reference: smooth's DCT time pass, then the scale boxcar summed over
+    an edge-padded copy of the rows and divided by its width."""
+    gains = cwt._gaussian_gains(tuple((grid.scales / dt).tolist()), values.shape[1])
+    out = idct(gains * dct(values, norm="ortho", axis=1), norm="ortho", axis=1)
+    width = int(round(0.6 / grid.dj)) | 1
+    half, rows = width // 2, out.shape[0]
+    padded = np.pad(out, ((half, half), (0, 0)), mode="edge")
+    total = padded[:rows].copy()
+    for k in range(1, width):
+        total += padded[k : k + rows]
+    return total / width
+
+
+# grids of 85 rows (width 7), 21 rows (width 3) and 4 rows (width 13, wider
+# than the grid)
+@pytest.mark.parametrize("n,s0,dj", [(256, None, 1.0 / 12.0), (64, None, 0.25), (8, 7.0, 0.05)])
+def test_boxcar_matches_edge_padded_sum(n, s0, dj):
+    g = make_scale_grid(n, 1.0, s0=s0, dj=dj)
+    rng = np.random.default_rng([n, 7])
+    values = rng.normal(size=(g.num_scales, n)) + 1j * rng.normal(size=(g.num_scales, n))
+    out = smooth(CrossSpectrumField(values=values), g, 1.0).values
+    ref = _padded_boxcar_smooth(values, g, 1.0)
+    half = (int(round(0.6 / dj)) | 1) // 2
+    assert np.array_equal(out[:half], ref[:half]) and np.array_equal(out[-half:], ref[-half:])
+    assert np.array_equal(out, ref)
 
 
 def test_smooth_reduces_time_variation():
