@@ -28,7 +28,8 @@ print()
 print("joint fit phi:")
 print(np.array_str(joint.phi, precision=3))
 for name, m in zip(names, marginals):
-    print(f"{name} marginal: phi={m.phi:+.3f} theta={m.theta:+.3f} sigma2={m.sigma2:.3f}")
+    print(f"{name} marginal: phi={m.phi[0, 0]:+.3f} theta={m.theta[0, 0]:+.3f} "
+          f"sigma2={m.sigma[0, 0]:.3f}")
 
 # Multi-step forecast with 95% bands from the end of the training window.
 e_joint = cm.residuals(joint, train)

@@ -58,7 +58,6 @@ from .timeseries import (
     window,
 )
 from .varma import (
-    ArmaModel,
     ForecastResult,
     VarmaModel,
     evaluate_mse,
@@ -73,7 +72,6 @@ from .varma import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "ArmaModel",
     "CoherenceField",
     "CoherenceResult",
     "DataError",

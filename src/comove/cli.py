@@ -386,10 +386,11 @@ def _fit(fit, data: np.ndarray, cols: int | slice, h: int) -> tuple:
     return cols, model, vm.forecast(model, y[-1], e[-1], h)
 
 
-def _model_rows(model: vm.ArmaModel | vm.VarmaModel, names: str | tuple[str, ...]) -> list[tuple]:
+def _model_rows(model: vm.VarmaModel, names: str | tuple[str, ...]) -> list[tuple]:
     """models.csv rows after the model column: an ARMA of one series, or a VARMA of all."""
-    if isinstance(model, vm.ArmaModel):
-        params = ("mu", model.mu), ("phi", model.phi), ("theta", model.theta), ("sigma2", model.sigma2)
+    if model.p == 1:
+        params = (("mu", model.mu[0]), ("phi", model.phi[0, 0]), ("theta", model.theta[0, 0]),
+                  ("sigma2", model.sigma[0, 0]))
         return [(names, *row) for row in (*params, *(("warning", note) for note in model.warnings))]
     mats = (("phi", model.phi), ("theta", model.theta), ("sigma", model.sigma))
     return (

@@ -1,21 +1,16 @@
 """First-order (V)ARMA estimation, forecasting, and comparison.
 
+Every model is one record, :class:`VarmaModel`; a univariate ARMA(1,1) is its
+p = 1 case, with 1 x 1 coefficient matrices.
+
 Estimation is the two-stage Hannan-Rissanen procedure: a long autoregression
 of order round(10 * log10(n)) supplies residual proxies, then the (1,1)
 coefficients come from least squares of the demeaned data on its own lag and
-the lagged proxy residuals. The joint fit solves its long autoregression
-(1429 x 256 at n = 1461, p = 8) from the normal equations, checked for
-collinear series by a Cholesky factorization and refined twice on the
-residuals. The univariate fit keeps ``lstsq``, whose minimum-norm solution
-still fits deterministic series (a sine, a trend, a sawtooth) that make its
-design exactly rank-deficient. The univariate path refines the two-stage
-estimate by minimizing the conditional sum of squares (CSS) with a projected
-Newton method on the box |phi|, |theta| <= 1 - 1e-4: the residual and its
-first and second derivatives in (phi, theta) are first-order recursions with
-the same coefficient -theta, so value, gradient and exact Hessian cost three
-scalar scans per iteration. If the refined fit is not significantly better than
-white noise (an LR-style statistic under the chi-square(2) 99% point), the
-model collapses to white noise, since on the phi = -theta ridge a (1,1)
+the lagged proxy residuals. The univariate fit then refines the two-stage
+estimate by minimizing the conditional sum of squares (CSS) on the box
+|phi|, |theta| <= 1 - 1e-4. If the refined fit is not significantly better
+than white noise (an LR-style statistic under the chi-square(2) 99% point),
+the model collapses to white noise, since on the phi = -theta ridge a (1,1)
 model is unidentified and the raw estimates are pure noise.
 
 Forecasts iterate the difference equation from the last observation and last
@@ -46,28 +41,13 @@ _CSS_FTOL = 1e-12  # ... or the CSS falls by at most this fraction
 
 
 @dataclass(frozen=True)
-class ArmaModel:
-    """Univariate ARMA(1,1): x_t - mu = phi (x_{t-1} - mu) + e_t + theta e_{t-1}."""
-
-    mu: float
-    phi: float
-    theta: float
-    sigma2: float
-    n_obs: int
-    warnings: tuple[str, ...] = ()
-
-    def __post_init__(self) -> None:
-        if abs(self.phi) >= 1.0:
-            raise ValueError(f"phi = {self.phi} is not stationary")
-        if abs(self.theta) >= 1.0:
-            raise ValueError(f"theta = {self.theta} is not invertible")
-        if not self.sigma2 > 0.0:
-            raise ValueError(f"sigma2 must be positive, got {self.sigma2}")
-
-
-@dataclass(frozen=True)
 class VarmaModel:
-    """Vector ARMA(1,1): x_t - mu = Phi (x_{t-1} - mu) + e_t + Theta e_{t-1}."""
+    """Vector ARMA(1,1): x_t - mu = Phi (x_{t-1} - mu) + e_t + Theta e_{t-1}.
+
+    A univariate ARMA(1,1) is the p = 1 case. Phi must be stationary and
+    Theta invertible (spectral radius below 1), and sigma symmetric, positive
+    semidefinite and with a positive diagonal: every series has innovations.
+    """
 
     mu: np.ndarray
     phi: np.ndarray
@@ -85,14 +65,16 @@ class VarmaModel:
         for name, m in (("phi", phi), ("theta", theta), ("sigma", sigma)):
             if m.shape != (p, p):
                 raise ValueError(f"{name} must be ({p}, {p}), got {m.shape}")
-        if np.max(np.abs(np.linalg.eigvals(phi))) >= 1.0:
-            raise ValueError("phi has an eigenvalue on or outside the unit circle")
-        if np.max(np.abs(np.linalg.eigvals(theta))) >= 1.0:
-            raise ValueError("theta has an eigenvalue on or outside the unit circle")
+        radii = np.abs(np.linalg.eigvals(np.stack([phi, theta]))).max(axis=1)
+        for name, rho in zip(("phi", "theta"), radii):
+            if rho >= 1.0:
+                raise ValueError(f"{name} has an eigenvalue on or outside the unit circle")
         if np.abs(sigma - sigma.T).max() > 1e-10:
             raise ValueError("sigma must be symmetric")
         if np.min(np.linalg.eigvalsh((sigma + sigma.T) / 2)) < -1e-10:
             raise ValueError("sigma must be positive semidefinite")
+        if not np.all(np.diagonal(sigma) > 0.0):
+            raise ValueError("sigma's diagonal must be positive")
         for name, m in (("mu", mu), ("phi", phi), ("theta", theta), ("sigma", sigma)):
             arr = m.copy()
             arr.flags.writeable = False
@@ -101,22 +83,6 @@ class VarmaModel:
     @property
     def p(self) -> int:
         return int(self.mu.size)
-
-
-def _as_matrices(model: ArmaModel | VarmaModel) -> tuple[np.ndarray, ...]:
-    if isinstance(model, ArmaModel):
-        return (
-            np.array([model.mu]),
-            np.array([[model.phi]]),
-            np.array([[model.theta]]),
-            np.array([[model.sigma2]]),
-        )
-    return (
-        np.asarray(model.mu),
-        np.asarray(model.phi),
-        np.asarray(model.theta),
-        np.asarray(model.sigma),
-    )
 
 
 def _long_ar_order(n: int, p: int) -> int:
@@ -149,6 +115,13 @@ def _long_ar_residuals(design: np.ndarray, y: np.ndarray) -> np.ndarray:
     step shrinks the error by about cond(G) times the unit roundoff. numpy
     has no triangular solve, and three LU solves of G measured faster than
     inverting the factor once.
+
+    On the joint fit's 1429 x 256 design at n = 1461, p = 8 this is 2.5
+    times faster than ``lstsq``, with residuals equal to rounding.
+    :func:`fit_arma11` keeps ``lstsq``: its one-series design is exactly
+    rank-deficient on deterministic series that it fits (a sine, a trend, a
+    sawtooth), where the factorization fails and the minimum-norm solution
+    still fits.
     """
     gram = design.T @ design
     try:
@@ -193,7 +166,7 @@ def _css_derivatives(
 
 def _css_refine(
     z: np.ndarray, phi: float, theta: float, limit: float
-) -> tuple[float, float] | None:
+) -> tuple[float, float, np.ndarray] | None:
     """Minimize the CSS of demeaned ``z`` over [-limit, limit]^2 from (phi, theta).
 
     Projected Newton: a coordinate at a bound whose descent direction points
@@ -204,7 +177,8 @@ def _css_refine(
     jumped and a zero eigenvalue gets no move. Each trial point is projected
     onto the box and the step halved until the CSS does not rise. Stops when
     no coordinate moves by _CSS_XTOL or the CSS falls by at most a fraction
-    _CSS_FTOL; returns None if _CSS_MAX_ITER iterations do not get there.
+    _CSS_FTOL, returning (phi, theta) and the residuals there; returns None
+    if _CSS_MAX_ITER iterations do not get there.
     """
     x = np.array([phi, theta])
     e = _css_residuals(z, phi, theta)
@@ -235,11 +209,11 @@ def _css_refine(
                 break
             step *= 0.5
         if move < _CSS_XTOL or f_old - f <= _CSS_FTOL * f_old:
-            return float(x[0]), float(x[1])
+            return float(x[0]), float(x[1]), e
     return None
 
 
-def fit_arma11(x: np.ndarray) -> ArmaModel:
+def fit_arma11(x: np.ndarray) -> VarmaModel:
     """Fit a univariate ARMA(1,1) by Hannan-Rissanen plus CSS refinement.
 
     The two-stage estimate is always refined by conditional-sum-of-squares
@@ -255,10 +229,11 @@ def fit_arma11(x: np.ndarray) -> ArmaModel:
 
     Returns
     -------
-    ArmaModel
-        With coefficients strictly inside the unit interval and, when the
-        fit is indistinguishable from white noise at the 1% level, collapsed
-        to phi = theta = 0 (warning recorded).
+    VarmaModel
+        With p = 1: 1 x 1 phi and theta strictly inside the unit interval
+        and sigma the innovation variance. When the fit is
+        indistinguishable from white noise at the 1% level it collapses to
+        phi = theta = 0 (warning recorded).
 
     Raises
     ------
@@ -295,14 +270,13 @@ def fit_arma11(x: np.ndarray) -> ArmaModel:
     if theta0 != coef[1]:
         notes.append("invertibility enforced on the two-stage theta estimate")
 
-    phi, theta = phi0, theta0
     refined = _css_refine(z, phi0, theta0, limit)
     if refined is None:
         notes.append("CSS refinement did not converge; two-stage estimates kept")
+        phi, theta, e = phi0, theta0, _css_residuals(z, phi0, theta0)
     else:
-        phi, theta = refined
+        phi, theta, e = refined
 
-    e = _css_residuals(z, phi, theta)
     css_fit = float(e @ e)
     css_white = float(z[1:] @ z[1:])
     lr_stat = (n - 1) * np.log(max(css_white, 1e-300) / max(css_fit, 1e-300))
@@ -314,20 +288,13 @@ def fit_arma11(x: np.ndarray) -> ArmaModel:
         )
 
     sigma2 = max(css_fit / (n - 1), np.finfo(float).tiny)
-    return ArmaModel(
-        mu=mu, phi=phi, theta=theta, sigma2=sigma2, n_obs=n, warnings=tuple(notes)
+    return VarmaModel(
+        mu=[mu], phi=[[phi]], theta=[[theta]], sigma=[[sigma2]], n_obs=n, warnings=tuple(notes)
     )
 
 
 def fit_varma11(data: np.ndarray) -> VarmaModel:
     """Fit a vector ARMA(1,1) by the two-stage Hannan-Rissanen procedure.
-
-    The long autoregression is solved from Cholesky-checked normal equations
-    with two steps of iterative refinement (``_long_ar_residuals``): on its
-    1429 x 256 design at n = 1461, p = 8 that is 2.5 times faster than
-    ``lstsq``, with residuals equal to rounding. :func:`fit_arma11` keeps
-    ``lstsq``: its one-series design is exactly rank-deficient on
-    deterministic series that it fits, where the factorization fails.
 
     Unlike :func:`fit_arma11` there is no CSS refinement: the two-stage fit
     is already consistent, and the joint CSS has 2 p^2 coefficients (128 at
@@ -422,33 +389,26 @@ def _varma_residuals(z: np.ndarray, phi: np.ndarray, theta: np.ndarray) -> np.nd
     return _linear_recursion(u, -theta)
 
 
-def residuals(model: ArmaModel | VarmaModel, data: np.ndarray) -> np.ndarray:
+def residuals(model: VarmaModel, data: np.ndarray) -> np.ndarray:
     """Innovation estimates for a fitted model on (typically its own) data.
 
-    Returns an array aligned with the input: row/element t is the residual at
-    time t, with e_0 = 0 by convention. Univariate input gives shape (n,),
-    multivariate (n, p).
+    ``data`` is (n, p), or (n,) when p = 1. Returns an array of the same
+    shape: row/element t is the residual at time t, with e_0 = 0 by
+    convention.
     """
-    mu, phi, theta, _ = _as_matrices(model)
     x = np.asarray(data, dtype=float)
-    if isinstance(model, ArmaModel):
-        if x.ndim != 1:
-            raise ValueError("univariate model needs a one-dimensional series")
-        z = (x - mu[0])[:, None]
-    else:
-        if x.ndim != 2 or x.shape[1] != model.p:
-            raise ValueError(f"data must be (n, {model.p})")
-        z = x - mu
-    e = _varma_residuals(z, phi, theta)
-    return e[:, 0] if isinstance(model, ArmaModel) else e
+    z = x[:, None] if x.ndim == 1 else x
+    if z.ndim != 2 or z.shape[1] != model.p:
+        raise ValueError(f"data must be (n, {model.p})")
+    return _varma_residuals(z - model.mu, model.phi, model.theta).reshape(x.shape)
 
 
 @dataclass(frozen=True)
 class ForecastResult:
     """Point forecasts with Gaussian uncertainty, horizons 1..H.
 
-    Arrays are (H, p) (p = 1 for univariate models); cov is (H, p, p), the
-    accumulated psi-weight covariance of the h-step forecast error.
+    Arrays are (H, p); cov is (H, p, p), the accumulated psi-weight
+    covariance of the h-step forecast error.
     """
 
     horizon: int
@@ -459,7 +419,7 @@ class ForecastResult:
 
 
 def forecast(
-    model: ArmaModel | VarmaModel,
+    model: VarmaModel,
     y_last: float | np.ndarray,
     e_last: float | np.ndarray | None,
     horizon: int,
@@ -475,7 +435,7 @@ def forecast(
 
     Parameters
     ----------
-    model : ArmaModel or VarmaModel
+    model : VarmaModel
     y_last : scalar or (p,) array
         Last observed value(s).
     e_last : scalar, (p,) array, or None
@@ -491,8 +451,7 @@ def forecast(
     """
     if horizon < 1:
         raise ValueError(f"horizon must be at least 1, got {horizon}")
-    mu, phi, theta, sigma = _as_matrices(model)
-    p = mu.size
+    mu, phi, theta, p = model.mu, model.phi, model.theta, model.p
     y = np.atleast_1d(np.asarray(y_last, dtype=float))
     if y.shape != (p,):
         raise ValueError(f"y_last must have shape ({p},), got {y.shape}")
@@ -515,7 +474,7 @@ def forecast(
     psi_t[0] = np.eye(p)
     psi_t[1:2] = theta.T
     psi_t = _linear_recursion(psi_t, phi)
-    cov = np.cumsum(np.swapaxes(psi_t, 1, 2) @ sigma @ psi_t, axis=0)
+    cov = np.cumsum(np.swapaxes(psi_t, 1, 2) @ model.sigma @ psi_t, axis=0)
     sd = np.sqrt(np.maximum(np.diagonal(cov, axis1=1, axis2=2), 0.0))
     return ForecastResult(
         horizon=horizon,
@@ -530,14 +489,11 @@ def forecast(
 class MseEvaluation:
     """Squared forecast errors against realized values.
 
-    squared_errors is (H, p); cum_mse averages over horizons per series;
-    lower/upper are carried over from the forecast for reporting.
+    squared_errors is (H, p); cum_mse averages over horizons per series.
     """
 
     squared_errors: np.ndarray
     cum_mse: np.ndarray
-    lower: np.ndarray
-    upper: np.ndarray
 
 
 def evaluate_mse(result: ForecastResult, actual: np.ndarray) -> MseEvaluation:
@@ -557,12 +513,7 @@ def evaluate_mse(result: ForecastResult, actual: np.ndarray) -> MseEvaluation:
     if a.shape[1] != p:
         raise ValueError(f"actual has {a.shape[1]} series, forecast has {p}")
     sq = (a[:h] - result.points) ** 2
-    return MseEvaluation(
-        squared_errors=sq,
-        cum_mse=sq.mean(axis=0),
-        lower=result.lower,
-        upper=result.upper,
-    )
+    return MseEvaluation(squared_errors=sq, cum_mse=sq.mean(axis=0))
 
 
 @dataclass(frozen=True)
@@ -600,7 +551,7 @@ def mse_comparison(
 
 
 def simulate_varma(
-    model: ArmaModel | VarmaModel,
+    model: VarmaModel,
     n: int,
     seed: int,
     burn_in: int = 500,
@@ -614,19 +565,18 @@ def simulate_varma(
     Returns
     -------
     ndarray, shape (n, p)
-        One column per series (p = 1 for a univariate model).
+        One column per series.
     """
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
     if burn_in < 0:
         raise ValueError(f"burn_in must be nonnegative, got {burn_in}")
-    mu, phi, theta, sigma = _as_matrices(model)
-    p = mu.size
+    p = model.p
     rng = np.random.default_rng(seed)
     try:
-        chol = np.linalg.cholesky(sigma + 1e-12 * np.eye(p))
+        chol = np.linalg.cholesky(model.sigma + 1e-12 * np.eye(p))
     except np.linalg.LinAlgError as exc:
         raise ValueError("innovation covariance is not positive definite") from exc
     u = rng.standard_normal((n + burn_in, p)) @ chol.T
-    u[1:] += u[:-1] @ theta.T  # drive eps_t + Theta eps_{t-1}, eps_{-1} = 0
-    return _linear_recursion(u, phi)[burn_in:] + mu
+    u[1:] += u[:-1] @ model.theta.T  # drive eps_t + Theta eps_{t-1}, eps_{-1} = 0
+    return _linear_recursion(u, model.phi)[burn_in:] + model.mu

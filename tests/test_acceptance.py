@@ -444,7 +444,7 @@ def test_degenerate_inputs(tmp_path, capsys):
 
     # representative error contracts, one or two per module (the unit suite
     # carries the full matrix)
-    arma = cm.ArmaModel(mu=0.0, phi=0.5, theta=0.2, sigma2=1.0, n_obs=100)
+    arma = cm.VarmaModel(mu=[0.0], phi=[[0.5]], theta=[[0.2]], sigma=[[1.0]], n_obs=100)
     tree = cm.wpt_forward(np.arange(64.0), 3)
     fc = cm.forecast(arma, 1.0, 0.5, 3)
     contracts = [

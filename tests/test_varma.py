@@ -15,7 +15,6 @@ from scipy.signal import lfilter
 from comove import varma
 
 from comove.varma import (
-    ArmaModel,
     VarmaModel,
     evaluate_mse,
     fit_arma11,
@@ -32,12 +31,14 @@ from comove.varma import _css_derivatives, _css_residuals, _linear_recursion
 
 
 def test_arma_model_validation():
-    with pytest.raises(ValueError, match="not stationary"):
-        ArmaModel(mu=0.0, phi=1.0, theta=0.2, sigma2=1.0, n_obs=10)
-    with pytest.raises(ValueError, match="not invertible"):
-        ArmaModel(mu=0.0, phi=0.2, theta=-1.0, sigma2=1.0, n_obs=10)
-    with pytest.raises(ValueError, match="sigma2 must be positive"):
-        ArmaModel(mu=0.0, phi=0.2, theta=0.2, sigma2=0.0, n_obs=10)
+    # an ARMA(1,1) is the p = 1 model: the same checks refuse a unit root,
+    # a noninvertible theta and a zero innovation variance
+    with pytest.raises(ValueError, match="phi has an eigenvalue"):
+        VarmaModel(mu=[0.0], phi=[[1.0]], theta=[[0.2]], sigma=[[1.0]], n_obs=10)
+    with pytest.raises(ValueError, match="theta has an eigenvalue"):
+        VarmaModel(mu=[0.0], phi=[[0.2]], theta=[[-1.0]], sigma=[[1.0]], n_obs=10)
+    with pytest.raises(ValueError, match="diagonal must be positive"):
+        VarmaModel(mu=[0.0], phi=[[0.2]], theta=[[0.2]], sigma=[[0.0]], n_obs=10)
 
 
 def test_varma_model_validation():
@@ -59,10 +60,12 @@ def test_varma_model_validation():
         )
     with pytest.raises(ValueError, match="positive semidefinite"):
         VarmaModel(mu=np.zeros(2), phi=zero, theta=zero, sigma=-eye, n_obs=9)
+    with pytest.raises(ValueError, match="diagonal must be positive"):
+        VarmaModel(mu=np.zeros(2), phi=zero, theta=zero, sigma=np.diag([1.0, 0.0]), n_obs=9)
 
 
 def test_models_default_to_no_warnings():
-    m = ArmaModel(mu=0.0, phi=0.5, theta=0.1, sigma2=1.0, n_obs=10)
+    m = VarmaModel(mu=[0.0], phi=[[0.5]], theta=[[0.1]], sigma=[[1.0]], n_obs=10)
     assert m.warnings == ()
 
 
@@ -70,7 +73,7 @@ def test_models_default_to_no_warnings():
 
 
 def test_simulate_is_deterministic():
-    m = ArmaModel(mu=0.0, phi=0.6, theta=0.2, sigma2=1.0, n_obs=0)
+    m = VarmaModel(mu=[0.0], phi=[[0.6]], theta=[[0.2]], sigma=[[1.0]], n_obs=0)
     a = simulate_varma(m, 200, seed=5)
     b = simulate_varma(m, 200, seed=5)
     np.testing.assert_array_equal(a, b)
@@ -79,7 +82,7 @@ def test_simulate_is_deterministic():
 
 
 def test_simulate_shapes():
-    m1 = ArmaModel(mu=0.0, phi=0.5, theta=0.0, sigma2=1.0, n_obs=0)
+    m1 = VarmaModel(mu=[0.0], phi=[[0.5]], theta=[[0.0]], sigma=[[1.0]], n_obs=0)
     assert simulate_varma(m1, 100, seed=0).shape == (100, 1)
     m2 = VarmaModel(
         mu=np.zeros(3),
@@ -103,10 +106,7 @@ def test_simulate_satisfies_recursion(p):
     b = rng.normal(size=(p, p))
     sigma = b @ b.T + np.eye(p)
     mu = rng.normal(size=p)
-    if p == 1:
-        m = ArmaModel(mu=mu[0], phi=phi[0, 0], theta=theta[0, 0], sigma2=sigma[0, 0], n_obs=0)
-    else:
-        m = VarmaModel(mu=mu, phi=phi, theta=theta, sigma=sigma, n_obs=0)
+    m = VarmaModel(mu=mu, phi=phi, theta=theta, sigma=sigma, n_obs=0)
     n, burn_in, seed = 700, 300, 35
     chol = np.linalg.cholesky(sigma + 1e-12 * np.eye(p))
     eps = np.random.default_rng(seed).standard_normal((n + burn_in, p)) @ chol.T
@@ -120,13 +120,13 @@ def test_simulate_satisfies_recursion(p):
 
 
 def test_simulate_respects_mean():
-    m = ArmaModel(mu=10.0, phi=0.3, theta=0.0, sigma2=0.25, n_obs=0)
+    m = VarmaModel(mu=[10.0], phi=[[0.3]], theta=[[0.0]], sigma=[[0.25]], n_obs=0)
     z = simulate_varma(m, 20_000, seed=1)
     assert float(z.mean()) == pytest.approx(10.0, abs=0.05)
 
 
 def test_simulate_error_contracts():
-    m = ArmaModel(mu=0.0, phi=0.5, theta=0.0, sigma2=1.0, n_obs=0)
+    m = VarmaModel(mu=[0.0], phi=[[0.5]], theta=[[0.0]], sigma=[[1.0]], n_obs=0)
     with pytest.raises(ValueError, match="n must be positive"):
         simulate_varma(m, 0, seed=0)
     with pytest.raises(ValueError, match="burn_in must be nonnegative"):
@@ -137,14 +137,33 @@ def test_simulate_error_contracts():
 
 
 def test_arma_fit_recovers_parameters():
-    true = ArmaModel(mu=0.0, phi=0.8, theta=0.3, sigma2=1.0, n_obs=0)
+    true = VarmaModel(mu=[0.0], phi=[[0.8]], theta=[[0.3]], sigma=[[1.0]], n_obs=0)
     z = simulate_varma(true, 4096, seed=11).ravel()
     fit = fit_arma11(z)
-    assert fit.phi == pytest.approx(0.8, abs=0.05)
-    assert fit.theta == pytest.approx(0.3, abs=0.05)
-    assert fit.sigma2 == pytest.approx(1.0, abs=0.1)
+    assert fit.phi[0, 0] == pytest.approx(0.8, abs=0.05)
+    assert fit.theta[0, 0] == pytest.approx(0.3, abs=0.05)
+    assert fit.sigma[0, 0] == pytest.approx(1.0, abs=0.1)
     assert fit.n_obs == 4096
     assert fit.warnings == ()
+
+
+def test_arma_fit_is_the_p1_varma_model():
+    true = VarmaModel(mu=[2.0], phi=[[0.7]], theta=[[0.2]], sigma=[[1.0]], n_obs=0)
+    x = simulate_varma(true, 600, seed=14).ravel()
+    m = fit_arma11(x)
+    assert isinstance(m, VarmaModel) and m.p == 1
+    assert m.mu.shape == (1,)
+    assert m.phi.shape == m.theta.shape == m.sigma.shape == (1, 1)
+    e = residuals(m, x)
+    assert e.shape == (600,)
+    np.testing.assert_array_equal(e, residuals(m, x[:, None])[:, 0])
+    joint = VarmaModel(
+        mu=np.zeros(2), phi=0.3 * np.eye(2), theta=np.zeros((2, 2)), sigma=np.eye(2), n_obs=0
+    )
+    with pytest.raises(ValueError, match="must be \\(n, 2\\)"):
+        residuals(joint, x)
+    with pytest.raises(ValueError, match="diagonal must be positive"):
+        VarmaModel(mu=m.mu, phi=m.phi, theta=m.theta, sigma=[[0.0]], n_obs=m.n_obs)
 
 
 def _two_stage_fit(x, monkeypatch):
@@ -155,35 +174,35 @@ def _two_stage_fit(x, monkeypatch):
 
 
 def test_arma_fit_two_stage_only(monkeypatch):
-    true = ArmaModel(mu=0.0, phi=0.8, theta=0.3, sigma2=1.0, n_obs=0)
+    true = VarmaModel(mu=[0.0], phi=[[0.8]], theta=[[0.3]], sigma=[[1.0]], n_obs=0)
     z = simulate_varma(true, 4096, seed=11).ravel()
     fit = _two_stage_fit(z, monkeypatch)
-    assert fit.phi == pytest.approx(0.8, abs=0.05)
-    assert fit.theta == pytest.approx(0.3, abs=0.05)
+    assert fit.phi[0, 0] == pytest.approx(0.8, abs=0.05)
+    assert fit.theta[0, 0] == pytest.approx(0.3, abs=0.05)
 
 
 def test_arma_fit_handles_nonzero_mean():
-    true = ArmaModel(mu=50.0, phi=0.6, theta=0.2, sigma2=1.0, n_obs=0)
+    true = VarmaModel(mu=[50.0], phi=[[0.6]], theta=[[0.2]], sigma=[[1.0]], n_obs=0)
     z = simulate_varma(true, 4096, seed=12).ravel()
     fit = fit_arma11(z)
-    assert fit.mu == pytest.approx(50.0, abs=0.5)
-    assert fit.phi == pytest.approx(0.6, abs=0.05)
+    assert fit.mu[0] == pytest.approx(50.0, abs=0.5)
+    assert fit.phi[0, 0] == pytest.approx(0.6, abs=0.05)
 
 
 def test_arma_fit_collapses_on_white_noise():
     z = np.random.default_rng(5).normal(size=4096)
     fit = fit_arma11(z)
-    assert fit.phi == 0.0 and fit.theta == 0.0
+    assert fit.phi[0, 0] == 0.0 and fit.theta[0, 0] == 0.0
     assert len(fit.warnings) == 1
     assert "white noise" in fit.warnings[0]
-    assert fit.sigma2 == pytest.approx(1.0, abs=0.05)
+    assert fit.sigma[0, 0] == pytest.approx(1.0, abs=0.05)
 
 
 def test_arma_fit_keeps_genuine_structure():
-    true = ArmaModel(mu=0.0, phi=0.8, theta=0.3, sigma2=1.0, n_obs=0)
+    true = VarmaModel(mu=[0.0], phi=[[0.8]], theta=[[0.3]], sigma=[[1.0]], n_obs=0)
     z = simulate_varma(true, 4096, seed=13).ravel()
     fit = fit_arma11(z)
-    assert fit.phi != 0.0
+    assert fit.phi[0, 0] != 0.0
     assert fit.warnings == ()
 
 
@@ -360,15 +379,15 @@ def test_lagged_design_matches_column_stack(p):
 
 
 def test_arma_residuals_satisfy_recursion():
-    m = ArmaModel(mu=1.0, phi=0.6, theta=0.25, sigma2=1.0, n_obs=0)
+    m = VarmaModel(mu=[1.0], phi=[[0.6]], theta=[[0.25]], sigma=[[1.0]], n_obs=0)
     z = simulate_varma(m, 300, seed=30).ravel()
     e = residuals(m, z)
     assert e.shape == (300,)
     want = np.zeros(300)
     want[0] = 0.0
-    zc = z - m.mu
+    zc = z - m.mu[0]
     for t in range(1, 300):
-        want[t] = zc[t] - m.phi * zc[t - 1] - m.theta * want[t - 1]
+        want[t] = zc[t] - m.phi[0, 0] * zc[t - 1] - m.theta[0, 0] * want[t - 1]
     np.testing.assert_allclose(e[1:], want[1:], atol=1e-10)
 
 
@@ -391,18 +410,18 @@ def test_varma_residuals_satisfy_recursion():
 
 
 def test_arma_residuals_match_lfilter():
-    m = ArmaModel(mu=0.4, phi=0.8, theta=-0.7, sigma2=2.0, n_obs=0)
+    m = VarmaModel(mu=[0.4], phi=[[0.8]], theta=[[-0.7]], sigma=[[2.0]], n_obs=0)
     x = simulate_varma(m, 3000, seed=33).ravel()
-    z = x - m.mu
+    z = x - m.mu[0]
     want = np.zeros_like(z)
-    want[1:] = lfilter([1.0], [1.0, m.theta], z[1:] - m.phi * z[:-1])
+    want[1:] = lfilter([1.0], [1.0, m.theta[0, 0]], z[1:] - m.phi[0, 0] * z[:-1])
     e = residuals(m, x)
     assert e[0] == 0.0
     assert np.abs(e - want).max() <= 1e-12 * np.abs(want).max()
 
 
 def test_residuals_recover_innovations():
-    m = ArmaModel(mu=0.0, phi=0.7, theta=0.2, sigma2=1.0, n_obs=0)
+    m = VarmaModel(mu=[0.0], phi=[[0.7]], theta=[[0.2]], sigma=[[1.0]], n_obs=0)
     z = simulate_varma(m, 5000, seed=32).ravel()
     e = residuals(m, z)
     # after the startup transient the filtered residuals are the shocks
@@ -410,8 +429,8 @@ def test_residuals_recover_innovations():
 
 
 def test_residuals_shape_contracts():
-    arma = ArmaModel(mu=0.0, phi=0.5, theta=0.1, sigma2=1.0, n_obs=0)
-    with pytest.raises(ValueError, match="one-dimensional"):
+    arma = VarmaModel(mu=[0.0], phi=[[0.5]], theta=[[0.1]], sigma=[[1.0]], n_obs=0)
+    with pytest.raises(ValueError, match="must be \\(n, 1\\)"):
         residuals(arma, np.zeros((50, 2)))
     varma = VarmaModel(
         mu=np.zeros(2),
@@ -428,7 +447,7 @@ def test_residuals_shape_contracts():
 
 
 def test_arma_forecast_closed_form():
-    m = ArmaModel(mu=0.0, phi=0.5, theta=0.2, sigma2=1.0, n_obs=100)
+    m = VarmaModel(mu=[0.0], phi=[[0.5]], theta=[[0.2]], sigma=[[1.0]], n_obs=100)
     fc = forecast(m, y_last=2.0, e_last=1.0, horizon=2)
     assert fc.horizon == 2
     # one step: phi*y + theta*e; two steps: phi * (one step)
@@ -444,7 +463,7 @@ def test_arma_forecast_closed_form():
 
 
 def test_arma_forecast_reverts_to_mean():
-    m = ArmaModel(mu=5.0, phi=0.5, theta=0.0, sigma2=1.0, n_obs=100)
+    m = VarmaModel(mu=[5.0], phi=[[0.5]], theta=[[0.0]], sigma=[[1.0]], n_obs=100)
     fc = forecast(m, y_last=7.0, e_last=0.0, horizon=3)
     np.testing.assert_allclose(fc.points.ravel(), [6.0, 5.5, 5.25], atol=1e-12)
 
@@ -481,7 +500,7 @@ def test_varma_forecast_variance_accumulates_psi_weights():
 
 
 def test_forecast_requires_e_last_with_ma_part():
-    m = ArmaModel(mu=0.0, phi=0.5, theta=0.2, sigma2=1.0, n_obs=100)
+    m = VarmaModel(mu=[0.0], phi=[[0.5]], theta=[[0.2]], sigma=[[1.0]], n_obs=100)
     with pytest.raises(ValueError, match="moving-average part"):
         forecast(m, y_last=1.0, e_last=None, horizon=2)
 
@@ -524,18 +543,16 @@ def test_one_step_forecast_errors_are_filtered_residuals():
 
 
 def test_evaluate_mse_hand_values():
-    m = ArmaModel(mu=0.0, phi=0.5, theta=0.2, sigma2=1.0, n_obs=100)
+    m = VarmaModel(mu=[0.0], phi=[[0.5]], theta=[[0.2]], sigma=[[1.0]], n_obs=100)
     fc = forecast(m, y_last=2.0, e_last=1.0, horizon=2)
     ev = evaluate_mse(fc, np.array([1.0, 1.0]))
     np.testing.assert_allclose(ev.squared_errors.ravel(), [0.04, 0.16], atol=1e-12)
     # running mean over horizons 1..H
     np.testing.assert_allclose(ev.cum_mse.ravel(), [0.1], atol=1e-12)
-    np.testing.assert_allclose(ev.lower, fc.lower, atol=0)
-    np.testing.assert_allclose(ev.upper, fc.upper, atol=0)
 
 
 def test_evaluate_mse_ignores_extra_rows():
-    m = ArmaModel(mu=0.0, phi=0.5, theta=0.2, sigma2=1.0, n_obs=100)
+    m = VarmaModel(mu=[0.0], phi=[[0.5]], theta=[[0.2]], sigma=[[1.0]], n_obs=100)
     fc = forecast(m, y_last=2.0, e_last=1.0, horizon=2)
     a = evaluate_mse(fc, np.array([1.0, 1.0]))
     b = evaluate_mse(fc, np.array([1.0, 1.0, 99.0, -99.0]))
@@ -543,7 +560,7 @@ def test_evaluate_mse_ignores_extra_rows():
 
 
 def test_evaluate_mse_error_contracts():
-    m = ArmaModel(mu=0.0, phi=0.5, theta=0.2, sigma2=1.0, n_obs=100)
+    m = VarmaModel(mu=[0.0], phi=[[0.5]], theta=[[0.2]], sigma=[[1.0]], n_obs=100)
     fc = forecast(m, y_last=2.0, e_last=1.0, horizon=3)
     with pytest.raises(ValueError, match="realized rows"):
         evaluate_mse(fc, np.array([1.0, 1.0]))
@@ -645,7 +662,7 @@ def _lfilter_css(z, phi, theta):
     "phi,theta", [(0.6, 0.3), (-0.4, 0.7), (0.9, -0.8), (0.3, -0.3), (0.0, 0.0)]
 )
 def test_css_derivatives_match_finite_differences(phi, theta):
-    true = ArmaModel(mu=0.0, phi=0.7, theta=0.2, sigma2=1.0, n_obs=0)
+    true = VarmaModel(mu=[0.0], phi=[[0.7]], theta=[[0.2]], sigma=[[1.0]], n_obs=0)
     z = simulate_varma(true, 500, seed=50).ravel()
     z -= z.mean()
     e = _css_residuals(z, phi, theta)
@@ -758,14 +775,15 @@ def test_css_refinement_agrees_with_nelder_mead(kind, monkeypatch):
         oracle, oracle_notes, oracle_collapsed = _nelder_mead_oracle(z, phi0, theta0, limit)
         case = f"{kind} seed {seed}"
         assert refined is not None, case
-        e = _css_residuals(z, *refined)
+        phi, theta, e = refined
+        np.testing.assert_array_equal(e, _css_residuals(z, phi, theta), err_msg=case)
         assert np.all(np.diff(path + [float(e @ e)]) <= 0.0), case
         assert _NOT_CONVERGED not in fit.warnings, case
         clip_notes = tuple(w for w in fit.warnings if "enforced" in w)
         assert fit.warnings == clip_notes + oracle_notes, case
-        assert (fit.phi == 0.0 and fit.theta == 0.0) == oracle_collapsed, case
+        assert (fit.phi[0, 0] == 0.0 and fit.theta[0, 0] == 0.0) == oracle_collapsed, case
         if max(abs(phi0), abs(theta0)) < limit:
-            assert _lfilter_css(z, *refined) <= _lfilter_css(z, *oracle) * (1 + 1e-9), case
+            assert _lfilter_css(z, phi, theta) <= _lfilter_css(z, *oracle) * (1 + 1e-9), case
 
 
 @pytest.mark.parametrize("seed", [0, 1, 3])
@@ -774,7 +792,7 @@ def test_css_refinement_on_the_stationarity_bound(seed):
     # phi stops at the bound and theta minimizes the CSS along it
     x = np.cumsum(1.0 + np.random.default_rng([7, seed]).normal(size=1461))
     fit = fit_arma11(x)
-    assert fit.phi == _LIMIT
+    assert fit.phi[0, 0] == _LIMIT
     z = x - x.mean()
     oracle = minimize_scalar(
         lambda t: _lfilter_css(z, _LIMIT, t),
@@ -782,14 +800,14 @@ def test_css_refinement_on_the_stationarity_bound(seed):
         method="bounded",
         options={"xatol": 1e-12},
     )
-    assert fit.theta == pytest.approx(oracle.x, abs=1e-7)
+    assert fit.theta[0, 0] == pytest.approx(oracle.x, abs=1e-7)
 
 
 def test_css_refinement_iteration_cap(monkeypatch):
-    true = ArmaModel(mu=0.0, phi=0.8, theta=0.3, sigma2=1.0, n_obs=0)
+    true = VarmaModel(mu=[0.0], phi=[[0.8]], theta=[[0.3]], sigma=[[1.0]], n_obs=0)
     x = simulate_varma(true, 4096, seed=11).ravel()
     two_stage = _two_stage_fit(x, monkeypatch)
     monkeypatch.setattr(varma, "_CSS_MAX_ITER", 1)
     fit = fit_arma11(x)
     assert fit.warnings == (_NOT_CONVERGED,)
-    assert (fit.phi, fit.theta) == (two_stage.phi, two_stage.theta)
+    assert (fit.phi[0, 0], fit.theta[0, 0]) == (two_stage.phi[0, 0], two_stage.theta[0, 0])
