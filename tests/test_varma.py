@@ -344,22 +344,69 @@ def test_varma_fit_matches_lstsq_on_near_deterministic_column(p):
     assert seed <= 10
 
 
-def test_long_ar_residuals_match_lstsq():
+@pytest.mark.parametrize("p", [1, 8])
+def test_long_ar_residuals_match_lstsq(p):
     true = VarmaModel(
-        mu=np.zeros(8),
-        phi=0.6 * np.eye(8) + 0.15 * np.eye(8, k=1),
-        theta=0.3 * np.eye(8),
-        sigma=np.eye(8) + 0.25,
+        mu=np.zeros(p),
+        phi=0.6 * np.eye(p) + 0.15 * np.eye(p, k=1),
+        theta=0.3 * np.eye(p),
+        sigma=np.eye(p) + 0.25,
         n_obs=0,
     )
     z = simulate_varma(true, 1461, seed=42)
-    m = varma._long_ar_order(1461, 8)
+    if p == 1:
+        z = z[:, 0]
+    m = varma._long_ar_order(1461, p)
     design = varma._lagged_design(z, m)
-    assert design.shape == (1461 - m, 8 * m)
+    assert design.shape == (1461 - m, p * m)
     beta, *_ = np.linalg.lstsq(design, z[m:], rcond=None)
     want = z[m:] - design @ beta
     got = varma._long_ar_residuals(design, z[m:])
     assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
+_DETERMINISTIC = {  # series fit_arma11 fits, and whether the Gram check refuses its long AR
+    "sine-37": (lambda t, rng: np.sin(2 * np.pi * t / 37), True),
+    "trend": (lambda t, rng: 0.01 * t, True),
+    "sawtooth-7": (lambda t, rng: t % 7, True),
+    # the pivot ratio squared is about 4.5e11 at n = 1461, under the 1e12 limit
+    "sine-37+1e-6": (
+        lambda t, rng: np.sin(2 * np.pi * t / 37) + 1e-6 * rng.standard_normal(t.size),
+        False,
+    ),
+}
+
+
+def _refuse(design, y):
+    raise ValueError(varma._COLLINEAR)
+
+
+@pytest.mark.parametrize("kind", list(_DETERMINISTIC))
+def test_arma_fit_matches_lstsq_route_on_deterministic_series(kind, monkeypatch):
+    # the want fit is the all-lstsq route's; a refused design falls back to
+    # it, so the two must agree bit for bit
+    n = 1461
+    series, refused = _DETERMINISTIC[kind]
+    x = series(np.arange(n, dtype=float), np.random.default_rng(37))
+    z = x - x.mean()
+    m = varma._long_ar_order(n, 1)
+    design = varma._lagged_design(z, m)
+    if refused:
+        with pytest.raises(ValueError, match="collinear"):
+            varma._long_ar_residuals(design, z[m:])
+    else:
+        varma._long_ar_residuals(design, z[m:])
+    got = fit_arma11(x)
+    with monkeypatch.context() as mp:
+        mp.setattr(varma, "_long_ar_residuals", _refuse)
+        want = fit_arma11(x)
+    assert got.warnings == want.warnings
+    for name in ("phi", "theta", "sigma"):
+        a, b = getattr(got, name), getattr(want, name)
+        if refused:
+            assert np.array_equal(a, b), name
+        else:
+            np.testing.assert_allclose(a, b, rtol=1e-6, err_msg=name)
 
 
 @pytest.mark.parametrize("p", [1, 3])
