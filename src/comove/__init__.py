@@ -15,10 +15,6 @@ from .coherence import (
     CoherenceResult,
     coherence_matrix_field,
     coherence_result,
-    four_series_expansion,
-    multiple_coherence,
-    multiple_from_partials,
-    partial_coherence,
 )
 from .cwt import (
     ScaleGrid,
@@ -99,16 +95,12 @@ __all__ = [
     "fit_arma11",
     "fit_varma11",
     "forecast",
-    "four_series_expansion",
     "frequency_index",
     "load_csv",
     "make_scale_grid",
     "method_sweep",
     "morlet_fourier_factor",
     "mse_comparison",
-    "multiple_coherence",
-    "multiple_from_partials",
-    "partial_coherence",
     "reconstruct_node",
     "rescale",
     "residuals",

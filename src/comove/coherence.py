@@ -6,8 +6,7 @@ series i and j, with unit diagonal. The field stores only the p(p-1)/2
 entries above the diagonal, so symmetry and the unit diagonal hold by
 construction. Multiple coherence of a target on the remaining series and
 partial coherencies with the others held fixed are cofactor identities on
-that matrix; the closed-form four-series expansion writes one of them out by
-hand.
+that matrix.
 
 Conventions: the squared multiple coherence is ``1 - det(C) / cof(C, t, t)``,
 where ``cof(C, t, t)`` is the determinant of C with the target row and column
@@ -29,7 +28,6 @@ import numpy as np
 from .cwt import WaveletField, cross_spectrum, smooth
 
 _SINGULAR_MINOR_TOL = 1e-14
-_HERMITIAN_TOL = 1e-8
 _UNIT_DISC_TOL = 1e-9
 
 
@@ -44,7 +42,7 @@ class CoherenceField:
         ``np.triu_indices(p, 1)`` order; magnitudes at most 1 up to rounding.
         Entry (j, i) is its conjugate and the diagonal is one.
     labels : tuple of str
-        Series names, one per matrix row; their number is p.
+        Distinct series names, one per matrix row; their number is p.
     scales : ndarray, shape (num_scales,)
     dt : float
     coi_outside : ndarray, bool, shape (num_scales, n)
@@ -65,6 +63,9 @@ class CoherenceField:
         p = len(self.labels)
         if not 2 <= p <= 8:
             raise ValueError(f"need between 2 and 8 series, got {p}")
+        if len(set(self.labels)) != p:
+            dup = next(s for s in self.labels if self.labels.count(s) > 1)
+            raise ValueError(f"duplicate series label {dup!r}")
         pairs = np.asarray(self.pairs, dtype=complex)
         if pairs.ndim != 3 or pairs.shape[0] != p * (p - 1) // 2:
             raise ValueError(f"pairs shape {pairs.shape} does not fit {p} series")
@@ -166,11 +167,6 @@ def coherence_matrix_field(
     )
 
 
-def _check_target(p: int, target: int) -> None:
-    if not 0 <= target < p:
-        raise ValueError(f"target index {target} out of range for {p} series")
-
-
 def _solve(
     pairs: np.ndarray, p: int, target: int
 ) -> tuple[np.ndarray, np.ndarray, list[np.ndarray], np.ndarray]:
@@ -256,144 +252,6 @@ def _solve(
     return r2, singular, rho, bad
 
 
-def multiple_coherence(field: CoherenceField, target: int = 0) -> np.ndarray:
-    """Squared multiple coherence of the target on all remaining series.
-
-    Computed per cell as ``1 - det(C) / cof(C, t, t)``, the last pivot of an
-    LDL^H factorization with the target ordered last. Cells whose target
-    cofactor is numerically singular (``cof(C, t, t) < 1e-14``) report 1. The
-    result is clipped to [0, 1].
-
-    Returns
-    -------
-    ndarray, shape (num_scales, n)
-    """
-    _check_target(field.p, target)
-    return _solve(field.pairs, field.p, target)[0]
-
-
-def partial_coherence(
-    field: CoherenceField, target: int, j: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Partial coherency of the target with series j, all others held fixed.
-
-    Per cell, ``rho = -cof(C, j, t) / sqrt(cof(C, t, t) * cof(C, j, j))``.
-    Cells where ``cof(C, t, t) * cof(C, j, j) < 1e-14`` report rho = 0.
-
-    Returns
-    -------
-    rho : ndarray, complex, shape (num_scales, n)
-    r2 : ndarray, in [0, 1]
-        Squared magnitude of rho, clipped.
-    phase : ndarray, in (-pi, pi]
-        Two-argument arctangent of rho's imaginary over real part.
-    """
-    p = field.p
-    _check_target(p, target)
-    _check_target(p, j)
-    if target == j:
-        raise ValueError("partial coherence needs two distinct series")
-    rho = _solve(field.pairs, p, target)[2][j if j < target else j - 1]
-    return rho, np.clip(np.abs(rho) ** 2, 0.0, 1.0), np.angle(rho)
-
-
-def multiple_from_partials(field: CoherenceField, target: int = 0) -> np.ndarray:
-    """Multiple coherence via the product of nested partial coherencies.
-
-    ``R^2 = 1 - prod_k (1 - r^2_k)`` where ``r^2_k`` is the squared partial
-    coherency of the target with the k-th other series given the ones before
-    it, each solved on the packed pairs among the target and the first k
-    others. Agrees with :func:`multiple_coherence` to rounding on
-    nondegenerate cells. A flagged factor counts as 1 and an exactly
-    dependent series makes its factor 0, so rank-deficient cells report 1,
-    the same convention as the determinant form.
-
-    Returns
-    -------
-    ndarray, shape (num_scales, n)
-    """
-    p = field.p
-    _check_target(p, target)
-    pair = np.zeros((p, p), dtype=int)  # row of field.pairs holding entry (i, j), i < j
-    pair[np.triu_indices(p, 1)] = np.arange(len(field.pairs))
-    others = [j for j in range(p) if j != target]
-    prod = np.ones(field.shape)
-    for k in range(1, p):
-        keep = sorted([target, *others[:k]])
-        sub = field.pairs[pair[np.ix_(keep, keep)][np.triu_indices(k + 1, 1)]]
-        # The k-th other series is the sub-stack's last non-target one; its
-        # rho is 0 where flagged, so that factor is 1.
-        rho = _solve(sub, k + 1, keep.index(target))[2][-1]
-        prod *= 1.0 - np.clip(np.abs(rho) ** 2, 0.0, 1.0)
-    return np.clip(1.0 - prod, 0.0, 1.0)
-
-
-def four_series_expansion(cell: np.ndarray) -> tuple[float, float, float]:
-    """Closed-form determinant expansion for one 4 x 4 coherency cell.
-
-    Evaluates det(C) and the target minor det(M11) directly from the six
-    upper off-diagonal entries, without forming matrices, and returns them
-    with the squared multiple coherence of series 0 on the other three.
-
-    Parameters
-    ----------
-    cell : ndarray, complex, shape (4, 4)
-        Hermitian with unit diagonal (checked to 1e-8).
-
-    Returns
-    -------
-    det_full : float
-        det(C); real for Hermitian input.
-    det_minor : float
-        det of the lower-right 3 x 3 minor.
-    r2 : float
-        ``1 - det_full / det_minor``, clipped to [0, 1]; 1 when the minor is
-        numerically singular.
-
-    Raises
-    ------
-    ValueError
-        Wrong shape, non-Hermitian input, or diagonal away from one.
-    """
-    cell = np.asarray(cell, dtype=complex)
-    if cell.shape != (4, 4):
-        raise ValueError(f"expected a 4x4 cell, got shape {cell.shape}")
-    if np.abs(cell - cell.conj().T).max() > _HERMITIAN_TOL:
-        raise ValueError("cell is not Hermitian")
-    if np.abs(np.diag(cell) - 1.0).max() > _HERMITIAN_TOL:
-        raise ValueError("cell diagonal is not one")
-
-    r12, r13, r14 = cell[0, 1], cell[0, 2], cell[0, 3]
-    r23, r24, r34 = cell[1, 2], cell[1, 3], cell[2, 3]
-
-    def a2(z: complex) -> float:
-        return (z * np.conj(z)).real
-
-    def tri(x: complex, y: complex, z: complex) -> float:
-        return 2.0 * np.real(x * y * np.conj(z))
-
-    det_minor = 1.0 - a2(r23) - a2(r24) - a2(r34) + tri(r23, r34, r24)
-    det_full = (
-        1.0
-        - a2(r12) - a2(r13) - a2(r14) - a2(r23) - a2(r24) - a2(r34)
-        + tri(r12, r23, r13)
-        + tri(r12, r24, r14)
-        + tri(r13, r34, r14)
-        + tri(r23, r34, r24)
-        + a2(r12) * a2(r34)
-        + a2(r13) * a2(r24)
-        + a2(r14) * a2(r23)
-        - 2.0 * np.real(r12 * r23 * r34 * np.conj(r14))
-        - 2.0 * np.real(r12 * r24 * np.conj(r34) * np.conj(r13))
-        - 2.0 * np.real(r13 * r24 * np.conj(r14) * np.conj(r23))
-    )
-    if abs(det_minor) < _SINGULAR_MINOR_TOL:
-        r2 = 1.0
-    else:
-        r2 = float(np.clip(1.0 - det_full / det_minor, 0.0, 1.0))
-    return float(det_full), float(det_minor), r2
-
-
 @dataclass(frozen=True)
 class CoherenceResult:
     """Bundle of coherence grids for one target series.
@@ -430,9 +288,17 @@ def coherence_result(field: CoherenceField, target: int = 0) -> CoherenceResult:
 
     Multiple coherence plus, for every other series j, the squared partial
     coherency and phase of (target, j) given the rest. ``flagged`` collects
-    degenerate cells and singular minors from any of the computations.
+    degenerate cells and singular minors from any of the computations: the
+    multiple coherence is 1 where ``cof(C, t, t) < 1e-14``, and a partial
+    is 0 where ``cof(C, t, t) * cof(C, j, j) < 1e-14``.
+
+    Raises
+    ------
+    ValueError
+        ``target`` is not an index into the field's series.
     """
-    _check_target(field.p, target)
+    if not 0 <= target < field.p:
+        raise ValueError(f"target index {target} out of range for {field.p} series")
     r2, singular, rho, bad = _solve(field.pairs, field.p, target)
     partial_sq, partial_phase = {}, {}
     for j in [j for j in range(field.p) if j != target]:

@@ -1,11 +1,18 @@
 """Shared oracles for the test suite.
 
 The determinant oracle deliberately avoids numpy.linalg so that closed-form
-determinant expansions in the package are checked against an independent
-computation, not against the same LAPACK call they might wrap.
+determinant expansions are checked against an independent computation, not
+against the same LAPACK call they might wrap. Two second routes to the
+library's multiple coherence live here too: the closed-form p = 4 determinant
+expansion (:func:`four_series_expansion`) and the product of nested partial
+coherencies (:func:`multiple_from_partials`).
 """
 
 import numpy as np
+
+from comove.coherence import _SINGULAR_MINOR_TOL, CoherenceField, _solve
+
+_HERMITIAN_TOL = 1e-8
 
 
 def laplace_det(m) -> complex:
@@ -48,6 +55,102 @@ def pack_cells(cells) -> np.ndarray:
     return np.moveaxis(cells[..., i, j], -1, 0)
 
 
+def multiple_from_partials(field: CoherenceField, target: int = 0) -> np.ndarray:
+    """Multiple coherence via the product of nested partial coherencies.
+
+    ``R^2 = 1 - prod_k (1 - r^2_k)`` where ``r^2_k`` is the squared partial
+    coherency of the target with the k-th other series given the ones before
+    it, each solved on the packed pairs among the target and the first k
+    others. Agrees with ``coherence_result(field, target).multiple`` to
+    rounding on nondegenerate cells. A flagged factor counts as 1 and an exactly
+    dependent series makes its factor 0, so rank-deficient cells report 1,
+    the same convention as the determinant form.
+
+    Returns
+    -------
+    ndarray, shape (num_scales, n)
+    """
+    p = field.p
+    pair = np.zeros((p, p), dtype=int)  # row of field.pairs holding entry (i, j), i < j
+    pair[np.triu_indices(p, 1)] = np.arange(len(field.pairs))
+    others = [j for j in range(p) if j != target]
+    prod = np.ones(field.shape)
+    for k in range(1, p):
+        keep = sorted([target, *others[:k]])
+        sub = field.pairs[pair[np.ix_(keep, keep)][np.triu_indices(k + 1, 1)]]
+        # The k-th other series is the sub-stack's last non-target one; its
+        # rho is 0 where flagged, so that factor is 1.
+        rho = _solve(sub, k + 1, keep.index(target))[2][-1]
+        prod *= 1.0 - np.clip(np.abs(rho) ** 2, 0.0, 1.0)
+    return np.clip(1.0 - prod, 0.0, 1.0)
+
+
+def four_series_expansion(cell: np.ndarray) -> tuple[float, float, float]:
+    """Closed-form determinant expansion for one 4 x 4 coherency cell.
+
+    Evaluates det(C) and the target minor det(M11) directly from the six
+    upper off-diagonal entries, without forming matrices, and returns them
+    with the squared multiple coherence of series 0 on the other three.
+
+    Parameters
+    ----------
+    cell : ndarray, complex, shape (4, 4)
+        Hermitian with unit diagonal (checked to 1e-8).
+
+    Returns
+    -------
+    det_full : float
+        det(C); real for Hermitian input.
+    det_minor : float
+        det of the lower-right 3 x 3 minor.
+    r2 : float
+        ``1 - det_full / det_minor``, clipped to [0, 1]; 1 when the minor is
+        numerically singular.
+
+    Raises
+    ------
+    ValueError
+        Wrong shape, non-Hermitian input, or diagonal away from one.
+    """
+    cell = np.asarray(cell, dtype=complex)
+    if cell.shape != (4, 4):
+        raise ValueError(f"expected a 4x4 cell, got shape {cell.shape}")
+    if np.abs(cell - cell.conj().T).max() > _HERMITIAN_TOL:
+        raise ValueError("cell is not Hermitian")
+    if np.abs(np.diag(cell) - 1.0).max() > _HERMITIAN_TOL:
+        raise ValueError("cell diagonal is not one")
+
+    r12, r13, r14 = cell[0, 1], cell[0, 2], cell[0, 3]
+    r23, r24, r34 = cell[1, 2], cell[1, 3], cell[2, 3]
+
+    def a2(z: complex) -> float:
+        return (z * np.conj(z)).real
+
+    def tri(x: complex, y: complex, z: complex) -> float:
+        return 2.0 * np.real(x * y * np.conj(z))
+
+    det_minor = 1.0 - a2(r23) - a2(r24) - a2(r34) + tri(r23, r34, r24)
+    det_full = (
+        1.0
+        - a2(r12) - a2(r13) - a2(r14) - a2(r23) - a2(r24) - a2(r34)
+        + tri(r12, r23, r13)
+        + tri(r12, r24, r14)
+        + tri(r13, r34, r14)
+        + tri(r23, r34, r24)
+        + a2(r12) * a2(r34)
+        + a2(r13) * a2(r24)
+        + a2(r14) * a2(r23)
+        - 2.0 * np.real(r12 * r23 * r34 * np.conj(r14))
+        - 2.0 * np.real(r12 * r24 * np.conj(r34) * np.conj(r13))
+        - 2.0 * np.real(r13 * r24 * np.conj(r14) * np.conj(r23))
+    )
+    if abs(det_minor) < _SINGULAR_MINOR_TOL:
+        r2 = 1.0
+    else:
+        r2 = float(np.clip(1.0 - det_full / det_minor, 0.0, 1.0))
+    return float(det_full), float(det_minor), r2
+
+
 def dense_cells(field) -> np.ndarray:
     """A field's (num_scales, n, p, p) cells, the inverse of :func:`pack_cells`.
 
@@ -69,8 +172,6 @@ def unsmoothed_field(fields):
     Without smoothing every cell is the outer product of one unit-modulus
     vector with itself, so it has rank one.
     """
-    from comove.coherence import CoherenceField
-
     w = np.stack([f.coeffs for f in fields])
     i, j = np.triu_indices(len(fields), 1)
     pairs = w[i] * np.conj(w[j]) / (np.abs(w[i]) * np.abs(w[j]))

@@ -12,7 +12,15 @@ import time
 
 import numpy as np
 import pytest
-from conftest import dense_cells, laplace_det, pack_cells, random_coherency_cell, unsmoothed_field
+from conftest import (
+    dense_cells,
+    four_series_expansion,
+    laplace_det,
+    multiple_from_partials,
+    pack_cells,
+    random_coherency_cell,
+    unsmoothed_field,
+)
 
 import comove as cm
 from comove import timeseries as tsm
@@ -38,7 +46,7 @@ def test_coherence_determinant_identities(capsys):
 
     worst_expansion = 0.0
     for cell in cells.reshape(-1, 4, 4):
-        det_full, det_minor, _ = cm.four_series_expansion(cell)
+        det_full, det_minor, _ = four_series_expansion(cell)
         worst_expansion = max(
             worst_expansion,
             abs(det_full - laplace_det(cell).real),
@@ -53,8 +61,8 @@ def test_coherence_determinant_identities(capsys):
         coi_outside=np.zeros((10, 10), dtype=bool),
         degenerate=np.zeros((10, 10), dtype=bool),
     )
-    via_product = cm.multiple_from_partials(field, 0)
-    via_determinant = cm.multiple_coherence(field, 0)
+    via_product = multiple_from_partials(field, 0)
+    via_determinant = cm.coherence_result(field, 0).multiple
     worst_product = float(np.abs(via_product - via_determinant).max())
     elapsed = time.monotonic() - t0
 
@@ -89,7 +97,7 @@ def test_bivariate_coherence_calibration(capsys):
     fa = cm.cwt_morlet(rng.standard_normal(n), 1.0, grid)
     fb = cm.cwt_morlet(rng.standard_normal(n), 1.0, grid)
     noise_field = cm.coherence_matrix_field([fa, fb])
-    r2 = cm.multiple_coherence(noise_field, 0)
+    r2 = cm.coherence_result(noise_field, 0).multiple
     median_noise = float(np.median(r2[~noise_field.coi_outside]))
     elapsed = time.monotonic() - t0
 
@@ -453,7 +461,7 @@ def test_degenerate_inputs(tmp_path, capsys):
         (ValueError, lambda: cm.make_scale_grid(4, 0.0)),
         (ValueError, lambda: cm.cwt_morlet(np.array([1.0, np.nan, 2.0]), 1.0)),
         (ValueError, lambda: cm.coherence_matrix_field([fx])),
-        (ValueError, lambda: cm.multiple_coherence(cm.coherence_matrix_field([fx, fy]), 9)),
+        (ValueError, lambda: cm.coherence_result(cm.coherence_matrix_field([fx, fy]), 9)),
         (ValueError, lambda: cm.wpt_forward(np.arange(64.0), 0)),
         (ValueError, lambda: cm.wpt_forward(np.arange(64.0), 3, wavelet="sym9")),
         (ValueError, lambda: cm.reconstruct_node(tree, (0, 0, 0, 0, 0))),

@@ -2,24 +2,30 @@
 
 Oracles come from conftest: a recursive Laplace-expansion determinant (so the
 closed forms are not checked against the same LAPACK routine they could have
-wrapped) and a Gram-matrix generator for random valid coherency cells, which
-``pack_cells`` turns into the field's packed upper-triangle layout.
+wrapped), the closed-form p = 4 expansion, the nested-partials product, and a
+Gram-matrix generator for random valid coherency cells, which ``pack_cells``
+turns into the field's packed upper-triangle layout. The complex partial
+coherency rho, which ``CoherenceResult`` does not keep, is read from
+``coherence._solve``.
 """
+
+import inspect
 
 import numpy as np
 import pytest
-from conftest import dense_cells, laplace_det, pack_cells, random_coherency_cell, unsmoothed_field
-
-from comove import coherence
-from comove.coherence import (
-    CoherenceField,
-    coherence_matrix_field,
-    coherence_result,
+from conftest import (
+    dense_cells,
     four_series_expansion,
-    multiple_coherence,
+    laplace_det,
     multiple_from_partials,
-    partial_coherence,
+    pack_cells,
+    random_coherency_cell,
+    unsmoothed_field,
 )
+
+import comove
+from comove import coherence
+from comove.coherence import CoherenceField, coherence_matrix_field, coherence_result
 from comove.cwt import cross_spectrum, cwt_morlet, smooth
 
 
@@ -56,6 +62,11 @@ def oracle_partial(cell, target, j):
     return -cof(j, target) / np.sqrt((cof(target, target) * cof(j, j)).real)
 
 
+def solved_rho(field, target, j):
+    """Complex partial coherency of the target with series j, from the solve."""
+    return coherence._solve(field.pairs, field.p, target)[2][j if j < target else j - 1]
+
+
 # ----------------------------------------------------- determinant identities
 
 
@@ -63,7 +74,7 @@ def oracle_partial(cell, target, j):
 @pytest.mark.parametrize("target", [0, 1])
 def test_multiple_matches_laplace_oracle(p, target):
     field = build_field(p, seed=p)
-    got = multiple_coherence(field, target)
+    got = coherence_result(field, target).multiple
     cells = dense_cells(field)
     for a in range(field.shape[0]):
         for b in range(field.shape[1]):
@@ -74,7 +85,8 @@ def test_multiple_matches_laplace_oracle(p, target):
 @pytest.mark.parametrize("p", [3, 4])
 def test_partial_matches_laplace_oracle(p):
     field = build_field(p, seed=10 + p)
-    rho, r2, phase = partial_coherence(field, 0, p - 1)
+    res = coherence_result(field, 0)
+    rho, r2, phase = solved_rho(field, 0, p - 1), res.partial_sq[p - 1], res.partial_phase[p - 1]
     cells = dense_cells(field)
     for a in range(field.shape[0]):
         for b in range(field.shape[1]):
@@ -87,34 +99,34 @@ def test_partial_matches_laplace_oracle(p):
 @pytest.mark.parametrize("p", [2, 3, 4, 5])
 def test_product_of_partials_matches_determinant_form(p):
     field = build_field(p, seed=20 + p)
-    a = multiple_coherence(field, 0)
+    a = coherence_result(field, 0).multiple
     b = multiple_from_partials(field, 0)
     assert np.abs(a - b).max() < 1e-8
 
 
 def test_multiple_is_bounded():
     field = build_field(6, seed=33)
-    r2 = multiple_coherence(field, 3)
+    r2 = coherence_result(field, 3).multiple
     assert r2.min() >= 0.0 and r2.max() <= 1.0
 
 
 def test_multiple_p2_reduces_to_squared_coherency():
     field = build_field(2, seed=4)
-    r2 = multiple_coherence(field, 0)
+    r2 = coherence_result(field, 0).multiple
     want = np.abs(dense_cells(field)[:, :, 0, 1]) ** 2
     assert np.abs(r2 - want).max() < 1e-12
 
 
 def test_partial_p2_reduces_to_plain_coherency():
     field = build_field(2, seed=5)
-    rho, _, _ = partial_coherence(field, 0, 1)
+    rho = solved_rho(field, 0, 1)
     assert np.abs(rho - dense_cells(field)[:, :, 0, 1]).max() < 1e-12
 
 
 def test_partial_swap_conjugates():
     field = build_field(4, seed=6)
-    ab, _, ph_ab = partial_coherence(field, 0, 2)
-    ba, _, ph_ba = partial_coherence(field, 2, 0)
+    ab, ph_ab = solved_rho(field, 0, 2), coherence_result(field, 0).partial_phase[2]
+    ba, ph_ba = solved_rho(field, 2, 0), coherence_result(field, 2).partial_phase[0]
     assert np.abs(ab - np.conj(ba)).max() < 1e-12
     np.testing.assert_allclose(np.abs(ph_ab), np.abs(ph_ba), atol=1e-12)
 
@@ -133,10 +145,10 @@ def test_results_invariant_to_series_permutation():
     )
     # target s0 sits at index 0 originally, index 1 after the permutation
     np.testing.assert_allclose(
-        multiple_coherence(field, 0), multiple_coherence(field_p, 1), atol=1e-12
+        coherence_result(field, 0).multiple, coherence_result(field_p, 1).multiple, atol=1e-12
     )
-    rho_a, _, _ = partial_coherence(field, 0, 3)
-    rho_b, _, _ = partial_coherence(field_p, 1, 2)
+    rho_a = solved_rho(field, 0, 3)
+    rho_b = solved_rho(field_p, 1, 2)
     np.testing.assert_allclose(rho_a, rho_b, atol=1e-12)
 
 
@@ -153,11 +165,11 @@ def test_singular_minor_reports_one():
         coi_outside=np.zeros((2, 2), dtype=bool),
         degenerate=np.zeros((2, 2), dtype=bool),
     )
-    assert np.all(multiple_coherence(field, 0) == 1.0)
-    assert np.all(multiple_from_partials(field, 0) == 1.0)
     res = coherence_result(field, 0)
+    assert np.all(res.multiple == 1.0)
+    assert np.all(multiple_from_partials(field, 0) == 1.0)
     assert res.flagged.all()
-    rho, r2, _ = partial_coherence(field, 0, 1)
+    rho, r2 = solved_rho(field, 0, 1), res.partial_sq[1]
     assert np.all(rho == 0.0) and np.all(r2 == 0.0)
 
 
@@ -227,10 +239,10 @@ def test_solve_matches_determinant_route(p, eps):
         assert np.isfinite(res.multiple).all()
         assert np.abs(res.multiple - r2_old)[ok].max(initial=0.0) <= 1e-8
         for j, want in rho_old.items():
-            rho, r2, phase = partial_coherence(field, target, j)
+            rho, r2, phase = solved_rho(field, target, j), res.partial_sq[j], res.partial_phase[j]
             assert np.isfinite(rho).all() and np.isfinite(r2).all() and np.isfinite(phase).all()
             assert np.abs(rho - want)[ok].max(initial=0.0) <= 1e-8
-            np.testing.assert_array_equal(res.partial_sq[j], r2)
+            np.testing.assert_array_equal(r2, np.clip(np.abs(rho) ** 2, 0.0, 1.0))
 
 
 def _nested_determinant_route(cells, target):
@@ -294,7 +306,7 @@ def test_four_series_expansion_matches_laplace():
 
 def test_four_series_expansion_agrees_with_field_form():
     field = build_field(4, seed=8)
-    r2_field = multiple_coherence(field, 0)
+    r2_field = coherence_result(field, 0).multiple
     cells = dense_cells(field)
     for a in range(field.shape[0]):
         for b in range(field.shape[1]):
@@ -358,7 +370,7 @@ def test_matrix_field_identity_smoother_gives_unit_coherence():
     rng = np.random.default_rng(13)
     cols = [rng.normal(size=64) for _ in range(2)]
     field = unsmoothed_field(_wavelet_fields(64, cols))
-    r2 = multiple_coherence(field, 0)
+    r2 = coherence_result(field, 0).multiple
     np.testing.assert_allclose(r2, 1.0, atol=1e-9)
 
 
@@ -393,11 +405,16 @@ def test_matrix_field_rejects_mixed_lengths():
         coherence_matrix_field([a, b])
 
 
-def test_matrix_field_rejects_wrong_label_count():
+@pytest.mark.parametrize(
+    "labels,msg",
+    [(("only-one",), "labels for"), (("a", "a"), "duplicate series label 'a'")],
+    ids=["count", "duplicate"],
+)
+def test_matrix_field_rejects_bad_labels(labels, msg):
     rng = np.random.default_rng(17)
     fields = _wavelet_fields(64, [rng.normal(size=64) for _ in range(2)])
-    with pytest.raises(ValueError, match="labels for"):
-        coherence_matrix_field(fields, labels=("only-one",))
+    with pytest.raises(ValueError, match=msg):
+        coherence_matrix_field(fields, labels=labels)
 
 
 def _dense_assembly(fields):
@@ -529,15 +546,9 @@ def test_field_rejects_single_series():
 def test_target_out_of_range():
     field = build_field(3, seed=9)
     with pytest.raises(ValueError, match="out of range"):
-        multiple_coherence(field, 3)
+        coherence_result(field, 3)
     with pytest.raises(ValueError, match="out of range"):
-        partial_coherence(field, 0, -1)
-
-
-def test_partial_needs_distinct_series():
-    field = build_field(3, seed=9)
-    with pytest.raises(ValueError, match="distinct"):
-        partial_coherence(field, 1, 1)
+        coherence_result(field, -1)
 
 
 # ----------------------------------------------------- result bundle
@@ -549,10 +560,19 @@ def test_coherence_result_bundle():
     assert res.target == 1
     assert sorted(res.partial_sq) == [0, 2, 3]
     assert sorted(res.partial_phase) == [0, 2, 3]
-    np.testing.assert_allclose(res.multiple, multiple_coherence(field, 1), atol=0)
+    np.testing.assert_allclose(res.multiple, coherence._solve(field.pairs, 4, 1)[0], atol=0)
     for j in (0, 2, 3):
-        _, psq, phase = partial_coherence(field, 1, j)
-        np.testing.assert_allclose(res.partial_sq[j], psq, atol=0)
-        np.testing.assert_allclose(res.partial_phase[j], phase, atol=0)
+        rho = solved_rho(field, 1, j)
+        np.testing.assert_allclose(res.partial_sq[j], np.clip(np.abs(rho) ** 2, 0.0, 1.0), atol=0)
+        np.testing.assert_allclose(res.partial_phase[j], np.angle(rho), atol=0)
     assert res.flagged.dtype == bool
     assert not res.flagged.any()
+
+
+# ----------------------------------------------------- package exports
+
+
+def test_all_lists_the_public_imports():
+    names = {k for k, v in vars(comove).items() if not k.startswith("_") and not inspect.ismodule(v)}
+    assert comove.__all__ == sorted(set(comove.__all__))
+    assert set(comove.__all__) == names
