@@ -29,6 +29,17 @@ from .cwt import WaveletField, cross_spectrum, smooth
 
 _SINGULAR_MINOR_TOL = 1e-14
 _UNIT_DISC_TOL = 1e-9
+# A cell is degenerate where a smoothed auto-spectrum is at most this
+# fraction of its scale row's maximum. The smoother's rounding error is
+# absolute, a fraction eps of the row maximum: against a direct convolution
+# in extended precision, eps <= 9.6e-16 over whole rows and eps <= 1.6e-16
+# on cells below 1e-5 of the maximum (numpy 2.4 pocketfft; packet-noise
+# variants of 1461-day random walks, three seeds). With both autos of a
+# pair at least floor times their row maxima, the coherency moves by at
+# most about 2 eps / floor, one eps for the cross-spectrum and one for the
+# autos. So floor = 2 * 1.6e-16 / _UNIT_DISC_TOL = 3.2e-7, rounded up to
+# 4e-7, keeps a copied or rescaled series' coherency inside the unit disc.
+_DEGENERATE_ROW_FLOOR = 4e-7
 
 
 @dataclass(frozen=True)
@@ -48,8 +59,10 @@ class CoherenceField:
     coi_outside : ndarray, bool, shape (num_scales, n)
         True where the cell lies outside the cone of influence.
     degenerate : ndarray, bool, shape (num_scales, n)
-        True where a smoothed auto-spectrum vanished (constant input); every
-        pair is 0 there, so the cell is the identity matrix.
+        True where a smoothed auto-spectrum is at most 4e-7 of its scale
+        row's maximum, or vanishes (constant input), so rounding could push
+        a coherency out of the unit disc; every pair is 0 there, so the cell
+        is the identity matrix.
     """
 
     pairs: np.ndarray
@@ -111,7 +124,10 @@ def coherence_matrix_field(
     (p(p+1)/2 in all). The auto-spectra are float fields, smoothed as such;
     each smoothed pair is divided by their square roots straight into its
     preallocated row. The same operator is applied to every spectrum, which
-    is what keeps each cell positive semidefinite.
+    is what keeps each cell positive semidefinite. A cell where any smoothed
+    auto-spectrum is at most 4e-7 of its scale row's maximum is marked
+    degenerate and set to the identity: the smoother's rounding error is a
+    fraction of the row maximum, so a coherency there is not trustworthy.
 
     Parameters
     ----------
@@ -147,7 +163,8 @@ def coherence_matrix_field(
     autos = np.empty((p, grid.num_scales, first.n_times))
     for i, f in enumerate(fields):
         autos[i] = smooth(cross_spectrum(f, f), grid, dt).values
-    degenerate = ~(autos > tiny).all(axis=0)
+    floor = np.maximum(_DEGENERATE_ROW_FLOOR * autos.max(axis=2, keepdims=True), tiny)
+    degenerate = ~(autos > floor).all(axis=0)
     denom = np.sqrt(np.clip(autos, tiny, None, out=autos), out=autos)
 
     upper = np.triu_indices(p, 1)

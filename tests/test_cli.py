@@ -299,16 +299,27 @@ def test_table_writer_fields(tmp_path, capsys):
     )
 
 
-def test_import_leaves_out_optimize_and_signal():
-    # a fresh interpreter: this one has imported scipy.optimize for the oracles
-    probe = "import sys, comove, comove.cli; print(*sys.modules, sep='\\n')"
+def _fresh_python(code, *args):
+    """Run ``python -c code args`` on this checkout's package, in a fresh
+    interpreter: this one has imported scipy for the oracles."""
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
-    done = subprocess.run(
-        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
-    )
-    loaded = done.stdout.split()
-    assert "scipy.fft" in loaded
-    assert not [m for m in loaded if m.startswith(("scipy.optimize", "scipy.signal", "scipy.linalg"))]
+    return subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True, text=True)
+
+
+def test_import_loads_no_scipy():
+    done = _fresh_python("import sys, comove, comove.cli; print(*sys.modules, sep='\\n')")
+    assert done.returncode == 0, done.stderr
+    assert not [m for m in done.stdout.split() if m.split(".")[0] == "scipy"]
+
+
+def test_pipeline_runs_with_scipy_unimportable(tmp_path):
+    src = tmp_path / "in.csv"
+    write_input(src, n=200, p=3, seed=18)
+    out = tmp_path / "out"
+    block = "import sys; sys.modules['scipy'] = None; from comove.cli import main; sys.exit(main(sys.argv[1:]))"
+    done = _fresh_python(block, "pipeline", "--input", str(src), "--end", date_str(180), "--out-dir", str(out))
+    assert done.returncode == 0, done.stderr
+    assert (out / "comparison.csv").exists() and list(out.glob("mwc_noise_*.csv"))
 
 
 @pytest.mark.parametrize("subcommand", ["coherence", "pipeline"])

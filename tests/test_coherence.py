@@ -25,6 +25,7 @@ from conftest import (
 
 import comove
 from comove import coherence
+from comove import packets as pk
 from comove.coherence import CoherenceField, coherence_matrix_field, coherence_result
 from comove.cwt import cross_spectrum, cwt_morlet, smooth
 
@@ -423,7 +424,8 @@ def _dense_assembly(fields):
     grid, dt, p = fields[0].grid, fields[0].dt, len(fields)
     tiny = np.finfo(float).tiny
     autos = np.array([smooth(cross_spectrum(f, f), grid, dt).values.real for f in fields])
-    degenerate = ~(autos > tiny).all(axis=0)
+    floor = np.maximum(coherence._DEGENERATE_ROW_FLOOR * autos.max(axis=2, keepdims=True), tiny)
+    degenerate = ~(autos > floor).all(axis=0)
     denom = np.sqrt(np.clip(autos, tiny, None))
     cells = np.zeros(autos.shape[1:] + (p, p), dtype=complex)
     cells[:, :, np.arange(p), np.arange(p)] = 1.0
@@ -576,3 +578,27 @@ def test_all_lists_the_public_imports():
     names = {k for k, v in vars(comove).items() if not k.startswith("_") and not inspect.ismodule(v)}
     assert comove.__all__ == sorted(set(comove.__all__))
     assert set(comove.__all__) == names
+
+
+@pytest.mark.parametrize("kind", ["copy", "scaled", "shifted", "perturbed"])
+def test_appended_copy_of_a_packet_noise_series_is_flagged(kind):
+    # Price walks as in the benchmark's generator, one column appended,
+    # then each column's packet noise variant (the pipeline's): its smoothed
+    # autos sit far below their row maxima at large scales, where rounding
+    # once pushed the copy's coherency with s0 past 1.
+    n = 1024
+    rng = np.random.default_rng([1, 3])
+    prices = np.exp(np.log(100.0) + np.cumsum(0.01 * rng.standard_normal((n, 3)), axis=0))
+    s0 = prices[:, 0]
+    extra = {"copy": s0, "scaled": 2.0 * s0, "shifted": s0 + 1.0,
+             "perturbed": s0 * (1.0 + 1e-12 * rng.standard_normal(n))}[kind]
+    noise = [pk.reconstruct_node(pk.wpt_forward(x, level=4), (1,) * 4) for x in (*prices.T, extra)]
+    fields = _wavelet_fields(n, noise)
+    field = coherence_matrix_field(fields)
+    res = coherence_result(field, 0)
+    grid, last = fields[0].grid, len(fields) - 1
+    s00, sxx = (smooth(cross_spectrum(f, f), grid, 1.0).values for f in (fields[0], fields[last]))
+    s0x = smooth(cross_spectrum(fields[0], fields[last]), grid, 1.0).values
+    outside = np.abs(s0x) > (1.0 + coherence._UNIT_DISC_TOL) * np.sqrt(s00 * sxx)
+    assert outside.any()
+    assert field.degenerate[outside].all() and res.flagged[field.degenerate].all()

@@ -2,7 +2,6 @@
 
 import numpy as np
 import pytest
-from scipy.fft import dct, idct
 from scipy.ndimage import convolve1d, gaussian_filter1d
 
 from comove import cwt
@@ -319,7 +318,7 @@ def test_smoothed_coherence_stays_in_unit_disc():
 
 def _smooth_by_rows(values, grid, dt):
     """Reference smoother: a direct Gaussian convolution per scale row, then
-    a direct-sum boxcar over 0.6 octaves of scales (the DCT path's oracle)."""
+    a direct-sum boxcar over 0.6 octaves of scales (the FFT time pass's oracle)."""
     out = np.empty(values.shape, dtype=complex)
     for j, s in enumerate(grid.scales / dt):
         out[j] = gaussian_filter1d(values[j].real, s, mode="reflect") + 1j * (
@@ -332,7 +331,8 @@ def _smooth_by_rows(values, grid, dt):
     )
 
 
-@pytest.mark.parametrize("n", [64, 1000, 4096])
+# odd and tiny lengths too: the time pass splits even and odd samples
+@pytest.mark.parametrize("n", [9, 64, 1000, 1461, 4096])
 def test_smooth_matches_direct_convolution(n):
     g = make_scale_grid(n, 1.0)
     # the widest kernels wrap the 2n-periodic reflected signal more than once
@@ -345,7 +345,7 @@ def test_smooth_matches_direct_convolution(n):
     assert np.abs(out - ref).max() <= 1e-12 * np.abs(values).max()
 
 
-@pytest.mark.parametrize("n", [64, 1000, 4096])
+@pytest.mark.parametrize("n", [9, 64, 1000, 1461, 4096])
 def test_smooth_keeps_a_float_field_float(n):
     g = make_scale_grid(n, 1.0)
     rng = np.random.default_rng([n, 1])
@@ -357,11 +357,39 @@ def test_smooth_keeps_a_float_field_float(n):
     assert np.abs(out - as_complex).max() <= 1e-15 * np.abs(as_complex).max()
 
 
+@pytest.mark.parametrize("n", [9, 1461])
+def test_smooth_is_linear_over_real_and_imaginary_parts(n):
+    # the complex pass mixes FFT bins k and n - k; the float pass does not
+    g = make_scale_grid(n, 1.0)
+    rng = np.random.default_rng([n, 2])
+    a, b = (rng.normal(size=(g.num_scales, n)) * np.exp(rng.normal(scale=3.0, size=(g.num_scales, 1)))
+            for _ in range(2))
+    whole = smooth(CrossSpectrumField(values=a + 1j * b), g, 1.0).values
+    re, im = (smooth(CrossSpectrumField(values=v), g, 1.0).values for v in (a, b))
+    row_max = np.abs(whole).max(axis=1, keepdims=True)
+    assert np.all(np.abs(whole - (re + 1j * im)) <= 1e-14 * row_max)
+
+
+def test_time_pass_weights_are_cached_read_only():
+    sigmas = tuple(make_scale_grid(64, 1.0).scales.tolist())
+    alpha, beta = cwt._gaussian_gains(sigmas, 64)
+    assert alpha.shape == beta.shape == (len(sigmas), 33)
+    assert alpha.dtype == float and beta.dtype == complex
+    assert not alpha.flags.writeable and not beta.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        alpha[0, 0] = 0.0
+    again = cwt._gaussian_gains(sigmas, 64)
+    assert again[0] is alpha and again[1] is beta
+    assert cwt._gaussian_gains(sigmas, 65)[0] is not alpha
+    assert cwt._gaussian_gains(sigmas[:-1], 64)[0] is not alpha
+    # bin 0 is its own mirror: alpha_0 = g_0 = 1 for a unit-sum kernel
+    assert np.allclose(alpha[:, 0], 1.0, rtol=0, atol=1e-15) and np.all(beta[:, 0] == 0.0)
+
+
 def _padded_boxcar_smooth(values, grid, dt):
-    """Reference: smooth's DCT time pass, then the scale boxcar summed over
-    an edge-padded copy of the rows and divided by its width."""
-    gains = cwt._gaussian_gains(tuple((grid.scales / dt).tolist()), values.shape[1])
-    out = idct(gains * dct(values, norm="ortho", axis=1), norm="ortho", axis=1)
+    """Reference: smooth's time pass, then the scale boxcar summed over an
+    edge-padded copy of the rows and divided by its width."""
+    out = np.concatenate([block.copy() for _, block in cwt._time_pass(values, tuple((grid.scales / dt).tolist()))])
     width = int(round(0.6 / grid.dj)) | 1
     half, rows = width // 2, out.shape[0]
     padded = np.pad(out, ((half, half), (0, 0)), mode="edge")
@@ -371,9 +399,11 @@ def _padded_boxcar_smooth(values, grid, dt):
     return total / width
 
 
-# grids of 85 rows (width 7), 21 rows (width 3) and 4 rows (width 13, wider
-# than the grid)
-@pytest.mark.parametrize("n,s0,dj", [(256, None, 1.0 / 12.0), (64, None, 0.25), (8, 7.0, 0.05)])
+# grids of 85 rows (width 7), 21 rows (width 3), 4 rows (width 13, wider
+# than the grid) and 251 rows (width 31, wider than a time-pass block)
+@pytest.mark.parametrize(
+    "n,s0,dj", [(256, None, 1.0 / 12.0), (64, None, 0.25), (8, 7.0, 0.05), (64, None, 0.02)]
+)
 def test_boxcar_matches_edge_padded_sum(n, s0, dj):
     g = make_scale_grid(n, 1.0, s0=s0, dj=dj)
     rng = np.random.default_rng([n, 7])
