@@ -57,8 +57,13 @@ def _analysis_index(n: int, taps: int) -> np.ndarray:
 
 @functools.lru_cache(maxsize=32)
 def _synthesis_index(half: int, taps: int) -> np.ndarray:
-    """Synthesis gather index (j - q) mod half, cached per (half, taps) and read-only."""
+    """Synthesis gather index into ``[a | d]``, shape (half, taps).
+
+    Row j holds (j - q) mod half for q < taps / 2, then the same plus half:
+    the a and d windows of output pair j. Cached per (half, taps), read-only.
+    """
     idx = (np.arange(half)[:, None] - np.arange(taps // 2)[None, :]) % half
+    idx = np.concatenate([idx, idx + half], axis=1)
     idx.flags.writeable = False
     return idx
 
@@ -84,6 +89,8 @@ def synthesis_step(a: np.ndarray, d: np.ndarray, h: np.ndarray, g: np.ndarray) -
     The transpose of the analysis gather, one output phase r per column:
     x[2j + r] = sum_q h[r + 2q] a[(j - q) mod N/2] + g[r + 2q] d[(j - q) mod N/2]
     along the last axis; leading axes are a batch of independent signals.
+    The windows of a and d are gathered from ``[a | d]`` by one ``np.take``
+    into one C-ordered block, and one matmul applies both phases.
     """
     a = np.asarray(a, dtype=float)
     d = np.asarray(d, dtype=float)
@@ -91,7 +98,7 @@ def synthesis_step(a: np.ndarray, d: np.ndarray, h: np.ndarray, g: np.ndarray) -
         raise ValueError("approximation and detail lengths differ")
     half = a.shape[-1]
     idx = _synthesis_index(half, h.size)
-    windows = np.concatenate([a[..., idx], d[..., idx]], axis=-1)
+    windows = np.take(np.concatenate([a, d], axis=-1), idx, axis=-1)
     phases = np.concatenate([h.reshape(-1, 2), g.reshape(-1, 2)])  # column r: taps r::2
     return (windows @ phases).reshape(*a.shape[:-1], 2 * half)
 
@@ -213,7 +220,9 @@ def energy_fractions(
     Fractions are nonnegative and sum to 1 (the bank preserves energy). An
     all-zero signal has no energy to apportion and raises ValueError.
     """
-    energies = {p: float(np.sum(tree.nodes[p] ** 2)) for p in tree.paths(ordering)}
+    paths = tree.paths(ordering)
+    sums = np.sum(np.stack([tree.nodes[p] for p in paths]) ** 2, axis=1)
+    energies = dict(zip(paths, sums.tolist()))
     total = sum(energies.values())
     if total <= 0.0:
         raise ValueError("signal has zero energy; fractions undefined")

@@ -32,7 +32,8 @@ _REDUNDANCY_CHI2_99 = 9.21
 MIN_OBS = 50  # fewest observations either fit takes
 _COLLINEARITY_LIMIT = 1e12
 _COLLINEAR = "regressors are numerically collinear (duplicated or linearly dependent series)"
-_REFINE_STEPS = 2  # on a sine + 1e-6 noise column: 0 steps miss lstsq by up to 1.4, 2 by 3e-5
+_TRI_BLOCK = 32  # _lower_inverse inverts blocks this small directly
+_REFINE_STEPS = 2  # on a sine + 1e-6 noise column: 0 steps miss lstsq by up to 5.3, 2 by 3e-5
 _BAND_MULTIPLIER = 1.96
 _CSS_MAX_ITER = 50
 _CSS_MAX_STEP = 0.05  # a walk across the box (width 2) fits in 40 iterations
@@ -44,9 +45,10 @@ _CSS_FTOL = 1e-12  # ... or the CSS falls by at most this fraction
 class VarmaModel:
     """Vector ARMA(1,1): x_t - mu = Phi (x_{t-1} - mu) + e_t + Theta e_{t-1}.
 
-    A univariate ARMA(1,1) is the p = 1 case. Phi must be stationary and
-    Theta invertible (spectral radius below 1), and sigma symmetric, positive
-    semidefinite and with a positive diagonal: every series has innovations.
+    A univariate ARMA(1,1) is the p = 1 case. Every entry must be finite,
+    Phi stationary and Theta invertible (spectral radius below 1), and sigma
+    symmetric, positive semidefinite and with a positive diagonal: every
+    series has innovations.
     """
 
     mu: np.ndarray
@@ -62,9 +64,13 @@ class VarmaModel:
         phi = np.asarray(self.phi, dtype=float)
         theta = np.asarray(self.theta, dtype=float)
         sigma = np.asarray(self.sigma, dtype=float)
-        for name, m in (("phi", phi), ("theta", theta), ("sigma", sigma)):
+        fields = (("mu", mu), ("phi", phi), ("theta", theta), ("sigma", sigma))
+        for name, m in fields[1:]:
             if m.shape != (p, p):
                 raise ValueError(f"{name} must be ({p}, {p}), got {m.shape}")
+        if not np.isfinite(np.concatenate([m.ravel() for _, m in fields])).all():
+            name = next(name for name, m in fields if not np.isfinite(m).all())
+            raise ValueError(f"{name} contains non-finite values")
         radii = np.abs(np.linalg.eigvals(np.stack([phi, theta]))).max(axis=1)
         for name, rho in zip(("phi", "theta"), radii):
             if rho >= 1.0:
@@ -75,7 +81,7 @@ class VarmaModel:
             raise ValueError("sigma must be positive semidefinite")
         if not np.all(np.diagonal(sigma) > 0.0):
             raise ValueError("sigma's diagonal must be positive")
-        for name, m in (("mu", mu), ("phi", phi), ("theta", theta), ("sigma", sigma)):
+        for name, m in fields:
             arr = m.copy()
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
@@ -101,42 +107,65 @@ def _lagged_design(z: np.ndarray, m: int) -> np.ndarray:
     return lagged.reshape(len(lagged), -1)
 
 
+def _lower_inverse(low: np.ndarray) -> np.ndarray:
+    """Inverse of a lower-triangular matrix by 2 x 2 block recursion.
+
+    inv([[L11, 0], [L21, L22]]) = [[X11, 0], [-X22 L21 X11, X22]] with
+    Xii = inv(Lii) (Higham, Accuracy and Stability of Numerical Algorithms,
+    2002, chapter 8). Blocks of _TRI_BLOCK rows or fewer go to
+    ``np.linalg.inv``, whose LU is cheap at that size; at 256 x 256 the
+    recursion takes about a fifth of the time of one LU inverse of the whole.
+    """
+    n = len(low)
+    if n <= _TRI_BLOCK:
+        return np.linalg.inv(low)
+    k = n // 2
+    top, bottom = _lower_inverse(low[:k, :k]), _lower_inverse(low[k:, k:])
+    inv = np.zeros_like(low)
+    inv[:k, :k] = top
+    inv[k:, k:] = bottom
+    inv[k:, :k] = -(bottom @ low[k:, :k]) @ top
+    return inv
+
+
 def _long_ar_residuals(design: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Least-squares residuals of ``y`` on ``design`` from refined normal equations.
 
-    The Gram matrix G = D'D is factored by Cholesky only to check it: the
-    squared ratio of the factor's largest to smallest diagonal entry is the
-    ratio of G's largest to smallest pivot, a lower bound on cond(G). A
-    failed factorization or a ratio above _COLLINEARITY_LIMIT raises the
-    collinearity ValueError. The solve G b = D'e then runs once on e = y and
-    _REFINE_STEPS more times on the current residuals e = y - D b, adding
-    each correction to b (fixed-precision iterative refinement; Bjorck,
-    Numerical Methods for Least Squares Problems, 1996, section 2.9). Each
-    step shrinks the error by about cond(G) times the unit roundoff. numpy
-    has no triangular solve, and three LU solves of G measured faster than
-    inverting the factor once.
+    The Gram matrix G = D'D = L L' is factored once by Cholesky. The squared
+    ratio of L's largest to smallest diagonal entry is the ratio of G's
+    largest to smallest pivot, a lower bound on cond(G); a failed
+    factorization or a ratio above _COLLINEARITY_LIMIT raises the
+    collinearity ValueError. Otherwise L is inverted once
+    (:func:`_lower_inverse`) and G b = D'e is solved as
+    inv(L)' (inv(L) D'e), once on e = y and _REFINE_STEPS more times on the
+    current residuals e = y - D b, adding each correction to b
+    (fixed-precision iterative refinement; Bjorck, Numerical Methods for
+    Least Squares Problems, 1996, section 2.9). Each step shrinks the error
+    by about cond(G) times the unit roundoff.
 
-    Both fits solve their long autoregression here. At n = 1461 this is 2.5
-    times faster than ``lstsq`` on the joint fit's 1429 x 256 design
-    (p = 8) and about 4 times on the univariate fit's 1429 x 32 one, with
-    residuals equal to rounding. :func:`fit_arma11` falls back to the
-    minimum-norm ``lstsq`` solution only where this check refuses the
+    Both fits solve their long autoregression here. At n = 1461 on one CPU
+    this is about 3.3 times faster than ``lstsq`` on the joint fit's
+    1429 x 256 design (p = 8) and 3.5 times on the univariate fit's 1429 x 32
+    one, with residuals equal to rounding. :func:`fit_arma11` falls back to
+    the minimum-norm ``lstsq`` solution only where this check refuses the
     design: a deterministic series it fits (a sine, a trend, a sawtooth)
     makes its one-series design exactly rank-deficient. :func:`fit_varma11`
     lets the error through.
     """
     gram = design.T @ design
     try:
-        pivots = np.diagonal(np.linalg.cholesky(gram))
-        if (pivots.max() / pivots.min()) ** 2 <= _COLLINEARITY_LIMIT:
-            beta, ehat = 0.0, y
-            for _ in range(1 + _REFINE_STEPS):
-                beta = beta + np.linalg.solve(gram, design.T @ ehat)
-                ehat = y - design @ beta
-            return ehat
+        low = np.linalg.cholesky(gram)
     except np.linalg.LinAlgError:
-        pass
-    raise ValueError(_COLLINEAR)
+        raise ValueError(_COLLINEAR) from None
+    pivots = np.diagonal(low)
+    if not (pivots.max() / pivots.min()) ** 2 <= _COLLINEARITY_LIMIT:
+        raise ValueError(_COLLINEAR)
+    inv = _lower_inverse(low)
+    beta, ehat = 0.0, y
+    for _ in range(1 + _REFINE_STEPS):
+        beta = beta + inv.T @ (inv @ (design.T @ ehat))
+        ehat = y - design @ beta
+    return ehat
 
 
 def _css_residuals(z: np.ndarray, phi: float, theta: float) -> np.ndarray:
@@ -218,13 +247,14 @@ def _css_refine(
 def fit_arma11(x: np.ndarray) -> VarmaModel:
     """Fit a univariate ARMA(1,1) by Hannan-Rissanen plus CSS refinement.
 
-    The long autoregression is solved by :func:`_long_ar_residuals`, or by
-    minimum-norm ``lstsq`` where that refuses a collinear design. The
-    two-stage estimate is always refined by conditional-sum-of-squares
-    minimization: projected Newton steps inside the stationary and invertible
-    box |phi|, |theta| <= 1 - 1e-4. If the refinement does not converge
-    within 50 iterations the two-stage estimates are returned with a warning
-    recorded on the model.
+    The long autoregression is solved by :func:`_long_ar_residuals` (one
+    Cholesky factor of its Gram matrix, inverted once, then two refinement
+    steps), or by minimum-norm ``lstsq`` where that refuses a collinear
+    design. The two-stage estimate is always refined by
+    conditional-sum-of-squares minimization: projected Newton steps inside
+    the stationary and invertible box |phi|, |theta| <= 1 - 1e-4. If the
+    refinement does not converge within 50 iterations the two-stage
+    estimates are returned with a warning recorded on the model.
 
     Parameters
     ----------

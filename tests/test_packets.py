@@ -146,6 +146,7 @@ def test_steps_at_interleaved_lengths_match_the_index_formula(wavelet):
 
 
 def test_cached_gather_plans_are_read_only():
+    assert packets._synthesis_index(20, 6).shape == (20, 6)  # a windows, then d windows
     for plan in (packets._analysis_index(40, 6), packets._synthesis_index(20, 6)):
         assert not plan.flags.writeable
         with pytest.raises(ValueError):
@@ -321,6 +322,15 @@ def test_energy_fractions_sum_to_one():
     assert len(fr) == 16
     assert sum(fr.values()) == pytest.approx(1.0, abs=1e-12)
     assert all(v >= 0.0 for v in fr.values())
+
+
+@pytest.mark.parametrize("ordering", ["natural", "frequency"])
+def test_energy_fractions_follow_the_ordering_and_per_leaf_sums(ordering):
+    tree = wpt_forward(np.random.default_rng(8).normal(size=1461), 4)
+    fr = energy_fractions(tree, ordering)
+    assert list(fr) == tree.paths(ordering)
+    energies = [float(np.sum(tree.nodes[p] ** 2)) for p in tree.paths(ordering)]
+    np.testing.assert_allclose(list(fr.values()), np.array(energies) / sum(energies), rtol=1e-15)
 
 
 def test_constant_signal_energy_in_trend_node():

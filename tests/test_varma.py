@@ -64,6 +64,23 @@ def test_varma_model_validation():
         VarmaModel(mu=np.zeros(2), phi=zero, theta=zero, sigma=np.diag([1.0, 0.0]), n_obs=9)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("field", ["mu", "phi", "theta", "sigma"])
+def test_model_rejects_non_finite_entries(field, bad):
+    # refused by name before any eigenvalue check, and without a warning
+    # (RuntimeWarnings are errors under this suite's settings)
+    fields = {
+        "mu": np.zeros(2),
+        "phi": 0.5 * np.eye(2),
+        "theta": np.zeros((2, 2)),
+        "sigma": np.eye(2),
+    }
+    fields[field] = fields[field].copy()
+    fields[field].flat[-1] = bad
+    with pytest.raises(ValueError, match=f"^{field} contains non-finite values$"):
+        VarmaModel(**fields, n_obs=9)
+
+
 def test_models_default_to_no_warnings():
     m = VarmaModel(mu=[0.0], phi=[[0.5]], theta=[[0.1]], sigma=[[1.0]], n_obs=10)
     assert m.warnings == ()
@@ -324,7 +341,7 @@ def _lstsq_two_stage(x):
 @pytest.mark.parametrize("p", [2, 3, 4, 6])
 def test_varma_fit_matches_lstsq_on_near_deterministic_column(p):
     # a sine with 1e-6 noise squares cond(D) ~ 3e6 into a Gram near 1e13;
-    # unrefined normal equations miss the lstsq coefficients by 8e-3 to 1.4
+    # unrefined normal equations miss the lstsq coefficients by 8e-3 to 5.3
     # on these cases, two refinement steps by at most 4e-5. Some draws are
     # rejected as collinear; the first three that fit are compared.
     n, compared, seed = 60, 0, 0
@@ -363,6 +380,28 @@ def test_long_ar_residuals_match_lstsq(p):
     want = z[m:] - design @ beta
     got = varma._long_ar_residuals(design, z[m:])
     assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("size", [1, 31, 32, 33, 64, 256, 257])
+def test_lower_inverse_inverts_cholesky_factors(size):
+    # sizes straddle the 32-row blocks the recursion inverts directly
+    design = np.random.default_rng([19, size]).standard_normal((2 * size + 5, size))
+    low = np.linalg.cholesky(design.T @ design)
+    got = varma._lower_inverse(low)
+    assert np.abs(got @ low - np.eye(size)).max() <= 1e-12
+    want = np.linalg.inv(low)
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_fits_solve_the_long_ar_without_lu(monkeypatch):
+    # the Gram is factored once, by Cholesky; no LU solve of it remains
+    def _no_solve(*args, **kwargs):
+        raise AssertionError("np.linalg.solve called")
+
+    x = _ar_panel(np.random.default_rng(23), 400, 4)
+    monkeypatch.setattr(np.linalg, "solve", _no_solve)
+    fit_arma11(x[:, 0])
+    fit_varma11(x)
 
 
 _DETERMINISTIC = {  # series fit_arma11 fits, and whether the Gram check refuses its long AR
