@@ -50,7 +50,6 @@ from .timeseries import (
     DataError,
     MultiSeries,
     load_csv,
-    rescale,
     window,
 )
 from .varma import (
@@ -102,7 +101,6 @@ __all__ = [
     "morlet_fourier_factor",
     "mse_comparison",
     "reconstruct_node",
-    "rescale",
     "residuals",
     "select_threshold",
     "simulate_varma",

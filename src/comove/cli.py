@@ -68,7 +68,6 @@ class PipelineConfig:
     value_columns: tuple[str, ...] | None = None
     start: str | None = None
     end: str | None = None
-    scale_factors: tuple[float, ...] | None = None
     log_transform: bool = False
     target: str | None = None
     depth: int = 4
@@ -109,11 +108,6 @@ def _coerce(key: str, raw: str) -> object:
         if raw.lower() in _BOOL_FALSE:
             return False
         raise UsageError(f"config log_transform must be a boolean, got {raw!r}")
-    if key == "scale_factors":
-        try:
-            return tuple(float(v) for v in raw.split(",") if v.strip() != "")
-        except ValueError:
-            raise UsageError(f"config scale_factors must be floats, got {raw!r}") from None
     if key == "value_columns":
         cols = tuple(v.strip() for v in raw.split(",") if v.strip() != "")
         return cols or None
@@ -160,7 +154,6 @@ _HELP = {
     "value_columns": "comma-separated column names (default: all non-date columns)",
     "start": "window start date (inclusive)",
     "end": "window end date (inclusive)",
-    "scale_factors": "comma-separated positive factors, one per series",
     "log_transform": "analyze log prices instead of levels",
     "target": "target series name",
     "depth": "packet tree depth",
@@ -319,8 +312,6 @@ def _load(config: PipelineConfig) -> tuple[ts.MultiSeries, ts.MultiSeries]:
         work = ts.window(work, start, end)
     if config.log_transform:
         work = replace(work, values=_log(work.names, work.values))
-    if config.scale_factors is not None:
-        work = ts.rescale(work, config.scale_factors)
     return full, work
 
 
@@ -366,8 +357,7 @@ def _emit_denoise(w: _Writer, ms: ts.MultiSeries, config: PipelineConfig) -> ts.
     method = canonical_method(config.method)
     denoised = np.empty_like(ms.values)
     for k, name in enumerate(ms.names):
-        report = method_sweep(ms.values[:, k], rule=rule, level=config.denoise_level,
-                              wavelet=config.wavelet, series_name=name)
+        report = method_sweep(ms.values[:, k], rule=rule, level=config.denoise_level, wavelet=config.wavelet)
         _write_table(w, f"sweep_{_safe_name(name)}.csv", "method,rule,thresholds,snr,psnr,identical", [
             (m, r, thr, *(("identical",) * 2 if same else (snr, psnr)), int(same))
             for m, r, thr, snr, psnr, same in report.rows()
@@ -412,6 +402,25 @@ def _emit_forecast(
     else:
         print("single series: VARMA comparison skipped")
 
+    # realized data after the fit window, if the full file extends past it;
+    # scored before the first write, so a refused realized row leaves no output
+    future_mask = full.timestamps > work.timestamps[-1]
+    steps = min(h, int(future_mask.sum()))
+    rows = []
+    if steps >= 1 and "varma" in families:
+        # the realized rows get the window's log step
+        actual = full.values[future_mask][:steps]
+        if config.log_transform:
+            actual = _log(names, actual, " after the fit window")
+        # each fit is scored on its own columns: one (steps, p) ARMA stack would
+        # sum the squared errors in another order and move last digits
+        mse = {
+            family: np.concatenate([vm.evaluate_mse(_truncate(r, steps), actual[:, cols]).cum_mse for cols, _, r in fits])
+            for family, fits in families.items()
+        }
+        rows = [(row.name, steps, row.arma_mse, row.varma_mse, row.winner)
+                for row in vm.mse_comparison(names, mse["arma"], mse["varma"])]
+
     _write_table(w, "models.csv", "model,series,parameter,value", [
         (family, *row)
         for family, fits in families.items()
@@ -431,25 +440,6 @@ def _emit_forecast(
         for step in range(h)
     ])
 
-    # realized data after the fit window, if the full file extends past it
-    future_mask = full.timestamps > work.timestamps[-1]
-    steps = min(h, int(future_mask.sum()))
-    rows = []
-    if steps >= 1 and "varma" in families:
-        # the realized rows get the window's log and rescale steps
-        actual = full.values[future_mask][:steps]
-        if config.log_transform:
-            actual = _log(names, actual, " after the fit window")
-        if config.scale_factors is not None:
-            actual = actual * np.asarray(config.scale_factors)
-        # each fit is scored on its own columns: one (steps, p) ARMA stack would
-        # sum the squared errors in another order and move last digits
-        mse = {
-            family: np.concatenate([vm.evaluate_mse(_truncate(r, steps), actual[:, cols]).cum_mse for cols, _, r in fits])
-            for family, fits in families.items()
-        }
-        rows = [(row.name, steps, row.arma_mse, row.varma_mse, row.winner)
-                for row in vm.mse_comparison(names, mse["arma"], mse["varma"])]
     _write_table(w, "comparison.csv", "series,horizons,arma_mse,varma_mse,winner", rows)
     if steps < 1:
         print("no realized data beyond the fit window; comparison left empty")
@@ -515,12 +505,15 @@ def run(subcommand: str, config: PipelineConfig) -> int:
         elif subcommand == "forecast":
             _emit_forecast(w, full, work, config)
         else:
+            # the fits come first: they refuse data (collinear or constant
+            # series) that nothing before them checks, and must do so before
+            # the first write
+            _emit_forecast(w, full, work, config)
             _emit_coherence(w, work, target, prefix="original_")
             trend, noise = _emit_packet(w, work, config)
             denoised = _emit_denoise(w, work, config)
             for prefix, variant in (("trend_", trend), ("noise_", noise), ("denoised_", denoised)):
                 _emit_coherence(w, variant, target, prefix=prefix, partials=False)
-            _emit_forecast(w, full, work, config)
             w.manifest()
         return 0
     except (UsageError, ts.DataError, ValueError, OSError) as exc:

@@ -38,7 +38,7 @@ _UNIT_DISC_TOL = 1e-9
 # pair at least floor times their row maxima, the coherency moves by at
 # most about 2 eps / floor, one eps for the cross-spectrum and one for the
 # autos. So floor = 2 * 1.6e-16 / _UNIT_DISC_TOL = 3.2e-7, rounded up to
-# 4e-7, keeps a copied or rescaled series' coherency inside the unit disc.
+# 4e-7, keeps a copied or scaled series' coherency inside the unit disc.
 _DEGENERATE_ROW_FLOOR = 4e-7
 
 
@@ -105,12 +105,6 @@ class CoherenceField:
     @property
     def shape(self) -> tuple[int, int]:
         return self.pairs.shape[1:]
-
-    def index_of(self, label: str) -> int:
-        try:
-            return self.labels.index(label)
-        except ValueError:
-            raise ValueError(f"no series named {label!r}; have {self.labels}") from None
 
 
 def coherence_matrix_field(

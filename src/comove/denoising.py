@@ -337,7 +337,6 @@ class MethodScore:
 class DenoiseReport:
     """All nine methods scored on one signal, plus the scoring convention."""
 
-    series_name: str
     scores: tuple[MethodScore, ...]
     winner_snr: str
     winner_psnr: str
@@ -364,7 +363,6 @@ def method_sweep(
     level: int = 4,
     wavelet: str = "db3",
     reference: np.ndarray | None = None,
-    series_name: str = "",
 ) -> DenoiseReport:
     """Run all nine threshold selectors on one signal and score them.
 
@@ -423,7 +421,6 @@ def method_sweep(
     best_snr = max(scores, key=lambda s: s.snr).method
     best_psnr = max(scores, key=lambda s: s.psnr).method
     return DenoiseReport(
-        series_name=series_name,
         scores=tuple(scores),
         winner_snr=best_snr,
         winner_psnr=best_psnr,

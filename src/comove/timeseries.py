@@ -1,4 +1,4 @@
-"""Aligned multivariate time series: CSV loading, windowing, rescaling.
+"""Aligned multivariate time series: CSV loading and windowing.
 
 All analysis code in this package consumes :class:`MultiSeries`: named
 series held as one (n, p) matrix on one strictly increasing date grid.
@@ -253,17 +253,3 @@ def window(
             f"window [{start}, {end}] keeps {kept} samples, need at least {MIN_LENGTH}"
         )
     return replace(ms, timestamps=ms.timestamps[mask], values=ms.values[mask])
-
-
-def rescale(ms: MultiSeries, factors: tuple[float, ...]) -> MultiSeries:
-    """Multiply each series by its factor (for plotting on a shared axis).
-
-    Factors must be positive, finite, and one per series.
-    """
-    factors = tuple(float(f) for f in factors)
-    if len(factors) != ms.p:
-        raise DataError(f"{len(factors)} factors for {ms.p} series")
-    for f in factors:
-        if not (np.isfinite(f) and f > 0):
-            raise DataError(f"rescale factors must be positive and finite, got {f}")
-    return replace(ms, values=ms.values * np.asarray(factors))

@@ -35,6 +35,7 @@ _COLLINEAR = "regressors are numerically collinear (duplicated or linearly depen
 _TRI_BLOCK = 32  # _lower_inverse inverts blocks this small directly
 _REFINE_STEPS = 2  # on a sine + 1e-6 noise column: 0 steps miss lstsq by up to 5.3, 2 by 3e-5
 _BAND_MULTIPLIER = 1.96
+_TIE_TOL = 1e-12  # MSEs this close rank as a tie
 _CSS_MAX_ITER = 50
 _CSS_MAX_STEP = 0.05  # a walk across the box (width 2) fits in 40 iterations
 _CSS_XTOL = 1e-9  # stop once no coordinate moves by more than this
@@ -349,7 +350,7 @@ def fit_varma11(data: np.ndarray) -> VarmaModel:
     ------
     ValueError
         Shape problems, non-finite values, a constant column, or a
-        numerically collinear regression (a duplicated, rescaled or lagged
+        numerically collinear regression (a duplicated, scaled or lagged
         copy of a series, a sum of series, or a column its own lags predict
         exactly, such as a trend or a short cycle).
     """
@@ -567,11 +568,10 @@ def mse_comparison(
     names: tuple[str, ...],
     arma_mse: np.ndarray,
     varma_mse: np.ndarray,
-    tie_tol: float = 1e-12,
 ) -> list[ComparisonRow]:
     """Rank per-series ARMA and VARMA cumulative MSEs.
 
-    A difference within ``tie_tol`` counts as no winner.
+    A difference of at most 1e-12 counts as no winner.
     """
     arma_mse = np.atleast_1d(np.asarray(arma_mse, dtype=float))
     varma_mse = np.atleast_1d(np.asarray(varma_mse, dtype=float))
@@ -579,7 +579,7 @@ def mse_comparison(
         raise ValueError("names and MSE vectors must have matching lengths")
     rows = []
     for name, am, vm in zip(names, arma_mse, varma_mse):
-        if abs(am - vm) <= tie_tol:
+        if abs(am - vm) <= _TIE_TOL:
             winner = "tie"
         else:
             winner = "VARMA" if vm < am else "ARMA"

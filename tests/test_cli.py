@@ -110,14 +110,12 @@ def test_config_file_parsing(tmp_path):
         "\n"
         "horizon = 7\n"
         "log_transform = yes  # trailing comment\n"
-        "scale_factors = 1.0, 2.5\n"
         "value_columns = a , b\n"
     )
     got = read_config_file(str(cfg))
     assert got == {
         "horizon": 7,
         "log_transform": True,
-        "scale_factors": (1.0, 2.5),
         "value_columns": ("a", "b"),
     }
 
@@ -143,7 +141,6 @@ _RAW = {
     "value_columns": "a, b",
     "start": "2020-01-01",
     "end": "2020-12-31",
-    "scale_factors": "1.5,2",
     "log_transform": "true",
     "target": "b",
     "depth": "3",
@@ -480,26 +477,17 @@ def _set_value(path, row, col, value):
     path.write_text("\n".join(lines) + "\n")
 
 
-@pytest.mark.parametrize(
-    "flags",
-    [["--log"], ["--scale-factors", "0.01,0.01"], ["--log", "--scale-factors", "0.5,4"]],
-    ids=["log", "scale", "log-scale"],
-)
-def test_forecast_comparison_scores_transformed_rows(tmp_path, flags):
-    # the realized rows must get the fit window's log and rescale steps
+def test_forecast_comparison_scores_transformed_rows(tmp_path):
+    # the realized rows must get the fit window's log step
     src = tmp_path / "in.csv"
     write_input(src, n=400, p=2, seed=9, offset=100.0)
     _set_value(src, 390, 1, "-1")  # past the horizon: never logged
     out = tmp_path / "out"
     argv = ["forecast", "--input", str(src), "--end", date_str(369), "--horizon", "5",
-            "--out-dir", str(out), *flags]
+            "--out-dir", str(out), "--log"]
     assert main(argv) == 0
 
-    actual = np.loadtxt(src, delimiter=",", skiprows=1, usecols=(1, 2))[370:375]
-    if "--log" in flags:
-        actual = np.log(actual)
-    if "--scale-factors" in flags:
-        actual = actual * [float(f) for f in flags[-1].split(",")]
+    actual = np.log(np.loadtxt(src, delimiter=",", skiprows=1, usecols=(1, 2))[370:375])
     points = {}
     for ln in read_lines(out / "forecasts.csv")[1:]:
         model, series, _, point, _, _ = ln.split(",")
@@ -521,6 +509,7 @@ def test_forecast_log_rejects_nonpositive_realized_row(tmp_path, capsys):
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert "series 'b' has nonpositive values after the fit window" in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_forecast_single_series_skips_comparison(tmp_path, capsys):
@@ -737,4 +726,25 @@ def test_short_window_refused_before_output(tmp_path, capsys, subcommand, rows, 
     out = tmp_path / "out"
     assert main([subcommand, "--input", str(src), *flags, "--out-dir", str(out)]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "column,message",
+    [
+        ("copy", "regressors are numerically collinear"),
+        ("constant", "constant series has no ARMA structure to fit"),
+    ],
+    ids=["copy", "constant"],
+)
+def test_pipeline_refuses_unfittable_series_before_output(tmp_path, capsys, column, message):
+    # only the fits can tell; they run before the pipeline's first write
+    src = tmp_path / "in.csv"
+    write_input(src, n=150, p=2, seed=6)
+    lines = read_lines(src)
+    extra = [ln.split(",")[1] if column == "copy" else "7.5" for ln in lines[1:]]
+    src.write_text("\n".join([lines[0] + ",c"] + [ln + "," + v for ln, v in zip(lines[1:], extra)]) + "\n")
+    out = tmp_path / "out"
+    assert main(["pipeline", "--input", str(src), "--end", date_str(119), "--out-dir", str(out)]) == 2
+    assert message in capsys.readouterr().err
     assert not out.exists()

@@ -361,9 +361,6 @@ def test_matrix_field_custom_labels():
     cols = [rng.normal(size=100) for _ in range(2)]
     field = coherence_matrix_field(_wavelet_fields(100, cols), labels=("au", "ag"))
     assert field.labels == ("au", "ag")
-    assert field.index_of("ag") == 1
-    with pytest.raises(ValueError, match="no series named"):
-        field.index_of("cu")
 
 
 def test_matrix_field_identity_smoother_gives_unit_coherence():

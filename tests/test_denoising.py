@@ -363,8 +363,7 @@ def test_fidelity_error_contracts():
 
 def test_sweep_runs_all_nine_methods():
     _, noisy = noisy_sinusoid()
-    report = method_sweep(noisy, series_name="demo")
-    assert report.series_name == "demo"
+    report = method_sweep(noisy)
     assert tuple(s.method for s in report.scores) == METHODS
     assert all(np.isfinite(s.snr) and np.isfinite(s.psnr) for s in report.scores)
     assert report.convention

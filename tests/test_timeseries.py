@@ -1,4 +1,4 @@
-"""CSV loading, validation, windowing, and rescaling."""
+"""CSV loading, validation and windowing."""
 
 import datetime as dt
 from dataclasses import replace
@@ -11,7 +11,6 @@ from comove.timeseries import (
     MultiSeries,
     load_csv,
     parse_date,
-    rescale,
     window,
 )
 
@@ -302,32 +301,3 @@ def test_window_preserves_dt():
     w = window(ms, "2020-01-01", "2020-01-10")
     assert w.dt == 0.5
 
-
-# ---------------------------------------------------------------- rescale
-
-
-def test_rescale_multiplies_each_series():
-    ms = make_ms(n=10, p=2)
-    out = rescale(ms, (2.0, 10.0))
-    np.testing.assert_allclose(out.values, ms.values * [2.0, 10.0])
-    assert (out.names, out.dt) == (ms.names, ms.dt)
-    np.testing.assert_array_equal(out.timestamps, ms.timestamps)
-
-
-def test_rescale_leaves_original_untouched():
-    ms = make_ms(n=10, p=1)
-    before = ms.values[:, 0].copy()
-    rescale(ms, (3.0,))
-    np.testing.assert_array_equal(ms.values[:, 0], before)
-
-
-def test_rescale_wrong_factor_count():
-    ms = make_ms(n=10, p=2)
-    with pytest.raises(DataError, match="factors for"):
-        rescale(ms, (1.0,))
-
-
-def test_rescale_rejects_nonpositive_factor():
-    ms = make_ms(n=10, p=2)
-    with pytest.raises(DataError, match="positive and finite"):
-        rescale(ms, (1.0, 0.0))
