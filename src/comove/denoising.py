@@ -58,10 +58,17 @@ def estimate_noise_sigma(detail: np.ndarray) -> float:
     Needs at least MIN_MAD_COEFFS (8) coefficients for the median to mean
     anything.
     """
-    detail = np.asarray(detail, dtype=float)
-    if detail.size < MIN_MAD_COEFFS:
-        raise ValueError(f"need at least {MIN_MAD_COEFFS} coefficients, got {detail.size}")
-    return float(np.median(np.abs(detail)) / MAD_SCALE)
+    return _mad_sigma(np.sort(np.abs(np.asarray(detail, dtype=float))))
+
+
+def _mad_sigma(magnitudes: np.ndarray) -> float:
+    """:func:`estimate_noise_sigma` from the sorted ``|d|``: the median as
+    ``np.median`` takes it, the middle value or the mean of the middle two."""
+    n = magnitudes.size
+    if n < MIN_MAD_COEFFS:
+        raise ValueError(f"need at least {MIN_MAD_COEFFS} coefficients, got {n}")
+    mid = magnitudes[n // 2] if n % 2 else (magnitudes[n // 2 - 1] + magnitudes[n // 2]) / 2.0
+    return float(mid / MAD_SCALE)
 
 
 def sweep_min_length(level: int) -> int:
@@ -114,20 +121,20 @@ def apply_shrinkage(
     return out
 
 
-def _sure_t(y: np.ndarray) -> float:
-    """Threshold minimizing Stein's unbiased risk on unit-variance data."""
-    n = y.size
-    ay = np.sort(np.abs(y))
+def _sure_t(ay: np.ndarray) -> float:
+    """Threshold minimizing Stein's unbiased risk on unit-variance data,
+    given its magnitudes sorted ascending."""
+    n = ay.size
     cum = np.cumsum(ay**2)
     k = np.arange(1, n + 1)
     risk = n - 2.0 * k + cum + (n - k) * ay**2
     return float(ay[int(np.argmin(risk))])
 
 
-def _gcv_t(w: np.ndarray) -> float:
-    """Threshold minimizing generalized cross-validation for soft shrinkage."""
-    n = w.size
-    aw = np.sort(np.abs(w))
+def _gcv_t(aw: np.ndarray) -> float:
+    """Threshold minimizing generalized cross-validation for soft shrinkage,
+    given the coefficients' magnitudes sorted ascending."""
+    n = aw.size
     cum = np.cumsum(aw**2)
     k = np.arange(1, n + 1)
     resid = (cum + (n - k) * aw**2) / n
@@ -158,26 +165,46 @@ def select_threshold(
         Unknown method, a negative or non-finite ``sigma``, or every detail
         coefficient is exactly zero (nothing to estimate noise from).
     """
-    return _threshold(canonical_method(method), coeffs, _noise_sigmas(coeffs, sigma))
+    method = canonical_method(method)
+    mags = _Magnitudes.of(coeffs)
+    return _threshold(method, coeffs, mags, _noise_sigmas(mags, sigma))
 
 
-def _noise_sigmas(coeffs: DwtCoeffs, sigma: float | None) -> Callable[[int], float]:
+class _Magnitudes(NamedTuple):
+    """``|d|`` of a decomposition's detail levels, sorted ascending: each
+    level (finest first) and all levels pooled.
+
+    Every selector reads these in place of sorting its own copy. Dividing by
+    a positive s is monotone in floating point, so ``levels[j] / s`` equals
+    ``np.sort(np.abs(d_j / s))`` bit for bit.
+    """
+
+    levels: list[np.ndarray]
+    pooled: np.ndarray
+
+    @classmethod
+    def of(cls, coeffs: DwtCoeffs) -> _Magnitudes:
+        levels = [np.sort(np.abs(np.asarray(d, dtype=float))) for d in coeffs.details]
+        return cls(levels, np.sort(np.concatenate(levels)))
+
+
+def _noise_sigmas(mags: _Magnitudes, sigma: float | None) -> Callable[[int], float]:
     """Noise level of detail level j (0 is the finest): ``sigma`` if given,
     else the level's MAD estimate, computed once on first use."""
     if sigma is not None and not (np.isfinite(sigma) and sigma >= 0):
         raise ValueError(f"sigma must be finite and nonnegative, got {sigma}")
-    if all(not np.any(d) for d in coeffs.details):
+    if not np.any(mags.pooled):
         raise ValueError("all detail coefficients are zero; nothing to threshold")
     if sigma is not None:
         return lambda j: float(sigma)
-    return functools.cache(lambda j: estimate_noise_sigma(coeffs.details[j]))
+    return functools.cache(lambda j: _mad_sigma(mags.levels[j]))
 
 
 def _threshold(
-    method: str, coeffs: DwtCoeffs, sigma_at: Callable[[int], float]
+    method: str, coeffs: DwtCoeffs, mags: _Magnitudes, sigma_at: Callable[[int], float]
 ) -> float | list[float]:
-    """:func:`select_threshold` for a canonical method name and noise levels."""
-    details = [np.asarray(d, dtype=float) for d in coeffs.details]
+    """:func:`select_threshold` for a canonical method name, the sorted
+    magnitudes of ``coeffs`` and noise levels."""
     n = coeffs.original_length
     sigma_g = sigma_at(0)
 
@@ -186,45 +213,44 @@ def _threshold(
 
     if method in ("UniversalLevel", "VisuShrinkLevel"):
         return [
-            sigma_at(j) * float(np.sqrt(2.0 * np.log(d.size))) for j, d in enumerate(details)
+            sigma_at(j) * float(np.sqrt(2.0 * np.log(a.size))) for j, a in enumerate(mags.levels)
         ]
 
     if method == "SURE":
-        pooled = np.concatenate(details)
         if sigma_g == 0.0:
             return 0.0
-        return sigma_g * _sure_t(pooled / sigma_g)
+        return sigma_g * _sure_t(mags.pooled / sigma_g)
 
     if method == "SURELevel":
         out = []
-        for j, d in enumerate(details):
+        for j, a in enumerate(mags.levels):
             s_j = sigma_at(j)
-            out.append(0.0 if s_j == 0.0 else s_j * _sure_t(d / s_j))
+            out.append(0.0 if s_j == 0.0 else s_j * _sure_t(a / s_j))
         return out
 
     if method == "SUREShrink":
         out = []
-        for d in details:
-            n_j = d.size
+        for d, a in zip(coeffs.details, mags.levels):
+            n_j = a.size
             universal = float(np.sqrt(2.0 * np.log(n_j)))
             if sigma_g == 0.0:
                 out.append(0.0)
                 continue
-            y = d / sigma_g
+            y = np.asarray(d, dtype=float) / sigma_g
             sparsity = (float(np.sum(y**2)) - n_j) / n_j
             gate = float(np.log2(n_j) ** 1.5 / np.sqrt(n_j))
             if sparsity <= gate:
                 t = universal
             else:
-                t = min(_sure_t(y), universal)
+                t = min(_sure_t(a / sigma_g), universal)
             out.append(sigma_g * t)
         return out
 
     if method == "GCV":
-        return _gcv_t(np.concatenate(details))
+        return _gcv_t(mags.pooled)
 
     # GCVLevel
-    return [_gcv_t(d) if np.any(d) else 0.0 for d in details]
+    return [_gcv_t(a) if np.any(a) else 0.0 for a in mags.levels]
 
 
 def denoise(
@@ -252,21 +278,23 @@ def _shrink_and_invert(
     """Shrink the detail levels once per row i, by thresholds[i] (one float
     serves every level) under rules[i], and invert all rows in one batched
     pass; returns each row's per-level thresholds and the (rows, n) signals.
-    Each level is shrunk once per rule, on the column of its rows' thresholds.
+    The levels are shrunk side by side, in one :func:`apply_shrinkage` call
+    per rule on the rows that use it, each row's thresholds repeated across
+    the coefficients of their level.
     """
     per_level = [
         (t,) * coeffs.level if isinstance(t, float) else tuple(t) for t in thresholds
     ]
     table = np.array(per_level, dtype=float)  # (rows, levels)
-    groups = {r: [i for i, ri in enumerate(rules) if ri == r] for r in dict.fromkeys(rules)}
-    shrunk = []
-    for j, d in enumerate(coeffs.details):
-        level = np.empty((len(rules), d.size))
-        for r, rows in groups.items():
-            level[rows] = apply_shrinkage(d, table[rows, j, None], r)
-        shrunk.append(level)
+    sizes = [d.size for d in coeffs.details]
+    details = np.concatenate(coeffs.details)
+    shrunk = np.empty((len(rules), details.size))
+    for r in dict.fromkeys(rules):
+        rows = [i for i, ri in enumerate(rules) if ri == r]
+        shrunk[rows] = apply_shrinkage(details, np.repeat(table[rows], sizes, axis=1), r)
+    levels = tuple(np.split(shrunk, np.cumsum(sizes[:-1]), axis=1))
     approx = np.broadcast_to(coeffs.approx, (len(rules), coeffs.approx.size))
-    return per_level, dwt_inverse(replace(coeffs, approx=approx, details=tuple(shrunk)))
+    return per_level, dwt_inverse(replace(coeffs, approx=approx, details=levels))
 
 
 class Fidelity(NamedTuple):
@@ -396,12 +424,13 @@ def method_sweep(
         raise ValueError(f"shape mismatch: reference {ref.shape} vs signal {x.shape}")
     if rule is not None and rule not in SHRINKAGE_RULES:
         raise ValueError(f"unknown rule {rule!r}; have {SHRINKAGE_RULES}")
-    coeffs = dwt_forward(x, level=level, wavelet=wavelet)
     need = sweep_min_length(level)
-    if x.size < need:
+    if level >= 1 and x.size < need:  # dwt_forward names a level below 1
         raise ValueError(f"the sweep at level {level} needs at least {need} samples, got {x.size}")
-    sigma_at = _noise_sigmas(coeffs, None)
-    thresholds = [_threshold(method, coeffs, sigma_at) for method in METHODS]
+    coeffs = dwt_forward(x, level=level, wavelet=wavelet)
+    mags = _Magnitudes.of(coeffs)
+    sigma_at = _noise_sigmas(mags, None)
+    thresholds = [_threshold(method, coeffs, mags, sigma_at) for method in METHODS]
     rules = [rule if rule is not None else CONVENTIONAL_RULE[m] for m in METHODS]
     per_level, estimates = _shrink_and_invert(coeffs, thresholds, rules)
     scores = [

@@ -18,7 +18,10 @@ residual; forecast-error covariances accumulate psi-weight outer products,
 and 95% bands use the plain Gaussian 1.96 multiplier. Every first-order
 recursion (residuals, CSS derivatives, simulated paths, forecast points and
 psi weights) runs as one log-depth prefix scan: ceil(log2 n) batched
-products, no loop.
+products, no loop. Each CSS Newton step takes its gradient and Hessian from
+one three-column scan: the Jacobian's two columns forward in time and the
+adjoint of the residual recursion backward, which carries the second
+derivatives.
 """
 
 from __future__ import annotations
@@ -179,18 +182,23 @@ def _css_derivatives(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Gradient, exact Hessian and Gauss-Newton matrix of the CSS ``e @ e``.
 
-    ``e`` is linear in phi, so d2e/dphi2 = 0. The other derivatives follow
-    the residual's recursion with other drives: de/dphi by -z_{t-1}, de/dtheta
-    by -e_{t-1}, d2e/dphi dtheta by -(de/dphi)_{t-1} and d2e/dtheta2 by
-    -2 (de/dtheta)_{t-1}.
+    Every derivative of ``e`` follows the residual's recursion, the linear
+    scan R: x_t = u_t - theta x_{t-1}, under another drive: de/dphi under
+    -z_{t-1}, de/dtheta under -e_{t-1}, d2e/dphi dtheta under
+    -(de/dphi)_{t-1} and d2e/dtheta2 under -2 (de/dtheta)_{t-1}; ``e`` is
+    linear in phi, so d2e/dphi2 = 0. The Hessian needs the second derivatives
+    only through ``e @ R(u)``, which equals ``R'(e) @ u`` for the adjoint
+    scan R', R run backwards in time (Griewank and Walther, Evaluating
+    Derivatives, 2008, chapter 3). R'(e) does not depend on the Jacobian, so
+    one three-column scan gives the Jacobian's two columns and the adjoint.
     """
-    drive = np.zeros((e.size, 2))
-    drive[:, 0] = -z[:-1]
-    drive[1:, 1] = -e[:-1]
-    jac = _linear_recursion(drive, -theta)
-    drive[0] = 0.0
-    drive[1:] = jac[:-1] * (-1.0, -2.0)
-    e_pt, e_tt = 2.0 * (e @ _linear_recursion(drive, -theta))
+    cols = np.zeros((e.size, 3))
+    cols[:, 0] = -z[:-1]
+    cols[1:, 1] = -e[:-1]
+    cols[:, 2] = e[::-1]
+    cols = _linear_recursion(cols, -theta)
+    jac, adjoint = cols[:, :2], cols[::-1, 2]
+    e_pt, e_tt = -2.0 * (adjoint[1:] @ jac[:-1]) * (1.0, 2.0)
     gauss_newton = 2.0 * (jac.T @ jac)
     hess = gauss_newton + np.array([[0.0, e_pt], [e_pt, e_tt]])
     return 2.0 * (e @ jac), hess, gauss_newton
@@ -338,7 +346,9 @@ def fit_varma11(data: np.ndarray) -> VarmaModel:
     is already consistent, and the joint CSS has 2 p^2 coefficients (128 at
     p = 8). A Newton iteration on it would scan an (n, p, 2 p^2) Jacobian
     with matrix coefficients and solve a 2 p^2 x 2 p^2 system, where the
-    univariate refinement runs three scalar scans and a 2 x 2 eigensolve.
+    univariate refinement takes each Newton step from one three-column
+    scalar scan (Jacobian and adjoint), a 2 x 2 eigensolve and one residual
+    scan per trial point.
 
     Parameters
     ----------

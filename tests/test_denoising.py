@@ -15,7 +15,8 @@ from comove.denoising import (
     select_threshold,
     sweep_min_length,
 )
-from comove.packets import DwtCoeffs, dwt_forward
+from comove.denoising import _shrink_and_invert
+from comove.packets import DwtCoeffs, dwt_forward, dwt_inverse
 
 
 def coeffs_from_details(*detail_levels, n=None):
@@ -54,6 +55,57 @@ def gcv_oracle(w):
         if score < best_score:
             best_t, best_score = t, score
     return best_t
+
+
+def _sort_once_per_call_sure(y):
+    ay = np.sort(np.abs(y))
+    n = ay.size
+    k = np.arange(1, n + 1)
+    return float(ay[int(np.argmin(n - 2.0 * k + np.cumsum(ay**2) + (n - k) * ay**2))])
+
+
+def _sort_once_per_call_gcv(w):
+    aw = np.sort(np.abs(w))
+    n = aw.size
+    k = np.arange(1, n + 1)
+    return float(aw[int(np.argmin((np.cumsum(aw**2) + (n - k) * aw**2) / n / (k / n) ** 2))])
+
+
+def threshold_oracle(coeffs, method, sigma=None):
+    """The selectors as they read before the sorts were shared: each call
+    sorts its own ``np.abs(d / s)`` and the MAD takes ``np.median``."""
+    details = [np.asarray(d, dtype=float) for d in coeffs.details]
+
+    def sigma_at(j):
+        return float(np.median(np.abs(details[j])) / 0.6745) if sigma is None else float(sigma)
+
+    s_g = sigma_at(0)
+    if method in ("Universal", "VisuShrink"):
+        return s_g * float(np.sqrt(2.0 * np.log(coeffs.original_length)))
+    if method in ("UniversalLevel", "VisuShrinkLevel"):
+        return [sigma_at(j) * float(np.sqrt(2.0 * np.log(d.size))) for j, d in enumerate(details)]
+    if method == "SURE":
+        return 0.0 if s_g == 0.0 else s_g * _sort_once_per_call_sure(np.concatenate(details) / s_g)
+    if method == "SURELevel":
+        return [
+            0.0 if sigma_at(j) == 0.0 else sigma_at(j) * _sort_once_per_call_sure(d / sigma_at(j))
+            for j, d in enumerate(details)
+        ]
+    if method == "SUREShrink":
+        out = []
+        for d in details:
+            n_j = d.size
+            universal = float(np.sqrt(2.0 * np.log(n_j)))
+            if s_g == 0.0:
+                out.append(0.0)
+                continue
+            y = d / s_g
+            sparse = (float(np.sum(y**2)) - n_j) / n_j <= float(np.log2(n_j) ** 1.5 / np.sqrt(n_j))
+            out.append(s_g * (universal if sparse else min(_sort_once_per_call_sure(y), universal)))
+        return out
+    if method == "GCV":
+        return _sort_once_per_call_gcv(np.concatenate(details))
+    return [_sort_once_per_call_gcv(d) if np.any(d) else 0.0 for d in details]
 
 
 # ---------------------------------------------------------------- names
@@ -278,6 +330,22 @@ def test_selector_zero_sigma_means_zero_threshold():
     assert select_threshold(c, "SUREShrink", sigma=0.0) == [0.0]
 
 
+@pytest.mark.parametrize("sigma", [None, 1.3, 0.0])
+@pytest.mark.parametrize("sizes", [(64, 32, 16), (65, 33, 17), (41, 20, 10, 9)])
+def test_selectors_equal_sorting_per_call(sizes, sigma):
+    # one sort per level and one of the pooled levels serve every selector;
+    # odd and even level sizes take the median's middle value and middle pair
+    rng = np.random.default_rng(sum(sizes))
+    details = [rng.normal(scale=1.0 + j, size=m) for j, m in enumerate(sizes)]
+    details[0][::5] = np.round(details[0][::5])  # ties and exact zeros
+    details[-1][: len(details[-1]) // 2] *= 20.0  # a loud level takes the dense SUREShrink branch
+    for d, n in ((details, 2 * sizes[0]), (details[:1], 2 * sizes[0] + 1)):
+        c = coeffs_from_details(*d, n=n)
+        for method in METHODS:
+            assert select_threshold(c, method, sigma=sigma) == threshold_oracle(c, method, sigma), method
+    assert estimate_noise_sigma(details[0]) == np.median(np.abs(details[0])) / 0.6745
+
+
 def test_selector_rejects_all_zero_details():
     c = coeffs_from_details(np.zeros(32), np.zeros(16))
     with pytest.raises(ValueError, match="all detail coefficients are zero"):
@@ -325,6 +393,46 @@ def test_denoise_zero_sigma_is_identity():
     out = denoise(noisy, method="Universal", rule="hard", level=3, sigma=0.0)
     assert out.size == 500
     assert np.abs(out - noisy).max() < 1e-10
+
+
+def _shrink_reference(coeffs, thresholds, rules):
+    """Each row on its own: every level shrunk by its own apply_shrinkage
+    call, then inverted alone."""
+    rows = []
+    for t, rule in zip(thresholds, rules):
+        ts = [t] * coeffs.level if isinstance(t, float) else t
+        details = tuple(apply_shrinkage(d, tj, rule) for d, tj in zip(coeffs.details, ts))
+        rows.append(dwt_inverse(DwtCoeffs(coeffs.approx, details, coeffs.wavelet,
+                                          coeffs.original_length, coeffs.padded_length)))
+    return rows
+
+
+@pytest.mark.parametrize("rules", [("hard",) * 9, ("soft",) * 9, ("garrote",) * 9,
+                                   tuple(CONVENTIONAL_RULE.values())])
+@pytest.mark.parametrize("n,wavelet", [(301, "db3"), (517, "haar"), (1461, "db3")])
+def test_shrink_and_invert_equals_row_by_row(rules, n, wavelet):
+    # odd lengths pad periodically; rows mix one float and per-level
+    # thresholds, a zero threshold, and a level holding exact zeros
+    x = np.cumsum(np.random.default_rng(n).standard_normal(n))
+    coeffs = dwt_forward(x, level=4, wavelet=wavelet)
+    zeroed = np.array(coeffs.details[1])
+    zeroed[::3] = 0.0
+    coeffs = DwtCoeffs(coeffs.approx, (coeffs.details[0], zeroed, *coeffs.details[2:]),
+                       coeffs.wavelet, coeffs.original_length, coeffs.padded_length)
+    rng = np.random.default_rng(n + 1)
+    thresholds = [0.0, [0.0] * 4, 1.5, *(list(rng.uniform(0.0, 3.0, 4)) for _ in range(6))]
+    per_level, estimates = _shrink_and_invert(coeffs, thresholds, list(rules))
+    assert estimates.shape == (9, n)
+    for i, want in enumerate(_shrink_reference(coeffs, thresholds, rules)):
+        assert np.array_equal(estimates[i], want), (i, rules[i])
+        assert per_level[i] == tuple(thresholds[i] if isinstance(thresholds[i], list)
+                                     else [thresholds[i]] * 4)
+
+
+def test_denoise_unknown_rule():
+    _, noisy = noisy_sinusoid(n=256)
+    with pytest.raises(ValueError, match="unknown rule"):
+        denoise(noisy, rule="medium")
 
 
 def test_denoise_with_haar_and_other_levels():
@@ -417,6 +525,14 @@ def test_sweep_names_its_minimum_length(level):
     assert len(method_sweep(walk, level=level).scores) == 9
     with pytest.raises(ValueError, match=f"level {level} needs at least {need} samples, got {need - 1}"):
         method_sweep(walk[:-1], level=level)
+
+
+def test_sweep_checks_its_length_before_decomposing():
+    # 10 samples cannot be split 4 times either; the sweep's own minimum is named
+    with pytest.raises(ValueError, match="level 4 needs at least 113 samples, got 10"):
+        method_sweep(np.arange(10.0), level=4)
+    with pytest.raises(ValueError, match="level must be at least 1"):
+        method_sweep(np.arange(10.0), level=0)
 
 
 def test_sweep_rejects_reference_of_another_shape():

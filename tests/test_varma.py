@@ -776,6 +776,36 @@ def test_css_derivatives_match_finite_differences(phi, theta):
     assert np.all(np.linalg.eigvalsh(gauss_newton) >= 0.0)
 
 
+def _two_scan_css_derivatives(z, theta, e):
+    """The CSS derivatives with the second ones scanned forward: the Jacobian
+    by one scan, then d2e/dphi dtheta and d2e/dtheta2 by a second, dotted
+    with ``e``."""
+    drive = np.zeros((e.size, 2))
+    drive[:, 0] = -z[:-1]
+    drive[1:, 1] = -e[:-1]
+    jac = _linear_recursion(drive, -theta)
+    drive[0] = 0.0
+    drive[1:] = jac[:-1] * (-1.0, -2.0)
+    e_pt, e_tt = 2.0 * (e @ _linear_recursion(drive, -theta))
+    gauss_newton = 2.0 * (jac.T @ jac)
+    return 2.0 * (e @ jac), gauss_newton + np.array([[0.0, e_pt], [e_pt, e_tt]]), gauss_newton
+
+
+@pytest.mark.parametrize(
+    "phi,theta", [(0.6, 0.3), (-0.4, 0.7), (0.9, -0.8), (0.5, _LIMIT), (-0.5, -_LIMIT), (0.0, 0.0)]
+)
+@pytest.mark.parametrize("n", [50, 1461])
+def test_css_derivatives_match_two_scans(phi, theta, n):
+    # the adjoint scan gives the second derivatives the forward scan gave
+    true = VarmaModel(mu=[0.0], phi=[[0.7]], theta=[[0.2]], sigma=[[1.0]], n_obs=0)
+    z = simulate_varma(true, n, seed=51).ravel()
+    z -= z.mean()
+    e = _css_residuals(z, phi, theta)
+    got = _css_derivatives(z, theta, e)
+    for name, a, b in zip(("grad", "hess", "gauss_newton"), got, _two_scan_css_derivatives(z, theta, e)):
+        assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max(), name
+
+
 _KINDS = ("unit-root", "random-walk", "white-noise", "ridge", "n50", "t3")
 
 
