@@ -3,25 +3,21 @@
 Every model is one record, :class:`VarmaModel`; a univariate ARMA(1,1) is its
 p = 1 case, with 1 x 1 coefficient matrices.
 
-Estimation is the two-stage Hannan-Rissanen procedure: a long autoregression
-of order round(10 * log10(n)) supplies residual proxies, then the (1,1)
-coefficients come from least squares of the demeaned data on its own lag and
-the lagged proxy residuals. The univariate fit then refines the two-stage
-estimate by minimizing the conditional sum of squares (CSS) on the box
-|phi|, |theta| <= 1 - 1e-4. If the refined fit is not significantly better
-than white noise (an LR-style statistic under the chi-square(2) 99% point),
-the model collapses to white noise, since on the phi = -theta ridge a (1,1)
-model is unidentified and the raw estimates are pure noise.
+Both families are fitted by one estimator, the two-stage Hannan-Rissanen
+procedure: a long autoregression of order round(10 * log10(n)) supplies
+residual proxies, then the (1,1) coefficients come from least squares of the
+demeaned data on its own lag and the lagged proxy residuals. If that
+regression is not significantly better than zero coefficients (a
+likelihood-ratio statistic under the chi-square(2 p^2) 99% point), the model
+collapses to white noise, since on the Phi = -Theta ridge a (1,1) model is
+unidentified and the raw estimates are pure noise. Otherwise a coefficient
+matrix whose spectral radius reaches 1 is shrunk inside the unit circle.
 
 Forecasts iterate the difference equation from the last observation and last
 residual; forecast-error covariances accumulate psi-weight outer products,
 and 95% bands use the plain Gaussian 1.96 multiplier. Every first-order
-recursion (residuals, CSS derivatives, simulated paths, forecast points and
-psi weights) runs as one log-depth prefix scan: ceil(log2 n) batched
-products, no loop. Each CSS Newton step takes its gradient and Hessian from
-one three-column scan: the Jacobian's two columns forward in time and the
-adjoint of the residual recursion backward, which carries the second
-derivatives.
+recursion (residuals, simulated paths, forecast points and psi weights) runs
+as one log-depth prefix scan: ceil(log2 n) batched products, no loop.
 """
 
 from __future__ import annotations
@@ -31,7 +27,8 @@ from dataclasses import dataclass
 import numpy as np
 
 _STATIONARITY_MARGIN = 1e-4
-_REDUNDANCY_CHI2_99 = 9.21
+# 99% points of chi-square(2 p^2), p = 1..8: the white-noise collapse's thresholds
+_WHITE_NOISE_CHI2_99 = (9.21, 20.09, 34.81, 53.49, 76.15, 102.82, 133.48, 168.13)
 MIN_OBS = 50  # fewest observations either fit takes
 _COLLINEARITY_LIMIT = 1e12
 _COLLINEAR = "regressors are numerically collinear (duplicated or linearly dependent series)"
@@ -39,10 +36,6 @@ _TRI_BLOCK = 32  # _lower_inverse inverts blocks this small directly
 _REFINE_STEPS = 2  # on a sine + 1e-6 noise column: 0 steps miss lstsq by up to 5.3, 2 by 3e-5
 _BAND_MULTIPLIER = 1.96
 _TIE_TOL = 1e-12  # MSEs this close rank as a tie
-_CSS_MAX_ITER = 50
-_CSS_MAX_STEP = 0.05  # a walk across the box (width 2) fits in 40 iterations
-_CSS_XTOL = 1e-9  # stop once no coordinate moves by more than this
-_CSS_FTOL = 1e-12  # ... or the CSS falls by at most this fraction
 
 
 @dataclass(frozen=True)
@@ -150,11 +143,9 @@ def _long_ar_residuals(design: np.ndarray, y: np.ndarray) -> np.ndarray:
     Both fits solve their long autoregression here. At n = 1461 on one CPU
     this is about 3.3 times faster than ``lstsq`` on the joint fit's
     1429 x 256 design (p = 8) and 3.5 times on the univariate fit's 1429 x 32
-    one, with residuals equal to rounding. :func:`fit_arma11` falls back to
-    the minimum-norm ``lstsq`` solution only where this check refuses the
-    design: a deterministic series it fits (a sine, a trend, a sawtooth)
-    makes its one-series design exactly rank-deficient. :func:`fit_varma11`
-    lets the error through.
+    one, with residuals equal to rounding. A deterministic series (a sine, a
+    trend, a sawtooth) makes the design exactly rank-deficient, and both
+    fits let the error through.
     """
     gram = design.T @ design
     try:
@@ -172,98 +163,14 @@ def _long_ar_residuals(design: np.ndarray, y: np.ndarray) -> np.ndarray:
     return ehat
 
 
-def _css_residuals(z: np.ndarray, phi: float, theta: float) -> np.ndarray:
-    """CSS residuals e_t = z_t - phi z_{t-1} - theta e_{t-1} for t >= 1, e_0 = 0."""
-    return _linear_recursion(z[1:] - phi * z[:-1], -theta)
-
-
-def _css_derivatives(
-    z: np.ndarray, theta: float, e: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Gradient, exact Hessian and Gauss-Newton matrix of the CSS ``e @ e``.
-
-    Every derivative of ``e`` follows the residual's recursion, the linear
-    scan R: x_t = u_t - theta x_{t-1}, under another drive: de/dphi under
-    -z_{t-1}, de/dtheta under -e_{t-1}, d2e/dphi dtheta under
-    -(de/dphi)_{t-1} and d2e/dtheta2 under -2 (de/dtheta)_{t-1}; ``e`` is
-    linear in phi, so d2e/dphi2 = 0. The Hessian needs the second derivatives
-    only through ``e @ R(u)``, which equals ``R'(e) @ u`` for the adjoint
-    scan R', R run backwards in time (Griewank and Walther, Evaluating
-    Derivatives, 2008, chapter 3). R'(e) does not depend on the Jacobian, so
-    one three-column scan gives the Jacobian's two columns and the adjoint.
-    """
-    cols = np.zeros((e.size, 3))
-    cols[:, 0] = -z[:-1]
-    cols[1:, 1] = -e[:-1]
-    cols[:, 2] = e[::-1]
-    cols = _linear_recursion(cols, -theta)
-    jac, adjoint = cols[:, :2], cols[::-1, 2]
-    e_pt, e_tt = -2.0 * (adjoint[1:] @ jac[:-1]) * (1.0, 2.0)
-    gauss_newton = 2.0 * (jac.T @ jac)
-    hess = gauss_newton + np.array([[0.0, e_pt], [e_pt, e_tt]])
-    return 2.0 * (e @ jac), hess, gauss_newton
-
-
-def _css_refine(
-    z: np.ndarray, phi: float, theta: float, limit: float
-) -> tuple[float, float, np.ndarray] | None:
-    """Minimize the CSS of demeaned ``z`` over [-limit, limit]^2 from (phi, theta).
-
-    Projected Newton: a coordinate at a bound whose descent direction points
-    outward is held, and the free ones take a Newton step, or a Gauss-Newton
-    step when their Hessian block is not positive definite. The step is
-    taken along the block's eigenvectors, each move capped at _CSS_MAX_STEP,
-    so a flat direction (the phi = -theta ridge) is walked rather than
-    jumped and a zero eigenvalue gets no move. Each trial point is projected
-    onto the box and the step halved until the CSS does not rise. Stops when
-    no coordinate moves by _CSS_XTOL or the CSS falls by at most a fraction
-    _CSS_FTOL, returning (phi, theta) and the residuals there; returns None
-    if _CSS_MAX_ITER iterations do not get there.
-    """
-    x = np.array([phi, theta])
-    e = _css_residuals(z, phi, theta)
-    f = float(e @ e)
-    for _ in range(_CSS_MAX_ITER):
-        grad, hess, gauss_newton = _css_derivatives(z, x[1], e)
-        free = ~(((x >= limit) & (grad < 0.0)) | ((x <= -limit) & (grad > 0.0)))
-        block = np.ix_(free, free)
-        lam, vec = np.linalg.eigh(hess[block])
-        if np.any(lam <= 0.0):
-            lam, vec = np.linalg.eigh(gauss_newton[block])
-        pull = -(vec.T @ grad[free])
-        along = np.divide(pull, lam, out=np.zeros_like(pull), where=lam > 0.0)
-        step = np.zeros(2)
-        step[free] = vec @ np.clip(along, -_CSS_MAX_STEP, _CSS_MAX_STEP)
-        if not np.all(np.isfinite(step)):  # a NaN step would halve forever below
-            return None
-        f_old = f
-        while True:
-            trial = np.clip(x + step, -limit, limit)
-            move = float(np.max(np.abs(trial - x)))
-            if move < _CSS_XTOL:
-                break
-            e_trial = _css_residuals(z, trial[0], trial[1])
-            f_trial = float(e_trial @ e_trial)
-            if f_trial <= f:
-                x, e, f = trial, e_trial, f_trial
-                break
-            step *= 0.5
-        if move < _CSS_XTOL or f_old - f <= _CSS_FTOL * f_old:
-            return float(x[0]), float(x[1]), e
-    return None
-
-
 def fit_arma11(x: np.ndarray) -> VarmaModel:
-    """Fit a univariate ARMA(1,1) by Hannan-Rissanen plus CSS refinement.
+    """Fit a univariate ARMA(1,1) by the two-stage Hannan-Rissanen procedure.
 
-    The long autoregression is solved by :func:`_long_ar_residuals` (one
-    Cholesky factor of its Gram matrix, inverted once, then two refinement
-    steps), or by minimum-norm ``lstsq`` where that refuses a collinear
-    design. The two-stage estimate is always refined by
-    conditional-sum-of-squares minimization: projected Newton steps inside
-    the stationary and invertible box |phi|, |theta| <= 1 - 1e-4. If the
-    refinement does not converge within 50 iterations the two-stage
-    estimates are returned with a warning recorded on the model.
+    The p = 1 case of the joint fit of :func:`fit_varma11`: one estimator
+    serves both model families, so the comparison measures the joint model,
+    not a difference between fitting rules. A deterministic series (a sine, a trend, a
+    sawtooth) makes the long autoregression exactly collinear and is
+    refused, not fitted.
 
     Parameters
     ----------
@@ -281,7 +188,9 @@ def fit_arma11(x: np.ndarray) -> VarmaModel:
     Raises
     ------
     ValueError
-        Too few observations, non-finite values, or a constant series.
+        Too few observations, non-finite values, a constant series, or a
+        numerically collinear regression (a series its own lags predict
+        exactly).
     """
     x = np.asarray(x, dtype=float)
     if x.ndim != 1:
@@ -291,70 +200,29 @@ def fit_arma11(x: np.ndarray) -> VarmaModel:
         raise ValueError(f"need at least {MIN_OBS} observations, got {n}")
     if not np.all(np.isfinite(x)):
         raise ValueError("series contains non-finite values")
-    mu = float(x.mean())
+    mu = x.mean()
     z = x - mu
     if float(z @ z) == 0.0:
         raise ValueError("constant series has no ARMA structure to fit")
-
-    notes: list[str] = []
-    m = _long_ar_order(n, 1)
-    design = _lagged_design(z, m)
-    try:
-        ehat = _long_ar_residuals(design, z[m:])
-    except ValueError:
-        beta, *_ = np.linalg.lstsq(design, z[m:], rcond=None)
-        ehat = z[m:] - design @ beta
-
-    y2 = z[m + 1 :]
-    x2 = np.column_stack([z[m:-1], ehat[:-1]])
-    coef, *_ = np.linalg.lstsq(x2, y2, rcond=None)
-    limit = 1.0 - _STATIONARITY_MARGIN
-    phi0 = float(np.clip(coef[0], -limit, limit))
-    theta0 = float(np.clip(coef[1], -limit, limit))
-    if phi0 != coef[0]:
-        notes.append("stationarity enforced on the two-stage phi estimate")
-    if theta0 != coef[1]:
-        notes.append("invertibility enforced on the two-stage theta estimate")
-
-    refined = _css_refine(z, phi0, theta0, limit)
-    if refined is None:
-        notes.append("CSS refinement did not converge; two-stage estimates kept")
-        phi, theta, e = phi0, theta0, _css_residuals(z, phi0, theta0)
-    else:
-        phi, theta, e = refined
-
-    css_fit = float(e @ e)
-    css_white = float(z[1:] @ z[1:])
-    lr_stat = (n - 1) * np.log(max(css_white, 1e-300) / max(css_fit, 1e-300))
-    if lr_stat < _REDUNDANCY_CHI2_99:
-        phi, theta = 0.0, 0.0
-        css_fit = css_white
-        notes.append(
-            "no ARMA structure significant at the 1% level; collapsed to white noise"
-        )
-
-    sigma2 = max(css_fit / (n - 1), np.finfo(float).tiny)
-    return VarmaModel(
-        mu=[mu], phi=[[phi]], theta=[[theta]], sigma=[[sigma2]], n_obs=n, warnings=tuple(notes)
-    )
+    return _fit_two_stage(z[:, None], mu)
 
 
 def fit_varma11(data: np.ndarray) -> VarmaModel:
     """Fit a vector ARMA(1,1) by the two-stage Hannan-Rissanen procedure.
-
-    Unlike :func:`fit_arma11` there is no CSS refinement: the two-stage fit
-    is already consistent, and the joint CSS has 2 p^2 coefficients (128 at
-    p = 8). A Newton iteration on it would scan an (n, p, 2 p^2) Jacobian
-    with matrix coefficients and solve a 2 p^2 x 2 p^2 system, where the
-    univariate refinement takes each Newton step from one three-column
-    scalar scan (Jacobian and adjoint), a 2 x 2 eigensolve and one residual
-    scan per trial point.
 
     Parameters
     ----------
     data : ndarray, shape (n, p)
         Columns are series; 2 <= p <= 8, n >= 50, finite, and no constant
         column.
+
+    Returns
+    -------
+    VarmaModel
+        Phi shrunk to stationarity and Theta to invertibility where the
+        estimates reach the unit circle, and sigma the residual covariance.
+        When the fit is indistinguishable from white noise at the 1% level
+        it collapses to Phi = Theta = 0 (warning recorded).
 
     Raises
     ------
@@ -380,15 +248,37 @@ def fit_varma11(data: np.ndarray) -> VarmaModel:
     if np.any(col_ss == 0.0):
         dead = int(np.argmin(col_ss))
         raise ValueError(f"column {dead} is constant; no structure to fit")
+    return _fit_two_stage(z, mu)
 
+
+def _fit_two_stage(z: np.ndarray, mu: np.ndarray) -> VarmaModel:
+    """The two-stage fit of a demeaned (n, p) block ``z``, 1 <= p <= 8.
+
+    Residual proxies come from the long autoregression
+    (:func:`_long_ar_residuals`); Phi and Theta from least squares of z_t on
+    z_{t-1} and the lagged proxies, after a cond(w'w) collinearity check.
+    The fit collapses to white noise when that regression's likelihood
+    ratio against zero coefficients, LR = T (log det Y'Y - log det R'R) over
+    its T rows, regressand Y and residuals R, falls below the 99% point of
+    chi-square(2 p^2): on the Phi = -Theta ridge a (1,1) model is
+    unidentified and the estimates are pure noise. Otherwise a coefficient
+    matrix whose spectral radius reaches 1 is shrunk to 1 - 1e-4.
+    """
+    n, p = z.shape
     notes: list[str] = []
     m = _long_ar_order(n, p)
     ehat = _long_ar_residuals(_lagged_design(z, m), z[m:])
 
+    y = z[m + 1 :]
     w = np.column_stack([z[m:-1], ehat[:-1]])
     if np.linalg.cond(w.T @ w) > _COLLINEARITY_LIMIT:
         raise ValueError(_COLLINEAR)
-    coef, *_ = np.linalg.lstsq(w, z[m + 1 :], rcond=None)
+    coef, *_ = np.linalg.lstsq(w, y, rcond=None)
+    r = y - w @ coef
+    lr_stat = len(y) * (np.linalg.slogdet(y.T @ y)[1] - np.linalg.slogdet(r.T @ r)[1])
+    if lr_stat < _WHITE_NOISE_CHI2_99[p - 1]:
+        coef = np.zeros_like(coef)
+        notes.append("no ARMA structure significant at the 1% level; collapsed to white noise")
     phi = coef[:p].T.copy()
     theta = coef[p:].T.copy()
 

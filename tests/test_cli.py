@@ -748,3 +748,19 @@ def test_pipeline_refuses_unfittable_series_before_output(tmp_path, capsys, colu
     assert main(["pipeline", "--input", str(src), "--end", date_str(119), "--out-dir", str(out)]) == 2
     assert message in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("columns", [[], ["--value-columns", "c"]], ids=["beside-ar", "alone"])
+def test_forecast_refuses_a_pure_sine_column(tmp_path, capsys, columns):
+    # its own lags predict a sine exactly, so the univariate fit refuses it,
+    # also where no joint fit runs
+    src = tmp_path / "in.csv"
+    write_input(src, n=150, p=2, seed=6)
+    lines = read_lines(src)
+    sine = [format(np.sin(2 * np.pi * t / 37), ".12g") for t in range(len(lines) - 1)]
+    src.write_text("\n".join([lines[0] + ",c"] + [ln + "," + v for ln, v in zip(lines[1:], sine)]) + "\n")
+    out = tmp_path / "out"
+    argv = ["forecast", "--input", str(src), *columns, "--end", date_str(119), "--horizon", "5"]
+    assert main([*argv, "--out-dir", str(out)]) == 2
+    assert "regressors are numerically collinear" in capsys.readouterr().err
+    assert not out.exists()

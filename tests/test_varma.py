@@ -2,15 +2,15 @@
 
 Estimator checks are seeded simulate-and-refit runs; forecast and residual
 checks compare against the defining recursions computed with explicit loops.
-The CSS refinement is checked against finite differences of an ``lfilter``
-CSS and against the Nelder-Mead refinement it replaced, used here as an
-oracle.
+The two-stage fit is checked against the same fit with both regressions
+solved by ``lstsq``, and the white-noise collapse's thresholds against
+``scipy.stats.chi2``.
 """
 
 import numpy as np
 import pytest
-from scipy.optimize import minimize, minimize_scalar
 from scipy.signal import lfilter
+from scipy.stats import chi2
 
 from comove import varma
 
@@ -24,7 +24,7 @@ from comove.varma import (
     residuals,
     simulate_varma,
 )
-from comove.varma import _css_derivatives, _css_residuals, _linear_recursion
+from comove.varma import _linear_recursion
 
 
 # ---------------------------------------------------------------- models
@@ -183,19 +183,16 @@ def test_arma_fit_is_the_p1_varma_model():
         VarmaModel(mu=m.mu, phi=m.phi, theta=m.theta, sigma=[[0.0]], n_obs=m.n_obs)
 
 
-def _two_stage_fit(x, monkeypatch):
-    """fit_arma11 with the CSS refinement reporting no result."""
-    with monkeypatch.context() as m:
-        m.setattr(varma, "_css_refine", lambda *args: None)
-        return fit_arma11(x)
-
-
-def test_arma_fit_two_stage_only(monkeypatch):
+def test_arma_fit_two_stage_only():
+    # the univariate fit is the p = 1 two-stage fit
     true = VarmaModel(mu=[0.0], phi=[[0.8]], theta=[[0.3]], sigma=[[1.0]], n_obs=0)
     z = simulate_varma(true, 4096, seed=11).ravel()
-    fit = _two_stage_fit(z, monkeypatch)
+    fit = fit_arma11(z)
     assert fit.phi[0, 0] == pytest.approx(0.8, abs=0.05)
     assert fit.theta[0, 0] == pytest.approx(0.3, abs=0.05)
+    phi, theta = _lstsq_two_stage(z[:, None])
+    np.testing.assert_allclose(fit.phi, phi, rtol=1e-9)
+    np.testing.assert_allclose(fit.theta, theta, rtol=1e-9)
 
 
 def test_arma_fit_handles_nonzero_mean():
@@ -404,48 +401,46 @@ def test_fits_solve_the_long_ar_without_lu(monkeypatch):
     fit_varma11(x)
 
 
-_DETERMINISTIC = {  # series fit_arma11 fits, and whether the Gram check refuses its long AR
-    "sine-37": (lambda t, rng: np.sin(2 * np.pi * t / 37), True),
-    "trend": (lambda t, rng: 0.01 * t, True),
-    "sawtooth-7": (lambda t, rng: t % 7, True),
-    # the pivot ratio squared is about 4.5e11 at n = 1461, under the 1e12 limit
-    "sine-37+1e-6": (
-        lambda t, rng: np.sin(2 * np.pi * t / 37) + 1e-6 * rng.standard_normal(t.size),
-        False,
-    ),
+_DETERMINISTIC = {  # series whose own lags predict them exactly
+    "sine-37": lambda t: np.sin(2 * np.pi * t / 37),
+    "trend": lambda t: 0.01 * t,
+    "sawtooth-7": lambda t: t % 7,
 }
 
 
-def _refuse(design, y):
-    raise ValueError(varma._COLLINEAR)
-
-
 @pytest.mark.parametrize("kind", list(_DETERMINISTIC))
-def test_arma_fit_matches_lstsq_route_on_deterministic_series(kind, monkeypatch):
-    # the want fit is the all-lstsq route's; a refused design falls back to
-    # it, so the two must agree bit for bit
-    n = 1461
-    series, refused = _DETERMINISTIC[kind]
-    x = series(np.arange(n, dtype=float), np.random.default_rng(37))
-    z = x - x.mean()
-    m = varma._long_ar_order(n, 1)
-    design = varma._lagged_design(z, m)
-    if refused:
-        with pytest.raises(ValueError, match="collinear"):
-            varma._long_ar_residuals(design, z[m:])
-    else:
-        varma._long_ar_residuals(design, z[m:])
-    got = fit_arma11(x)
-    with monkeypatch.context() as mp:
-        mp.setattr(varma, "_long_ar_residuals", _refuse)
-        want = fit_arma11(x)
-    assert got.warnings == want.warnings
-    for name in ("phi", "theta", "sigma"):
-        a, b = getattr(got, name), getattr(want, name)
-        if refused:
-            assert np.array_equal(a, b), name
-        else:
-            np.testing.assert_allclose(a, b, rtol=1e-6, err_msg=name)
+def test_arma_fit_refuses_deterministic_series(kind):
+    x = _DETERMINISTIC[kind](np.arange(1461, dtype=float))
+    with pytest.raises(ValueError, match="collinear") as info:
+        fit_arma11(x)
+    assert not isinstance(info.value, np.linalg.LinAlgError)
+
+
+def test_white_noise_thresholds_are_chi2_points():
+    # one collapse rule for every p: 2 p^2 fitted coefficients
+    want = chi2.ppf(0.99, 2 * np.arange(1, 9) ** 2)
+    np.testing.assert_allclose(varma._WHITE_NOISE_CHI2_99, want, rtol=1e-3)
+
+
+def test_varma_fit_collapses_on_white_noise():
+    z = np.random.default_rng(5).normal(size=(4096, 3))
+    fit = fit_varma11(z)
+    assert np.all(fit.phi == 0.0) and np.all(fit.theta == 0.0)
+    assert fit.warnings == ("no ARMA structure significant at the 1% level; collapsed to white noise",)
+    assert np.abs(fit.sigma - np.eye(3)).max() < 0.05
+
+
+def test_varma_fit_keeps_coupled_structure():
+    true = VarmaModel(
+        mu=np.zeros(3),
+        phi=np.array([[0.5, 0.2, 0.0], [0.0, 0.4, 0.2], [0.2, 0.0, 0.3]]),
+        theta=0.2 * np.eye(3),
+        sigma=np.eye(3) + 0.3,
+        n_obs=0,
+    )
+    fit = fit_varma11(simulate_varma(true, 4096, seed=6))
+    assert fit.warnings == ()
+    assert np.abs(fit.phi - true.phi).max() < 0.1
 
 
 @pytest.mark.parametrize("p", [1, 3])
@@ -727,203 +722,3 @@ def test_linear_recursion_scalar_matches_loop(n):
         x[k:] += x[:-k] @ a.T
         a, k = a @ a, 2 * k
     np.testing.assert_array_equal(_linear_recursion(col, np.array([[-0.9999]])), x)
-
-
-# ---------------------------------------------------------------- CSS refinement
-
-
-_LIMIT = 1.0 - 1e-4
-_NOT_CONVERGED = "CSS refinement did not converge; two-stage estimates kept"
-_COLLAPSED = "no ARMA structure significant at the 1% level; collapsed to white noise"
-
-
-def _lfilter_css(z, phi, theta):
-    if abs(phi) >= 1.0 or abs(theta) >= 1.0:
-        return np.inf
-    e = lfilter([1.0], [1.0, theta], z[1:] - phi * z[:-1])
-    return float(e @ e)
-
-
-@pytest.mark.parametrize(
-    "phi,theta", [(0.6, 0.3), (-0.4, 0.7), (0.9, -0.8), (0.3, -0.3), (0.0, 0.0)]
-)
-def test_css_derivatives_match_finite_differences(phi, theta):
-    true = VarmaModel(mu=[0.0], phi=[[0.7]], theta=[[0.2]], sigma=[[1.0]], n_obs=0)
-    z = simulate_varma(true, 500, seed=50).ravel()
-    z -= z.mean()
-    e = _css_residuals(z, phi, theta)
-    assert float(e @ e) == pytest.approx(_lfilter_css(z, phi, theta), rel=1e-12)
-    grad, hess, gauss_newton = _css_derivatives(z, theta, e)
-
-    def f(dp, dt):
-        return _lfilter_css(z, phi + dp, theta + dt)
-
-    h = 1e-5
-    fd_grad = np.array([f(h, 0) - f(-h, 0), f(0, h) - f(0, -h)]) / (2 * h)
-    h = 1e-4
-    f0 = f(0, 0)
-    cross = (f(h, h) - f(h, -h) - f(-h, h) + f(-h, -h)) / (4 * h * h)
-    fd_hess = np.array(
-        [
-            [f(h, 0) - 2 * f0 + f(-h, 0), cross * h * h],
-            [cross * h * h, f(0, h) - 2 * f0 + f(0, -h)],
-        ]
-    ) / (h * h)
-    assert np.abs(grad - fd_grad).max() <= 1e-6 * np.abs(fd_grad).max()
-    assert np.abs(hess - fd_hess).max() <= 1e-6 * np.abs(fd_hess).max()
-    # the Gauss-Newton matrix is the Hessian without the e * d2e terms
-    assert gauss_newton[0, 0] == hess[0, 0]
-    assert np.all(np.linalg.eigvalsh(gauss_newton) >= 0.0)
-
-
-def _two_scan_css_derivatives(z, theta, e):
-    """The CSS derivatives with the second ones scanned forward: the Jacobian
-    by one scan, then d2e/dphi dtheta and d2e/dtheta2 by a second, dotted
-    with ``e``."""
-    drive = np.zeros((e.size, 2))
-    drive[:, 0] = -z[:-1]
-    drive[1:, 1] = -e[:-1]
-    jac = _linear_recursion(drive, -theta)
-    drive[0] = 0.0
-    drive[1:] = jac[:-1] * (-1.0, -2.0)
-    e_pt, e_tt = 2.0 * (e @ _linear_recursion(drive, -theta))
-    gauss_newton = 2.0 * (jac.T @ jac)
-    return 2.0 * (e @ jac), gauss_newton + np.array([[0.0, e_pt], [e_pt, e_tt]]), gauss_newton
-
-
-@pytest.mark.parametrize(
-    "phi,theta", [(0.6, 0.3), (-0.4, 0.7), (0.9, -0.8), (0.5, _LIMIT), (-0.5, -_LIMIT), (0.0, 0.0)]
-)
-@pytest.mark.parametrize("n", [50, 1461])
-def test_css_derivatives_match_two_scans(phi, theta, n):
-    # the adjoint scan gives the second derivatives the forward scan gave
-    true = VarmaModel(mu=[0.0], phi=[[0.7]], theta=[[0.2]], sigma=[[1.0]], n_obs=0)
-    z = simulate_varma(true, n, seed=51).ravel()
-    z -= z.mean()
-    e = _css_residuals(z, phi, theta)
-    got = _css_derivatives(z, theta, e)
-    for name, a, b in zip(("grad", "hess", "gauss_newton"), got, _two_scan_css_derivatives(z, theta, e)):
-        assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max(), name
-
-
-_KINDS = ("unit-root", "random-walk", "white-noise", "ridge", "n50", "t3")
-
-
-def _stress_series(kind, seed):
-    """Seeded series on which a (1,1) CSS is flat, near a bound or short."""
-    rng = np.random.default_rng([_KINDS.index(kind), seed])
-    n, burn_in = 1461, 300
-    if kind == "random-walk":
-        return np.cumsum(rng.normal(size=n))
-    if kind == "white-noise":
-        return rng.normal(size=n)
-    if kind == "unit-root":
-        phi, theta = rng.uniform(0.97, 0.999), rng.uniform(-0.9, 0.9)
-    elif kind == "ridge":
-        phi = rng.uniform(-0.95, 0.95)
-        theta = -phi
-    else:
-        phi, theta = rng.uniform(-0.9, 0.9, 2)
-        n = 50 if kind == "n50" else n
-    eps = rng.standard_t(3, size=n + burn_in) if kind == "t3" else rng.normal(size=n + burn_in)
-    u = eps.copy()
-    u[1:] += theta * eps[:-1]
-    return lfilter([1.0], [1.0, -phi], u)[burn_in:]
-
-
-def _spy_refinement(monkeypatch):
-    """Record each _css_refine call as (z, phi0, theta0, limit, result, path).
-
-    ``path`` is the CSS at every iterate the refinement took derivatives at.
-    """
-    calls = []
-    real_refine, real_derivatives = varma._css_refine, varma._css_derivatives
-    path = []
-
-    def derivatives(z, theta, e):
-        path.append(float(e @ e))
-        return real_derivatives(z, theta, e)
-
-    def refine(z, phi, theta, limit):
-        path.clear()
-        result = real_refine(z, phi, theta, limit)
-        calls.append((z, phi, theta, limit, result, list(path)))
-        return result
-
-    monkeypatch.setattr(varma, "_css_refine", refine)
-    monkeypatch.setattr(varma, "_css_derivatives", derivatives)
-    return calls
-
-
-def _nelder_mead_oracle(z, phi0, theta0, limit):
-    """The Nelder-Mead refinement and white-noise collapse that were replaced.
-
-    Returns the refined (phi, theta) or None, the refinement's warnings and
-    whether the fit collapses to white noise.
-    """
-    res = minimize(
-        lambda p: _lfilter_css(z, *p),
-        np.array([phi0, theta0]),
-        method="Nelder-Mead",
-        options={"maxiter": 600, "xatol": 1e-9, "fatol": 1e-12},
-    )
-    notes = []
-    if res.success:
-        refined = tuple(float(v) for v in np.clip(res.x, -limit, limit))
-    else:
-        refined = None
-        notes.append(_NOT_CONVERGED)
-    css = _lfilter_css(z, *(refined or (phi0, theta0)))
-    lr_stat = (z.size - 1) * np.log(float(z[1:] @ z[1:]) / css)
-    collapsed = bool(lr_stat < 9.21)
-    if collapsed:
-        notes.append(_COLLAPSED)
-    return refined, tuple(notes), collapsed
-
-
-@pytest.mark.parametrize("kind", _KINDS)
-def test_css_refinement_agrees_with_nelder_mead(kind, monkeypatch):
-    calls = _spy_refinement(monkeypatch)
-    for seed in range(12):
-        x = _stress_series(kind, seed)
-        fit = fit_arma11(x)
-        (z, phi0, theta0, limit, refined, path), = calls[-1:]
-        oracle, oracle_notes, oracle_collapsed = _nelder_mead_oracle(z, phi0, theta0, limit)
-        case = f"{kind} seed {seed}"
-        assert refined is not None, case
-        phi, theta, e = refined
-        np.testing.assert_array_equal(e, _css_residuals(z, phi, theta), err_msg=case)
-        assert np.all(np.diff(path + [float(e @ e)]) <= 0.0), case
-        assert _NOT_CONVERGED not in fit.warnings, case
-        clip_notes = tuple(w for w in fit.warnings if "enforced" in w)
-        assert fit.warnings == clip_notes + oracle_notes, case
-        assert (fit.phi[0, 0] == 0.0 and fit.theta[0, 0] == 0.0) == oracle_collapsed, case
-        if max(abs(phi0), abs(theta0)) < limit:
-            assert _lfilter_css(z, phi, theta) <= _lfilter_css(z, *oracle) * (1 + 1e-9), case
-
-
-@pytest.mark.parametrize("seed", [0, 1, 3])
-def test_css_refinement_on_the_stationarity_bound(seed):
-    # a trending walk: the unconstrained CSS minimum lies past phi = 1, so
-    # phi stops at the bound and theta minimizes the CSS along it
-    x = np.cumsum(1.0 + np.random.default_rng([7, seed]).normal(size=1461))
-    fit = fit_arma11(x)
-    assert fit.phi[0, 0] == _LIMIT
-    z = x - x.mean()
-    oracle = minimize_scalar(
-        lambda t: _lfilter_css(z, _LIMIT, t),
-        bounds=(-_LIMIT, _LIMIT),
-        method="bounded",
-        options={"xatol": 1e-12},
-    )
-    assert fit.theta[0, 0] == pytest.approx(oracle.x, abs=1e-7)
-
-
-def test_css_refinement_iteration_cap(monkeypatch):
-    true = VarmaModel(mu=[0.0], phi=[[0.8]], theta=[[0.3]], sigma=[[1.0]], n_obs=0)
-    x = simulate_varma(true, 4096, seed=11).ravel()
-    two_stage = _two_stage_fit(x, monkeypatch)
-    monkeypatch.setattr(varma, "_CSS_MAX_ITER", 1)
-    fit = fit_arma11(x)
-    assert fit.warnings == (_NOT_CONVERGED,)
-    assert (fit.phi[0, 0], fit.theta[0, 0]) == (two_stage.phi[0, 0], two_stage.theta[0, 0])
