@@ -3,12 +3,14 @@
 Estimator checks are seeded simulate-and-refit runs; forecast and residual
 checks compare against the defining recursions computed with explicit loops.
 The two-stage fit is checked against the same fit with both regressions
-solved by ``lstsq``, and the white-noise collapse's thresholds against
-``scipy.stats.chi2``.
+solved by ``lstsq``, its second stage against a Nelder-Mead minimization of
+the same conditional sum of squares, and the white-noise collapse's
+thresholds against ``scipy.stats.chi2``.
 """
 
 import numpy as np
 import pytest
+from scipy.optimize import minimize
 from scipy.signal import lfilter
 from scipy.stats import chi2
 
@@ -401,19 +403,41 @@ def test_fits_solve_the_long_ar_without_lu(monkeypatch):
     fit_varma11(x)
 
 
-_DETERMINISTIC = {  # series whose own lags predict them exactly
-    "sine-37": lambda t: np.sin(2 * np.pi * t / 37),
-    "trend": lambda t: 0.01 * t,
-    "sawtooth-7": lambda t: t % 7,
+_DETERMINISTIC = {  # series, and whether the Gram check refuses its long AR
+    "sine-37": (lambda t, rng: np.sin(2 * np.pi * t / 37), True),
+    "trend": (lambda t, rng: 0.01 * t, True),
+    "sawtooth-7": (lambda t, rng: t % 7, True),
+    # the pivot ratio squared is about 4.5e11 at n = 1461, under the 1e12 limit
+    "sine-37+1e-6": (
+        lambda t, rng: np.sin(2 * np.pi * t / 37) + 1e-6 * rng.standard_normal(t.size),
+        False,
+    ),
 }
 
 
 @pytest.mark.parametrize("kind", list(_DETERMINISTIC))
-def test_arma_fit_refuses_deterministic_series(kind):
-    x = _DETERMINISTIC[kind](np.arange(1461, dtype=float))
-    with pytest.raises(ValueError, match="collinear") as info:
-        fit_arma11(x)
-    assert not isinstance(info.value, np.linalg.LinAlgError)
+def test_arma_fit_matches_lstsq_route_on_deterministic_series(kind):
+    # a series its own lags predict exactly is refused with the collinearity
+    # error; one the Gram check accepts is fitted as the all-lstsq route fits it
+    n = 1461
+    series, refused = _DETERMINISTIC[kind]
+    x = series(np.arange(n, dtype=float), np.random.default_rng(37))
+    z = x - x.mean()
+    m = varma._long_ar_order(n, 1)
+    design = varma._lagged_design(z, m)
+    if refused:
+        with pytest.raises(ValueError, match="collinear"):
+            varma._long_ar_residuals(design, z[m:])
+        with pytest.raises(ValueError, match="collinear") as info:
+            fit_arma11(x)
+        assert not isinstance(info.value, np.linalg.LinAlgError)
+        return
+    got = fit_arma11(x)
+    phi, theta = _lstsq_two_stage(x[:, None])
+    e = lfilter([1.0], [1.0, theta[0, 0]], z[1:] - phi[0, 0] * z[:-1])
+    np.testing.assert_allclose(got.phi, phi, rtol=1e-6, err_msg="phi")
+    np.testing.assert_allclose(got.theta, theta, rtol=1e-6, err_msg="theta")
+    np.testing.assert_allclose(got.sigma, [[e @ e / (n - 1)]], rtol=1e-6, err_msg="sigma")
 
 
 def test_white_noise_thresholds_are_chi2_points():
@@ -722,3 +746,89 @@ def test_linear_recursion_scalar_matches_loop(n):
         x[k:] += x[:-k] @ a.T
         a, k = a @ a, 2 * k
     np.testing.assert_array_equal(_linear_recursion(col, np.array([[-0.9999]])), x)
+
+
+# ---------------------------------------------------------------- second-stage CSS
+
+
+# The second stage refines the long AR's residual proxies into (1,1)
+# coefficients by minimizing a conditional sum of squares, the CSS of z_t on
+# z_{t-1} and the lagged proxy; Nelder-Mead on that CSS is the oracle here.
+_LIMIT = 1.0 - 1e-4
+_COLLAPSED = "no ARMA structure significant at the 1% level; collapsed to white noise"
+_KINDS = ("unit-root", "random-walk", "white-noise", "ridge", "n50", "t3")
+
+
+def _stress_series(kind, seed):
+    """Seeded series on which a (1,1) CSS is flat, near a bound or short."""
+    rng = np.random.default_rng([_KINDS.index(kind), seed])
+    n, burn_in = 1461, 300
+    if kind == "random-walk":
+        return np.cumsum(rng.normal(size=n))
+    if kind == "white-noise":
+        return rng.normal(size=n)
+    if kind == "unit-root":
+        phi, theta = rng.uniform(0.97, 0.999), rng.uniform(-0.9, 0.9)
+    elif kind == "ridge":
+        phi = rng.uniform(-0.95, 0.95)
+        theta = -phi
+    else:
+        phi, theta = rng.uniform(-0.9, 0.9, 2)
+        n = 50 if kind == "n50" else n
+    eps = rng.standard_t(3, size=n + burn_in) if kind == "t3" else rng.normal(size=n + burn_in)
+    u = eps.copy()
+    u[1:] += theta * eps[:-1]
+    return lfilter([1.0], [1.0, -phi], u)[burn_in:]
+
+
+def _second_stage_css(x):
+    """The second-stage CSS as a function of (phi, theta), with its regressand.
+
+    The residual proxies come from the long AR solved by ``lstsq``.
+    """
+    n = x.size
+    z = x - x.mean()
+    m = varma._long_ar_order(n, 1)
+    design = np.column_stack([z[m - k - 1 : n - k - 1] for k in range(m)])
+    beta, *_ = np.linalg.lstsq(design, z[m:], rcond=None)
+    ehat = z[m:] - design @ beta
+    y, z_lag, e_lag = z[m + 1 :], z[m:-1], ehat[:-1]
+    return (lambda p: float(np.sum((y - p[0] * z_lag - p[1] * e_lag) ** 2))), y
+
+
+@pytest.mark.parametrize("kind", _KINDS)
+def test_css_refinement_agrees_with_nelder_mead(kind):
+    for seed in range(12):
+        x = _stress_series(kind, seed)
+        fit = fit_arma11(x)
+        css, y = _second_stage_css(x)
+        oracle = minimize(
+            css, np.zeros(2), method="Nelder-Mead", options={"maxiter": 600, "xatol": 1e-9, "fatol": 1e-12}
+        )
+        case = f"{kind} seed {seed}"
+        assert oracle.success, case
+        # the collapse is the LR of the minimum against zero coefficients
+        collapsed = y.size * np.log(float(y @ y) / oracle.fun) < 9.21
+        assert fit.warnings == ((_COLLAPSED,) if collapsed else ()), case
+        got = (fit.phi[0, 0], fit.theta[0, 0])
+        if collapsed:
+            assert got == (0.0, 0.0), case
+        else:
+            assert css(got) <= oracle.fun * (1 + 1e-9), case
+            np.testing.assert_allclose(got, oracle.x, atol=1e-6, err_msg=case)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 3])
+def test_css_refinement_on_the_stationarity_bound(seed):
+    # a trending walk: the second-stage CSS minimum lies past phi = 1, so phi
+    # is shrunk to the bound and theta keeps its least-squares value
+    x = np.cumsum(1.0 + np.random.default_rng([7, seed]).normal(size=1461))
+    fit = fit_arma11(x)
+    assert fit.phi[0, 0] == _LIMIT
+    assert fit.warnings == ("stationarity enforced by shrinking phi's spectral radius",)
+    css, _ = _second_stage_css(x)
+    oracle = minimize(
+        css, np.zeros(2), method="Nelder-Mead", options={"maxiter": 600, "xatol": 1e-12, "fatol": 1e-14}
+    )
+    assert oracle.x[0] >= 1.0
+    assert fit.theta[0, 0] == pytest.approx(oracle.x[1], abs=1e-7)
