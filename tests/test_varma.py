@@ -360,8 +360,9 @@ def test_varma_fit_matches_lstsq_on_near_deterministic_column(p):
     assert seed <= 10
 
 
-@pytest.mark.parametrize("p", [1, 8])
+@pytest.mark.parametrize("p", [1, 2, 5, 8])
 def test_long_ar_residuals_match_lstsq(p):
+    # n = 61 caps the order at (n - 2) // (2p + 1) for p >= 2
     true = VarmaModel(
         mu=np.zeros(p),
         phi=0.6 * np.eye(p) + 0.15 * np.eye(p, k=1),
@@ -369,16 +370,39 @@ def test_long_ar_residuals_match_lstsq(p):
         sigma=np.eye(p) + 0.25,
         n_obs=0,
     )
-    z = simulate_varma(true, 1461, seed=42)
-    if p == 1:
-        z = z[:, 0]
-    m = varma._long_ar_order(1461, p)
-    design = varma._lagged_design(z, m)
-    assert design.shape == (1461 - m, p * m)
-    beta, *_ = np.linalg.lstsq(design, z[m:], rcond=None)
-    want = z[m:] - design @ beta
-    got = varma._long_ar_residuals(design, z[m:])
-    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+    for n in (61, 1461):
+        z = simulate_varma(true, n, seed=42)
+        m = varma._long_ar_order(n, p)
+        design = np.column_stack([z[m - k - 1 : n - k - 1] for k in range(m)])
+        beta, *_ = np.linalg.lstsq(design, z[m:], rcond=None)
+        want = z[m:] - design @ beta
+        got = varma._long_ar_residuals(z, m)
+        assert got.shape == want.shape, n
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max(), n
+
+
+@pytest.mark.parametrize("scale", [1.0, 2.0**17, 2.0**-17], ids=["1", "2^17", "2^-17"])
+@pytest.mark.parametrize("p", range(1, 9))
+def test_lag_gram_matches_products(p, scale):
+    # the refinement against the explicit design hides a wrong Gram from the
+    # residual tests, so the lag-covariance D'D and D'y are checked entrywise
+    # against the products, relative to sqrt(G_ii G_jj); one column is scaled
+    for n in (50, 61, 1461):
+        z = _ar_panel(np.random.default_rng([43, p, n]), n, p)
+        z[:, -1] *= scale
+        z -= z.mean(axis=0)
+        for m in (1, varma._long_ar_order(n, p), (n - 2) // (2 * p + 1)):
+            lagged = varma._lagged_design(z, m)
+            y, design = lagged[:, :p], lagged[:, p:]
+            gram, cross = varma._lag_gram(lagged, p)
+            want_gram, want_cross = design.T @ design, design.T @ y
+            diag = np.diagonal(want_gram)
+            case = f"n = {n}, m = {m}"
+            assert gram.shape == want_gram.shape and cross.shape == want_cross.shape, case
+            tol = 1e-13 * np.sqrt(np.outer(diag, diag))
+            assert np.all(np.abs(gram - want_gram) <= tol), case
+            tol = 1e-13 * np.sqrt(np.outer(diag, np.diagonal(y.T @ y)))
+            assert np.all(np.abs(cross - want_cross) <= tol), case
 
 
 @pytest.mark.parametrize("size", [1, 31, 32, 33, 64, 256, 257])
@@ -423,11 +447,9 @@ def test_arma_fit_matches_lstsq_route_on_deterministic_series(kind):
     series, refused = _DETERMINISTIC[kind]
     x = series(np.arange(n, dtype=float), np.random.default_rng(37))
     z = x - x.mean()
-    m = varma._long_ar_order(n, 1)
-    design = varma._lagged_design(z, m)
     if refused:
         with pytest.raises(ValueError, match="collinear"):
-            varma._long_ar_residuals(design, z[m:])
+            varma._long_ar_residuals(z[:, None], varma._long_ar_order(n, 1))
         with pytest.raises(ValueError, match="collinear") as info:
             fit_arma11(x)
         assert not isinstance(info.value, np.linalg.LinAlgError)
@@ -474,7 +496,7 @@ def test_lagged_design_matches_column_stack(p):
         z = z[:, 0]
     n = len(z)
     for m in (1, varma._long_ar_order(n, p), (n - 2) // (2 * p + 1)):
-        want = np.column_stack([z[m - k - 1 : n - k - 1] for k in range(m)])
+        want = np.column_stack([z[m - k : n - k] for k in range(m + 1)])
         got = varma._lagged_design(z, m)
         assert got.flags.c_contiguous
         assert got.shape == want.shape and np.array_equal(got, want), m
