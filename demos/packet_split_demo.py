@@ -2,8 +2,11 @@
 
 A random walk plus a fast seasonal wiggle decomposes over a depth-4 packet
 tree: the repeated-lowpass node soaks up the walk, the seasonal energy lands
-in a midband node, and the repeated-highpass node holds what is left. The
-node reconstructions add back up to the input exactly.
+in a midband node. The repeated-highpass node is one narrow band, not what
+is left after the trend: each highpass branch mirrors the spectrum, so at
+depth 4 it is band 10 of 16 in frequency order (periods of about 2.9 to 3.2
+samples), and the top band is node 1000, band 15. The node reconstructions
+add back up to the input exactly.
 """
 
 import numpy as np

@@ -41,6 +41,7 @@ Output files, written under ``out_dir``, which is made at the first write
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import os
 import sys
@@ -257,6 +258,21 @@ def _write_table(
         fh.writelines(",".join(map(_field, row)) + "\n" for row in rows)
 
 
+@functools.lru_cache(maxsize=1)
+def _row_templates(scales: bytes, coi_outside: bytes, shape: tuple[int, int]) -> tuple[str, ...]:
+    """One ``%`` template per scale row of a grid: the scale, each time_index
+    and coi_flag as literals, and %.17g, which prints what _fmt prints, for
+    each value. A run's grids share one scale grid and COI mask, so the
+    templates are built once, each by one ``%`` over its indices and flags."""
+    cell = ",%d,%%.17g,%d\n"
+    index = range(shape[1])
+    flags = np.frombuffer(coi_outside, dtype=bool).reshape(shape).tolist()
+    return tuple(
+        (_fmt(s) + cell) * shape[1] % tuple(itertools.chain.from_iterable(zip(index, row)))
+        for s, row in zip(np.frombuffer(scales).tolist(), flags)
+    )
+
+
 def _write_grid(
     w: _Writer,
     name: str,
@@ -264,14 +280,14 @@ def _write_grid(
     grid: np.ndarray,
     coi_outside: np.ndarray,
 ) -> None:
-    # one % operation per scale row; %.17g prints what _fmt prints
-    n = grid.shape[1]
-    index = range(n)
+    templates = _row_templates(
+        np.asarray(scales, dtype=float).tobytes(),
+        np.asarray(coi_outside, dtype=bool).tobytes(),
+        grid.shape,
+    )
     with w.open(name) as fh:
         fh.write("scale,time_index,value,coi_flag\n")
-        for s, vals, flags in zip(scales, grid.tolist(), coi_outside.tolist()):
-            row = _fmt(s) + ",%d,%.17g,%d\n"
-            fh.write(row * n % tuple(itertools.chain.from_iterable(zip(index, vals, flags))))
+        fh.writelines(row % tuple(vals) for row, vals in zip(templates, grid.tolist()))
 
 
 def _log(names: tuple[str, ...], values: np.ndarray, where: str = "") -> np.ndarray:

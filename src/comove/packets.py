@@ -5,8 +5,10 @@ decimating analysis step, with its transpose, over the last axis of a stack
 of signals. The packet tree is built a depth at a time on the whole
 ``(2**depth, m)`` node array: row r splits into rows 2r (lowpass) and 2r + 1
 (highpass), so rows stay in natural (Paley) order, and the leaves are keyed
-by binary paths: node {0,...,0} holds the trend, {1,...,1} the most
-oscillatory content. One leaf is rebuilt along its own branch with a zero
+by binary paths: node {0,...,0} holds the lowest band, the trend. Each
+highpass branch mirrors the spectrum (:func:`frequency_index`), so the
+all-highpass node {1,...,1} is not the top band: at depth 4 it is band 10 of
+16, and the top band is {1,0,0,0}, band 15. One leaf is rebuilt along its own branch with a zero
 sibling at each depth. The plain DWT is the row-0 spine of the same steps.
 Lengths not divisible by 2**level are extended periodically and trimmed back.
 """

@@ -35,7 +35,11 @@ MIN_OBS = 50  # fewest observations either fit takes
 _COLLINEARITY_LIMIT = 1e12
 _COLLINEAR = "regressors are numerically collinear (duplicated or linearly dependent series)"
 _TRI_BLOCK = 32  # _lower_inverse inverts blocks this small directly
-_REFINE_STEPS = 2  # on a sine + 1e-6 noise column: 0 steps miss lstsq by up to 5.3, 2 by 3e-5
+# refinement steps of the long AR: one where the Gram's condition bound is at
+# most _ONE_STEP_COND, else the cap _REFINE_STEPS (on a sine + 1e-6 noise
+# column 0 steps miss lstsq by up to 5.3, 2 by 3e-5)
+_REFINE_STEPS = 2
+_ONE_STEP_COND = np.finfo(float).eps ** -0.5
 _SHRINK_NOTES = (
     "stationarity enforced by shrinking phi's spectral radius",
     "invertibility enforced by shrinking theta's spectral radius",
@@ -170,15 +174,20 @@ def _long_ar_residuals(z: np.ndarray, m: int) -> np.ndarray:
     failed factorization or a ratio above _COLLINEARITY_LIMIT raises the
     collinearity ValueError. Otherwise L is inverted once
     (:func:`_lower_inverse`) and G b = D'e is solved as
-    inv(L)' (inv(L) D'e), once on e = y and _REFINE_STEPS more times on the
+    inv(L)' (inv(L) D'e), once on e = y and then once or twice more on the
     current residuals e = y - D b against the explicit design, adding each
     correction to b (fixed-precision iterative refinement; Bjorck, Numerical
-    Methods for Least Squares Problems, 1996, section 2.9). Each step shrinks
-    the error by about cond(G) times the unit roundoff.
+    Methods for Least Squares Problems, 1996, section 2.9; Higham, Accuracy
+    and Stability of Numerical Algorithms, 2002, chapter 12). Each step
+    shrinks the error by about cond(G) times the machine epsilon, so one step
+    reaches rounding when cond(G) <= eps^(-1/2). The bound
+    ||G||_F ||inv(L)||_F^2 >= ||G||_2 ||inv(G)||_2 = cond(G) is read off the
+    two arrays at hand: at most _ONE_STEP_COND (eps^(-1/2), about 6.7e7) takes
+    one step, above it the cap of _REFINE_STEPS = 2.
 
     Both fits solve their long autoregression here. At n = 1461 on one CPU
-    this is about 4.9 times faster than ``lstsq`` on the joint fit's
-    1429 x 256 design (p = 8) and 4 to 4.4 times on the univariate fit's
+    this is about 5.4 to 6 times faster than ``lstsq`` on the joint fit's
+    1429 x 256 design (p = 8) and 4.8 to 5.2 times on the univariate fit's
     1429 x 32 one, building the design included, with residuals equal to
     rounding. A deterministic series (a sine, a trend, a sawtooth) makes the
     design exactly rank-deficient, and both fits let the error through.
@@ -195,8 +204,10 @@ def _long_ar_residuals(z: np.ndarray, m: int) -> np.ndarray:
     if not (pivots.max() / pivots.min()) ** 2 <= _COLLINEARITY_LIMIT:
         raise ValueError(_COLLINEAR)
     inv = _lower_inverse(low)
+    bound = np.linalg.norm(gram) * np.vdot(inv, inv)
+    steps = 1 if bound <= _ONE_STEP_COND else _REFINE_STEPS
     beta = inv.T @ (inv @ cross)
-    for _ in range(_REFINE_STEPS):
+    for _ in range(steps):
         beta = beta + inv.T @ (inv @ (design.T @ (y - design @ beta)))
     return y - design @ beta
 

@@ -342,27 +342,27 @@ def test_varma_fit_matches_lstsq_on_near_deterministic_column(p):
     # a sine with 1e-6 noise squares cond(D) ~ 3e6 into a Gram near 1e13;
     # unrefined normal equations miss the lstsq coefficients by 8e-3 to 5.3
     # on these cases, two refinement steps by at most 4e-5. Some draws are
-    # rejected as collinear; the first three that fit are compared.
-    n, compared, seed = 60, 0, 0
-    while compared < 3:
+    # rejected as collinear; the first three of seeds 0..9 that fit are compared.
+    n, compared = 60, 0
+    for seed in range(10):
         rng = np.random.default_rng([37, p, seed])
         x = _ar_panel(rng, n, p)
         x[:, -1] = np.sin(2 * np.pi * np.arange(n) / 37) + 1e-6 * rng.standard_normal(n)
-        seed += 1
         try:
             fit = fit_varma11(x)
         except ValueError:
             continue
         phi, theta = _lstsq_two_stage(x)
-        assert np.abs(fit.phi - phi).max() <= 1e-3, seed - 1
-        assert np.abs(fit.theta - theta).max() <= 1e-3, seed - 1
+        assert np.abs(fit.phi - phi).max() <= 1e-3, seed
+        assert np.abs(fit.theta - theta).max() <= 1e-3, seed
         compared += 1
-    assert seed <= 10
+        if compared == 3:
+            break
+    assert compared == 3
 
 
-@pytest.mark.parametrize("p", [1, 2, 5, 8])
-def test_long_ar_residuals_match_lstsq(p):
-    # n = 61 caps the order at (n - 2) // (2p + 1) for p >= 2
+def _varma_panel(p, n):
+    """A seeded VARMA(1,1) path with coupled series, the long-AR tests' input."""
     true = VarmaModel(
         mu=np.zeros(p),
         phi=0.6 * np.eye(p) + 0.15 * np.eye(p, k=1),
@@ -370,15 +370,76 @@ def test_long_ar_residuals_match_lstsq(p):
         sigma=np.eye(p) + 0.25,
         n_obs=0,
     )
+    return simulate_varma(true, n, seed=42)
+
+
+def _lstsq_long_ar_residuals(z, m):
+    n = len(z)
+    design = np.column_stack([z[m - k - 1 : n - k - 1] for k in range(m)])
+    beta, *_ = np.linalg.lstsq(design, z[m:], rcond=None)
+    return z[m:] - design @ beta
+
+
+@pytest.mark.parametrize("p", [1, 2, 5, 8])
+def test_long_ar_residuals_match_lstsq(p):
+    # n = 61 caps the order at (n - 2) // (2p + 1) for p >= 2
     for n in (61, 1461):
-        z = simulate_varma(true, n, seed=42)
+        z = _varma_panel(p, n)
         m = varma._long_ar_order(n, p)
-        design = np.column_stack([z[m - k - 1 : n - k - 1] for k in range(m)])
-        beta, *_ = np.linalg.lstsq(design, z[m:], rcond=None)
-        want = z[m:] - design @ beta
+        want = _lstsq_long_ar_residuals(z, m)
         got = varma._long_ar_residuals(z, m)
         assert got.shape == want.shape, n
         assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max(), n
+
+
+def _refined_long_ar(z, m, steps):
+    """The long AR's residuals after exactly ``steps`` refinement steps, and
+    the condition bound ||G||_F ||inv(L)||_F^2 of its Gram G = L L', checked
+    against cond(G)."""
+    p = z.shape[1]
+    lagged = varma._lagged_design(z, m)
+    y, design = lagged[:, :p], lagged[:, p:]
+    gram, cross = varma._lag_gram(lagged, p)
+    inv = varma._lower_inverse(np.linalg.cholesky(gram))
+    beta = inv.T @ (inv @ cross)
+    for _ in range(steps):
+        beta = beta + inv.T @ (inv @ (design.T @ (y - design @ beta)))
+    bound = np.sqrt(np.sum(gram**2)) * np.sum(inv**2)
+    assert np.linalg.cond(gram) <= bound
+    return y - design @ beta, bound
+
+
+def test_long_ar_refines_once_below_the_condition_switch_and_twice_above():
+    # one refinement step reaches rounding when cond(G) <= eps^(-1/2); the
+    # lstsq-test panels sit below that and must take exactly one step
+    switch = np.finfo(float).eps ** -0.5
+    differs = False
+    for p in (1, 2, 5, 8):
+        for n in (61, 1461):
+            z = _varma_panel(p, n)
+            m = varma._long_ar_order(n, p)
+            once, bound = _refined_long_ar(z, m, 1)
+            assert bound <= switch, (p, n)
+            assert np.array_equal(varma._long_ar_residuals(z, m), once), (p, n)
+            differs |= not np.array_equal(_refined_long_ar(z, m, 2)[0], once)
+    assert differs  # the panels tell one step from two
+    # a sine plus 1e-6 of an AR(0.99) column: a Gram with bound near 7e14 that
+    # the pivot check accepts (squared pivot ratio near 5e11); one step misses
+    # lstsq by 3.6e-6 to 3.5e-5 relative over seeds 0..19, two by at most 4e-7
+    n = 1461
+    m = varma._long_ar_order(n, 1)
+    for seed in range(3):
+        rng = np.random.default_rng([44, seed])
+        x = np.sin(2 * np.pi * np.arange(n) / 37) + 1e-6 * _linear_recursion(rng.standard_normal(n), 0.99)
+        z = (x - x.mean())[:, None]
+        want = _lstsq_long_ar_residuals(z, m)
+        tol = 1e-6 * np.abs(want).max()
+        once, bound = _refined_long_ar(z, m, 1)
+        twice, _ = _refined_long_ar(z, m, 2)
+        assert bound > 1e6 * switch, seed
+        assert np.abs(once - want).max() > tol, seed
+        assert np.abs(twice - want).max() <= tol, seed
+        assert np.array_equal(varma._long_ar_residuals(z, m), twice), seed
 
 
 @pytest.mark.parametrize("scale", [1.0, 2.0**17, 2.0**-17], ids=["1", "2^17", "2^-17"])
