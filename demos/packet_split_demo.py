@@ -2,11 +2,12 @@
 
 A random walk plus a fast seasonal wiggle decomposes over a depth-4 packet
 tree: the repeated-lowpass node soaks up the walk, the seasonal energy lands
-in a midband node. The repeated-highpass node is one narrow band, not what
-is left after the trend: each highpass branch mirrors the spectrum, so at
-depth 4 it is band 10 of 16 in frequency order (periods of about 2.9 to 3.2
-samples), and the top band is node 1000, band 15. The node reconstructions
-add back up to the input exactly.
+in a midband node. The noise is what is left after the trend, x - trend:
+the other 15 leaves, as in the CLI's noise variant. The repeated-highpass
+node alone is one narrow band: each highpass branch mirrors the spectrum, so
+at depth 4 it is band 10 of 16 in frequency order (periods of about 2.9 to
+3.2 samples), and the top band is node 1000, band 15. The node
+reconstructions add back up to the input exactly.
 """
 
 import numpy as np
@@ -44,12 +45,12 @@ print()
 print(f"trend node {trend_node}: {fractions[trend_node]:.5f} of total energy")
 
 trend = cm.reconstruct_node(tree, trend_node)
-noise = cm.reconstruct_node(tree, (1,) * depth)
-others = cm.wpt_inverse(tree) - trend - noise
+noise = x - trend
+highpass = cm.reconstruct_node(tree, (1,) * depth)
 
 print(f"trend reconstruction correlates with the walk at "
       f"{np.corrcoef(trend, walk)[0, 1]:.4f}")
-print(f"residual band energy: trend {np.sum(trend**2):.0f}, "
-      f"midbands {np.sum(others**2):.0f}, noise node {np.sum(noise**2):.1f}")
+print(f"energy: trend {np.sum(trend**2):.0f}, noise (x - trend) {np.sum(noise**2):.0f}, "
+      f"of which the repeated-highpass node {np.sum(highpass**2):.1f}")
 print(f"perfect reconstruction error: "
       f"{np.abs(cm.wpt_inverse(tree) - x).max():.2e}")

@@ -22,8 +22,8 @@ Output files, written under ``out_dir``, which is made at the first write
   format ``scale,time_index,value,coi_flag`` with coi_flag = 1 outside the
   cone of influence.
 - packet: ``energy.csv`` (series, node, frequency_index, fraction),
-  ``trend.csv`` and ``noise.csv`` (date plus one column per series,
-  reconstructions of the all-lowpass and all-highpass nodes).
+  ``trend.csv`` and ``noise.csv`` (date plus one column per series: the
+  all-lowpass node's reconstruction, and the rest, x - trend).
 - denoise: ``sweep_<series>.csv`` per series (nine methods scored; the
   scoring convention is a ``#`` comment on the first line) and
   ``denoised.csv`` (date plus one column per series).
@@ -347,12 +347,13 @@ def _emit_coherence(w: _Writer, ms: ts.MultiSeries, target: int, prefix: str = "
 def _emit_packet(
     w: _Writer, ms: ts.MultiSeries, config: PipelineConfig
 ) -> tuple[ts.MultiSeries, ts.MultiSeries]:
-    """Write the packet tables; return the (trend, noise) variants of ``ms``."""
+    """Write the packet tables; return the (trend, noise = x - trend) variants of ``ms``."""
     trees = [pk.wpt_forward(x, level=config.depth, wavelet=config.wavelet) for x in ms.values.T]
-    energy = [pk.energy_fractions(tree, ordering="natural") for tree in trees]
-    lo, hi = (0,) * config.depth, (1,) * config.depth
+    energy = [_named(f"series {name!r}", pk.energy_fractions, tree, ordering="natural")
+              for name, tree in zip(ms.names, trees)]
+    lo = (0,) * config.depth
     trend = replace(ms, values=np.column_stack([pk.reconstruct_node(tree, lo) for tree in trees]))
-    noise = replace(ms, values=np.column_stack([pk.reconstruct_node(tree, hi) for tree in trees]))
+    noise = replace(ms, values=ms.values - trend.values)
     _write_table(w, "energy.csv", "series,node,frequency_index,fraction", [
         (name, "".join(str(b) for b in path), pk.frequency_index(path), frac)
         for name, fractions in zip(ms.names, energy)
@@ -368,36 +369,49 @@ def _emit_denoise(w: _Writer, ms: ts.MultiSeries, config: PipelineConfig) -> ts.
     """Write the sweeps and the de-noised table; return the de-noised variant of ``ms``.
 
     The de-noised column is the chosen method's estimate from the sweep.
+    Every series is swept before the first write, so a refused one leaves no output.
     """
     rule = None if config.rule == "auto" else config.rule
     method = canonical_method(config.method)
-    denoised = np.empty_like(ms.values)
-    for k, name in enumerate(ms.names):
-        report = method_sweep(ms.values[:, k], rule=rule, level=config.denoise_level, wavelet=config.wavelet)
+    reports = [_named(f"series {name!r}", method_sweep, x, rule=rule, level=config.denoise_level,
+                      wavelet=config.wavelet) for name, x in zip(ms.names, ms.values.T)]
+    for name, report in zip(ms.names, reports):
         _write_table(w, f"sweep_{_safe_name(name)}.csv", "method,rule,thresholds,snr,psnr,identical", [
             (m, r, thr, *(("identical",) * 2 if same else (snr, psnr)), int(same))
             for m, r, thr, snr, psnr, same in report.rows()
         ], comment=report.convention)
-        denoised[:, k] = next(s.estimate for s in report.scores if s.method == method)
+    denoised = np.column_stack([next(s.estimate for s in r.scores if s.method == method) for r in reports])
     _write_table(w, "denoised.csv", "date," + ",".join(map(_quote, ms.names)),
                  list(zip(ms.timestamps, *denoised.T.tolist())))
     return replace(ms, values=denoised)
 
 
-def _fit(fit, data: np.ndarray, cols: int | slice, h: int) -> tuple:
-    """Fit one model to ``data[:, cols]``; return (cols, model, h-step forecast)."""
-    y = data[:, cols]
-    model = fit(y)
+def _named(who: str, step, *args, **kwargs):
+    """``step(*args, **kwargs)``; a refusal it raises is relayed as ``who: message``."""
+    try:
+        return step(*args, **kwargs)
+    except ValueError as exc:
+        raise ts.DataError(f"{who}: {exc}") from None
+
+
+def _fit(work: ts.MultiSeries, cols: list[int], h: int) -> tuple:
+    """An ARMA of one column of ``work`` or the VARMA of several: (family, cols, model, forecast)."""
+    # take, not values[:, cols]: a C-ordered copy like the window, so the fits round alike
+    y = work.values.take(cols, axis=1)
+    if len(cols) == 1:
+        family, model = "arma", _named(f"series {work.names[cols[0]]!r}", vm.fit_arma11, y[:, 0])
+    else:
+        family, model = "varma", _named("joint VARMA fit", vm.fit_varma11, y)
     e = vm.residuals(model, y)
-    return cols, model, vm.forecast(model, y[-1], e[-1], h)
+    return family, cols, model, vm.forecast(model, y[-1], e[-1], h)
 
 
-def _model_rows(model: vm.VarmaModel, names: str | tuple[str, ...]) -> list[tuple]:
+def _model_rows(model: vm.VarmaModel, names: tuple[str, ...]) -> list[tuple]:
     """models.csv rows after the model column: an ARMA of one series, or a VARMA of all."""
     if model.p == 1:
         params = (("mu", model.mu[0]), ("phi", model.phi[0, 0]), ("theta", model.theta[0, 0]),
                   ("sigma2", model.sigma[0, 0]))
-        return [(names, *row) for row in (*params, *(("warning", note) for note in model.warnings))]
+        return [(names[0], *row) for row in (*params, *(("warning", note) for note in model.warnings))]
     mats = (("phi", model.phi), ("theta", model.theta), ("sigma", model.sigma))
     return (
         [(name, "mu", mu) for name, mu in zip(names, model.mu)]
@@ -410,11 +424,11 @@ def _model_rows(model: vm.VarmaModel, names: str | tuple[str, ...]) -> list[tupl
 def _emit_forecast(
     w: _Writer, full: ts.MultiSeries, work: ts.MultiSeries, config: PipelineConfig
 ) -> None:
-    h, names, data = config.horizon, work.names, work.values
-    # each family's fits in column order: one ARMA per series, one VARMA of all
-    families = {"arma": [_fit(vm.fit_arma11, data, k, h) for k in range(work.p)]}
-    if work.p >= 2:
-        families["varma"] = [_fit(vm.fit_varma11, data, slice(None), h)]
+    h, names, p = config.horizon, work.names, work.p
+    # one ARMA per series, then the joint VARMA of all
+    fits = [_fit(work, [k], h) for k in range(p)]
+    if p >= 2:
+        fits.append(_fit(work, list(range(p)), h))
     else:
         print("single series: VARMA comparison skipped")
 
@@ -423,39 +437,27 @@ def _emit_forecast(
     future_mask = full.timestamps > work.timestamps[-1]
     steps = min(h, int(future_mask.sum()))
     rows = []
-    if steps >= 1 and "varma" in families:
+    if steps >= 1 and p >= 2:
         # the realized rows get the window's log step
         actual = full.values[future_mask][:steps]
         if config.log_transform:
             actual = _log(names, actual, " after the fit window")
         # each fit is scored on its own columns: one (steps, p) ARMA stack would
         # sum the squared errors in another order and move last digits
-        mse = {
-            family: np.concatenate([vm.evaluate_mse(_truncate(r, steps), actual[:, cols]).cum_mse for cols, _, r in fits])
-            for family, fits in families.items()
-        }
+        cum_mse = [vm.evaluate_mse(_truncate(r, steps), actual[:, cols]).cum_mse for _, cols, _, r in fits]
         rows = [(row.name, steps, row.arma_mse, row.varma_mse, row.winner)
-                for row in vm.mse_comparison(names, mse["arma"], mse["varma"])]
+                for row in vm.mse_comparison(names, np.concatenate(cum_mse[:-1]), cum_mse[-1])]
 
     _write_table(w, "models.csv", "model,series,parameter,value", [
-        (family, *row)
-        for family, fits in families.items()
-        for cols, model, _ in fits
-        for row in _model_rows(model, names[cols])
+        (family, *row) for family, cols, model, _ in fits
+        for row in _model_rows(model, tuple(names[k] for k in cols))
     ])
-
-    # (h, p) points and bands per family
-    bands = {
-        family: [np.hstack([getattr(r, key) for _, _, r in fits]) for key in ("points", "lower", "upper")]
-        for family, fits in families.items()
-    }
     _write_table(w, "forecasts.csv", "model,series,horizon,point,lower,upper", [
-        (family, name, step + 1, *(band[step, k] for band in fam_bands))
-        for family, fam_bands in bands.items()
-        for k, name in enumerate(names)
+        (family, names[k], step + 1, r.points[step, i], r.lower[step, i], r.upper[step, i])
+        for family, cols, _, r in fits
+        for i, k in enumerate(cols)
         for step in range(h)
     ])
-
     _write_table(w, "comparison.csv", "series,horizons,arma_mse,varma_mse,winner", rows)
     if steps < 1:
         print("no realized data beyond the fit window; comparison left empty")

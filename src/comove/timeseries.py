@@ -1,10 +1,11 @@
 """Aligned multivariate time series: CSV loading and windowing.
 
-All analysis code in this package consumes :class:`MultiSeries`: named
-series held as one (n, p) matrix on one strictly increasing date grid.
-Loading is deliberately strict: rows with missing values are dropped (and
-counted), duplicate or unparseable dates are errors, and any window handed to
-the transforms must keep at least ``MIN_LENGTH`` samples.
+The CLI loads its input as a :class:`MultiSeries`: named series held as
+one (n, p) matrix on one strictly increasing date grid; the analysis
+modules take plain arrays. Loading is deliberately strict: rows with
+missing values are dropped (and counted), duplicate or unparseable dates are
+errors, and any window handed to the transforms must keep at least
+``MIN_LENGTH`` samples.
 """
 
 from __future__ import annotations

@@ -244,16 +244,7 @@ def fit_arma11(x: np.ndarray) -> VarmaModel:
     x = np.asarray(x, dtype=float)
     if x.ndim != 1:
         raise ValueError("series must be one-dimensional")
-    n = x.size
-    if n < MIN_OBS:
-        raise ValueError(f"need at least {MIN_OBS} observations, got {n}")
-    if not np.all(np.isfinite(x)):
-        raise ValueError("series contains non-finite values")
-    mu = x.mean()
-    z = x - mu
-    if float(z @ z) == 0.0:
-        raise ValueError("constant series has no ARMA structure to fit")
-    return _fit_two_stage(z[:, None], mu)
+    return _fit_two_stage(x[:, None])
 
 
 def fit_varma11(data: np.ndarray) -> VarmaModel:
@@ -284,9 +275,28 @@ def fit_varma11(data: np.ndarray) -> VarmaModel:
     x = np.asarray(data, dtype=float)
     if x.ndim != 2:
         raise ValueError("data must be a (n, p) matrix")
+    if not 2 <= x.shape[1] <= 8:
+        raise ValueError(f"need between 2 and 8 series, got {x.shape[1]}")
+    return _fit_two_stage(x)
+
+
+def _fit_two_stage(x: np.ndarray) -> VarmaModel:
+    """The two-stage fit of an (n, p) block ``x``, 1 <= p <= 8.
+
+    Both fits check their input here: at least MIN_OBS rows, finite values
+    and no constant column. Residual proxies for z = x - mu come from the
+    long autoregression (:func:`_long_ar_residuals`); Phi and Theta from
+    least squares of z_t on z_{t-1} and the lagged proxies, with a cond(w'w)
+    collinearity check read from the singular values of w that the least
+    squares returns.
+    The fit collapses to white noise when that regression's likelihood
+    ratio against zero coefficients, LR = T (log det Y'Y - log det R'R) over
+    its T rows, regressand Y and residuals R, falls below the 99% point of
+    chi-square(2 p^2): on the Phi = -Theta ridge a (1,1) model is
+    unidentified and the estimates are pure noise. Otherwise a coefficient
+    matrix whose spectral radius reaches 1 is shrunk to 1 - 1e-4.
+    """
     n, p = x.shape
-    if not 2 <= p <= 8:
-        raise ValueError(f"need between 2 and 8 series, got {p}")
     if n < MIN_OBS:
         raise ValueError(f"need at least {MIN_OBS} observations, got {n}")
     if not np.all(np.isfinite(x)):
@@ -295,26 +305,8 @@ def fit_varma11(data: np.ndarray) -> VarmaModel:
     z = x - mu
     col_ss = np.einsum("ij,ij->j", z, z)
     if np.any(col_ss == 0.0):
-        dead = int(np.argmin(col_ss))
-        raise ValueError(f"column {dead} is constant; no structure to fit")
-    return _fit_two_stage(z, mu)
-
-
-def _fit_two_stage(z: np.ndarray, mu: np.ndarray) -> VarmaModel:
-    """The two-stage fit of a demeaned (n, p) block ``z``, 1 <= p <= 8.
-
-    Residual proxies come from the long autoregression
-    (:func:`_long_ar_residuals`); Phi and Theta from least squares of z_t on
-    z_{t-1} and the lagged proxies, with a cond(w'w) collinearity check read
-    from the singular values of w that the least squares returns.
-    The fit collapses to white noise when that regression's likelihood
-    ratio against zero coefficients, LR = T (log det Y'Y - log det R'R) over
-    its T rows, regressand Y and residuals R, falls below the 99% point of
-    chi-square(2 p^2): on the Phi = -Theta ridge a (1,1) model is
-    unidentified and the estimates are pure noise. Otherwise a coefficient
-    matrix whose spectral radius reaches 1 is shrunk to 1 - 1e-4.
-    """
-    n, p = z.shape
+        where = "" if p == 1 else f"column {int(np.argmin(col_ss))}: "
+        raise ValueError(f"{where}constant series has no ARMA structure to fit")
     notes: list[str] = []
     m = _long_ar_order(n, p)
     ehat = _long_ar_residuals(z, m)

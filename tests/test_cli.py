@@ -134,6 +134,29 @@ def test_config_bad_integer(tmp_path):
         read_config_file(str(cfg))
 
 
+def test_config_log_transform_off_and_non_boolean(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("log_transform = off\n")
+    assert read_config_file(str(cfg)) == {"log_transform": False}
+    cfg.write_text("log_transform = maybe\n")
+    with pytest.raises(UsageError, match="^config log_transform must be a boolean, got 'maybe'$"):
+        read_config_file(str(cfg))
+
+
+def test_unreadable_config_is_data_error(tmp_path, capsys):
+    cfg, out = tmp_path / "missing.cfg", tmp_path / "out"
+    assert main(["packet", "--config", str(cfg), "--out-dir", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: cannot open config {cfg}: ")
+    assert not out.exists()
+
+
+def test_config_line_without_equals_is_usage_error(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("horizon = 7\nhorizon 8\n")
+    assert main(["packet", "--config", str(cfg)]) == 1
+    assert capsys.readouterr().err == f"error: {cfg}:2: expected key=value, got 'horizon 8'\n"
+
+
 # one raw value per field, in the form a flag or a config line takes it
 _RAW = {
     "input": "prices.csv",
@@ -355,6 +378,20 @@ def test_packet_outputs(tmp_path):
     assert len(trend) == 97
     assert trend[1].split(",")[0] == date_str(0)
     assert (out / "noise.csv").exists()
+
+
+def test_packet_trend_and_noise_add_up_to_the_window(tmp_path):
+    # the noise variant is x - trend, not one highpass node
+    src = tmp_path / "in.csv"
+    write_input(src, n=120, p=2, seed=5)
+    out = tmp_path / "out"
+    argv = ["packet", "--input", str(src), "--start", date_str(10), "--end", date_str(105),
+            "--depth", "3", "--out-dir", str(out)]
+    assert main(argv) == 0
+    x = np.loadtxt(src, delimiter=",", skiprows=1, usecols=(1, 2))[10:106]
+    trend, noise = (np.loadtxt(out / name, delimiter=",", skiprows=1, usecols=(1, 2))
+                    for name in ("trend.csv", "noise.csv"))
+    np.testing.assert_allclose(trend + noise, x, rtol=0, atol=4 * np.finfo(float).eps * np.abs(x).max())
 
 
 # ---------------------------------------------------------------- denoise
@@ -746,7 +783,10 @@ def test_pipeline_refuses_unfittable_series_before_output(tmp_path, capsys, colu
     src.write_text("\n".join([lines[0] + ",c"] + [ln + "," + v for ln, v in zip(lines[1:], extra)]) + "\n")
     out = tmp_path / "out"
     assert main(["pipeline", "--input", str(src), "--end", date_str(119), "--out-dir", str(out)]) == 2
-    assert message in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert message in err
+    # the refusal names the series, or the joint fit where each series fits alone
+    assert ("joint VARMA fit: " if column == "copy" else "series 'c': ") in err
     assert not out.exists()
 
 
@@ -763,4 +803,29 @@ def test_forecast_refuses_a_pure_sine_column(tmp_path, capsys, columns):
     argv = ["forecast", "--input", str(src), *columns, "--end", date_str(119), "--horizon", "5"]
     assert main([*argv, "--out-dir", str(out)]) == 2
     assert "regressors are numerically collinear" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def _zero_column_input(path):
+    """Column a is 100 + N(0, 1) and column b is 0.0, over 300 days."""
+    a = 100.0 + np.random.default_rng(25).standard_normal(300)
+    path.write_text("date,a,b\n" + "".join(f"{date_str(i)},{v:.12g},0.0\n" for i, v in enumerate(a)))
+
+
+@pytest.mark.parametrize(
+    "subcommand,message",
+    [
+        ("denoise", "all detail coefficients are zero; nothing to threshold"),
+        ("packet", "signal has zero energy; fractions undefined"),
+        ("pipeline", "constant series has no ARMA structure to fit"),
+    ],
+    ids=["denoise", "packet", "pipeline"],
+)
+def test_a_refused_later_series_leaves_no_output(tmp_path, capsys, subcommand, message):
+    # series a is swept, split or fitted before b is refused; nothing is written
+    src = tmp_path / "in.csv"
+    _zero_column_input(src)
+    out = tmp_path / "out"
+    assert main([subcommand, "--input", str(src), "--out-dir", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: series 'b': {message}\n"
     assert not out.exists()

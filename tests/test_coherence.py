@@ -27,7 +27,7 @@ import comove
 from comove import coherence
 from comove import packets as pk
 from comove.coherence import CoherenceField, coherence_matrix_field, coherence_result
-from comove.cwt import cross_spectrum, cwt_morlet, smooth
+from comove.cwt import cross_spectrum, cwt_morlet, make_scale_grid, smooth
 
 
 def build_field(p, nj=4, nt=6, seed=0):
@@ -400,6 +400,17 @@ def test_matrix_field_rejects_mixed_lengths():
     a = cwt_morlet(rng.normal(size=64), 1.0)
     b = cwt_morlet(rng.normal(size=100), 1.0)
     with pytest.raises(ValueError, match="different scale grids|different time axes"):
+        coherence_matrix_field([a, b])
+
+
+@pytest.mark.parametrize("n,dt", [(100, 1.0), (64, 2.0)], ids=["length", "step"])
+def test_matrix_field_rejects_mixed_time_axes(n, dt):
+    # one scale grid, so only the time axes tell the fields apart
+    rng = np.random.default_rng(17)
+    grid = make_scale_grid(64, 1.0)
+    a = cwt_morlet(rng.normal(size=64), 1.0, grid)
+    b = cwt_morlet(rng.normal(size=n), dt, grid)
+    with pytest.raises(ValueError, match="^wavelet fields have different time axes$"):
         coherence_matrix_field([a, b])
 
 

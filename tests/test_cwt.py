@@ -262,6 +262,17 @@ def test_cross_spectrum_grid_mismatch():
         cross_spectrum(a, c)
 
 
+@pytest.mark.parametrize("n,dt", [(150, 1.0), (128, 2.0)], ids=["length", "step"])
+def test_cross_spectrum_time_axis_mismatch(n, dt):
+    # one scale grid, so only the time axes tell the fields apart
+    rng = np.random.default_rng(4)
+    grid = make_scale_grid(128, 1.0)
+    a = cwt_morlet(rng.normal(size=128), 1.0, grid)
+    b = cwt_morlet(rng.normal(size=n), dt, grid)
+    with pytest.raises(ValueError, match="^wavelet fields have different time axes$"):
+        cross_spectrum(a, b)
+
+
 def test_phase_of_lagged_sinusoid():
     # y lags x by a quarter period, so the cross spectrum W_x conj(W_y)
     # carries phase +pi/2 at the sinusoid's scale

@@ -433,6 +433,8 @@ def test_denoise_unknown_rule():
     _, noisy = noisy_sinusoid(n=256)
     with pytest.raises(ValueError, match="unknown rule"):
         denoise(noisy, rule="medium")
+    with pytest.raises(ValueError, match="^unknown rule 'bogus'"):
+        method_sweep(noisy, rule="bogus")
 
 
 def test_denoise_with_haar_and_other_levels():

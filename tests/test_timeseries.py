@@ -192,6 +192,21 @@ def test_load_csv_drops_and_counts_incomplete_rows(tmp_path):
     assert "dropped 2" in rep.summary()
 
 
+def test_load_csv_drops_and_counts_a_row_without_a_date(tmp_path):
+    lines = ["date,a"] + [f"2020-01-{k + 1:02d},{k}" for k in range(10)]
+    lines[4] = " ,3"
+    ms = load_csv(write_csv(tmp_path / "m.csv", lines))
+    assert len(ms) == 9
+    assert (ms.load_report.rows_read, ms.load_report.rows_dropped) == (10, 1)
+    assert "2020-01-04" not in [str(d) for d in ms.timestamps]
+
+
+def test_load_csv_refuses_an_empty_value_column_list(tmp_path):
+    lines = ["date,a"] + [f"2020-01-{k + 1:02d},{k}" for k in range(10)]
+    with pytest.raises(DataError, match="no value columns"):
+        load_csv(write_csv(tmp_path / "m.csv", lines), value_columns=())
+
+
 def test_load_csv_sorts_rows_by_date(tmp_path):
     lines = ["date,v"]
     for k in reversed(range(9)):

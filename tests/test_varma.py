@@ -283,6 +283,9 @@ def test_varma_fit_error_contracts():
     data[:, 1] = 7.0
     with pytest.raises(ValueError, match="constant"):
         fit_varma11(data)
+    data[40, 1] = np.nan
+    with pytest.raises(ValueError, match="non-finite"):
+        fit_varma11(data)
 
 
 def _ar_panel(rng, n, p):
