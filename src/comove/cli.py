@@ -332,8 +332,8 @@ def _load(config: PipelineConfig) -> tuple[ts.MultiSeries, ts.MultiSeries]:
 
 
 def _emit_coherence(w: _Writer, ms: ts.MultiSeries, target: int, prefix: str = "", partials: bool = True) -> None:
-    grid = make_scale_grid(len(ms), ms.dt)
-    cf = coh.coherence_matrix_field([cwt_morlet(x, ms.dt, grid) for x in ms.values.T], labels=ms.names)
+    grid = make_scale_grid(len(ms), 1.0)  # one time step per row
+    cf = coh.coherence_matrix_field([cwt_morlet(x, 1.0, grid) for x in ms.values.T], labels=ms.names)
     res = coh.coherence_result(cf, target)
     tname = _safe_name(ms.names[target])
     _write_grid(w, f"mwc_{prefix}{tname}.csv", grid.scales, res.multiple, res.coi_outside)
@@ -396,8 +396,7 @@ def _named(who: str, step, *args, **kwargs):
 
 def _fit(work: ts.MultiSeries, cols: list[int], h: int) -> tuple:
     """An ARMA of one column of ``work`` or the VARMA of several: (family, cols, model, forecast)."""
-    # take, not values[:, cols]: a C-ordered copy like the window, so the fits round alike
-    y = work.values.take(cols, axis=1)
+    y = work.values[:, cols]
     if len(cols) == 1:
         family, model = "arma", _named(f"series {work.names[cols[0]]!r}", vm.fit_arma11, y[:, 0])
     else:

@@ -180,7 +180,7 @@ def coherence_matrix_field(
 
 def _solve(
     pairs: np.ndarray, p: int, target: int
-) -> tuple[np.ndarray, np.ndarray, list[np.ndarray], np.ndarray]:
+) -> tuple[np.ndarray, dict[int, np.ndarray], dict[int, np.ndarray], np.ndarray, np.ndarray]:
     """Multiple and partial coherencies of the target from one LDL^H pass.
 
     ``pairs`` is a ``(p(p-1)/2, num_scales, n)`` stack packed the way
@@ -204,13 +204,14 @@ def _solve(
     -------
     r2 : ndarray, shape (num_scales, n)
         Squared multiple coherence, clipped to [0, 1]; 1 on singular cells.
+    partial_sq, partial_phase : dict of int to ndarray, shape (num_scales, n)
+        ``|rho|**2`` clipped to [0, 1] and ``angle(rho)`` for each other
+        series j, written row by row; both 0 where rho is zeroed.
     singular : ndarray, bool, shape (num_scales, n)
         ``cof(t, t) < 1e-14``, or a weak pivot before the target's.
-    rho : list of p - 1 ndarrays, complex, shape (num_scales, n)
-        Partial coherency of the target with each other series, in index
-        order; 0 where ``bad``. A list, so a caller can free each grid.
-    bad : ndarray, bool, shape (p - 1, num_scales, n)
-        ``cof(t, t) * cof(j, j) < 1e-14``, or the cell is singular.
+    partial_bad : ndarray, bool, shape (num_scales, n)
+        ``cof(t, t) * cof(j, j) < 1e-14`` for some j. Rho is zeroed there
+        for that j, and for every j on singular cells.
     """
     npairs, nj, nt = pairs.shape
     last = p - 1
@@ -226,8 +227,9 @@ def _solve(
     piv = np.empty((p, nt))
     r2 = np.empty((nj, nt))
     singular = np.empty((nj, nt), dtype=bool)
-    rho = [np.empty((nj, nt), dtype=complex) for _ in range(last)]
-    bad = np.empty((last, nj, nt), dtype=bool)
+    partial_bad = np.empty((nj, nt), dtype=bool)
+    partial_sq = {j: np.empty((nj, nt)) for j in order[:last]}
+    partial_phase = {j: np.empty((nj, nt)) for j in order[:last]}
     for s in range(nj):
         upper = pairs[where, s]
         upper[flip] = np.conj(upper[flip])
@@ -254,13 +256,15 @@ def _solve(
             tail[:k] += (np.square(m_inv[k, :k].real) + np.square(m_inv[k, :k].imag)) / piv[k]
         row = m_inv[last]
         a = np.square(row.real) + np.square(row.imag) + piv[last] * tail
-        bad_s = sing | (ctt**2 * a < _SINGULAR_MINOR_TOL)
-        rho_s = row * (-1.0 / np.sqrt(np.where(bad_s, 1.0, a)))
-        rho_s[bad_s] = 0.0
-        for q, out in enumerate(rho):
-            out[s] = rho_s[q]
-        bad[:, s] = bad_s
-    return r2, singular, rho, bad
+        ill = ctt**2 * a < _SINGULAR_MINOR_TOL
+        partial_bad[s] = ill.any(axis=0)
+        bad = sing | ill
+        rho = row * (-1.0 / np.sqrt(np.where(bad, 1.0, a)))
+        rho[bad] = 0.0
+        sq, phase = np.clip(np.abs(rho) ** 2, 0.0, 1.0), np.angle(rho)
+        for q, j in enumerate(order[:last]):
+            partial_sq[j][s], partial_phase[j][s] = sq[q], phase[q]
+    return r2, partial_sq, partial_phase, singular, partial_bad
 
 
 @dataclass(frozen=True)
@@ -297,11 +301,15 @@ class CoherenceResult:
 def coherence_result(field: CoherenceField, target: int = 0) -> CoherenceResult:
     """Compute the full coherence bundle for one target series.
 
-    Multiple coherence plus, for every other series j, the squared partial
-    coherency and phase of (target, j) given the rest. ``flagged`` collects
-    degenerate cells and singular minors from any of the computations: the
-    multiple coherence is 1 where ``cof(C, t, t) < 1e-14``, and a partial
-    is 0 where ``cof(C, t, t) * cof(C, j, j) < 1e-14``.
+    Returns
+    -------
+    CoherenceResult
+        Multiple coherence plus, for every other series j, the squared
+        partial coherency and phase of (target, j) given the rest, the
+        grids the solve wrote. ``flagged`` is the union of degenerate cells,
+        singular ones (multiple coherence 1 where ``cof(C, t, t) < 1e-14``)
+        and ill-conditioned ones (a partial is 0 where ``cof(C, t, t) *
+        cof(C, j, j) < 1e-14``).
 
     Raises
     ------
@@ -310,12 +318,7 @@ def coherence_result(field: CoherenceField, target: int = 0) -> CoherenceResult:
     """
     if not 0 <= target < field.p:
         raise ValueError(f"target index {target} out of range for {field.p} series")
-    r2, singular, rho, bad = _solve(field.pairs, field.p, target)
-    partial_sq, partial_phase = {}, {}
-    for j in [j for j in range(field.p) if j != target]:
-        z = rho.pop(0)  # freed once read, so the grids never all coexist
-        partial_sq[j], partial_phase[j] = np.clip(np.abs(z) ** 2, 0.0, 1.0), np.angle(z)
-    flagged = field.degenerate | singular | bad.any(axis=0)
+    r2, partial_sq, partial_phase, singular, partial_bad = _solve(field.pairs, field.p, target)
     return CoherenceResult(
         target=target,
         labels=field.labels,
@@ -323,6 +326,6 @@ def coherence_result(field: CoherenceField, target: int = 0) -> CoherenceResult:
         multiple=r2,
         partial_sq=partial_sq,
         partial_phase=partial_phase,
-        flagged=flagged,
+        flagged=field.degenerate | singular | partial_bad,
         coi_outside=np.asarray(field.coi_outside),
     )

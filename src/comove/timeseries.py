@@ -74,16 +74,13 @@ class MultiSeries:
     timestamps : ndarray of datetime64[D], shape (n,)
         Strictly increasing dates shared by every column; n >= ``MIN_LENGTH``.
     values : ndarray, shape (n, p)
-        Finite data, one column per name.
-    dt : float
-        Sampling step in the time unit used by the transforms (default 1.0,
-        one step per row regardless of calendar gaps).
+        Finite data, one column per name. The transforms take one time step
+        per row, regardless of calendar gaps.
     """
 
     names: tuple[str, ...]
     timestamps: np.ndarray
     values: np.ndarray
-    dt: float = 1.0
     load_report: LoadReport | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -108,8 +105,6 @@ class MultiSeries:
             )
         if np.any(np.diff(stamps.astype("int64")) <= 0):
             raise DataError("timestamps not strictly increasing")
-        if not (np.isfinite(self.dt) and self.dt > 0):
-            raise DataError(f"dt must be a positive finite number, got {self.dt}")
         stamps.flags.writeable = False
         vals.flags.writeable = False
         object.__setattr__(self, "names", names)
@@ -134,7 +129,6 @@ def load_csv(
     path: str,
     date_column: str = "date",
     value_columns: tuple[str, ...] | None = None,
-    dt: float = 1.0,
 ) -> MultiSeries:
     """Load an aligned multivariate series from a headered CSV file.
 
@@ -151,8 +145,6 @@ def load_csv(
     value_columns : tuple of str, optional
         Which columns to load, in order. Default: every non-date column in
         header order.
-    dt : float
-        Sampling step recorded on the result.
 
     Raises
     ------
@@ -221,7 +213,7 @@ def load_csv(
     report = LoadReport(
         path=path, rows_read=rows_read, rows_kept=len(stamps), rows_dropped=dropped
     )
-    return MultiSeries(value_columns, stamps, data, dt=dt, load_report=report)
+    return MultiSeries(value_columns, stamps, data, load_report=report)
 
 
 def window(

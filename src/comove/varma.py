@@ -284,11 +284,12 @@ def _fit_two_stage(x: np.ndarray) -> VarmaModel:
     """The two-stage fit of an (n, p) block ``x``, 1 <= p <= 8.
 
     Both fits check their input here: at least MIN_OBS rows, finite values
-    and no constant column. Residual proxies for z = x - mu come from the
-    long autoregression (:func:`_long_ar_residuals`); Phi and Theta from
-    least squares of z_t on z_{t-1} and the lagged proxies, with a cond(w'w)
-    collinearity check read from the singular values of w that the least
-    squares returns.
+    and no constant column. They read one C-ordered copy of the block (none
+    if it is C-ordered), so the digits do not depend on its memory layout.
+    Residual proxies for z = x - mu come from the long autoregression
+    (:func:`_long_ar_residuals`); Phi and Theta from least squares of z_t
+    on z_{t-1} and the lagged proxies, with a cond(w'w) collinearity check
+    read from the singular values of w that the least squares returns.
     The fit collapses to white noise when that regression's likelihood
     ratio against zero coefficients, LR = T (log det Y'Y - log det R'R) over
     its T rows, regressand Y and residuals R, falls below the 99% point of
@@ -296,6 +297,7 @@ def _fit_two_stage(x: np.ndarray) -> VarmaModel:
     unidentified and the estimates are pure noise. Otherwise a coefficient
     matrix whose spectral radius reaches 1 is shrunk to 1 - 1e-4.
     """
+    x = np.ascontiguousarray(x)
     n, p = x.shape
     if n < MIN_OBS:
         raise ValueError(f"need at least {MIN_OBS} observations, got {n}")

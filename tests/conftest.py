@@ -79,9 +79,9 @@ def multiple_from_partials(field: CoherenceField, target: int = 0) -> np.ndarray
         keep = sorted([target, *others[:k]])
         sub = field.pairs[pair[np.ix_(keep, keep)][np.triu_indices(k + 1, 1)]]
         # The k-th other series is the sub-stack's last non-target one; its
-        # rho is 0 where flagged, so that factor is 1.
-        rho = _solve(sub, k + 1, keep.index(target))[2][-1]
-        prod *= 1.0 - np.clip(np.abs(rho) ** 2, 0.0, 1.0)
+        # squared partial is 0 where flagged, so that factor is 1.
+        partial_sq = _solve(sub, k + 1, keep.index(target))[1]
+        prod *= 1.0 - partial_sq[keep.index(others[k - 1])]
     return np.clip(1.0 - prod, 0.0, 1.0)
 
 

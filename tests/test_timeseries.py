@@ -19,10 +19,10 @@ def days(n, start="2020-01-01"):
     return np.datetime64(start, "D") + np.arange(n)
 
 
-def make_ms(n=16, p=2, dt_step=1.0, seed=0):
+def make_ms(n=16, p=2, seed=0):
     rng = np.random.default_rng(seed)
     names = tuple(f"s{k}" for k in range(p))
-    return MultiSeries(names, days(n), rng.normal(size=(n, p)), dt=dt_step)
+    return MultiSeries(names, days(n), rng.normal(size=(n, p)))
 
 
 # ---------------------------------------------------------------- parse_date
@@ -144,11 +144,6 @@ def test_multiseries_rejects_too_many_series():
     vals = np.tile(np.arange(9.0), (10, 1))
     with pytest.raises(DataError, match="between 1 and 8"):
         MultiSeries(tuple(f"s{k}" for k in range(9)), days(10), vals)
-
-
-def test_multiseries_rejects_bad_dt():
-    with pytest.raises(DataError, match="dt must be"):
-        MultiSeries(("x",), days(10), np.ones((10, 1)), dt=0.0)
 
 
 def test_multiseries_unknown_name():
@@ -309,10 +304,4 @@ def test_window_too_short():
     ms = make_ms(n=20)
     with pytest.raises(DataError, match="need at least 8"):
         window(ms, "2020-01-03", "2020-01-06")
-
-
-def test_window_preserves_dt():
-    ms = make_ms(n=20, dt_step=0.5)
-    w = window(ms, "2020-01-01", "2020-01-10")
-    assert w.dt == 0.5
 

@@ -376,6 +376,21 @@ def _varma_panel(p, n):
     return simulate_varma(true, n, seed=42)
 
 
+@pytest.mark.parametrize("p", range(2, 9))
+def test_fits_do_not_depend_on_memory_layout(p):
+    # Column means and products round by memory order, so each fit reads a
+    # C-ordered copy of its block: a Fortran-ordered panel or a strided
+    # column gives the digits of a contiguous one.
+    panel = 100.0 + _varma_panel(p, 1461)
+    fits = [fit_varma11(panel), fit_varma11(np.asfortranarray(panel))]
+    for k in range(p):
+        fits += [fit_arma11(panel[:, k]), fit_arma11(panel[:, k].copy())]
+    for a, b in zip(fits[::2], fits[1::2]):
+        for name in ("mu", "phi", "theta", "sigma"):
+            assert np.array_equal(getattr(a, name), getattr(b, name)), name
+        assert a.warnings == b.warnings
+
+
 def _lstsq_long_ar_residuals(z, m):
     n = len(z)
     design = np.column_stack([z[m - k - 1 : n - k - 1] for k in range(m)])
