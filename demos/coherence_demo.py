@@ -34,7 +34,7 @@ print()
 
 # Average the squared coherences over octave-wide scale bands, skipping the
 # cone-of-influence region where edge effects dominate.
-inside = ~cf.coi_outside
+inside = ~grid.outside_coi()
 edges = [4, 8, 16, 32, 48, 80, 128, 256]
 print("scale band      multiple   partial(beta)  partial(gamma)  partial(delta)")
 for lo, hi in zip(edges[:-1], edges[1:]):

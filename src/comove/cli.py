@@ -11,8 +11,9 @@ significant digits (round-trip exact), and series names are quoted the way
 ``csv`` quotes them.
 
 Exit codes: 0 success, 1 usage error (bad flags, unknown keys or subcommand,
-a refused setting value such as an unknown method or a depth below 1), 2 data
-error (missing or malformed input, analysis preconditions violated).
+a refused setting value such as an unknown method, a depth below 1 or a bad
+window date), 2 data error (missing or malformed input, analysis
+preconditions violated).
 
 Output files, written under ``out_dir``, which is made at the first write
 (so a run that fails before writing leaves no directory behind):
@@ -46,6 +47,7 @@ import itertools
 import os
 import sys
 from dataclasses import dataclass, fields, replace
+from datetime import date
 
 import numpy as np
 
@@ -310,8 +312,8 @@ def _check_file_names(names: tuple[str, ...]) -> None:
             )
 
 
-def _load(config: PipelineConfig) -> tuple[ts.MultiSeries, ts.MultiSeries]:
-    """Load the input and return (full series, analysis window)."""
+def _load(config: PipelineConfig, start: date | None, end: date | None) -> tuple[ts.MultiSeries, ts.MultiSeries]:
+    """Load the input and return (full series, analysis window [start, end])."""
     if not config.input:
         raise UsageError("no input file; pass --input or set input= in the config")
     full = ts.load_csv(
@@ -322,10 +324,8 @@ def _load(config: PipelineConfig) -> tuple[ts.MultiSeries, ts.MultiSeries]:
     if full.load_report is not None:
         print(full.load_report.summary())
     work = full
-    if config.start is not None or config.end is not None:
-        start = config.start or str(work.timestamps[0])
-        end = config.end or str(work.timestamps[-1])
-        work = ts.window(work, start, end)
+    if start is not None or end is not None:
+        work = ts.window(work, start or work.timestamps[0].item(), end or work.timestamps[-1].item())
     if config.log_transform:
         work = replace(work, values=_log(work.names, work.values))
     return full, work
@@ -468,20 +468,25 @@ def _truncate(r: vm.ForecastResult, steps: int) -> vm.ForecastResult:
     return vm.ForecastResult(steps, r.points[:steps], r.cov[:steps], r.lower[:steps], r.upper[:steps])
 
 
-def _check_settings(config: PipelineConfig) -> None:
-    """Refuse a bad setting before any output is written."""
+def _check_settings(config: PipelineConfig) -> tuple[date | None, date | None]:
+    """Refuse a bad setting before the input is read; return the window's
+    parsed start and end dates."""
     if config.horizon < 1:
         raise UsageError(f"horizon must be at least 1, got {config.horizon}")
     try:
         canonical_method(config.method)
         pk.lowpass(config.wavelet)
-    except ValueError as exc:
+        start, end = (None if text is None else ts.parse_date(text) for text in (config.start, config.end))
+    except ValueError as exc:  # ts.DataError is one
         raise UsageError(str(exc)) from None
     if config.rule != "auto" and config.rule not in SHRINKAGE_RULES:
         raise UsageError(f"unknown rule {config.rule!r}; have {SHRINKAGE_RULES} or 'auto'")
     for key in ("depth", "denoise_level"):
         if getattr(config, key) < 1:
             raise UsageError(f"{key} must be at least 1, got {getattr(config, key)}")
+    if start is not None and end is not None and start > end:
+        raise UsageError(f"window start {start} is after end {end}")
+    return start, end
 
 
 def _check_data(subcommand: str, config: PipelineConfig, work: ts.MultiSeries) -> None:
@@ -508,9 +513,9 @@ def run(subcommand: str, config: PipelineConfig) -> int:
         if subcommand not in _SUBCOMMANDS:
             raise UsageError(f"unknown subcommand {subcommand!r}")
         print(config.echo())
-        _check_settings(config)
+        start, end = _check_settings(config)
         w = _Writer(config.out_dir)
-        full, work = _load(config)
+        full, work = _load(config, start, end)
         target = 0 if config.target is None else work.index_of(config.target)
         _check_data(subcommand, config, work)
         if subcommand == "coherence":

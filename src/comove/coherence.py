@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cwt import WaveletField, cross_spectrum, smooth
+from .cwt import ScaleGrid, WaveletField, cross_spectrum, smooth
 
 _SINGULAR_MINOR_TOL = 1e-14
 _UNIT_DISC_TOL = 1e-9
@@ -54,10 +54,10 @@ class CoherenceField:
         Entry (j, i) is its conjugate and the diagonal is one.
     labels : tuple of str
         Distinct series names, one per matrix row; their number is p.
-    scales : ndarray, shape (num_scales,)
-    dt : float
-    coi_outside : ndarray, bool, shape (num_scales, n)
-        True where the cell lies outside the cone of influence.
+    grid : ScaleGrid
+        The time-scale plane of every pair grid, ``grid.shape == (num_scales,
+        n)``; ``grid.outside_coi()`` marks the cells outside the cone of
+        influence.
     degenerate : ndarray, bool, shape (num_scales, n)
         True where a smoothed auto-spectrum is at most 4e-7 of its scale
         row's maximum, or vanishes (constant input), so rounding could push
@@ -67,9 +67,7 @@ class CoherenceField:
 
     pairs: np.ndarray
     labels: tuple[str, ...]
-    scales: np.ndarray
-    dt: float
-    coi_outside: np.ndarray
+    grid: ScaleGrid
     degenerate: np.ndarray
 
     def __post_init__(self) -> None:
@@ -82,16 +80,15 @@ class CoherenceField:
         pairs = np.asarray(self.pairs, dtype=complex)
         if pairs.ndim != 3 or pairs.shape[0] != p * (p - 1) // 2:
             raise ValueError(f"pairs shape {pairs.shape} does not fit {p} series")
-        grid = pairs.shape[1:]
-        for name, shape in (("scales", grid[:1]), ("coi_outside", grid), ("degenerate", grid)):
-            arr = np.asarray(getattr(self, name))
-            if arr.shape != shape:
-                raise ValueError(f"{name} has shape {arr.shape}, expected {shape}")
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
+        degenerate = np.asarray(self.degenerate)
+        for name, shape in (("grid", self.grid.shape), ("degenerate", degenerate.shape)):
+            if shape != pairs.shape[1:]:
+                raise ValueError(f"{name} has shape {shape}, expected {pairs.shape[1:]}")
+        degenerate.flags.writeable = False
+        object.__setattr__(self, "degenerate", degenerate)
         # One pair at a time into a reused grid-sized buffer; a NaN magnitude
         # fails the test, so non-finite entries are rejected too.
-        modulus = np.empty(grid)
+        modulus = np.empty(self.grid.shape)
         mag = np.max([np.abs(row, out=modulus).max() for row in pairs])
         if not mag <= 1.0 + _UNIT_DISC_TOL:
             raise ValueError(f"coherency magnitude {mag} exceeds 1")
@@ -104,7 +101,7 @@ class CoherenceField:
 
     @property
     def shape(self) -> tuple[int, int]:
-        return self.pairs.shape[1:]
+        return self.grid.shape
 
 
 def coherence_matrix_field(
@@ -115,8 +112,9 @@ def coherence_matrix_field(
 
     Every auto-spectrum and every pair's cross-spectrum is smoothed by
     :func:`~comove.cwt.smooth` on the shared grid, one call per spectrum
-    (p(p+1)/2 in all). The auto-spectra are float fields, smoothed as such;
-    each smoothed pair is divided by their square roots straight into its
+    (p(p+1)/2 in all), and the field keeps that grid. The auto-spectra are
+    float fields, smoothed as such; each smoothed pair is scaled by the
+    reciprocal of their square roots' product straight into its
     preallocated row. The same operator is applied to every spectrum, which
     is what keeps each cell positive semidefinite. A cell where any smoothed
     auto-spectrum is at most 4e-7 of its scale row's maximum is marked
@@ -126,14 +124,14 @@ def coherence_matrix_field(
     Parameters
     ----------
     fields : sequence of WaveletField
-        Two to eight transforms on the same scale grid and time axis.
+        Two to eight transforms on matching grids (``ScaleGrid.matches``).
     labels : tuple of str, optional
         Names for the series, defaulting to series0..seriesN.
 
     Raises
     ------
     ValueError
-        Fewer than two fields, or mismatched grids/time axes.
+        Fewer than two or more than eight fields, or mismatched grids.
     """
     fields = list(fields)
     p = len(fields)
@@ -141,41 +139,31 @@ def coherence_matrix_field(
         raise ValueError(f"need at least two series, got {p}")
     if p > 8:
         raise ValueError(f"need at most eight series, got {p}")
-    first = fields[0]
-    for f in fields[1:]:
-        if not f.grid.matches(first.grid):
-            raise ValueError("wavelet fields are on different scale grids")
-        if f.n_times != first.n_times or f.dt != first.dt:
-            raise ValueError("wavelet fields have different time axes")
+    grid = fields[0].grid
+    if not all(f.grid.matches(grid) for f in fields[1:]):
+        raise ValueError("wavelet fields are on different grids")
     if labels is None:
         labels = tuple(f"series{i}" for i in range(p))
     elif len(labels) != p:
         raise ValueError(f"{len(labels)} labels for {p} series")
-    grid, dt = first.grid, first.dt
     tiny = np.finfo(float).tiny
 
-    autos = np.empty((p, grid.num_scales, first.n_times))
+    autos = np.empty((p,) + grid.shape)
     for i, f in enumerate(fields):
-        autos[i] = smooth(cross_spectrum(f, f), grid, dt).values
+        autos[i] = smooth(cross_spectrum(f, f), grid).values
     floor = np.maximum(_DEGENERATE_ROW_FLOOR * autos.max(axis=2, keepdims=True), tiny)
     degenerate = ~(autos > floor).all(axis=0)
     denom = np.sqrt(np.clip(autos, tiny, None, out=autos), out=autos)
 
     upper = np.triu_indices(p, 1)
-    pairs = np.empty((len(upper[0]),) + autos.shape[1:], dtype=complex)
+    pairs = np.empty((len(upper[0]),) + grid.shape, dtype=complex)
     for k, (i, j) in enumerate(zip(*upper)):
-        spectrum = smooth(cross_spectrum(fields[i], fields[j]), grid, dt).values
-        np.divide(spectrum, denom[i] * denom[j], out=pairs[k])
-    pairs[:, degenerate] = 0.0
-
-    return CoherenceField(
-        pairs=pairs,
-        labels=tuple(labels),
-        scales=grid.scales,
-        dt=dt,
-        coi_outside=first.outside_coi(),
-        degenerate=degenerate,
-    )
+        spectrum = smooth(cross_spectrum(fields[i], fields[j]), grid).values
+        # numpy divides complex by real as this product with the reciprocal
+        np.multiply(spectrum, 1.0 / (denom[i] * denom[j]), out=pairs[k])
+    # by index, so a field without degenerate cells scans none of the pairs
+    pairs.reshape(len(pairs), -1)[:, np.flatnonzero(degenerate)] = 0.0
+    return CoherenceField(pairs=pairs, labels=tuple(labels), grid=grid, degenerate=degenerate)
 
 
 def _solve(
@@ -322,10 +310,10 @@ def coherence_result(field: CoherenceField, target: int = 0) -> CoherenceResult:
     return CoherenceResult(
         target=target,
         labels=field.labels,
-        scales=np.asarray(field.scales),
+        scales=field.grid.scales,
         multiple=r2,
         partial_sq=partial_sq,
         partial_phase=partial_phase,
         flagged=field.degenerate | singular | partial_bad,
-        coi_outside=np.asarray(field.coi_outside),
+        coi_outside=field.grid.outside_coi(),
     )

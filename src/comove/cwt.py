@@ -46,28 +46,55 @@ def morlet_fourier_factor(omega0: float = OMEGA0) -> float:
 
 @dataclass(frozen=True)
 class ScaleGrid:
-    """Dyadic scale grid ``s_j = s0 * 2**(j * dj)``, j = 0..num_scales-1."""
+    """The time-scale plane: ``n`` samples at step ``dt`` on the read-only
+    dyadic ``scales`` ``s_j = s0 * 2**(j * dj)``, j = 0..num_scales-1.
 
-    s0: float
+    The one record of the plane: the transform, the smoother (``dj`` sets its
+    scale boxcar) and the coherence field read their length, step, scales and
+    cone of influence from it.
+    """
+
+    n: int
+    dt: float
     dj: float
-    num_scales: int
     scales: np.ndarray
-    fourier_factor: float
 
     def __post_init__(self) -> None:
         scales = np.asarray(self.scales, dtype=float)
         scales.flags.writeable = False
         object.__setattr__(self, "scales", scales)
 
+    @property
+    def num_scales(self) -> int:
+        return len(self.scales)
+
+    @property
+    def s0(self) -> float:
+        return float(self.scales[0])
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        """``(num_scales, n)``, the shape of every grid on this plane."""
+        return self.num_scales, self.n
+
     def periods(self) -> np.ndarray:
-        """Equivalent Fourier periods, ``fourier_factor * scales``."""
-        return self.fourier_factor * self.scales
+        """Equivalent Fourier periods, ``morlet_fourier_factor() * scales``."""
+        return morlet_fourier_factor() * self.scales
+
+    @property
+    def coi(self) -> np.ndarray:
+        """Cone of influence, shape (n,): the largest trustworthy scale at each
+        time, ``dt / sqrt(2)`` times the samples to the nearer end (at least 1e-5)."""
+        dist = np.minimum(np.arange(self.n), self.n - 1 - np.arange(self.n)).astype(float)
+        return np.maximum(dist, _COI_EDGE_FLOOR) * self.dt / np.sqrt(2.0)
+
+    def outside_coi(self) -> np.ndarray:
+        """Boolean ``shape`` mask, True where edge effects dominate."""
+        return self.scales[:, None] > self.coi[None, :]
 
     def matches(self, other: "ScaleGrid") -> bool:
-        return (
-            self.num_scales == other.num_scales
-            and np.allclose(self.scales, other.scales, rtol=0, atol=0)
-        )
+        """Whether both grids describe one plane: the same n, dt and scales."""
+        return self.n == other.n and self.dt == other.dt and np.array_equal(self.scales, other.scales)
 
 
 def make_scale_grid(
@@ -116,59 +143,23 @@ def make_scale_grid(
     num = int(np.floor(np.log2(span) / dj)) + 1
     j = np.arange(num)
     scales = s0 * 2.0 ** (j * dj)
-    return ScaleGrid(
-        s0=float(s0),
-        dj=float(dj),
-        num_scales=num,
-        scales=scales,
-        fourier_factor=morlet_fourier_factor(),
-    )
+    return ScaleGrid(n=int(n), dt=float(dt), dj=float(dj), scales=scales)
 
 
 @dataclass(frozen=True)
 class WaveletField:
-    """CWT coefficients of one series on a scale grid.
-
-    Attributes
-    ----------
-    coeffs : ndarray, complex, shape (num_scales, n)
-        Wavelet coefficients, one row per scale.
-    grid : ScaleGrid
-        The scale grid the rows correspond to.
-    dt : float
-        Sampling step of the underlying signal.
-    coi : ndarray, float, shape (n,)
-        Cone of influence: the largest trustworthy scale at each time. Values
-        below a row's scale mark coefficients dominated by edge effects.
-    """
+    """CWT coefficients of one series on its time-scale plane ``grid``:
+    complex, read-only, one row per scale, of shape ``grid.shape``."""
 
     coeffs: np.ndarray
     grid: ScaleGrid
-    dt: float
-    coi: np.ndarray
 
     def __post_init__(self) -> None:
         coeffs = np.asarray(self.coeffs, dtype=complex)
-        coi = np.asarray(self.coi, dtype=float)
-        if coeffs.ndim != 2 or coeffs.shape[0] != self.grid.num_scales:
-            raise ValueError(
-                f"coeffs shape {coeffs.shape} does not match "
-                f"{self.grid.num_scales} scales"
-            )
-        if coi.shape != (coeffs.shape[1],):
-            raise ValueError("coi length must match the time axis")
+        if coeffs.shape != self.grid.shape:
+            raise ValueError(f"coeffs shape {coeffs.shape} does not match the grid's {self.grid.shape}")
         coeffs.flags.writeable = False
-        coi.flags.writeable = False
         object.__setattr__(self, "coeffs", coeffs)
-        object.__setattr__(self, "coi", coi)
-
-    @property
-    def n_times(self) -> int:
-        return int(self.coeffs.shape[1])
-
-    def outside_coi(self) -> np.ndarray:
-        """Boolean (num_scales, n) mask, True where edge effects dominate."""
-        return self.grid.scales[:, None] > self.coi[None, :]
 
 
 @functools.lru_cache(maxsize=4)
@@ -197,7 +188,8 @@ def cwt_morlet(x: np.ndarray, dt: float, grid: ScaleGrid | None = None) -> Wavel
     dt : float
         Sampling step; positive and finite, also when ``grid`` is given.
     grid : ScaleGrid, optional
-        Defaults to ``make_scale_grid(len(x), dt)``.
+        Defaults to ``make_scale_grid(len(x), dt)``; a grid built for another
+        length or step is refused.
 
     Returns
     -------
@@ -221,6 +213,8 @@ def cwt_morlet(x: np.ndarray, dt: float, grid: ScaleGrid | None = None) -> Wavel
         raise ValueError(f"dt must be positive, got {dt}")
     if grid is None:
         grid = make_scale_grid(n, dt)
+    elif grid.n != n or grid.dt != dt:
+        raise ValueError(f"grid is for {grid.n} samples at step {grid.dt}, got {n} at step {dt}")
 
     npad = 2 ** int(np.ceil(np.log2(n)))
     if npad <= n:
@@ -239,10 +233,7 @@ def cwt_morlet(x: np.ndarray, dt: float, grid: ScaleGrid | None = None) -> Wavel
     spec[:, pos] *= norm[:, None]
     # a plain complex copy of the n kept columns, not a view of the padded buffer
     wave = np.fft.ifft(spec, axis=1, out=spec)[:, :n].astype(complex)
-
-    dist = np.minimum(np.arange(n), n - 1 - np.arange(n)).astype(float)
-    coi = np.maximum(dist, _COI_EDGE_FLOOR) * dt / np.sqrt(2.0)
-    return WaveletField(coeffs=wave, grid=grid, dt=dt, coi=coi)
+    return WaveletField(coeffs=wave, grid=grid)
 
 
 @dataclass(frozen=True)
@@ -268,12 +259,10 @@ def cross_spectrum(a: WaveletField, b: WaveletField) -> CrossSpectrumField:
     Raises
     ------
     ValueError
-        If the two fields differ in grid, length, or sampling step.
+        If the two grids differ in scales, length or sampling step.
     """
     if not a.grid.matches(b.grid):
-        raise ValueError("wavelet fields are on different scale grids")
-    if a.n_times != b.n_times or a.dt != b.dt:
-        raise ValueError("wavelet fields have different time axes")
+        raise ValueError("wavelet fields are on different grids")
     if a is b:
         return CrossSpectrumField(values=np.square(a.coeffs.real) + np.square(a.coeffs.imag))
     return CrossSpectrumField(values=a.coeffs * np.conj(b.coeffs))
@@ -372,14 +361,15 @@ def _time_pass(values: np.ndarray, sigmas: tuple[float, ...]):
         yield r, block
 
 
-def smooth(field: CrossSpectrumField, grid: ScaleGrid, dt: float) -> CrossSpectrumField:
+def smooth(field: CrossSpectrumField, grid: ScaleGrid) -> CrossSpectrumField:
     """Separable smoothing: Gaussian in time per scale, boxcar across scales.
 
-    The time kernel at scale s is a Gaussian with standard deviation ``s/dt``
-    samples (the wavelet's own footprint), truncated at 4 standard deviations
-    and applied with reflected ends. The scale kernel is a centered boxcar
-    spanning 0.6 octaves, i.e. ``round(0.6/dj)`` rows forced odd, with edge
-    rows repeated.
+    The field's shape must be ``grid.shape``. The time kernel at scale s is a
+    Gaussian with standard deviation ``s / grid.dt`` samples (the wavelet's
+    own footprint), truncated at 4 standard deviations and applied with
+    reflected ends. The scale kernel is a centered boxcar spanning 0.6
+    octaves, i.e. ``round(0.6 / grid.dj)`` rows forced odd, with edge rows
+    repeated.
 
     Reflected ends make the signal 2n-periodic and even, which the DCT-II
     diagonalizes with per-scale gains ``g`` (the cosine transform of the same
@@ -399,7 +389,7 @@ def smooth(field: CrossSpectrumField, grid: ScaleGrid, dt: float) -> CrossSpectr
     cancellation error. The time pass runs a few rows at a time, and each
     block is added into the boxcar's rows while it is in cache, so the
     filtered field is never stored whole. The weights are built once per
-    (grid, n) and cached.
+    grid and cached.
 
     Both kernels are nonnegative and shared across series, so smoothing a
     matrix of cross-spectra cell by cell preserves positive semidefiniteness;
@@ -408,12 +398,13 @@ def smooth(field: CrossSpectrumField, grid: ScaleGrid, dt: float) -> CrossSpectr
     Raises
     ------
     ValueError
-        If the field was already smoothed (the operator is not idempotent).
+        If the field was already smoothed (the operator is not idempotent),
+        or its shape is not ``grid.shape``.
     """
     if field.smoothed:
         raise ValueError("cross-spectrum is already smoothed")
     vals = field.values
-    if vals.shape[0] != grid.num_scales:
+    if vals.shape != grid.shape:
         raise ValueError("field does not match the scale grid")
     width = int(round(SCALE_SMOOTH_OCTAVES / grid.dj))
     if width % 2 == 0:
@@ -428,7 +419,7 @@ def smooth(field: CrossSpectrumField, grid: ScaleGrid, dt: float) -> CrossSpectr
     half, rows = width // 2, vals.shape[0]
     out = np.zeros_like(vals)
     done = 0
-    for r, block in _time_pass(vals, tuple((grid.scales / dt).tolist())):
+    for r, block in _time_pass(vals, tuple((grid.scales / grid.dt).tolist())):
         lead = half if r == 0 else 0
         trail = half if r + len(block) == rows else 0
         if lead or trail:

@@ -11,6 +11,7 @@ coherencies (:func:`multiple_from_partials`).
 import numpy as np
 
 from comove.coherence import _SINGULAR_MINOR_TOL, CoherenceField, _solve
+from comove.cwt import DEFAULT_DJ, ScaleGrid
 
 _HERMITIAN_TOL = 1e-8
 
@@ -166,6 +167,12 @@ def dense_cells(field) -> np.ndarray:
     return cells
 
 
+def synthetic_grid(nj, nt):
+    """A plane of nj geometric scales from 2 to 32 by nt unit steps, for
+    fields built from random cells."""
+    return ScaleGrid(n=nt, dt=1.0, dj=DEFAULT_DJ, scales=np.geomspace(2.0, 32.0, nj))
+
+
 def unsmoothed_field(fields):
     """Field of the raw coherencies ``W_i conj(W_j) / (|W_i| |W_j|)``.
 
@@ -178,8 +185,6 @@ def unsmoothed_field(fields):
     return CoherenceField(
         pairs=pairs,
         labels=tuple(f"series{k}" for k in range(len(fields))),
-        scales=fields[0].grid.scales,
-        dt=fields[0].dt,
-        coi_outside=fields[0].outside_coi(),
+        grid=fields[0].grid,
         degenerate=np.zeros(pairs.shape[1:], dtype=bool),
     )

@@ -19,6 +19,7 @@ from conftest import (
     multiple_from_partials,
     pack_cells,
     random_coherency_cell,
+    synthetic_grid,
     unsmoothed_field,
 )
 
@@ -56,9 +57,7 @@ def test_coherence_determinant_identities(capsys):
     field = CoherenceField(
         pairs=pack_cells(cells),
         labels=("a", "b", "c", "d"),
-        scales=np.geomspace(2.0, 64.0, 10),
-        dt=1.0,
-        coi_outside=np.zeros((10, 10), dtype=bool),
+        grid=synthetic_grid(10, 10),
         degenerate=np.zeros((10, 10), dtype=bool),
     )
     via_product = multiple_from_partials(field, 0)
@@ -98,7 +97,7 @@ def test_bivariate_coherence_calibration(capsys):
     fb = cm.cwt_morlet(rng.standard_normal(n), 1.0, grid)
     noise_field = cm.coherence_matrix_field([fa, fb])
     r2 = cm.coherence_result(noise_field, 0).multiple
-    median_noise = float(np.median(r2[~noise_field.coi_outside]))
+    median_noise = float(np.median(r2[~grid.outside_coi()]))
     elapsed = time.monotonic() - t0
 
     ok = dev_same <= 1e-12 and median_noise < 0.45 and elapsed < 30.0
@@ -134,7 +133,7 @@ def test_common_factor_detection(capsys):
     cf = cm.coherence_matrix_field(fields)
     res = cm.coherence_result(cf, 0)
     band = (grid.scales >= 48.0) & (grid.scales <= 80.0)
-    usable = band[:, None] & ~cf.coi_outside
+    usable = band[:, None] & ~grid.outside_coi()
     mwc_mean = float(res.multiple[usable].mean())
     bivariate_mean = float((np.abs(dense_cells(cf)[:, :, 0, 1]) ** 2)[usable].mean())
     elapsed = time.monotonic() - t0

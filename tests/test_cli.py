@@ -749,6 +749,22 @@ def test_bad_settings_refused_before_output(tmp_path, capsys, subcommand, flags,
 
 
 @pytest.mark.parametrize(
+    "flags,message",
+    [
+        (["--start", "notadate"], "error: unparseable date: 'notadate'"),
+        (["--start", "2016-01-10", "--end", "2016-01-01"], "error: window start 2016-01-10 is after end 2016-01-01"),
+    ],
+    ids=["unparseable", "reversed"],
+)
+def test_bad_window_refused_before_the_input_is_read(tmp_path, capsys, flags, message):
+    # the input does not exist, so a check made after loading would exit 2
+    out = tmp_path / "out"
+    assert main(["forecast", "--input", str(tmp_path / "missing.csv"), *flags, "--out-dir", str(out)]) == 1
+    assert capsys.readouterr().err.strip() == message
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
     "subcommand,rows,flags,message",
     [
         ("pipeline", 100, ["--target", "a"], "denoise_level 4 needs at least 113 rows in the analysis window, got 100"),

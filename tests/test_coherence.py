@@ -11,6 +11,7 @@ squared magnitude and phase that ``coherence._solve`` writes.
 
 import inspect
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from conftest import (
     multiple_from_partials,
     pack_cells,
     random_coherency_cell,
+    synthetic_grid,
     unsmoothed_field,
 )
 
@@ -40,9 +42,7 @@ def build_field(p, nj=4, nt=6, seed=0):
     return CoherenceField(
         pairs=pack_cells(cells),
         labels=tuple(f"s{i}" for i in range(p)),
-        scales=np.geomspace(2.0, 32.0, nj),
-        dt=1.0,
-        coi_outside=np.zeros((nj, nt), dtype=bool),
+        grid=synthetic_grid(nj, nt),
         degenerate=np.zeros((nj, nt), dtype=bool),
     )
 
@@ -142,9 +142,7 @@ def test_results_invariant_to_series_permutation():
     field_p = CoherenceField(
         pairs=pack_cells(cells_p),
         labels=tuple(field.labels[i] for i in perm),
-        scales=field.scales,
-        dt=field.dt,
-        coi_outside=field.coi_outside,
+        grid=field.grid,
         degenerate=field.degenerate,
     )
     # target s0 sits at index 0 originally, index 1 after the permutation
@@ -164,9 +162,7 @@ def test_singular_minor_reports_one():
     field = CoherenceField(
         pairs=pack_cells(cells),
         labels=("a", "b", "c"),
-        scales=np.array([2.0, 4.0]),
-        dt=1.0,
-        coi_outside=np.zeros((2, 2), dtype=bool),
+        grid=synthetic_grid(2, 2),
         degenerate=np.zeros((2, 2), dtype=bool),
     )
     res = coherence_result(field, 0)
@@ -401,18 +397,19 @@ def test_matrix_field_rejects_mixed_lengths():
     rng = np.random.default_rng(16)
     a = cwt_morlet(rng.normal(size=64), 1.0)
     b = cwt_morlet(rng.normal(size=100), 1.0)
-    with pytest.raises(ValueError, match="different scale grids|different time axes"):
+    with pytest.raises(ValueError, match="different grids"):
         coherence_matrix_field([a, b])
 
 
 @pytest.mark.parametrize("n,dt", [(100, 1.0), (64, 2.0)], ids=["length", "step"])
 def test_matrix_field_rejects_mixed_time_axes(n, dt):
-    # one scale grid, so only the time axes tell the fields apart
+    # each field on its own grid, both with one set of scales, so only the
+    # time axes tell the fields apart
     rng = np.random.default_rng(17)
     grid = make_scale_grid(64, 1.0)
     a = cwt_morlet(rng.normal(size=64), 1.0, grid)
-    b = cwt_morlet(rng.normal(size=n), dt, grid)
-    with pytest.raises(ValueError, match="^wavelet fields have different time axes$"):
+    b = cwt_morlet(rng.normal(size=n), dt, replace(grid, n=n, dt=dt))
+    with pytest.raises(ValueError, match="^wavelet fields are on different grids$"):
         coherence_matrix_field([a, b])
 
 
@@ -431,9 +428,9 @@ def test_matrix_field_rejects_bad_labels(labels, msg):
 def _dense_assembly(fields):
     """The per-pair dense assembly the packed field replaced: each smoothed
     pair, normalised, and its conjugate scattered into (scales, n, p, p)."""
-    grid, dt, p = fields[0].grid, fields[0].dt, len(fields)
+    grid, p = fields[0].grid, len(fields)
     tiny = np.finfo(float).tiny
-    autos = np.array([smooth(cross_spectrum(f, f), grid, dt).values.real for f in fields])
+    autos = np.array([smooth(cross_spectrum(f, f), grid).values.real for f in fields])
     floor = np.maximum(coherence._DEGENERATE_ROW_FLOOR * autos.max(axis=2, keepdims=True), tiny)
     degenerate = ~(autos > floor).all(axis=0)
     denom = np.sqrt(np.clip(autos, tiny, None))
@@ -441,7 +438,7 @@ def _dense_assembly(fields):
     cells[:, :, np.arange(p), np.arange(p)] = 1.0
     for i in range(p):
         for j in range(i + 1, p):
-            sij = smooth(cross_spectrum(fields[i], fields[j]), grid, dt).values
+            sij = smooth(cross_spectrum(fields[i], fields[j]), grid).values
             rho = sij / (denom[i] * denom[j])
             rho[degenerate] = 0.0
             cells[:, :, i, j] = rho
@@ -478,9 +475,7 @@ def _field_kwargs(cells, p):
     return dict(
         pairs=pack_cells(cells),
         labels=tuple(f"s{i}" for i in range(p)),
-        scales=np.geomspace(2.0, 32.0, nj),
-        dt=1.0,
-        coi_outside=np.zeros((nj, nt), dtype=bool),
+        grid=synthetic_grid(nj, nt),
         degenerate=np.zeros((nj, nt), dtype=bool),
     )
 
@@ -527,16 +522,16 @@ def test_field_checks_sit_at_their_tolerances(kind, factor, accepted):
 
 @pytest.mark.parametrize(
     "name,shape",
-    [("scales", (1,)), ("scales", (4, 1)), ("coi_outside", (1, 6)),
+    [("grid", (1, 6)), ("grid", (4, 7)),
      ("degenerate", (1, 6)), ("degenerate", (4, 7)), ("degenerate", (6, 4))],
     ids=lambda v: "x".join(map(str, v)) if isinstance(v, tuple) else v,
 )
 def test_field_rejects_mismatched_grid_shapes(name, shape):
     # A (1, n) mask on a 4-row field would broadcast over every row, and a
-    # one-element scale axis would label four rows; both must be refused.
+    # one-scale grid would label four rows; both must be refused.
     rng = np.random.default_rng(43)
     kwargs = _field_kwargs(dense_cells(build_field(3, seed=43)), 3)
-    kwargs[name] = rng.random(shape) < 0.5 if name != "scales" else rng.uniform(2.0, 32.0, shape)
+    kwargs[name] = rng.random(shape) < 0.5 if name == "degenerate" else synthetic_grid(*shape)
     with pytest.raises(ValueError, match=f"{name} has shape"):
         CoherenceField(**kwargs)
 
@@ -618,8 +613,8 @@ def test_appended_copy_of_a_packet_noise_series_is_flagged(kind):
     field = coherence_matrix_field(fields)
     res = coherence_result(field, 0)
     grid, last = fields[0].grid, len(fields) - 1
-    s00, sxx = (smooth(cross_spectrum(f, f), grid, 1.0).values for f in (fields[0], fields[last]))
-    s0x = smooth(cross_spectrum(fields[0], fields[last]), grid, 1.0).values
+    s00, sxx = (smooth(cross_spectrum(f, f), grid).values for f in (fields[0], fields[last]))
+    s0x = smooth(cross_spectrum(fields[0], fields[last]), grid).values
     outside = np.abs(s0x) > (1.0 + coherence._UNIT_DISC_TOL) * np.sqrt(s00 * sxx)
     assert outside.any()
     assert field.degenerate[outside].all() and res.flagged[field.degenerate].all()

@@ -1,5 +1,7 @@
 """Morlet transform, scale grid, cone of influence, spectra, smoothing."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.ndimage import convolve1d, gaussian_filter1d
@@ -30,6 +32,7 @@ def test_fourier_factor_frozen_value():
 def test_grid_1024_has_109_scales():
     g = make_scale_grid(1024, 1.0)
     assert g.num_scales == 109
+    assert g.shape == (109, 1024)
     assert g.s0 == 2.0
     assert g.scales[0] == 2.0
     # 2 * 2**(108/12) = 2**(1 + 9) lands exactly on the record length
@@ -62,6 +65,15 @@ def test_grid_respects_dt():
 def test_grid_periods_are_scales_times_factor():
     g = make_scale_grid(64, 1.0)
     np.testing.assert_allclose(g.periods(), g.scales * FF, rtol=1e-14)
+
+
+def test_grid_matches_compares_length_and_step():
+    g = make_scale_grid(64, 1.0)
+    longer = make_scale_grid(65, 1.0)
+    assert np.array_equal(longer.scales, g.scales)  # one more sample, the same scales
+    assert not g.matches(longer) and not longer.matches(g)
+    assert not g.matches(replace(g, dt=2.0))
+    assert g.matches(make_scale_grid(64, 1.0))
 
 
 @pytest.mark.parametrize(
@@ -113,7 +125,7 @@ def test_cwt_shapes_and_grid_passthrough():
     g = make_scale_grid(100, 1.0)
     w = cwt_morlet(np.random.default_rng(0).normal(size=100), 1.0, grid=g)
     assert w.coeffs.shape == (g.num_scales, 100)
-    assert w.n_times == 100
+    assert w.grid.n == 100
     assert w.grid is g
     assert np.iscomplexobj(w.coeffs)
 
@@ -142,14 +154,15 @@ def _reference_cwt(x, dt, grid):
 
 
 def test_cached_window_transform_matches_reference():
-    # one grid, two padded lengths (128 and 256) and two sampling steps: a
-    # window shared across lengths or steps would break the equality
+    # one set of scales, two padded lengths (128 and 256) and two sampling
+    # steps: a window shared across lengths or steps would break the equality
     g = make_scale_grid(100, 1.0)
     x = np.random.default_rng(5).normal(size=128)
     for n, dt in [(100, 1.0), (128, 1.0), (100, 0.5), (100, 1.0)]:
-        first = cwt_morlet(x[:n], dt, g).coeffs
-        assert np.array_equal(first, _reference_cwt(x[:n], dt, g))
-        assert np.array_equal(cwt_morlet(x[:n], dt, g).coeffs, first)
+        grid = replace(g, n=n, dt=dt)
+        first = cwt_morlet(x[:n], dt, grid).coeffs
+        assert np.array_equal(first, _reference_cwt(x[:n], dt, grid))
+        assert np.array_equal(cwt_morlet(x[:n], dt, grid).coeffs, first)
 
 
 def test_cached_window_is_read_only_and_keyed_by_length_and_dt():
@@ -188,6 +201,13 @@ def test_cwt_rejects_bad_dt_with_or_without_grid(dt):
         cwt_morlet(x, dt)
 
 
+@pytest.mark.parametrize("n,dt", [(65, 1.0), (64, 2.0)], ids=["length", "step"])
+def test_cwt_refuses_a_grid_for_another_length_or_step(n, dt):
+    x = np.random.default_rng(3).normal(size=64)
+    with pytest.raises(ValueError, match="grid is for"):
+        cwt_morlet(x, 1.0, make_scale_grid(n, dt))
+
+
 # ---------------------------------------------------------------- COI
 
 
@@ -196,30 +216,30 @@ def test_coi_interior_formula():
     w = cwt_morlet(np.random.default_rng(2).normal(size=n), 1.0)
     t = np.arange(1, n - 1)
     expected = np.minimum(t, n - 1 - t) / np.sqrt(2.0)
-    np.testing.assert_allclose(w.coi[1:-1], expected, rtol=1e-14)
+    np.testing.assert_allclose(w.grid.coi[1:-1], expected, rtol=1e-14)
 
 
 def test_coi_symmetric_and_positive():
     w = cwt_morlet(np.random.default_rng(2).normal(size=101), 0.5)
-    np.testing.assert_allclose(w.coi, w.coi[::-1], rtol=1e-14)
-    assert np.all(w.coi > 0)
+    np.testing.assert_allclose(w.grid.coi, w.grid.coi[::-1], rtol=1e-14)
+    assert np.all(w.grid.coi > 0)
 
 
 def test_coi_scales_with_dt():
     x = np.random.default_rng(2).normal(size=64)
-    c1 = cwt_morlet(x, 1.0).coi
-    c2 = cwt_morlet(x, 2.0).coi
+    c1 = cwt_morlet(x, 1.0).grid.coi
+    c2 = cwt_morlet(x, 2.0).grid.coi
     np.testing.assert_allclose(c2, 2.0 * c1, rtol=1e-14)
 
 
 def test_outside_coi_mask():
     w = cwt_morlet(np.random.default_rng(2).normal(size=64), 1.0)
-    mask = w.outside_coi()
+    mask = w.grid.outside_coi()
     assert mask.shape == w.coeffs.shape
     # edges are fully outside, the very center of small scales is inside
     assert mask[:, 0].all() and mask[:, -1].all()
     assert not mask[0, 32]
-    expected = w.grid.scales[:, None] > w.coi[None, :]
+    expected = w.grid.scales[:, None] > w.grid.coi[None, :]
     np.testing.assert_array_equal(mask, expected)
 
 
@@ -258,18 +278,19 @@ def test_cross_spectrum_starts_unsmoothed():
 def test_cross_spectrum_grid_mismatch():
     a, _ = _pair(n=128)
     c, _ = _pair(n=150)
-    with pytest.raises(ValueError, match="different scale grids|different time axes"):
+    with pytest.raises(ValueError, match="different grids"):
         cross_spectrum(a, c)
 
 
 @pytest.mark.parametrize("n,dt", [(150, 1.0), (128, 2.0)], ids=["length", "step"])
 def test_cross_spectrum_time_axis_mismatch(n, dt):
-    # one scale grid, so only the time axes tell the fields apart
+    # each field on its own grid, both with one set of scales, so only the
+    # time axes tell the fields apart
     rng = np.random.default_rng(4)
     grid = make_scale_grid(128, 1.0)
     a = cwt_morlet(rng.normal(size=128), 1.0, grid)
-    b = cwt_morlet(rng.normal(size=n), dt, grid)
-    with pytest.raises(ValueError, match="^wavelet fields have different time axes$"):
+    b = cwt_morlet(rng.normal(size=n), dt, replace(grid, n=n, dt=dt))
+    with pytest.raises(ValueError, match="^wavelet fields are on different grids$"):
         cross_spectrum(a, b)
 
 
@@ -294,7 +315,7 @@ def test_phase_of_lagged_sinusoid():
 def test_smooth_preserves_constant_field():
     g = make_scale_grid(64, 1.0)
     ones = CrossSpectrumField(values=np.ones((g.num_scales, 64), dtype=complex))
-    out = smooth(ones, g, 1.0)
+    out = smooth(ones, g)
     assert out.smoothed is True
     np.testing.assert_allclose(out.values, 1.0, atol=1e-12)
 
@@ -302,9 +323,9 @@ def test_smooth_preserves_constant_field():
 def test_smooth_rejects_double_smoothing():
     g = make_scale_grid(64, 1.0)
     f = CrossSpectrumField(values=np.ones((g.num_scales, 64), dtype=complex))
-    once = smooth(f, g, 1.0)
+    once = smooth(f, g)
     with pytest.raises(ValueError, match="already smoothed"):
-        smooth(once, g, 1.0)
+        smooth(once, g)
 
 
 def test_smooth_rejects_mismatched_grid():
@@ -312,26 +333,34 @@ def test_smooth_rejects_mismatched_grid():
     other = make_scale_grid(128, 1.0)
     f = CrossSpectrumField(values=np.ones((g.num_scales, 64), dtype=complex))
     with pytest.raises(ValueError, match="does not match the scale grid"):
-        smooth(f, other, 1.0)
+        smooth(f, other)
+
+
+def test_smooth_rejects_a_field_of_another_length():
+    # 64 and 65 samples give the same scales, so only the column count differs
+    g = make_scale_grid(64, 1.0)
+    f = CrossSpectrumField(values=np.ones((g.num_scales, 65), dtype=complex))
+    with pytest.raises(ValueError, match="does not match the scale grid"):
+        smooth(f, g)
 
 
 def test_smoothed_coherence_stays_in_unit_disc():
     # shared smoothing weights keep |S12|^2 <= S11 * S22 cell by cell
     a, b = _pair(seed=9)
     g = a.grid
-    s11 = smooth(cross_spectrum(a, a), g, 1.0).values.real
-    s22 = smooth(cross_spectrum(b, b), g, 1.0).values.real
-    s12 = smooth(cross_spectrum(a, b), g, 1.0).values
+    s11 = smooth(cross_spectrum(a, a), g).values.real
+    s22 = smooth(cross_spectrum(b, b), g).values.real
+    s12 = smooth(cross_spectrum(a, b), g).values
     coh = np.abs(s12) ** 2 / (s11 * s22)
     assert coh.max() <= 1.0 + 1e-9
     assert coh.min() >= 0.0
 
 
-def _smooth_by_rows(values, grid, dt):
+def _smooth_by_rows(values, grid):
     """Reference smoother: a direct Gaussian convolution per scale row, then
     a direct-sum boxcar over 0.6 octaves of scales (the FFT time pass's oracle)."""
     out = np.empty(values.shape, dtype=complex)
-    for j, s in enumerate(grid.scales / dt):
+    for j, s in enumerate(grid.scales / grid.dt):
         out[j] = gaussian_filter1d(values[j].real, s, mode="reflect") + 1j * (
             gaussian_filter1d(values[j].imag, s, mode="reflect")
         )
@@ -351,8 +380,8 @@ def test_smooth_matches_direct_convolution(n):
     rng = np.random.default_rng(n)
     values = rng.normal(size=(g.num_scales, n)) + 1j * rng.normal(size=(g.num_scales, n))
     values *= np.exp(rng.normal(scale=3.0, size=(g.num_scales, 1)))
-    out = smooth(CrossSpectrumField(values=values), g, 1.0).values
-    ref = _smooth_by_rows(values, g, 1.0)
+    out = smooth(CrossSpectrumField(values=values), g).values
+    ref = _smooth_by_rows(values, g)
     assert np.abs(out - ref).max() <= 1e-12 * np.abs(values).max()
 
 
@@ -361,10 +390,10 @@ def test_smooth_keeps_a_float_field_float(n):
     g = make_scale_grid(n, 1.0)
     rng = np.random.default_rng([n, 1])
     values = rng.normal(size=(g.num_scales, n)) * np.exp(rng.normal(scale=3.0, size=(g.num_scales, 1)))
-    out = smooth(CrossSpectrumField(values=values), g, 1.0).values
+    out = smooth(CrossSpectrumField(values=values), g).values
     assert out.dtype == float
-    assert np.abs(out - _smooth_by_rows(values, g, 1.0)).max() <= 1e-12 * np.abs(values).max()
-    as_complex = smooth(CrossSpectrumField(values=values + 0j), g, 1.0).values.real
+    assert np.abs(out - _smooth_by_rows(values, g)).max() <= 1e-12 * np.abs(values).max()
+    as_complex = smooth(CrossSpectrumField(values=values + 0j), g).values.real
     assert np.abs(out - as_complex).max() <= 1e-15 * np.abs(as_complex).max()
 
 
@@ -375,8 +404,8 @@ def test_smooth_is_linear_over_real_and_imaginary_parts(n):
     rng = np.random.default_rng([n, 2])
     a, b = (rng.normal(size=(g.num_scales, n)) * np.exp(rng.normal(scale=3.0, size=(g.num_scales, 1)))
             for _ in range(2))
-    whole = smooth(CrossSpectrumField(values=a + 1j * b), g, 1.0).values
-    re, im = (smooth(CrossSpectrumField(values=v), g, 1.0).values for v in (a, b))
+    whole = smooth(CrossSpectrumField(values=a + 1j * b), g).values
+    re, im = (smooth(CrossSpectrumField(values=v), g).values for v in (a, b))
     row_max = np.abs(whole).max(axis=1, keepdims=True)
     assert np.all(np.abs(whole - (re + 1j * im)) <= 1e-14 * row_max)
 
@@ -397,10 +426,10 @@ def test_time_pass_weights_are_cached_read_only():
     assert np.allclose(alpha[:, 0], 1.0, rtol=0, atol=1e-15) and np.all(beta[:, 0] == 0.0)
 
 
-def _padded_boxcar_smooth(values, grid, dt):
+def _padded_boxcar_smooth(values, grid):
     """Reference: smooth's time pass, then the scale boxcar summed over an
     edge-padded copy of the rows and divided by its width."""
-    out = np.concatenate([block.copy() for _, block in cwt._time_pass(values, tuple((grid.scales / dt).tolist()))])
+    out = np.concatenate([block.copy() for _, block in cwt._time_pass(values, tuple((grid.scales / grid.dt).tolist()))])
     width = int(round(0.6 / grid.dj)) | 1
     half, rows = width // 2, out.shape[0]
     padded = np.pad(out, ((half, half), (0, 0)), mode="edge")
@@ -419,8 +448,8 @@ def test_boxcar_matches_edge_padded_sum(n, s0, dj):
     g = make_scale_grid(n, 1.0, s0=s0, dj=dj)
     rng = np.random.default_rng([n, 7])
     values = rng.normal(size=(g.num_scales, n)) + 1j * rng.normal(size=(g.num_scales, n))
-    out = smooth(CrossSpectrumField(values=values), g, 1.0).values
-    ref = _padded_boxcar_smooth(values, g, 1.0)
+    out = smooth(CrossSpectrumField(values=values), g).values
+    ref = _padded_boxcar_smooth(values, g)
     half = (int(round(0.6 / dj)) | 1) // 2
     assert np.array_equal(out[:half], ref[:half]) and np.array_equal(out[-half:], ref[-half:])
     assert np.array_equal(out, ref)
@@ -430,7 +459,7 @@ def test_smooth_reduces_time_variation():
     rng = np.random.default_rng(4)
     a = cwt_morlet(rng.normal(size=256), 1.0)
     raw = cross_spectrum(a, a)
-    sm = smooth(raw, a.grid, 1.0)
+    sm = smooth(raw, a.grid)
     # pick a mid scale: smoothing must shrink the local wiggle
     j = a.grid.num_scales // 2
     assert np.std(np.diff(sm.values.real[j])) < np.std(np.diff(raw.values.real[j]))
