@@ -55,7 +55,7 @@ from . import coherence as coh
 from . import packets as pk
 from . import timeseries as ts
 from . import varma as vm
-from .cwt import cwt_morlet, make_scale_grid
+from .cwt import ScaleGrid, cwt_morlet, make_scale_grid
 from .denoising import SHRINKAGE_RULES, canonical_method, method_sweep, sweep_min_length
 
 class UsageError(Exception):
@@ -120,11 +120,11 @@ def _coerce(key: str, raw: str) -> object:
 
 
 def read_config_file(path: str) -> dict[str, object]:
-    """Parse a flat key=value file; '#' starts a comment, blank lines skipped."""
+    """Parse a flat UTF-8 key=value file; '#' starts a comment, blank lines and a byte-order mark are skipped."""
     known = {f.name for f in fields(PipelineConfig)}
     out: dict[str, object] = {}
     try:
-        fh = open(path)
+        fh = open(path, encoding="utf-8-sig")
     except OSError as exc:
         raise ts.DataError(f"cannot open config {path}: {exc}") from exc
     with fh:
@@ -261,35 +261,23 @@ def _write_table(
 
 
 @functools.lru_cache(maxsize=1)
-def _row_templates(scales: bytes, coi_outside: bytes, shape: tuple[int, int]) -> tuple[str, ...]:
-    """One ``%`` template per scale row of a grid: the scale, each time_index
-    and coi_flag as literals, and %.17g, which prints what _fmt prints, for
-    each value. A run's grids share one scale grid and COI mask, so the
-    templates are built once, each by one ``%`` over its indices and flags."""
+def _row_templates(grid: ScaleGrid) -> tuple[str, ...]:
+    """One ``%`` template per scale row of ``grid``: the scale, each
+    time_index and coi_flag as literals, and %.17g, which prints what _fmt
+    prints, for each value. A run's grids share one plane, so the templates
+    are built once, each by one ``%`` over its indices and flags."""
     cell = ",%d,%%.17g,%d\n"
-    index = range(shape[1])
-    flags = np.frombuffer(coi_outside, dtype=bool).reshape(shape).tolist()
     return tuple(
-        (_fmt(s) + cell) * shape[1] % tuple(itertools.chain.from_iterable(zip(index, row)))
-        for s, row in zip(np.frombuffer(scales).tolist(), flags)
+        (_fmt(s) + cell) * grid.n % tuple(itertools.chain.from_iterable(zip(range(grid.n), row)))
+        for s, row in zip(grid.scales.tolist(), grid.outside_coi().tolist())
     )
 
 
-def _write_grid(
-    w: _Writer,
-    name: str,
-    scales: np.ndarray,
-    grid: np.ndarray,
-    coi_outside: np.ndarray,
-) -> None:
-    templates = _row_templates(
-        np.asarray(scales, dtype=float).tobytes(),
-        np.asarray(coi_outside, dtype=bool).tobytes(),
-        grid.shape,
-    )
+def _write_grid(w: _Writer, name: str, grid: ScaleGrid, values: np.ndarray) -> None:
+    """A long-format ``scale,time_index,value,coi_flag`` file of one result grid on ``grid``."""
     with w.open(name) as fh:
         fh.write("scale,time_index,value,coi_flag\n")
-        fh.writelines(row % tuple(vals) for row, vals in zip(templates, grid.tolist()))
+        fh.writelines(row % tuple(vals) for row, vals in zip(_row_templates(grid), values.tolist()))
 
 
 def _log(names: tuple[str, ...], values: np.ndarray, where: str = "") -> np.ndarray:
@@ -336,12 +324,12 @@ def _emit_coherence(w: _Writer, ms: ts.MultiSeries, target: int, prefix: str = "
     cf = coh.coherence_matrix_field([cwt_morlet(x, 1.0, grid) for x in ms.values.T], labels=ms.names)
     res = coh.coherence_result(cf, target)
     tname = _safe_name(ms.names[target])
-    _write_grid(w, f"mwc_{prefix}{tname}.csv", grid.scales, res.multiple, res.coi_outside)
+    _write_grid(w, f"mwc_{prefix}{tname}.csv", grid, res.multiple)
     if partials:
         for j in sorted(res.partial_sq):
             for kind, values in (("pwc", res.partial_sq[j]), ("phase", res.partial_phase[j])):
                 name = f"{kind}_{prefix}{tname}_{_safe_name(ms.names[j])}.csv"
-                _write_grid(w, name, grid.scales, values, res.coi_outside)
+                _write_grid(w, name, grid, values)
 
 
 def _emit_packet(

@@ -124,7 +124,7 @@ def coherence_matrix_field(
     Parameters
     ----------
     fields : sequence of WaveletField
-        Two to eight transforms on matching grids (``ScaleGrid.matches``).
+        Two to eight transforms on equal grids.
     labels : tuple of str, optional
         Names for the series, defaulting to series0..seriesN.
 
@@ -140,7 +140,7 @@ def coherence_matrix_field(
     if p > 8:
         raise ValueError(f"need at most eight series, got {p}")
     grid = fields[0].grid
-    if not all(f.grid.matches(grid) for f in fields[1:]):
+    if any(f.grid != grid for f in fields[1:]):
         raise ValueError("wavelet fields are on different grids")
     if labels is None:
         labels = tuple(f"series{i}" for i in range(p))
@@ -150,7 +150,7 @@ def coherence_matrix_field(
 
     autos = np.empty((p,) + grid.shape)
     for i, f in enumerate(fields):
-        autos[i] = smooth(cross_spectrum(f, f), grid).values
+        autos[i] = smooth(cross_spectrum(f, f)).values
     floor = np.maximum(_DEGENERATE_ROW_FLOOR * autos.max(axis=2, keepdims=True), tiny)
     degenerate = ~(autos > floor).all(axis=0)
     denom = np.sqrt(np.clip(autos, tiny, None, out=autos), out=autos)
@@ -158,7 +158,7 @@ def coherence_matrix_field(
     upper = np.triu_indices(p, 1)
     pairs = np.empty((len(upper[0]),) + grid.shape, dtype=complex)
     for k, (i, j) in enumerate(zip(*upper)):
-        spectrum = smooth(cross_spectrum(fields[i], fields[j]), grid).values
+        spectrum = smooth(cross_spectrum(fields[i], fields[j])).values
         # numpy divides complex by real as this product with the reciprocal
         np.multiply(spectrum, 1.0 / (denom[i] * denom[j]), out=pairs[k])
     # by index, so a field without degenerate cells scans none of the pairs
@@ -264,7 +264,8 @@ class CoherenceResult:
     target : int
         Index of the target series in the field.
     labels : tuple of str
-    scales : ndarray
+    grid : ScaleGrid
+        The field's time-scale plane; its scales label the rows of each grid.
     multiple : ndarray, shape (num_scales, n), in [0, 1]
     partial_sq : dict of int to ndarray
         Squared partial coherency grid for each non-target series index.
@@ -273,12 +274,12 @@ class CoherenceResult:
     flagged : ndarray, bool
         Cells that were degenerate or hit a singular minor anywhere.
     coi_outside : ndarray, bool
-        True outside the cone of influence.
+        True outside the cone of influence, ``grid.outside_coi()``.
     """
 
     target: int
     labels: tuple[str, ...]
-    scales: np.ndarray
+    grid: ScaleGrid
     multiple: np.ndarray
     partial_sq: dict[int, np.ndarray]
     partial_phase: dict[int, np.ndarray]
@@ -310,7 +311,7 @@ def coherence_result(field: CoherenceField, target: int = 0) -> CoherenceResult:
     return CoherenceResult(
         target=target,
         labels=field.labels,
-        scales=field.grid.scales,
+        grid=field.grid,
         multiple=r2,
         partial_sq=partial_sq,
         partial_phase=partial_phase,

@@ -49,9 +49,10 @@ class ScaleGrid:
     """The time-scale plane: ``n`` samples at step ``dt`` on the read-only
     dyadic ``scales`` ``s_j = s0 * 2**(j * dj)``, j = 0..num_scales-1.
 
-    The one record of the plane: the transform, the smoother (``dj`` sets its
-    scale boxcar) and the coherence field read their length, step, scales and
-    cone of influence from it.
+    The one record of the plane: the transform, every spectrum, the smoother
+    (``dj`` sets its scale boxcar) and the coherence field read their length,
+    step, scales and COI from it. Grids are equal, and hash alike, when ``n``,
+    ``dt``, ``dj`` and the bits of ``scales`` agree; the caches key on them.
     """
 
     n: int
@@ -63,6 +64,15 @@ class ScaleGrid:
         scales = np.asarray(self.scales, dtype=float)
         scales.flags.writeable = False
         object.__setattr__(self, "scales", scales)
+
+    def _key(self) -> tuple:
+        return self.n, self.dt, self.dj, self.scales.tobytes()
+
+    def __eq__(self, other: object) -> bool:
+        return self._key() == other._key() if isinstance(other, ScaleGrid) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key())
 
     @property
     def num_scales(self) -> int:
@@ -91,10 +101,6 @@ class ScaleGrid:
     def outside_coi(self) -> np.ndarray:
         """Boolean ``shape`` mask, True where edge effects dominate."""
         return self.scales[:, None] > self.coi[None, :]
-
-    def matches(self, other: "ScaleGrid") -> bool:
-        """Whether both grids describe one plane: the same n, dt and scales."""
-        return self.n == other.n and self.dt == other.dt and np.array_equal(self.scales, other.scales)
 
 
 def make_scale_grid(
@@ -163,12 +169,12 @@ class WaveletField:
 
 
 @functools.lru_cache(maxsize=4)
-def _morlet_window(scales: tuple[float, ...], npad: int, dt: float) -> np.ndarray:
+def _morlet_window(grid: ScaleGrid, npad: int) -> np.ndarray:
     """Morlet window per scale on FFT columns 1 .. npad/2 - 1, the positive
     frequencies and the only ones where it is nonzero. Cached per grid, so
     the result is read-only."""
-    omega = 2.0 * np.pi * np.fft.fftfreq(npad, d=dt)[1 : npad // 2]
-    window = np.pi**-0.25 * np.exp(-0.5 * (np.array(scales)[:, None] * omega - OMEGA0) ** 2)
+    omega = 2.0 * np.pi * np.fft.fftfreq(npad, d=grid.dt)[1 : npad // 2]
+    window = np.pi**-0.25 * np.exp(-0.5 * (grid.scales[:, None] * omega - OMEGA0) ** 2)
     window.flags.writeable = False
     return window
 
@@ -223,12 +229,11 @@ def cwt_morlet(x: np.ndarray, dt: float, grid: ScaleGrid | None = None) -> Wavel
     xpad[:n] = x - x.mean()
 
     xhat = np.fft.fft(xpad)
-    scales = grid.scales
     # L2 norm per scale, so that coefficient magnitudes compare across scales
-    norm = np.sqrt(2.0 * np.pi * scales / dt)
-    window = _morlet_window(tuple(scales.tolist()), npad, dt)
+    norm = np.sqrt(2.0 * np.pi * grid.scales / dt)
+    window = _morlet_window(grid, npad)
     pos = slice(1, npad // 2)
-    spec = np.zeros((scales.size, npad), dtype=complex)
+    spec = np.zeros((grid.num_scales, npad), dtype=complex)
     np.multiply(xhat[pos], window, out=spec[:, pos])
     spec[:, pos] *= norm[:, None]
     # a plain complex copy of the n kept columns, not a view of the padded buffer
@@ -238,44 +243,46 @@ def cwt_morlet(x: np.ndarray, dt: float, grid: ScaleGrid | None = None) -> Wavel
 
 @dataclass(frozen=True)
 class CrossSpectrumField:
-    """Cross-wavelet spectrum ``W_a * conj(W_b)``, float for an auto-spectrum, optionally smoothed."""
+    """Cross-wavelet spectrum ``W_a * conj(W_b)`` on its plane ``grid``: read-only
+    values of shape ``grid.shape``, float for an auto-spectrum, optionally smoothed."""
 
     values: np.ndarray
+    grid: ScaleGrid
     smoothed: bool = False
 
     def __post_init__(self) -> None:
         values = np.asarray(self.values, dtype=complex if np.iscomplexobj(self.values) else float)
-        if values.ndim != 2:
-            raise ValueError("cross-spectrum must be a (scales, times) matrix")
+        if values.shape != self.grid.shape:
+            raise ValueError(f"values shape {values.shape} does not match the grid's {self.grid.shape}")
         values.flags.writeable = False
         object.__setattr__(self, "values", values)
 
 
 def cross_spectrum(a: WaveletField, b: WaveletField) -> CrossSpectrumField:
-    """Pointwise ``W_a * conj(W_b)`` for two fields on the same grid.
+    """Pointwise ``W_a * conj(W_b)`` for two fields on the same grid, on that grid.
 
     The same field passed twice gives its auto-spectrum ``re**2 + im**2``, as floats.
 
     Raises
     ------
     ValueError
-        If the two grids differ in scales, length or sampling step.
+        If the two grids are not equal.
     """
-    if not a.grid.matches(b.grid):
+    if a.grid != b.grid:
         raise ValueError("wavelet fields are on different grids")
     if a is b:
-        return CrossSpectrumField(values=np.square(a.coeffs.real) + np.square(a.coeffs.imag))
-    return CrossSpectrumField(values=a.coeffs * np.conj(b.coeffs))
+        return CrossSpectrumField(values=np.square(a.coeffs.real) + np.square(a.coeffs.imag), grid=a.grid)
+    return CrossSpectrumField(values=a.coeffs * np.conj(b.coeffs), grid=a.grid)
 
 
 @functools.lru_cache(maxsize=4)
-def _gaussian_gains(sigmas: tuple[float, ...], n: int) -> tuple[np.ndarray, np.ndarray]:
+def _gaussian_gains(grid: ScaleGrid) -> tuple[np.ndarray, np.ndarray]:
     """Weights ``(alpha, beta)`` of reflect-mode Gaussian filters on FFT bins
-    0 .. n // 2, each of shape (len(sigmas), n // 2 + 1).
+    0 .. n // 2, each of shape (num_scales, n // 2 + 1), for n = ``grid.n``.
 
     Row j of the DCT-II gain ``g`` is the cosine transform of the kernel
-    ``gaussian_filter1d`` samples for ``sigmas[j]``: ``exp(-m**2 / (2
-    sigma**2))`` on ``|m| <= int(4 sigma + 0.5)``, normalized to unit sum,
+    ``gaussian_filter1d`` samples for ``sigma = scales[j] / dt``:
+    ``exp(-m**2 / (2 sigma**2))`` on ``|m| <= int(4 sigma + 0.5)``, normalized to unit sum,
     then folded onto the period 2n of the reflected signal (a kernel wider
     than the period wraps several times). The filter ``idct(g * dct(v))`` acts
     on the FFT ``V`` of the reordered samples (see :func:`_time_pass`) as
@@ -288,9 +295,9 @@ def _gaussian_gains(sigmas: tuple[float, ...], n: int) -> tuple[np.ndarray, np.n
     ``conj(beta_k)``, so only the lower half is kept. Cached per grid, so the
     results are read-only.
     """
-    period = 2 * n
-    folded = np.empty((len(sigmas), period))
-    for j, s in enumerate(sigmas):
+    n, period = grid.n, 2 * grid.n
+    folded = np.empty((grid.num_scales, period))
+    for j, s in enumerate((grid.scales / grid.dt).tolist()):
         radius = int(4.0 * s + 0.5)
         m = np.arange(-radius, radius + 1)
         h = np.exp(-0.5 * (m / s) ** 2)
@@ -305,12 +312,12 @@ def _gaussian_gains(sigmas: tuple[float, ...], n: int) -> tuple[np.ndarray, np.n
     return alpha, beta
 
 
-def _time_pass(values: np.ndarray, sigmas: tuple[float, ...]):
+def _time_pass(values: np.ndarray, grid: ScaleGrid):
     """Gaussian time pass of :func:`smooth`, a few rows at a time.
 
-    Yields ``(r, block)``: rows r, r + 1, ... of the filtered field, row j
-    filtered with ``sigmas[j]`` per :func:`_gaussian_gains`. ``block`` is a
-    view of a scratch buffer that the next block overwrites.
+    Yields ``(r, block)``: rows r, r + 1, ... of the filtered ``grid.shape``
+    field, row j filtered with :func:`_gaussian_gains`' row j. ``block`` is
+    a view of a scratch buffer that the next block overwrites.
 
     Each block is reordered as the even times, then the odd times reversed
     (Makhoul, IEEE TASSP 1980): the order in which the DCT-II of the samples
@@ -319,8 +326,8 @@ def _time_pass(values: np.ndarray, sigmas: tuple[float, ...]):
     bins 0 .. n // 2 and their mirrors n - k are copied out, mixed, and
     copied back (a bin that is its own mirror has ``beta = 0``).
     """
-    n = values.shape[1]
-    alpha, beta = _gaussian_gains(sigmas, n)
+    n = grid.n
+    alpha, beta = _gaussian_gains(grid)
     half, m = (n + 1) // 2, n // 2 + 1
     rows_out, w_buf = (np.empty((_TIME_PASS_ROWS, n), dtype=values.dtype) for _ in range(2))
     spec_buf, mirror_buf, term_buf = (np.empty((_TIME_PASS_ROWS, m), dtype=complex) for _ in range(3))
@@ -361,15 +368,15 @@ def _time_pass(values: np.ndarray, sigmas: tuple[float, ...]):
         yield r, block
 
 
-def smooth(field: CrossSpectrumField, grid: ScaleGrid) -> CrossSpectrumField:
+def smooth(field: CrossSpectrumField) -> CrossSpectrumField:
     """Separable smoothing: Gaussian in time per scale, boxcar across scales.
 
-    The field's shape must be ``grid.shape``. The time kernel at scale s is a
-    Gaussian with standard deviation ``s / grid.dt`` samples (the wavelet's
-    own footprint), truncated at 4 standard deviations and applied with
-    reflected ends. The scale kernel is a centered boxcar spanning 0.6
-    octaves, i.e. ``round(0.6 / grid.dj)`` rows forced odd, with edge rows
-    repeated.
+    Both kernels come from the field's own ``grid``, and the smoothed field
+    is on that grid. The time kernel at scale s is a Gaussian with standard
+    deviation ``s / grid.dt`` samples (the wavelet's own footprint),
+    truncated at 4 standard deviations and applied with reflected ends. The
+    scale kernel is a centered boxcar spanning 0.6 octaves, i.e.
+    ``round(0.6 / grid.dj)`` rows forced odd, with edge rows repeated.
 
     Reflected ends make the signal 2n-periodic and even, which the DCT-II
     diagonalizes with per-scale gains ``g`` (the cosine transform of the same
@@ -398,14 +405,11 @@ def smooth(field: CrossSpectrumField, grid: ScaleGrid) -> CrossSpectrumField:
     Raises
     ------
     ValueError
-        If the field was already smoothed (the operator is not idempotent),
-        or its shape is not ``grid.shape``.
+        If the field was already smoothed (the operator is not idempotent).
     """
     if field.smoothed:
         raise ValueError("cross-spectrum is already smoothed")
-    vals = field.values
-    if vals.shape != grid.shape:
-        raise ValueError("field does not match the scale grid")
+    vals, grid = field.values, field.grid
     width = int(round(SCALE_SMOOTH_OCTAVES / grid.dj))
     if width % 2 == 0:
         width += 1
@@ -419,7 +423,7 @@ def smooth(field: CrossSpectrumField, grid: ScaleGrid) -> CrossSpectrumField:
     half, rows = width // 2, vals.shape[0]
     out = np.zeros_like(vals)
     done = 0
-    for r, block in _time_pass(vals, tuple((grid.scales / grid.dt).tolist())):
+    for r, block in _time_pass(vals, grid):
         lead = half if r == 0 else 0
         trail = half if r + len(block) == rows else 0
         if lead or trail:
@@ -434,4 +438,4 @@ def smooth(field: CrossSpectrumField, grid: ScaleGrid) -> CrossSpectrumField:
         end = max(q + len(block) - 2 * half, done)
         np.multiply(out[done:end], 1.0 / width, out=out[done:end])
         done = end
-    return CrossSpectrumField(values=out, smoothed=True)
+    return CrossSpectrumField(values=out, grid=grid, smoothed=True)

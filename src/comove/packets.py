@@ -49,6 +49,15 @@ def highpass(h: np.ndarray) -> np.ndarray:
     return (-1.0) ** k * h[::-1]
 
 
+@functools.lru_cache(maxsize=None)
+def _filter_bank(wavelet: str) -> tuple[np.ndarray, np.ndarray]:
+    """The ``(lowpass, highpass)`` pair of a wavelet, built once and read-only."""
+    bank = lowpass(wavelet).copy(), highpass(lowpass(wavelet))
+    for f in bank:
+        f.flags.writeable = False
+    return bank
+
+
 @functools.lru_cache(maxsize=32)
 def _analysis_index(n: int, taps: int) -> np.ndarray:
     """Analysis gather index (2i + k) mod n, cached per (n, taps) and read-only."""
@@ -112,7 +121,7 @@ def min_length(level: int) -> int:
 
 def _prepare(x: np.ndarray, level: int, wavelet: str) -> tuple[np.ndarray, ...]:
     """Validated signal, extended periodically to a multiple of 2**level,
-    with the lowpass and highpass filters."""
+    with the lowpass and highpass filters (:func:`_filter_bank`)."""
     x = np.asarray(x, dtype=float)
     if x.ndim != 1:
         raise ValueError("signal must be one-dimensional")
@@ -120,11 +129,11 @@ def _prepare(x: np.ndarray, level: int, wavelet: str) -> tuple[np.ndarray, ...]:
         raise ValueError("signal contains non-finite values")
     if level < 1:
         raise ValueError(f"level must be at least 1, got {level}")
-    h = lowpass(wavelet)
+    h, g = _filter_bank(wavelet)
     if x.size < min_length(level):
         raise ValueError(f"{x.size} samples cannot be split {level} times")
     block = 2**level
-    return np.resize(x, -(-x.size // block) * block), h, highpass(h)
+    return np.resize(x, -(-x.size // block) * block), h, g
 
 
 @dataclass(frozen=True)
@@ -189,8 +198,7 @@ def wpt_forward(x: np.ndarray, level: int, wavelet: str = "db3") -> PacketTree:
 
 def wpt_inverse(tree: PacketTree) -> np.ndarray:
     """Rebuild the signal from all leaves, trimmed to the original length."""
-    h = lowpass(tree.wavelet)
-    g = highpass(h)
+    h, g = _filter_bank(tree.wavelet)
     rows = np.stack([tree.nodes[p] for p in tree.paths()])
     for _ in range(tree.level):
         rows = synthesis_step(rows[0::2], rows[1::2], h, g)
@@ -205,8 +213,7 @@ def reconstruct_node(tree: PacketTree, path: tuple[int, ...]) -> np.ndarray:
     path = tuple(path)
     if path not in tree.nodes:
         raise ValueError(f"no node {path} at level {tree.level}")
-    h = lowpass(tree.wavelet)
-    g = highpass(h)
+    h, g = _filter_bank(tree.wavelet)
     c = tree.nodes[path]
     for branch in reversed(path):
         zero = np.zeros_like(c)
@@ -273,8 +280,7 @@ def dwt_inverse(coeffs: DwtCoeffs) -> np.ndarray:
     Leading axes shared by ``approx`` and every detail level are a batch of
     decompositions, inverted together.
     """
-    h = lowpass(coeffs.wavelet)
-    g = highpass(h)
+    h, g = _filter_bank(coeffs.wavelet)
     a = coeffs.approx
     for d in reversed(coeffs.details):
         a = synthesis_step(a, d, h, g)

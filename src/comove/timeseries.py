@@ -134,7 +134,7 @@ def load_csv(
 
     Rows where any selected value is missing (empty field) are dropped and
     counted; the counts are attached to the result as ``.load_report``.
-    Rows are sorted by date before alignment checks.
+    Rows are sorted by date before alignment checks. A UTF-8 byte-order mark is skipped.
 
     Parameters
     ----------
@@ -153,7 +153,7 @@ def load_csv(
         or fewer than ``MIN_LENGTH`` complete rows.
     """
     try:
-        fh = open(path, newline="")
+        fh = open(path, newline="", encoding="utf-8-sig")
     except OSError as exc:
         raise DataError(f"cannot open {path}: {exc}") from exc
     with fh:

@@ -24,6 +24,7 @@ from comove.cli import (
     main,
     read_config_file,
 )
+from comove.cwt import ScaleGrid
 from comove.denoising import denoise
 from comove.timeseries import load_csv
 
@@ -143,6 +144,17 @@ def test_config_log_transform_off_and_non_boolean(tmp_path):
         read_config_file(str(cfg))
 
 
+def test_config_file_with_a_byte_order_mark(tmp_path, capsys):
+    # as Windows editors save UTF-8; the mark once became part of the first key
+    src, cfg, out = tmp_path / "in.csv", tmp_path / "run.cfg", tmp_path / "out"
+    write_input(src, n=100, p=2, seed=3)
+    cfg.write_text(f"input = {src}\nhorizon = 7\n", encoding="utf-8-sig")
+    assert cfg.read_bytes().startswith(b"\xef\xbb\xbf")
+    assert read_config_file(str(cfg)) == {"input": str(src), "horizon": 7}
+    assert main(["coherence", "--config", str(cfg), "--out-dir", str(out)]) == 0
+    assert (out / "mwc_a.csv").is_file()
+
+
 def test_unreadable_config_is_data_error(tmp_path, capsys):
     cfg, out = tmp_path / "missing.cfg", tmp_path / "out"
     assert main(["packet", "--config", str(cfg), "--out-dir", str(out)]) == 2
@@ -252,6 +264,18 @@ def test_coherence_writes_target_grids(coherence_out):
     ]
 
 
+def test_coherence_reads_a_csv_with_a_byte_order_mark(tmp_path, capsys):
+    # as spreadsheet "CSV UTF-8" exports write it; the mark once hid the date column
+    plain, marked, out = tmp_path / "plain.csv", tmp_path / "marked.csv", tmp_path / "out"
+    write_input(plain, n=100, p=2, seed=3)
+    marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    got, want = load_csv(str(marked)), load_csv(str(plain))
+    assert got.names == want.names == ("a", "b")
+    assert np.array_equal(got.values, want.values) and np.array_equal(got.timestamps, want.timestamps)
+    assert main(["coherence", "--input", str(marked), "--out-dir", str(out)]) == 0
+    assert (out / "mwc_a.csv").is_file()
+
+
 def test_grid_file_structure(coherence_out):
     lines = read_lines(coherence_out / "mwc_b.csv")
     assert lines[0] == "scale,time_index,value,coi_flag"
@@ -293,19 +317,19 @@ def _fstring_series_table(stamps, columns):
 def test_writers_match_fstring_bytes(tmp_path, capsys):
     rng = np.random.default_rng(8)
     special = [np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, 2.2e-308, 1e16, -1.5, 1 / 3]
-    grid = rng.normal(scale=1e3, size=(4, 25))
-    grid.flat[: len(special)] = special
-    grid[3, -len(special) :] = special
-    scales = np.array([2.0, 1 / 3, 1e-5, 123456789.125])
-    coi = rng.random((4, 25)) < 0.5
+    values = rng.normal(scale=1e3, size=(4, 25))
+    values.flat[: len(special)] = special
+    values[3, -len(special) :] = special
+    plane = ScaleGrid(n=25, dt=1.0, dj=0.25, scales=np.array([2.0, 1 / 3, 1e-5, 123456789.125]))
+    coi = plane.outside_coi()
     assert coi.any() and not coi.all()
     stamps = np.arange("2020-01-01", "2020-01-26", dtype="datetime64[D]")
-    columns = {"a": grid[0], "b-c": grid[3]}
+    columns = {"a": values[0], "b-c": values[3]}
     w = cli._Writer(str(tmp_path))
-    cli._write_grid(w, "grid.csv", scales, grid, coi)
+    cli._write_grid(w, "grid.csv", plane, values)
     header = "date," + ",".join(map(cli._quote, columns))
     cli._write_table(w, "table.csv", header, list(zip(stamps, *(c.tolist() for c in columns.values()))))
-    assert (tmp_path / "grid.csv").read_bytes() == _fstring_grid(scales, grid, coi).encode()
+    assert (tmp_path / "grid.csv").read_bytes() == _fstring_grid(plane.scales, values, coi).encode()
     assert (tmp_path / "table.csv").read_bytes() == _fstring_series_table(stamps, columns).encode()
 
 
@@ -642,6 +666,16 @@ def test_pipeline_manifest_matches_directory(tmp_path):
     assert "forecasts.csv" in manifest
     assert "denoised.csv" in manifest
     assert "energy.csv" in manifest
+
+
+def test_pipeline_coherence_runs_share_one_set_of_row_templates(tmp_path, capsys):
+    # the original and the three variant runs build value-equal grids, so the
+    # six grid files (mwc, pwc and phase of the original; three mwc) reuse one entry
+    write_input(tmp_path / "in.csv", n=150, p=2, seed=1)
+    cli._row_templates.cache_clear()
+    run_pipeline(tmp_path, "out")
+    info = cli._row_templates.cache_info()
+    assert (info.misses, info.hits) == (1, 5)
 
 
 def _write_named_input(path, names, seed):

@@ -428,9 +428,9 @@ def test_matrix_field_rejects_bad_labels(labels, msg):
 def _dense_assembly(fields):
     """The per-pair dense assembly the packed field replaced: each smoothed
     pair, normalised, and its conjugate scattered into (scales, n, p, p)."""
-    grid, p = fields[0].grid, len(fields)
+    p = len(fields)
     tiny = np.finfo(float).tiny
-    autos = np.array([smooth(cross_spectrum(f, f), grid).values.real for f in fields])
+    autos = np.array([smooth(cross_spectrum(f, f)).values.real for f in fields])
     floor = np.maximum(coherence._DEGENERATE_ROW_FLOOR * autos.max(axis=2, keepdims=True), tiny)
     degenerate = ~(autos > floor).all(axis=0)
     denom = np.sqrt(np.clip(autos, tiny, None))
@@ -438,7 +438,7 @@ def _dense_assembly(fields):
     cells[:, :, np.arange(p), np.arange(p)] = 1.0
     for i in range(p):
         for j in range(i + 1, p):
-            sij = smooth(cross_spectrum(fields[i], fields[j]), grid).values
+            sij = smooth(cross_spectrum(fields[i], fields[j])).values
             rho = sij / (denom[i] * denom[j])
             rho[degenerate] = 0.0
             cells[:, :, i, j] = rho
@@ -612,9 +612,9 @@ def test_appended_copy_of_a_packet_noise_series_is_flagged(kind):
     fields = _wavelet_fields(n, noise)
     field = coherence_matrix_field(fields)
     res = coherence_result(field, 0)
-    grid, last = fields[0].grid, len(fields) - 1
-    s00, sxx = (smooth(cross_spectrum(f, f), grid).values for f in (fields[0], fields[last]))
-    s0x = smooth(cross_spectrum(fields[0], fields[last]), grid).values
+    last = len(fields) - 1
+    s00, sxx = (smooth(cross_spectrum(f, f)).values for f in (fields[0], fields[last]))
+    s0x = smooth(cross_spectrum(fields[0], fields[last])).values
     outside = np.abs(s0x) > (1.0 + coherence._UNIT_DISC_TOL) * np.sqrt(s00 * sxx)
     assert outside.any()
     assert field.degenerate[outside].all() and res.flagged[field.degenerate].all()

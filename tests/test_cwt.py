@@ -71,9 +71,42 @@ def test_grid_matches_compares_length_and_step():
     g = make_scale_grid(64, 1.0)
     longer = make_scale_grid(65, 1.0)
     assert np.array_equal(longer.scales, g.scales)  # one more sample, the same scales
-    assert not g.matches(longer) and not longer.matches(g)
-    assert not g.matches(replace(g, dt=2.0))
-    assert g.matches(make_scale_grid(64, 1.0))
+    assert g != longer and longer != g
+    assert g != replace(g, dt=2.0)
+    assert g == make_scale_grid(64, 1.0)
+
+
+def test_equal_grids_compare_and_hash_equal_and_share_cache_entries():
+    g, same = make_scale_grid(64, 1.0), make_scale_grid(64, 1.0)
+    assert g is not same and g == same and hash(g) == hash(same)
+    assert len({g, same}) == 1
+    assert cwt._morlet_window(g, 128) is cwt._morlet_window(same, 128)
+    assert cwt._gaussian_gains(g) is cwt._gaussian_gains(same)
+
+
+def _bump(scales):
+    out = scales.copy()
+    out[3] = np.nextafter(out[3], np.inf)
+    return out
+
+
+@pytest.mark.parametrize(
+    "change",
+    [{"n": 65}, {"dt": 2.0}, {"dj": 0.25}, "scale"],
+    ids=["n", "dt", "dj", "scale"],
+)
+def test_grids_that_differ_in_one_value_compare_unequal(change):
+    g = make_scale_grid(64, 1.0)
+    other = replace(g, scales=_bump(g.scales)) if change == "scale" else replace(g, **change)
+    assert g != other and other != g
+    assert not g == other
+
+
+def test_grid_compares_unequal_to_other_types():
+    g = make_scale_grid(64, 1.0)
+    assert (g == "x") is False and (g != "x") is True
+    assert g != None  # noqa: E711
+    assert g != (g.n, g.dt, g.dj, g.scales.tobytes())
 
 
 @pytest.mark.parametrize(
@@ -166,15 +199,15 @@ def test_cached_window_transform_matches_reference():
 
 
 def test_cached_window_is_read_only_and_keyed_by_length_and_dt():
-    scales = tuple(make_scale_grid(100, 1.0).scales.tolist())
-    window = cwt._morlet_window(scales, 128, 1.0)
-    assert window.shape == (len(scales), 63)  # columns 1 .. npad/2 - 1
-    assert cwt._morlet_window(scales, 128, 1.0) is window
+    g = make_scale_grid(100, 1.0)
+    window = cwt._morlet_window(g, 128)
+    assert window.shape == (g.num_scales, 63)  # columns 1 .. npad/2 - 1
+    assert cwt._morlet_window(g, 128) is window
     assert not window.flags.writeable
     with pytest.raises(ValueError, match="read-only"):
         window[0, 0] = 0.0
-    assert cwt._morlet_window(scales, 256, 1.0).shape == (len(scales), 127)
-    other_dt = cwt._morlet_window(scales, 128, 0.5)
+    assert cwt._morlet_window(g, 256).shape == (g.num_scales, 127)
+    other_dt = cwt._morlet_window(replace(g, dt=0.5), 128)
     assert other_dt is not window and not np.array_equal(other_dt, window)
 
 
@@ -314,43 +347,57 @@ def test_phase_of_lagged_sinusoid():
 
 def test_smooth_preserves_constant_field():
     g = make_scale_grid(64, 1.0)
-    ones = CrossSpectrumField(values=np.ones((g.num_scales, 64), dtype=complex))
-    out = smooth(ones, g)
+    ones = CrossSpectrumField(values=np.ones((g.num_scales, 64), dtype=complex), grid=g)
+    out = smooth(ones)
     assert out.smoothed is True
     np.testing.assert_allclose(out.values, 1.0, atol=1e-12)
 
 
 def test_smooth_rejects_double_smoothing():
     g = make_scale_grid(64, 1.0)
-    f = CrossSpectrumField(values=np.ones((g.num_scales, 64), dtype=complex))
-    once = smooth(f, g)
+    f = CrossSpectrumField(values=np.ones((g.num_scales, 64), dtype=complex), grid=g)
+    once = smooth(f)
     with pytest.raises(ValueError, match="already smoothed"):
-        smooth(once, g)
+        smooth(once)
 
 
 def test_smooth_rejects_mismatched_grid():
     g = make_scale_grid(64, 1.0)
     other = make_scale_grid(128, 1.0)
-    f = CrossSpectrumField(values=np.ones((g.num_scales, 64), dtype=complex))
-    with pytest.raises(ValueError, match="does not match the scale grid"):
-        smooth(f, other)
+    with pytest.raises(ValueError, match="does not match the grid"):
+        CrossSpectrumField(values=np.ones((g.num_scales, 64), dtype=complex), grid=other)
 
 
 def test_smooth_rejects_a_field_of_another_length():
     # 64 and 65 samples give the same scales, so only the column count differs
     g = make_scale_grid(64, 1.0)
-    f = CrossSpectrumField(values=np.ones((g.num_scales, 65), dtype=complex))
-    with pytest.raises(ValueError, match="does not match the scale grid"):
-        smooth(f, g)
+    with pytest.raises(ValueError, match="does not match the grid"):
+        CrossSpectrumField(values=np.ones((g.num_scales, 65), dtype=complex), grid=g)
+
+
+# one scale row short, and flat: the other-grid and other-length cases are above
+@pytest.mark.parametrize("shape", [(60, 64), (61 * 64,)], ids=str)
+def test_cross_spectrum_field_refuses_values_of_another_shape(shape):
+    g = make_scale_grid(64, 1.0)
+    assert g.shape == (61, 64)
+    with pytest.raises(ValueError, match=r"does not match the grid's \(61, 64\)"):
+        CrossSpectrumField(values=np.ones(shape), grid=g)
+
+
+def test_smooth_returns_a_field_on_its_inputs_grid():
+    a, b = _pair(seed=3)
+    raw = cross_spectrum(a, b)
+    assert raw.grid is a.grid
+    out = smooth(raw)
+    assert out.smoothed and out.grid is raw.grid and out.values.shape == raw.grid.shape
 
 
 def test_smoothed_coherence_stays_in_unit_disc():
     # shared smoothing weights keep |S12|^2 <= S11 * S22 cell by cell
     a, b = _pair(seed=9)
-    g = a.grid
-    s11 = smooth(cross_spectrum(a, a), g).values.real
-    s22 = smooth(cross_spectrum(b, b), g).values.real
-    s12 = smooth(cross_spectrum(a, b), g).values
+    s11 = smooth(cross_spectrum(a, a)).values.real
+    s22 = smooth(cross_spectrum(b, b)).values.real
+    s12 = smooth(cross_spectrum(a, b)).values
     coh = np.abs(s12) ** 2 / (s11 * s22)
     assert coh.max() <= 1.0 + 1e-9
     assert coh.min() >= 0.0
@@ -380,7 +427,7 @@ def test_smooth_matches_direct_convolution(n):
     rng = np.random.default_rng(n)
     values = rng.normal(size=(g.num_scales, n)) + 1j * rng.normal(size=(g.num_scales, n))
     values *= np.exp(rng.normal(scale=3.0, size=(g.num_scales, 1)))
-    out = smooth(CrossSpectrumField(values=values), g).values
+    out = smooth(CrossSpectrumField(values=values, grid=g)).values
     ref = _smooth_by_rows(values, g)
     assert np.abs(out - ref).max() <= 1e-12 * np.abs(values).max()
 
@@ -390,10 +437,10 @@ def test_smooth_keeps_a_float_field_float(n):
     g = make_scale_grid(n, 1.0)
     rng = np.random.default_rng([n, 1])
     values = rng.normal(size=(g.num_scales, n)) * np.exp(rng.normal(scale=3.0, size=(g.num_scales, 1)))
-    out = smooth(CrossSpectrumField(values=values), g).values
+    out = smooth(CrossSpectrumField(values=values, grid=g)).values
     assert out.dtype == float
     assert np.abs(out - _smooth_by_rows(values, g)).max() <= 1e-12 * np.abs(values).max()
-    as_complex = smooth(CrossSpectrumField(values=values + 0j), g).values.real
+    as_complex = smooth(CrossSpectrumField(values=values + 0j, grid=g)).values.real
     assert np.abs(out - as_complex).max() <= 1e-15 * np.abs(as_complex).max()
 
 
@@ -404,24 +451,24 @@ def test_smooth_is_linear_over_real_and_imaginary_parts(n):
     rng = np.random.default_rng([n, 2])
     a, b = (rng.normal(size=(g.num_scales, n)) * np.exp(rng.normal(scale=3.0, size=(g.num_scales, 1)))
             for _ in range(2))
-    whole = smooth(CrossSpectrumField(values=a + 1j * b), g).values
-    re, im = (smooth(CrossSpectrumField(values=v), g).values for v in (a, b))
+    whole = smooth(CrossSpectrumField(values=a + 1j * b, grid=g)).values
+    re, im = (smooth(CrossSpectrumField(values=v, grid=g)).values for v in (a, b))
     row_max = np.abs(whole).max(axis=1, keepdims=True)
     assert np.all(np.abs(whole - (re + 1j * im)) <= 1e-14 * row_max)
 
 
 def test_time_pass_weights_are_cached_read_only():
-    sigmas = tuple(make_scale_grid(64, 1.0).scales.tolist())
-    alpha, beta = cwt._gaussian_gains(sigmas, 64)
-    assert alpha.shape == beta.shape == (len(sigmas), 33)
+    g = make_scale_grid(64, 1.0)
+    alpha, beta = cwt._gaussian_gains(g)
+    assert alpha.shape == beta.shape == (g.num_scales, 33)
     assert alpha.dtype == float and beta.dtype == complex
     assert not alpha.flags.writeable and not beta.flags.writeable
     with pytest.raises(ValueError, match="read-only"):
         alpha[0, 0] = 0.0
-    again = cwt._gaussian_gains(sigmas, 64)
+    again = cwt._gaussian_gains(g)
     assert again[0] is alpha and again[1] is beta
-    assert cwt._gaussian_gains(sigmas, 65)[0] is not alpha
-    assert cwt._gaussian_gains(sigmas[:-1], 64)[0] is not alpha
+    assert cwt._gaussian_gains(make_scale_grid(65, 1.0))[0] is not alpha
+    assert cwt._gaussian_gains(replace(g, scales=g.scales[:-1]))[0] is not alpha
     # bin 0 is its own mirror: alpha_0 = g_0 = 1 for a unit-sum kernel
     assert np.allclose(alpha[:, 0], 1.0, rtol=0, atol=1e-15) and np.all(beta[:, 0] == 0.0)
 
@@ -429,7 +476,7 @@ def test_time_pass_weights_are_cached_read_only():
 def _padded_boxcar_smooth(values, grid):
     """Reference: smooth's time pass, then the scale boxcar summed over an
     edge-padded copy of the rows and divided by its width."""
-    out = np.concatenate([block.copy() for _, block in cwt._time_pass(values, tuple((grid.scales / grid.dt).tolist()))])
+    out = np.concatenate([block.copy() for _, block in cwt._time_pass(values, grid)])
     width = int(round(0.6 / grid.dj)) | 1
     half, rows = width // 2, out.shape[0]
     padded = np.pad(out, ((half, half), (0, 0)), mode="edge")
@@ -448,7 +495,7 @@ def test_boxcar_matches_edge_padded_sum(n, s0, dj):
     g = make_scale_grid(n, 1.0, s0=s0, dj=dj)
     rng = np.random.default_rng([n, 7])
     values = rng.normal(size=(g.num_scales, n)) + 1j * rng.normal(size=(g.num_scales, n))
-    out = smooth(CrossSpectrumField(values=values), g).values
+    out = smooth(CrossSpectrumField(values=values, grid=g)).values
     ref = _padded_boxcar_smooth(values, g)
     half = (int(round(0.6 / dj)) | 1) // 2
     assert np.array_equal(out[:half], ref[:half]) and np.array_equal(out[-half:], ref[-half:])
@@ -459,7 +506,7 @@ def test_smooth_reduces_time_variation():
     rng = np.random.default_rng(4)
     a = cwt_morlet(rng.normal(size=256), 1.0)
     raw = cross_spectrum(a, a)
-    sm = smooth(raw, a.grid)
+    sm = smooth(raw)
     # pick a mid scale: smoothing must shrink the local wiggle
     j = a.grid.num_scales // 2
     assert np.std(np.diff(sm.values.real[j])) < np.std(np.diff(raw.values.real[j]))

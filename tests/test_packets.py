@@ -153,6 +153,19 @@ def test_cached_gather_plans_are_read_only():
             plan[0, 0] = 1
 
 
+@pytest.mark.parametrize("wavelet", ["db3", "haar"])
+def test_filter_bank_is_built_once_and_read_only(wavelet):
+    h, g = packets._filter_bank(wavelet)
+    assert packets._filter_bank(wavelet) is packets._filter_bank(wavelet)
+    assert np.array_equal(h, lowpass(wavelet)) and np.array_equal(g, highpass(lowpass(wavelet)))
+    for f in (h, g):
+        with pytest.raises(ValueError, match="read-only"):
+            f[0] = 0.0
+    assert lowpass(wavelet).flags.writeable  # the public filter is not frozen by the cache
+    with pytest.raises(ValueError, match="unknown wavelet"):
+        packets._filter_bank("db4")
+
+
 def test_synthesis_step_length_mismatch():
     h = lowpass("haar")
     with pytest.raises(ValueError, match="lengths differ"):
