@@ -123,22 +123,17 @@ def read_config_file(path: str) -> dict[str, object]:
     """Parse a flat UTF-8 key=value file; '#' starts a comment, blank lines and a byte-order mark are skipped."""
     known = {f.name for f in fields(PipelineConfig)}
     out: dict[str, object] = {}
-    try:
-        fh = open(path, encoding="utf-8-sig")
-    except OSError as exc:
-        raise ts.DataError(f"cannot open config {path}: {exc}") from exc
-    with fh:
-        for lineno, line in enumerate(fh, start=1):
-            text = line.split("#", 1)[0].strip()
-            if not text:
-                continue
-            if "=" not in text:
-                raise UsageError(f"{path}:{lineno}: expected key=value, got {text!r}")
-            key, _, raw = text.partition("=")
-            key = key.strip()
-            if key not in known:
-                raise UsageError(f"{path}:{lineno}: unknown config key {key!r}")
-            out[key] = _coerce(key, raw)
+    for lineno, line in enumerate(ts.read_text(path, "config ").splitlines(), start=1):
+        text = line.split("#", 1)[0].strip()
+        if not text:
+            continue
+        if "=" not in text:
+            raise UsageError(f"{path}:{lineno}: expected key=value, got {text!r}")
+        key, _, raw = text.partition("=")
+        key = key.strip()
+        if key not in known:
+            raise UsageError(f"{path}:{lineno}: unknown config key {key!r}")
+        out[key] = _coerce(key, raw)
     return out
 
 

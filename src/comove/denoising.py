@@ -1,9 +1,10 @@
 """Wavelet shrinkage de-noising with data-driven threshold selection.
 
-Nine selector variants (Universal, VisuShrink, SURE, GCV, their per-level
-forms, and the hybrid SUREShrink) combined with three shrinkage rules (hard,
-soft, garrote). Noise level is estimated from the finest detail level by the
-median absolute deviation. Approximation coefficients are never thresholded.
+Nine selectors, four threshold rules (universal, SURE, their SUREShrink
+hybrid, GCV) each over the pooled detail levels or per level as ``SELECTORS``
+says, combined with three shrinkage rules (hard, soft, garrote). Noise level
+is estimated from the finest detail level by the median absolute deviation.
+Approximation coefficients are never thresholded.
 
 The method sweep reports SNR/PSNR of each method's reconstruction against the
 supplied reference (by default the input itself, so larger means gentler);
@@ -12,7 +13,6 @@ the convention string travels inside the report.
 
 from __future__ import annotations
 
-import functools
 from collections.abc import Callable
 from dataclasses import dataclass, field, replace
 from typing import NamedTuple
@@ -24,19 +24,21 @@ from .packets import DwtCoeffs, dwt_forward, dwt_inverse
 MAD_SCALE = 0.6745
 MIN_MAD_COEFFS = 8  # fewest detail coefficients a MAD noise estimate is taken from
 SHRINKAGE_RULES = ("hard", "soft", "garrote")
-# the nine selectors, in sweep order, each with its conventional rule
-CONVENTIONAL_RULE = {
-    "Universal": "hard",
-    "UniversalLevel": "hard",
-    "VisuShrink": "soft",
-    "VisuShrinkLevel": "soft",
-    "SURE": "garrote",
-    "SURELevel": "garrote",
-    "SUREShrink": "garrote",
-    "GCV": "garrote",
-    "GCVLevel": "garrote",
+# the nine selectors, in sweep order: (threshold rule, taken per detail level
+# rather than once over the pooled levels, conventional shrinkage rule)
+SELECTORS = {
+    "Universal": ("universal", False, "hard"),
+    "UniversalLevel": ("universal", True, "hard"),
+    "VisuShrink": ("universal", False, "soft"),
+    "VisuShrinkLevel": ("universal", True, "soft"),
+    "SURE": ("sure", False, "garrote"),
+    "SURELevel": ("sure", True, "garrote"),
+    "SUREShrink": ("sureshrink", True, "garrote"),
+    "GCV": ("gcv", False, "garrote"),
+    "GCVLevel": ("gcv", True, "garrote"),
 }
-METHODS = tuple(CONVENTIONAL_RULE)
+METHODS = tuple(SELECTORS)
+CONVENTIONAL_RULE = {name: shrinkage for name, (_, _, shrinkage) in SELECTORS.items()}
 _SWEEP_CONVENTION = (
     "SNR/PSNR measured against the supplied reference (default: the original "
     "input), so larger means a gentler de-noising, not closer to the truth."
@@ -46,7 +48,7 @@ _SWEEP_CONVENTION = (
 def canonical_method(method: str) -> str:
     """Map a case/punctuation-insensitive method name to its canonical form."""
     key = method.replace("_", "").replace("-", "").lower()
-    for name in METHODS:
+    for name in SELECTORS:
         if name.lower() == key:
             return name
     raise ValueError(f"unknown method {method!r}; have {METHODS}")
@@ -147,8 +149,9 @@ def select_threshold(
 ) -> float | list[float]:
     """Pick shrinkage threshold(s) for a wavelet decomposition.
 
-    Global methods return one float; Level variants return one threshold per
-    detail level (finest first, matching ``coeffs.details``).
+    Pooled methods return one float; the methods ``SELECTORS`` marks per
+    level return one threshold per detail level (finest first, matching
+    ``coeffs.details``).
 
     Parameters
     ----------
@@ -190,67 +193,52 @@ class _Magnitudes(NamedTuple):
 
 def _noise_sigmas(mags: _Magnitudes, sigma: float | None) -> Callable[[int], float]:
     """Noise level of detail level j (0 is the finest): ``sigma`` if given,
-    else the level's MAD estimate, computed once on first use."""
+    else the level's MAD estimate, taken only when asked for, so a level no
+    selector reads the noise of may hold fewer than MIN_MAD_COEFFS."""
     if sigma is not None and not (np.isfinite(sigma) and sigma >= 0):
         raise ValueError(f"sigma must be finite and nonnegative, got {sigma}")
     if not np.any(mags.pooled):
         raise ValueError("all detail coefficients are zero; nothing to threshold")
     if sigma is not None:
         return lambda j: float(sigma)
-    return functools.cache(lambda j: _mad_sigma(mags.levels[j]))
+    return lambda j: _mad_sigma(mags.levels[j])
 
 
 def _threshold(
     method: str, coeffs: DwtCoeffs, mags: _Magnitudes, sigma_at: Callable[[int], float]
 ) -> float | list[float]:
     """:func:`select_threshold` for a canonical method name, the sorted
-    magnitudes of ``coeffs`` and noise levels."""
-    n = coeffs.original_length
+    magnitudes of ``coeffs`` and noise levels. Pooled rules read the finest
+    level's noise; per level, universal and SURE read each level's own,
+    SUREShrink the finest level's, and GCV none."""
+    rule, per_level, _ = SELECTORS[method]
     sigma_g = sigma_at(0)
+    if not per_level:
+        return _scaled_threshold(rule, mags.pooled, coeffs.original_length, sigma_g)
+    own_noise = rule in ("universal", "sure")
+    return [
+        _scaled_threshold(rule, a, a.size, sigma_at(j) if own_noise else sigma_g, d)
+        for j, (a, d) in enumerate(zip(mags.levels, coeffs.details))
+    ]
 
-    if method in ("Universal", "VisuShrink"):
-        return sigma_g * float(np.sqrt(2.0 * np.log(n)))
 
-    if method in ("UniversalLevel", "VisuShrinkLevel"):
-        return [
-            sigma_at(j) * float(np.sqrt(2.0 * np.log(a.size))) for j, a in enumerate(mags.levels)
-        ]
-
-    if method == "SURE":
-        if sigma_g == 0.0:
-            return 0.0
-        return sigma_g * _sure_t(mags.pooled / sigma_g)
-
-    if method == "SURELevel":
-        out = []
-        for j, a in enumerate(mags.levels):
-            s_j = sigma_at(j)
-            out.append(0.0 if s_j == 0.0 else s_j * _sure_t(a / s_j))
-        return out
-
-    if method == "SUREShrink":
-        out = []
-        for d, a in zip(coeffs.details, mags.levels):
-            n_j = a.size
-            universal = float(np.sqrt(2.0 * np.log(n_j)))
-            if sigma_g == 0.0:
-                out.append(0.0)
-                continue
-            y = np.asarray(d, dtype=float) / sigma_g
-            sparsity = (float(np.sum(y**2)) - n_j) / n_j
-            gate = float(np.log2(n_j) ** 1.5 / np.sqrt(n_j))
-            if sparsity <= gate:
-                t = universal
-            else:
-                t = min(_sure_t(a / sigma_g), universal)
-            out.append(sigma_g * t)
-        return out
-
-    if method == "GCV":
-        return _gcv_t(mags.pooled)
-
-    # GCVLevel
-    return [_gcv_t(a) if np.any(a) else 0.0 for a in mags.levels]
+def _scaled_threshold(
+    rule: str, a: np.ndarray, n: int, s: float, d: np.ndarray | None = None
+) -> float:
+    """One threshold by ``rule`` for the sorted magnitudes ``a`` at noise
+    level ``s``, n setting the universal threshold; SUREShrink also reads the
+    raw coefficients ``d`` for its sparsity test."""
+    if rule == "gcv":
+        return _gcv_t(a) if np.any(a) else 0.0
+    universal = float(np.sqrt(2.0 * np.log(n)))
+    if rule == "universal":
+        return s * universal
+    if s == 0.0:
+        return 0.0
+    if rule == "sure":
+        return s * _sure_t(a / s)
+    sparse = (float(np.sum(np.divide(d, s) ** 2)) - n) / n <= float(np.log2(n) ** 1.5 / np.sqrt(n))
+    return s * (universal if sparse else min(_sure_t(a / s), universal))
 
 
 def denoise(

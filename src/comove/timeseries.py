@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import datetime as _dt
+import io
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -24,6 +25,20 @@ _DATE_FORMATS = ("%Y-%m-%d", "%d.%m.%Y")
 
 class DataError(ValueError):
     """Input data violates a contract (bad dates, short windows, NaNs...)."""
+
+
+def read_text(path: str, kind: str = "") -> str:
+    """The text of a UTF-8 file, less a leading byte-order mark, line endings
+    as written; a :class:`DataError` naming the path if it cannot be opened
+    (as ``kind``, such as ``"config "``) or is not UTF-8."""
+    try:
+        with open(path, encoding="utf-8-sig", newline="") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise DataError(f"cannot open {kind}{path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        bad = exc.object[exc.start]
+        raise DataError(f"{path}: not UTF-8 text (byte {bad:#04x}: {exc.reason})") from exc
 
 
 def parse_date(text: str) -> _dt.date:
@@ -150,14 +165,11 @@ def load_csv(
     ------
     DataError
         Missing columns, unparseable or duplicate dates, non-numeric values,
-        or fewer than ``MIN_LENGTH`` complete rows.
+        fewer than ``MIN_LENGTH`` complete rows, or what :func:`read_text` or
+        the ``csv`` module (a field over its size limit) refuses.
     """
+    reader = csv.DictReader(io.StringIO(read_text(path), newline=""))
     try:
-        fh = open(path, newline="", encoding="utf-8-sig")
-    except OSError as exc:
-        raise DataError(f"cannot open {path}: {exc}") from exc
-    with fh:
-        reader = csv.DictReader(fh)
         header = reader.fieldnames
         if not header:
             raise DataError(f"{path}: empty file or missing header")
@@ -194,6 +206,8 @@ def load_csv(
                 raise DataError(f"{path}: non-numeric value on {day}: {exc}") from exc
             dates.append(day)
             rows.append(vals)
+    except csv.Error as exc:  # a field over the size limit; the DictReader's line_num lags it
+        raise DataError(f"{path}: line {reader.reader.line_num}: {exc}") from exc
 
     if len(dates) != len(set(dates)):
         seen: set[_dt.date] = set()

@@ -162,6 +162,14 @@ def test_unreadable_config_is_data_error(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_config_that_is_not_utf8_is_data_error(tmp_path, capsys):
+    cfg, out = tmp_path / "latin.cfg", tmp_path / "out"
+    cfg.write_text("input = café.csv\n", encoding="latin-1")
+    assert main(["coherence", "--config", str(cfg), "--out-dir", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {cfg}: not UTF-8 text (byte 0xe9: ")
+    assert not out.exists()
+
+
 def test_config_line_without_equals_is_usage_error(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("horizon = 7\nhorizon 8\n")
@@ -274,6 +282,26 @@ def test_coherence_reads_a_csv_with_a_byte_order_mark(tmp_path, capsys):
     assert np.array_equal(got.values, want.values) and np.array_equal(got.timestamps, want.timestamps)
     assert main(["coherence", "--input", str(marked), "--out-dir", str(out)]) == 0
     assert (out / "mwc_a.csv").is_file()
+
+
+def test_csv_that_is_not_utf8_is_data_error(tmp_path, capsys):
+    src, out = tmp_path / "latin.csv", tmp_path / "out"
+    write_input(src, n=100, p=1, seed=3)
+    src.write_text(src.read_text().replace("date,a", "date,café", 1), encoding="latin-1")
+    assert main(["coherence", "--input", str(src), "--out-dir", str(out)]) == 2
+    assert f"error: {src}: not UTF-8 text (byte 0xe9: " in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_csv_field_over_the_csv_module_limit_is_data_error(tmp_path, capsys):
+    src, out = tmp_path / "big.csv", tmp_path / "out"
+    write_input(src, n=100, p=2, seed=3)
+    lines = src.read_text().splitlines()
+    lines[1] += "x" * 200_000  # the first record's last field
+    src.write_text("\n".join(lines) + "\n")
+    assert main(["coherence", "--input", str(src), "--out-dir", str(out)]) == 2
+    assert f"error: {src}: line 2: field larger than field limit" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_grid_file_structure(coherence_out):

@@ -346,6 +346,20 @@ def test_selectors_equal_sorting_per_call(sizes, sigma):
     assert estimate_noise_sigma(details[0]) == np.median(np.abs(details[0])) / 0.6745
 
 
+def test_only_selectors_reading_each_levels_noise_need_its_eight_coefficients():
+    # per level, Universal and SURE estimate each level's own noise; pooled
+    # selectors and SUREShrink read the finest level's, GCV none
+    rng = np.random.default_rng(29)
+    c = coeffs_from_details(rng.normal(size=64), rng.normal(scale=3.0, size=5))
+    for method in ("Universal", "VisuShrink", "SURE", "GCV"):
+        assert np.isfinite(select_threshold(c, method))
+    for method in ("SUREShrink", "GCVLevel"):
+        assert len(select_threshold(c, method)) == 2
+    for method in ("UniversalLevel", "VisuShrinkLevel", "SURELevel"):
+        with pytest.raises(ValueError, match="need at least 8 coefficients, got 5"):
+            select_threshold(c, method)
+
+
 def test_selector_rejects_all_zero_details():
     c = coeffs_from_details(np.zeros(32), np.zeros(16))
     with pytest.raises(ValueError, match="all detail coefficients are zero"):
