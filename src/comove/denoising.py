@@ -13,8 +13,8 @@ the convention string travels inside the report.
 
 from __future__ import annotations
 
-from collections.abc import Callable
-from dataclasses import dataclass, field, replace
+import itertools
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -103,8 +103,8 @@ def apply_shrinkage(
         A negative or non-finite threshold entry, or an unknown rule.
     """
     t = np.asarray(threshold, dtype=float)
-    bad = ~(np.isfinite(t) & (t >= 0))
-    if bad.any():
+    if not (t.min(initial=0.0) >= 0.0 and t.max(initial=0.0) < np.inf):  # NaN fails both
+        bad = ~(np.isfinite(t) & (t >= 0))
         raise ValueError(f"threshold must be finite and nonnegative, got {t[bad].flat[0]}")
     if rule not in SHRINKAGE_RULES:
         raise ValueError(f"unknown rule {rule!r}; have {SHRINKAGE_RULES}")
@@ -123,25 +123,30 @@ def apply_shrinkage(
     return out
 
 
-def _sure_t(ay: np.ndarray) -> float:
-    """Threshold minimizing Stein's unbiased risk on unit-variance data,
-    given its magnitudes sorted ascending."""
-    n = ay.size
-    cum = np.cumsum(ay**2)
-    k = np.arange(1, n + 1)
-    risk = n - 2.0 * k + cum + (n - k) * ay**2
-    return float(ay[int(np.argmin(risk))])
+def _minimizers(rule: str, y: np.ndarray, n: np.ndarray | float) -> np.ndarray:
+    """Per row of ``y``, whose first n entries are magnitudes sorted ascending
+    and the rest zero padding, the one minimizing Stein's unbiased risk on
+    unit-variance data (``"sure"``: n - 2k + cum + (n - k) y**2) or the GCV
+    score of soft shrinkage (``"gcv"``: (cum + (n - k) y**2) / n / (k / n)**2),
+    each summed in that order. The padding is masked after the arithmetic."""
+    k = np.arange(1.0, y.shape[-1] + 1.0)
+    y2 = y**2
+    score = y2.cumsum(axis=-1)
+    if rule == "sure":
+        score += n - 2.0 * k
+    score += (n - k) * y2
+    if rule == "gcv":
+        score /= n
+        score /= (k / n) ** 2
+    np.copyto(score, np.inf, where=k > n)
+    return y[np.arange(len(y)), score.argmin(axis=-1)]
 
 
-def _gcv_t(aw: np.ndarray) -> float:
-    """Threshold minimizing generalized cross-validation for soft shrinkage,
-    given the coefficients' magnitudes sorted ascending."""
-    n = aw.size
-    cum = np.cumsum(aw**2)
-    k = np.arange(1, n + 1)
-    resid = (cum + (n - k) * aw**2) / n
-    gcv = resid / (k / n) ** 2
-    return float(aw[int(np.argmin(gcv))])
+def _sparse(d: np.ndarray, s: float) -> bool:
+    """SUREShrink's test that a detail level at noise s > 0 is too sparse
+    for SURE, so the universal threshold serves it."""
+    n = np.size(d)
+    return (float((np.divide(d, s) ** 2).sum()) - n) / n <= float(np.log2(n) ** 1.5 / np.sqrt(n))
 
 
 def select_threshold(
@@ -168,14 +173,12 @@ def select_threshold(
         Unknown method, a negative or non-finite ``sigma``, or every detail
         coefficient is exactly zero (nothing to estimate noise from).
     """
-    method = canonical_method(method)
-    mags = _Magnitudes.of(coeffs)
-    return _threshold(method, coeffs, mags, _noise_sigmas(mags, sigma))
+    return _thresholds([canonical_method(method)], coeffs, sigma)[0]
 
 
 class _Magnitudes(NamedTuple):
-    """``|d|`` of a decomposition's detail levels, sorted ascending: each
-    level (finest first) and all levels pooled.
+    """``|d|`` of a decomposition's detail levels, sorted ascending: each level
+    (finest first) as a view of its row of one zero-padded table, and all pooled.
 
     Every selector reads these in place of sorting its own copy. Dividing by
     a positive s is monotone in floating point, so ``levels[j] / s`` equals
@@ -183,62 +186,71 @@ class _Magnitudes(NamedTuple):
     """
 
     levels: list[np.ndarray]
+    table: np.ndarray
     pooled: np.ndarray
 
     @classmethod
     def of(cls, coeffs: DwtCoeffs) -> _Magnitudes:
-        levels = [np.sort(np.abs(np.asarray(d, dtype=float))) for d in coeffs.details]
-        return cls(levels, np.sort(np.concatenate(levels)))
+        sizes = [np.size(d) for d in coeffs.details]
+        table = np.zeros((len(sizes), max(sizes)))
+        levels = [row[:n] for row, n in zip(table, sizes)]
+        for a, d in zip(levels, coeffs.details):
+            np.abs(d, out=a).sort()
+        return cls(levels, table, np.sort(np.concatenate(levels)))
 
 
-def _noise_sigmas(mags: _Magnitudes, sigma: float | None) -> Callable[[int], float]:
-    """Noise level of detail level j (0 is the finest): ``sigma`` if given,
-    else the level's MAD estimate, taken only when asked for, so a level no
-    selector reads the noise of may hold fewer than MIN_MAD_COEFFS."""
+def _thresholds(
+    methods: list[str], coeffs: DwtCoeffs, sigma: float | None
+) -> list[float | list[float]]:
+    """:func:`select_threshold` for each canonical method name. Pooled rules
+    read the finest level's noise; per level, universal and SURE read each
+    level's own, SUREShrink the finest level's, and GCV none. The noise is
+    ``sigma`` if given, else the level's MAD estimate, taken only when read,
+    so a level no selector reads the noise of may hold fewer than
+    MIN_MAD_COEFFS; a zero noise level gives a zero threshold. Each rule
+    takes all levels in one array pass: universal as one vector, SURE at
+    each level's own noise and at the finest level's as the rows of one
+    table, GCV as another; SUREShrink's sparsity test sums each level's raw
+    coefficients."""
+    mags = _Magnitudes.of(coeffs)
     if sigma is not None and not (np.isfinite(sigma) and sigma >= 0):
         raise ValueError(f"sigma must be finite and nonnegative, got {sigma}")
-    if not np.any(mags.pooled):
+    if not mags.pooled.any():
         raise ValueError("all detail coefficients are zero; nothing to threshold")
-    if sigma is not None:
-        return lambda j: float(sigma)
-    return lambda j: _mad_sigma(mags.levels[j])
 
+    def sigma_at(j: int) -> float:
+        return float(sigma) if sigma is not None else _mad_sigma(mags.levels[j])
 
-def _threshold(
-    method: str, coeffs: DwtCoeffs, mags: _Magnitudes, sigma_at: Callable[[int], float]
-) -> float | list[float]:
-    """:func:`select_threshold` for a canonical method name, the sorted
-    magnitudes of ``coeffs`` and noise levels. Pooled rules read the finest
-    level's noise; per level, universal and SURE read each level's own,
-    SUREShrink the finest level's, and GCV none."""
-    rule, per_level, _ = SELECTORS[method]
-    sigma_g = sigma_at(0)
-    if not per_level:
-        return _scaled_threshold(rule, mags.pooled, coeffs.original_length, sigma_g)
-    own_noise = rule in ("universal", "sure")
-    return [
-        _scaled_threshold(rule, a, a.size, sigma_at(j) if own_noise else sigma_g, d)
-        for j, (a, d) in enumerate(zip(mags.levels, coeffs.details))
-    ]
-
-
-def _scaled_threshold(
-    rule: str, a: np.ndarray, n: int, s: float, d: np.ndarray | None = None
-) -> float:
-    """One threshold by ``rule`` for the sorted magnitudes ``a`` at noise
-    level ``s``, n setting the universal threshold; SUREShrink also reads the
-    raw coefficients ``d`` for its sparsity test."""
-    if rule == "gcv":
-        return _gcv_t(a) if np.any(a) else 0.0
-    universal = float(np.sqrt(2.0 * np.log(n)))
-    if rule == "universal":
-        return s * universal
-    if s == 0.0:
-        return 0.0
-    if rule == "sure":
-        return s * _sure_t(a / s)
-    sparse = (float(np.sum(np.divide(d, s) ** 2)) - n) / n <= float(np.log2(n) ** 1.5 / np.sqrt(n))
-    return s * (universal if sparse else min(_sure_t(a / s), universal))
+    kinds = {SELECTORS[m][:2] for m in methods}
+    per = {rule for rule, per_level in kinds if per_level}
+    s_g, pooled, n = sigma_at(0), mags.pooled[None], float(mags.pooled.size)
+    got = {("universal", False): s_g * float(np.sqrt(2.0 * np.log(coeffs.original_length)))}
+    if ("sure", False) in kinds:
+        got["sure", False] = s_g * float(_minimizers("sure", pooled / (s_g or 1.0), n)[0])
+    if ("gcv", False) in kinds:
+        got["gcv", False] = float(_minimizers("gcv", pooled, n)[0])
+    if not per:  # pooled methods alone, as select_threshold asks for them
+        return [got[SELECTORS[m][:2]] for m in methods]
+    sizes = np.array([[a.size] for a in mags.levels], dtype=float)
+    universal = np.sqrt(2.0 * np.log(sizes))
+    if per & {"universal", "sure"}:
+        own = np.array([[sigma_at(j)] for j in range(len(sizes))])
+        got["universal", True] = (own * universal).ravel().tolist()
+    # per level, SURE at each level's own noise and at the finest level's: one table
+    noise = {r: own if r == "sure" else np.full(sizes.shape, s_g)
+             for r in ("sure", "sureshrink") if r in per}
+    if noise:
+        s = np.concatenate(list(noise.values()))
+        y = np.concatenate([mags.table] * len(noise)) / np.where(s > 0.0, s, 1.0)
+        sure = s.ravel() * _minimizers("sure", y, np.concatenate([sizes] * len(noise)))
+        got.update(((r, True), t) for r, t in zip(noise, sure.reshape(len(noise), -1).tolist()))
+    if "sureshrink" in per:  # s * min(t, u) is min(s * t, s * u): s >= 0 keeps the order
+        su = (s_g * universal).ravel().tolist()
+        got["sureshrink", True] = [u if s_g == 0.0 or _sparse(d, s_g) else min(t, u)
+                                   for d, u, t in zip(coeffs.details, su, got["sureshrink", True])]
+    if "gcv" in per:
+        got["gcv", True] = _minimizers("gcv", mags.table, sizes).tolist()
+    return [got[SELECTORS[m][:2]] for m in methods]
 
 
 def denoise(
@@ -266,23 +278,27 @@ def _shrink_and_invert(
     """Shrink the detail levels once per row i, by thresholds[i] (one float
     serves every level) under rules[i], and invert all rows in one batched
     pass; returns each row's per-level thresholds and the (rows, n) signals.
-    The levels are shrunk side by side, in one :func:`apply_shrinkage` call
-    per rule on the rows that use it, each row's thresholds repeated across
-    the coefficients of their level.
+    The levels are shrunk side by side, each row's thresholds repeated once
+    across the coefficients of their level, in one :func:`apply_shrinkage`
+    call per run of consecutive rows sharing a rule (in the sweep, one per
+    distinct rule).
     """
     per_level = [
         (t,) * coeffs.level if isinstance(t, float) else tuple(t) for t in thresholds
     ]
-    table = np.array(per_level, dtype=float)  # (rows, levels)
     sizes = [d.size for d in coeffs.details]
+    repeated = np.repeat(np.array(per_level, dtype=float), sizes, axis=1)  # (rows, coefficients)
     details = np.concatenate(coeffs.details)
-    shrunk = np.empty((len(rules), details.size))
-    for r in dict.fromkeys(rules):
-        rows = [i for i, ri in enumerate(rules) if ri == r]
-        shrunk[rows] = apply_shrinkage(details, np.repeat(table[rows], sizes, axis=1), r)
-    levels = tuple(np.split(shrunk, np.cumsum(sizes[:-1]), axis=1))
-    approx = np.broadcast_to(coeffs.approx, (len(rules), coeffs.approx.size))
-    return per_level, dwt_inverse(replace(coeffs, approx=approx, details=levels))
+    shrunk, row = np.empty_like(repeated), 0
+    for r, run in itertools.groupby(rules):
+        rows = slice(row, row + len(list(run)))
+        shrunk[rows] = apply_shrinkage(details, repeated[rows], r)
+        row = rows.stop
+    bounds = [0, *itertools.accumulate(sizes)]
+    levels = tuple(shrunk[:, lo:hi] for lo, hi in zip(bounds, bounds[1:]))
+    approx = coeffs.approx[None].repeat(len(rules), axis=0)
+    return per_level, dwt_inverse(
+        DwtCoeffs(approx, levels, coeffs.wavelet, coeffs.original_length, coeffs.padded_length))
 
 
 class Fidelity(NamedTuple):
@@ -316,23 +332,19 @@ def fidelity_metrics(reference: np.ndarray, estimate: np.ndarray) -> Fidelity:
 
 
 def _fidelities(ref: np.ndarray, estimates: np.ndarray) -> list[Fidelity]:
-    """:func:`fidelity_metrics` of each row of ``estimates`` against ``ref``:
-    the reference's energy and peak once, the residual energies in one
-    row-wise sum."""
-    energy = float(np.sum(ref**2))
+    """:func:`fidelity_metrics` of each row of ``estimates`` against ``ref``: the
+    reference's energy and peak once, the residual energies and the decibels
+    of all rows in one pass each (a zero residual gives infinite decibels)."""
+    energy = float((ref**2).sum())
     if energy <= 0.0:
         raise ValueError("reference signal has zero energy")
     n = ref.size
     peak = float(np.max(np.abs(ref)))
-    out = []
-    for resid in np.sum((ref - estimates) ** 2, axis=-1).tolist():
-        if resid == 0.0:
-            out.append(Fidelity(snr=np.inf, psnr=np.inf, identical=True))
-            continue
-        snr = 10.0 * np.log10(energy / resid)
-        psnr = 10.0 * np.log10(n * peak**2 / resid)
-        out.append(Fidelity(snr=float(snr), psnr=float(psnr), identical=False))
-    return out
+    resid = ((ref - estimates) ** 2).sum(axis=-1)
+    with np.errstate(divide="ignore"):
+        snr = (10.0 * np.log10(energy / resid)).tolist()
+        psnr = (10.0 * np.log10(n * peak**2 / resid)).tolist()
+    return [Fidelity(s, p, r == 0.0) for s, p, r in zip(snr, psnr, resid.tolist())]
 
 
 @dataclass(frozen=True)
@@ -416,9 +428,7 @@ def method_sweep(
     if level >= 1 and x.size < need:  # dwt_forward names a level below 1
         raise ValueError(f"the sweep at level {level} needs at least {need} samples, got {x.size}")
     coeffs = dwt_forward(x, level=level, wavelet=wavelet)
-    mags = _Magnitudes.of(coeffs)
-    sigma_at = _noise_sigmas(mags, None)
-    thresholds = [_threshold(method, coeffs, mags, sigma_at) for method in METHODS]
+    thresholds = _thresholds(list(METHODS), coeffs, None)
     rules = [rule if rule is not None else CONVENTIONAL_RULE[m] for m in METHODS]
     per_level, estimates = _shrink_and_invert(coeffs, thresholds, rules)
     scores = [

@@ -16,6 +16,7 @@ Lengths not divisible by 2**level are extended periodically and trimmed back.
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -83,14 +84,15 @@ def analysis_step(x: np.ndarray, h: np.ndarray, g: np.ndarray) -> tuple[np.ndarr
     """One decimating analysis step with periodic extension.
 
     a[i] = sum_k h[k] * x[(2i + k) mod N], and likewise d with g, along the
-    last axis; leading axes are a batch of independent signals. N must be
-    even.
+    last axis; leading axes are a batch of independent signals. The windows
+    are gathered by one ``take`` into a C-ordered block, so a row of a stack
+    comes out bit for bit as it does alone. N must be even.
     """
     x = np.asarray(x, dtype=float)
     n = x.shape[-1]
     if n % 2:
         raise ValueError(f"analysis step needs even length, got {n}")
-    windows = x[..., _analysis_index(n, h.size)]
+    windows = x.take(_analysis_index(n, h.size), axis=-1)
     return windows @ h, windows @ g
 
 
@@ -100,7 +102,7 @@ def synthesis_step(a: np.ndarray, d: np.ndarray, h: np.ndarray, g: np.ndarray) -
     The transpose of the analysis gather, one output phase r per column:
     x[2j + r] = sum_q h[r + 2q] a[(j - q) mod N/2] + g[r + 2q] d[(j - q) mod N/2]
     along the last axis; leading axes are a batch of independent signals.
-    The windows of a and d are gathered from ``[a | d]`` by one ``np.take``
+    The windows of a and d are gathered from ``[a | d]`` by one ``take``
     into one C-ordered block, and one matmul applies both phases.
     """
     a = np.asarray(a, dtype=float)
@@ -109,8 +111,8 @@ def synthesis_step(a: np.ndarray, d: np.ndarray, h: np.ndarray, g: np.ndarray) -
         raise ValueError("approximation and detail lengths differ")
     half = a.shape[-1]
     idx = _synthesis_index(half, h.size)
-    windows = np.take(np.concatenate([a, d], axis=-1), idx, axis=-1)
-    phases = np.concatenate([h.reshape(-1, 2), g.reshape(-1, 2)])  # column r: taps r::2
+    windows = np.concatenate([a, d], axis=-1).take(idx, axis=-1)
+    phases = np.concatenate([h, g]).reshape(-1, 2)  # column r: taps r::2 of h, then of g
     return (windows @ phases).reshape(*a.shape[:-1], 2 * half)
 
 
@@ -125,15 +127,15 @@ def _prepare(x: np.ndarray, level: int, wavelet: str) -> tuple[np.ndarray, ...]:
     x = np.asarray(x, dtype=float)
     if x.ndim != 1:
         raise ValueError("signal must be one-dimensional")
-    if not np.all(np.isfinite(x)):
+    if not np.isfinite(x).all():
         raise ValueError("signal contains non-finite values")
     if level < 1:
         raise ValueError(f"level must be at least 1, got {level}")
     h, g = _filter_bank(wavelet)
     if x.size < min_length(level):
         raise ValueError(f"{x.size} samples cannot be split {level} times")
-    block = 2**level
-    return np.resize(x, -(-x.size // block) * block), h, g
+    pad = -x.size % 2**level  # fewer than x.size, which is at least 2**level
+    return np.concatenate([x, x[:pad]]), h, g
 
 
 @dataclass(frozen=True)
@@ -186,9 +188,10 @@ def wpt_forward(x: np.ndarray, level: int, wavelet: str = "db3") -> PacketTree:
     rows = xp[None, :]
     for _ in range(level):
         a, d = analysis_step(rows, h, g)
-        rows = np.stack([a, d], axis=1).reshape(2 * len(rows), -1)
+        rows = np.empty((2 * len(a), a.shape[-1]))
+        rows[0::2], rows[1::2] = a, d
     return PacketTree(
-        nodes=dict(zip(np.ndindex(*(2,) * level), rows)),
+        nodes=dict(zip(itertools.product((0, 1), repeat=level), rows)),
         level=level,
         wavelet=wavelet,
         original_length=np.size(x),
@@ -216,7 +219,7 @@ def reconstruct_node(tree: PacketTree, path: tuple[int, ...]) -> np.ndarray:
     h, g = _filter_bank(tree.wavelet)
     c = tree.nodes[path]
     for branch in reversed(path):
-        zero = np.zeros_like(c)
+        zero = np.zeros(c.shape)
         c = synthesis_step(zero, c, h, g) if branch else synthesis_step(c, zero, h, g)
     return c[: tree.original_length]
 
@@ -230,7 +233,7 @@ def energy_fractions(
     all-zero signal has no energy to apportion and raises ValueError.
     """
     paths = tree.paths(ordering)
-    sums = np.sum(np.stack([tree.nodes[p] for p in paths]) ** 2, axis=1)
+    sums = (np.stack([tree.nodes[p] for p in paths]) ** 2).sum(axis=1)
     energies = dict(zip(paths, sums.tolist()))
     total = sum(energies.values())
     if total <= 0.0:

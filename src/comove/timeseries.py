@@ -199,11 +199,12 @@ def load_csv(
             if date_text is None or date_text.strip() == "":
                 dropped += 1
                 continue
-            day = parse_date(date_text)
-            try:
+            try:  # DataError is a ValueError
+                day = parse_date(date_text)
                 vals = [float(v) for v in raw]  # type: ignore[arg-type]
             except ValueError as exc:
-                raise DataError(f"{path}: non-numeric value on {day}: {exc}") from exc
+                what = exc if isinstance(exc, DataError) else f"non-numeric value on {day}: {exc}"
+                raise DataError(f"{path}: line {reader.line_num}: {what}") from exc
             dates.append(day)
             rows.append(vals)
     except csv.Error as exc:  # a field over the size limit; the DictReader's line_num lags it

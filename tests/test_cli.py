@@ -304,6 +304,14 @@ def test_csv_field_over_the_csv_module_limit_is_data_error(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_bad_date_in_the_csv_names_its_file_and_line(tmp_path, capsys):
+    src, out = tmp_path / "baddate.csv", tmp_path / "out"
+    src.write_text("date,a\n2020-01-01,1\nbad,2\n")
+    assert main(["coherence", "--input", str(src), "--out-dir", str(out)]) == 2
+    assert capsys.readouterr().err.strip() == f"error: {src}: line 3: unparseable date: 'bad'"
+    assert not out.exists()
+
+
 def test_grid_file_structure(coherence_out):
     lines = read_lines(coherence_out / "mwc_b.csv")
     assert lines[0] == "scale,time_index,value,coi_flag"

@@ -15,7 +15,7 @@ from comove.denoising import (
     select_threshold,
     sweep_min_length,
 )
-from comove.denoising import _shrink_and_invert
+from comove.denoising import _shrink_and_invert, _thresholds
 from comove.packets import DwtCoeffs, dwt_forward, dwt_inverse
 
 
@@ -339,10 +339,21 @@ def test_selectors_equal_sorting_per_call(sizes, sigma):
     details = [rng.normal(scale=1.0 + j, size=m) for j, m in enumerate(sizes)]
     details[0][::5] = np.round(details[0][::5])  # ties and exact zeros
     details[-1][: len(details[-1]) // 2] *= 20.0  # a loud level takes the dense SUREShrink branch
-    for d, n in ((details, 2 * sizes[0]), (details[:1], 2 * sizes[0] + 1)):
+    quiet = details[:1] + [np.where(np.arange(sizes[1]) % 3, 0.0, details[1]), *details[2:]]
+    for d, n in ((details, 2 * sizes[0]), (details[:1], 2 * sizes[0] + 1), (quiet, 2 * sizes[0])):
         c = coeffs_from_details(*d, n=n)
-        for method in METHODS:
-            assert select_threshold(c, method, sigma=sigma) == threshold_oracle(c, method, sigma), method
+        # one method per call, and all nine from one call as the sweep takes them
+        swept = _thresholds(list(METHODS), c, sigma)
+        for method, in_one_call in zip(METHODS, swept):
+            want = threshold_oracle(c, method, sigma)
+            assert select_threshold(c, method, sigma=sigma) == want, method
+            assert in_one_call == want, method
+    # more than half of the second level is exactly zero: its MAD, and so its
+    # per-level universal and SURE thresholds, are zero
+    if sigma is None:
+        assert estimate_noise_sigma(quiet[1]) == 0.0
+        for method in ("UniversalLevel", "SURELevel"):
+            assert select_threshold(coeffs_from_details(*quiet), method)[1] == 0.0
     assert estimate_noise_sigma(details[0]) == np.median(np.abs(details[0])) / 0.6745
 
 

@@ -235,7 +235,7 @@ def test_load_csv_duplicate_date(tmp_path):
 def test_load_csv_non_numeric_value(tmp_path):
     lines = ["date,v"] + [f"2020-01-{k + 1:02d},{k}" for k in range(9)]
     lines[4] = "2020-01-04,abc"
-    with pytest.raises(DataError, match="non-numeric value"):
+    with pytest.raises(DataError, match="m.csv: line 5: non-numeric value on 2020-01-04: "):
         load_csv(write_csv(tmp_path / "m.csv", lines))
 
 
