@@ -178,7 +178,8 @@ def select_threshold(
 
 class _Magnitudes(NamedTuple):
     """``|d|`` of a decomposition's detail levels, sorted ascending: each level
-    (finest first) as a view of its row of one zero-padded table, and all pooled.
+    (finest first), all pooled and, if ``padded``, side by side as the rows of
+    one zero-padded table, which only per-level SURE, SUREShrink and GCV read.
 
     Every selector reads these in place of sorting its own copy. Dividing by
     a positive s is monotone in floating point, so ``levels[j] / s`` equals
@@ -186,16 +187,16 @@ class _Magnitudes(NamedTuple):
     """
 
     levels: list[np.ndarray]
-    table: np.ndarray
+    table: np.ndarray | None
     pooled: np.ndarray
 
     @classmethod
-    def of(cls, coeffs: DwtCoeffs) -> _Magnitudes:
-        sizes = [np.size(d) for d in coeffs.details]
-        table = np.zeros((len(sizes), max(sizes)))
-        levels = [row[:n] for row, n in zip(table, sizes)]
-        for a, d in zip(levels, coeffs.details):
-            np.abs(d, out=a).sort()
+    def of(cls, coeffs: DwtCoeffs, padded: bool) -> _Magnitudes:
+        table = np.zeros((coeffs.level, max(map(np.size, coeffs.details)))) if padded else None
+        levels = [np.abs(d, out=None if table is None else table[j, : np.size(d)])
+                  for j, d in enumerate(coeffs.details)]
+        for a in levels:
+            a.sort()
         return cls(levels, table, np.sort(np.concatenate(levels)))
 
 
@@ -212,7 +213,9 @@ def _thresholds(
     each level's own noise and at the finest level's as the rows of one
     table, GCV as another; SUREShrink's sparsity test sums each level's raw
     coefficients."""
-    mags = _Magnitudes.of(coeffs)
+    kinds = {SELECTORS[m][:2] for m in methods}
+    per = {rule for rule, per_level in kinds if per_level}
+    mags = _Magnitudes.of(coeffs, padded=bool(per - {"universal"}))
     if sigma is not None and not (np.isfinite(sigma) and sigma >= 0):
         raise ValueError(f"sigma must be finite and nonnegative, got {sigma}")
     if not mags.pooled.any():
@@ -221,8 +224,6 @@ def _thresholds(
     def sigma_at(j: int) -> float:
         return float(sigma) if sigma is not None else _mad_sigma(mags.levels[j])
 
-    kinds = {SELECTORS[m][:2] for m in methods}
-    per = {rule for rule, per_level in kinds if per_level}
     s_g, pooled, n = sigma_at(0), mags.pooled[None], float(mags.pooled.size)
     got = {("universal", False): s_g * float(np.sqrt(2.0 * np.log(coeffs.original_length)))}
     if ("sure", False) in kinds:

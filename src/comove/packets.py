@@ -1,16 +1,15 @@
 """Wavelet packet and plain wavelet transforms with periodic extension.
 
-Orthonormal filter banks (db3 by default, Haar for cross-checks) and one
-decimating analysis step, with its transpose, over the last axis of a stack
-of signals. The packet tree is built a depth at a time on the whole
-``(2**depth, m)`` node array: row r splits into rows 2r (lowpass) and 2r + 1
-(highpass), so rows stay in natural (Paley) order, and the leaves are keyed
-by binary paths: node {0,...,0} holds the lowest band, the trend. Each
-highpass branch mirrors the spectrum (:func:`frequency_index`), so the
-all-highpass node {1,...,1} is not the top band: at depth 4 it is band 10 of
-16, and the top band is {1,0,0,0}, band 15. One leaf is rebuilt along its own branch with a zero
-sibling at each depth. The plain DWT is the row-0 spine of the same steps.
-Lengths not divisible by 2**level are extended periodically and trimmed back.
+Orthonormal filter banks (db3 by default, Haar for cross-checks) with one
+decimating analysis step and its transpose. Each transform runs one cached
+polyphase bank, built from that step, per stage of up to 4 levels: one gather
+and one product give every node of a stage, a single leaf or the DWT's
+approximation and detail phases. Leaves are keyed by binary paths in natural
+(Paley) order: node {0,...,0} holds the lowest band, the trend. Each highpass
+branch mirrors the spectrum (:func:`frequency_index`), so the all-highpass
+node {1,...,1} is not the top band: at depth 4 it is band 10 of 16, and the
+top band is {1,0,0,0}, band 15. Lengths not divisible by 2**level are
+extended periodically and trimmed back.
 """
 
 from __future__ import annotations
@@ -59,27 +58,6 @@ def _filter_bank(wavelet: str) -> tuple[np.ndarray, np.ndarray]:
     return bank
 
 
-@functools.lru_cache(maxsize=32)
-def _analysis_index(n: int, taps: int) -> np.ndarray:
-    """Analysis gather index (2i + k) mod n, cached per (n, taps) and read-only."""
-    idx = (2 * np.arange(n // 2)[:, None] + np.arange(taps)[None, :]) % n
-    idx.flags.writeable = False
-    return idx
-
-
-@functools.lru_cache(maxsize=32)
-def _synthesis_index(half: int, taps: int) -> np.ndarray:
-    """Synthesis gather index into ``[a | d]``, shape (half, taps).
-
-    Row j holds (j - q) mod half for q < taps / 2, then the same plus half:
-    the a and d windows of output pair j. Cached per (half, taps), read-only.
-    """
-    idx = (np.arange(half)[:, None] - np.arange(taps // 2)[None, :]) % half
-    idx = np.concatenate([idx, idx + half], axis=1)
-    idx.flags.writeable = False
-    return idx
-
-
 def analysis_step(x: np.ndarray, h: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """One decimating analysis step with periodic extension.
 
@@ -92,7 +70,7 @@ def analysis_step(x: np.ndarray, h: np.ndarray, g: np.ndarray) -> tuple[np.ndarr
     n = x.shape[-1]
     if n % 2:
         raise ValueError(f"analysis step needs even length, got {n}")
-    windows = x.take(_analysis_index(n, h.size), axis=-1)
+    windows = x.take((2 * np.arange(n // 2)[:, None] + np.arange(h.size)) % n, axis=-1)
     return windows @ h, windows @ g
 
 
@@ -110,8 +88,8 @@ def synthesis_step(a: np.ndarray, d: np.ndarray, h: np.ndarray, g: np.ndarray) -
     if a.shape != d.shape:
         raise ValueError("approximation and detail lengths differ")
     half = a.shape[-1]
-    idx = _synthesis_index(half, h.size)
-    windows = np.concatenate([a, d], axis=-1).take(idx, axis=-1)
+    idx = (np.arange(half)[:, None] - np.arange(h.size // 2)) % half  # row j: the a and d windows of pair j
+    windows = np.concatenate([a, d], axis=-1).take(np.concatenate([idx, idx + half], axis=1), axis=-1)
     phases = np.concatenate([h, g]).reshape(-1, 2)  # column r: taps r::2 of h, then of g
     return (windows @ phases).reshape(*a.shape[:-1], 2 * half)
 
@@ -121,9 +99,8 @@ def min_length(level: int) -> int:
     return 2**level
 
 
-def _prepare(x: np.ndarray, level: int, wavelet: str) -> tuple[np.ndarray, ...]:
-    """Validated signal, extended periodically to a multiple of 2**level,
-    with the lowpass and highpass filters (:func:`_filter_bank`)."""
+def _prepare(x: np.ndarray, level: int) -> np.ndarray:
+    """Validated signal, extended periodically to a multiple of 2**level."""
     x = np.asarray(x, dtype=float)
     if x.ndim != 1:
         raise ValueError("signal must be one-dimensional")
@@ -131,11 +108,67 @@ def _prepare(x: np.ndarray, level: int, wavelet: str) -> tuple[np.ndarray, ...]:
         raise ValueError("signal contains non-finite values")
     if level < 1:
         raise ValueError(f"level must be at least 1, got {level}")
-    h, g = _filter_bank(wavelet)
     if x.size < min_length(level):
         raise ValueError(f"{x.size} samples cannot be split {level} times")
     pad = -x.size % 2**level  # fewer than x.size, which is at least 2**level
-    return np.concatenate([x, x[:pad]]), h, g
+    return np.concatenate([x, x[:pad]])
+
+
+def _stages(level: int) -> list[tuple[int, int]]:
+    """Depth ranges [lo, hi) of a transform's banks, none over 4 levels: a bank grows as 4**d."""
+    return [(lo, min(lo + 4, level)) for lo in range(0, level, 4)]
+
+
+@functools.cache
+def _paths(depth: int) -> tuple[tuple[int, ...], ...]:
+    """The 2**depth leaf paths in natural order."""
+    return tuple(itertools.product((0, 1), repeat=depth))
+
+
+@functools.cache
+def _spine(depth: int) -> tuple[tuple[int, ...], ...]:
+    """The DWT's nodes: the approximation, then the details coarsest first."""
+    return ((0,) * depth, *((0,) * (j - 1) + (1,) for j in range(depth, 0, -1)))
+
+
+@functools.lru_cache(maxsize=32)
+def _plan(n: int, wavelet: str, nodes: tuple[tuple[int, ...], ...]) -> tuple[np.ndarray, ...]:
+    """Analysis gather, bank and order, synthesis gather and bank of ``nodes``
+    (paths of up to 4 levels) over padded length n, cached, read-only. The node
+    on path b1...bj is one filter f_b1 * (f_b2 upsampled by 2) * ... at stride
+    2**j (noble identities): 2**(d - j) phases at stride 2**d, one bank column
+    each, from :func:`analysis_step` on unit impulses. Synthesis is the transpose."""
+    h, g = _filter_bank(wavelet)
+    step = 2 ** max(map(len, nodes))
+    width = ((h.size - 1) * (step - 1) // step + 1) * step  # the span (taps - 1)(step - 1) + 1, in strides
+    trees = [np.eye(width)[:, None]]  # per depth: (impulse, node, coefficient)
+    while trees[-1].shape[1] < step:
+        a, d = analysis_step(trees[-1], h, g)
+        trees.append(np.stack([a, d], axis=2).reshape(width, -1, a.shape[-1]))
+    bank = np.concatenate([trees[len(b)][:, np.ravel_multi_index(b, (2,) * len(b)), : step >> len(b)]
+                           for b in nodes], axis=1)
+    synthesis = np.ascontiguousarray(bank.T).reshape(-1, step)  # row (column c, lag q), col phase r
+    phases, m = [step >> len(b) for b in nodes], n // step
+    i, c, q = np.ogrid[:m, : bank.shape[1], : width // step]
+    first = np.repeat(np.cumsum([0, *phases[:-1]]), phases)[c]  # the first column of c's node
+    entry = m * first + c - first + np.repeat(phases, phases)[c] * ((i - q) % m)  # node from m * first
+    taps, lives = bank.any(axis=1), synthesis.any(axis=1)  # gather no entry of an all-zero row
+    plan = (((step * i[:, 0] + np.arange(width)) % n)[:, taps], bank[taps], entry[..., 0].ravel().argsort(),
+            entry.reshape(m, -1)[:, lives], synthesis[lives])  # entry at lag 0: where product (i, c) goes
+    for a in plan:
+        a.flags.writeable = False
+    return plan
+
+
+def _analyze(x: np.ndarray, plan: tuple[np.ndarray, ...]) -> np.ndarray:
+    """The nodes' coefficients concatenated on the last axis: row i of the product, from
+    x[(2**d i + k) mod n], holds coefficient i of each bank column; a last gather orders them."""
+    return (x.take(plan[0], axis=-1) @ plan[1]).reshape(*x.shape[:-1], -1).take(plan[2], axis=-1)
+
+
+def _synthesize(c: np.ndarray, plan: tuple[np.ndarray, ...]) -> np.ndarray:
+    """Signals from the nodes' coefficients concatenated on the last axis; row i reads i - q (mod m)."""
+    return (c.take(plan[3], axis=-1) @ plan[4]).reshape(*c.shape[:-1], -1)
 
 
 @dataclass(frozen=True)
@@ -184,27 +217,29 @@ def wpt_forward(x: np.ndarray, level: int, wavelet: str = "db3") -> PacketTree:
         to survive ``level`` halvings (padded length must leave at least one
         coefficient per leaf).
     """
-    xp, h, g = _prepare(x, level, wavelet)
-    rows = xp[None, :]
-    for _ in range(level):
-        a, d = analysis_step(rows, h, g)
-        rows = np.empty((2 * len(a), a.shape[-1]))
-        rows[0::2], rows[1::2] = a, d
-    return PacketTree(
-        nodes=dict(zip(itertools.product((0, 1), repeat=level), rows)),
-        level=level,
-        wavelet=wavelet,
-        original_length=np.size(x),
-        padded_length=xp.size,
-    )
+    xp = _prepare(x, level)
+    rows = xp[None]
+    for lo, hi in _stages(level):
+        n = rows.shape[-1]
+        rows = _analyze(rows, _plan(n, wavelet, _paths(hi - lo))).reshape(-1, n >> (hi - lo))
+    return PacketTree(dict(zip(_paths(level), rows)), level, wavelet, np.size(x), xp.size)
+
+
+def _leaves(tree: PacketTree, paths: tuple[tuple[int, ...], ...]) -> np.ndarray:
+    """The leaves on ``paths`` as rows, each of padded_length / 2**level coefficients."""
+    want = (tree.padded_length >> tree.level,)
+    for p in paths:
+        if np.shape(tree.nodes.get(p)) != want:
+            raise ValueError(f"no node {p} of shape {want} at level {tree.level}")
+    return np.array([tree.nodes[p] for p in paths], dtype=float)
 
 
 def wpt_inverse(tree: PacketTree) -> np.ndarray:
     """Rebuild the signal from all leaves, trimmed to the original length."""
-    h, g = _filter_bank(tree.wavelet)
-    rows = np.stack([tree.nodes[p] for p in tree.paths()])
-    for _ in range(tree.level):
-        rows = synthesis_step(rows[0::2], rows[1::2], h, g)
+    rows = _leaves(tree, _paths(tree.level))
+    for lo, hi in reversed(_stages(tree.level)):
+        n = rows.shape[-1] << (hi - lo)
+        rows = _synthesize(rows.reshape(-1, n), _plan(n, tree.wavelet, _paths(hi - lo)))
     return rows[0, : tree.original_length]
 
 
@@ -214,13 +249,9 @@ def reconstruct_node(tree: PacketTree, path: tuple[int, ...]) -> np.ndarray:
     Contributions of all leaves sum to the original signal.
     """
     path = tuple(path)
-    if path not in tree.nodes:
-        raise ValueError(f"no node {path} at level {tree.level}")
-    h, g = _filter_bank(tree.wavelet)
-    c = tree.nodes[path]
-    for branch in reversed(path):
-        zero = np.zeros(c.shape)
-        c = synthesis_step(zero, c, h, g) if branch else synthesis_step(c, zero, h, g)
+    c = _leaves(tree, (path,))[0]
+    for lo, hi in reversed(_stages(tree.level)):
+        c = _synthesize(c, _plan(c.size << (hi - lo), tree.wavelet, (path[lo:hi],)))
     return c[: tree.original_length]
 
 
@@ -262,29 +293,27 @@ class DwtCoeffs:
 
 def dwt_forward(x: np.ndarray, level: int, wavelet: str = "db3") -> DwtCoeffs:
     """Discrete wavelet transform: split the approximation branch only."""
-    xp, h, g = _prepare(x, level, wavelet)
-    details = []
-    a = xp
-    for _ in range(level):
-        a, d = analysis_step(a, h, g)
-        details.append(d)
-    return DwtCoeffs(
-        approx=a,
-        details=tuple(details),
-        wavelet=wavelet,
-        original_length=np.size(x),
-        padded_length=xp.size,
-    )
+    xp = _prepare(x, level)
+    approx, details = xp, []
+    for lo, hi in _stages(level):
+        c, m = _analyze(approx, _plan(approx.size, wavelet, _spine(hi - lo))), approx.size >> (hi - lo)
+        approx = c[:m]
+        details += [c[m << k : m << (k + 1)] for k in reversed(range(hi - lo))]  # finest first
+    return DwtCoeffs(approx, tuple(details), wavelet, np.size(x), xp.size)
 
 
 def dwt_inverse(coeffs: DwtCoeffs) -> np.ndarray:
     """Invert :func:`dwt_forward`, trimmed to the original length.
 
     Leading axes shared by ``approx`` and every detail level are a batch of
-    decompositions, inverted together.
+    decompositions, inverted together; each level holds twice the next coarser.
     """
-    h, g = _filter_bank(coeffs.wavelet)
-    a = coeffs.approx
-    for d in reversed(coeffs.details):
-        a = synthesis_step(a, d, h, g)
+    a = np.asarray(coeffs.approx, dtype=float)
+    details = [np.asarray(d, dtype=float) for d in coeffs.details]
+    for j, d in enumerate(details):
+        if d.shape != (*a.shape[:-1], a.shape[-1] << (len(details) - 1 - j)):
+            raise ValueError(f"detail level {j} has shape {d.shape}, approximation {a.shape}")
+    for lo, hi in reversed(_stages(len(details))):
+        c = np.concatenate([a, *details[lo:hi][::-1]], axis=-1)
+        a = _synthesize(c, _plan(c.shape[-1], coeffs.wavelet, _spine(hi - lo)))
     return a[..., : coeffs.original_length]

@@ -107,12 +107,12 @@ def _long_ar_order(n: int, p: int) -> int:
 def _lagged_design(z: np.ndarray, m: int) -> np.ndarray:
     """Lags 0..m of rows m..n-1 of ``z``, lag-major: [y | D] of the long autoregression.
 
-    Lag 0 is its regressand y = z[m:], lags 1..m its regressors D. One
-    C-ordered copy of the reversed windows z[t : t + m + 1].
+    Lag 0 is its regressand y = z[m:], lags 1..m its regressors D. Row t is a run of the
+    flattened, time-reversed z, so the design is one C-ordered copy of every p-th window.
     """
-    windows = np.lib.stride_tricks.sliding_window_view(z, m + 1, axis=0)  # (n - m, [p,] m + 1)
-    lagged = np.ascontiguousarray(np.moveaxis(windows[..., ::-1], -1, 1))  # (n - m, m + 1, [p])
-    return lagged.reshape(len(lagged), -1)
+    flat = z[::-1].reshape(-1)  # z[n - 1], z[n - 2], ...: row t starts at (n - 1 - t) p
+    p = flat.size // len(z)
+    return np.ascontiguousarray(np.lib.stride_tricks.sliding_window_view(flat, (m + 1) * p)[::p][::-1])
 
 
 def _lower_inverse(low: np.ndarray) -> np.ndarray:

@@ -126,8 +126,7 @@ def test_steps_on_a_stack_match_row_by_row(wavelet, n):
 
 @pytest.mark.parametrize("wavelet", ["db3", "haar"])
 def test_steps_at_interleaved_lengths_match_the_index_formula(wavelet):
-    # the gather plans are cached per (length, taps); alternate two lengths
-    # so each call must pick its own plan
+    # alternate two lengths, so each call must build its own gather
     rng = np.random.default_rng(12)
     h = lowpass(wavelet)
     g = highpass(h)
@@ -146,11 +145,14 @@ def test_steps_at_interleaved_lengths_match_the_index_formula(wavelet):
 
 
 def test_cached_gather_plans_are_read_only():
-    assert packets._synthesis_index(20, 6).shape == (20, 6)  # a windows, then d windows
-    for plan in (packets._analysis_index(40, 6), packets._synthesis_index(20, 6)):
-        assert not plan.flags.writeable
-        with pytest.raises(ValueError):
-            plan[0, 0] = 1
+    # analysis gather, bank and order, synthesis gather and bank, for every node set
+    for nodes in (packets._paths(4), packets._spine(2), ((0, 1, 1),)):
+        plan = packets._plan(48, "db3", nodes)
+        assert packets._plan(48, "db3", nodes) is plan
+        for a in plan:
+            assert not a.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                a[(0,) * a.ndim] = 1
 
 
 @pytest.mark.parametrize("wavelet", ["db3", "haar"])
@@ -243,27 +245,96 @@ def test_reconstruct_node_matches_zeroed_tree_inverse(wavelet, level, n):
         )
 
 
-@pytest.mark.parametrize("level", [1, 3, 5])
-def test_one_filter_bank_call_per_depth(monkeypatch, level):
+# bank against per-depth cascade, in units of eps * max|x|: a bank entry sums
+# up to 76 products where the cascade takes four sums of six; seen up to 6.8
+CASCADE_TOL = 16 * np.finfo(float).eps
+
+
+def _cascade(x, level, wavelet):
+    """The packet tree and the DWT of the extended x, a depth at a time with
+    analysis_step: (natural-order leaf rows, DWT approximation, details)."""
+    h, g = packets._filter_bank(wavelet)
+    xp = np.concatenate([x, x[: -x.size % 2**level]])
+    rows, a, details = xp[None], xp, []
+    for _ in range(level):
+        lo, hi = analysis_step(rows, h, g)
+        rows = np.stack([lo, hi], axis=1).reshape(-1, lo.shape[-1])
+        a, d = analysis_step(a, h, g)
+        details.append(d)
+    return rows, a, details
+
+
+def _cascade_inverse(rows, wavelet):
+    h, g = packets._filter_bank(wavelet)
+    while len(rows) > 1:
+        rows = synthesis_step(rows[0::2], rows[1::2], h, g)
+    return rows[0]
+
+
+@pytest.mark.parametrize("wavelet", ["db3", "haar"])
+@pytest.mark.parametrize("level", range(1, 9))
+def test_banks_match_the_per_depth_cascade(wavelet, level):
+    # every residue of n mod 2**level, from one coefficient per leaf up, then
+    # the benchmark's and a long length; past depth 4 two banks compose
+    h, g = packets._filter_bank(wavelet)
+    for n in [*range(2**level, 2**(level + 1)), 1461, 4096]:
+        x = np.random.default_rng([level, n]).standard_normal(n)
+        tol = CASCADE_TOL * np.abs(x).max()
+        rows, approx, details = _cascade(x, level, wavelet)
+        tree = wpt_forward(x, level, wavelet)
+        assert np.abs(np.stack([tree.nodes[p] for p in tree.paths()]) - rows).max() <= tol, n
+        assert np.abs(wpt_inverse(tree) - _cascade_inverse(rows, wavelet)[:n]).max() <= tol, n
+        for path in {(0,) * level, (1,) * level, tree.paths()[n % 2**level]}:
+            lone = np.zeros_like(rows)
+            lone[np.ravel_multi_index(path, (2,) * level)] = tree.nodes[path]
+            want = _cascade_inverse(lone, wavelet)[:n]
+            assert np.abs(reconstruct_node(tree, path) - want).max() <= tol, (n, path)
+        c = dwt_forward(x, level, wavelet)
+        assert np.abs(c.approx - approx).max() <= tol, n
+        assert all(np.abs(u - v).max() <= tol for u, v in zip(c.details, details)), n
+        a = approx
+        for d in reversed(details):
+            a = synthesis_step(a, d, h, g)
+        assert np.abs(dwt_inverse(c) - a[:n]).max() <= tol, n
+
+
+@pytest.mark.parametrize("wavelet", ["db3", "haar"])
+@pytest.mark.parametrize("n,depth", [(16, 4), (40, 3), (1472, 4), (96, 1)])
+def test_bank_products_on_a_stack_match_row_by_row(wavelet, n, depth):
+    # batching many series into one call relies on this, bit for bit
+    x = np.random.default_rng(n).standard_normal((3, n))
+    for nodes in (packets._paths(depth), packets._spine(depth), ((1,) * depth,)):
+        plan = packets._plan(n, wavelet, nodes)
+        c = x[:, : plan[1].shape[1] * n >> depth]  # as many coefficients as the nodes hold
+        stacked, back = packets._analyze(x, plan), packets._synthesize(c, plan)
+        for k in range(3):
+            assert np.array_equal(stacked[k], packets._analyze(x[k], plan)), nodes
+            assert np.array_equal(back[k], packets._synthesize(c[k], plan)), nodes
+
+
+@pytest.mark.parametrize("level,stages", [(1, 1), (3, 1), (4, 1), (5, 2)])
+def test_one_bank_product_per_stage_of_at_most_four_levels(monkeypatch, level, stages):
+    x = np.arange(100.0)
+    reconstruct_node(wpt_forward(x, level), (0,) * level), dwt_forward(x, level)  # builds the plans
     calls = []
 
-    def counted(step):
+    def counted(f):
         def wrapper(*args):
-            calls.append(step.__name__)
-            return step(*args)
+            calls.append(f.__name__)
+            return f(*args)
 
         return wrapper
 
-    monkeypatch.setattr(packets, "analysis_step", counted(analysis_step))
-    monkeypatch.setattr(packets, "synthesis_step", counted(synthesis_step))
-    tree = wpt_forward(np.arange(100.0), level)
-    assert calls == ["analysis_step"] * level
+    for f in (packets._analyze, packets._synthesize, analysis_step, synthesis_step):
+        monkeypatch.setattr(packets, f.__name__, counted(f))
+    built = packets._plan.cache_info().misses
+    tree, coeffs = wpt_forward(x, level), dwt_forward(x, level)
+    assert calls == ["_analyze"] * 2 * stages
     calls.clear()
-    wpt_inverse(tree)
-    assert calls == ["synthesis_step"] * level
-    calls.clear()
-    reconstruct_node(tree, (1,) * level)
-    assert calls == ["synthesis_step"] * level
+    wpt_inverse(tree), reconstruct_node(tree, (0,) * level), dwt_inverse(coeffs)
+    assert calls == ["_synthesize"] * 3 * stages
+    assert packets._plan.cache_info().misses == built
+    assert all(hi - lo <= 4 for lo, hi in packets._stages(level))
 
 
 def test_reconstruct_unknown_node():
@@ -394,12 +465,31 @@ def test_dwt_roundtrip():
 
 def test_dwt_matches_packet_lowpass_spine():
     # the DWT approximation is the packet tree's repeated-lowpass node, bit
-    # for bit: each row of the tree's stacked steps is computed as on its own
-    for n in (64, 1461):
+    # for bit: both banks hold the same lowpass column, and past depth 4 a
+    # row of the tree's stacked second stage is computed as on its own
+    for n, level in ((64, 3), (1461, 3), (1461, 8), (4096, 8)):
         x = np.random.default_rng(10).normal(size=n)
-        c = dwt_forward(x, level=3)
-        tree = wpt_forward(x, 3)
-        assert np.array_equal(c.approx, tree.nodes[(0, 0, 0)]), n
+        c = dwt_forward(x, level=level)
+        tree = wpt_forward(x, level)
+        assert np.array_equal(c.approx, tree.nodes[(0,) * level]), n
+
+
+def test_malformed_coefficients_are_refused():
+    x = np.random.default_rng(13).normal(size=100)
+    c = dwt_forward(x, level=3)
+    short = replace(c, details=(c.details[0], c.details[1][:-1], c.details[2]))
+    with pytest.raises(ValueError, match=r"detail level 1 has shape \(25,\)"):
+        dwt_inverse(short)
+    stacked = replace(c, approx=np.stack([c.approx] * 2),
+                      details=tuple(np.stack([d] * k) for d, k in zip(c.details, (2, 3, 2))))
+    with pytest.raises(ValueError, match=r"detail level 1 has shape \(3, 26\), approximation \(2, 13\)"):
+        dwt_inverse(stacked)
+    tree = wpt_forward(x, 3)
+    nodes = dict(tree.nodes)
+    nodes[(0, 1, 1)] = nodes[(0, 1, 1)][:-2]
+    for transform in (lambda t: reconstruct_node(t, (0, 1, 1)), wpt_inverse):
+        with pytest.raises(ValueError, match=r"no node \(0, 1, 1\) of shape \(13,\)"):
+            transform(replace(tree, nodes=nodes))
 
 
 def test_dwt_error_contracts():

@@ -568,7 +568,7 @@ def test_varma_fit_keeps_coupled_structure():
     assert np.abs(fit.phi - true.phi).max() < 0.1
 
 
-@pytest.mark.parametrize("p", [1, 3])
+@pytest.mark.parametrize("p", [1, 3, 8])
 def test_lagged_design_matches_column_stack(p):
     z = np.random.default_rng(8).normal(size=(120, p))
     if p == 1:
@@ -576,9 +576,10 @@ def test_lagged_design_matches_column_stack(p):
     n = len(z)
     for m in (1, varma._long_ar_order(n, p), (n - 2) // (2 * p + 1)):
         want = np.column_stack([z[m - k : n - k] for k in range(m + 1)])
-        got = varma._lagged_design(z, m)
-        assert got.flags.c_contiguous
-        assert got.shape == want.shape and np.array_equal(got, want), m
+        for layout in (z, np.asfortranarray(z)):
+            got = varma._lagged_design(layout, m)
+            assert got.flags.c_contiguous
+            assert got.shape == want.shape and np.array_equal(got, want), m
 
 
 # ---------------------------------------------------------------- residuals
