@@ -1,19 +1,18 @@
 """Command line interface: coherence, packet, denoise, forecast, pipeline.
 
 Configuration comes from an optional flat ``key=value`` file (``--config``),
-with command line flags overriding file values. Every ``PipelineConfig``
-field has one flag, named ``--`` plus the field name with ``_`` written as
-``-`` (``--date-column``, ``--out-dir``); the one exception is ``--log``,
-which sets ``log_transform``. Flag and file values are parsed alike. The
-resolved configuration is echoed to stdout, never into output files, so
-reruns with the same inputs are byte-identical. Floats are written with 17
-significant digits (round-trip exact), and series names are quoted the way
-``csv`` quotes them.
+with command line flags overriding file values. Each setting is declared
+once, as a ``PipelineConfig`` field that holds its default, kind, help, flag
+and refusals; the parser, the file reader and the checks read those fields.
+Flag and file values are parsed alike. The resolved configuration is echoed
+to stdout, never into output files, so reruns with the same inputs are
+byte-identical. Floats are written with 17 significant digits (round-trip
+exact), and series names are quoted the way ``csv`` quotes them.
 
 Exit codes: 0 success, 1 usage error (bad flags, unknown keys or subcommand,
-a refused setting value such as an unknown method, a depth below 1 or a bad
-window date), 2 data error (missing or malformed input, analysis
-preconditions violated).
+a refused setting value such as an unknown method, a depth below 1, a bad
+window date or an empty output directory), 2 data error (missing or
+malformed input, analysis preconditions violated).
 
 Output files, written under ``out_dir``, which is made at the first write
 (so a run that fails before writing leaves no directory behind):
@@ -46,7 +45,8 @@ import functools
 import itertools
 import os
 import sys
-from dataclasses import dataclass, fields, replace
+from collections.abc import Callable
+from dataclasses import dataclass, field, fields, replace
 from datetime import date
 
 import numpy as np
@@ -63,65 +63,91 @@ class UsageError(Exception):
 
 
 @dataclass(frozen=True)
-class PipelineConfig:
-    """Resolved settings shared by every subcommand."""
+class Kind:
+    """How a setting's text is read, and which values a run refuses: text that
+    ``parse`` raises on is not ``name``; ``check(key, value)`` raises
+    ValueError for a refused value and returns it as the run takes it."""
 
-    input: str = ""
-    date_column: str = "date"
-    value_columns: tuple[str, ...] | None = None
-    start: str | None = None
-    end: str | None = None
-    log_transform: bool = False
-    target: str | None = None
-    depth: int = 4
-    method: str = "SURE"
-    rule: str = "auto"
-    denoise_level: int = 4
-    wavelet: str = "db3"
-    horizon: int = 30
-    out_dir: str = "out"
+    name: str
+    parse: Callable[[str], object] = str
+    check: Callable[[str, object], object] = lambda key, value: value
+
+
+def _at_least_1(key: str, value: int) -> int:
+    if value < 1:
+        raise ValueError(f"{key} must be at least 1, got {value}")
+    return value
+
+
+def _rule(rule: str) -> str:
+    if rule != "auto" and rule not in SHRINKAGE_RULES:
+        raise ValueError(f"unknown rule {rule!r}; have {SHRINKAGE_RULES} or 'auto'")
+    return rule
+
+
+def _choice(validate: Callable[[str], object]) -> Kind:
+    """Text that ``validate`` refuses with a ValueError naming the choices."""
+    return Kind("a choice", check=lambda key, value: validate(value))
+
+
+_BOOLS = dict.fromkeys(("1", "true", "yes", "on"), True) | dict.fromkeys(("0", "false", "no", "off"), False)
+TEXT = Kind("text")
+OPTIONAL_TEXT = Kind("optional text", lambda text: text or None)
+NAMES = Kind("names", lambda text: tuple(v.strip() for v in text.split(",") if v.strip()) or None)
+BOOL = Kind("a boolean", lambda text: _BOOLS[text.lower()])
+COUNT = Kind("an integer", int, _at_least_1)
+DATE = Kind("a date", OPTIONAL_TEXT.parse, lambda key, value: None if value is None else ts.parse_date(value))
+
+
+def _setting(default: object, kind: Kind, help: str, flag: str | None = None, required: str | None = None):
+    """A ``PipelineConfig`` field for one setting: its default, kind and help
+    text, the flag where it is not ``--key-name``, and, for a setting that
+    may not be empty, what an empty value lacks."""
+    return field(default=default, metadata={"kind": kind, "help": help, "flag": flag, "required": required})
+
+
+@dataclass(frozen=True)
+class PipelineConfig:
+    """Resolved settings shared by every subcommand, one field per setting."""
+
+    input: str = _setting("", TEXT, "input CSV path", required="input file")
+    date_column: str = _setting("date", TEXT, "name of the date column")
+    value_columns: tuple[str, ...] | None = _setting(
+        None, NAMES, "comma-separated column names (default: all non-date columns)")
+    start: str | None = _setting(None, DATE, "window start date (inclusive)")
+    end: str | None = _setting(None, DATE, "window end date (inclusive)")
+    log_transform: bool = _setting(False, BOOL, "analyze log prices instead of levels", flag="--log")
+    target: str | None = _setting(None, OPTIONAL_TEXT, "target series name")
+    depth: int = _setting(4, COUNT, "packet tree depth")
+    method: str = _setting("SURE", _choice(canonical_method), "threshold selection method")
+    rule: str = _setting("auto", _choice(_rule), "shrinkage rule (hard/soft/garrote; 'auto' pairs each "
+                         "method with its conventional rule)")
+    denoise_level: int = _setting(4, COUNT, "de-noising decomposition level")
+    wavelet: str = _setting("db3", _choice(pk.lowpass), "db3 or haar")
+    horizon: int = _setting(30, COUNT, "forecast steps")
+    out_dir: str = _setting("out", TEXT, "output directory, made at the first write", required="output directory")
 
     def echo(self) -> str:
-        parts = []
-        for f in sorted(fields(self), key=lambda f: f.name):
-            v = getattr(self, f.name)
-            if isinstance(v, tuple):
-                v = ",".join(str(x) for x in v)
-            elif v is None:
-                v = ""
-            parts.append(f"config {f.name}={v}")
-        return "\n".join(parts)
+        def text(v: object) -> object:
+            return ",".join(v) if isinstance(v, tuple) else "" if v is None else v
+        return "\n".join(f"config {key}={text(getattr(self, key))}" for key in sorted(SETTINGS))
 
 
-_BOOL_TRUE = {"1", "true", "yes", "on"}
-_BOOL_FALSE = {"0", "false", "no", "off"}
+SETTINGS = {f.name: f.metadata for f in fields(PipelineConfig)}
+FLAGS = {key: s["flag"] or "--" + key.replace("_", "-") for key, s in SETTINGS.items()}
 
 
 def _coerce(key: str, raw: str) -> object:
     """One setting from its text, whether it came from a flag or the config file."""
-    raw = raw.strip()
-    if key in ("depth", "denoise_level", "horizon"):
-        try:
-            return int(raw)
-        except ValueError:
-            raise UsageError(f"config {key} must be an integer, got {raw!r}") from None
-    if key == "log_transform":
-        if raw.lower() in _BOOL_TRUE:
-            return True
-        if raw.lower() in _BOOL_FALSE:
-            return False
-        raise UsageError(f"config log_transform must be a boolean, got {raw!r}")
-    if key == "value_columns":
-        cols = tuple(v.strip() for v in raw.split(",") if v.strip() != "")
-        return cols or None
-    if key in ("start", "end", "target"):
-        return raw or None
-    return raw
+    kind, raw = SETTINGS[key]["kind"], raw.strip()
+    try:
+        return kind.parse(raw)
+    except (ValueError, KeyError):
+        raise UsageError(f"config {key} must be {kind.name}, got {raw!r}") from None
 
 
 def read_config_file(path: str) -> dict[str, object]:
     """Parse a flat UTF-8 key=value file; '#' starts a comment, blank lines and a byte-order mark are skipped."""
-    known = {f.name for f in fields(PipelineConfig)}
     out: dict[str, object] = {}
     for lineno, line in enumerate(ts.read_text(path, "config ").splitlines(), start=1):
         text = line.split("#", 1)[0].strip()
@@ -131,7 +157,7 @@ def read_config_file(path: str) -> dict[str, object]:
             raise UsageError(f"{path}:{lineno}: expected key=value, got {text!r}")
         key, _, raw = text.partition("=")
         key = key.strip()
-        if key not in known:
+        if key not in SETTINGS:
             raise UsageError(f"{path}:{lineno}: unknown config key {key!r}")
         out[key] = _coerce(key, raw)
     return out
@@ -145,25 +171,6 @@ _SUBCOMMANDS = {
     "pipeline": "everything above in one run",
 }
 
-# one help string per PipelineConfig field, and so per flag
-_HELP = {
-    "input": "input CSV path",
-    "date_column": "name of the date column",
-    "value_columns": "comma-separated column names (default: all non-date columns)",
-    "start": "window start date (inclusive)",
-    "end": "window end date (inclusive)",
-    "log_transform": "analyze log prices instead of levels",
-    "target": "target series name",
-    "depth": "packet tree depth",
-    "method": "threshold selection method",
-    "rule": "shrinkage rule (hard/soft/garrote; 'auto' pairs each method "
-    "with its conventional rule)",
-    "denoise_level": "de-noising decomposition level",
-    "wavelet": "db3 or haar",
-    "horizon": "forecast steps",
-    "out_dir": "output directory, made at the first write",
-}
-
 
 class _Parser(argparse.ArgumentParser):
     # argparse exits 2 on usage errors by default; the contract here is 1.
@@ -173,18 +180,16 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _build_parser() -> _Parser:
-    """One flag per config field; every value stays a string for ``_coerce``."""
+    """One flag per setting; every value stays a string for ``_coerce``, and a
+    bool setting's flag takes none."""
     parser = _Parser(prog="comove", description=__doc__.split("\n\n")[0])
     sub = parser.add_subparsers(dest="subcommand", metavar="SUBCOMMAND")
     for name, helptext in _SUBCOMMANDS.items():
         p = sub.add_parser(name, help=helptext)
         p.add_argument("--config", default=None, help="key=value settings file")
-        for f in fields(PipelineConfig):
-            if f.name == "log_transform":
-                p.add_argument("--log", dest=f.name, action="store_const", const="true",
-                               help=_HELP[f.name])
-            else:
-                p.add_argument("--" + f.name.replace("_", "-"), dest=f.name, help=_HELP[f.name])
+        for key, setting in SETTINGS.items():
+            switch = {"action": "store_const", "const": "true"} if setting["kind"] is BOOL else {}
+            p.add_argument(FLAGS[key], dest=key, help=setting["help"], **switch)
     return parser
 
 
@@ -193,10 +198,10 @@ def build_config(args: argparse.Namespace) -> PipelineConfig:
     settings: dict[str, object] = {}
     if args.config:
         settings.update(read_config_file(args.config))
-    for f in fields(PipelineConfig):
-        raw = getattr(args, f.name, None)
+    for key in SETTINGS:
+        raw = getattr(args, key, None)
         if raw is not None:
-            settings[f.name] = _coerce(f.name, raw)
+            settings[key] = _coerce(key, raw)
     return replace(PipelineConfig(), **settings)
 
 
@@ -230,10 +235,8 @@ class _Writer:
         return open(os.path.join(self.out_dir, name), "w", newline="")
 
     def manifest(self) -> None:
-        names = sorted(self.written + ["manifest.txt"])
         with open(os.path.join(self.out_dir, "manifest.txt"), "w") as fh:
-            for n in names:
-                fh.write(n + "\n")
+            fh.writelines(n + "\n" for n in sorted(self.written + ["manifest.txt"]))
 
 
 def _field(v: object) -> str:
@@ -244,9 +247,7 @@ def _field(v: object) -> str:
     return str(v)
 
 
-def _write_table(
-    w: _Writer, name: str, header: str, rows: list[tuple], comment: str | None = None
-) -> None:
+def _write_table(w: _Writer, name: str, header: str, rows: list[tuple], comment: str | None = None) -> None:
     """A small CSV table: strings quoted, floats at 17 digits, the rest as ``str``."""
     with w.open(name) as fh:
         if comment is not None:
@@ -278,9 +279,7 @@ def _write_grid(w: _Writer, name: str, grid: ScaleGrid, values: np.ndarray) -> N
 def _log(names: tuple[str, ...], values: np.ndarray, where: str = "") -> np.ndarray:
     bad = np.any(values <= 0.0, axis=0)
     if bad.any():
-        raise ts.DataError(
-            f"series {names[int(np.argmax(bad))]!r} has nonpositive values{where}; cannot take logs"
-        )
+        raise ts.DataError(f"series {names[int(np.argmax(bad))]!r} has nonpositive values{where}; cannot take logs")
     return np.log(values)
 
 
@@ -290,20 +289,12 @@ def _check_file_names(names: tuple[str, ...]) -> None:
     for name in names:
         first = seen.setdefault(_safe_name(name), name)
         if first != name:
-            raise ts.DataError(
-                f"series {first!r} and {name!r} both map to {_safe_name(name)!r} in file names"
-            )
+            raise ts.DataError(f"series {first!r} and {name!r} both map to {_safe_name(name)!r} in file names")
 
 
 def _load(config: PipelineConfig, start: date | None, end: date | None) -> tuple[ts.MultiSeries, ts.MultiSeries]:
     """Load the input and return (full series, analysis window [start, end])."""
-    if not config.input:
-        raise UsageError("no input file; pass --input or set input= in the config")
-    full = ts.load_csv(
-        config.input,
-        date_column=config.date_column,
-        value_columns=config.value_columns,
-    )
+    full = ts.load_csv(config.input, date_column=config.date_column, value_columns=config.value_columns)
     if full.load_report is not None:
         print(full.load_report.summary())
     work = full
@@ -327,9 +318,7 @@ def _emit_coherence(w: _Writer, ms: ts.MultiSeries, target: int, prefix: str = "
                 _write_grid(w, name, grid, values)
 
 
-def _emit_packet(
-    w: _Writer, ms: ts.MultiSeries, config: PipelineConfig
-) -> tuple[ts.MultiSeries, ts.MultiSeries]:
+def _emit_packet(w: _Writer, ms: ts.MultiSeries, config: PipelineConfig) -> tuple[ts.MultiSeries, ts.MultiSeries]:
     """Write the packet tables; return the (trend, noise = x - trend) variants of ``ms``."""
     trees = [pk.wpt_forward(x, level=config.depth, wavelet=config.wavelet) for x in ms.values.T]
     energy = [_named(f"series {name!r}", pk.energy_fractions, tree, ordering="natural")
@@ -403,9 +392,7 @@ def _model_rows(model: vm.VarmaModel, names: tuple[str, ...]) -> list[tuple]:
     )
 
 
-def _emit_forecast(
-    w: _Writer, full: ts.MultiSeries, work: ts.MultiSeries, config: PipelineConfig
-) -> None:
+def _emit_forecast(w: _Writer, full: ts.MultiSeries, work: ts.MultiSeries, config: PipelineConfig) -> None:
     h, names, p = config.horizon, work.names, work.p
     # one ARMA per series, then the joint VARMA of all
     fits = [_fit(work, [k], h) for k in range(p)]
@@ -452,24 +439,26 @@ def _truncate(r: vm.ForecastResult, steps: int) -> vm.ForecastResult:
 
 
 def _check_settings(config: PipelineConfig) -> tuple[date | None, date | None]:
-    """Refuse a bad setting before the input is read; return the window's
-    parsed start and end dates."""
-    if config.horizon < 1:
-        raise UsageError(f"horizon must be at least 1, got {config.horizon}")
-    try:
-        canonical_method(config.method)
-        pk.lowpass(config.wavelet)
-        start, end = (None if text is None else ts.parse_date(text) for text in (config.start, config.end))
-    except ValueError as exc:  # ts.DataError is one
-        raise UsageError(str(exc)) from None
-    if config.rule != "auto" and config.rule not in SHRINKAGE_RULES:
-        raise UsageError(f"unknown rule {config.rule!r}; have {SHRINKAGE_RULES} or 'auto'")
-    for key in ("depth", "denoise_level"):
-        if getattr(config, key) < 1:
-            raise UsageError(f"{key} must be at least 1, got {getattr(config, key)}")
+    """Refuse a bad setting before the input is read, in field order; return
+    the window's parsed start and end dates."""
+    checked = {}
+    for key, setting in SETTINGS.items():
+        value = getattr(config, key)
+        if setting["required"] and not value:
+            raise UsageError(f"no {setting['required']}; pass {FLAGS[key]} or set {key}= in the config")
+        try:
+            checked[key] = setting["kind"].check(key, value)
+        except ValueError as exc:  # ts.DataError is one
+            raise UsageError(str(exc)) from None
+    start, end = checked["start"], checked["end"]
     if start is not None and end is not None and start > end:
         raise UsageError(f"window start {start} is after end {end}")
     return start, end
+
+
+# the deepest level whose minimum window length a message writes out: 7 *
+# 2**14000 has 4216 digits, under the 4300 Python prints of an int by default
+_PRINTED_LEVEL = 14000
 
 
 def _check_data(subcommand: str, config: PipelineConfig, work: ts.MultiSeries) -> None:
@@ -478,16 +467,20 @@ def _check_data(subcommand: str, config: PipelineConfig, work: ts.MultiSeries) -
         _check_file_names(work.names)
     if subcommand in ("coherence", "pipeline") and work.p < 2:
         raise ts.DataError("coherence needs at least two series")
-    needs = []
+    n, levels = len(work), []
     if subcommand in ("packet", "pipeline"):
-        needs.append((f"depth {config.depth}", pk.min_length(config.depth)))
+        levels.append(("depth", pk.min_length))
     if subcommand in ("denoise", "pipeline"):
-        needs.append((f"denoise_level {config.denoise_level}", sweep_min_length(config.denoise_level)))
-    if subcommand in ("forecast", "pipeline"):
-        needs.append(("the forecast fit", vm.MIN_OBS))
-    for what, need in needs:
-        if len(work) < need:
-            raise ts.DataError(f"{what} needs at least {need} rows in the analysis window, got {len(work)}")
+        levels.append(("denoise_level", sweep_min_length))
+    for key, min_length in levels:
+        # both minimums are at least 2**level, more than n once level reaches
+        # n's bit length, so such a level is refused without building 2**level
+        level = getattr(config, key)
+        if level >= n.bit_length() or n < min_length(level):
+            need = min_length(level) if level <= _PRINTED_LEVEL else f"2**{level}"
+            raise ts.DataError(f"{key} {level} needs at least {need} rows in the analysis window, got {n}")
+    if subcommand in ("forecast", "pipeline") and n < vm.MIN_OBS:
+        raise ts.DataError(f"the forecast fit needs at least {vm.MIN_OBS} rows in the analysis window, got {n}")
 
 
 def run(subcommand: str, config: PipelineConfig) -> int:

@@ -38,6 +38,7 @@ SELECTORS = {
     "GCVLevel": ("gcv", True, "garrote"),
 }
 METHODS = tuple(SELECTORS)
+WINNER_TOL_DB = 1e-9  # sweep scores this close to the best tie; an absolute gap in dB is scale-free
 CONVENTIONAL_RULE = {name: shrinkage for name, (_, _, shrinkage) in SELECTORS.items()}
 _SWEEP_CONVENTION = (
     "SNR/PSNR measured against the supplied reference (default: the original "
@@ -410,7 +411,8 @@ def method_sweep(
     Returns
     -------
     DenoiseReport
-        Nine scores plus the winning method by SNR and by PSNR.
+        Nine scores plus the winning method by SNR and by PSNR: of the
+        methods within ``WINNER_TOL_DB`` of the best, the first in METHODS.
 
     Raises
     ------
@@ -446,11 +448,8 @@ def method_sweep(
             METHODS, rules, per_level, estimates, _fidelities(ref, estimates)
         )
     ]
-    best_snr = max(scores, key=lambda s: s.snr).method
-    best_psnr = max(scores, key=lambda s: s.psnr).method
-    return DenoiseReport(
-        scores=tuple(scores),
-        winner_snr=best_snr,
-        winner_psnr=best_psnr,
-        convention=_SWEEP_CONVENTION,
-    )
+    # the first method in METHODS order within WINNER_TOL_DB of the best wins,
+    # so rounding does not choose between selectors that reach one estimate
+    top = {k: max(getattr(s, k) for s in scores) for k in ("snr", "psnr")}
+    win_snr, win_psnr = (next(s.method for s in scores if getattr(s, k) >= top[k] - WINNER_TOL_DB) for k in top)
+    return DenoiseReport(scores=tuple(scores), winner_snr=win_snr, winner_psnr=win_psnr, convention=_SWEEP_CONVENTION)

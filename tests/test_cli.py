@@ -9,6 +9,7 @@ import csv
 import dataclasses
 import datetime
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -235,6 +236,36 @@ def test_flags_override_config_file(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "config depth=2" in out  # flag wins
     assert "config horizon=7" in out  # file survives where no flag given
+
+
+def test_every_setting_has_a_kind_a_help_and_a_flag():
+    for key, setting in cli.SETTINGS.items():
+        assert isinstance(setting["kind"], cli.Kind) and setting["kind"].name, key
+        assert setting["help"].strip(), key
+        value = [] if setting["kind"] is cli.BOOL else ["x"]
+        assert getattr(cli._build_parser().parse_args(["packet", cli.FLAGS[key], *value]), key) is not None
+    # only log_transform's flag is not derived from its key
+    assert {k for k, f in cli.FLAGS.items() if f != "--" + k.replace("_", "-")} == {"log_transform"}
+
+
+def test_readme_settings_list_matches_the_settings():
+    # README's settings table: one row per setting, key then flag, both ways
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    rows = re.findall(r"^\| `(\w+)` \| `(--[\w-]+)` \|", readme, flags=re.MULTILINE)
+    assert len(rows) == len(set(rows))
+    assert dict(rows) == cli.FLAGS
+
+
+@pytest.mark.parametrize("how", ["flag", "config"])
+def test_empty_out_dir_is_refused_before_the_input_is_read(tmp_path, monkeypatch, capsys, how):
+    # an empty out_dir once ran the whole analysis, then failed at the first write
+    monkeypatch.chdir(tmp_path)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("out_dir =\n")
+    where = ["--out-dir", ""] if how == "flag" else ["--config", str(cfg)]
+    assert main(["packet", "--input", str(tmp_path / "missing.csv"), *where]) == 1
+    assert capsys.readouterr().err == "error: no output directory; pass --out-dir or set out_dir= in the config\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["run.cfg"]
 
 
 def test_config_echo_is_sorted_and_complete(capsys):
@@ -840,8 +871,15 @@ def test_bad_window_refused_before_the_input_is_read(tmp_path, capsys, flags, me
         ("pipeline", 100, ["--target", "a"], "denoise_level 4 needs at least 113 rows in the analysis window, got 100"),
         ("pipeline", 45, ["--denoise-level", "2"], "the forecast fit needs at least 50 rows in the analysis window, got 45"),
         ("packet", 20, ["--depth", "5"], "depth 5 needs at least 32 rows in the analysis window, got 20"),
+        ("packet", 300, ["--depth", "40"], "depth 40 needs at least 1099511627776 rows in the analysis window, got 300"),
+        # past the levels whose minimum prints, the message gives its bound 2**level
+        ("packet", 300, ["--depth", "20000"], "depth 20000 needs at least 2**20000 rows in the analysis window, got 300"),
+        ("denoise", 300, ["--denoise-level", "20000"],
+         "denoise_level 20000 needs at least 2**20000 rows in the analysis window, got 300"),
+        ("pipeline", 300, ["--depth", "4000000000"],
+         "depth 4000000000 needs at least 2**4000000000 rows in the analysis window, got 300"),
     ],
-    ids=["sweep", "fit", "depth"],
+    ids=["sweep", "fit", "depth", "depth-40", "depth-20000", "denoise-level-20000", "depth-4e9"],
 )
 def test_short_window_refused_before_output(tmp_path, capsys, subcommand, rows, flags, message):
     src = tmp_path / "in.csv"

@@ -6,6 +6,7 @@ import pytest
 from comove.denoising import (
     CONVENTIONAL_RULE,
     METHODS,
+    WINNER_TOL_DB,
     apply_shrinkage,
     canonical_method,
     denoise,
@@ -533,6 +534,27 @@ def test_sweep_winners_are_argmax():
     best_psnr = max(report.scores, key=lambda s: s.psnr)
     assert report.winner_snr == best_snr.method
     assert report.winner_psnr == best_psnr.method
+
+
+@pytest.mark.parametrize("gap", [1e-14, 0.0])
+def test_sweep_winner_is_the_first_method_within_the_tolerance(monkeypatch, gap):
+    # SURE and GCV reach one estimate, but their scores may differ in the last
+    # bits; the earlier method in METHODS wins, whichever rounds higher
+    from comove import denoising
+
+    assert WINNER_TOL_DB > 1e-14 and (1.0 + gap) - 1.0 == pytest.approx(gap, rel=0.01)
+    real = denoising._fidelities
+
+    def scored(ref, estimates):
+        # every other method scores 0 dB, SURE 1 dB and GCV 1 dB + gap
+        score = {"SURE": 1.0, "GCV": 1.0 + gap}
+        return [f._replace(snr=score.get(m, 0.0), psnr=score.get(m, 0.0))
+                for m, f in zip(METHODS, real(ref, estimates))]
+
+    monkeypatch.setattr(denoising, "_fidelities", scored)
+    _, noisy = noisy_sinusoid(seed=4)
+    report = method_sweep(noisy)
+    assert (report.winner_snr, report.winner_psnr) == ("SURE", "SURE")
 
 
 def test_sweep_against_external_reference():
