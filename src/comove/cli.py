@@ -456,11 +456,6 @@ def _check_settings(config: PipelineConfig) -> tuple[date | None, date | None]:
     return start, end
 
 
-# the deepest level whose minimum window length a message writes out: 7 *
-# 2**14000 has 4216 digits, under the 4300 Python prints of an int by default
-_PRINTED_LEVEL = 14000
-
-
 def _check_data(subcommand: str, config: PipelineConfig, work: ts.MultiSeries) -> None:
     """Refuse data the subcommand's steps cannot take, before any output is written."""
     if subcommand in ("coherence", "denoise", "pipeline"):
@@ -472,12 +467,10 @@ def _check_data(subcommand: str, config: PipelineConfig, work: ts.MultiSeries) -
         levels.append(("depth", pk.min_length))
     if subcommand in ("denoise", "pipeline"):
         levels.append(("denoise_level", sweep_min_length))
-    for key, min_length in levels:
-        # both minimums are at least 2**level, more than n once level reaches
-        # n's bit length, so such a level is refused without building 2**level
+    for key, minimum in levels:
         level = getattr(config, key)
-        if level >= n.bit_length() or n < min_length(level):
-            need = min_length(level) if level <= _PRINTED_LEVEL else f"2**{level}"
+        need = pk._shortfall(n, level, minimum)
+        if need is not None:
             raise ts.DataError(f"{key} {level} needs at least {need} rows in the analysis window, got {n}")
     if subcommand in ("forecast", "pipeline") and n < vm.MIN_OBS:
         raise ts.DataError(f"the forecast fit needs at least {vm.MIN_OBS} rows in the analysis window, got {n}")

@@ -13,13 +13,14 @@ the convention string travels inside the report.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
-from .packets import DwtCoeffs, dwt_forward, dwt_inverse
+from .packets import DwtCoeffs, _shortfall, dwt_forward, dwt_inverse
 
 MAD_SCALE = 0.6745
 MIN_MAD_COEFFS = 8  # fewest detail coefficients a MAD noise estimate is taken from
@@ -119,7 +120,7 @@ def apply_shrinkage(
         with np.errstate(divide="ignore", invalid="ignore"):
             shrunk = arr - t**2 / arr
         out = np.where(keep, shrunk, 0.0)
-    if np.isscalar(w) and out.ndim == 0:
+    if out.ndim == 0 and np.isscalar(w):
         return float(out)
     return out
 
@@ -129,7 +130,8 @@ def _minimizers(rule: str, y: np.ndarray, n: np.ndarray | float) -> np.ndarray:
     and the rest zero padding, the one minimizing Stein's unbiased risk on
     unit-variance data (``"sure"``: n - 2k + cum + (n - k) y**2) or the GCV
     score of soft shrinkage (``"gcv"``: (cum + (n - k) y**2) / n / (k / n)**2),
-    each summed in that order. The padding is masked after the arithmetic."""
+    each summed in that order. The padding is masked after the arithmetic; a
+    scalar n, the pooled levels' count, has none."""
     k = np.arange(1.0, y.shape[-1] + 1.0)
     y2 = y**2
     score = y2.cumsum(axis=-1)
@@ -139,7 +141,8 @@ def _minimizers(rule: str, y: np.ndarray, n: np.ndarray | float) -> np.ndarray:
     if rule == "gcv":
         score /= n
         score /= (k / n) ** 2
-    np.copyto(score, np.inf, where=k > n)
+    if np.ndim(n):
+        np.copyto(score, np.inf, where=k > n)
     return y[np.arange(len(y)), score.argmin(axis=-1)]
 
 
@@ -147,7 +150,13 @@ def _sparse(d: np.ndarray, s: float) -> bool:
     """SUREShrink's test that a detail level at noise s > 0 is too sparse
     for SURE, so the universal threshold serves it."""
     n = np.size(d)
-    return (float((np.divide(d, s) ** 2).sum()) - n) / n <= float(np.log2(n) ** 1.5 / np.sqrt(n))
+    return (float((np.divide(d, s) ** 2).sum()) - n) / n <= _sparsity_bound(n)
+
+
+@functools.lru_cache(maxsize=1024)
+def _sparsity_bound(n: int) -> float:
+    """log2(n)**1.5 / sqrt(n), the right side of :func:`_sparse`, once per level size."""
+    return float(np.log2(n) ** 1.5 / np.sqrt(n))
 
 
 def select_threshold(
@@ -178,9 +187,11 @@ def select_threshold(
 
 
 class _Magnitudes(NamedTuple):
-    """``|d|`` of a decomposition's detail levels, sorted ascending: each level
-    (finest first), all pooled and, if ``padded``, side by side as the rows of
-    one zero-padded table, which only per-level SURE, SUREShrink and GCV read.
+    """``|d|`` of a decomposition's detail levels: each level (finest first),
+    all pooled and sorted ascending and, if ``padded``, side by side as the
+    rows of one zero-padded table, which only per-level SURE, SUREShrink and
+    GCV read. The finest level is sorted, and every level if ``per_level``:
+    pooled rules read the finest level's noise alone.
 
     Every selector reads these in place of sorting its own copy. Dividing by
     a positive s is monotone in floating point, so ``levels[j] / s`` equals
@@ -192,11 +203,11 @@ class _Magnitudes(NamedTuple):
     pooled: np.ndarray
 
     @classmethod
-    def of(cls, coeffs: DwtCoeffs, padded: bool) -> _Magnitudes:
+    def of(cls, coeffs: DwtCoeffs, per_level: bool, padded: bool) -> _Magnitudes:
         table = np.zeros((coeffs.level, max(map(np.size, coeffs.details)))) if padded else None
         levels = [np.abs(d, out=None if table is None else table[j, : np.size(d)])
                   for j, d in enumerate(coeffs.details)]
-        for a in levels:
+        for a in levels if per_level else levels[:1]:
             a.sort()
         return cls(levels, table, np.sort(np.concatenate(levels)))
 
@@ -216,7 +227,7 @@ def _thresholds(
     coefficients."""
     kinds = {SELECTORS[m][:2] for m in methods}
     per = {rule for rule, per_level in kinds if per_level}
-    mags = _Magnitudes.of(coeffs, padded=bool(per - {"universal"}))
+    mags = _Magnitudes.of(coeffs, per_level=bool(per), padded=bool(per - {"universal"}))
     if sigma is not None and not (np.isfinite(sigma) and sigma >= 0):
         raise ValueError(f"sigma must be finite and nonnegative, got {sigma}")
     if not mags.pooled.any():
@@ -226,7 +237,9 @@ def _thresholds(
         return float(sigma) if sigma is not None else _mad_sigma(mags.levels[j])
 
     s_g, pooled, n = sigma_at(0), mags.pooled[None], float(mags.pooled.size)
-    got = {("universal", False): s_g * float(np.sqrt(2.0 * np.log(coeffs.original_length)))}
+    got = {}
+    if ("universal", False) in kinds:
+        got["universal", False] = s_g * float(np.sqrt(2.0 * np.log(coeffs.original_length)))
     if ("sure", False) in kinds:
         got["sure", False] = s_g * float(_minimizers("sure", pooled / (s_g or 1.0), n)[0])
     if ("gcv", False) in kinds:
@@ -280,21 +293,25 @@ def _shrink_and_invert(
     """Shrink the detail levels once per row i, by thresholds[i] (one float
     serves every level) under rules[i], and invert all rows in one batched
     pass; returns each row's per-level thresholds and the (rows, n) signals.
-    The levels are shrunk side by side, each row's thresholds repeated once
-    across the coefficients of their level, in one :func:`apply_shrinkage`
-    call per run of consecutive rows sharing a rule (in the sweep, one per
-    distinct rule).
+    The levels are shrunk side by side in one :func:`apply_shrinkage` call
+    per run of consecutive rows sharing a rule (in the sweep, one per
+    distinct rule). Each row's thresholds are repeated once across the
+    coefficients of their level, unless every row has one float, which
+    broadcasts as a column.
     """
     per_level = [
         (t,) * coeffs.level if isinstance(t, float) else tuple(t) for t in thresholds
     ]
     sizes = [d.size for d in coeffs.details]
-    repeated = np.repeat(np.array(per_level, dtype=float), sizes, axis=1)  # (rows, coefficients)
+    if all(isinstance(t, float) for t in thresholds):
+        cut = np.array(thresholds)[:, None]
+    else:
+        cut = np.repeat(np.array(per_level, dtype=float), sizes, axis=1)  # (rows, coefficients)
     details = np.concatenate(coeffs.details)
-    shrunk, row = np.empty_like(repeated), 0
+    shrunk, row = np.empty((len(rules), details.size)), 0
     for r, run in itertools.groupby(rules):
         rows = slice(row, row + len(list(run)))
-        shrunk[rows] = apply_shrinkage(details, repeated[rows], r)
+        shrunk[rows] = apply_shrinkage(details, cut[rows], r)
         row = rows.stop
     bounds = [0, *itertools.accumulate(sizes)]
     levels = tuple(shrunk[:, lo:hi] for lo, hi in zip(bounds, bounds[1:]))
@@ -341,7 +358,7 @@ def _fidelities(ref: np.ndarray, estimates: np.ndarray) -> list[Fidelity]:
     if energy <= 0.0:
         raise ValueError("reference signal has zero energy")
     n = ref.size
-    peak = float(np.max(np.abs(ref)))
+    peak = float(np.abs(ref).max())
     resid = ((ref - estimates) ** 2).sum(axis=-1)
     with np.errstate(divide="ignore"):
         snr = (10.0 * np.log10(energy / resid)).tolist()
@@ -427,8 +444,8 @@ def method_sweep(
         raise ValueError(f"shape mismatch: reference {ref.shape} vs signal {x.shape}")
     if rule is not None and rule not in SHRINKAGE_RULES:
         raise ValueError(f"unknown rule {rule!r}; have {SHRINKAGE_RULES}")
-    need = sweep_min_length(level)
-    if level >= 1 and x.size < need:  # dwt_forward names a level below 1
+    need = _shortfall(x.size, level, sweep_min_length)
+    if level >= 1 and need is not None:  # dwt_forward names a level below 1
         raise ValueError(f"the sweep at level {level} needs at least {need} samples, got {x.size}")
     coeffs = dwt_forward(x, level=level, wavelet=wavelet)
     thresholds = _thresholds(list(METHODS), coeffs, None)

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -99,6 +100,21 @@ def min_length(level: int) -> int:
     return 2**level
 
 
+# the deepest level whose minimum length a message writes out: 7 * 2**14000 + 1
+# has 4216 digits, under the 4300 Python prints of an int by default
+_PRINTED_LEVEL = 14000
+
+
+def _shortfall(n: int, level: int, minimum: Callable[[int], int] = min_length) -> int | str | None:
+    """None if n samples reach ``minimum(level)``, else that minimum as a
+    message writes it (``2**level`` past _PRINTED_LEVEL). Every minimum here
+    is at least 2**level, more than n once level reaches n's bit length, so
+    such a level falls short without building 2**level."""
+    if level < n.bit_length() and n >= minimum(level):
+        return None
+    return minimum(level) if level <= _PRINTED_LEVEL else f"2**{level}"
+
+
 def _prepare(x: np.ndarray, level: int) -> np.ndarray:
     """Validated signal, extended periodically to a multiple of 2**level."""
     x = np.asarray(x, dtype=float)
@@ -108,7 +124,7 @@ def _prepare(x: np.ndarray, level: int) -> np.ndarray:
         raise ValueError("signal contains non-finite values")
     if level < 1:
         raise ValueError(f"level must be at least 1, got {level}")
-    if x.size < min_length(level):
+    if _shortfall(x.size, level) is not None:
         raise ValueError(f"{x.size} samples cannot be split {level} times")
     pad = -x.size % 2**level  # fewer than x.size, which is at least 2**level
     return np.concatenate([x, x[:pad]])

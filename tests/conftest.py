@@ -8,6 +8,8 @@ expansion (:func:`four_series_expansion`) and the product of nested partial
 coherencies (:func:`multiple_from_partials`).
 """
 
+import gc
+
 import numpy as np
 
 from comove.coherence import _SINGULAR_MINOR_TOL, CoherenceField, _solve
@@ -188,3 +190,18 @@ def unsmoothed_field(fields):
         grid=fields[0].grid,
         degenerate=np.zeros(pairs.shape[1:], dtype=bool),
     )
+
+
+def assert_no_reference_cycles(calls) -> None:
+    """Run each call once to warm caches, then again with the collector off:
+    a call that builds reference cycles leaves gc.collect() something to free."""
+    for call in calls:
+        call()
+    gc.collect()
+    gc.disable()
+    try:
+        for call in calls:
+            call()
+            assert gc.collect() == 0, call
+    finally:
+        gc.enable()

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from conftest import assert_no_reference_cycles
 
 from comove.denoising import (
     CONVENTIONAL_RULE,
@@ -17,7 +18,7 @@ from comove.denoising import (
     sweep_min_length,
 )
 from comove.denoising import _shrink_and_invert, _thresholds
-from comove.packets import DwtCoeffs, dwt_forward, dwt_inverse
+from comove.packets import _PRINTED_LEVEL, DwtCoeffs, _shortfall, dwt_forward, dwt_inverse
 
 
 def coeffs_from_details(*detail_levels, n=None):
@@ -582,6 +583,31 @@ def test_sweep_checks_its_length_before_decomposing():
         method_sweep(np.arange(10.0), level=4)
     with pytest.raises(ValueError, match="level must be at least 1"):
         method_sweep(np.arange(10.0), level=0)
+
+
+@pytest.mark.parametrize("level", [20000, 10**8])
+def test_sweep_refuses_huge_levels_by_its_own_message(level):
+    # the level is compared with the length's bit length before 2**level is
+    # built; past _PRINTED_LEVEL the message writes the bound as a power
+    x = np.random.default_rng(15).standard_normal(300)
+    with pytest.raises(ValueError, match=rf"level {level} needs at least 2\*\*{level} samples, got 300$"):
+        method_sweep(x, level=level)
+
+
+def test_level_shortfall_prints_the_bound_up_to_the_printed_level():
+    # the one rule of the sweep, the transforms and the CLI's data check
+    top = _PRINTED_LEVEL
+    assert _shortfall(300, top, sweep_min_length) == 7 * 2**top + 1
+    assert len(str(7 * 2**top + 1)) < 4300
+    assert _shortfall(300, top + 1, sweep_min_length) == f"2**{top + 1}"
+    assert _shortfall(300, 8) is None and _shortfall(300, 9) == 512
+    assert _shortfall(113, 4, sweep_min_length) is None
+    assert _shortfall(112, 4, sweep_min_length) == 113
+
+
+def test_denoising_leaves_no_reference_cycles():
+    x = np.random.default_rng(38).standard_normal(300)
+    assert_no_reference_cycles([lambda: denoise(x), lambda: method_sweep(x)])
 
 
 def test_sweep_rejects_reference_of_another_shape():

@@ -350,6 +350,9 @@ def test_reconstruct_unknown_node():
         (np.array([1.0, np.inf, 0, 0]), 1, "non-finite"),
         (np.arange(16.0), 0, "at least 1"),
         (np.arange(8.0), 9, "cannot be split"),
+        # refused from the length's bit length, before 2**level is built
+        (np.arange(300.0), 20000, "^300 samples cannot be split 20000 times$"),
+        (np.arange(300.0), 10**8, "^300 samples cannot be split 100000000 times$"),
     ],
 )
 def test_wpt_error_contracts(x, level, msg):

@@ -10,6 +10,7 @@ thresholds against ``scipy.stats.chi2``.
 
 import numpy as np
 import pytest
+from conftest import assert_no_reference_cycles
 from scipy.optimize import minimize
 from scipy.signal import lfilter
 from scipy.stats import chi2
@@ -86,6 +87,108 @@ def test_model_rejects_non_finite_entries(field, bad):
 def test_models_default_to_no_warnings():
     m = VarmaModel(mu=[0.0], phi=[[0.5]], theta=[[0.1]], sigma=[[1.0]], n_obs=10)
     assert m.warnings == ()
+
+
+def _radius_cases(p):
+    """Seeded p x p matrices with rho and ||A||_inf on either side of 1: each
+    draw scaled to a spectral radius, then to a norm, at and around 1."""
+    rng = np.random.default_rng([35, p])
+    for target in (0.5, 0.999, 1.0 - 1e-13, 1.0, 1.0 + 1e-13, 1.001, 2.0):
+        for _ in range(3):
+            a = rng.standard_normal((p, p))
+            yield a * (target / np.abs(np.linalg.eigvals(a)).max())
+            yield a * (target / np.abs(a).sum(axis=1).max())
+
+
+@pytest.mark.parametrize("p", [1, 2, 8])
+def test_radius_bound_agrees_with_eigvals(monkeypatch, p):
+    # _fit_two_stage shrinks where _radii reaches 1, by the factor it returns;
+    # VarmaModel refuses there. Both must match eigvals exactly, and a norm at
+    # or past 1 must still reach eigvals, also where rho < 1 <= ||A||_inf.
+    calls = []
+    eigvals = np.linalg.eigvals
+    monkeypatch.setattr(np.linalg, "eigvals", lambda a: calls.append(1) or eigvals(a))
+    inside = 0.5 * np.eye(p)
+    seen = set()
+    for a in _radius_cases(p):
+        rho = np.abs(eigvals(a)).max()
+        norm = np.abs(a).sum(axis=1).max()
+        seen.add((rho >= 1.0, norm >= 1.0))
+        calls.clear()
+        radii = varma._radii(np.array([a, inside]))
+        assert bool(calls) == (norm >= varma._INSIDE)
+        assert (radii[0] >= 1.0) == (rho >= 1.0)
+        if rho >= 1.0:
+            assert radii[0] == rho
+        for field in ("phi", "theta"):
+            fields = {"phi": inside, "theta": inside, field: a}
+            if rho >= 1.0:
+                with pytest.raises(ValueError, match=f"{field} has an eigenvalue"):
+                    VarmaModel(mu=np.zeros(p), sigma=np.eye(p), n_obs=9, **fields)
+            else:
+                VarmaModel(mu=np.zeros(p), sigma=np.eye(p), n_obs=9, **fields)
+    assert seen >= {(False, False), (True, True)} | ({(False, True)} if p > 1 else set())
+
+
+def _sigma_cases(p):
+    """Seeded symmetric p x p matrices: diagonally dominant, barely dominant,
+    semidefinite but not dominant, and indefinite by a few multiples of the
+    tolerance either way."""
+    rng = np.random.default_rng([36, p])
+    for _ in range(10):
+        d = rng.uniform(1.0, 2.0, p) * 10.0 ** rng.uniform(-8, 8)
+        off = rng.uniform(-1.0, 1.0, (p, p))
+        off = np.triu(off, 1) + np.triu(off, 1).T
+        for fill in (0.5, 1.0):
+            scale = fill * d.min() / max(np.abs(off).sum(axis=1).max(), 1e-300)
+            yield np.diag(d) + scale * off
+        b = rng.standard_normal((p, p + 1)) * d[:, None]
+        yield b @ b.T
+        q, _ = np.linalg.qr(rng.standard_normal((p, p)))
+        for lowest in (-1e-14, -1e-12, -1e-6, 1e-6):
+            lam = np.linspace(1.0, 0.1, p) * d.max()
+            lam[-1] = lowest * d.max()
+            s = (q * lam) @ q.T
+            yield (s + s.T) / 2
+
+
+@pytest.mark.parametrize("p", [1, 2, 8])
+def test_sigma_bound_never_accepts_what_eigvalsh_refuses(p):
+    # the dominance test settles semidefiniteness before eigvalsh; a matrix is
+    # refused exactly where eigvalsh puts lambda_min below the relative tolerance
+    zero = np.zeros((p, p))
+    for sigma in _sigma_cases(p):
+        tol = varma._SIGMA_RTOL * p * np.abs(np.diagonal(sigma)).max()
+        refused = np.linalg.eigvalsh(sigma)[0] < -tol
+        if refused:
+            with pytest.raises(ValueError, match="positive semidefinite"):
+                VarmaModel(mu=np.zeros(p), phi=zero, theta=zero, sigma=sigma, n_obs=9)
+        elif np.all(np.diagonal(sigma) > 0.0):
+            VarmaModel(mu=np.zeros(p), phi=zero, theta=zero, sigma=sigma, n_obs=9)
+
+
+def test_sigma_checks_are_relative_to_its_scale():
+    # the fuzz draw's sigma: lambda_min = -1.2e-7 against lambda_max = 3.4e8,
+    # -3.5e-16 relative, is rounding; -1e-6 relative is not
+    rng = np.random.default_rng(33)
+    q, _ = np.linalg.qr(rng.standard_normal((7, 7)))
+    lam = np.geomspace(3.4e8, 1.0, 7)
+    zero = np.zeros((7, 7))
+    for lowest, ok in ((-1.2e-7, True), (-1e-6 * lam[0], False)):
+        lam[-1] = lowest
+        sigma = (q * lam) @ q.T
+        sigma = (sigma + sigma.T) / 2
+        assert np.linalg.eigvalsh(sigma)[0] < -1e-10  # refused by an absolute bound
+        if ok:
+            VarmaModel(mu=np.zeros(7), phi=zero, theta=zero, sigma=sigma, n_obs=9)
+        else:
+            with pytest.raises(ValueError, match="positive semidefinite"):
+                VarmaModel(mu=np.zeros(7), phi=zero, theta=zero, sigma=sigma, n_obs=9)
+    # asymmetry is judged on the same scale
+    sigma = np.diag([3.4e8, 2.0e8])
+    VarmaModel(mu=np.zeros(2), phi=zero[:2, :2], theta=zero[:2, :2], sigma=sigma + [[0, 1e-8], [0, 0]], n_obs=9)
+    with pytest.raises(ValueError, match="must be symmetric"):
+        VarmaModel(mu=np.zeros(2), phi=zero[:2, :2], theta=zero[:2, :2], sigma=sigma + [[0, 1.0], [0, 0]], n_obs=9)
 
 
 # ---------------------------------------------------------------- simulate
@@ -799,6 +902,19 @@ def test_mse_comparison_tie_tolerance():
     assert rows[0].winner == "tie"
 
 
+def test_mse_comparison_winners_do_not_depend_on_units():
+    # a tie is relative to the larger MSE, so scaling both by 2**20 or
+    # 2**-20 keeps every winner; gaps run from 1e-9 to 1e-3 relative
+    rng = np.random.default_rng(34)
+    arma = rng.uniform(0.5, 2.0, 16)
+    varma_mse = arma * (1.0 + rng.choice([-1.0, 1.0], 16) * 10.0 ** rng.uniform(-9, -3, 16))
+    names = tuple(f"s{j}" for j in range(16))
+    want = [r.winner for r in mse_comparison(names, arma, varma_mse)]
+    assert "tie" not in want and len(set(want)) == 2
+    for scale in (2.0**20, 2.0**-20):
+        assert [r.winner for r in mse_comparison(names, arma * scale, varma_mse * scale)] == want
+
+
 def test_mse_comparison_length_mismatch():
     with pytest.raises(ValueError, match="matching lengths"):
         mse_comparison(("a",), np.array([1.0, 2.0]), np.array([1.0]))
@@ -934,3 +1050,20 @@ def test_css_refinement_on_the_stationarity_bound(seed):
     )
     assert oracle.x[0] >= 1.0
     assert fit.theta[0, 0] == pytest.approx(oracle.x[1], abs=1e-7)
+
+
+# ---------------------------------------------------------------- garbage
+
+
+def test_fits_and_forecasts_leave_no_reference_cycles():
+    rng = np.random.default_rng(37)
+    panel = rng.standard_normal((300, 3)).cumsum(axis=0) * 0.1 + rng.standard_normal((300, 3))
+    x = panel[:, 0]
+    model = fit_arma11(x)
+    e = residuals(model, x)
+    assert_no_reference_cycles([
+        lambda: fit_arma11(x),
+        lambda: fit_varma11(panel),
+        lambda: residuals(model, x),
+        lambda: forecast(model, x[-1], e[-1], 30),
+    ])
