@@ -56,7 +56,7 @@ from . import packets as pk
 from . import timeseries as ts
 from . import varma as vm
 from .cwt import ScaleGrid, cwt_morlet, make_scale_grid
-from .denoising import SHRINKAGE_RULES, canonical_method, method_sweep, sweep_min_length
+from .denoising import METHODS, SHRINKAGE_RULES, canonical_method, method_sweep, sweep_min_length
 
 class UsageError(Exception):
     """Bad invocation: unknown keys, unparseable or refused values, unknown subcommand."""
@@ -295,8 +295,7 @@ def _check_file_names(names: tuple[str, ...]) -> None:
 def _load(config: PipelineConfig, start: date | None, end: date | None) -> tuple[ts.MultiSeries, ts.MultiSeries]:
     """Load the input and return (full series, analysis window [start, end])."""
     full = ts.load_csv(config.input, date_column=config.date_column, value_columns=config.value_columns)
-    if full.load_report is not None:
-        print(full.load_report.summary())
+    print(full.load_report.summary())
     work = full
     if start is not None or end is not None:
         work = ts.window(work, start or work.timestamps[0].item(), end or work.timestamps[-1].item())
@@ -344,7 +343,7 @@ def _emit_denoise(w: _Writer, ms: ts.MultiSeries, config: PipelineConfig) -> ts.
     Every series is swept before the first write, so a refused one leaves no output.
     """
     rule = None if config.rule == "auto" else config.rule
-    method = canonical_method(config.method)
+    row = METHODS.index(canonical_method(config.method))
     reports = [_named(f"series {name!r}", method_sweep, x, rule=rule, level=config.denoise_level,
                       wavelet=config.wavelet) for name, x in zip(ms.names, ms.values.T)]
     for name, report in zip(ms.names, reports):
@@ -352,7 +351,7 @@ def _emit_denoise(w: _Writer, ms: ts.MultiSeries, config: PipelineConfig) -> ts.
             (m, r, thr, *(("identical",) * 2 if same else (snr, psnr)), int(same))
             for m, r, thr, snr, psnr, same in report.rows()
         ], comment=report.convention)
-    denoised = np.column_stack([next(s.estimate for s in r.scores if s.method == method) for r in reports])
+    denoised = np.column_stack([r.estimates[row] for r in reports])
     _write_table(w, "denoised.csv", "date," + ",".join(map(_quote, ms.names)),
                  list(zip(ms.timestamps, *denoised.T.tolist())))
     return replace(ms, values=denoised)

@@ -27,21 +27,13 @@ _COI_EDGE_FLOOR = 1e-5
 _TIME_PASS_ROWS = 8  # rows per time-pass block: its spectra and temporaries stay in cache
 
 
-def morlet_fourier_factor(omega0: float = OMEGA0) -> float:
-    """Conversion factor from Morlet scale to Fourier period.
-
-    Parameters
-    ----------
-    omega0 : float
-        Dimensionless center frequency of the wavelet.
-
-    Returns
-    -------
-    float
-        ``4 * pi / (omega0 + sqrt(2 + omega0**2))``; for omega0 = 6 this is
-        about 1.033, so scale and Fourier period nearly coincide.
+def morlet_fourier_factor() -> float:
+    """Conversion factor from Morlet scale to Fourier period of the transforms'
+    wavelet, whose center frequency is OMEGA0 = 6:
+    ``4 * pi / (OMEGA0 + sqrt(2 + OMEGA0**2))``, about 1.033, so scale and
+    Fourier period nearly coincide.
     """
-    return 4.0 * np.pi / (omega0 + np.sqrt(2.0 + omega0**2))
+    return 4.0 * np.pi / (OMEGA0 + np.sqrt(2.0 + OMEGA0**2))
 
 
 @dataclass(frozen=True)

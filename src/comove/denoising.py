@@ -155,7 +155,10 @@ def _sparse(d: np.ndarray, s: float) -> bool:
 
 @functools.lru_cache(maxsize=1024)
 def _sparsity_bound(n: int) -> float:
-    """log2(n)**1.5 / sqrt(n), the right side of :func:`_sparse`, once per level size."""
+    """log2(n)**1.5 / sqrt(n), the right side of :func:`_sparse`, once per level size, on
+    numpy's scalar route: over an array the expression differs in the last bit at 226
+    of the sizes 1..4999 (first 40, 44, 57, 128), which flips SUREShrink between its
+    universal and SURE thresholds at a level whose statistic lands on the bound."""
     return float(np.log2(n) ** 1.5 / np.sqrt(n))
 
 
@@ -183,7 +186,9 @@ def select_threshold(
         Unknown method, a negative or non-finite ``sigma``, or every detail
         coefficient is exactly zero (nothing to estimate noise from).
     """
-    return _thresholds([canonical_method(method)], coeffs, sigma)[0]
+    method = canonical_method(method)
+    row = _thresholds([method], coeffs, sigma)[0]
+    return row.tolist() if SELECTORS[method][1] else float(row[0])
 
 
 class _Magnitudes(NamedTuple):
@@ -212,12 +217,12 @@ class _Magnitudes(NamedTuple):
         return cls(levels, table, np.sort(np.concatenate(levels)))
 
 
-def _thresholds(
-    methods: list[str], coeffs: DwtCoeffs, sigma: float | None
-) -> list[float | list[float]]:
-    """:func:`select_threshold` for each canonical method name. Pooled rules
-    read the finest level's noise; per level, universal and SURE read each
-    level's own, SUREShrink the finest level's, and GCV none. The noise is
+def _thresholds(methods: list[str], coeffs: DwtCoeffs, sigma: float | None) -> np.ndarray:
+    """:func:`select_threshold` for each canonical method name: one (methods, levels)
+    table, a pooled method's threshold repeated across its row, or a single column
+    when every method is pooled. Pooled rules read the finest level's noise; per
+    level, universal and SURE read each level's own, SUREShrink the finest
+    level's, and GCV none. The noise is
     ``sigma`` if given, else the level's MAD estimate, taken only when read,
     so a level no selector reads the noise of may hold fewer than
     MIN_MAD_COEFFS; a zero noise level gives a zero threshold. Each rule
@@ -225,7 +230,7 @@ def _thresholds(
     each level's own noise and at the finest level's as the rows of one
     table, GCV as another; SUREShrink's sparsity test sums each level's raw
     coefficients."""
-    kinds = {SELECTORS[m][:2] for m in methods}
+    kinds = [SELECTORS[m][:2] for m in methods]
     per = {rule for rule, per_level in kinds if per_level}
     mags = _Magnitudes.of(coeffs, per_level=bool(per), padded=bool(per - {"universal"}))
     if sigma is not None and not (np.isfinite(sigma) and sigma >= 0):
@@ -237,15 +242,15 @@ def _thresholds(
         return float(sigma) if sigma is not None else _mad_sigma(mags.levels[j])
 
     s_g, pooled, n = sigma_at(0), mags.pooled[None], float(mags.pooled.size)
-    got = {}
+    got = {}  # (rule, per level): a float, or one per level
     if ("universal", False) in kinds:
         got["universal", False] = s_g * float(np.sqrt(2.0 * np.log(coeffs.original_length)))
     if ("sure", False) in kinds:
         got["sure", False] = s_g * float(_minimizers("sure", pooled / (s_g or 1.0), n)[0])
     if ("gcv", False) in kinds:
         got["gcv", False] = float(_minimizers("gcv", pooled, n)[0])
-    if not per:  # pooled methods alone, as select_threshold asks for them
-        return [got[SELECTORS[m][:2]] for m in methods]
+    if not per:  # pooled methods alone: one column
+        return np.array([[got[k]] for k in kinds])
     sizes = np.array([[a.size] for a in mags.levels], dtype=float)
     universal = np.sqrt(2.0 * np.log(sizes))
     if per & {"universal", "sure"}:
@@ -265,7 +270,8 @@ def _thresholds(
                                    for d, u, t in zip(coeffs.details, su, got["sureshrink", True])]
     if "gcv" in per:
         got["gcv", True] = _minimizers("gcv", mags.table, sizes).tolist()
-    return [got[SELECTORS[m][:2]] for m in methods]
+    return np.array([got[rule, per_level] if per_level else [got[rule, per_level]] * coeffs.level
+                     for rule, per_level in kinds])
 
 
 def denoise(
@@ -283,30 +289,17 @@ def denoise(
     signal of the original length.
     """
     coeffs = dwt_forward(x, level=level, wavelet=wavelet)
-    thresholds = select_threshold(coeffs, method, sigma=sigma)
-    return _shrink_and_invert(coeffs, [thresholds], [rule])[1][0]
+    return _shrink_and_invert(coeffs, _thresholds([canonical_method(method)], coeffs, sigma), (rule,))[0]
 
 
-def _shrink_and_invert(
-    coeffs: DwtCoeffs, thresholds: list[float | list[float]], rules: list[str]
-) -> tuple[list[tuple[float, ...]], np.ndarray]:
-    """Shrink the detail levels once per row i, by thresholds[i] (one float
-    serves every level) under rules[i], and invert all rows in one batched
-    pass; returns each row's per-level thresholds and the (rows, n) signals.
-    The levels are shrunk side by side in one :func:`apply_shrinkage` call
-    per run of consecutive rows sharing a rule (in the sweep, one per
-    distinct rule). Each row's thresholds are repeated once across the
-    coefficients of their level, unless every row has one float, which
-    broadcasts as a column.
-    """
-    per_level = [
-        (t,) * coeffs.level if isinstance(t, float) else tuple(t) for t in thresholds
-    ]
+def _shrink_and_invert(coeffs: DwtCoeffs, thresholds: np.ndarray, rules: tuple[str, ...]) -> np.ndarray:
+    """Shrink the detail levels by row i of the (rows, levels) ``thresholds``
+    under rules[i], side by side in one :func:`apply_shrinkage` call per run
+    of rows sharing a rule (in the sweep, one per distinct rule), and invert
+    all rows in one batched pass into (rows, n) signals. The thresholds are
+    repeated across their level's coefficients; one column broadcasts."""
     sizes = [d.size for d in coeffs.details]
-    if all(isinstance(t, float) for t in thresholds):
-        cut = np.array(thresholds)[:, None]
-    else:
-        cut = np.repeat(np.array(per_level, dtype=float), sizes, axis=1)  # (rows, coefficients)
+    cut = thresholds if thresholds.shape[1] == 1 else np.repeat(thresholds, sizes, axis=1)
     details = np.concatenate(coeffs.details)
     shrunk, row = np.empty((len(rules), details.size)), 0
     for r, run in itertools.groupby(rules):
@@ -316,7 +309,7 @@ def _shrink_and_invert(
     bounds = [0, *itertools.accumulate(sizes)]
     levels = tuple(shrunk[:, lo:hi] for lo, hi in zip(bounds, bounds[1:]))
     approx = coeffs.approx[None].repeat(len(rules), axis=0)
-    return per_level, dwt_inverse(
+    return dwt_inverse(
         DwtCoeffs(approx, levels, coeffs.wavelet, coeffs.original_length, coeffs.padded_length))
 
 
@@ -347,13 +340,13 @@ def fidelity_metrics(reference: np.ndarray, estimate: np.ndarray) -> Fidelity:
     est = np.asarray(estimate, dtype=float)
     if ref.shape != est.shape:
         raise ValueError(f"shape mismatch: {ref.shape} vs {est.shape}")
-    return _fidelities(ref.ravel(), est.reshape(1, -1))[0]
+    return Fidelity(*(a.item() for a in _fidelities(ref.ravel(), est.reshape(1, -1))))
 
 
-def _fidelities(ref: np.ndarray, estimates: np.ndarray) -> list[Fidelity]:
-    """:func:`fidelity_metrics` of each row of ``estimates`` against ``ref``: the
-    reference's energy and peak once, the residual energies and the decibels
-    of all rows in one pass each (a zero residual gives infinite decibels)."""
+def _fidelities(ref: np.ndarray, estimates: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`fidelity_metrics` of each row of ``estimates`` against ``ref`` as arrays snr, psnr
+    and identical: the reference's energy and peak once, the residual energies and the
+    decibels of all rows in one pass each (a zero residual gives infinite decibels)."""
     energy = float((ref**2).sum())
     if energy <= 0.0:
         raise ValueError("reference signal has zero energy")
@@ -361,30 +354,21 @@ def _fidelities(ref: np.ndarray, estimates: np.ndarray) -> list[Fidelity]:
     peak = float(np.abs(ref).max())
     resid = ((ref - estimates) ** 2).sum(axis=-1)
     with np.errstate(divide="ignore"):
-        snr = (10.0 * np.log10(energy / resid)).tolist()
-        psnr = (10.0 * np.log10(n * peak**2 / resid)).tolist()
-    return [Fidelity(s, p, r == 0.0) for s, p, r in zip(snr, psnr, resid.tolist())]
-
-
-@dataclass(frozen=True)
-class MethodScore:
-    """One sweep row: a method, the rule it ran with, its scores and its
-    reconstruction (``estimate``, what :func:`denoise` returns for them)."""
-
-    method: str
-    rule: str
-    thresholds: tuple[float, ...]
-    snr: float
-    psnr: float
-    identical: bool
-    estimate: np.ndarray = field(repr=False, compare=False)
+        return 10.0 * np.log10(energy / resid), 10.0 * np.log10(n * peak**2 / resid), resid == 0.0
 
 
 @dataclass(frozen=True)
 class DenoiseReport:
-    """All nine methods scored on one signal, plus the scoring convention."""
+    """All nine methods scored on one signal, one table whose row i is METHODS[i]: its
+    rule, thresholds (finest level first), scores and reconstruction (``estimates``
+    row i, what :func:`denoise` returns for it); plus the winners and the convention."""
 
-    scores: tuple[MethodScore, ...]
+    rules: tuple[str, ...]
+    thresholds: np.ndarray
+    snr: np.ndarray
+    psnr: np.ndarray
+    identical: np.ndarray
+    estimates: np.ndarray = field(repr=False)
     winner_snr: str
     winner_psnr: str
     convention: str
@@ -392,15 +376,10 @@ class DenoiseReport:
     def rows(self) -> list[tuple[str, str, str, float, float, bool]]:
         """Tabular form: (method, rule, thresholds joined by ';', snr, psnr, identical)."""
         return [
-            (
-                s.method,
-                s.rule,
-                ";".join(repr(t) for t in s.thresholds),
-                s.snr,
-                s.psnr,
-                s.identical,
-            )
-            for s in self.scores
+            (method, rule, ";".join(map(repr, ts)), snr, psnr, same)
+            for method, rule, ts, snr, psnr, same in zip(
+                METHODS, self.rules, self.thresholds.tolist(), self.snr.tolist(), self.psnr.tolist(),
+                self.identical.tolist())
         ]
 
 
@@ -449,24 +428,10 @@ def method_sweep(
         raise ValueError(f"the sweep at level {level} needs at least {need} samples, got {x.size}")
     coeffs = dwt_forward(x, level=level, wavelet=wavelet)
     thresholds = _thresholds(list(METHODS), coeffs, None)
-    rules = [rule if rule is not None else CONVENTIONAL_RULE[m] for m in METHODS]
-    per_level, estimates = _shrink_and_invert(coeffs, thresholds, rules)
-    scores = [
-        MethodScore(
-            method=method,
-            rule=use_rule,
-            thresholds=ts,
-            snr=fid.snr,
-            psnr=fid.psnr,
-            identical=fid.identical,
-            estimate=est,
-        )
-        for method, use_rule, ts, est, fid in zip(
-            METHODS, rules, per_level, estimates, _fidelities(ref, estimates)
-        )
-    ]
+    rules = tuple(rule if rule is not None else CONVENTIONAL_RULE[m] for m in METHODS)
+    estimates = _shrink_and_invert(coeffs, thresholds, rules)
+    snr, psnr, identical = _fidelities(ref, estimates)
     # the first method in METHODS order within WINNER_TOL_DB of the best wins,
     # so rounding does not choose between selectors that reach one estimate
-    top = {k: max(getattr(s, k) for s in scores) for k in ("snr", "psnr")}
-    win_snr, win_psnr = (next(s.method for s in scores if getattr(s, k) >= top[k] - WINNER_TOL_DB) for k in top)
-    return DenoiseReport(scores=tuple(scores), winner_snr=win_snr, winner_psnr=win_psnr, convention=_SWEEP_CONVENTION)
+    win_snr, win_psnr = (METHODS[int(np.argmax(s >= s.max() - WINNER_TOL_DB))] for s in (snr, psnr))
+    return DenoiseReport(rules, thresholds, snr, psnr, identical, estimates, win_snr, win_psnr, _SWEEP_CONVENTION)

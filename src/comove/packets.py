@@ -191,24 +191,40 @@ def _synthesize(c: np.ndarray, plan: tuple[np.ndarray, ...]) -> np.ndarray:
 class PacketTree:
     """Full wavelet packet decomposition down to a fixed level.
 
-    nodes maps binary path tuples of length ``level`` to coefficient arrays;
-    all 2**level leaves are present, each of length padded_length / 2**level.
+    ``leaves`` is the read-only (2**level, padded_length / 2**level) stack of the
+    leaf coefficients in natural order, row i on the path of i's binary digits;
+    a stack of another shape is refused when the tree is built.
     """
 
-    nodes: dict[tuple[int, ...], np.ndarray]
+    leaves: np.ndarray
     level: int
     wavelet: str
     original_length: int
-    padded_length: int
+
+    def __post_init__(self) -> None:
+        leaves = np.asarray(self.leaves, dtype=float).view()  # read-only without freezing the caller's array
+        rows = len(leaves) if leaves.ndim == 2 and leaves.shape[1] else 0
+        # a level past the row count's bit length cannot match, so 2**level is never built for it
+        if self.level < 1 or rows != 2 ** min(self.level, rows.bit_length()):
+            raise ValueError(f"a level-{self.level} tree holds 2**{self.level} leaves of equal length, "
+                             f"got a stack of shape {np.shape(self.leaves)}")
+        leaves.flags.writeable = False
+        object.__setattr__(self, "leaves", leaves)
+
+    @property
+    def padded_length(self) -> int:
+        return self.leaves.size
+
+    @functools.cached_property
+    def nodes(self) -> dict[tuple[int, ...], np.ndarray]:
+        """The leaves keyed by path, in natural order."""
+        return dict(zip(_paths(self.level), self.leaves))
 
     def paths(self, ordering: str = "natural") -> list[tuple[int, ...]]:
         """Leaf paths in natural (Paley) or frequency order."""
-        paths = sorted(self.nodes)
-        if ordering == "natural":
-            return paths
-        if ordering == "frequency":
-            return sorted(paths, key=frequency_index)
-        raise ValueError(f"unknown ordering {ordering!r}")
+        if ordering not in ("natural", "frequency"):
+            raise ValueError(f"unknown ordering {ordering!r}")
+        return sorted(_paths(self.level), key=frequency_index if ordering == "frequency" else None)
 
 
 def frequency_index(path: tuple[int, ...]) -> int:
@@ -238,21 +254,12 @@ def wpt_forward(x: np.ndarray, level: int, wavelet: str = "db3") -> PacketTree:
     for lo, hi in _stages(level):
         n = rows.shape[-1]
         rows = _analyze(rows, _plan(n, wavelet, _paths(hi - lo))).reshape(-1, n >> (hi - lo))
-    return PacketTree(dict(zip(_paths(level), rows)), level, wavelet, np.size(x), xp.size)
-
-
-def _leaves(tree: PacketTree, paths: tuple[tuple[int, ...], ...]) -> np.ndarray:
-    """The leaves on ``paths`` as rows, each of padded_length / 2**level coefficients."""
-    want = (tree.padded_length >> tree.level,)
-    for p in paths:
-        if np.shape(tree.nodes.get(p)) != want:
-            raise ValueError(f"no node {p} of shape {want} at level {tree.level}")
-    return np.array([tree.nodes[p] for p in paths], dtype=float)
+    return PacketTree(rows, level, wavelet, np.size(x))
 
 
 def wpt_inverse(tree: PacketTree) -> np.ndarray:
     """Rebuild the signal from all leaves, trimmed to the original length."""
-    rows = _leaves(tree, _paths(tree.level))
+    rows = tree.leaves
     for lo, hi in reversed(_stages(tree.level)):
         n = rows.shape[-1] << (hi - lo)
         rows = _synthesize(rows.reshape(-1, n), _plan(n, tree.wavelet, _paths(hi - lo)))
@@ -265,7 +272,9 @@ def reconstruct_node(tree: PacketTree, path: tuple[int, ...]) -> np.ndarray:
     Contributions of all leaves sum to the original signal.
     """
     path = tuple(path)
-    c = _leaves(tree, (path,))[0]
+    if len(path) != tree.level or not set(path) <= {0, 1}:
+        raise ValueError(f"no node {path} at level {tree.level}")
+    c = tree.leaves[np.ravel_multi_index(path, (2,) * tree.level)]
     for lo, hi in reversed(_stages(tree.level)):
         c = _synthesize(c, _plan(c.size << (hi - lo), tree.wavelet, (path[lo:hi],)))
     return c[: tree.original_length]
@@ -279,13 +288,12 @@ def energy_fractions(
     Fractions are nonnegative and sum to 1 (the bank preserves energy). An
     all-zero signal has no energy to apportion and raises ValueError.
     """
+    energies = dict(zip(_paths(tree.level), (tree.leaves**2).sum(axis=1).tolist()))
     paths = tree.paths(ordering)
-    sums = (np.stack([tree.nodes[p] for p in paths]) ** 2).sum(axis=1)
-    energies = dict(zip(paths, sums.tolist()))
-    total = sum(energies.values())
+    total = sum(energies[p] for p in paths)
     if total <= 0.0:
         raise ValueError("signal has zero energy; fractions undefined")
-    return {p: e / total for p, e in energies.items()}
+    return {p: energies[p] / total for p in paths}
 
 
 @dataclass(frozen=True)

@@ -321,6 +321,14 @@ def _fit_two_stage(x: np.ndarray) -> VarmaModel:
     chi-square(2 p^2): on the Phi = -Theta ridge a (1,1) model is
     unidentified and the estimates are pure noise. Otherwise a coefficient
     matrix whose spectral radius reaches 1 is shrunk to 1 - 1e-4.
+
+    Both stages run in power-of-two column units: column j of z is divided
+    by 2**e_j, where max|z_j| = f 2**e_j with 1/2 <= f < 1 (``np.frexp``),
+    which is exact. So the collinearity checks and the shrink decide the
+    same on data in any units, and a column rescaled by a power of two gives
+    the same fit, mapped back bit for bit as Phi = D Phi_u D^-1 and Theta =
+    D Theta_u D^-1 with D = diag(2**e_j). Sigma comes from the residuals in
+    data units.
     """
     x = np.ascontiguousarray(x)
     n, p = x.shape
@@ -336,10 +344,13 @@ def _fit_two_stage(x: np.ndarray) -> VarmaModel:
         raise ValueError(f"{where}constant series has no ARMA structure to fit")
     notes: list[str] = []
     m = _long_ar_order(n, p)
-    ehat = _long_ar_residuals(z, m)
+    # D = diag(2**e): max|z_j| = f 2**e_j, 1/2 <= f < 1 (a row max of the transpose is faster)
+    e = np.frexp(np.ascontiguousarray(np.abs(z).T).max(axis=1))[1]
+    u = np.ldexp(z, -e)
+    ehat = _long_ar_residuals(u, m)
 
-    y = z[m + 1 :]
-    w = np.concatenate([z[m:-1], ehat[:-1]], axis=1)
+    y = u[m + 1 :]
+    w = np.concatenate([u[m:-1], ehat[:-1]], axis=1)
     coef, _, _, sv = np.linalg.lstsq(w, y, rcond=None)
     if not sv[0] ** 2 <= _COLLINEARITY_LIMIT * sv[-1] ** 2:  # cond(w'w) = (s_max / s_min)^2
         raise ValueError(_COLLINEAR)
@@ -356,6 +367,7 @@ def _fit_two_stage(x: np.ndarray) -> VarmaModel:
         if rho >= 1.0:
             a *= shrink / rho
             notes.append(note)
+    phi, theta = (np.ldexp(a, e[:, None] - e) for a in (phi, theta))  # D A D^-1, exactly
 
     resid = _varma_residuals(z, phi, theta)
     sigma = resid[1:].T @ resid[1:] / (n - 1)

@@ -12,6 +12,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -953,3 +954,68 @@ def test_a_refused_later_series_leaves_no_output(tmp_path, capsys, subcommand, m
     assert main([subcommand, "--input", str(src), "--out-dir", str(out)]) == 2
     assert capsys.readouterr().err == f"error: series 'b': {message}\n"
     assert not out.exists()
+
+
+# ---------------------------------------------------------------- contract suite
+
+# the VarmaModel record's own refusals, which a fit must never hand on
+_VARMA_INVARIANT = re.compile(
+    r"(mu|phi|theta|sigma) (must be \(|contains non-finite)|unit circle|sigma must be|sigma's diagonal")
+
+
+def _contract_column(kind, rng, n, earlier):
+    """One column of a contract panel; ``earlier`` holds the columns before
+    it, and a copy with none to copy is a plain random walk."""
+    t = np.arange(n)
+    walk = 100.0 + np.cumsum(rng.standard_normal(n))
+    if kind == "noise":
+        return rng.standard_normal(n)
+    if kind == "sine":
+        return np.sin(2.0 * np.pi * t / rng.uniform(8.0, 64.0)) + 1e-6 * rng.standard_normal(n)
+    if kind == "steps":
+        return np.repeat(rng.normal(0.0, 5.0, 6), -(-n // 6))[:n]
+    if kind == "trend":
+        return 0.05 * t + rng.standard_normal(n)
+    if kind == "units":
+        return walk * 10.0 ** rng.integers(-8, 9)
+    if kind == "copy" and earlier:
+        pick = earlier[rng.integers(len(earlier))]
+        return pick + 1e-9 * np.abs(pick).max() * rng.standard_normal(n)
+    if kind == "spike":
+        walk[rng.integers(n)] += 1e3
+    elif kind == "flat":
+        lo = rng.integers(n // 2)
+        walk[lo : lo + n // 3] = walk[lo]
+    return walk
+
+
+@pytest.mark.parametrize("draw", range(40))
+def test_pipeline_contract_on_seeded_panels(tmp_path, capsys, draw):
+    # a seeded mix of awkward columns: the run succeeds or refuses the data
+    # cleanly, and what it writes is finite with coherences in [0, 1]
+    rng = np.random.default_rng([40, draw])
+    n, p = int(rng.integers(150, 301)), int(rng.integers(2, 6))
+    kinds = ("walk", "noise", "sine", "steps", "spike", "flat", "trend", "units", "copy")
+    columns = []
+    for kind in rng.choice(kinds, p):
+        columns.append(_contract_column(kind, rng, n, columns))
+    src, out = tmp_path / "in.csv", tmp_path / "out"
+    rows = np.column_stack(columns).tolist()
+    src.write_text("date," + ",".join(f"s{k}" for k in range(p)) + "\n"
+                   + "".join(f"{date_str(i)}," + ",".join(map(repr, row)) + "\n" for i, row in enumerate(rows)))
+    config = PipelineConfig(input=str(src), out_dir=str(out), end=date_str(n - 31))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = cli.run("pipeline", config)
+    err = capsys.readouterr().err
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert code in (0, 2), err
+    if code == 2:
+        assert not out.exists()
+        assert not _VARMA_INVARIANT.search(err), err
+        return
+    for path in out.iterdir():
+        assert not re.search(r"(?i)\b(nan|inf)\b", path.read_text()), path.name
+    for path in [*out.glob("mwc_*.csv"), *out.glob("pwc_*.csv")]:
+        values = np.loadtxt(path, delimiter=",", skiprows=1, usecols=2)
+        assert values.min() >= 0.0 and values.max() <= 1.0, path.name

@@ -1,5 +1,6 @@
 """Wavelet packet tree, pyramid transform, filters, energies."""
 
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -236,10 +237,11 @@ def test_node_reconstructions_sum_to_signal():
 def test_reconstruct_node_matches_zeroed_tree_inverse(wavelet, level, n):
     x = np.cumsum(np.random.default_rng(12).normal(size=n))
     tree = wpt_forward(x, level, wavelet=wavelet)
-    for path in tree.paths():
+    for i, path in enumerate(tree.paths()):
         # oracle: zero every other leaf, then invert the whole tree
-        nodes = {p: (c if p == path else np.zeros_like(c)) for p, c in tree.nodes.items()}
-        lone = replace(tree, nodes=nodes)
+        leaves = np.zeros_like(tree.leaves)
+        leaves[i] = tree.leaves[i]
+        lone = replace(tree, leaves=leaves)
         np.testing.assert_allclose(
             reconstruct_node(tree, path), wpt_inverse(lone), rtol=0, atol=1e-12 * np.abs(x).max()
         )
@@ -339,8 +341,9 @@ def test_one_bank_product_per_stage_of_at_most_four_levels(monkeypatch, level, s
 
 def test_reconstruct_unknown_node():
     tree = wpt_forward(np.arange(32.0), 2)
-    with pytest.raises(ValueError, match="no node"):
-        reconstruct_node(tree, (0, 1, 0))
+    for path in ((0, 1, 0), (0,), (0, 2)):
+        with pytest.raises(ValueError, match=rf"^no node {re.escape(str(path))} at level 2$"):
+            reconstruct_node(tree, path)
 
 
 @pytest.mark.parametrize(
@@ -439,11 +442,10 @@ def test_alternating_signal_lands_in_top_frequency_band():
 def test_energy_fractions_zero_signal():
     tree = wpt_forward(np.full(32, 1.0), 2)
     zero = type(tree)(
-        nodes={k: np.zeros_like(v) for k, v in tree.nodes.items()},
+        leaves=np.zeros_like(tree.leaves),
         level=tree.level,
         wavelet=tree.wavelet,
         original_length=tree.original_length,
-        padded_length=tree.padded_length,
     )
     with pytest.raises(ValueError, match="zero energy"):
         energy_fractions(zero)
@@ -487,12 +489,16 @@ def test_malformed_coefficients_are_refused():
                       details=tuple(np.stack([d] * k) for d, k in zip(c.details, (2, 3, 2))))
     with pytest.raises(ValueError, match=r"detail level 1 has shape \(3, 26\), approximation \(2, 13\)"):
         dwt_inverse(stacked)
+    # a tree is refused once, when built from a stack that is not 2**level equal rows
     tree = wpt_forward(x, 3)
-    nodes = dict(tree.nodes)
-    nodes[(0, 1, 1)] = nodes[(0, 1, 1)][:-2]
-    for transform in (lambda t: reconstruct_node(t, (0, 1, 1)), wpt_inverse):
-        with pytest.raises(ValueError, match=r"no node \(0, 1, 1\) of shape \(13,\)"):
-            transform(replace(tree, nodes=nodes))
+    for leaves in (tree.leaves[:-1], tree.leaves[0], tree.leaves[:, :0], np.stack([tree.leaves] * 2)):
+        with pytest.raises(ValueError, match=r"^a level-3 tree holds 2\*\*3 leaves of equal length, "
+                                             rf"got a stack of shape \({', '.join(map(str, leaves.shape))},?\)$"):
+            replace(tree, leaves=leaves)
+    with pytest.raises(ValueError, match=r"^a level-100000000 tree holds 2\*\*100000000 leaves"):
+        replace(tree, level=10**8)  # refused without building 2**level
+    with pytest.raises(ValueError, match="read-only"):
+        tree.leaves[0, 0] = 1.0
 
 
 def test_dwt_error_contracts():

@@ -494,6 +494,39 @@ def test_fits_do_not_depend_on_memory_layout(p):
         assert a.warnings == b.warnings
 
 
+def _held_out_winners(data, fit_rows):
+    """mse_comparison's winners of one ARMA per column and the joint VARMA,
+    fitted on the first fit_rows rows and scored on the rest."""
+    win, future = data[:fit_rows], data[fit_rows:]
+    arma = []
+    for k in range(data.shape[1]):
+        model = fit_arma11(win[:, k])
+        e = residuals(model, win[:, k])
+        arma.append(evaluate_mse(forecast(model, win[-1, k], e[-1], len(future)), future[:, k]).cum_mse[0])
+    joint = fit_varma11(win)
+    e = residuals(joint, win)
+    joint_mse = evaluate_mse(forecast(joint, win[-1], e[-1], len(future)), future).cum_mse
+    names = tuple(f"s{k}" for k in range(data.shape[1]))
+    return [r.winner for r in mse_comparison(names, np.array(arma), joint_mse)]
+
+
+@pytest.mark.parametrize("factor", [2.0**17, 2.0**-17, 2.0**40, 2.0**-40])
+def test_fits_do_not_depend_on_power_of_two_units(factor):
+    # each fit runs in power-of-two column units, so a column rescaled by a
+    # power of two passes the same collinearity checks and maps back exactly:
+    # Phi -> D Phi D^-1, Theta -> D Theta D^-1, Sigma -> D Sigma D
+    panel = np.cumsum(np.random.default_rng(39).standard_normal((400, 4)), axis=0)
+    d = np.array([1.0, factor, 1.0, 1.0])
+    base, scaled = fit_varma11(panel[:370]), fit_varma11(panel[:370] * d)
+    assert np.array_equal(scaled.phi, d[:, None] * base.phi / d)
+    assert np.array_equal(scaled.theta, d[:, None] * base.theta / d)
+    assert np.array_equal(scaled.sigma, d[:, None] * base.sigma * d)
+    assert scaled.warnings == base.warnings
+    want = _held_out_winners(panel, 370)
+    assert _held_out_winners(panel * d, 370) == want
+    assert _held_out_winners(panel * 2.0**-20, 370) == want and "tie" not in want
+
+
 def _lstsq_long_ar_residuals(z, m):
     n = len(z)
     design = np.column_stack([z[m - k - 1 : n - k - 1] for k in range(m)])
