@@ -45,6 +45,7 @@ class ScaleGrid:
     (``dj`` sets its scale boxcar) and the coherence field read their length,
     step, scales and COI from it. Grids are equal, and hash alike, when ``n``,
     ``dt``, ``dj`` and the bits of ``scales`` agree; the caches key on them.
+    A plane no consumer can use is refused with a ValueError naming the field.
     """
 
     n: int
@@ -53,7 +54,14 @@ class ScaleGrid:
     scales: np.ndarray
 
     def __post_init__(self) -> None:
+        if not isinstance(self.n, (int, np.integer)) or self.n < 1:
+            raise ValueError(f"n must be a positive integer, got {self.n!r}")
+        for name, value in (("dt", self.dt), ("dj", self.dj)):
+            if not (np.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and positive, got {value!r}")
         scales = np.asarray(self.scales, dtype=float)
+        if scales.ndim != 1 or not scales.size or not (np.isfinite(scales) & (scales > 0)).all():
+            raise ValueError(f"scales must be a non-empty 1-D array of finite, positive values, got {scales!r}")
         scales.flags.writeable = False
         object.__setattr__(self, "scales", scales)
 

@@ -125,13 +125,14 @@ def apply_shrinkage(
     return out
 
 
-def _minimizers(rule: str, y: np.ndarray, n: np.ndarray | float) -> np.ndarray:
-    """Per row of ``y``, whose first n entries are magnitudes sorted ascending
-    and the rest zero padding, the one minimizing Stein's unbiased risk on
-    unit-variance data (``"sure"``: n - 2k + cum + (n - k) y**2) or the GCV
-    score of soft shrinkage (``"gcv"``: (cum + (n - k) y**2) / n / (k / n)**2),
-    each summed in that order. The padding is masked after the arithmetic; a
-    scalar n, the pooled levels' count, has none."""
+def _minimizers(rule: str, y: np.ndarray, n: np.ndarray) -> np.ndarray:
+    """Per row of ``y``, whose first n entries (n a column, one count per row)
+    are magnitudes sorted ascending and the rest zero padding, the one
+    minimizing Stein's unbiased risk on unit-variance data (``"sure"``:
+    n - 2k + cum + (n - k) y**2) or the GCV score of soft shrinkage
+    (``"gcv"``: (cum + (n - k) y**2) / n / (k / n)**2), each summed in that
+    order. The padding is masked after the arithmetic; the pooled levels,
+    one unpadded row, have none."""
     k = np.arange(1.0, y.shape[-1] + 1.0)
     y2 = y**2
     score = y2.cumsum(axis=-1)
@@ -141,8 +142,7 @@ def _minimizers(rule: str, y: np.ndarray, n: np.ndarray | float) -> np.ndarray:
     if rule == "gcv":
         score /= n
         score /= (k / n) ** 2
-    if np.ndim(n):
-        np.copyto(score, np.inf, where=k > n)
+    np.copyto(score, np.inf, where=k > n)
     return y[np.arange(len(y)), score.argmin(axis=-1)]
 
 
@@ -191,38 +191,14 @@ def select_threshold(
     return row.tolist() if SELECTORS[method][1] else float(row[0])
 
 
-class _Magnitudes(NamedTuple):
-    """``|d|`` of a decomposition's detail levels: each level (finest first),
-    all pooled and sorted ascending and, if ``padded``, side by side as the
-    rows of one zero-padded table, which only per-level SURE, SUREShrink and
-    GCV read. The finest level is sorted, and every level if ``per_level``:
-    pooled rules read the finest level's noise alone.
-
-    Every selector reads these in place of sorting its own copy. Dividing by
-    a positive s is monotone in floating point, so ``levels[j] / s`` equals
-    ``np.sort(np.abs(d_j / s))`` bit for bit.
-    """
-
-    levels: list[np.ndarray]
-    table: np.ndarray | None
-    pooled: np.ndarray
-
-    @classmethod
-    def of(cls, coeffs: DwtCoeffs, per_level: bool, padded: bool) -> _Magnitudes:
-        table = np.zeros((coeffs.level, max(map(np.size, coeffs.details)))) if padded else None
-        levels = [np.abs(d, out=None if table is None else table[j, : np.size(d)])
-                  for j, d in enumerate(coeffs.details)]
-        for a in levels if per_level else levels[:1]:
-            a.sort()
-        return cls(levels, table, np.sort(np.concatenate(levels)))
-
-
 def _thresholds(methods: list[str], coeffs: DwtCoeffs, sigma: float | None) -> np.ndarray:
     """:func:`select_threshold` for each canonical method name: one (methods, levels)
-    table, a pooled method's threshold repeated across its row, or a single column
-    when every method is pooled. Pooled rules read the finest level's noise; per
-    level, universal and SURE read each level's own, SUREShrink the finest
-    level's, and GCV none. The noise is
+    table, a pooled method's threshold repeated across its row. Every level's
+    ``|d|`` is sorted into a row of one zero-padded table, and the pooled levels
+    are sorted once; dividing by a positive s is monotone in floating point, so
+    a sorted row over s equals ``np.sort(np.abs(d / s))`` bit for bit. Pooled
+    rules read the finest level's noise; per level, universal and SURE read each
+    level's own, SUREShrink the finest level's, and GCV none. The noise is
     ``sigma`` if given, else the level's MAD estimate, taken only when read,
     so a level no selector reads the noise of may hold fewer than
     MIN_MAD_COEFFS; a zero noise level gives a zero threshold. Each rule
@@ -232,26 +208,28 @@ def _thresholds(methods: list[str], coeffs: DwtCoeffs, sigma: float | None) -> n
     coefficients."""
     kinds = [SELECTORS[m][:2] for m in methods]
     per = {rule for rule, per_level in kinds if per_level}
-    mags = _Magnitudes.of(coeffs, per_level=bool(per), padded=bool(per - {"universal"}))
+    table = np.zeros((coeffs.level, max(map(np.size, coeffs.details))))
+    levels = [np.abs(d, out=table[j, : np.size(d)]) for j, d in enumerate(coeffs.details)]
+    for a in levels:
+        a.sort()
+    pooled = np.sort(np.concatenate(levels))
     if sigma is not None and not (np.isfinite(sigma) and sigma >= 0):
         raise ValueError(f"sigma must be finite and nonnegative, got {sigma}")
-    if not mags.pooled.any():
+    if not pooled.any():
         raise ValueError("all detail coefficients are zero; nothing to threshold")
 
     def sigma_at(j: int) -> float:
-        return float(sigma) if sigma is not None else _mad_sigma(mags.levels[j])
+        return float(sigma) if sigma is not None else _mad_sigma(levels[j])
 
-    s_g, pooled, n = sigma_at(0), mags.pooled[None], float(mags.pooled.size)
+    s_g, n = sigma_at(0), np.array([[pooled.size]], dtype=float)
     got = {}  # (rule, per level): a float, or one per level
     if ("universal", False) in kinds:
         got["universal", False] = s_g * float(np.sqrt(2.0 * np.log(coeffs.original_length)))
     if ("sure", False) in kinds:
-        got["sure", False] = s_g * float(_minimizers("sure", pooled / (s_g or 1.0), n)[0])
+        got["sure", False] = s_g * float(_minimizers("sure", pooled[None] / (s_g or 1.0), n)[0])
     if ("gcv", False) in kinds:
-        got["gcv", False] = float(_minimizers("gcv", pooled, n)[0])
-    if not per:  # pooled methods alone: one column
-        return np.array([[got[k]] for k in kinds])
-    sizes = np.array([[a.size] for a in mags.levels], dtype=float)
+        got["gcv", False] = float(_minimizers("gcv", pooled[None], n)[0])
+    sizes = np.array([[a.size] for a in levels], dtype=float)
     universal = np.sqrt(2.0 * np.log(sizes))
     if per & {"universal", "sure"}:
         own = np.array([[sigma_at(j)] for j in range(len(sizes))])
@@ -261,7 +239,7 @@ def _thresholds(methods: list[str], coeffs: DwtCoeffs, sigma: float | None) -> n
              for r in ("sure", "sureshrink") if r in per}
     if noise:
         s = np.concatenate(list(noise.values()))
-        y = np.concatenate([mags.table] * len(noise)) / np.where(s > 0.0, s, 1.0)
+        y = np.concatenate([table] * len(noise)) / np.where(s > 0.0, s, 1.0)
         sure = s.ravel() * _minimizers("sure", y, np.concatenate([sizes] * len(noise)))
         got.update(((r, True), t) for r, t in zip(noise, sure.reshape(len(noise), -1).tolist()))
     if "sureshrink" in per:  # s * min(t, u) is min(s * t, s * u): s >= 0 keeps the order
@@ -269,7 +247,7 @@ def _thresholds(methods: list[str], coeffs: DwtCoeffs, sigma: float | None) -> n
         got["sureshrink", True] = [u if s_g == 0.0 or _sparse(d, s_g) else min(t, u)
                                    for d, u, t in zip(coeffs.details, su, got["sureshrink", True])]
     if "gcv" in per:
-        got["gcv", True] = _minimizers("gcv", mags.table, sizes).tolist()
+        got["gcv", True] = _minimizers("gcv", table, sizes).tolist()
     return np.array([got[rule, per_level] if per_level else [got[rule, per_level]] * coeffs.level
                      for rule, per_level in kinds])
 
@@ -297,9 +275,9 @@ def _shrink_and_invert(coeffs: DwtCoeffs, thresholds: np.ndarray, rules: tuple[s
     under rules[i], side by side in one :func:`apply_shrinkage` call per run
     of rows sharing a rule (in the sweep, one per distinct rule), and invert
     all rows in one batched pass into (rows, n) signals. The thresholds are
-    repeated across their level's coefficients; one column broadcasts."""
+    repeated across their level's coefficients."""
     sizes = [d.size for d in coeffs.details]
-    cut = thresholds if thresholds.shape[1] == 1 else np.repeat(thresholds, sizes, axis=1)
+    cut = np.repeat(thresholds, sizes, axis=1)
     details = np.concatenate(coeffs.details)
     shrunk, row = np.empty((len(rules), details.size)), 0
     for r, run in itertools.groupby(rules):

@@ -288,12 +288,12 @@ def energy_fractions(
     Fractions are nonnegative and sum to 1 (the bank preserves energy). An
     all-zero signal has no energy to apportion and raises ValueError.
     """
-    energies = dict(zip(_paths(tree.level), (tree.leaves**2).sum(axis=1).tolist()))
-    paths = tree.paths(ordering)
-    total = sum(energies[p] for p in paths)
+    energies = (tree.leaves**2).sum(axis=1).tolist()
+    total = sum(energies)  # in natural order for every ordering, so the fractions agree bit for bit
     if total <= 0.0:
         raise ValueError("signal has zero energy; fractions undefined")
-    return {p: energies[p] / total for p in paths}
+    fractions = dict(zip(_paths(tree.level), (e / total for e in energies)))
+    return {p: fractions[p] for p in tree.paths(ordering)}
 
 
 @dataclass(frozen=True)

@@ -124,6 +124,20 @@ def test_grid_error_contracts(kwargs, msg):
         make_scale_grid(**kwargs)
 
 
+@pytest.mark.parametrize(
+    "field,value",
+    [("n", 0), ("n", -64), ("n", 64.0), ("dt", 0.0), ("dt", np.inf), ("dj", 0.0), ("dj", np.nan),
+     ("dj", -0.25), ("scales", np.array([])), ("scales", np.full((2, 3), 4.0)),
+     ("scales", np.array([2.0, np.nan])), ("scales", np.array([2.0, np.inf])),
+     ("scales", np.array([2.0, -4.0])), ("scales", np.array([0.0, 4.0]))],
+)
+def test_grid_refuses_a_plane_no_consumer_can_use(field, value):
+    # a hand-built plane is checked where it is built, not deep in the
+    # transform, the smoother or the coherence solve; the message names the field
+    with pytest.raises(ValueError, match=f"^{field} must be "):
+        replace(make_scale_grid(64, 1.0), **{field: value})
+
+
 # ---------------------------------------------------------------- transform
 
 

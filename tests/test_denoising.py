@@ -361,9 +361,9 @@ def test_selectors_equal_sorting_per_call(sizes, sigma):
             want = threshold_oracle(c, method, sigma)
             assert select_threshold(c, method, sigma=sigma) == want, method
             assert in_one_call == (want if isinstance(want, list) else [want] * c.level), method
-        # pooled methods alone take one column
+        # pooled methods alone give those rows of the nine-method table
         pooled = [m for m in METHODS if not SELECTORS[m][1]]
-        assert _thresholds(pooled, c, sigma).tolist() == [[threshold_oracle(c, m, sigma)] for m in pooled]
+        assert _thresholds(pooled, c, sigma).tolist() == [swept[METHODS.index(m)].tolist() for m in pooled]
     # more than half of the second level is exactly zero: its MAD, and so its
     # per-level universal and SURE thresholds, are zero
     if sigma is None:
@@ -454,7 +454,8 @@ def _shrink_reference(coeffs, thresholds, rules):
 def test_shrink_and_invert_equals_row_by_row(rules, n, wavelet):
     # odd lengths pad periodically; rows mix one threshold repeated across
     # the levels and per-level thresholds, a zero threshold, and a level
-    # holding exact zeros; a one-column table broadcasts across the levels
+    # holding exact zeros; a column repeated across the levels equals the
+    # scalar call per level
     x = np.cumsum(np.random.default_rng(n).standard_normal(n))
     coeffs = dwt_forward(x, level=4, wavelet=wavelet)
     zeroed = np.array(coeffs.details[1])
@@ -468,8 +469,9 @@ def test_shrink_and_invert_equals_row_by_row(rules, n, wavelet):
     for i, want in enumerate(_shrink_reference(coeffs, thresholds, rules)):
         assert np.array_equal(estimates[i], want), (i, rules[i])
     column = thresholds[:, :1]
+    repeated = _shrink_and_invert(coeffs, np.repeat(column, coeffs.level, axis=1), rules)
     for i, want in enumerate(_shrink_reference(coeffs, column, rules)):
-        assert np.array_equal(_shrink_and_invert(coeffs, column, rules)[i], want), (i, rules[i])
+        assert np.array_equal(repeated[i], want), (i, rules[i])
 
 
 def test_denoise_unknown_rule():

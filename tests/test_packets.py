@@ -423,6 +423,16 @@ def test_energy_fractions_follow_the_ordering_and_per_leaf_sums(ordering):
     np.testing.assert_allclose(list(fr.values()), np.array(energies) / sum(energies), rtol=1e-15)
 
 
+@pytest.mark.parametrize("seed", [80, 250, 363])
+def test_energy_fractions_agree_across_orderings(seed):
+    # the total is summed once in natural order, so reordering the leaves
+    # moves no fraction's last bit (on these walks a total summed in
+    # frequency order did, for all 16 fractions)
+    tree = wpt_forward(np.random.default_rng(seed).standard_normal(1461).cumsum(), 4)
+    natural = energy_fractions(tree, "natural")
+    assert energy_fractions(tree, "frequency") == {p: natural[p] for p in tree.paths("frequency")}
+
+
 def test_constant_signal_energy_in_trend_node():
     fr = energy_fractions(wpt_forward(np.full(64, 5.0), 4))
     assert fr[(0, 0, 0, 0)] == 1.0
