@@ -27,19 +27,11 @@ from .cwt import (
 )
 from .denoising import (
     DenoiseReport,
-    Fidelity,
-    apply_shrinkage,
     denoise,
-    estimate_noise_sigma,
-    fidelity_metrics,
     method_sweep,
-    select_threshold,
 )
 from .packets import (
-    DwtCoeffs,
     PacketTree,
-    dwt_forward,
-    dwt_inverse,
     energy_fractions,
     frequency_index,
     reconstruct_node,
@@ -71,26 +63,19 @@ __all__ = [
     "CoherenceResult",
     "DataError",
     "DenoiseReport",
-    "DwtCoeffs",
-    "Fidelity",
     "ForecastResult",
     "MultiSeries",
     "PacketTree",
     "ScaleGrid",
     "VarmaModel",
     "WaveletField",
-    "apply_shrinkage",
     "coherence_matrix_field",
     "coherence_result",
     "cross_spectrum",
     "cwt_morlet",
     "denoise",
-    "dwt_forward",
-    "dwt_inverse",
     "energy_fractions",
-    "estimate_noise_sigma",
     "evaluate_mse",
-    "fidelity_metrics",
     "fit_arma11",
     "fit_varma11",
     "forecast",
@@ -102,7 +87,6 @@ __all__ = [
     "mse_comparison",
     "reconstruct_node",
     "residuals",
-    "select_threshold",
     "simulate_varma",
     "smooth",
     "window",

@@ -16,11 +16,10 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
-from .packets import DwtCoeffs, _shortfall, dwt_forward, dwt_inverse
+from .packets import _dwt, _idwt, _shortfall
 
 MAD_SCALE = 0.6745
 MIN_MAD_COEFFS = 8  # fewest detail coefficients a MAD noise estimate is taken from
@@ -56,18 +55,11 @@ def canonical_method(method: str) -> str:
     raise ValueError(f"unknown method {method!r}; have {METHODS}")
 
 
-def estimate_noise_sigma(detail: np.ndarray) -> float:
-    """MAD noise estimate ``median(|d|) / 0.6745`` from detail coefficients.
-
-    Needs at least MIN_MAD_COEFFS (8) coefficients for the median to mean
-    anything.
-    """
-    return _mad_sigma(np.sort(np.abs(np.asarray(detail, dtype=float))))
-
-
 def _mad_sigma(magnitudes: np.ndarray) -> float:
-    """:func:`estimate_noise_sigma` from the sorted ``|d|``: the median as
-    ``np.median`` takes it, the middle value or the mean of the middle two."""
+    """MAD noise estimate ``median(|d|) / 0.6745`` from the sorted ``|d|`` of a
+    detail level: the median as ``np.median`` takes it, the middle value or the
+    mean of the middle two. Needs at least MIN_MAD_COEFFS (8) coefficients for
+    the median to mean anything."""
     n = magnitudes.size
     if n < MIN_MAD_COEFFS:
         raise ValueError(f"need at least {MIN_MAD_COEFFS} coefficients, got {n}")
@@ -85,44 +77,26 @@ def sweep_min_length(level: int) -> int:
     return (MIN_MAD_COEFFS - 1) * 2**level + 1
 
 
-def apply_shrinkage(
-    w: np.ndarray | float, threshold: np.ndarray | float, rule: str = "soft"
-) -> np.ndarray | float:
-    """Apply a shrinkage rule elementwise.
+def _shrink(w: np.ndarray, t: np.ndarray | float, rule: str) -> np.ndarray:
+    """Shrink the coefficients ``w`` elementwise at the thresholds ``t``, which the
+    selectors make finite and nonnegative and which broadcast against ``w``: a
+    column of k thresholds against a length-n ``w`` gives the (k, n) stack of
+    the k single-threshold calls, element for element.
 
     hard zeroes below the threshold and keeps the rest; soft also pulls
     survivors toward zero by the threshold; garrote shrinks survivors by
     ``t**2 / w``, so large coefficients are nearly untouched.
-
-    ``threshold`` may be an array that broadcasts against ``w``: a column of
-    k thresholds against a length-n ``w`` gives the (k, n) stack of the k
-    scalar calls, element for element. A scalar ``w`` and scalar threshold
-    give a float.
-
-    Raises
-    ------
-    ValueError
-        A negative or non-finite threshold entry, or an unknown rule.
     """
-    t = np.asarray(threshold, dtype=float)
-    if not (t.min(initial=0.0) >= 0.0 and t.max(initial=0.0) < np.inf):  # NaN fails both
-        bad = ~(np.isfinite(t) & (t >= 0))
-        raise ValueError(f"threshold must be finite and nonnegative, got {t[bad].flat[0]}")
     if rule not in SHRINKAGE_RULES:
         raise ValueError(f"unknown rule {rule!r}; have {SHRINKAGE_RULES}")
-    arr = np.asarray(w, dtype=float)
-    keep = np.abs(arr) > t
+    keep = np.abs(w) > t
     if rule == "hard":
-        out = np.where(keep, arr, 0.0)
-    elif rule == "soft":
-        out = np.where(keep, np.sign(arr) * (np.abs(arr) - t), 0.0)
-    else:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            shrunk = arr - t**2 / arr
-        out = np.where(keep, shrunk, 0.0)
-    if out.ndim == 0 and np.isscalar(w):
-        return float(out)
-    return out
+        return np.where(keep, w, 0.0)
+    if rule == "soft":
+        return np.where(keep, np.sign(w) * (np.abs(w) - t), 0.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        shrunk = w - t**2 / w
+    return np.where(keep, shrunk, 0.0)
 
 
 def _minimizers(rule: str, y: np.ndarray, n: np.ndarray) -> np.ndarray:
@@ -162,56 +136,37 @@ def _sparsity_bound(n: int) -> float:
     return float(np.log2(n) ** 1.5 / np.sqrt(n))
 
 
-def select_threshold(
-    coeffs: DwtCoeffs, method: str, sigma: float | None = None
-) -> float | list[float]:
-    """Pick shrinkage threshold(s) for a wavelet decomposition.
-
-    Pooled methods return one float; the methods ``SELECTORS`` marks per
-    level return one threshold per detail level (finest first, matching
-    ``coeffs.details``).
-
-    Parameters
-    ----------
-    coeffs : DwtCoeffs
-    method : str
-        One of ``METHODS`` (case-insensitive).
-    sigma : float, optional
-        Noise level override; default is the MAD estimate from the finest
-        detail level (per-level methods estimate per level).
+def _thresholds(methods: list[str], details: list[np.ndarray], n: int, sigma: float | None) -> np.ndarray:
+    """The shrinkage thresholds of each canonical method name for the detail levels
+    (finest first) of an n-sample signal: one (methods, levels) table, a pooled
+    method's threshold repeated across its row. Each level's ``|d|`` fills a row of
+    one zero-padded table and the pooled levels are sorted once; a row is sorted
+    only when a per-level rule, or the finest level's MAD, reads it. All
+    magnitudes are finite and nonnegative, so the pooled sort is one array
+    whatever order it starts from, and dividing by a positive s is monotone in
+    floating point, so a sorted row over s equals ``np.sort(np.abs(d / s))`` bit
+    for bit. Pooled rules read the finest level's noise; per level, universal
+    and SURE read each level's own, SUREShrink the finest level's, and GCV none.
+    The noise is ``sigma`` if given, else the level's MAD estimate, taken only
+    when read, so a level no selector reads the noise of may hold fewer than
+    MIN_MAD_COEFFS; a zero noise level gives a zero threshold. Each rule takes
+    all levels in one array pass: universal as one vector, SURE at each level's
+    own noise and at the finest level's as the rows of one table, GCV as
+    another; SUREShrink's sparsity test sums each level's raw coefficients.
 
     Raises
     ------
     ValueError
-        Unknown method, a negative or non-finite ``sigma``, or every detail
-        coefficient is exactly zero (nothing to estimate noise from).
+        A negative or non-finite ``sigma``, or every detail coefficient is
+        exactly zero (nothing to estimate noise from).
     """
-    method = canonical_method(method)
-    row = _thresholds([method], coeffs, sigma)[0]
-    return row.tolist() if SELECTORS[method][1] else float(row[0])
-
-
-def _thresholds(methods: list[str], coeffs: DwtCoeffs, sigma: float | None) -> np.ndarray:
-    """:func:`select_threshold` for each canonical method name: one (methods, levels)
-    table, a pooled method's threshold repeated across its row. Every level's
-    ``|d|`` is sorted into a row of one zero-padded table, and the pooled levels
-    are sorted once; dividing by a positive s is monotone in floating point, so
-    a sorted row over s equals ``np.sort(np.abs(d / s))`` bit for bit. Pooled
-    rules read the finest level's noise; per level, universal and SURE read each
-    level's own, SUREShrink the finest level's, and GCV none. The noise is
-    ``sigma`` if given, else the level's MAD estimate, taken only when read,
-    so a level no selector reads the noise of may hold fewer than
-    MIN_MAD_COEFFS; a zero noise level gives a zero threshold. Each rule
-    takes all levels in one array pass: universal as one vector, SURE at
-    each level's own noise and at the finest level's as the rows of one
-    table, GCV as another; SUREShrink's sparsity test sums each level's raw
-    coefficients."""
     kinds = [SELECTORS[m][:2] for m in methods]
     per = {rule for rule, per_level in kinds if per_level}
-    table = np.zeros((coeffs.level, max(map(np.size, coeffs.details))))
-    levels = [np.abs(d, out=table[j, : np.size(d)]) for j, d in enumerate(coeffs.details)]
-    for a in levels:
-        a.sort()
+    table = np.zeros((len(details), max(map(np.size, details))))
+    levels = [np.abs(d, out=table[j, : np.size(d)]) for j, d in enumerate(details)]
+    for j, a in enumerate(levels):
+        if per or (j == 0 and sigma is None):
+            a.sort()
     pooled = np.sort(np.concatenate(levels))
     if sigma is not None and not (np.isfinite(sigma) and sigma >= 0):
         raise ValueError(f"sigma must be finite and nonnegative, got {sigma}")
@@ -221,14 +176,14 @@ def _thresholds(methods: list[str], coeffs: DwtCoeffs, sigma: float | None) -> n
     def sigma_at(j: int) -> float:
         return float(sigma) if sigma is not None else _mad_sigma(levels[j])
 
-    s_g, n = sigma_at(0), np.array([[pooled.size]], dtype=float)
+    s_g, size = sigma_at(0), np.array([[pooled.size]], dtype=float)
     got = {}  # (rule, per level): a float, or one per level
     if ("universal", False) in kinds:
-        got["universal", False] = s_g * float(np.sqrt(2.0 * np.log(coeffs.original_length)))
+        got["universal", False] = s_g * float(np.sqrt(2.0 * np.log(n)))
     if ("sure", False) in kinds:
-        got["sure", False] = s_g * float(_minimizers("sure", pooled[None] / (s_g or 1.0), n)[0])
+        got["sure", False] = s_g * float(_minimizers("sure", pooled[None] / (s_g or 1.0), size)[0])
     if ("gcv", False) in kinds:
-        got["gcv", False] = float(_minimizers("gcv", pooled[None], n)[0])
+        got["gcv", False] = float(_minimizers("gcv", pooled[None], size)[0])
     sizes = np.array([[a.size] for a in levels], dtype=float)
     universal = np.sqrt(2.0 * np.log(sizes))
     if per & {"universal", "sure"}:
@@ -245,10 +200,10 @@ def _thresholds(methods: list[str], coeffs: DwtCoeffs, sigma: float | None) -> n
     if "sureshrink" in per:  # s * min(t, u) is min(s * t, s * u): s >= 0 keeps the order
         su = (s_g * universal).ravel().tolist()
         got["sureshrink", True] = [u if s_g == 0.0 or _sparse(d, s_g) else min(t, u)
-                                   for d, u, t in zip(coeffs.details, su, got["sureshrink", True])]
+                                   for d, u, t in zip(details, su, got["sureshrink", True])]
     if "gcv" in per:
         got["gcv", True] = _minimizers("gcv", table, sizes).tolist()
-    return np.array([got[rule, per_level] if per_level else [got[rule, per_level]] * coeffs.level
+    return np.array([got[rule, per_level] if per_level else [got[rule, per_level]] * len(details)
                      for rule, per_level in kinds])
 
 
@@ -264,67 +219,55 @@ def denoise(
 
     Decomposes to ``level``, thresholds the detail levels with the chosen
     selector and rule (approximation untouched), reconstructs, and returns a
-    signal of the original length.
-    """
-    coeffs = dwt_forward(x, level=level, wavelet=wavelet)
-    return _shrink_and_invert(coeffs, _thresholds([canonical_method(method)], coeffs, sigma), (rule,))[0]
-
-
-def _shrink_and_invert(coeffs: DwtCoeffs, thresholds: np.ndarray, rules: tuple[str, ...]) -> np.ndarray:
-    """Shrink the detail levels by row i of the (rows, levels) ``thresholds``
-    under rules[i], side by side in one :func:`apply_shrinkage` call per run
-    of rows sharing a rule (in the sweep, one per distinct rule), and invert
-    all rows in one batched pass into (rows, n) signals. The thresholds are
-    repeated across their level's coefficients."""
-    sizes = [d.size for d in coeffs.details]
-    cut = np.repeat(thresholds, sizes, axis=1)
-    details = np.concatenate(coeffs.details)
-    shrunk, row = np.empty((len(rules), details.size)), 0
-    for r, run in itertools.groupby(rules):
-        rows = slice(row, row + len(list(run)))
-        shrunk[rows] = apply_shrinkage(details, cut[rows], r)
-        row = rows.stop
-    bounds = [0, *itertools.accumulate(sizes)]
-    levels = tuple(shrunk[:, lo:hi] for lo, hi in zip(bounds, bounds[1:]))
-    approx = coeffs.approx[None].repeat(len(rules), axis=0)
-    return dwt_inverse(
-        DwtCoeffs(approx, levels, coeffs.wavelet, coeffs.original_length, coeffs.padded_length))
-
-
-class Fidelity(NamedTuple):
-    """SNR/PSNR of an estimate against a reference, in decibels.
-
-    ``identical`` is True when the residual energy is exactly zero; snr and
-    psnr are then infinite and reports should print the marker instead.
-    """
-
-    snr: float
-    psnr: float
-    identical: bool
-
-
-def fidelity_metrics(reference: np.ndarray, estimate: np.ndarray) -> Fidelity:
-    """SNR and PSNR of an estimate relative to a reference signal.
-
-    SNR = 10 log10(sum(ref^2) / sum((ref - est)^2));
-    PSNR = 10 log10(n * max(|ref|)^2 / sum((ref - est)^2)).
+    signal of the original length: row ``METHODS.index(method)`` of the
+    sweep's estimates under ``rule``, on the sweep's own path.
 
     Raises
     ------
     ValueError
-        Length mismatch or a reference with zero energy.
+        An unknown method or rule, a negative or non-finite ``sigma``, all
+        detail coefficients zero, or a signal the transform refuses.
     """
-    ref = np.asarray(reference, dtype=float)
-    est = np.asarray(estimate, dtype=float)
-    if ref.shape != est.shape:
-        raise ValueError(f"shape mismatch: {ref.shape} vs {est.shape}")
-    return Fidelity(*(a.item() for a in _fidelities(ref.ravel(), est.reshape(1, -1))))
+    return _denoised(x, [canonical_method(method)], (rule,), level, wavelet, sigma)[1][0]
+
+
+def _denoised(x: np.ndarray, methods: list[str], rules: tuple[str, ...], level: int, wavelet: str,
+              sigma: float | None) -> tuple[np.ndarray, np.ndarray]:
+    """The one path of :func:`denoise` and :func:`method_sweep`: the DWT, the
+    (methods, levels) threshold table, and the (methods, n) estimates, row i
+    shrunk under rules[i]."""
+    c = _dwt(x, level, wavelet)
+    n = np.size(x)
+    thresholds = _thresholds(methods, [c[c.size >> (j + 1) : c.size >> j] for j in range(level)], n, sigma)
+    return thresholds, _shrink_and_invert(c, level, wavelet, n, thresholds, rules)
+
+
+def _shrink_and_invert(c: np.ndarray, level: int, wavelet: str, n: int, thresholds: np.ndarray,
+                       rules: tuple[str, ...]) -> np.ndarray:
+    """Shrink the detail slice ``c[P >> level :]`` of a :func:`~comove.packets._dwt`
+    array by row i of the (rows, levels) ``thresholds`` (finest level first) under
+    rules[i], in one :func:`_shrink` call per run of rows sharing a rule (in the
+    sweep, one per distinct rule), and invert all rows in one batched pass into
+    (rows, n) signals. The thresholds are repeated across their level's
+    coefficients, coarsest first as the array holds them."""
+    m = c.size >> level
+    cut = np.repeat(thresholds[:, ::-1], [m << k for k in range(level)], axis=1)
+    shrunk, row = np.empty((len(rules), c.size)), 0
+    shrunk[:, :m] = c[:m]
+    for r, run in itertools.groupby(rules):
+        rows = slice(row, row + len(list(run)))
+        shrunk[rows, m:] = _shrink(c[m:], cut[rows], r)
+        row = rows.stop
+    return _idwt(shrunk, level, wavelet, n)
 
 
 def _fidelities(ref: np.ndarray, estimates: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """:func:`fidelity_metrics` of each row of ``estimates`` against ``ref`` as arrays snr, psnr
-    and identical: the reference's energy and peak once, the residual energies and the
-    decibels of all rows in one pass each (a zero residual gives infinite decibels)."""
+    """SNR = 10 log10(sum(ref^2) / sum((ref - est)^2)) and PSNR = 10 log10(n *
+    max(|ref|)^2 / sum((ref - est)^2)) of each row ``est`` of ``estimates``
+    against ``ref``, as arrays snr, psnr and identical: the reference's energy
+    and peak once, the residual energies and the decibels of all rows in one
+    pass each. A zero residual is identical and gives infinite decibels; a
+    reference with zero energy raises ValueError."""
     energy = float((ref**2).sum())
     if energy <= 0.0:
         raise ValueError("reference signal has zero energy")
@@ -392,8 +335,8 @@ def method_sweep(
     ------
     ValueError
         A signal shorter than :func:`sweep_min_length` at ``level``, a
-        reference of another shape, an unknown rule, or what
-        :func:`~comove.packets.dwt_forward` refuses.
+        reference of another shape or with zero energy, an unknown rule, or
+        a signal the transform refuses.
     """
     x = np.asarray(x, dtype=float)
     ref = x if reference is None else np.asarray(reference, dtype=float)
@@ -402,12 +345,10 @@ def method_sweep(
     if rule is not None and rule not in SHRINKAGE_RULES:
         raise ValueError(f"unknown rule {rule!r}; have {SHRINKAGE_RULES}")
     need = _shortfall(x.size, level, sweep_min_length)
-    if level >= 1 and need is not None:  # dwt_forward names a level below 1
+    if level >= 1 and need is not None:  # the transform names a level below 1
         raise ValueError(f"the sweep at level {level} needs at least {need} samples, got {x.size}")
-    coeffs = dwt_forward(x, level=level, wavelet=wavelet)
-    thresholds = _thresholds(list(METHODS), coeffs, None)
     rules = tuple(rule if rule is not None else CONVENTIONAL_RULE[m] for m in METHODS)
-    estimates = _shrink_and_invert(coeffs, thresholds, rules)
+    thresholds, estimates = _denoised(x, list(METHODS), rules, level, wavelet, None)
     snr, psnr, identical = _fidelities(ref, estimates)
     # the first method in METHODS order within WINNER_TOL_DB of the best wins,
     # so rounding does not choose between selectors that reach one estimate

@@ -296,48 +296,22 @@ def energy_fractions(
     return {p: fractions[p] for p in tree.paths(ordering)}
 
 
-@dataclass(frozen=True)
-class DwtCoeffs:
-    """Plain (non-packet) wavelet decomposition: approximation chain only.
-
-    details[0] is the finest level, details[-1] the coarsest; approx is the
-    level-L approximation.
-    """
-
-    approx: np.ndarray
-    details: tuple[np.ndarray, ...]
-    wavelet: str
-    original_length: int
-    padded_length: int
-
-    @property
-    def level(self) -> int:
-        return len(self.details)
-
-
-def dwt_forward(x: np.ndarray, level: int, wavelet: str = "db3") -> DwtCoeffs:
-    """Discrete wavelet transform: split the approximation branch only."""
-    xp = _prepare(x, level)
-    approx, details = xp, []
+def _dwt(x: np.ndarray, level: int, wavelet: str) -> np.ndarray:
+    """Discrete wavelet transform, splitting the approximation branch only, as one
+    padded-length array P in Mallat order: the level-L approximation ``c[: P >> L]``,
+    then detail level j (finest j = 0) at ``c[P >> (j + 1) : P >> j]``. Each stage
+    rewrites the approximation it splits in place; its bank writes that order."""
+    c = _prepare(x, level)
     for lo, hi in _stages(level):
-        c, m = _analyze(approx, _plan(approx.size, wavelet, _spine(hi - lo))), approx.size >> (hi - lo)
-        approx = c[:m]
-        details += [c[m << k : m << (k + 1)] for k in reversed(range(hi - lo))]  # finest first
-    return DwtCoeffs(approx, tuple(details), wavelet, np.size(x), xp.size)
+        k = c.size >> lo
+        c[:k] = _analyze(c[:k], _plan(k, wavelet, _spine(hi - lo)))
+    return c
 
 
-def dwt_inverse(coeffs: DwtCoeffs) -> np.ndarray:
-    """Invert :func:`dwt_forward`, trimmed to the original length.
-
-    Leading axes shared by ``approx`` and every detail level are a batch of
-    decompositions, inverted together; each level holds twice the next coarser.
-    """
-    a = np.asarray(coeffs.approx, dtype=float)
-    details = [np.asarray(d, dtype=float) for d in coeffs.details]
-    for j, d in enumerate(details):
-        if d.shape != (*a.shape[:-1], a.shape[-1] << (len(details) - 1 - j)):
-            raise ValueError(f"detail level {j} has shape {d.shape}, approximation {a.shape}")
-    for lo, hi in reversed(_stages(len(details))):
-        c = np.concatenate([a, *details[lo:hi][::-1]], axis=-1)
-        a = _synthesize(c, _plan(c.shape[-1], coeffs.wavelet, _spine(hi - lo)))
-    return a[..., : coeffs.original_length]
+def _idwt(c: np.ndarray, level: int, wavelet: str, n: int) -> np.ndarray:
+    """Invert :func:`_dwt` along the last axis, leading axes a batch of
+    decompositions inverted together, trimmed to n samples."""
+    for lo, hi in reversed(_stages(level)):
+        k = c.shape[-1] >> lo
+        c = np.concatenate([_synthesize(c[..., :k], _plan(k, wavelet, _spine(hi - lo))), c[..., k:]], axis=-1)
+    return c[..., :n]

@@ -1015,7 +1015,10 @@ def test_pipeline_contract_on_seeded_panels(tmp_path, capsys, draw):
         assert not _VARMA_INVARIANT.search(err), err
         return
     for path in out.iterdir():
-        assert not re.search(r"(?i)\b(nan|inf)\b", path.read_text()), path.name
+        text = path.read_text()
+        lower = text.lower()  # the regex matches only where this holds "nan" or "inf"
+        if "nan" in lower or "inf" in lower:
+            assert not re.search(r"(?i)\b(nan|inf)\b", text), path.name
     for path in [*out.glob("mwc_*.csv"), *out.glob("pwc_*.csv")]:
         values = np.loadtxt(path, delimiter=",", skiprows=1, usecols=2)
         assert values.min() >= 0.0 and values.max() <= 1.0, path.name

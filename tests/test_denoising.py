@@ -9,31 +9,28 @@ from comove.denoising import (
     METHODS,
     SELECTORS,
     WINNER_TOL_DB,
-    apply_shrinkage,
     canonical_method,
     denoise,
-    estimate_noise_sigma,
-    fidelity_metrics,
     method_sweep,
-    select_threshold,
     sweep_min_length,
 )
-from comove.denoising import _shrink_and_invert, _sparsity_bound, _thresholds
-from comove.packets import _PRINTED_LEVEL, DwtCoeffs, _shortfall, dwt_forward, dwt_inverse
+from comove.denoising import _fidelities, _mad_sigma, _shrink, _shrink_and_invert, _sparsity_bound, _thresholds
+from comove.packets import _PRINTED_LEVEL, _dwt, _idwt, _shortfall
 
 
-def coeffs_from_details(*detail_levels, n=None):
-    """Wrap raw detail arrays in a decomposition record for the selectors."""
-    details = tuple(np.asarray(d, dtype=float) for d in detail_levels)
-    if n is None:
-        n = 2 * details[0].size
-    return DwtCoeffs(
-        approx=np.zeros(details[-1].size),
-        details=details,
-        wavelet="db3",
-        original_length=n,
-        padded_length=n,
-    )
+def threshold_row(method, *detail_levels, n=None, sigma=None):
+    """``method``'s row of the threshold table for raw detail levels (finest
+    first) of an n-sample signal, by default twice the finest level's size."""
+    details = [np.asarray(d, dtype=float) for d in detail_levels]
+    return _thresholds([method], details, 2 * details[0].size if n is None else n, sigma)[0]
+
+
+def mad(d):
+    return _mad_sigma(np.sort(np.abs(d)))
+
+
+def snr_db(reference, estimate):
+    return 10.0 * np.log10(np.sum(reference**2) / np.sum((reference - estimate) ** 2))
 
 
 def sure_oracle(y):
@@ -74,17 +71,17 @@ def _sort_once_per_call_gcv(w):
     return float(aw[int(np.argmin((np.cumsum(aw**2) + (n - k) * aw**2) / n / (k / n) ** 2))])
 
 
-def threshold_oracle(coeffs, method, sigma=None):
+def threshold_oracle(details, n, method, sigma=None):
     """The selectors as they read before the sorts were shared: each call
     sorts its own ``np.abs(d / s)`` and the MAD takes ``np.median``."""
-    details = [np.asarray(d, dtype=float) for d in coeffs.details]
+    details = [np.asarray(d, dtype=float) for d in details]
 
     def sigma_at(j):
         return float(np.median(np.abs(details[j])) / 0.6745) if sigma is None else float(sigma)
 
     s_g = sigma_at(0)
     if method in ("Universal", "VisuShrink"):
-        return s_g * float(np.sqrt(2.0 * np.log(coeffs.original_length)))
+        return s_g * float(np.sqrt(2.0 * np.log(n)))
     if method in ("UniversalLevel", "VisuShrinkLevel"):
         return [sigma_at(j) * float(np.sqrt(2.0 * np.log(d.size))) for j, d in enumerate(details)]
     if method == "SURE":
@@ -133,20 +130,18 @@ def test_canonical_method_unknown():
 def test_noise_sigma_mad_exact():
     # |d| has median exactly 0.6745, so the MAD estimate is exactly 1
     d = np.array([-0.6745, 0.6745, -0.6745, 0.6745, 0.1, -0.1, 2.0, -2.0])
-    assert estimate_noise_sigma(d) == pytest.approx(1.0, abs=1e-12)
+    assert mad(d) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_noise_sigma_scales_linearly():
     rng = np.random.default_rng(0)
     d = rng.normal(size=512)
-    assert estimate_noise_sigma(3.0 * d) == pytest.approx(
-        3.0 * estimate_noise_sigma(d), rel=1e-12
-    )
+    assert mad(3.0 * d) == pytest.approx(3.0 * mad(d), rel=1e-12)
 
 
 def test_noise_sigma_needs_enough_coefficients():
     with pytest.raises(ValueError, match="at least 8"):
-        estimate_noise_sigma(np.ones(7))
+        mad(np.ones(7))
 
 
 # ---------------------------------------------------------------- shrinkage
@@ -155,57 +150,46 @@ def test_noise_sigma_needs_enough_coefficients():
 def test_shrinkage_rules_frozen_vector():
     w = np.array([-3.0, -2.0, -1.5, 0.0, 1.5, 2.0, 3.0])
     np.testing.assert_allclose(
-        apply_shrinkage(w, 2.0, "hard"), [-3, 0, 0, 0, 0, 0, 3], atol=1e-15
+        _shrink(w, 2.0, "hard"), [-3, 0, 0, 0, 0, 0, 3], atol=1e-15
     )
     np.testing.assert_allclose(
-        apply_shrinkage(w, 2.0, "soft"), [-1, 0, 0, 0, 0, 0, 1], atol=1e-15
+        _shrink(w, 2.0, "soft"), [-1, 0, 0, 0, 0, 0, 1], atol=1e-15
     )
     np.testing.assert_allclose(
-        apply_shrinkage(w, 2.0, "garrote"),
+        _shrink(w, 2.0, "garrote"),
         [-5.0 / 3.0, 0, 0, 0, 0, 0, 5.0 / 3.0],
         atol=1e-15,
     )
 
 
 def test_shrinkage_worked_examples():
-    assert apply_shrinkage(5.0, 2.0, "soft") == pytest.approx(3.0, abs=1e-12)
-    assert apply_shrinkage(5.0, 2.0, "garrote") == pytest.approx(4.2, abs=1e-12)
-    assert apply_shrinkage(5.0, 2.0, "hard") == 5.0
-
-
-def test_shrinkage_scalar_returns_float():
-    out = apply_shrinkage(1.0, 2.0, "soft")
-    assert isinstance(out, float)
-    assert out == 0.0
+    five = np.array([5.0])
+    assert _shrink(five, 2.0, "soft")[0] == pytest.approx(3.0, abs=1e-12)
+    assert _shrink(five, 2.0, "garrote")[0] == pytest.approx(4.2, abs=1e-12)
+    assert _shrink(five, 2.0, "hard")[0] == 5.0
+    assert _shrink(np.array([1.0]), 2.0, "soft")[0] == 0.0
 
 
 def test_shrinkage_zeroes_the_boundary():
     for rule in ("hard", "soft", "garrote"):
-        assert apply_shrinkage(2.0, 2.0, rule) == 0.0
-        assert apply_shrinkage(-2.0, 2.0, rule) == 0.0
+        assert _shrink(np.array([2.0, -2.0]), 2.0, rule).tolist() == [0.0, 0.0]
 
 
 def test_shrinkage_zero_threshold_is_identity():
     w = np.array([-1.5, 0.0, 2.5])
     for rule in ("hard", "soft", "garrote"):
-        np.testing.assert_allclose(apply_shrinkage(w, 0.0, rule), w, atol=1e-15)
+        np.testing.assert_allclose(_shrink(w, 0.0, rule), w, atol=1e-15)
 
 
 def test_garrote_handles_zero_without_warning():
     with np.errstate(all="raise"):
-        out = apply_shrinkage(np.array([0.0, 5.0]), 2.0, "garrote")
+        out = _shrink(np.array([0.0, 5.0]), 2.0, "garrote")
     np.testing.assert_allclose(out, [0.0, 4.2], atol=1e-12)
 
 
 def test_shrinkage_error_contracts():
     with pytest.raises(ValueError, match="unknown rule"):
-        apply_shrinkage(np.ones(3), 1.0, "medium")
-    with pytest.raises(ValueError, match="finite and nonnegative"):
-        apply_shrinkage(np.ones(3), -1.0, "soft")
-    # one bad entry in a column of thresholds is enough
-    for bad in (-1.0, np.nan, np.inf):
-        with pytest.raises(ValueError, match=f"finite and nonnegative, got {bad}"):
-            apply_shrinkage(np.ones(3), np.array([[1.0], [bad], [2.0]]), "soft")
+        _shrink(np.ones(3), 1.0, "medium")
 
 
 @pytest.mark.parametrize("rule", ["hard", "soft", "garrote"])
@@ -213,10 +197,10 @@ def test_shrinkage_column_of_thresholds_matches_scalar_calls(rule):
     rng = np.random.default_rng(21)
     w = np.concatenate([rng.normal(size=40), [0.0, 1.5, -1.5, 0.25]])
     ts = [0.0, 0.25, 1.5, float(np.abs(w).max()), 0.7]
-    stacked = apply_shrinkage(w, np.array(ts)[:, None], rule)
+    stacked = _shrink(w, np.array(ts)[:, None], rule)
     assert stacked.shape == (len(ts), w.size)
     for row, t in zip(stacked, ts):
-        assert np.array_equal(row, apply_shrinkage(w, t, rule)), t
+        assert np.array_equal(row, _shrink(w, t, rule)), t
 
 
 # ---------------------------------------------------------------- selectors
@@ -224,38 +208,32 @@ def test_shrinkage_column_of_thresholds_matches_scalar_calls(rule):
 
 def test_universal_threshold_formula():
     y = np.random.default_rng(1).normal(size=512)
-    c = coeffs_from_details(y, n=1024)
-    t = select_threshold(c, "Universal", sigma=1.0)
+    t = threshold_row("Universal", y, n=1024, sigma=1.0)[0]
     assert t == pytest.approx(np.sqrt(2.0 * np.log(1024.0)), abs=1e-12)
-    assert select_threshold(c, "Universal", sigma=2.5) == pytest.approx(
+    assert threshold_row("Universal", y, n=1024, sigma=2.5)[0] == pytest.approx(
         2.5 * np.sqrt(2.0 * np.log(1024.0)), abs=1e-12
     )
 
 
 def test_universal_uses_mad_sigma_by_default():
     y = np.random.default_rng(2).normal(size=512)
-    c = coeffs_from_details(y, n=1024)
-    t = select_threshold(c, "Universal")
-    sig = estimate_noise_sigma(y)
+    t = threshold_row("Universal", y, n=1024)[0]
+    sig = mad(y)
     assert t == pytest.approx(sig * np.sqrt(2.0 * np.log(1024.0)), rel=1e-12)
 
 
 def test_universal_level_uses_level_sizes():
     rng = np.random.default_rng(3)
     d1, d2 = rng.normal(size=256), rng.normal(size=128)
-    c = coeffs_from_details(d1, d2, n=512)
-    ts = select_threshold(c, "UniversalLevel", sigma=1.0)
-    assert ts == pytest.approx(
+    ts = threshold_row("UniversalLevel", d1, d2, n=512, sigma=1.0)
+    assert ts.tolist() == pytest.approx(
         [np.sqrt(2.0 * np.log(256.0)), np.sqrt(2.0 * np.log(128.0))], abs=1e-12
     )
 
 
 def test_visushrink_aliases_universal_value():
     y = np.random.default_rng(4).normal(size=256)
-    c = coeffs_from_details(y)
-    assert select_threshold(c, "VisuShrink", sigma=1.0) == select_threshold(
-        c, "Universal", sigma=1.0
-    )
+    assert threshold_row("VisuShrink", y, sigma=1.0)[0] == threshold_row("Universal", y, sigma=1.0)[0]
 
 
 def test_sure_matches_brute_force():
@@ -263,48 +241,42 @@ def test_sure_matches_brute_force():
     # mixture: mostly noise, some strong coefficients
     y = np.where(rng.random(256) < 0.1, rng.normal(scale=6.0, size=256),
                  rng.normal(size=256))
-    c = coeffs_from_details(y)
-    t = select_threshold(c, "SURE", sigma=1.0)
+    t = threshold_row("SURE", y, sigma=1.0)[0]
     assert t == pytest.approx(sure_oracle(y), abs=1e-12)
 
 
 def test_sure_pools_levels():
     rng = np.random.default_rng(6)
     d1, d2 = rng.normal(size=128), rng.normal(size=64)
-    c = coeffs_from_details(d1, d2)
-    t = select_threshold(c, "SURE", sigma=1.0)
+    t = threshold_row("SURE", d1, d2, sigma=1.0)[0]
     assert t == pytest.approx(sure_oracle(np.concatenate([d1, d2])), abs=1e-12)
 
 
 def test_sure_level_per_level():
     rng = np.random.default_rng(7)
     d1, d2 = rng.normal(size=128), 4.0 * rng.normal(size=64)
-    c = coeffs_from_details(d1, d2)
-    ts = select_threshold(c, "SURELevel", sigma=1.0)
+    ts = threshold_row("SURELevel", d1, d2, sigma=1.0)
     assert ts[0] == pytest.approx(sure_oracle(d1), abs=1e-12)
     assert ts[1] == pytest.approx(sure_oracle(d2), abs=1e-12)
 
 
 def test_sure_rescales_by_sigma():
     y = np.random.default_rng(8).normal(size=256)
-    c2 = coeffs_from_details(2.0 * y)
-    t = select_threshold(c2, "SURE", sigma=2.0)
+    t = threshold_row("SURE", 2.0 * y, sigma=2.0)[0]
     assert t == pytest.approx(2.0 * sure_oracle(y), rel=1e-12)
 
 
 def test_sureshrink_sparse_branch_takes_universal():
     # weak coefficients: the sparsity statistic stays under the gate
     y = 0.1 * np.ones(64)
-    c = coeffs_from_details(y)
-    ts = select_threshold(c, "SUREShrink", sigma=1.0)
-    assert ts == pytest.approx([np.sqrt(2.0 * np.log(64.0))], abs=1e-12)
+    ts = threshold_row("SUREShrink", y, sigma=1.0)
+    assert ts.tolist() == pytest.approx([np.sqrt(2.0 * np.log(64.0))], abs=1e-12)
 
 
 def test_sureshrink_dense_branch_caps_at_universal():
     rng = np.random.default_rng(9)
     y = rng.normal(scale=5.0, size=256)  # loud level, clearly past the gate
-    c = coeffs_from_details(y)
-    (t,) = select_threshold(c, "SUREShrink", sigma=1.0)
+    (t,) = threshold_row("SUREShrink", y, sigma=1.0)
     universal = np.sqrt(2.0 * np.log(256.0))
     assert t == pytest.approx(min(sure_oracle(y), universal), abs=1e-12)
 
@@ -322,24 +294,21 @@ def test_gcv_matches_brute_force():
     rng = np.random.default_rng(10)
     w = np.where(rng.random(200) < 0.15, rng.normal(scale=8.0, size=200),
                  rng.normal(size=200))
-    c = coeffs_from_details(w)
-    assert select_threshold(c, "GCV") == pytest.approx(gcv_oracle(w), abs=1e-12)
+    assert threshold_row("GCV", w)[0] == pytest.approx(gcv_oracle(w), abs=1e-12)
 
 
 def test_gcv_level_skips_dead_levels():
     rng = np.random.default_rng(11)
     w = rng.normal(size=64)
-    c = coeffs_from_details(np.zeros(128), w)
-    ts = select_threshold(c, "GCVLevel")
+    ts = threshold_row("GCVLevel", np.zeros(128), w)
     assert ts[0] == 0.0
     assert ts[1] == pytest.approx(gcv_oracle(w), abs=1e-12)
 
 
 def test_selector_zero_sigma_means_zero_threshold():
     y = np.random.default_rng(12).normal(size=64)
-    c = coeffs_from_details(y)
-    assert select_threshold(c, "SURE", sigma=0.0) == 0.0
-    assert select_threshold(c, "SUREShrink", sigma=0.0) == [0.0]
+    assert threshold_row("SURE", y, sigma=0.0).tolist() == [0.0]
+    assert threshold_row("SUREShrink", y, sigma=0.0).tolist() == [0.0]
 
 
 @pytest.mark.parametrize("sigma", [None, 1.3, 0.0])
@@ -353,50 +322,48 @@ def test_selectors_equal_sorting_per_call(sizes, sigma):
     details[-1][: len(details[-1]) // 2] *= 20.0  # a loud level takes the dense SUREShrink branch
     quiet = details[:1] + [np.where(np.arange(sizes[1]) % 3, 0.0, details[1]), *details[2:]]
     for d, n in ((details, 2 * sizes[0]), (details[:1], 2 * sizes[0] + 1), (quiet, 2 * sizes[0])):
-        c = coeffs_from_details(*d, n=n)
         # one method per call, and all nine from one call as the sweep takes them
-        swept = _thresholds(list(METHODS), c, sigma)
-        assert swept.shape == (9, c.level)
+        swept = _thresholds(list(METHODS), d, n, sigma)
+        assert swept.shape == (9, len(d))
         for method, in_one_call in zip(METHODS, swept.tolist()):
-            want = threshold_oracle(c, method, sigma)
-            assert select_threshold(c, method, sigma=sigma) == want, method
-            assert in_one_call == (want if isinstance(want, list) else [want] * c.level), method
+            want = threshold_oracle(d, n, method, sigma)
+            want = want if isinstance(want, list) else [want] * len(d)
+            assert threshold_row(method, *d, n=n, sigma=sigma).tolist() == want, method
+            assert in_one_call == want, method
         # pooled methods alone give those rows of the nine-method table
         pooled = [m for m in METHODS if not SELECTORS[m][1]]
-        assert _thresholds(pooled, c, sigma).tolist() == [swept[METHODS.index(m)].tolist() for m in pooled]
+        assert _thresholds(pooled, d, n, sigma).tolist() == [swept[METHODS.index(m)].tolist() for m in pooled]
     # more than half of the second level is exactly zero: its MAD, and so its
     # per-level universal and SURE thresholds, are zero
     if sigma is None:
-        assert estimate_noise_sigma(quiet[1]) == 0.0
+        assert mad(quiet[1]) == 0.0
         for method in ("UniversalLevel", "SURELevel"):
-            assert select_threshold(coeffs_from_details(*quiet), method)[1] == 0.0
-    assert estimate_noise_sigma(details[0]) == np.median(np.abs(details[0])) / 0.6745
+            assert threshold_row(method, *quiet)[1] == 0.0
+    assert mad(details[0]) == np.median(np.abs(details[0])) / 0.6745
 
 
 def test_only_selectors_reading_each_levels_noise_need_its_eight_coefficients():
     # per level, Universal and SURE estimate each level's own noise; pooled
     # selectors and SUREShrink read the finest level's, GCV none
     rng = np.random.default_rng(29)
-    c = coeffs_from_details(rng.normal(size=64), rng.normal(scale=3.0, size=5))
-    for method in ("Universal", "VisuShrink", "SURE", "GCV"):
-        assert np.isfinite(select_threshold(c, method))
-    for method in ("SUREShrink", "GCVLevel"):
-        assert len(select_threshold(c, method)) == 2
+    d = rng.normal(size=64), rng.normal(scale=3.0, size=5)
+    for method in ("Universal", "VisuShrink", "SURE", "GCV", "SUREShrink", "GCVLevel"):
+        assert np.isfinite(threshold_row(method, *d)).all()
     for method in ("UniversalLevel", "VisuShrinkLevel", "SURELevel"):
         with pytest.raises(ValueError, match="need at least 8 coefficients, got 5"):
-            select_threshold(c, method)
+            threshold_row(method, *d)
 
 
 def test_selector_rejects_all_zero_details():
-    c = coeffs_from_details(np.zeros(32), np.zeros(16))
     with pytest.raises(ValueError, match="all detail coefficients are zero"):
-        select_threshold(c, "Universal")
+        threshold_row("Universal", np.zeros(32), np.zeros(16))
+    with pytest.raises(ValueError, match="all detail coefficients are zero"):
+        denoise(np.zeros(64), level=3)
 
 
 def test_selector_unknown_method():
-    c = coeffs_from_details(np.ones(16))
     with pytest.raises(ValueError, match="unknown method"):
-        select_threshold(c, "oracle")
+        denoise(np.arange(64.0), "oracle", level=2)
 
 
 @pytest.mark.parametrize("sigma", [-1.0, np.nan, np.inf])
@@ -404,7 +371,7 @@ def test_selector_unknown_method():
 def test_selector_rejects_bad_sigma(sigma, method):
     y = np.random.default_rng(12).normal(size=64)
     with pytest.raises(ValueError, match="sigma must be finite and nonnegative"):
-        select_threshold(coeffs_from_details(y), method, sigma=sigma)
+        threshold_row(method, y, sigma=sigma)
     with pytest.raises(ValueError, match="sigma must be finite and nonnegative"):
         denoise(np.cumsum(y), method, level=2, sigma=sigma)
 
@@ -424,9 +391,7 @@ def test_denoise_improves_snr():
     clean, noisy = noisy_sinusoid()
     est = denoise(noisy, method="SURE", rule="garrote", level=4)
     assert est.size == noisy.size
-    before = fidelity_metrics(clean, noisy).snr
-    after = fidelity_metrics(clean, est).snr
-    assert after > before + 3.0
+    assert snr_db(clean, est) > snr_db(clean, noisy) + 3.0
 
 
 def test_denoise_zero_sigma_is_identity():
@@ -436,15 +401,16 @@ def test_denoise_zero_sigma_is_identity():
     assert np.abs(out - noisy).max() < 1e-10
 
 
-def _shrink_reference(coeffs, thresholds, rules):
-    """Each row on its own: every level shrunk by its own apply_shrinkage
-    call, then inverted alone."""
+def _shrink_reference(c, level, wavelet, n, thresholds, rules):
+    """Each row on its own: every detail level shrunk by its own _shrink call
+    at one threshold, then inverted alone."""
     rows = []
     for t, rule in zip(thresholds, rules):
-        ts = np.broadcast_to(t, coeffs.level).tolist()
-        details = tuple(apply_shrinkage(d, tj, rule) for d, tj in zip(coeffs.details, ts))
-        rows.append(dwt_inverse(DwtCoeffs(coeffs.approx, details, coeffs.wavelet,
-                                          coeffs.original_length, coeffs.padded_length)))
+        shrunk = c.copy()
+        for j, tj in enumerate(np.broadcast_to(t, level).tolist()):
+            d = slice(c.size >> (j + 1), c.size >> j)
+            shrunk[d] = _shrink(c[d], tj, rule)
+        rows.append(_idwt(shrunk, level, wavelet, n))
     return rows
 
 
@@ -457,20 +423,17 @@ def test_shrink_and_invert_equals_row_by_row(rules, n, wavelet):
     # holding exact zeros; a column repeated across the levels equals the
     # scalar call per level
     x = np.cumsum(np.random.default_rng(n).standard_normal(n))
-    coeffs = dwt_forward(x, level=4, wavelet=wavelet)
-    zeroed = np.array(coeffs.details[1])
-    zeroed[::3] = 0.0
-    coeffs = DwtCoeffs(coeffs.approx, (coeffs.details[0], zeroed, *coeffs.details[2:]),
-                       coeffs.wavelet, coeffs.original_length, coeffs.padded_length)
+    c = _dwt(x, 4, wavelet)
+    c[c.size >> 2 : c.size >> 1][::3] = 0.0  # detail level 1
     rng = np.random.default_rng(n + 1)
     thresholds = np.array([[0.0] * 4, [0.0] * 4, [1.5] * 4, *(rng.uniform(0.0, 3.0, 4) for _ in range(6))])
-    estimates = _shrink_and_invert(coeffs, thresholds, rules)
+    estimates = _shrink_and_invert(c, 4, wavelet, n, thresholds, rules)
     assert estimates.shape == (9, n)
-    for i, want in enumerate(_shrink_reference(coeffs, thresholds, rules)):
+    for i, want in enumerate(_shrink_reference(c, 4, wavelet, n, thresholds, rules)):
         assert np.array_equal(estimates[i], want), (i, rules[i])
     column = thresholds[:, :1]
-    repeated = _shrink_and_invert(coeffs, np.repeat(column, coeffs.level, axis=1), rules)
-    for i, want in enumerate(_shrink_reference(coeffs, column, rules)):
+    repeated = _shrink_and_invert(c, 4, wavelet, n, np.repeat(column, 4, axis=1), rules)
+    for i, want in enumerate(_shrink_reference(c, 4, wavelet, n, column, rules)):
         assert np.array_equal(repeated[i], want), (i, rules[i])
 
 
@@ -485,32 +448,33 @@ def test_denoise_unknown_rule():
 def test_denoise_with_haar_and_other_levels():
     clean, noisy = noisy_sinusoid(seed=3)
     est = denoise(noisy, method="GCV", rule="soft", level=5, wavelet="haar")
-    assert fidelity_metrics(clean, est).snr > fidelity_metrics(clean, noisy).snr
+    assert snr_db(clean, est) > snr_db(clean, noisy)
 
 
 # ---------------------------------------------------------------- fidelity
 
 
 def test_fidelity_hand_values():
-    f = fidelity_metrics(np.array([3.0, 4.0]), np.array([3.0, 3.0]))
+    snr, psnr, identical = _fidelities(np.array([3.0, 4.0]), np.array([[3.0, 3.0]]))
     # residual energy 1, reference energy 25, peak 4 over 2 samples
-    assert f.snr == pytest.approx(10.0 * np.log10(25.0), abs=1e-12)
-    assert f.psnr == pytest.approx(10.0 * np.log10(32.0), abs=1e-12)
-    assert f.identical is False
+    assert snr.tolist() == pytest.approx([10.0 * np.log10(25.0)], abs=1e-12)
+    assert psnr.tolist() == pytest.approx([10.0 * np.log10(32.0)], abs=1e-12)
+    assert identical.tolist() == [False]
 
 
 def test_fidelity_identical_flag():
     x = np.array([3.0, 4.0])
-    f = fidelity_metrics(x, x.copy())
-    assert f.identical is True
-    assert f.snr == np.inf and f.psnr == np.inf
+    snr, psnr, identical = _fidelities(x, x[None].copy())
+    assert identical.tolist() == [True]
+    assert snr.tolist() == psnr.tolist() == [np.inf]
 
 
 def test_fidelity_error_contracts():
+    _, noisy = noisy_sinusoid(n=256)
     with pytest.raises(ValueError, match="shape mismatch"):
-        fidelity_metrics(np.ones(4), np.ones(5))
+        method_sweep(noisy, reference=np.ones(5))
     with pytest.raises(ValueError, match="zero energy"):
-        fidelity_metrics(np.zeros(8), np.ones(8))
+        method_sweep(noisy, reference=np.zeros(256))
 
 
 # ---------------------------------------------------------------- sweep
@@ -579,7 +543,7 @@ def test_sweep_against_external_reference():
     clean, noisy = noisy_sinusoid(seed=5)
     report = method_sweep(noisy, reference=clean)
     sure = report.snr[METHODS.index("SURE")]
-    baseline = fidelity_metrics(clean, noisy).snr
+    baseline = snr_db(clean, noisy)
     assert sure > baseline
 
 
@@ -649,17 +613,25 @@ def test_sweep_rows_match_denoise(rule):
     # each sweep row scores exactly the signal denoise returns for it
     _, noisy = noisy_sinusoid(seed=7)
     for method, use_rule, _, snr, psnr, identical in method_sweep(noisy, rule=rule, level=3).rows():
-        fid = fidelity_metrics(noisy, denoise(noisy, method, use_rule, level=3))
-        assert (snr, psnr, identical) == (fid.snr, fid.psnr, fid.identical)
+        fid = _fidelities(noisy, denoise(noisy, method, use_rule, level=3)[None])
+        assert (snr, psnr, identical) == tuple(a.item() for a in fid)
 
 
 @pytest.mark.parametrize("rule", [None, "hard", "soft", "garrote"])
 @pytest.mark.parametrize("wavelet", ["db3", "haar"])
 def test_sweep_estimates_are_denoise_bit_for_bit(rule, wavelet):
-    # the CLI writes a row's estimate as the de-noised series
+    # the CLI writes a row's estimate as the de-noised series, and denoise is
+    # one row of the sweep's path: its one-method threshold table is the
+    # method's row of the nine-method table; level 5 takes two bank stages
     walk = np.cumsum(np.random.default_rng(13).standard_normal(500))
-    report = method_sweep(walk, rule=rule, level=4, wavelet=wavelet)
-    for method, use_rule, estimate in zip(METHODS, report.rules, report.estimates):
-        expected = denoise(walk, method, use_rule, level=4, wavelet=wavelet)
-        assert estimate.shape == expected.shape
-        assert np.array_equal(estimate, expected), method
+    for level in (3, 4, 5):
+        report = method_sweep(walk, rule=rule, level=level, wavelet=wavelet)
+        c = _dwt(walk, level, wavelet)
+        details = [c[c.size >> (j + 1) : c.size >> j] for j in range(level)]
+        assert np.array_equal(_thresholds(list(METHODS), details, walk.size, None), report.thresholds)
+        for i, (method, use_rule, estimate) in enumerate(zip(METHODS, report.rules, report.estimates)):
+            expected = denoise(walk, method, use_rule, level=level, wavelet=wavelet)
+            assert estimate.shape == expected.shape
+            assert np.array_equal(estimate, expected), (level, method)
+            row = _thresholds([method], details, walk.size, None)[0]
+            assert np.array_equal(row, report.thresholds[i]), (level, method)

@@ -8,9 +8,9 @@ import pytest
 
 from comove import packets
 from comove.packets import (
+    _dwt,
+    _idwt,
     analysis_step,
-    dwt_forward,
-    dwt_inverse,
     energy_fractions,
     frequency_index,
     highpass,
@@ -291,13 +291,12 @@ def test_banks_match_the_per_depth_cascade(wavelet, level):
             lone[np.ravel_multi_index(path, (2,) * level)] = tree.nodes[path]
             want = _cascade_inverse(lone, wavelet)[:n]
             assert np.abs(reconstruct_node(tree, path) - want).max() <= tol, (n, path)
-        c = dwt_forward(x, level, wavelet)
-        assert np.abs(c.approx - approx).max() <= tol, n
-        assert all(np.abs(u - v).max() <= tol for u, v in zip(c.details, details)), n
+        c = _dwt(x, level, wavelet)  # Mallat order: the approximation, then the details coarsest first
+        assert np.abs(c - np.concatenate([approx, *details[::-1]])).max() <= tol, n
         a = approx
         for d in reversed(details):
             a = synthesis_step(a, d, h, g)
-        assert np.abs(dwt_inverse(c) - a[:n]).max() <= tol, n
+        assert np.abs(_idwt(c, level, wavelet, n) - a[:n]).max() <= tol, n
 
 
 @pytest.mark.parametrize("wavelet", ["db3", "haar"])
@@ -317,7 +316,7 @@ def test_bank_products_on_a_stack_match_row_by_row(wavelet, n, depth):
 @pytest.mark.parametrize("level,stages", [(1, 1), (3, 1), (4, 1), (5, 2)])
 def test_one_bank_product_per_stage_of_at_most_four_levels(monkeypatch, level, stages):
     x = np.arange(100.0)
-    reconstruct_node(wpt_forward(x, level), (0,) * level), dwt_forward(x, level)  # builds the plans
+    reconstruct_node(wpt_forward(x, level), (0,) * level), _dwt(x, level, "db3")  # builds the plans
     calls = []
 
     def counted(f):
@@ -330,10 +329,10 @@ def test_one_bank_product_per_stage_of_at_most_four_levels(monkeypatch, level, s
     for f in (packets._analyze, packets._synthesize, analysis_step, synthesis_step):
         monkeypatch.setattr(packets, f.__name__, counted(f))
     built = packets._plan.cache_info().misses
-    tree, coeffs = wpt_forward(x, level), dwt_forward(x, level)
+    tree, coeffs = wpt_forward(x, level), _dwt(x, level, "db3")
     assert calls == ["_analyze"] * 2 * stages
     calls.clear()
-    wpt_inverse(tree), reconstruct_node(tree, (0,) * level), dwt_inverse(coeffs)
+    wpt_inverse(tree), reconstruct_node(tree, (0,) * level), _idwt(coeffs, level, "db3", x.size)
     assert calls == ["_synthesize"] * 3 * stages
     assert packets._plan.cache_info().misses == built
     assert all(hi - lo <= 4 for lo, hi in packets._stages(level))
@@ -465,15 +464,20 @@ def test_energy_fractions_zero_signal():
 
 
 def test_dwt_shapes_finest_first():
-    c = dwt_forward(np.random.default_rng(8).normal(size=100), level=3)
-    assert c.padded_length == 104
-    assert c.approx.size == 13
-    assert [d.size for d in c.details] == [52, 26, 13]
+    # one padded array: the approximation c[:13], then detail levels 2, 1 and 0
+    # at c[13:26], c[26:52] and c[52:104], so level j is c[P >> (j + 1) : P >> j]
+    x = np.random.default_rng(8).normal(size=100)
+    c = _dwt(x, 3, "db3")
+    assert c.shape == (104,)
+    approx = c[:13]
+    for j in range(3):
+        approx = synthesis_step(approx, c[104 >> (3 - j) : 104 >> (2 - j)], *packets._filter_bank("db3"))
+    assert np.abs(approx[:100] - x).max() < 1e-12
 
 
 def test_dwt_roundtrip():
     x = np.random.default_rng(9).normal(size=100)
-    back = dwt_inverse(dwt_forward(x, level=3))
+    back = _idwt(_dwt(x, 3, "db3"), 3, "db3", 100)
     assert back.size == 100
     assert np.abs(back - x).max() < 1e-12
 
@@ -484,21 +488,13 @@ def test_dwt_matches_packet_lowpass_spine():
     # row of the tree's stacked second stage is computed as on its own
     for n, level in ((64, 3), (1461, 3), (1461, 8), (4096, 8)):
         x = np.random.default_rng(10).normal(size=n)
-        c = dwt_forward(x, level=level)
+        c = _dwt(x, level, "db3")
         tree = wpt_forward(x, level)
-        assert np.array_equal(c.approx, tree.nodes[(0,) * level]), n
+        assert np.array_equal(c[: c.size >> level], tree.nodes[(0,) * level]), n
 
 
 def test_malformed_coefficients_are_refused():
     x = np.random.default_rng(13).normal(size=100)
-    c = dwt_forward(x, level=3)
-    short = replace(c, details=(c.details[0], c.details[1][:-1], c.details[2]))
-    with pytest.raises(ValueError, match=r"detail level 1 has shape \(25,\)"):
-        dwt_inverse(short)
-    stacked = replace(c, approx=np.stack([c.approx] * 2),
-                      details=tuple(np.stack([d] * k) for d, k in zip(c.details, (2, 3, 2))))
-    with pytest.raises(ValueError, match=r"detail level 1 has shape \(3, 26\), approximation \(2, 13\)"):
-        dwt_inverse(stacked)
     # a tree is refused once, when built from a stack that is not 2**level equal rows
     tree = wpt_forward(x, 3)
     for leaves in (tree.leaves[:-1], tree.leaves[0], tree.leaves[:, :0], np.stack([tree.leaves] * 2)):
@@ -513,6 +509,6 @@ def test_malformed_coefficients_are_refused():
 
 def test_dwt_error_contracts():
     with pytest.raises(ValueError, match="at least 1"):
-        dwt_forward(np.arange(16.0), level=0)
+        _dwt(np.arange(16.0), 0, "db3")
     with pytest.raises(ValueError, match="cannot be split"):
-        dwt_forward(np.arange(8.0), level=9)
+        _dwt(np.arange(8.0), 9, "db3")
