@@ -14,8 +14,10 @@ a refused setting value such as an unknown method, a depth below 1, a bad
 window date or an empty output directory), 2 data error (missing or
 malformed input, analysis preconditions violated).
 
-Output files, written under ``out_dir``, which is made at the first write
-(so a run that fails before writing leaves no directory behind):
+A run makes every data check, then computes every step, then writes (a
+coherence step computes its grids as it writes them, past every check that
+could refuse them), so a refusal leaves no ``out_dir`` behind. Output files,
+written under ``out_dir``, which is made at the first write:
 
 - coherence: ``mwc_<target>.csv`` plus ``pwc_<target>_<other>.csv`` and
   ``phase_<target>_<other>.csv`` per other series. Grid files are long
@@ -163,15 +165,6 @@ def read_config_file(path: str) -> dict[str, object]:
     return out
 
 
-_SUBCOMMANDS = {
-    "coherence": "multiple/partial wavelet coherence grids",
-    "packet": "wavelet packet energy table and trend/noise split",
-    "denoise": "threshold-selection sweep and de-noised series",
-    "forecast": "ARMA vs VARMA forecasts and MSE comparison",
-    "pipeline": "everything above in one run",
-}
-
-
 class _Parser(argparse.ArgumentParser):
     # argparse exits 2 on usage errors by default; the contract here is 1.
     def error(self, message: str) -> None:  # type: ignore[override]
@@ -184,7 +177,7 @@ def _build_parser() -> _Parser:
     bool setting's flag takes none."""
     parser = _Parser(prog="comove", description=__doc__.split("\n\n")[0])
     sub = parser.add_subparsers(dest="subcommand", metavar="SUBCOMMAND")
-    for name, helptext in _SUBCOMMANDS.items():
+    for name, (helptext, _) in _SUBCOMMANDS.items():
         p = sub.add_parser(name, help=helptext)
         p.add_argument("--config", default=None, help="key=value settings file")
         for key, setting in SETTINGS.items():
@@ -220,23 +213,17 @@ def _safe_name(name: str) -> str:
     return "".join(c if (c.isalnum() or c in "-_") else "_" for c in name)
 
 
-class _Writer:
-    """Collects written paths for the manifest; makes ``out_dir`` at the first write."""
-
-    def __init__(self, out_dir: str) -> None:
-        self.out_dir = out_dir
-        self.written: list[str] = []
-
-    def open(self, name: str):
-        if not self.written:
-            os.makedirs(self.out_dir, exist_ok=True)
-        self.written.append(name)
-        print(f"wrote {os.path.join(self.out_dir, name)}")
-        return open(os.path.join(self.out_dir, name), "w", newline="")
-
-    def manifest(self) -> None:
-        with open(os.path.join(self.out_dir, "manifest.txt"), "w") as fh:
-            fh.writelines(n + "\n" for n in sorted(self.written + ["manifest.txt"]))
+def _write(out_dir: str, files) -> list[str]:
+    """Write each ``(name, lines)`` of ``files`` under ``out_dir``, made at the first; return the names."""
+    written: list[str] = []
+    for name, lines in files:
+        if not written:
+            os.makedirs(out_dir, exist_ok=True)
+        written.append(name)
+        print(f"wrote {os.path.join(out_dir, name)}")
+        with open(os.path.join(out_dir, name), "w", newline="") as fh:
+            fh.writelines(lines)
+    return written
 
 
 def _field(v: object) -> str:
@@ -247,13 +234,13 @@ def _field(v: object) -> str:
     return str(v)
 
 
-def _write_table(w: _Writer, name: str, header: str, rows: list[tuple], comment: str | None = None) -> None:
-    """A small CSV table: strings quoted, floats at 17 digits, the rest as ``str``."""
-    with w.open(name) as fh:
-        if comment is not None:
-            fh.write(f"# {comment}\n")
-        fh.write(header + "\n")
-        fh.writelines(",".join(map(_field, row)) + "\n" for row in rows)
+def _table(header: str, rows, comment: str | None = None):
+    """The lines of a small CSV table: strings quoted, floats at 17 digits, the rest as ``str``."""
+    if comment is not None:
+        yield f"# {comment}\n"
+    yield header + "\n"
+    for row in rows:
+        yield ",".join(map(_field, row)) + "\n"
 
 
 @functools.lru_cache(maxsize=1)
@@ -269,11 +256,15 @@ def _row_templates(grid: ScaleGrid) -> tuple[str, ...]:
     )
 
 
-def _write_grid(w: _Writer, name: str, grid: ScaleGrid, values: np.ndarray) -> None:
-    """A long-format ``scale,time_index,value,coi_flag`` file of one result grid on ``grid``."""
-    with w.open(name) as fh:
-        fh.write("scale,time_index,value,coi_flag\n")
-        fh.writelines(row % tuple(vals) for row, vals in zip(_row_templates(grid), values.tolist()))
+def _grid(grid: ScaleGrid, values: np.ndarray):
+    """The lines of a long-format ``scale,time_index,value,coi_flag`` file of one result grid on ``grid``."""
+    yield "scale,time_index,value,coi_flag\n"
+    yield from (row % tuple(vals) for row, vals in zip(_row_templates(grid), values.tolist()))
+
+
+def _series_table(ms: ts.MultiSeries, values: np.ndarray):
+    """The lines of a date column and one column of ``values`` per series of ``ms``."""
+    return _table("date," + ",".join(map(_quote, ms.names)), zip(ms.timestamps, *values.T.tolist()))
 
 
 def _log(names: tuple[str, ...], values: np.ndarray, where: str = "") -> np.ndarray:
@@ -281,15 +272,6 @@ def _log(names: tuple[str, ...], values: np.ndarray, where: str = "") -> np.ndar
     if bad.any():
         raise ts.DataError(f"series {names[int(np.argmax(bad))]!r} has nonpositive values{where}; cannot take logs")
     return np.log(values)
-
-
-def _check_file_names(names: tuple[str, ...]) -> None:
-    """Two series whose names map to one file name part would overwrite each other."""
-    seen: dict[str, str] = {}
-    for name in names:
-        first = seen.setdefault(_safe_name(name), name)
-        if first != name:
-            raise ts.DataError(f"series {first!r} and {name!r} both map to {_safe_name(name)!r} in file names")
 
 
 def _load(config: PipelineConfig, start: date | None, end: date | None) -> tuple[ts.MultiSeries, ts.MultiSeries]:
@@ -304,57 +286,51 @@ def _load(config: PipelineConfig, start: date | None, end: date | None) -> tuple
     return full, work
 
 
-def _emit_coherence(w: _Writer, ms: ts.MultiSeries, target: int, prefix: str = "", partials: bool = True) -> None:
-    grid = make_scale_grid(len(ms), 1.0)  # one time step per row
-    cf = coh.coherence_matrix_field([cwt_morlet(x, 1.0, grid) for x in ms.values.T], labels=ms.names)
-    res = coh.coherence_result(cf, target)
-    tname = _safe_name(ms.names[target])
-    _write_grid(w, f"mwc_{prefix}{tname}.csv", grid, res.multiple)
-    if partials:
-        for j in sorted(res.partial_sq):
-            for kind, values in (("pwc", res.partial_sq[j]), ("phase", res.partial_phase[j])):
-                name = f"{kind}_{prefix}{tname}_{_safe_name(ms.names[j])}.csv"
-                _write_grid(w, name, grid, values)
+@dataclass
+class _Run:
+    """What a run's steps read; ``series`` holds each variant of the analysis window by name."""
+
+    config: PipelineConfig
+    full: ts.MultiSeries
+    target: int
+    series: dict[str, ts.MultiSeries]
 
 
-def _emit_packet(w: _Writer, ms: ts.MultiSeries, config: PipelineConfig) -> tuple[ts.MultiSeries, ts.MultiSeries]:
-    """Write the packet tables; return the (trend, noise = x - trend) variants of ``ms``."""
-    trees = [pk.wpt_forward(x, level=config.depth, wavelet=config.wavelet) for x in ms.values.T]
+def _packet(run: _Run) -> list[tuple]:
+    """The packet tables; adds the (trend, noise = x - trend) variants."""
+    ms, config = run.series["original"], run.config
+    trees = [_named(f"series {name!r}", pk.wpt_forward, x, level=config.depth, wavelet=config.wavelet)
+             for name, x in zip(ms.names, ms.values.T)]
     energy = [_named(f"series {name!r}", pk.energy_fractions, tree, ordering="natural")
               for name, tree in zip(ms.names, trees)]
-    lo = (0,) * config.depth
-    trend = replace(ms, values=np.column_stack([pk.reconstruct_node(tree, lo) for tree in trees]))
-    noise = replace(ms, values=ms.values - trend.values)
-    _write_table(w, "energy.csv", "series,node,frequency_index,fraction", [
-        (name, "".join(str(b) for b in path), pk.frequency_index(path), frac)
-        for name, fractions in zip(ms.names, energy)
-        for path, frac in fractions.items()
-    ])
-    for name, variant in (("trend.csv", trend), ("noise.csv", noise)):
-        _write_table(w, name, "date," + ",".join(map(_quote, ms.names)),
-                     list(zip(ms.timestamps, *variant.values.T.tolist())))
-    return trend, noise
+    trend = np.column_stack([pk.reconstruct_node(tree, (0,) * config.depth) for tree in trees])
+    run.series["trend"], run.series["noise"] = replace(ms, values=trend), replace(ms, values=ms.values - trend)
+    return [
+        ("energy.csv", _table("series,node,frequency_index,fraction", [
+            (name, "".join(str(b) for b in path), pk.frequency_index(path), frac)
+            for name, fractions in zip(ms.names, energy)
+            for path, frac in fractions.items()
+        ])),
+        *((f"{v}.csv", _series_table(ms, run.series[v].values)) for v in ("trend", "noise")),
+    ]
 
 
-def _emit_denoise(w: _Writer, ms: ts.MultiSeries, config: PipelineConfig) -> ts.MultiSeries:
-    """Write the sweeps and the de-noised table; return the de-noised variant of ``ms``.
-
-    The de-noised column is the chosen method's estimate from the sweep.
-    Every series is swept before the first write, so a refused one leaves no output.
-    """
+def _denoise(run: _Run) -> list[tuple]:
+    """The sweeps and the de-noised table; adds the chosen method's estimates as the de-noised variant."""
+    ms, config = run.series["original"], run.config
     rule = None if config.rule == "auto" else config.rule
     row = METHODS.index(canonical_method(config.method))
     reports = [_named(f"series {name!r}", method_sweep, x, rule=rule, level=config.denoise_level,
                       wavelet=config.wavelet) for name, x in zip(ms.names, ms.values.T)]
-    for name, report in zip(ms.names, reports):
-        _write_table(w, f"sweep_{_safe_name(name)}.csv", "method,rule,thresholds,snr,psnr,identical", [
+    denoised = np.column_stack([r.estimates[row] for r in reports])
+    run.series["denoised"] = replace(ms, values=denoised)
+    return [
+        *((f"sweep_{_safe_name(name)}.csv", _table("method,rule,thresholds,snr,psnr,identical", [
             (m, r, thr, *(("identical",) * 2 if same else (snr, psnr)), int(same))
             for m, r, thr, snr, psnr, same in report.rows()
-        ], comment=report.convention)
-    denoised = np.column_stack([r.estimates[row] for r in reports])
-    _write_table(w, "denoised.csv", "date," + ",".join(map(_quote, ms.names)),
-                 list(zip(ms.timestamps, *denoised.T.tolist())))
-    return replace(ms, values=denoised)
+        ], comment=report.convention)) for name, report in zip(ms.names, reports)),
+        ("denoised.csv", _series_table(ms, denoised)),
+    ]
 
 
 def _named(who: str, step, *args, **kwargs):
@@ -391,7 +367,9 @@ def _model_rows(model: vm.VarmaModel, names: tuple[str, ...]) -> list[tuple]:
     )
 
 
-def _emit_forecast(w: _Writer, full: ts.MultiSeries, work: ts.MultiSeries, config: PipelineConfig) -> None:
+def _forecast(run: _Run) -> list[tuple]:
+    """Models, forecasts and their comparison with the realized data; rows are made as they are written."""
+    config, full, work = run.config, run.full, run.series["original"]
     h, names, p = config.horizon, work.names, work.p
     # one ARMA per series, then the joint VARMA of all
     fits = [_fit(work, [k], h) for k in range(p)]
@@ -400,8 +378,7 @@ def _emit_forecast(w: _Writer, full: ts.MultiSeries, work: ts.MultiSeries, confi
     else:
         print("single series: VARMA comparison skipped")
 
-    # realized data after the fit window, if the full file extends past it;
-    # scored before the first write, so a refused realized row leaves no output
+    # realized data after the fit window, if the full file extends past it
     future_mask = full.timestamps > work.timestamps[-1]
     steps = min(h, int(future_mask.sum()))
     rows = []
@@ -415,22 +392,23 @@ def _emit_forecast(w: _Writer, full: ts.MultiSeries, work: ts.MultiSeries, confi
         cum_mse = [vm.evaluate_mse(_truncate(r, steps), actual[:, cols]).cum_mse for _, cols, _, r in fits]
         rows = [(row.name, steps, row.arma_mse, row.varma_mse, row.winner)
                 for row in vm.mse_comparison(names, np.concatenate(cum_mse[:-1]), cum_mse[-1])]
-
-    _write_table(w, "models.csv", "model,series,parameter,value", [
-        (family, *row) for family, cols, model, _ in fits
-        for row in _model_rows(model, tuple(names[k] for k in cols))
-    ])
-    _write_table(w, "forecasts.csv", "model,series,horizon,point,lower,upper", [
-        (family, names[k], step + 1, r.points[step, i], r.lower[step, i], r.upper[step, i])
-        for family, cols, _, r in fits
-        for i, k in enumerate(cols)
-        for step in range(h)
-    ])
-    _write_table(w, "comparison.csv", "series,horizons,arma_mse,varma_mse,winner", rows)
     if steps < 1:
         print("no realized data beyond the fit window; comparison left empty")
     elif not rows:
         print("comparison left empty: no VARMA is fitted to a single series")
+    return [
+        ("models.csv", _table("model,series,parameter,value", (
+            (family, *row) for family, cols, model, _ in fits
+            for row in _model_rows(model, tuple(names[k] for k in cols))
+        ))),
+        ("forecasts.csv", _table("model,series,horizon,point,lower,upper", (
+            (family, names[k], step + 1, r.points[step, i], r.lower[step, i], r.upper[step, i])
+            for family, cols, _, r in fits
+            for i, k in enumerate(cols)
+            for step in range(h)
+        ))),
+        ("comparison.csv", _table("series,horizons,arma_mse,varma_mse,winner", rows)),
+    ]
 
 
 def _truncate(r: vm.ForecastResult, steps: int) -> vm.ForecastResult:
@@ -455,56 +433,76 @@ def _check_settings(config: PipelineConfig) -> tuple[date | None, date | None]:
     return start, end
 
 
-def _check_data(subcommand: str, config: PipelineConfig, work: ts.MultiSeries) -> None:
-    """Refuse data the subcommand's steps cannot take, before any output is written."""
-    if subcommand in ("coherence", "denoise", "pipeline"):
-        _check_file_names(work.names)
-    if subcommand in ("coherence", "pipeline") and work.p < 2:
+def _check_data(needs: set[str], config: PipelineConfig, work: ts.MultiSeries) -> None:
+    """Refuse data that the run's steps, needing the checks ``needs``, cannot take."""
+    if "file names" in needs:  # two names with one file name part would overwrite each other
+        seen: dict[str, str] = {}
+        for name in work.names:
+            first = seen.setdefault(_safe_name(name), name)
+            if first != name:
+                raise ts.DataError(f"series {first!r} and {name!r} both map to {_safe_name(name)!r} in file names")
+    if "two series" in needs and work.p < 2:
         raise ts.DataError("coherence needs at least two series")
-    n, levels = len(work), []
-    if subcommand in ("packet", "pipeline"):
-        levels.append(("depth", pk.min_length))
-    if subcommand in ("denoise", "pipeline"):
-        levels.append(("denoise_level", sweep_min_length))
-    for key, minimum in levels:
+    n = len(work)
+    for key, minimum in (("depth", pk.min_length), ("denoise_level", sweep_min_length)):
         level = getattr(config, key)
-        need = pk._shortfall(n, level, minimum)
+        need = pk._shortfall(n, level, minimum) if key in needs else None
         if need is not None:
             raise ts.DataError(f"{key} {level} needs at least {need} rows in the analysis window, got {n}")
-    if subcommand in ("forecast", "pipeline") and n < vm.MIN_OBS:
+    if "fit rows" in needs and n < vm.MIN_OBS:
         raise ts.DataError(f"the forecast fit needs at least {vm.MIN_OBS} rows in the analysis window, got {n}")
 
 
+def _coherence(variant: str, prefix: str, partials: bool = True) -> tuple:
+    """A coherence step on ``variant``. It computes its grids while writing: the
+    data checks refuse all it would, and a run holds one coherence result at a time."""
+    def files(run: _Run):
+        ms, target = run.series[variant], run.target
+        grid = make_scale_grid(len(ms), 1.0)  # one time step per row
+        cf = coh.coherence_matrix_field([cwt_morlet(x, 1.0, grid) for x in ms.values.T], labels=ms.names)
+        res = coh.coherence_result(cf, target)
+        tname = _safe_name(ms.names[target])
+        yield f"mwc_{prefix}{tname}.csv", _grid(grid, res.multiple)
+        if partials:
+            for j in sorted(res.partial_sq):
+                for kind, values in (("pwc", res.partial_sq[j]), ("phase", res.partial_phase[j])):
+                    yield f"{kind}_{prefix}{tname}_{_safe_name(ms.names[j])}.csv", _grid(grid, values)
+    return files, ("file names", "two series")
+
+
+# each subcommand's help and steps, the steps in file order as (compute, the
+# data checks it needs); compute(run) may refuse, and returns its files as
+# deferred (name, lines) writes
+_FORECAST, _PACKET = (_forecast, ("fit rows",)), (_packet, ("depth",))
+_DENOISE = (_denoise, ("file names", "denoise_level"))
+_SUBCOMMANDS = {
+    "coherence": ("multiple/partial wavelet coherence grids", (_coherence("original", ""),)),
+    "packet": ("wavelet packet energy table and trend/noise split", (_PACKET,)),
+    "denoise": ("threshold-selection sweep and de-noised series", (_DENOISE,)),
+    "forecast": ("ARMA vs VARMA forecasts and MSE comparison", (_FORECAST,)),
+    "pipeline": ("everything above in one run", (
+        _FORECAST, _coherence("original", "original_"), _PACKET, _DENOISE,
+        *(_coherence(v, f"{v}_", partials=False) for v in ("trend", "noise", "denoised")))),
+}
+
+
 def run(subcommand: str, config: PipelineConfig) -> int:
-    """Execute one subcommand; returns the process exit code."""
+    """Execute one subcommand; returns the process exit code. Every data
+    check, then every step's compute, runs before the first write."""
     try:
         if subcommand not in _SUBCOMMANDS:
             raise UsageError(f"unknown subcommand {subcommand!r}")
         print(config.echo())
         start, end = _check_settings(config)
-        w = _Writer(config.out_dir)
         full, work = _load(config, start, end)
-        target = 0 if config.target is None else work.index_of(config.target)
-        _check_data(subcommand, config, work)
-        if subcommand == "coherence":
-            _emit_coherence(w, work, target)
-        elif subcommand == "packet":
-            _emit_packet(w, work, config)
-        elif subcommand == "denoise":
-            _emit_denoise(w, work, config)
-        elif subcommand == "forecast":
-            _emit_forecast(w, full, work, config)
-        else:
-            # the fits come first: they refuse data (collinear or constant
-            # series) that nothing before them checks, and must do so before
-            # the first write
-            _emit_forecast(w, full, work, config)
-            _emit_coherence(w, work, target, prefix="original_")
-            trend, noise = _emit_packet(w, work, config)
-            denoised = _emit_denoise(w, work, config)
-            for prefix, variant in (("trend_", trend), ("noise_", noise), ("denoised_", denoised)):
-                _emit_coherence(w, variant, target, prefix=prefix, partials=False)
-            w.manifest()
+        state = _Run(config, full, 0 if config.target is None else work.index_of(config.target), {"original": work})
+        steps = _SUBCOMMANDS[subcommand][1]
+        _check_data({need for _, needs in steps for need in needs}, config, work)
+        files = [compute(state) for compute, _ in steps]
+        written = _write(config.out_dir, itertools.chain.from_iterable(files))
+        if subcommand == "pipeline":
+            with open(os.path.join(config.out_dir, "manifest.txt"), "w") as fh:
+                fh.writelines(n + "\n" for n in sorted(written + ["manifest.txt"]))
         return 0
     except (UsageError, ts.DataError, ValueError, OSError) as exc:
         return _failed(exc)

@@ -593,7 +593,8 @@ def simulate_varma(
     p = model.p
     rng = np.random.default_rng(seed)
     try:
-        chol = np.linalg.cholesky(model.sigma + 1e-12 * np.eye(p))
+        # a jitter on sigma's scale, so a model rescaled by c draws c times the path
+        chol = np.linalg.cholesky(model.sigma + (1e-12 * np.trace(model.sigma) / p) * np.eye(p))
     except np.linalg.LinAlgError as exc:
         raise ValueError("innovation covariance is not positive definite") from exc
     u = rng.standard_normal((n + burn_in, p)) @ chol.T

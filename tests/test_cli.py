@@ -366,7 +366,7 @@ def test_grid_floats_round_trip(coherence_out):
 
 
 def _fstring_grid(scales, grid, coi_outside):
-    """The per-cell f-string writer that cli._write_grid must match byte for byte."""
+    """The per-cell f-string writer that cli._grid must match byte for byte."""
     out = ["scale,time_index,value,coi_flag\n"]
     for j, s in enumerate(scales):
         srow = format(float(s), ".17g")
@@ -393,19 +393,19 @@ def test_writers_match_fstring_bytes(tmp_path, capsys):
     assert coi.any() and not coi.all()
     stamps = np.arange("2020-01-01", "2020-01-26", dtype="datetime64[D]")
     columns = {"a": values[0], "b-c": values[3]}
-    w = cli._Writer(str(tmp_path))
-    cli._write_grid(w, "grid.csv", plane, values)
     header = "date," + ",".join(map(cli._quote, columns))
-    cli._write_table(w, "table.csv", header, list(zip(stamps, *(c.tolist() for c in columns.values()))))
+    cli._write(str(tmp_path), [
+        ("grid.csv", cli._grid(plane, values)),
+        ("table.csv", cli._table(header, list(zip(stamps, *(c.tolist() for c in columns.values()))))),
+    ])
     assert (tmp_path / "grid.csv").read_bytes() == _fstring_grid(plane.scales, values, coi).encode()
     assert (tmp_path / "table.csv").read_bytes() == _fstring_series_table(stamps, columns).encode()
 
 
 def test_table_writer_fields(tmp_path, capsys):
     # strings as csv quotes them, floats at 17 digits (numpy scalars too), the rest via str
-    w = cli._Writer(str(tmp_path / "out"))
     rows = [("a,b", 0.1, 3, 'x"y'), ("", np.float64(-0.0), True, "1e-3")]
-    cli._write_table(w, "t.csv", "s,f,i,t", rows, comment="note")
+    assert cli._write(str(tmp_path / "out"), [("t.csv", cli._table("s,f,i,t", rows, comment="note"))]) == ["t.csv"]
     assert (tmp_path / "out" / "t.csv").read_text() == (
         '# note\ns,f,i,t\n"a,b",0.10000000000000001,3,"x""y"\n,-0,True,1e-3\n'
     )
@@ -954,6 +954,53 @@ def test_a_refused_later_series_leaves_no_output(tmp_path, capsys, subcommand, m
     assert main([subcommand, "--input", str(src), "--out-dir", str(out)]) == 2
     assert capsys.readouterr().err == f"error: series 'b': {message}\n"
     assert not out.exists()
+
+
+_REFUSING_CALLS = {
+    "fit_arma11": (vm, "series 'a'"),
+    "fit_varma11": (vm, "joint VARMA fit"),
+    "method_sweep": (cli, "series 'a'"),
+    "wpt_forward": (cli.pk, "series 'a'"),
+    "energy_fractions": (cli.pk, "series 'a'"),
+}
+
+
+@pytest.mark.parametrize(
+    "subcommand,call",
+    [("forecast", "fit_arma11"), ("forecast", "fit_varma11"), ("denoise", "method_sweep"),
+     ("packet", "wpt_forward"), ("packet", "energy_fractions"), *(("pipeline", call) for call in _REFUSING_CALLS)],
+)
+def test_a_refusal_at_any_compute_step_writes_nothing(tmp_path, capsys, monkeypatch, subcommand, call):
+    # every step computes before the first write, whatever the step order
+    module, step = _REFUSING_CALLS[call]
+
+    def refuse(*args, **kwargs):
+        raise ValueError("injected refusal")
+
+    monkeypatch.setattr(module, call, refuse)
+    src, out = tmp_path / "in.csv", tmp_path / "out"
+    write_input(src, n=300, p=3, seed=4)
+    assert main([subcommand, "--input", str(src), "--end", date_str(269), "--out-dir", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {step}: injected refusal\n"
+    assert not out.exists()
+
+
+def test_pipeline_reports_every_write_after_its_other_output(tmp_path, capsys):
+    # no realized rows after the window, so the forecast step says why its
+    # comparison is empty; it says so before the first write
+    src, out = tmp_path / "in.csv", tmp_path / "out"
+    write_input(src, n=200, p=3, seed=4)
+    assert main(["pipeline", "--input", str(src), "--out-dir", str(out)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    first = next(i for i, ln in enumerate(lines) if ln.startswith("wrote "))
+    assert all(ln.startswith("wrote ") for ln in lines[first:])
+    assert "no realized data beyond the fit window; comparison left empty" in lines[:first]
+    grids = [f"{kind}_original_a_{b}.csv" for b in "bc" for kind in ("pwc", "phase")]
+    assert [os.path.basename(ln) for ln in lines[first:]] == [
+        "models.csv", "forecasts.csv", "comparison.csv", "mwc_original_a.csv", *grids,
+        "energy.csv", "trend.csv", "noise.csv", "sweep_a.csv", "sweep_b.csv", "sweep_c.csv", "denoised.csv",
+        "mwc_trend_a.csv", "mwc_noise_a.csv", "mwc_denoised_a.csv",
+    ]
 
 
 # ---------------------------------------------------------------- contract suite

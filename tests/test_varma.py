@@ -8,6 +8,8 @@ the same conditional sum of squares, and the white-noise collapse's
 thresholds against ``scipy.stats.chi2``.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 from conftest import assert_no_reference_cycles
@@ -245,6 +247,21 @@ def test_simulate_respects_mean():
     m = VarmaModel(mu=[10.0], phi=[[0.3]], theta=[[0.0]], sigma=[[0.25]], n_obs=0)
     z = simulate_varma(m, 20_000, seed=1)
     assert float(z.mean()) == pytest.approx(10.0, abs=0.05)
+
+
+def test_simulate_scales_with_the_model():
+    # mu c and sigma c^2 draw c times the path, bit for bit at a power of two
+    m = VarmaModel(mu=[1.0, -2.0], phi=[[0.5, 0.1], [0.0, 0.3]], theta=[[0.2, 0.0], [0.1, -0.4]],
+                   sigma=[[1.0, 0.3], [0.3, 2.0]], n_obs=0)
+    c = 2.0**-30
+    scaled = dataclasses.replace(m, mu=m.mu * c, sigma=m.sigma * c * c)
+    np.testing.assert_array_equal(simulate_varma(scaled, 300, seed=9), c * simulate_varma(m, 300, seed=9))
+
+
+def test_simulate_draws_a_tiny_innovation_variance():
+    # the jitter that keeps the Cholesky factor defined is relative to sigma
+    m = VarmaModel(mu=[0.0], phi=[[0.0]], theta=[[0.0]], sigma=[[1e-16]], n_obs=0)
+    assert float(simulate_varma(m, 20_000, seed=3).var()) == pytest.approx(1e-16, rel=0.05)
 
 
 def test_simulate_error_contracts():
