@@ -43,44 +43,32 @@ class ScaleGrid:
 
     The one record of the plane: the transform, every spectrum, the smoother
     (``dj`` sets its scale boxcar) and the coherence field read their length,
-    step, scales and COI from it. Grids are equal, and hash alike, when ``n``,
-    ``dt``, ``dj`` and the bits of ``scales`` agree; the caches key on them.
-    A plane no consumer can use is refused with a ValueError naming the field.
+    step, scales and COI from it. It is these five numbers, so grids are
+    equal, and hash alike, when they agree; the caches key on them. A plane
+    no consumer can use is refused with a ValueError naming the field.
     """
 
     n: int
     dt: float
+    s0: float
     dj: float
-    scales: np.ndarray
+    num_scales: int
 
     def __post_init__(self) -> None:
-        if not isinstance(self.n, (int, np.integer)) or self.n < 1:
-            raise ValueError(f"n must be a positive integer, got {self.n!r}")
-        for name, value in (("dt", self.dt), ("dj", self.dj)):
+        for name in ("n", "num_scales"):
+            value = getattr(self, name)
+            if not isinstance(value, (int, np.integer)) or value < 1:
+                raise ValueError(f"{name} must be a positive integer, got {value!r}")
+        for name in ("dt", "s0", "dj"):
+            value = getattr(self, name)
             if not (np.isfinite(value) and value > 0):
-                raise ValueError(f"{name} must be finite and positive, got {value!r}")
-        scales = np.asarray(self.scales, dtype=float)
-        if scales.ndim != 1 or not scales.size or not (np.isfinite(scales) & (scales > 0)).all():
-            raise ValueError(f"scales must be a non-empty 1-D array of finite, positive values, got {scales!r}")
+                raise ValueError(f"{name} must be positive and finite, got {value!r}")
+
+    @functools.cached_property
+    def scales(self) -> np.ndarray:
+        scales = self.s0 * 2.0 ** (np.arange(self.num_scales) * self.dj)
         scales.flags.writeable = False
-        object.__setattr__(self, "scales", scales)
-
-    def _key(self) -> tuple:
-        return self.n, self.dt, self.dj, self.scales.tobytes()
-
-    def __eq__(self, other: object) -> bool:
-        return self._key() == other._key() if isinstance(other, ScaleGrid) else NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self._key())
-
-    @property
-    def num_scales(self) -> int:
-        return len(self.scales)
-
-    @property
-    def s0(self) -> float:
-        return float(self.scales[0])
+        return scales
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -131,25 +119,17 @@ def make_scale_grid(
     Raises
     ------
     ValueError
-        If n < 8, or s0/dj are not positive, or s0 exceeds the record length.
+        If n < 8, if dt, s0 or dj is not finite and positive (named as
+        :class:`ScaleGrid` names it), or if s0 exceeds the record length.
     """
     if n < 8:
         raise ValueError(f"need at least 8 samples, got {n}")
-    if not (np.isfinite(dt) and dt > 0):
-        raise ValueError(f"dt must be positive, got {dt}")
-    if s0 is None:
-        s0 = 2.0 * dt
-    if not (np.isfinite(s0) and s0 > 0):
-        raise ValueError(f"s0 must be positive, got {s0}")
-    if not (np.isfinite(dj) and dj > 0):
-        raise ValueError(f"dj must be positive, got {dj}")
-    span = n * dt / s0
+    # a one-scale grid checks dt, s0 and dj before the scale count is read off them
+    grid = ScaleGrid(int(n), float(dt), float(2.0 * dt if s0 is None else s0), float(dj), 1)
+    span = grid.n * grid.dt / grid.s0
     if span < 1.0:
-        raise ValueError(f"smallest scale {s0} exceeds record length {n * dt}")
-    num = int(np.floor(np.log2(span) / dj)) + 1
-    j = np.arange(num)
-    scales = s0 * 2.0 ** (j * dj)
-    return ScaleGrid(n=int(n), dt=float(dt), dj=float(dj), scales=scales)
+        raise ValueError(f"smallest scale {grid.s0} exceeds record length {grid.n * grid.dt}")
+    return ScaleGrid(grid.n, grid.dt, grid.s0, grid.dj, int(np.floor(np.log2(span) / grid.dj)) + 1)
 
 
 @dataclass(frozen=True)
@@ -192,7 +172,7 @@ def cwt_morlet(x: np.ndarray, dt: float, grid: ScaleGrid | None = None) -> Wavel
     x : ndarray, shape (n,)
         Real signal, finite values, n >= 8.
     dt : float
-        Sampling step; positive and finite, also when ``grid`` is given.
+        Sampling step; must equal ``grid.dt`` when ``grid`` is given.
     grid : ScaleGrid, optional
         Defaults to ``make_scale_grid(len(x), dt)``; a grid built for another
         length or step is refused.
@@ -205,7 +185,8 @@ def cwt_morlet(x: np.ndarray, dt: float, grid: ScaleGrid | None = None) -> Wavel
     -----
     Linearity holds exactly up to rounding: the transform of ``a*x + b*y``
     equals ``a*W(x) + b*W(y)`` because demeaning, padding, and the FFT are all
-    linear. A constant input transforms to the zero field.
+    linear. A constant input transforms to exactly the zero field: its padded
+    copy stays zero, where demeaning would leave its mean's rounding error.
     """
     x = np.asarray(x, dtype=float)
     if x.ndim != 1:
@@ -215,8 +196,6 @@ def cwt_morlet(x: np.ndarray, dt: float, grid: ScaleGrid | None = None) -> Wavel
         raise ValueError(f"need at least 8 samples, got {n}")
     if not np.all(np.isfinite(x)):
         raise ValueError("signal contains non-finite values")
-    if not (np.isfinite(dt) and dt > 0):
-        raise ValueError(f"dt must be positive, got {dt}")
     if grid is None:
         grid = make_scale_grid(n, dt)
     elif grid.n != n or grid.dt != dt:
@@ -226,7 +205,8 @@ def cwt_morlet(x: np.ndarray, dt: float, grid: ScaleGrid | None = None) -> Wavel
     if npad <= n:
         npad *= 2
     xpad = np.zeros(npad)
-    xpad[:n] = x - x.mean()
+    if x.max() > x.min():  # a constant stays the zero signal, whatever its mean's rounding
+        xpad[:n] = x - x.mean()
 
     xhat = np.fft.fft(xpad)
     # L2 norm per scale, so that coefficient magnitudes compare across scales

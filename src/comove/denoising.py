@@ -235,8 +235,11 @@ def _denoised(x: np.ndarray, methods: list[str], rules: tuple[str, ...], level: 
               sigma: float | None) -> tuple[np.ndarray, np.ndarray]:
     """The one path of :func:`denoise` and :func:`method_sweep`: the DWT, the
     (methods, levels) threshold table, and the (methods, n) estimates, row i
-    shrunk under rules[i]."""
+    shrunk under rules[i]. A constant signal has exactly zero details, whatever
+    rounding the transform leaves in them, and is refused."""
     c = _dwt(x, level, wavelet)
+    if np.max(x) == np.min(x):
+        raise ValueError("all detail coefficients are zero; nothing to threshold")
     n = np.size(x)
     thresholds = _thresholds(methods, [c[c.size >> (j + 1) : c.size >> j] for j in range(level)], n, sigma)
     return thresholds, _shrink_and_invert(c, level, wavelet, n, thresholds, rules)

@@ -262,9 +262,9 @@ def fit_arma11(x: np.ndarray) -> VarmaModel:
     Raises
     ------
     ValueError
-        Too few observations, non-finite values, a constant series, or a
-        numerically collinear regression (a series its own lags predict
-        exactly).
+        Too few observations, non-finite values, a constant series, an
+        innovation variance outside float64's range, or a numerically
+        collinear regression (a series its own lags predict exactly).
     """
     x = np.asarray(x, dtype=float)
     if x.ndim != 1:
@@ -292,7 +292,8 @@ def fit_varma11(data: np.ndarray) -> VarmaModel:
     Raises
     ------
     ValueError
-        Shape problems, non-finite values, a constant column, or a
+        Shape problems, non-finite values, a constant column or one whose
+        innovation variance is outside float64's range (both named), or a
         numerically collinear regression (a duplicated, scaled or lagged
         copy of a series, a sum of series, or a column its own lags predict
         exactly, such as a trend or a short cycle).
@@ -309,8 +310,9 @@ def _fit_two_stage(x: np.ndarray) -> VarmaModel:
     """The two-stage fit of an (n, p) block ``x``, 1 <= p <= 8.
 
     Both fits check their input here: at least MIN_OBS rows, finite values
-    and no constant column. They read one C-ordered copy of the block (none
-    if it is C-ordered), so the digits do not depend on its memory layout.
+    and no constant column, judged on the raw values. They read one
+    C-ordered copy of the block (none if it is C-ordered), so the digits do
+    not depend on its memory layout.
     Residual proxies for z = x - mu come from the long autoregression
     (:func:`_long_ar_residuals`); Phi and Theta from least squares of z_t
     on z_{t-1} and the lagged proxies, with a cond(w'w) collinearity check
@@ -326,9 +328,10 @@ def _fit_two_stage(x: np.ndarray) -> VarmaModel:
     by 2**e_j, where max|z_j| = f 2**e_j with 1/2 <= f < 1 (``np.frexp``),
     which is exact. So the collinearity checks and the shrink decide the
     same on data in any units, and a column rescaled by a power of two gives
-    the same fit, mapped back bit for bit as Phi = D Phi_u D^-1 and Theta =
-    D Theta_u D^-1 with D = diag(2**e_j). Sigma comes from the residuals in
-    data units.
+    the same fit, mapped back bit for bit as Phi = D Phi_u D^-1, Theta =
+    D Theta_u D^-1 and Sigma = D Sigma_u D with D = diag(2**e_j). A column
+    whose innovation variance would leave float64's normal range is refused
+    by name.
     """
     x = np.ascontiguousarray(x)
     n, p = x.shape
@@ -336,16 +339,21 @@ def _fit_two_stage(x: np.ndarray) -> VarmaModel:
         raise ValueError(f"need at least {MIN_OBS} observations, got {n}")
     if not np.isfinite(x).all():
         raise ValueError("data contains non-finite values")
+    # each column's range, as row reductions of the transpose (faster); a constant
+    # is judged on it, since its demeaned copy can hold its mean's rounding
+    xt = np.ascontiguousarray(x.T)
+    top, bottom = xt.max(axis=1), xt.min(axis=1)
+    constant = top == bottom
+    if constant.any():
+        where = "" if p == 1 else f"column {int(np.argmax(constant))}: "
+        raise ValueError(f"{where}constant series has no ARMA structure to fit")
     mu = x.sum(axis=0) / n  # x.mean(axis=0), without its wrapper
     z = x - mu
-    col_ss = np.einsum("ij,ij->j", z, z)
-    if (col_ss == 0.0).any():
-        where = "" if p == 1 else f"column {int(np.argmin(col_ss))}: "
-        raise ValueError(f"{where}constant series has no ARMA structure to fit")
     notes: list[str] = []
     m = _long_ar_order(n, p)
-    # D = diag(2**e): max|z_j| = f 2**e_j, 1/2 <= f < 1 (a row max of the transpose is faster)
-    e = np.frexp(np.ascontiguousarray(np.abs(z).T).max(axis=1))[1]
+    # D = diag(2**e): max|z_j| = f 2**e_j, 1/2 <= f < 1; rounding is monotone,
+    # so max|z_j| is top_j - mu_j or mu_j - bottom_j exactly
+    e = np.frexp(np.maximum(top - mu, mu - bottom))[1]
     u = np.ldexp(z, -e)
     ehat = _long_ar_residuals(u, m)
 
@@ -367,11 +375,18 @@ def _fit_two_stage(x: np.ndarray) -> VarmaModel:
         if rho >= 1.0:
             a *= shrink / rho
             notes.append(note)
-    phi, theta = (np.ldexp(a, e[:, None] - e) for a in (phi, theta))  # D A D^-1, exactly
 
-    resid = _varma_residuals(z, phi, theta)
+    resid = _varma_residuals(u, phi, theta)
     sigma = resid[1:].T @ resid[1:] / (n - 1)
     sigma = (sigma + sigma.T) / 2.0
+    # D Sigma D is exact while each variance stays a normal float64: check its exponent first
+    exponent, info = np.frexp(np.diagonal(sigma))[1] + 2 * e, np.finfo(float)
+    outside = (exponent <= info.minexp) | (exponent > info.maxexp)
+    if outside.any():
+        where = "" if p == 1 else f"column {int(np.argmax(outside))}: "
+        raise ValueError(f"{where}innovation variance is outside float64's range; rescale the series")
+    phi, theta = (np.ldexp(a, e[:, None] - e) for a in (phi, theta))  # D A D^-1, exactly
+    sigma = np.ldexp(sigma, e[:, None] + e)
     return VarmaModel(
         mu=mu, phi=phi, theta=theta, sigma=sigma, n_obs=n, warnings=tuple(notes)
     )

@@ -170,9 +170,9 @@ def dense_cells(field) -> np.ndarray:
 
 
 def synthetic_grid(nj, nt):
-    """A plane of nj geometric scales from 2 to 32 by nt unit steps, for
-    fields built from random cells."""
-    return ScaleGrid(n=nt, dt=1.0, dj=DEFAULT_DJ, scales=np.geomspace(2.0, 32.0, nj))
+    """A plane of nj scales from 2, twelve to the octave, by nt unit steps,
+    for fields built from random cells."""
+    return ScaleGrid(n=nt, dt=1.0, s0=2.0, dj=DEFAULT_DJ, num_scales=nj)
 
 
 def unsmoothed_field(fields):

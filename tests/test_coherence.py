@@ -371,13 +371,14 @@ def test_matrix_field_identity_smoother_gives_unit_coherence():
 
 
 def test_matrix_field_constant_series_is_degenerate():
+    # 0.1 and 7.77 have means that round away from c: still every cell degenerate
     rng = np.random.default_rng(14)
-    cols = [np.full(64, 3.0), rng.normal(size=64)]
-    field = coherence_matrix_field(_wavelet_fields(64, cols))
-    assert field.degenerate.all()
-    eye = np.eye(2)
-    assert np.abs(dense_cells(field) - eye).max() == 0.0
-    assert coherence_result(field, 0).flagged.all()
+    for c, n in [(3.0, 64), (0.1, 300), (7.77, 61)]:
+        cols = [np.full(n, c), rng.normal(size=n)]
+        field = coherence_matrix_field(_wavelet_fields(n, cols))
+        assert field.degenerate.all()
+        assert np.abs(dense_cells(field) - np.eye(2)).max() == 0.0
+        assert coherence_result(field, 0).flagged.all()
 
 
 def test_matrix_field_needs_two_series():

@@ -84,29 +84,34 @@ def test_equal_grids_compare_and_hash_equal_and_share_cache_entries():
     assert cwt._gaussian_gains(g) is cwt._gaussian_gains(same)
 
 
-def _bump(scales):
-    out = scales.copy()
-    out[3] = np.nextafter(out[3], np.inf)
-    return out
-
-
 @pytest.mark.parametrize(
     "change",
-    [{"n": 65}, {"dt": 2.0}, {"dj": 0.25}, "scale"],
-    ids=["n", "dt", "dj", "scale"],
+    [{"n": 65}, {"dt": 2.0}, {"dj": 0.25}, {"s0": np.nextafter(2.0, np.inf)}, {"num_scales": 72}],
+    ids=["n", "dt", "dj", "scale", "num_scales"],  # "scale": every scale one ulp up
 )
 def test_grids_that_differ_in_one_value_compare_unequal(change):
     g = make_scale_grid(64, 1.0)
-    other = replace(g, scales=_bump(g.scales)) if change == "scale" else replace(g, **change)
+    other = replace(g, **change)
     assert g != other and other != g
     assert not g == other
+    assert len({g, other}) == 2
+
+
+def test_grid_scales_are_s0_times_powers_of_two_and_read_only():
+    for g in (make_scale_grid(1461, 1.0), make_scale_grid(300, 0.5, s0=3.0, dj=0.25),
+              replace(make_scale_grid(64, 1.0), s0=1 / 3, num_scales=5)):
+        assert np.array_equal(g.scales, g.s0 * 2.0 ** (np.arange(g.num_scales) * g.dj))
+        assert g.scales.shape == (g.num_scales,) and g.scales is g.scales
+        assert not g.scales.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            g.scales[0] = 1.0
 
 
 def test_grid_compares_unequal_to_other_types():
     g = make_scale_grid(64, 1.0)
     assert (g == "x") is False and (g != "x") is True
     assert g != None  # noqa: E711
-    assert g != (g.n, g.dt, g.dj, g.scales.tobytes())
+    assert g != (g.n, g.dt, g.s0, g.dj, g.num_scales)
 
 
 @pytest.mark.parametrize(
@@ -117,6 +122,7 @@ def test_grid_compares_unequal_to_other_types():
         (dict(n=64, dt=1.0, s0=-1.0), "s0 must be positive"),
         (dict(n=64, dt=1.0, dj=0.0), "dj must be positive"),
         (dict(n=64, dt=1.0, s0=100.0), "exceeds record length"),
+        (dict(n=64, dt=np.nan), "^dt must be positive and finite"),
     ],
 )
 def test_grid_error_contracts(kwargs, msg):
@@ -127,9 +133,8 @@ def test_grid_error_contracts(kwargs, msg):
 @pytest.mark.parametrize(
     "field,value",
     [("n", 0), ("n", -64), ("n", 64.0), ("dt", 0.0), ("dt", np.inf), ("dj", 0.0), ("dj", np.nan),
-     ("dj", -0.25), ("scales", np.array([])), ("scales", np.full((2, 3), 4.0)),
-     ("scales", np.array([2.0, np.nan])), ("scales", np.array([2.0, np.inf])),
-     ("scales", np.array([2.0, -4.0])), ("scales", np.array([0.0, 4.0]))],
+     ("dj", -0.25), ("num_scales", 0), ("num_scales", 12.0), ("s0", np.nan), ("s0", np.inf),
+     ("s0", -2.0), ("s0", 0.0), ("num_scales", -3)],
 )
 def test_grid_refuses_a_plane_no_consumer_can_use(field, value):
     # a hand-built plane is checked where it is built, not deep in the
@@ -152,8 +157,11 @@ def test_cwt_is_linear():
 
 
 def test_cwt_of_constant_is_zero():
-    w = cwt_morlet(np.full(64, 7.5), 1.0)
-    assert np.abs(w.coeffs).max() < 1e-12
+    # all but 7.5 have a mean that rounds away from c, so demeaning leaves noise
+    for c, n in [(7.5, 64), (0.1, 100), (0.1, 300), (7.77, 61), (100.3, 300)]:
+        x = np.full(n, c)
+        assert (x - x.mean()).any() == (c != 7.5)
+        assert not cwt_morlet(x, 1.0).coeffs.any()
 
 
 def test_cwt_sinusoid_peaks_at_matching_scale():
@@ -240,11 +248,12 @@ def test_cwt_error_contracts(x, msg):
 
 @pytest.mark.parametrize("dt", [-1.0, 0.0, np.nan, np.inf])
 def test_cwt_rejects_bad_dt_with_or_without_grid(dt):
+    # the grid's own check names dt; a grid's step is checked where it is built
     x = np.random.default_rng(3).normal(size=64)
     grid = make_scale_grid(64, 1.0)
-    with pytest.raises(ValueError, match="dt must be positive"):
+    with pytest.raises(ValueError, match="^grid is for 64 samples at step 1.0"):
         cwt_morlet(x, dt, grid)
-    with pytest.raises(ValueError, match="dt must be positive"):
+    with pytest.raises(ValueError, match="^dt must be positive and finite"):
         cwt_morlet(x, dt)
 
 
@@ -482,7 +491,7 @@ def test_time_pass_weights_are_cached_read_only():
     again = cwt._gaussian_gains(g)
     assert again[0] is alpha and again[1] is beta
     assert cwt._gaussian_gains(make_scale_grid(65, 1.0))[0] is not alpha
-    assert cwt._gaussian_gains(replace(g, scales=g.scales[:-1]))[0] is not alpha
+    assert cwt._gaussian_gains(replace(g, num_scales=g.num_scales - 1))[0] is not alpha
     # bin 0 is its own mirror: alpha_0 = g_0 = 1 for a unit-sum kernel
     assert np.allclose(alpha[:, 0], 1.0, rtol=0, atol=1e-15) and np.all(beta[:, 0] == 0.0)
 

@@ -359,6 +359,12 @@ def test_selector_rejects_all_zero_details():
         threshold_row("Universal", np.zeros(32), np.zeros(16))
     with pytest.raises(ValueError, match="all detail coefficients are zero"):
         denoise(np.zeros(64), level=3)
+    # a constant's details are zero too, though its transform rounds
+    for c in (0.1, 5.0, 100.3):
+        with pytest.raises(ValueError, match="all detail coefficients are zero"):
+            denoise(np.full(300, c))
+        with pytest.raises(ValueError, match="all detail coefficients are zero"):
+            method_sweep(np.full(300, c))
 
 
 def test_selector_unknown_method():

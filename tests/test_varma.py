@@ -348,6 +348,10 @@ def test_arma_fit_keeps_genuine_structure():
         (np.zeros((60, 2)), "one-dimensional"),
         (np.zeros(30), "at least 50"),
         (np.full(60, 3.0), "constant series"),
+        # constants whose mean rounds away from them, so their demeaned copy is not zero
+        (np.full(100, 0.1), "^constant series"),
+        (np.full(300, 0.1), "^constant series"),
+        (np.full(61, 7.77), "^constant series"),
     ],
 )
 def test_arma_fit_error_contracts(x, msg):
@@ -403,6 +407,9 @@ def test_varma_fit_error_contracts():
     data[:, 1] = 7.0
     with pytest.raises(ValueError, match="constant"):
         fit_varma11(data)
+    for c, n in ((0.1, 100), (0.1, 300), (7.77, 61)):
+        with pytest.raises(ValueError, match="^column 1: constant series"):
+            fit_varma11(np.column_stack([rng.normal(size=n), np.full(n, c)]))
     data[40, 1] = np.nan
     with pytest.raises(ValueError, match="non-finite"):
         fit_varma11(data)
@@ -542,6 +549,20 @@ def test_fits_do_not_depend_on_power_of_two_units(factor):
     want = _held_out_winners(panel, 370)
     assert _held_out_winners(panel * d, 370) == want
     assert _held_out_winners(panel * 2.0**-20, 370) == want and "tie" not in want
+
+
+@pytest.mark.parametrize("factor", [1e160, 1e200, 1e-300])
+def test_fits_refuse_an_innovation_variance_outside_float64_by_column(factor):
+    # the fit runs in power-of-two units, so only the variance mapped back
+    # leaves float64's range; it is refused by column, and the suite's
+    # RuntimeWarning filter fails the test on an overflow warning
+    walk = 100.0 + np.cumsum(np.random.default_rng(6).standard_normal((500, 3)), axis=0)
+    walk[:, 1] *= factor
+    with pytest.raises(ValueError, match="^column 1: innovation variance is outside float64's range"):
+        fit_varma11(walk)
+    with pytest.raises(ValueError, match="^innovation variance is outside float64's range"):
+        fit_arma11(walk[:, 1])
+    fit_arma11(walk[:, 0])
 
 
 def _lstsq_long_ar_residuals(z, m):
