@@ -19,7 +19,6 @@ from .coherence import (
 from .cwt import (
     ScaleGrid,
     WaveletField,
-    cross_spectrum,
     cwt_morlet,
     make_scale_grid,
     morlet_fourier_factor,
@@ -71,7 +70,6 @@ __all__ = [
     "WaveletField",
     "coherence_matrix_field",
     "coherence_result",
-    "cross_spectrum",
     "cwt_morlet",
     "denoise",
     "energy_fractions",

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cwt import ScaleGrid, WaveletField, cross_spectrum, smooth
+from .cwt import ScaleGrid, WaveletField, smooth
 
 _SINGULAR_MINOR_TOL = 1e-14
 _UNIT_DISC_TOL = 1e-9
@@ -150,7 +150,7 @@ def coherence_matrix_field(
 
     autos = np.empty((p,) + grid.shape)
     for i, f in enumerate(fields):
-        autos[i] = smooth(cross_spectrum(f, f)).values
+        autos[i] = smooth(f, f).values
     floor = np.maximum(_DEGENERATE_ROW_FLOOR * autos.max(axis=2, keepdims=True), tiny)
     degenerate = ~(autos > floor).all(axis=0)
     denom = np.sqrt(np.clip(autos, tiny, None, out=autos), out=autos)
@@ -158,7 +158,7 @@ def coherence_matrix_field(
     upper = np.triu_indices(p, 1)
     pairs = np.empty((len(upper[0]),) + grid.shape, dtype=complex)
     for k, (i, j) in enumerate(zip(*upper)):
-        spectrum = smooth(cross_spectrum(fields[i], fields[j])).values
+        spectrum = smooth(fields[i], fields[j]).values
         # numpy divides complex by real as this product with the reciprocal
         np.multiply(spectrum, 1.0 / (denom[i] * denom[j]), out=pairs[k])
     # by index, so a field without degenerate cells scans none of the pairs

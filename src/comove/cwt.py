@@ -1,9 +1,11 @@
 """Continuous wavelet transform with the analytic Morlet wavelet.
 
 The transform is computed in the Fourier domain on a zero-padded copy of the
-(demeaned) signal, over a dyadic scale grid. Cross-spectra between two
-transforms and the separable time/scale smoothing operator used by the
-coherence estimators live here too, so every consumer shares one set of
+(demeaned) signal, over a dyadic scale grid. Every plane of values, a
+transform or a smoothed spectrum, is one ``WaveletField`` on its grid.
+``smooth(a, b)`` forms the cross-spectrum of two transforms (the
+auto-spectrum when ``a is b``) and applies the separable time/scale
+operator of the coherence estimators, so every consumer shares one set of
 conventions (scale grid, cone of influence, smoothing spans).
 
 Every transform is numpy's FFT. The smoother's Gaussian time pass is the
@@ -120,7 +122,8 @@ def make_scale_grid(
     ------
     ValueError
         If n < 8, if dt, s0 or dj is not finite and positive (named as
-        :class:`ScaleGrid` names it), or if s0 exceeds the record length.
+        :class:`ScaleGrid` names it), if s0 exceeds the record length, or if
+        the span ``n * dt / s0`` or its octave count over dj overflows.
     """
     if n < 8:
         raise ValueError(f"need at least 8 samples, got {n}")
@@ -129,23 +132,27 @@ def make_scale_grid(
     span = grid.n * grid.dt / grid.s0
     if span < 1.0:
         raise ValueError(f"smallest scale {grid.s0} exceeds record length {grid.n * grid.dt}")
-    return ScaleGrid(grid.n, grid.dt, grid.s0, grid.dj, int(np.floor(np.log2(span) / grid.dj)) + 1)
+    octaves = float(np.log2(span)) / grid.dj  # inf for an overflowing span or a subnormal dj
+    if not np.isfinite(octaves):
+        raise ValueError(f"span n * dt / s0 = {span} with dj = {grid.dj} gives no finite number of scales")
+    return ScaleGrid(grid.n, grid.dt, grid.s0, grid.dj, int(np.floor(octaves)) + 1)
 
 
 @dataclass(frozen=True)
 class WaveletField:
-    """CWT coefficients of one series on its time-scale plane ``grid``:
-    complex, read-only, one row per scale, of shape ``grid.shape``."""
+    """Read-only values on the time-scale plane ``grid``, one row per scale,
+    of shape ``grid.shape``: complex for a transform or a smoothed
+    cross-spectrum, float for a smoothed auto-spectrum."""
 
-    coeffs: np.ndarray
+    values: np.ndarray
     grid: ScaleGrid
 
     def __post_init__(self) -> None:
-        coeffs = np.asarray(self.coeffs, dtype=complex)
-        if coeffs.shape != self.grid.shape:
-            raise ValueError(f"coeffs shape {coeffs.shape} does not match the grid's {self.grid.shape}")
-        coeffs.flags.writeable = False
-        object.__setattr__(self, "coeffs", coeffs)
+        values = np.asarray(self.values, dtype=complex if np.iscomplexobj(self.values) else float)
+        if values.shape != self.grid.shape:
+            raise ValueError(f"values shape {values.shape} does not match the grid's {self.grid.shape}")
+        values.flags.writeable = False
+        object.__setattr__(self, "values", values)
 
 
 @functools.lru_cache(maxsize=4)
@@ -218,41 +225,7 @@ def cwt_morlet(x: np.ndarray, dt: float, grid: ScaleGrid | None = None) -> Wavel
     spec[:, pos] *= norm[:, None]
     # a plain complex copy of the n kept columns, not a view of the padded buffer
     wave = np.fft.ifft(spec, axis=1, out=spec)[:, :n].astype(complex)
-    return WaveletField(coeffs=wave, grid=grid)
-
-
-@dataclass(frozen=True)
-class CrossSpectrumField:
-    """Cross-wavelet spectrum ``W_a * conj(W_b)`` on its plane ``grid``: read-only
-    values of shape ``grid.shape``, float for an auto-spectrum, optionally smoothed."""
-
-    values: np.ndarray
-    grid: ScaleGrid
-    smoothed: bool = False
-
-    def __post_init__(self) -> None:
-        values = np.asarray(self.values, dtype=complex if np.iscomplexobj(self.values) else float)
-        if values.shape != self.grid.shape:
-            raise ValueError(f"values shape {values.shape} does not match the grid's {self.grid.shape}")
-        values.flags.writeable = False
-        object.__setattr__(self, "values", values)
-
-
-def cross_spectrum(a: WaveletField, b: WaveletField) -> CrossSpectrumField:
-    """Pointwise ``W_a * conj(W_b)`` for two fields on the same grid, on that grid.
-
-    The same field passed twice gives its auto-spectrum ``re**2 + im**2``, as floats.
-
-    Raises
-    ------
-    ValueError
-        If the two grids are not equal.
-    """
-    if a.grid != b.grid:
-        raise ValueError("wavelet fields are on different grids")
-    if a is b:
-        return CrossSpectrumField(values=np.square(a.coeffs.real) + np.square(a.coeffs.imag), grid=a.grid)
-    return CrossSpectrumField(values=a.coeffs * np.conj(b.coeffs), grid=a.grid)
+    return WaveletField(values=wave, grid=grid)
 
 
 @functools.lru_cache(maxsize=4)
@@ -348,15 +321,20 @@ def _time_pass(values: np.ndarray, grid: ScaleGrid):
         yield r, block
 
 
-def smooth(field: CrossSpectrumField) -> CrossSpectrumField:
-    """Separable smoothing: Gaussian in time per scale, boxcar across scales.
+def smooth(a: WaveletField, b: WaveletField) -> WaveletField:
+    """Smoothed cross-wavelet spectrum ``W_a * conj(W_b)`` of two fields on one grid.
 
-    Both kernels come from the field's own ``grid``, and the smoothed field
-    is on that grid. The time kernel at scale s is a Gaussian with standard
-    deviation ``s / grid.dt`` samples (the wavelet's own footprint),
-    truncated at 4 standard deviations and applied with reflected ends. The
-    scale kernel is a centered boxcar spanning 0.6 octaves, i.e.
-    ``round(0.6 / grid.dj)`` rows forced odd, with edge rows repeated.
+    The same field passed twice gives its auto-spectrum, formed as
+    ``re**2 + im**2`` in floats and smoothed as such; the result is a
+    field on the inputs' grid.
+
+    The smoothing is separable: Gaussian in time per scale, boxcar across
+    scales, both kernels from the grid. The time kernel at scale s is a
+    Gaussian with standard deviation ``s / grid.dt`` samples (the wavelet's
+    own footprint), truncated at 4 standard deviations and applied with
+    reflected ends. The scale kernel is a centered boxcar spanning 0.6
+    octaves, i.e. ``round(0.6 / grid.dj)`` rows forced odd, with edge rows
+    repeated.
 
     Reflected ends make the signal 2n-periodic and even, which the DCT-II
     diagonalizes with per-scale gains ``g`` (the cosine transform of the same
@@ -365,8 +343,8 @@ def smooth(field: CrossSpectrumField) -> CrossSpectrumField:
     the samples are reordered as even times, then odd times reversed, so
     that one length-n FFT ``V`` carries their DCT, and bin k becomes
     ``alpha_k V_k + beta_k V_{n-k}`` (see :func:`_gaussian_gains`) before
-    the inverse FFT. It costs O(S n log n) for S scales, a real FFT for a
-    float field and a complex one otherwise. Against a direct convolution
+    the inverse FFT. It costs O(S n log n) for S scales, a real FFT for an
+    auto-spectrum and a complex one otherwise. Against a direct convolution
     in extended precision its error is at most about 1e-15 of each scale
     row's largest value, and about 1.6e-16 of it on cells below 1e-5 of it;
     the error is absolute, so a value far below its row's maximum carries a
@@ -385,11 +363,20 @@ def smooth(field: CrossSpectrumField) -> CrossSpectrumField:
     Raises
     ------
     ValueError
-        If the field was already smoothed (the operator is not idempotent).
+        If the two grids are not equal.
     """
-    if field.smoothed:
-        raise ValueError("cross-spectrum is already smoothed")
-    vals, grid = field.values, field.grid
+    if a.grid != b.grid:
+        raise ValueError("wavelet fields are on different grids")
+    if a is b:
+        values = np.square(a.values.real) + np.square(a.values.imag)
+    else:
+        values = a.values * np.conj(b.values)
+    return WaveletField(values=_smooth(values, a.grid), grid=a.grid)
+
+
+def _smooth(vals: np.ndarray, grid: ScaleGrid) -> np.ndarray:
+    """The operator of :func:`smooth` on a float or complex ``grid.shape``
+    array: a new array of its dtype."""
     width = int(round(SCALE_SMOOTH_OCTAVES / grid.dj))
     if width % 2 == 0:
         width += 1
@@ -418,4 +405,4 @@ def smooth(field: CrossSpectrumField) -> CrossSpectrumField:
         end = max(q + len(block) - 2 * half, done)
         np.multiply(out[done:end], 1.0 / width, out=out[done:end])
         done = end
-    return CrossSpectrumField(values=out, grid=grid, smoothed=True)
+    return out

@@ -181,7 +181,7 @@ def unsmoothed_field(fields):
     Without smoothing every cell is the outer product of one unit-modulus
     vector with itself, so it has rank one.
     """
-    w = np.stack([f.coeffs for f in fields])
+    w = np.stack([f.values for f in fields])
     i, j = np.triu_indices(len(fields), 1)
     pairs = w[i] * np.conj(w[j]) / (np.abs(w[i]) * np.abs(w[j]))
     return CoherenceField(

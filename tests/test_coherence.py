@@ -30,7 +30,7 @@ import comove
 from comove import coherence
 from comove import packets as pk
 from comove.coherence import CoherenceField, coherence_matrix_field, coherence_result
-from comove.cwt import cross_spectrum, cwt_morlet, make_scale_grid, smooth
+from comove.cwt import cwt_morlet, make_scale_grid, smooth
 
 
 def build_field(p, nj=4, nt=6, seed=0):
@@ -431,7 +431,7 @@ def _dense_assembly(fields):
     pair, normalised, and its conjugate scattered into (scales, n, p, p)."""
     p = len(fields)
     tiny = np.finfo(float).tiny
-    autos = np.array([smooth(cross_spectrum(f, f)).values.real for f in fields])
+    autos = np.array([smooth(f, f).values for f in fields])
     floor = np.maximum(coherence._DEGENERATE_ROW_FLOOR * autos.max(axis=2, keepdims=True), tiny)
     degenerate = ~(autos > floor).all(axis=0)
     denom = np.sqrt(np.clip(autos, tiny, None))
@@ -439,7 +439,7 @@ def _dense_assembly(fields):
     cells[:, :, np.arange(p), np.arange(p)] = 1.0
     for i in range(p):
         for j in range(i + 1, p):
-            sij = smooth(cross_spectrum(fields[i], fields[j])).values
+            sij = smooth(fields[i], fields[j]).values
             rho = sij / (denom[i] * denom[j])
             rho[degenerate] = 0.0
             cells[:, :, i, j] = rho
@@ -588,6 +588,37 @@ def test_coherence_result_allocates_no_full_size_temporaries():
     assert peak <= 1.25 * sum(g.nbytes for g in grids)
 
 
+def _coherence_of_walk(scale):
+    """The field and every target's result for a seeded 1461 x 4 walk whose
+    column 2 is multiplied by ``scale``."""
+    x = np.cumsum(np.random.default_rng([40, 4]).standard_normal((1461, 4)), axis=0)
+    x[:, 2] *= scale
+    field = coherence_matrix_field(_wavelet_fields(1461, x.T))
+    return field, [coherence_result(field, t) for t in range(4)]
+
+
+@pytest.fixture(scope="module")
+def unscaled_walk():
+    return _coherence_of_walk(1.0)
+
+
+@pytest.mark.parametrize("k", [17, -17, 40, -40, 200, -200])
+def test_power_of_two_rescaling_leaves_coherence_bit_identical(k, unscaled_walk):
+    # 2**k multiplies a transform, its cross-spectra, its smoothed auto-spectra'
+    # square roots and the degenerate floor exactly, so nothing may move
+    field, results = _coherence_of_walk(2.0**k)
+    ref_field, ref_results = unscaled_walk
+    assert np.array_equal(field.pairs, ref_field.pairs)
+    assert np.array_equal(field.degenerate, ref_field.degenerate)
+    for res, ref in zip(results, ref_results):
+        assert np.array_equal(res.multiple, ref.multiple)
+        assert np.array_equal(res.flagged, ref.flagged)
+        assert sorted(res.partial_sq) == sorted(ref.partial_sq)
+        for j in ref.partial_sq:
+            assert np.array_equal(res.partial_sq[j], ref.partial_sq[j])
+            assert np.array_equal(res.partial_phase[j], ref.partial_phase[j])
+
+
 # ----------------------------------------------------- package exports
 
 
@@ -614,8 +645,8 @@ def test_appended_copy_of_a_packet_noise_series_is_flagged(kind):
     field = coherence_matrix_field(fields)
     res = coherence_result(field, 0)
     last = len(fields) - 1
-    s00, sxx = (smooth(cross_spectrum(f, f)).values for f in (fields[0], fields[last]))
-    s0x = smooth(cross_spectrum(fields[0], fields[last])).values
+    s00, sxx = (smooth(f, f).values for f in (fields[0], fields[last]))
+    s0x = smooth(fields[0], fields[last]).values
     outside = np.abs(s0x) > (1.0 + coherence._UNIT_DISC_TOL) * np.sqrt(s00 * sxx)
     assert outside.any()
     assert field.degenerate[outside].all() and res.flagged[field.degenerate].all()

@@ -8,8 +8,7 @@ from scipy.ndimage import convolve1d, gaussian_filter1d
 
 from comove import cwt
 from comove.cwt import (
-    CrossSpectrumField,
-    cross_spectrum,
+    WaveletField,
     cwt_morlet,
     make_scale_grid,
     morlet_fourier_factor,
@@ -123,6 +122,8 @@ def test_grid_compares_unequal_to_other_types():
         (dict(n=64, dt=1.0, dj=0.0), "dj must be positive"),
         (dict(n=64, dt=1.0, s0=100.0), "exceeds record length"),
         (dict(n=64, dt=np.nan), "^dt must be positive and finite"),
+        (dict(n=64, dt=1e300, s0=1e-300), r"^span n \* dt / s0 = inf with dj = 0\.083"),
+        (dict(n=64, dt=1.0, dj=1e-310), r"^span n \* dt / s0 = 32\.0 with dj = 1e-310 gives no finite"),
     ],
 )
 def test_grid_error_contracts(kwargs, msg):
@@ -151,8 +152,8 @@ def test_cwt_is_linear():
     x = rng.normal(size=128)
     y = rng.normal(size=128)
     g = make_scale_grid(128, 1.0)
-    wa = cwt_morlet(2.0 * x - 3.0 * y, 1.0, grid=g).coeffs
-    wb = 2.0 * cwt_morlet(x, 1.0, grid=g).coeffs - 3.0 * cwt_morlet(y, 1.0, grid=g).coeffs
+    wa = cwt_morlet(2.0 * x - 3.0 * y, 1.0, grid=g).values
+    wb = 2.0 * cwt_morlet(x, 1.0, grid=g).values - 3.0 * cwt_morlet(y, 1.0, grid=g).values
     assert np.abs(wa - wb).max() < 1e-12
 
 
@@ -161,7 +162,7 @@ def test_cwt_of_constant_is_zero():
     for c, n in [(7.5, 64), (0.1, 100), (0.1, 300), (7.77, 61), (100.3, 300)]:
         x = np.full(n, c)
         assert (x - x.mean()).any() == (c != 7.5)
-        assert not cwt_morlet(x, 1.0).coeffs.any()
+        assert not cwt_morlet(x, 1.0).values.any()
 
 
 def test_cwt_sinusoid_peaks_at_matching_scale():
@@ -169,7 +170,7 @@ def test_cwt_sinusoid_peaks_at_matching_scale():
     t = np.arange(n)
     x = np.sin(2.0 * np.pi * t / 64.0)
     w = cwt_morlet(x, 1.0)
-    power_mid = np.abs(w.coeffs[:, n // 2]) ** 2
+    power_mid = np.abs(w.values[:, n // 2]) ** 2
     peak_scale = w.grid.scales[int(np.argmax(power_mid))]
     expected = 64.0 / FF
     # within one voice (a factor of 2**dj) of the analytic scale
@@ -179,17 +180,17 @@ def test_cwt_sinusoid_peaks_at_matching_scale():
 def test_cwt_shapes_and_grid_passthrough():
     g = make_scale_grid(100, 1.0)
     w = cwt_morlet(np.random.default_rng(0).normal(size=100), 1.0, grid=g)
-    assert w.coeffs.shape == (g.num_scales, 100)
+    assert w.values.shape == (g.num_scales, 100)
     assert w.grid.n == 100
     assert w.grid is g
-    assert np.iscomplexobj(w.coeffs)
+    assert np.iscomplexobj(w.values)
 
 
 @pytest.mark.parametrize("n", [100, 128])
 def test_cwt_coefficients_own_their_data(n):
     # a view of the padded (S, npad) transform would pin twice the memory at n = 2^k
     w = cwt_morlet(np.random.default_rng(1).normal(size=n), 1.0)
-    assert w.coeffs.flags.c_contiguous and w.coeffs.flags.owndata
+    assert w.values.flags.c_contiguous and w.values.flags.owndata
 
 
 def _reference_cwt(x, dt, grid):
@@ -215,9 +216,9 @@ def test_cached_window_transform_matches_reference():
     x = np.random.default_rng(5).normal(size=128)
     for n, dt in [(100, 1.0), (128, 1.0), (100, 0.5), (100, 1.0)]:
         grid = replace(g, n=n, dt=dt)
-        first = cwt_morlet(x[:n], dt, grid).coeffs
+        first = cwt_morlet(x[:n], dt, grid).values
         assert np.array_equal(first, _reference_cwt(x[:n], dt, grid))
-        assert np.array_equal(cwt_morlet(x[:n], dt, grid).coeffs, first)
+        assert np.array_equal(cwt_morlet(x[:n], dt, grid).values, first)
 
 
 def test_cached_window_is_read_only_and_keyed_by_length_and_dt():
@@ -291,7 +292,7 @@ def test_coi_scales_with_dt():
 def test_outside_coi_mask():
     w = cwt_morlet(np.random.default_rng(2).normal(size=64), 1.0)
     mask = w.grid.outside_coi()
-    assert mask.shape == w.coeffs.shape
+    assert mask.shape == w.values.shape
     # edges are fully outside, the very center of small scales is inside
     assert mask[:, 0].all() and mask[:, -1].all()
     assert not mask[0, 32]
@@ -311,31 +312,28 @@ def _pair(n=128, seed=3):
 
 def test_cross_spectrum_conjugate_symmetry():
     a, b = _pair()
-    ab = cross_spectrum(a, b).values
-    ba = cross_spectrum(b, a).values
+    ab = smooth(a, b).values
+    ba = smooth(b, a).values
     assert np.abs(ab - ba.conj()).max() < 1e-14
 
 
 def test_auto_spectrum_is_nonnegative_real():
     a, _ = _pair()
-    aa = cross_spectrum(a, a).values
+    aa = smooth(a, a).values
     assert aa.dtype == float  # re**2 + im**2, not a complex product
+    assert np.array_equal(aa, cwt._smooth(np.square(a.values.real) + np.square(a.values.imag), a.grid))
     scale = np.abs(aa.real).max()
-    assert np.abs(aa - (a.coeffs * np.conj(a.coeffs)).real).max() <= 1e-15 * scale
-    assert np.abs(aa.imag).max() <= 1e-14 * scale
+    product = cwt._smooth(a.values * np.conj(a.values), a.grid)
+    assert np.abs(aa - product.real).max() <= 1e-15 * scale
+    assert np.abs(product.imag).max() <= 1e-14 * scale
     assert aa.real.min() >= 0.0
-
-
-def test_cross_spectrum_starts_unsmoothed():
-    a, b = _pair()
-    assert cross_spectrum(a, b).smoothed is False
 
 
 def test_cross_spectrum_grid_mismatch():
     a, _ = _pair(n=128)
     c, _ = _pair(n=150)
     with pytest.raises(ValueError, match="different grids"):
-        cross_spectrum(a, c)
+        smooth(a, c)
 
 
 @pytest.mark.parametrize("n,dt", [(150, 1.0), (128, 2.0)], ids=["length", "step"])
@@ -347,7 +345,7 @@ def test_cross_spectrum_time_axis_mismatch(n, dt):
     a = cwt_morlet(rng.normal(size=128), 1.0, grid)
     b = cwt_morlet(rng.normal(size=n), dt, replace(grid, n=n, dt=dt))
     with pytest.raises(ValueError, match="^wavelet fields are on different grids$"):
-        cross_spectrum(a, b)
+        smooth(a, b)
 
 
 def test_phase_of_lagged_sinusoid():
@@ -359,7 +357,7 @@ def test_phase_of_lagged_sinusoid():
     y = np.sin(2.0 * np.pi * (t - 16) / 64.0)
     wx = cwt_morlet(x, 1.0)
     wy = cwt_morlet(y, 1.0)
-    cs = cross_spectrum(wx, wy)
+    cs = smooth(wx, wy)
     j = int(np.argmin(np.abs(wx.grid.scales - 64.0 / FF)))
     phase = np.angle(cs.values[j, n // 2])
     assert phase == pytest.approx(np.pi / 2.0, abs=0.05)
@@ -370,32 +368,22 @@ def test_phase_of_lagged_sinusoid():
 
 def test_smooth_preserves_constant_field():
     g = make_scale_grid(64, 1.0)
-    ones = CrossSpectrumField(values=np.ones((g.num_scales, 64), dtype=complex), grid=g)
-    out = smooth(ones)
-    assert out.smoothed is True
-    np.testing.assert_allclose(out.values, 1.0, atol=1e-12)
-
-
-def test_smooth_rejects_double_smoothing():
-    g = make_scale_grid(64, 1.0)
-    f = CrossSpectrumField(values=np.ones((g.num_scales, 64), dtype=complex), grid=g)
-    once = smooth(f)
-    with pytest.raises(ValueError, match="already smoothed"):
-        smooth(once)
+    out = cwt._smooth(np.ones((g.num_scales, 64), dtype=complex), g)
+    np.testing.assert_allclose(out, 1.0, atol=1e-12)
 
 
 def test_smooth_rejects_mismatched_grid():
     g = make_scale_grid(64, 1.0)
     other = make_scale_grid(128, 1.0)
     with pytest.raises(ValueError, match="does not match the grid"):
-        CrossSpectrumField(values=np.ones((g.num_scales, 64), dtype=complex), grid=other)
+        WaveletField(values=np.ones((g.num_scales, 64), dtype=complex), grid=other)
 
 
 def test_smooth_rejects_a_field_of_another_length():
     # 64 and 65 samples give the same scales, so only the column count differs
     g = make_scale_grid(64, 1.0)
     with pytest.raises(ValueError, match="does not match the grid"):
-        CrossSpectrumField(values=np.ones((g.num_scales, 65), dtype=complex), grid=g)
+        WaveletField(values=np.ones((g.num_scales, 65), dtype=complex), grid=g)
 
 
 # one scale row short, and flat: the other-grid and other-length cases are above
@@ -404,23 +392,23 @@ def test_cross_spectrum_field_refuses_values_of_another_shape(shape):
     g = make_scale_grid(64, 1.0)
     assert g.shape == (61, 64)
     with pytest.raises(ValueError, match=r"does not match the grid's \(61, 64\)"):
-        CrossSpectrumField(values=np.ones(shape), grid=g)
+        WaveletField(values=np.ones(shape), grid=g)
 
 
 def test_smooth_returns_a_field_on_its_inputs_grid():
     a, b = _pair(seed=3)
-    raw = cross_spectrum(a, b)
-    assert raw.grid is a.grid
-    out = smooth(raw)
-    assert out.smoothed and out.grid is raw.grid and out.values.shape == raw.grid.shape
+    for out, dtype in ((smooth(a, b), complex), (smooth(a, a), float)):
+        assert isinstance(out, WaveletField) and out.values.dtype == dtype
+        assert out.grid is a.grid and out.values.shape == a.grid.shape
+        assert not out.values.flags.writeable
 
 
 def test_smoothed_coherence_stays_in_unit_disc():
     # shared smoothing weights keep |S12|^2 <= S11 * S22 cell by cell
     a, b = _pair(seed=9)
-    s11 = smooth(cross_spectrum(a, a)).values.real
-    s22 = smooth(cross_spectrum(b, b)).values.real
-    s12 = smooth(cross_spectrum(a, b)).values
+    s11 = smooth(a, a).values.real
+    s22 = smooth(b, b).values.real
+    s12 = smooth(a, b).values
     coh = np.abs(s12) ** 2 / (s11 * s22)
     assert coh.max() <= 1.0 + 1e-9
     assert coh.min() >= 0.0
@@ -450,7 +438,7 @@ def test_smooth_matches_direct_convolution(n):
     rng = np.random.default_rng(n)
     values = rng.normal(size=(g.num_scales, n)) + 1j * rng.normal(size=(g.num_scales, n))
     values *= np.exp(rng.normal(scale=3.0, size=(g.num_scales, 1)))
-    out = smooth(CrossSpectrumField(values=values, grid=g)).values
+    out = cwt._smooth(values, g)
     ref = _smooth_by_rows(values, g)
     assert np.abs(out - ref).max() <= 1e-12 * np.abs(values).max()
 
@@ -460,10 +448,10 @@ def test_smooth_keeps_a_float_field_float(n):
     g = make_scale_grid(n, 1.0)
     rng = np.random.default_rng([n, 1])
     values = rng.normal(size=(g.num_scales, n)) * np.exp(rng.normal(scale=3.0, size=(g.num_scales, 1)))
-    out = smooth(CrossSpectrumField(values=values, grid=g)).values
+    out = cwt._smooth(values, g)
     assert out.dtype == float
     assert np.abs(out - _smooth_by_rows(values, g)).max() <= 1e-12 * np.abs(values).max()
-    as_complex = smooth(CrossSpectrumField(values=values + 0j, grid=g)).values.real
+    as_complex = cwt._smooth(values + 0j, g).real
     assert np.abs(out - as_complex).max() <= 1e-15 * np.abs(as_complex).max()
 
 
@@ -474,8 +462,8 @@ def test_smooth_is_linear_over_real_and_imaginary_parts(n):
     rng = np.random.default_rng([n, 2])
     a, b = (rng.normal(size=(g.num_scales, n)) * np.exp(rng.normal(scale=3.0, size=(g.num_scales, 1)))
             for _ in range(2))
-    whole = smooth(CrossSpectrumField(values=a + 1j * b, grid=g)).values
-    re, im = (smooth(CrossSpectrumField(values=v, grid=g)).values for v in (a, b))
+    whole = cwt._smooth(a + 1j * b, g)
+    re, im = (cwt._smooth(v, g) for v in (a, b))
     row_max = np.abs(whole).max(axis=1, keepdims=True)
     assert np.all(np.abs(whole - (re + 1j * im)) <= 1e-14 * row_max)
 
@@ -518,7 +506,7 @@ def test_boxcar_matches_edge_padded_sum(n, s0, dj):
     g = make_scale_grid(n, 1.0, s0=s0, dj=dj)
     rng = np.random.default_rng([n, 7])
     values = rng.normal(size=(g.num_scales, n)) + 1j * rng.normal(size=(g.num_scales, n))
-    out = smooth(CrossSpectrumField(values=values, grid=g)).values
+    out = cwt._smooth(values, g)
     ref = _padded_boxcar_smooth(values, g)
     half = (int(round(0.6 / dj)) | 1) // 2
     assert np.array_equal(out[:half], ref[:half]) and np.array_equal(out[-half:], ref[-half:])
@@ -528,8 +516,8 @@ def test_boxcar_matches_edge_padded_sum(n, s0, dj):
 def test_smooth_reduces_time_variation():
     rng = np.random.default_rng(4)
     a = cwt_morlet(rng.normal(size=256), 1.0)
-    raw = cross_spectrum(a, a)
-    sm = smooth(raw)
+    raw = np.square(a.values.real) + np.square(a.values.imag)
+    sm = smooth(a, a)
     # pick a mid scale: smoothing must shrink the local wiggle
     j = a.grid.num_scales // 2
-    assert np.std(np.diff(sm.values.real[j])) < np.std(np.diff(raw.values.real[j]))
+    assert np.std(np.diff(sm.values[j])) < np.std(np.diff(raw[j]))
