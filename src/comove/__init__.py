@@ -21,7 +21,6 @@ from .cwt import (
     WaveletField,
     cwt_morlet,
     make_scale_grid,
-    morlet_fourier_factor,
     smooth,
 )
 from .denoising import (
@@ -81,7 +80,6 @@ __all__ = [
     "load_csv",
     "make_scale_grid",
     "method_sweep",
-    "morlet_fourier_factor",
     "mse_comparison",
     "reconstruct_node",
     "residuals",

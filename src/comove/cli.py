@@ -125,7 +125,7 @@ class PipelineConfig:
     rule: str = _setting("auto", _choice(_rule), "shrinkage rule (hard/soft/garrote; 'auto' pairs each "
                          "method with its conventional rule)")
     denoise_level: int = _setting(4, COUNT, "de-noising decomposition level")
-    wavelet: str = _setting("db3", _choice(pk.lowpass), "db3 or haar")
+    wavelet: str = _setting("db3", _choice(pk._filter_bank), "db3 or haar")
     horizon: int = _setting(30, COUNT, "forecast steps")
     out_dir: str = _setting("out", TEXT, "output directory, made at the first write", required="output directory")
 
@@ -443,6 +443,11 @@ def _check_data(needs: set[str], config: PipelineConfig, work: ts.MultiSeries) -
                 raise ts.DataError(f"series {first!r} and {name!r} both map to {_safe_name(name)!r} in file names")
     if "two series" in needs and work.p < 2:
         raise ts.DataError("coherence needs at least two series")
+    if "varying series" in needs:  # a constant, judged on its raw values, transforms to the zero field
+        constant = work.values.max(axis=0) == work.values.min(axis=0)
+        if constant.any():
+            raise ts.DataError(f"series {work.names[int(np.argmax(constant))]!r}: constant series has no "
+                               "wavelet power; coherence is undefined")
     n = len(work)
     for key, minimum in (("depth", pk.min_length), ("denoise_level", sweep_min_length)):
         level = getattr(config, key)
@@ -467,7 +472,7 @@ def _coherence(variant: str, prefix: str, partials: bool = True) -> tuple:
             for j in sorted(res.partial_sq):
                 for kind, values in (("pwc", res.partial_sq[j]), ("phase", res.partial_phase[j])):
                     yield f"{kind}_{prefix}{tname}_{_safe_name(ms.names[j])}.csv", _grid(grid, values)
-    return files, ("file names", "two series")
+    return files, ("file names", "two series", "varying series")
 
 
 # each subcommand's help and steps, the steps in file order as (compute, the

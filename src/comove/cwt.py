@@ -27,15 +27,9 @@ DEFAULT_DJ = 1.0 / 12.0
 SCALE_SMOOTH_OCTAVES = 0.6
 _COI_EDGE_FLOOR = 1e-5
 _TIME_PASS_ROWS = 8  # rows per time-pass block: its spectra and temporaries stay in cache
-
-
-def morlet_fourier_factor() -> float:
-    """Conversion factor from Morlet scale to Fourier period of the transforms'
-    wavelet, whose center frequency is OMEGA0 = 6:
-    ``4 * pi / (OMEGA0 + sqrt(2 + OMEGA0**2))``, about 1.033, so scale and
-    Fourier period nearly coincide.
-    """
-    return 4.0 * np.pi / (OMEGA0 + np.sqrt(2.0 + OMEGA0**2))
+# Fourier period per unit Morlet scale at center frequency OMEGA0 = 6, about
+# 1.033, so scale and Fourier period nearly coincide
+_FOURIER_FACTOR = 4.0 * np.pi / (OMEGA0 + np.sqrt(2.0 + OMEGA0**2))
 
 
 @dataclass(frozen=True)
@@ -78,8 +72,9 @@ class ScaleGrid:
         return self.num_scales, self.n
 
     def periods(self) -> np.ndarray:
-        """Equivalent Fourier periods, ``morlet_fourier_factor() * scales``."""
-        return morlet_fourier_factor() * self.scales
+        """Equivalent Fourier periods of the scales for the transforms' Morlet
+        wavelet: ``4 pi / (OMEGA0 + sqrt(2 + OMEGA0**2)) * scales``."""
+        return _FOURIER_FACTOR * self.scales
 
     @property
     def coi(self) -> np.ndarray:
@@ -370,7 +365,11 @@ def smooth(a: WaveletField, b: WaveletField) -> WaveletField:
     if a is b:
         values = np.square(a.values.real) + np.square(a.values.imag)
     else:
-        values = a.values * np.conj(b.values)
+        # conj(b) * a, in place, at every size: numpy computes a * conj(b) so
+        # once it reuses a temporary of 256 KiB or more, and complex products
+        # are not bitwise commutative
+        values = np.conj(b.values)
+        values *= a.values
     return WaveletField(values=_smooth(values, a.grid), grid=a.grid)
 
 

@@ -2,9 +2,10 @@
 
 Nine selectors, four threshold rules (universal, SURE, their SUREShrink
 hybrid, GCV) each over the pooled detail levels or per level as ``SELECTORS``
-says, combined with three shrinkage rules (hard, soft, garrote). Noise level
-is estimated from the finest detail level by the median absolute deviation.
-Approximation coefficients are never thresholded.
+says, combined with three shrinkage rules (hard, soft, garrote). The noise level
+is always estimated from the data, by the median absolute deviation of the
+finest detail level (of each level, for the per-level universal and SURE
+selectors). Approximation coefficients are never thresholded.
 
 The method sweep reports SNR/PSNR of each method's reconstruction against the
 supplied reference (by default the input itself, so larger means gentler);
@@ -136,7 +137,7 @@ def _sparsity_bound(n: int) -> float:
     return float(np.log2(n) ** 1.5 / np.sqrt(n))
 
 
-def _thresholds(methods: list[str], details: list[np.ndarray], n: int, sigma: float | None) -> np.ndarray:
+def _thresholds(methods: list[str], details: list[np.ndarray], n: int) -> np.ndarray:
     """The shrinkage thresholds of each canonical method name for the detail levels
     (finest first) of an n-sample signal: one (methods, levels) table, a pooled
     method's threshold repeated across its row. Each level's ``|d|`` fills a row of
@@ -147,36 +148,30 @@ def _thresholds(methods: list[str], details: list[np.ndarray], n: int, sigma: fl
     floating point, so a sorted row over s equals ``np.sort(np.abs(d / s))`` bit
     for bit. Pooled rules read the finest level's noise; per level, universal
     and SURE read each level's own, SUREShrink the finest level's, and GCV none.
-    The noise is ``sigma`` if given, else the level's MAD estimate, taken only
-    when read, so a level no selector reads the noise of may hold fewer than
-    MIN_MAD_COEFFS; a zero noise level gives a zero threshold. Each rule takes
-    all levels in one array pass: universal as one vector, SURE at each level's
-    own noise and at the finest level's as the rows of one table, GCV as
-    another; SUREShrink's sparsity test sums each level's raw coefficients.
+    The noise is the level's MAD estimate, taken only when read, so a level no
+    selector reads the noise of may hold fewer than MIN_MAD_COEFFS; a zero
+    noise level gives a zero threshold. Each rule takes all levels in one array
+    pass: universal as one vector, SURE at each level's own noise and at the
+    finest level's as the rows of one table, GCV as another; SUREShrink's
+    sparsity test sums each level's raw coefficients.
 
     Raises
     ------
     ValueError
-        A negative or non-finite ``sigma``, or every detail coefficient is
-        exactly zero (nothing to estimate noise from).
+        Every detail coefficient is exactly zero (nothing to estimate noise
+        from), or a level whose noise is read holds fewer than MIN_MAD_COEFFS.
     """
     kinds = [SELECTORS[m][:2] for m in methods]
     per = {rule for rule, per_level in kinds if per_level}
     table = np.zeros((len(details), max(map(np.size, details))))
     levels = [np.abs(d, out=table[j, : np.size(d)]) for j, d in enumerate(details)]
     for j, a in enumerate(levels):
-        if per or (j == 0 and sigma is None):
+        if per or j == 0:
             a.sort()
     pooled = np.sort(np.concatenate(levels))
-    if sigma is not None and not (np.isfinite(sigma) and sigma >= 0):
-        raise ValueError(f"sigma must be finite and nonnegative, got {sigma}")
     if not pooled.any():
         raise ValueError("all detail coefficients are zero; nothing to threshold")
-
-    def sigma_at(j: int) -> float:
-        return float(sigma) if sigma is not None else _mad_sigma(levels[j])
-
-    s_g, size = sigma_at(0), np.array([[pooled.size]], dtype=float)
+    s_g, size = _mad_sigma(levels[0]), np.array([[pooled.size]], dtype=float)
     got = {}  # (rule, per level): a float, or one per level
     if ("universal", False) in kinds:
         got["universal", False] = s_g * float(np.sqrt(2.0 * np.log(n)))
@@ -187,7 +182,7 @@ def _thresholds(methods: list[str], details: list[np.ndarray], n: int, sigma: fl
     sizes = np.array([[a.size] for a in levels], dtype=float)
     universal = np.sqrt(2.0 * np.log(sizes))
     if per & {"universal", "sure"}:
-        own = np.array([[sigma_at(j)] for j in range(len(sizes))])
+        own = np.array([[_mad_sigma(a)] for a in levels])
         got["universal", True] = (own * universal).ravel().tolist()
     # per level, SURE at each level's own noise and at the finest level's: one table
     noise = {r: own if r == "sure" else np.full(sizes.shape, s_g)
@@ -213,7 +208,6 @@ def denoise(
     rule: str = "garrote",
     level: int = 4,
     wavelet: str = "db3",
-    sigma: float | None = None,
 ) -> np.ndarray:
     """De-noise a signal by wavelet shrinkage.
 
@@ -225,14 +219,14 @@ def denoise(
     Raises
     ------
     ValueError
-        An unknown method or rule, a negative or non-finite ``sigma``, all
-        detail coefficients zero, or a signal the transform refuses.
+        An unknown method or rule, all detail coefficients zero, or a signal
+        the transform refuses.
     """
-    return _denoised(x, [canonical_method(method)], (rule,), level, wavelet, sigma)[1][0]
+    return _denoised(x, [canonical_method(method)], (rule,), level, wavelet)[1][0]
 
 
-def _denoised(x: np.ndarray, methods: list[str], rules: tuple[str, ...], level: int, wavelet: str,
-              sigma: float | None) -> tuple[np.ndarray, np.ndarray]:
+def _denoised(x: np.ndarray, methods: list[str], rules: tuple[str, ...], level: int,
+              wavelet: str) -> tuple[np.ndarray, np.ndarray]:
     """The one path of :func:`denoise` and :func:`method_sweep`: the DWT, the
     (methods, levels) threshold table, and the (methods, n) estimates, row i
     shrunk under rules[i]. A constant signal has exactly zero details, whatever
@@ -241,7 +235,7 @@ def _denoised(x: np.ndarray, methods: list[str], rules: tuple[str, ...], level: 
     if np.max(x) == np.min(x):
         raise ValueError("all detail coefficients are zero; nothing to threshold")
     n = np.size(x)
-    thresholds = _thresholds(methods, [c[c.size >> (j + 1) : c.size >> j] for j in range(level)], n, sigma)
+    thresholds = _thresholds(methods, [c[c.size >> (j + 1) : c.size >> j] for j in range(level)], n)
     return thresholds, _shrink_and_invert(c, level, wavelet, n, thresholds, rules)
 
 
@@ -351,7 +345,7 @@ def method_sweep(
     if level >= 1 and need is not None:  # the transform names a level below 1
         raise ValueError(f"the sweep at level {level} needs at least {need} samples, got {x.size}")
     rules = tuple(rule if rule is not None else CONVENTIONAL_RULE[m] for m in METHODS)
-    thresholds, estimates = _denoised(x, list(METHODS), rules, level, wavelet, None)
+    thresholds, estimates = _denoised(x, list(METHODS), rules, level, wavelet)
     snr, psnr, identical = _fidelities(ref, estimates)
     # the first method in METHODS order within WINNER_TOL_DB of the best wins,
     # so rounding does not choose between selectors that reach one estimate

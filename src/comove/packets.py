@@ -1,15 +1,16 @@
 """Wavelet packet and plain wavelet transforms with periodic extension.
 
-Orthonormal filter banks (db3 by default, Haar for cross-checks) with one
-decimating analysis step and its transpose. Each transform runs one cached
-polyphase bank, built from that step, per stage of up to 4 levels: one gather
-and one product give every node of a stage, a single leaf or the DWT's
-approximation and detail phases. Leaves are keyed by binary paths in natural
-(Paley) order: node {0,...,0} holds the lowest band, the trend. Each highpass
-branch mirrors the spectrum (:func:`frequency_index`), so the all-highpass
-node {1,...,1} is not the top band: at depth 4 it is band 10 of 16, and the
-top band is {1,0,0,0}, band 15. Lengths not divisible by 2**level are
-extended periodically and trimmed back.
+Orthonormal filter banks (db3 by default, Haar for cross-checks) from one
+private table of lowpass taps, with one decimating analysis step. Each
+transform runs one cached polyphase bank, built from that step, per stage of
+up to 4 levels, and its inverse the bank's transpose: one gather and one
+product give every node of a stage, a single leaf or the DWT's approximation
+and detail phases. Leaves are keyed by binary paths in natural (Paley) order:
+node {0,...,0} holds the lowest band, the trend. Each highpass branch mirrors
+the spectrum (:func:`frequency_index`), so the all-highpass node {1,...,1} is
+not the top band: at depth 4 it is band 10 of 16, and the top band is
+{1,0,0,0}, band 15. Lengths not divisible by 2**level are extended
+periodically and trimmed back.
 """
 
 from __future__ import annotations
@@ -21,45 +22,34 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Orthonormal lowpass filters (sum = sqrt(2), unit energy).
-DB3_LOWPASS = np.array(
-    [
+# Orthonormal lowpass taps (sum = sqrt(2), unit energy) of each wavelet.
+_LOWPASS = {
+    "db3": (
         0.3326705529500826,
         0.8068915093110928,
         0.4598775021184915,
         -0.1350110200102546,
         -0.0854412738820267,
         0.0352262918857095,
-    ]
-)
-HAAR_LOWPASS = np.array([np.sqrt(0.5), np.sqrt(0.5)])
-
-FILTERS = {"db3": DB3_LOWPASS, "haar": HAAR_LOWPASS}
-
-
-def lowpass(wavelet: str) -> np.ndarray:
-    try:
-        return FILTERS[wavelet]
-    except KeyError:
-        raise ValueError(f"unknown wavelet {wavelet!r}; have {sorted(FILTERS)}") from None
-
-
-def highpass(h: np.ndarray) -> np.ndarray:
-    """Quadrature mirror: g[k] = (-1)**k * h[L-1-k]."""
-    k = np.arange(h.size)
-    return (-1.0) ** k * h[::-1]
+    ),
+    "haar": (np.sqrt(0.5), np.sqrt(0.5)),
+}
 
 
 @functools.lru_cache(maxsize=None)
 def _filter_bank(wavelet: str) -> tuple[np.ndarray, np.ndarray]:
-    """The ``(lowpass, highpass)`` pair of a wavelet, built once and read-only."""
-    bank = lowpass(wavelet).copy(), highpass(lowpass(wavelet))
+    """The ``(lowpass, highpass)`` pair of a wavelet, built once and read-only;
+    the highpass is the quadrature mirror g[k] = (-1)**k * h[L-1-k]."""
+    if wavelet not in _LOWPASS:
+        raise ValueError(f"unknown wavelet {wavelet!r}; have {sorted(_LOWPASS)}")
+    h = np.array(_LOWPASS[wavelet])
+    bank = h, (-1.0) ** np.arange(h.size) * h[::-1]
     for f in bank:
         f.flags.writeable = False
     return bank
 
 
-def analysis_step(x: np.ndarray, h: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _analysis_step(x: np.ndarray, h: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """One decimating analysis step with periodic extension.
 
     a[i] = sum_k h[k] * x[(2i + k) mod N], and likewise d with g, along the
@@ -73,26 +63,6 @@ def analysis_step(x: np.ndarray, h: np.ndarray, g: np.ndarray) -> tuple[np.ndarr
         raise ValueError(f"analysis step needs even length, got {n}")
     windows = x.take((2 * np.arange(n // 2)[:, None] + np.arange(h.size)) % n, axis=-1)
     return windows @ h, windows @ g
-
-
-def synthesis_step(a: np.ndarray, d: np.ndarray, h: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """Inverse of :func:`analysis_step` (exact, the bank is orthonormal).
-
-    The transpose of the analysis gather, one output phase r per column:
-    x[2j + r] = sum_q h[r + 2q] a[(j - q) mod N/2] + g[r + 2q] d[(j - q) mod N/2]
-    along the last axis; leading axes are a batch of independent signals.
-    The windows of a and d are gathered from ``[a | d]`` by one ``take``
-    into one C-ordered block, and one matmul applies both phases.
-    """
-    a = np.asarray(a, dtype=float)
-    d = np.asarray(d, dtype=float)
-    if a.shape != d.shape:
-        raise ValueError("approximation and detail lengths differ")
-    half = a.shape[-1]
-    idx = (np.arange(half)[:, None] - np.arange(h.size // 2)) % half  # row j: the a and d windows of pair j
-    windows = np.concatenate([a, d], axis=-1).take(np.concatenate([idx, idx + half], axis=1), axis=-1)
-    phases = np.concatenate([h, g]).reshape(-1, 2)  # column r: taps r::2 of h, then of g
-    return (windows @ phases).reshape(*a.shape[:-1], 2 * half)
 
 
 def min_length(level: int) -> int:
@@ -153,13 +123,13 @@ def _plan(n: int, wavelet: str, nodes: tuple[tuple[int, ...], ...]) -> tuple[np.
     (paths of up to 4 levels) over padded length n, cached, read-only. The node
     on path b1...bj is one filter f_b1 * (f_b2 upsampled by 2) * ... at stride
     2**j (noble identities): 2**(d - j) phases at stride 2**d, one bank column
-    each, from :func:`analysis_step` on unit impulses. Synthesis is the transpose."""
+    each, from :func:`_analysis_step` on unit impulses. Synthesis is the transpose."""
     h, g = _filter_bank(wavelet)
     step = 2 ** max(map(len, nodes))
     width = ((h.size - 1) * (step - 1) // step + 1) * step  # the span (taps - 1)(step - 1) + 1, in strides
     trees = [np.eye(width)[:, None]]  # per depth: (impulse, node, coefficient)
     while trees[-1].shape[1] < step:
-        a, d = analysis_step(trees[-1], h, g)
+        a, d = _analysis_step(trees[-1], h, g)
         trees.append(np.stack([a, d], axis=2).reshape(width, -1, a.shape[-1]))
     bank = np.concatenate([trees[len(b)][:, np.ravel_multi_index(b, (2,) * len(b)), : step >> len(b)]
                            for b in nodes], axis=1)
@@ -191,9 +161,10 @@ def _synthesize(c: np.ndarray, plan: tuple[np.ndarray, ...]) -> np.ndarray:
 class PacketTree:
     """Full wavelet packet decomposition down to a fixed level.
 
-    ``leaves`` is the read-only (2**level, padded_length / 2**level) stack of the
-    leaf coefficients in natural order, row i on the path of i's binary digits;
-    a stack of another shape is refused when the tree is built.
+    ``leaves`` is the read-only (2**level, m) stack of the leaf coefficients in
+    natural order, row i on the path of i's binary digits, for a signal extended
+    to 2**level * m samples; a stack of another shape is refused when the tree
+    is built.
     """
 
     leaves: np.ndarray
@@ -210,15 +181,6 @@ class PacketTree:
                              f"got a stack of shape {np.shape(self.leaves)}")
         leaves.flags.writeable = False
         object.__setattr__(self, "leaves", leaves)
-
-    @property
-    def padded_length(self) -> int:
-        return self.leaves.size
-
-    @functools.cached_property
-    def nodes(self) -> dict[tuple[int, ...], np.ndarray]:
-        """The leaves keyed by path, in natural order."""
-        return dict(zip(_paths(self.level), self.leaves))
 
     def paths(self, ordering: str = "natural") -> list[tuple[int, ...]]:
         """Leaf paths in natural (Paley) or frequency order."""

@@ -895,12 +895,13 @@ def test_short_window_refused_before_output(tmp_path, capsys, subcommand, rows, 
     "column,message",
     [
         ("copy", "regressors are numerically collinear"),
-        ("constant", "constant series has no ARMA structure to fit"),
+        ("constant", "constant series has no wavelet power; coherence is undefined"),
     ],
     ids=["copy", "constant"],
 )
 def test_pipeline_refuses_unfittable_series_before_output(tmp_path, capsys, column, message):
-    # only the fits can tell; they run before the pipeline's first write
+    # only the fits can tell a copy, before the pipeline's first write; the
+    # coherence steps' data check refuses a constant before any step runs
     src = tmp_path / "in.csv"
     write_input(src, n=150, p=2, seed=6)
     lines = read_lines(src)
@@ -942,17 +943,33 @@ def _zero_column_input(path):
     [
         ("denoise", "all detail coefficients are zero; nothing to threshold"),
         ("packet", "signal has zero energy; fractions undefined"),
-        ("pipeline", "constant series has no ARMA structure to fit"),
+        ("pipeline", "constant series has no wavelet power; coherence is undefined"),
+        ("coherence", "constant series has no wavelet power; coherence is undefined"),
     ],
-    ids=["denoise", "packet", "pipeline"],
+    ids=["denoise", "packet", "pipeline", "coherence"],
 )
 def test_a_refused_later_series_leaves_no_output(tmp_path, capsys, subcommand, message):
-    # series a is swept, split or fitted before b is refused; nothing is written
+    # series a is swept or split before b is refused, or the coherence steps'
+    # data check refuses b first; nothing is written
     src = tmp_path / "in.csv"
     _zero_column_input(src)
     out = tmp_path / "out"
     assert main([subcommand, "--input", str(src), "--out-dir", str(out)]) == 2
     assert capsys.readouterr().err == f"error: series 'b': {message}\n"
+    assert not out.exists()
+
+
+def test_coherence_judges_a_constant_column_on_the_analysis_window(tmp_path, capsys):
+    # b varies over the file but not over the window, so its transform there
+    # is the zero field and its grids would read all zero
+    src, out = tmp_path / "in.csv", tmp_path / "out"
+    write_input(src, n=150, p=2, seed=6)
+    lines = read_lines(src)
+    src.write_text("\n".join([lines[0]] + [ln.rsplit(",", 1)[0] + (",7.5" if i < 120 else ",8.5")
+                                           for i, ln in enumerate(lines[1:])]) + "\n")
+    assert main(["coherence", "--input", str(src), "--end", date_str(119), "--out-dir", str(out)]) == 2
+    want = "series 'b': constant series has no wavelet power; coherence is undefined"
+    assert capsys.readouterr().err == f"error: {want}\n"
     assert not out.exists()
 
 

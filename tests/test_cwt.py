@@ -11,7 +11,6 @@ from comove.cwt import (
     WaveletField,
     cwt_morlet,
     make_scale_grid,
-    morlet_fourier_factor,
     smooth,
 )
 
@@ -22,10 +21,11 @@ FF = 1.0330436477492537  # 4 pi / (6 + sqrt(38)), frozen
 
 
 def test_fourier_factor_frozen_value():
-    assert morlet_fourier_factor() == pytest.approx(FF, abs=1e-15)
-    assert morlet_fourier_factor() == pytest.approx(
-        4.0 * np.pi / (6.0 + np.sqrt(38.0)), abs=0
-    )
+    g = make_scale_grid(1024, 1.0)
+    factor = g.periods() / g.scales
+    np.testing.assert_allclose(factor, FF, rtol=0, atol=1e-15)
+    # every twelfth scale is a power of two, so there the quotient is the factor exactly
+    assert (factor[::12] == 4.0 * np.pi / (6.0 + np.sqrt(38.0))).all()
 
 
 def test_grid_1024_has_109_scales():
@@ -315,6 +315,16 @@ def test_cross_spectrum_conjugate_symmetry():
     ab = smooth(a, b).values
     ba = smooth(b, a).values
     assert np.abs(ab - ba.conj()).max() < 1e-14
+
+
+@pytest.mark.parametrize("n", [128, 1461])
+def test_cross_spectrum_takes_one_operand_order_at_every_size(n):
+    # numpy computes a * conj(b) as conj(b) * a once it reuses the temporary
+    # conj(b), of 256 KiB or more, in place; complex products are not bitwise
+    # commutative, so smooth takes conj(b) * a on grids of either side
+    a, b = _pair(n)
+    assert (a.values.nbytes < 256 * 1024) == (n == 128)
+    assert np.array_equal(smooth(a, b).values, cwt._smooth(np.multiply(np.conj(b.values), a.values), a.grid))
 
 
 def test_auto_spectrum_is_nonnegative_real():

@@ -18,15 +18,20 @@ from comove.denoising import _fidelities, _mad_sigma, _shrink, _shrink_and_inver
 from comove.packets import _PRINTED_LEVEL, _dwt, _idwt, _shortfall
 
 
-def threshold_row(method, *detail_levels, n=None, sigma=None):
+def threshold_row(method, *detail_levels, n=None):
     """``method``'s row of the threshold table for raw detail levels (finest
     first) of an n-sample signal, by default twice the finest level's size."""
     details = [np.asarray(d, dtype=float) for d in detail_levels]
-    return _thresholds([method], details, 2 * details[0].size if n is None else n, sigma)[0]
+    return _thresholds([method], details, 2 * details[0].size if n is None else n)[0]
 
 
 def mad(d):
     return _mad_sigma(np.sort(np.abs(d)))
+
+
+def unit_mad(d):
+    """``d`` rescaled so that its MAD noise estimate is 1, up to rounding."""
+    return d * (0.6745 / np.median(np.abs(d)))
 
 
 def snr_db(reference, estimate):
@@ -71,13 +76,13 @@ def _sort_once_per_call_gcv(w):
     return float(aw[int(np.argmin((np.cumsum(aw**2) + (n - k) * aw**2) / n / (k / n) ** 2))])
 
 
-def threshold_oracle(details, n, method, sigma=None):
+def threshold_oracle(details, n, method):
     """The selectors as they read before the sorts were shared: each call
     sorts its own ``np.abs(d / s)`` and the MAD takes ``np.median``."""
     details = [np.asarray(d, dtype=float) for d in details]
 
     def sigma_at(j):
-        return float(np.median(np.abs(details[j])) / 0.6745) if sigma is None else float(sigma)
+        return float(np.median(np.abs(details[j])) / 0.6745)
 
     s_g = sigma_at(0)
     if method in ("Universal", "VisuShrink"):
@@ -207,10 +212,10 @@ def test_shrinkage_column_of_thresholds_matches_scalar_calls(rule):
 
 
 def test_universal_threshold_formula():
-    y = np.random.default_rng(1).normal(size=512)
-    t = threshold_row("Universal", y, n=1024, sigma=1.0)[0]
+    y = unit_mad(np.random.default_rng(1).normal(size=512))
+    t = threshold_row("Universal", y, n=1024)[0]
     assert t == pytest.approx(np.sqrt(2.0 * np.log(1024.0)), abs=1e-12)
-    assert threshold_row("Universal", y, n=1024, sigma=2.5)[0] == pytest.approx(
+    assert threshold_row("Universal", 2.5 * y, n=1024)[0] == pytest.approx(
         2.5 * np.sqrt(2.0 * np.log(1024.0)), abs=1e-12
     )
 
@@ -224,8 +229,8 @@ def test_universal_uses_mad_sigma_by_default():
 
 def test_universal_level_uses_level_sizes():
     rng = np.random.default_rng(3)
-    d1, d2 = rng.normal(size=256), rng.normal(size=128)
-    ts = threshold_row("UniversalLevel", d1, d2, n=512, sigma=1.0)
+    d1, d2 = unit_mad(rng.normal(size=256)), unit_mad(rng.normal(size=128))
+    ts = threshold_row("UniversalLevel", d1, d2, n=512)
     assert ts.tolist() == pytest.approx(
         [np.sqrt(2.0 * np.log(256.0)), np.sqrt(2.0 * np.log(128.0))], abs=1e-12
     )
@@ -233,7 +238,7 @@ def test_universal_level_uses_level_sizes():
 
 def test_visushrink_aliases_universal_value():
     y = np.random.default_rng(4).normal(size=256)
-    assert threshold_row("VisuShrink", y, sigma=1.0)[0] == threshold_row("Universal", y, sigma=1.0)[0]
+    assert threshold_row("VisuShrink", y)[0] == threshold_row("Universal", y)[0]
 
 
 def test_sure_matches_brute_force():
@@ -241,44 +246,48 @@ def test_sure_matches_brute_force():
     # mixture: mostly noise, some strong coefficients
     y = np.where(rng.random(256) < 0.1, rng.normal(scale=6.0, size=256),
                  rng.normal(size=256))
-    t = threshold_row("SURE", y, sigma=1.0)[0]
-    assert t == pytest.approx(sure_oracle(y), abs=1e-12)
+    t, s = threshold_row("SURE", y)[0], mad(y)
+    assert t == pytest.approx(s * sure_oracle(y / s), abs=1e-12)
 
 
 def test_sure_pools_levels():
     rng = np.random.default_rng(6)
     d1, d2 = rng.normal(size=128), rng.normal(size=64)
-    t = threshold_row("SURE", d1, d2, sigma=1.0)[0]
-    assert t == pytest.approx(sure_oracle(np.concatenate([d1, d2])), abs=1e-12)
+    t, s = threshold_row("SURE", d1, d2)[0], mad(d1)  # the finest level's noise
+    assert t == pytest.approx(s * sure_oracle(np.concatenate([d1, d2]) / s), abs=1e-12)
 
 
 def test_sure_level_per_level():
     rng = np.random.default_rng(7)
     d1, d2 = rng.normal(size=128), 4.0 * rng.normal(size=64)
-    ts = threshold_row("SURELevel", d1, d2, sigma=1.0)
-    assert ts[0] == pytest.approx(sure_oracle(d1), abs=1e-12)
-    assert ts[1] == pytest.approx(sure_oracle(d2), abs=1e-12)
+    ts = threshold_row("SURELevel", d1, d2)
+    for t, d in zip(ts, (d1, d2)):  # each level at its own noise
+        assert t == pytest.approx(mad(d) * sure_oracle(d / mad(d)), abs=1e-12)
 
 
 def test_sure_rescales_by_sigma():
     y = np.random.default_rng(8).normal(size=256)
-    t = threshold_row("SURE", 2.0 * y, sigma=2.0)[0]
-    assert t == pytest.approx(2.0 * sure_oracle(y), rel=1e-12)
+    t = threshold_row("SURE", 2.0 * y)[0]
+    assert t == pytest.approx(2.0 * mad(y) * sure_oracle(y / mad(y)), rel=1e-12)
 
 
 def test_sureshrink_sparse_branch_takes_universal():
-    # weak coefficients: the sparsity statistic stays under the gate
+    # equal magnitudes, each 0.6745 of the MAD noise: the sparsity statistic
+    # stays under the gate
     y = 0.1 * np.ones(64)
-    ts = threshold_row("SUREShrink", y, sigma=1.0)
-    assert ts.tolist() == pytest.approx([np.sqrt(2.0 * np.log(64.0))], abs=1e-12)
+    ts = threshold_row("SUREShrink", y)
+    assert ts.tolist() == pytest.approx([mad(y) * np.sqrt(2.0 * np.log(64.0))], abs=1e-12)
 
 
 def test_sureshrink_dense_branch_caps_at_universal():
     rng = np.random.default_rng(9)
-    y = rng.normal(scale=5.0, size=256)  # loud level, clearly past the gate
-    (t,) = threshold_row("SUREShrink", y, sigma=1.0)
+    y = rng.normal(size=256)
+    y[::4] *= 20.0  # a quarter of the level loud against its MAD noise
+    s = mad(y)
+    assert (np.sum((y / s) ** 2) - 256) / 256 > np.log2(256) ** 1.5 / 16  # clearly past the gate
+    (t,) = threshold_row("SUREShrink", y)
     universal = np.sqrt(2.0 * np.log(256.0))
-    assert t == pytest.approx(min(sure_oracle(y), universal), abs=1e-12)
+    assert t == pytest.approx(s * min(sure_oracle(y / s), universal), abs=1e-12)
 
 
 def test_sparsity_bound_takes_numpys_scalar_route():
@@ -306,39 +315,47 @@ def test_gcv_level_skips_dead_levels():
 
 
 def test_selector_zero_sigma_means_zero_threshold():
+    # more than half the level is exactly zero, so its MAD noise estimate is zero
     y = np.random.default_rng(12).normal(size=64)
-    assert threshold_row("SURE", y, sigma=0.0).tolist() == [0.0]
-    assert threshold_row("SUREShrink", y, sigma=0.0).tolist() == [0.0]
+    y[:33] = 0.0
+    assert mad(y) == 0.0
+    assert threshold_row("SURE", y).tolist() == [0.0]
+    assert threshold_row("SUREShrink", y).tolist() == [0.0]
 
 
 @pytest.mark.parametrize("sigma", [None, 1.3, 0.0])
 @pytest.mark.parametrize("sizes", [(64, 32, 16), (65, 33, 17), (41, 20, 10, 9)])
 def test_selectors_equal_sorting_per_call(sizes, sigma):
     # one sort per level and one of the pooled levels serve every selector;
-    # odd and even level sizes take the median's middle value and middle pair
+    # odd and even level sizes take the median's middle value and middle pair.
+    # The noise is each level's MAD estimate: as drawn (None), every level
+    # rescaled by 1.3, or zero (0.0) with more than half the finest level zero
     rng = np.random.default_rng(sum(sizes))
     details = [rng.normal(scale=1.0 + j, size=m) for j, m in enumerate(sizes)]
     details[0][::5] = np.round(details[0][::5])  # ties and exact zeros
     details[-1][: len(details[-1]) // 2] *= 20.0  # a loud level takes the dense SUREShrink branch
+    if sigma == 0.0:
+        details[0][: sizes[0] // 2 + 1] = 0.0
+    elif sigma is not None:
+        details = [sigma * d for d in details]
     quiet = details[:1] + [np.where(np.arange(sizes[1]) % 3, 0.0, details[1]), *details[2:]]
     for d, n in ((details, 2 * sizes[0]), (details[:1], 2 * sizes[0] + 1), (quiet, 2 * sizes[0])):
         # one method per call, and all nine from one call as the sweep takes them
-        swept = _thresholds(list(METHODS), d, n, sigma)
+        swept = _thresholds(list(METHODS), d, n)
         assert swept.shape == (9, len(d))
         for method, in_one_call in zip(METHODS, swept.tolist()):
-            want = threshold_oracle(d, n, method, sigma)
+            want = threshold_oracle(d, n, method)
             want = want if isinstance(want, list) else [want] * len(d)
-            assert threshold_row(method, *d, n=n, sigma=sigma).tolist() == want, method
+            assert threshold_row(method, *d, n=n).tolist() == want, method
             assert in_one_call == want, method
         # pooled methods alone give those rows of the nine-method table
         pooled = [m for m in METHODS if not SELECTORS[m][1]]
-        assert _thresholds(pooled, d, n, sigma).tolist() == [swept[METHODS.index(m)].tolist() for m in pooled]
+        assert _thresholds(pooled, d, n).tolist() == [swept[METHODS.index(m)].tolist() for m in pooled]
     # more than half of the second level is exactly zero: its MAD, and so its
     # per-level universal and SURE thresholds, are zero
-    if sigma is None:
-        assert mad(quiet[1]) == 0.0
-        for method in ("UniversalLevel", "SURELevel"):
-            assert threshold_row(method, *quiet)[1] == 0.0
+    assert mad(quiet[1]) == 0.0
+    for method in ("UniversalLevel", "SURELevel"):
+        assert threshold_row(method, *quiet)[1] == 0.0
     assert mad(details[0]) == np.median(np.abs(details[0])) / 0.6745
 
 
@@ -375,11 +392,12 @@ def test_selector_unknown_method():
 @pytest.mark.parametrize("sigma", [-1.0, np.nan, np.inf])
 @pytest.mark.parametrize("method", ["Universal", "SURE", "GCV", "GCVLevel"])
 def test_selector_rejects_bad_sigma(sigma, method):
+    # the noise is always the MAD estimate: no caller's sigma, good or bad, is taken
     y = np.random.default_rng(12).normal(size=64)
-    with pytest.raises(ValueError, match="sigma must be finite and nonnegative"):
-        threshold_row(method, y, sigma=sigma)
-    with pytest.raises(ValueError, match="sigma must be finite and nonnegative"):
+    with pytest.raises(TypeError, match="sigma"):
         denoise(np.cumsum(y), method, level=2, sigma=sigma)
+    with pytest.raises(TypeError):
+        _thresholds([method], [y], 128, sigma)
 
 
 # ---------------------------------------------------------------- denoise
@@ -401,8 +419,12 @@ def test_denoise_improves_snr():
 
 
 def test_denoise_zero_sigma_is_identity():
-    _, noisy = noisy_sinusoid(n=500)
-    out = denoise(noisy, method="Universal", rule="hard", level=3, sigma=0.0)
+    # each value twice over, each a signed power of two, so every Haar product
+    # is exact and the finest details, and with them the MAD noise, are zero
+    rng = np.random.default_rng(0)
+    noisy = np.repeat(rng.choice([-1.0, 1.0], 250) * 2.0 ** rng.integers(-3, 4, 250), 2)
+    assert not _dwt(noisy, 3, "haar")[252:].any()
+    out = denoise(noisy, method="Universal", rule="hard", level=3, wavelet="haar")
     assert out.size == 500
     assert np.abs(out - noisy).max() < 1e-10
 
@@ -634,10 +656,10 @@ def test_sweep_estimates_are_denoise_bit_for_bit(rule, wavelet):
         report = method_sweep(walk, rule=rule, level=level, wavelet=wavelet)
         c = _dwt(walk, level, wavelet)
         details = [c[c.size >> (j + 1) : c.size >> j] for j in range(level)]
-        assert np.array_equal(_thresholds(list(METHODS), details, walk.size, None), report.thresholds)
+        assert np.array_equal(_thresholds(list(METHODS), details, walk.size), report.thresholds)
         for i, (method, use_rule, estimate) in enumerate(zip(METHODS, report.rules, report.estimates)):
             expected = denoise(walk, method, use_rule, level=level, wavelet=wavelet)
             assert estimate.shape == expected.shape
             assert np.array_equal(estimate, expected), (level, method)
-            row = _thresholds([method], details, walk.size, None)[0]
+            row = _thresholds([method], details, walk.size)[0]
             assert np.array_equal(row, report.thresholds[i]), (level, method)

@@ -8,15 +8,13 @@ import pytest
 
 from comove import packets
 from comove.packets import (
+    _analysis_step,
     _dwt,
+    _filter_bank,
     _idwt,
-    analysis_step,
     energy_fractions,
     frequency_index,
-    highpass,
-    lowpass,
     reconstruct_node,
-    synthesis_step,
     wpt_forward,
     wpt_inverse,
 )
@@ -39,12 +37,29 @@ DB3 = np.array(
 # ---------------------------------------------------------------- filters
 
 
+def synthesis_step(a, d, h, g):
+    """Inverse of :func:`_analysis_step`, an oracle for the banks' transpose.
+
+    x[2j + r] = sum_q h[r + 2q] a[(j - q) mod N/2] + g[r + 2q] d[(j - q) mod N/2]
+    along the last axis; leading axes are a batch of independent signals.
+    """
+    a = np.asarray(a, dtype=float)
+    d = np.asarray(d, dtype=float)
+    if a.shape != d.shape:
+        raise ValueError("approximation and detail lengths differ")
+    half = a.shape[-1]
+    idx = (np.arange(half)[:, None] - np.arange(h.size // 2)) % half  # row j: the a and d windows of pair j
+    windows = np.concatenate([a, d], axis=-1).take(np.concatenate([idx, idx + half], axis=1), axis=-1)
+    phases = np.concatenate([h, g]).reshape(-1, 2)  # column r: taps r::2 of h, then of g
+    return (windows @ phases).reshape(*a.shape[:-1], 2 * half)
+
+
 def test_db3_lowpass_frozen_values():
-    np.testing.assert_allclose(lowpass("db3"), DB3, atol=1e-15)
+    np.testing.assert_allclose(_filter_bank("db3")[0], DB3, atol=1e-15)
 
 
 def test_db3_orthonormal_filter_identities():
-    h = lowpass("db3")
+    h = _filter_bank("db3")[0]
     assert h.sum() == pytest.approx(np.sqrt(2.0), abs=1e-14)
     assert np.dot(h, h) == pytest.approx(1.0, abs=1e-14)
     assert np.dot(h[:-2], h[2:]) == pytest.approx(0.0, abs=1e-14)
@@ -52,8 +67,7 @@ def test_db3_orthonormal_filter_identities():
 
 
 def test_db3_highpass_properties():
-    h = lowpass("db3")
-    g = highpass(h)
+    h, g = _filter_bank("db3")
     # quadrature mirror: g[k] = (-1)^k h[L-1-k]
     np.testing.assert_allclose(g, (-1.0) ** np.arange(6) * h[::-1], atol=1e-15)
     assert np.dot(g, h) == pytest.approx(0.0, abs=1e-14)
@@ -64,31 +78,29 @@ def test_db3_highpass_properties():
 
 
 def test_haar_filter():
-    np.testing.assert_allclose(lowpass("haar"), np.full(2, np.sqrt(0.5)), atol=1e-15)
+    np.testing.assert_allclose(_filter_bank("haar")[0], np.full(2, np.sqrt(0.5)), atol=1e-15)
 
 
 def test_unknown_wavelet():
-    with pytest.raises(ValueError, match="unknown wavelet"):
-        lowpass("db17")
+    with pytest.raises(ValueError, match=r"^unknown wavelet 'db17'; have \['db3', 'haar'\]$"):
+        _filter_bank("db17")
 
 
 # ---------------------------------------------------------------- one step
 
 
 def test_haar_step_hand_oracle():
-    h = lowpass("haar")
-    g = highpass(h)
-    a, d = analysis_step(np.array([1.0, 1.0, -1.0, -1.0]), h, g)
+    h, g = _filter_bank("haar")
+    a, d = _analysis_step(np.array([1.0, 1.0, -1.0, -1.0]), h, g)
     np.testing.assert_allclose(a, [np.sqrt(2.0), -np.sqrt(2.0)], atol=1e-14)
     np.testing.assert_allclose(d, [0.0, 0.0], atol=1e-14)
 
 
 def test_analysis_synthesis_roundtrip():
     rng = np.random.default_rng(0)
-    h = lowpass("db3")
-    g = highpass(h)
+    h, g = _filter_bank("db3")
     x = rng.normal(size=40)
-    a, d = analysis_step(x, h, g)
+    a, d = _analysis_step(x, h, g)
     assert a.size == d.size == 20
     back = synthesis_step(a, d, h, g)
     np.testing.assert_allclose(back, x, atol=1e-12)
@@ -96,30 +108,27 @@ def test_analysis_synthesis_roundtrip():
 
 def test_analysis_step_preserves_energy():
     rng = np.random.default_rng(1)
-    h = lowpass("db3")
-    g = highpass(h)
+    h, g = _filter_bank("db3")
     x = rng.normal(size=64)
-    a, d = analysis_step(x, h, g)
+    a, d = _analysis_step(x, h, g)
     assert np.dot(a, a) + np.dot(d, d) == pytest.approx(np.dot(x, x), rel=1e-13)
 
 
 def test_analysis_step_needs_even_length():
-    h = lowpass("haar")
     with pytest.raises(ValueError, match="even length"):
-        analysis_step(np.zeros(5), h, highpass(h))
+        _analysis_step(np.zeros(5), *_filter_bank("haar"))
 
 
 @pytest.mark.parametrize("wavelet", ["db3", "haar"])
 @pytest.mark.parametrize("n", [2, 8, 40])
 def test_steps_on_a_stack_match_row_by_row(wavelet, n):
     rng = np.random.default_rng(11)
-    h = lowpass(wavelet)
-    g = highpass(h)
+    h, g = _filter_bank(wavelet)
     x = rng.normal(size=(5, n))
-    a, d = analysis_step(x, h, g)
+    a, d = _analysis_step(x, h, g)
     back = synthesis_step(a, d, h, g)
     for k in range(5):
-        ak, dk = analysis_step(x[k], h, g)
+        ak, dk = _analysis_step(x[k], h, g)
         assert np.array_equal(a[k], ak) and np.array_equal(d[k], dk)
         np.testing.assert_allclose(back[k], synthesis_step(ak, dk, h, g), rtol=0, atol=1e-14)
     np.testing.assert_allclose(back, x, rtol=0, atol=1e-13)
@@ -129,12 +138,11 @@ def test_steps_on_a_stack_match_row_by_row(wavelet, n):
 def test_steps_at_interleaved_lengths_match_the_index_formula(wavelet):
     # alternate two lengths, so each call must build its own gather
     rng = np.random.default_rng(12)
-    h = lowpass(wavelet)
-    g = highpass(h)
+    h, g = _filter_bank(wavelet)
     for n in (40, 12, 40, 12):
         x = rng.normal(size=(3, n))
         idx = (2 * np.arange(n // 2)[:, None] + np.arange(h.size)[None, :]) % n
-        a, d = analysis_step(x, h, g)
+        a, d = _analysis_step(x, h, g)
         windows = np.take(x, idx, axis=-1)
         assert np.array_equal(a, windows @ h) and np.array_equal(d, windows @ g)
         half = n // 2
@@ -158,21 +166,19 @@ def test_cached_gather_plans_are_read_only():
 
 @pytest.mark.parametrize("wavelet", ["db3", "haar"])
 def test_filter_bank_is_built_once_and_read_only(wavelet):
-    h, g = packets._filter_bank(wavelet)
-    assert packets._filter_bank(wavelet) is packets._filter_bank(wavelet)
-    assert np.array_equal(h, lowpass(wavelet)) and np.array_equal(g, highpass(lowpass(wavelet)))
+    h, g = _filter_bank(wavelet)
+    assert _filter_bank(wavelet) is _filter_bank(wavelet)
+    assert np.array_equal(g, (-1.0) ** np.arange(h.size) * h[::-1])
     for f in (h, g):
         with pytest.raises(ValueError, match="read-only"):
             f[0] = 0.0
-    assert lowpass(wavelet).flags.writeable  # the public filter is not frozen by the cache
     with pytest.raises(ValueError, match="unknown wavelet"):
-        packets._filter_bank("db4")
+        _filter_bank("db4")
 
 
 def test_synthesis_step_length_mismatch():
-    h = lowpass("haar")
     with pytest.raises(ValueError, match="lengths differ"):
-        synthesis_step(np.zeros(4), np.zeros(3), h, highpass(h))
+        synthesis_step(np.zeros(4), np.zeros(3), *_filter_bank("haar"))
 
 
 # ---------------------------------------------------------------- packet tree
@@ -180,10 +186,8 @@ def test_synthesis_step_length_mismatch():
 
 def test_haar_depth2_hand_oracle():
     tree = wpt_forward(np.array([1.0, 1.0, -1.0, -1.0]), 2, wavelet="haar")
-    np.testing.assert_allclose(tree.nodes[(0, 0)], [0.0], atol=1e-12)
-    np.testing.assert_allclose(tree.nodes[(0, 1)], [2.0], atol=1e-12)
-    np.testing.assert_allclose(tree.nodes[(1, 0)], [0.0], atol=1e-12)
-    np.testing.assert_allclose(tree.nodes[(1, 1)], [0.0], atol=1e-12)
+    # rows in natural order: (0, 0), (0, 1), (1, 0), (1, 1)
+    np.testing.assert_allclose(tree.leaves, [[0.0], [2.0], [0.0], [0.0]], atol=1e-12)
 
 
 @pytest.mark.parametrize("wavelet", ["db3", "haar"])
@@ -201,22 +205,19 @@ def test_wpt_tree_shape():
     tree = wpt_forward(np.random.default_rng(3).normal(size=64), 3)
     assert tree.level == 3
     assert tree.original_length == 64
-    assert tree.padded_length == 64
-    assert len(tree.nodes) == 8
-    assert all(v.size == 8 for v in tree.nodes.values())
+    assert tree.leaves.shape == (8, 8)
 
 
 def test_wpt_pads_awkward_lengths():
     tree = wpt_forward(np.random.default_rng(4).normal(size=100), 3)
     assert tree.original_length == 100
-    assert tree.padded_length == 104
-    assert all(v.size == 13 for v in tree.nodes.values())
+    assert tree.leaves.shape == (8, 13)  # extended to 104 samples
 
 
 def test_wpt_parseval():
     x = np.random.default_rng(5).normal(size=64)
     tree = wpt_forward(x, 3)
-    total = sum(float(np.dot(v, v)) for v in tree.nodes.values())
+    total = sum(float(np.dot(v, v)) for v in tree.leaves)
     assert total == pytest.approx(float(np.dot(x, x)), rel=1e-12)
 
 
@@ -254,20 +255,20 @@ CASCADE_TOL = 16 * np.finfo(float).eps
 
 def _cascade(x, level, wavelet):
     """The packet tree and the DWT of the extended x, a depth at a time with
-    analysis_step: (natural-order leaf rows, DWT approximation, details)."""
-    h, g = packets._filter_bank(wavelet)
+    _analysis_step: (natural-order leaf rows, DWT approximation, details)."""
+    h, g = _filter_bank(wavelet)
     xp = np.concatenate([x, x[: -x.size % 2**level]])
     rows, a, details = xp[None], xp, []
     for _ in range(level):
-        lo, hi = analysis_step(rows, h, g)
+        lo, hi = _analysis_step(rows, h, g)
         rows = np.stack([lo, hi], axis=1).reshape(-1, lo.shape[-1])
-        a, d = analysis_step(a, h, g)
+        a, d = _analysis_step(a, h, g)
         details.append(d)
     return rows, a, details
 
 
 def _cascade_inverse(rows, wavelet):
-    h, g = packets._filter_bank(wavelet)
+    h, g = _filter_bank(wavelet)
     while len(rows) > 1:
         rows = synthesis_step(rows[0::2], rows[1::2], h, g)
     return rows[0]
@@ -278,17 +279,18 @@ def _cascade_inverse(rows, wavelet):
 def test_banks_match_the_per_depth_cascade(wavelet, level):
     # every residue of n mod 2**level, from one coefficient per leaf up, then
     # the benchmark's and a long length; past depth 4 two banks compose
-    h, g = packets._filter_bank(wavelet)
+    h, g = _filter_bank(wavelet)
     for n in [*range(2**level, 2**(level + 1)), 1461, 4096]:
         x = np.random.default_rng([level, n]).standard_normal(n)
         tol = CASCADE_TOL * np.abs(x).max()
         rows, approx, details = _cascade(x, level, wavelet)
         tree = wpt_forward(x, level, wavelet)
-        assert np.abs(np.stack([tree.nodes[p] for p in tree.paths()]) - rows).max() <= tol, n
+        assert np.abs(tree.leaves - rows).max() <= tol, n
         assert np.abs(wpt_inverse(tree) - _cascade_inverse(rows, wavelet)[:n]).max() <= tol, n
         for path in {(0,) * level, (1,) * level, tree.paths()[n % 2**level]}:
             lone = np.zeros_like(rows)
-            lone[np.ravel_multi_index(path, (2,) * level)] = tree.nodes[path]
+            i = np.ravel_multi_index(path, (2,) * level)
+            lone[i] = tree.leaves[i]
             want = _cascade_inverse(lone, wavelet)[:n]
             assert np.abs(reconstruct_node(tree, path) - want).max() <= tol, (n, path)
         c = _dwt(x, level, wavelet)  # Mallat order: the approximation, then the details coarsest first
@@ -326,7 +328,7 @@ def test_one_bank_product_per_stage_of_at_most_four_levels(monkeypatch, level, s
 
         return wrapper
 
-    for f in (packets._analyze, packets._synthesize, analysis_step, synthesis_step):
+    for f in (packets._analyze, packets._synthesize, _analysis_step):
         monkeypatch.setattr(packets, f.__name__, counted(f))
     built = packets._plan.cache_info().misses
     tree, coeffs = wpt_forward(x, level), _dwt(x, level, "db3")
@@ -418,7 +420,8 @@ def test_energy_fractions_follow_the_ordering_and_per_leaf_sums(ordering):
     tree = wpt_forward(np.random.default_rng(8).normal(size=1461), 4)
     fr = energy_fractions(tree, ordering)
     assert list(fr) == tree.paths(ordering)
-    energies = [float(np.sum(tree.nodes[p] ** 2)) for p in tree.paths(ordering)]
+    rows = dict(zip(tree.paths(), tree.leaves))  # natural order, as the stack holds them
+    energies = [float(np.sum(rows[p] ** 2)) for p in tree.paths(ordering)]
     np.testing.assert_allclose(list(fr.values()), np.array(energies) / sum(energies), rtol=1e-15)
 
 
@@ -471,7 +474,7 @@ def test_dwt_shapes_finest_first():
     assert c.shape == (104,)
     approx = c[:13]
     for j in range(3):
-        approx = synthesis_step(approx, c[104 >> (3 - j) : 104 >> (2 - j)], *packets._filter_bank("db3"))
+        approx = synthesis_step(approx, c[104 >> (3 - j) : 104 >> (2 - j)], *_filter_bank("db3"))
     assert np.abs(approx[:100] - x).max() < 1e-12
 
 
@@ -490,7 +493,7 @@ def test_dwt_matches_packet_lowpass_spine():
         x = np.random.default_rng(10).normal(size=n)
         c = _dwt(x, level, "db3")
         tree = wpt_forward(x, level)
-        assert np.array_equal(c[: c.size >> level], tree.nodes[(0,) * level]), n
+        assert np.array_equal(c[: c.size >> level], tree.leaves[0]), n
 
 
 def test_malformed_coefficients_are_refused():
