@@ -126,7 +126,7 @@ class PipelineConfig:
                          "method with its conventional rule)")
     denoise_level: int = _setting(4, COUNT, "de-noising decomposition level")
     wavelet: str = _setting("db3", _choice(pk._filter_bank), "db3 or haar")
-    horizon: int = _setting(30, COUNT, "forecast steps")
+    horizon: int = _setting(30, COUNT, "forecast steps, at most the analysis window's rows")
     out_dir: str = _setting("out", TEXT, "output directory, made at the first write", required="output directory")
 
     def echo(self) -> str:
@@ -412,7 +412,7 @@ def _forecast(run: _Run) -> list[tuple]:
 
 
 def _truncate(r: vm.ForecastResult, steps: int) -> vm.ForecastResult:
-    return vm.ForecastResult(steps, r.points[:steps], r.cov[:steps], r.lower[:steps], r.upper[:steps])
+    return vm.ForecastResult(r.points[:steps], r.lower[:steps], r.upper[:steps])
 
 
 def _check_settings(config: PipelineConfig) -> tuple[date | None, date | None]:
@@ -456,6 +456,8 @@ def _check_data(needs: set[str], config: PipelineConfig, work: ts.MultiSeries) -
             raise ts.DataError(f"{key} {level} needs at least {need} rows in the analysis window, got {n}")
     if "fit rows" in needs and n < vm.MIN_OBS:
         raise ts.DataError(f"the forecast fit needs at least {vm.MIN_OBS} rows in the analysis window, got {n}")
+    if "fit rows" in needs and config.horizon > n:
+        raise ts.DataError(f"horizon {config.horizon} exceeds the {n} rows of the analysis window")
 
 
 def _coherence(variant: str, prefix: str, partials: bool = True) -> tuple:

@@ -259,13 +259,11 @@ def _solve(
 class CoherenceResult:
     """Bundle of coherence grids for one target series.
 
+    Each grid lies on the field's time-scale plane, ``field.grid``, whose
+    scales label its rows.
+
     Attributes
     ----------
-    target : int
-        Index of the target series in the field.
-    labels : tuple of str
-    grid : ScaleGrid
-        The field's time-scale plane; its scales label the rows of each grid.
     multiple : ndarray, shape (num_scales, n), in [0, 1]
     partial_sq : dict of int to ndarray
         Squared partial coherency grid for each non-target series index.
@@ -274,12 +272,9 @@ class CoherenceResult:
     flagged : ndarray, bool
         Cells that were degenerate or hit a singular minor anywhere.
     coi_outside : ndarray, bool
-        True outside the cone of influence, ``grid.outside_coi()``.
+        True outside the cone of influence, ``field.grid.outside_coi()``.
     """
 
-    target: int
-    labels: tuple[str, ...]
-    grid: ScaleGrid
     multiple: np.ndarray
     partial_sq: dict[int, np.ndarray]
     partial_phase: dict[int, np.ndarray]
@@ -309,9 +304,6 @@ def coherence_result(field: CoherenceField, target: int = 0) -> CoherenceResult:
         raise ValueError(f"target index {target} out of range for {field.p} series")
     r2, partial_sq, partial_phase, singular, partial_bad = _solve(field.pairs, field.p, target)
     return CoherenceResult(
-        target=target,
-        labels=field.labels,
-        grid=field.grid,
         multiple=r2,
         partial_sq=partial_sq,
         partial_phase=partial_phase,

@@ -39,7 +39,6 @@ SELECTORS = {
     "GCVLevel": ("gcv", True, "garrote"),
 }
 METHODS = tuple(SELECTORS)
-WINNER_TOL_DB = 1e-9  # sweep scores this close to the best tie; an absolute gap in dB is scale-free
 CONVENTIONAL_RULE = {name: shrinkage for name, (_, _, shrinkage) in SELECTORS.items()}
 _SWEEP_CONVENTION = (
     "SNR/PSNR measured against the supplied reference (default: the original "
@@ -279,7 +278,7 @@ def _fidelities(ref: np.ndarray, estimates: np.ndarray) -> tuple[np.ndarray, np.
 class DenoiseReport:
     """All nine methods scored on one signal, one table whose row i is METHODS[i]: its
     rule, thresholds (finest level first), scores and reconstruction (``estimates``
-    row i, what :func:`denoise` returns for it); plus the winners and the convention."""
+    row i, what :func:`denoise` returns for it); plus the scoring convention."""
 
     rules: tuple[str, ...]
     thresholds: np.ndarray
@@ -287,8 +286,6 @@ class DenoiseReport:
     psnr: np.ndarray
     identical: np.ndarray
     estimates: np.ndarray = field(repr=False)
-    winner_snr: str
-    winner_psnr: str
     convention: str
 
     def rows(self) -> list[tuple[str, str, str, float, float, bool]]:
@@ -325,20 +322,21 @@ def method_sweep(
     Returns
     -------
     DenoiseReport
-        Nine scores plus the winning method by SNR and by PSNR: of the
-        methods within ``WINNER_TOL_DB`` of the best, the first in METHODS.
+        The nine methods' thresholds, scores and estimates.
 
     Raises
     ------
     ValueError
         A signal shorter than :func:`sweep_min_length` at ``level``, a
-        reference of another shape or with zero energy, an unknown rule, or
-        a signal the transform refuses.
+        reference of another shape, non-finite or with zero energy, an
+        unknown rule, or a signal the transform refuses.
     """
     x = np.asarray(x, dtype=float)
     ref = x if reference is None else np.asarray(reference, dtype=float)
     if ref.shape != x.shape:
         raise ValueError(f"shape mismatch: reference {ref.shape} vs signal {x.shape}")
+    if not np.isfinite(ref).all():
+        raise ValueError("reference contains non-finite values")
     if rule is not None and rule not in SHRINKAGE_RULES:
         raise ValueError(f"unknown rule {rule!r}; have {SHRINKAGE_RULES}")
     need = _shortfall(x.size, level, sweep_min_length)
@@ -346,8 +344,4 @@ def method_sweep(
         raise ValueError(f"the sweep at level {level} needs at least {need} samples, got {x.size}")
     rules = tuple(rule if rule is not None else CONVENTIONAL_RULE[m] for m in METHODS)
     thresholds, estimates = _denoised(x, list(METHODS), rules, level, wavelet)
-    snr, psnr, identical = _fidelities(ref, estimates)
-    # the first method in METHODS order within WINNER_TOL_DB of the best wins,
-    # so rounding does not choose between selectors that reach one estimate
-    win_snr, win_psnr = (METHODS[int(np.argmax(s >= s.max() - WINNER_TOL_DB))] for s in (snr, psnr))
-    return DenoiseReport(rules, thresholds, snr, psnr, identical, estimates, win_snr, win_psnr, _SWEEP_CONVENTION)
+    return DenoiseReport(rules, thresholds, *_fidelities(ref, estimates), estimates, _SWEEP_CONVENTION)

@@ -231,12 +231,9 @@ def load_csv(
     return MultiSeries(value_columns, stamps, data, load_report=report)
 
 
-def window(
-    ms: MultiSeries,
-    start: _dt.date | str,
-    end: _dt.date | str,
-) -> MultiSeries:
-    """Restrict to timestamps in [start, end], inclusive on both ends.
+def window(ms: MultiSeries, start: _dt.date, end: _dt.date) -> MultiSeries:
+    """Restrict to timestamps in [start, end], inclusive on both ends; the
+    bounds are dates, as :func:`parse_date` reads them from text.
 
     Raises
     ------
@@ -244,10 +241,6 @@ def window(
         If start > end, the window is empty, or fewer than ``MIN_LENGTH``
         samples survive.
     """
-    if isinstance(start, str):
-        start = parse_date(start)
-    if isinstance(end, str):
-        end = parse_date(end)
     if start > end:
         raise DataError(f"window start {start} is after end {end}")
     lo = np.datetime64(start, "D")

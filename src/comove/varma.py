@@ -46,6 +46,7 @@ _SHRINK_NOTES = (
 )
 _BAND_MULTIPLIER = 1.96
 _TIE_RTOL = 1e-12  # MSEs this close, relative to the larger, rank as a tie
+_BURN_IN = 500  # samples simulate_varma draws and discards before its path
 # sigma's symmetry and semidefiniteness are judged to this multiple of eps p
 # max|sigma_ii|: eigvalsh's error and the rounding of a covariance product
 # are small multiples of eps ||sigma||_2 <= eps tr(sigma) <= eps p max sigma_ii
@@ -445,15 +446,10 @@ def residuals(model: VarmaModel, data: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ForecastResult:
-    """Point forecasts with Gaussian uncertainty, horizons 1..H.
+    """Point forecasts with their 95% Gaussian bands, horizons 1..H; each
+    array is (H, p)."""
 
-    Arrays are (H, p); cov is (H, p, p), the accumulated psi-weight
-    covariance of the h-step forecast error.
-    """
-
-    horizon: int
     points: np.ndarray
-    cov: np.ndarray
     lower: np.ndarray
     upper: np.ndarray
 
@@ -461,7 +457,7 @@ class ForecastResult:
 def forecast(
     model: VarmaModel,
     y_last: float | np.ndarray,
-    e_last: float | np.ndarray | None,
+    e_last: float | np.ndarray,
     horizon: int,
 ) -> ForecastResult:
     """Iterated forecasts from the last observation and last residual.
@@ -478,16 +474,14 @@ def forecast(
     model : VarmaModel
     y_last : scalar or (p,) array
         Last observed value(s).
-    e_last : scalar, (p,) array, or None
-        Last residual(s); None is only allowed when the model has no
-        moving-average part.
+    e_last : scalar or (p,) array
+        Last residual(s), as :func:`residuals` gives them.
     horizon : int, at least 1.
 
     Raises
     ------
     ValueError
-        Nonpositive horizon, shape mismatches, or a missing e_last for a
-        model with a moving-average part.
+        Nonpositive horizon or shape mismatches.
     """
     if horizon < 1:
         raise ValueError(f"horizon must be at least 1, got {horizon}")
@@ -495,16 +489,9 @@ def forecast(
     y = np.atleast_1d(np.asarray(y_last, dtype=float))
     if y.shape != (p,):
         raise ValueError(f"y_last must have shape ({p},), got {y.shape}")
-    if e_last is None:
-        if np.any(theta != 0.0):
-            raise ValueError(
-                "model has a moving-average part; supply e_last (see residuals())"
-            )
-        e = np.zeros(p)
-    else:
-        e = np.atleast_1d(np.asarray(e_last, dtype=float))
-        if e.shape != (p,):
-            raise ValueError(f"e_last must have shape ({p},), got {e.shape}")
+    e = np.atleast_1d(np.asarray(e_last, dtype=float))
+    if e.shape != (p,):
+        raise ValueError(f"e_last must have shape ({p},), got {e.shape}")
 
     dev = np.zeros((horizon, p))
     dev[0] = phi @ (y - mu) + theta @ e
@@ -516,24 +503,21 @@ def forecast(
     psi_t = _linear_recursion(psi_t, phi)
     cov = np.cumsum(_matmul(_matmul(np.swapaxes(psi_t, 1, 2), model.sigma), psi_t), axis=0)
     band = _BAND_MULTIPLIER * np.sqrt(np.maximum(np.diagonal(cov, axis1=1, axis2=2), 0.0))
-    return ForecastResult(horizon=horizon, points=points, cov=cov, lower=points - band, upper=points + band)
+    return ForecastResult(points=points, lower=points - band, upper=points + band)
 
 
 @dataclass(frozen=True)
 class MseEvaluation:
-    """Squared forecast errors against realized values.
+    """Forecast errors against realized values: cum_mse is each series' mean
+    squared error over horizons 1..H."""
 
-    squared_errors is (H, p); cum_mse averages over horizons per series.
-    """
-
-    squared_errors: np.ndarray
     cum_mse: np.ndarray
 
 
 def evaluate_mse(result: ForecastResult, actual: np.ndarray) -> MseEvaluation:
     """Score a forecast against realized observations.
 
-    ``actual`` must supply at least ``result.horizon`` rows (extra rows are
+    ``actual`` must supply a row per forecast horizon (extra rows are
     ignored); a one-dimensional array is accepted for univariate forecasts.
     The cumulative MSE is the mean squared error over horizons 1..H, the
     quantity the model comparison ranks.
@@ -546,8 +530,7 @@ def evaluate_mse(result: ForecastResult, actual: np.ndarray) -> MseEvaluation:
         raise ValueError(f"need {h} realized rows, got {a.shape[0]}")
     if a.shape[1] != p:
         raise ValueError(f"actual has {a.shape[1]} series, forecast has {p}")
-    sq = (a[:h] - result.points) ** 2
-    return MseEvaluation(squared_errors=sq, cum_mse=sq.mean(axis=0))
+    return MseEvaluation(cum_mse=((a[:h] - result.points) ** 2).mean(axis=0))
 
 
 @dataclass(frozen=True)
@@ -568,12 +551,16 @@ def mse_comparison(
     """Rank per-series ARMA and VARMA cumulative MSEs.
 
     A difference of at most 1e-12 of the larger MSE counts as no winner, so
-    a change of units, which scales both alike, moves no verdict.
+    a change of units, which scales both alike, moves no verdict. A
+    non-finite MSE, which that rule cannot rank, is refused, naming its series.
     """
     arma_mse = np.atleast_1d(np.asarray(arma_mse, dtype=float))
     varma_mse = np.atleast_1d(np.asarray(varma_mse, dtype=float))
     if not len(names) == arma_mse.size == varma_mse.size:
         raise ValueError("names and MSE vectors must have matching lengths")
+    bad = ~(np.isfinite(arma_mse) & np.isfinite(varma_mse))
+    if bad.any():
+        raise ValueError(f"series {names[int(np.argmax(bad))]!r} has a non-finite MSE")
     rows = []
     for name, am, vm in zip(names, arma_mse, varma_mse):
         if abs(am - vm) <= _TIE_RTOL * max(am, vm):
@@ -584,17 +571,12 @@ def mse_comparison(
     return rows
 
 
-def simulate_varma(
-    model: VarmaModel,
-    n: int,
-    seed: int,
-    burn_in: int = 500,
-) -> np.ndarray:
+def simulate_varma(model: VarmaModel, n: int, seed: int) -> np.ndarray:
     """Draw a Gaussian sample path from a (vector) ARMA(1,1) model.
 
-    The recursion starts from a zero state and discards ``burn_in`` samples,
-    so the returned path is effectively stationary. Deterministic for a
-    given seed.
+    The recursion starts from a zero state and discards its first 500
+    samples, so the returned path is effectively stationary. Deterministic
+    for a given seed.
 
     Returns
     -------
@@ -603,8 +585,6 @@ def simulate_varma(
     """
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
-    if burn_in < 0:
-        raise ValueError(f"burn_in must be nonnegative, got {burn_in}")
     p = model.p
     rng = np.random.default_rng(seed)
     try:
@@ -612,6 +592,6 @@ def simulate_varma(
         chol = np.linalg.cholesky(model.sigma + (1e-12 * np.trace(model.sigma) / p) * np.eye(p))
     except np.linalg.LinAlgError as exc:
         raise ValueError("innovation covariance is not positive definite") from exc
-    u = rng.standard_normal((n + burn_in, p)) @ chol.T
+    u = rng.standard_normal((n + _BURN_IN, p)) @ chol.T
     u[1:] += u[:-1] @ model.theta.T  # drive eps_t + Theta eps_{t-1}, eps_{-1} = 0
-    return _linear_recursion(u, model.phi)[burn_in:] + model.mu
+    return _linear_recursion(u, model.phi)[_BURN_IN:] + model.mu

@@ -471,7 +471,7 @@ def test_degenerate_inputs(tmp_path, capsys):
         (ValueError, lambda: cm.denoise(np.arange(64.0), method="nope")),
         (ValueError, lambda: cm.denoise(np.zeros(64), level=3)),
         (ValueError, lambda: cm.fit_arma11(np.zeros(30))),
-        (ValueError, lambda: cm.forecast(arma, 1.0, None, 2)),
+        (ValueError, lambda: cm.forecast(arma, 1.0, np.zeros(2), 2)),
         (ValueError, lambda: cm.forecast(arma, 1.0, 0.5, 0)),
         (ValueError, lambda: cm.evaluate_mse(fc, np.array([1.0]))),
         (ValueError, lambda: cm.mse_comparison(("a",), np.array([1.0, 2.0]), np.array([1.0]))),

@@ -879,8 +879,14 @@ def test_bad_window_refused_before_the_input_is_read(tmp_path, capsys, flags, me
          "denoise_level 20000 needs at least 2**20000 rows in the analysis window, got 300"),
         ("pipeline", 300, ["--depth", "4000000000"],
          "depth 4000000000 needs at least 2**4000000000 rows in the analysis window, got 300"),
+        # a horizon past the window is refused before the forecast allocates a row per step
+        ("forecast", 300, ["--horizon", "301"], "horizon 301 exceeds the 300 rows of the analysis window"),
+        ("pipeline", 300, ["--horizon", "301"], "horizon 301 exceeds the 300 rows of the analysis window"),
+        ("forecast", 300, ["--end", date_str(199), "--horizon", "201"],
+         "horizon 201 exceeds the 200 rows of the analysis window"),
     ],
-    ids=["sweep", "fit", "depth", "depth-40", "depth-20000", "denoise-level-20000", "depth-4e9"],
+    ids=["sweep", "fit", "depth", "depth-40", "depth-20000", "denoise-level-20000", "depth-4e9",
+         "horizon", "horizon-pipeline", "horizon-window"],
 )
 def test_short_window_refused_before_output(tmp_path, capsys, subcommand, rows, flags, message):
     src = tmp_path / "in.csv"

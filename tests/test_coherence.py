@@ -565,7 +565,6 @@ def test_target_out_of_range():
 def test_coherence_result_bundle():
     field = build_field(4, seed=18)
     res = coherence_result(field, 1)
-    assert res.target == 1
     assert sorted(res.partial_sq) == [0, 2, 3]
     assert sorted(res.partial_phase) == [0, 2, 3]
     np.testing.assert_allclose(res.multiple, coherence._solve(field.pairs, 4, 1)[0], atol=0)

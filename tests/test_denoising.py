@@ -8,7 +8,6 @@ from comove.denoising import (
     CONVENTIONAL_RULE,
     METHODS,
     SELECTORS,
-    WINNER_TOL_DB,
     canonical_method,
     denoise,
     method_sweep,
@@ -503,6 +502,9 @@ def test_fidelity_error_contracts():
         method_sweep(noisy, reference=np.ones(5))
     with pytest.raises(ValueError, match="zero energy"):
         method_sweep(noisy, reference=np.zeros(256))
+    for bad in (np.nan, np.inf, -np.inf):  # a NaN would score every method NaN
+        with pytest.raises(ValueError, match="reference contains non-finite values"):
+            method_sweep(noisy, reference=np.where(np.arange(256) == 100, bad, noisy))
 
 
 # ---------------------------------------------------------------- sweep
@@ -538,33 +540,6 @@ def test_sweep_hard_universal_is_gentler_than_soft_visushrink():
     report = method_sweep(noisy)
     snr = dict(zip(METHODS, report.snr))
     assert snr["Universal"] >= snr["VisuShrink"]
-
-
-def test_sweep_winners_are_argmax():
-    _, noisy = noisy_sinusoid(seed=4)
-    report = method_sweep(noisy)
-    assert report.winner_snr == METHODS[int(np.argmax(report.snr))]
-    assert report.winner_psnr == METHODS[int(np.argmax(report.psnr))]
-
-
-@pytest.mark.parametrize("gap", [1e-14, 0.0])
-def test_sweep_winner_is_the_first_method_within_the_tolerance(monkeypatch, gap):
-    # SURE and GCV reach one estimate, but their scores may differ in the last
-    # bits; the earlier method in METHODS wins, whichever rounds higher
-    from comove import denoising
-
-    assert WINNER_TOL_DB > 1e-14 and (1.0 + gap) - 1.0 == pytest.approx(gap, rel=0.01)
-    real = denoising._fidelities
-
-    def scored(ref, estimates):
-        # every other method scores 0 dB, SURE 1 dB and GCV 1 dB + gap
-        score = np.array([{"SURE": 1.0, "GCV": 1.0 + gap}.get(m, 0.0) for m in METHODS])
-        return score, score.copy(), real(ref, estimates)[2]
-
-    monkeypatch.setattr(denoising, "_fidelities", scored)
-    _, noisy = noisy_sinusoid(seed=4)
-    report = method_sweep(noisy)
-    assert (report.winner_snr, report.winner_psnr) == ("SURE", "SURE")
 
 
 def test_sweep_against_external_reference():

@@ -274,7 +274,7 @@ def test_load_csv_empty_file(tmp_path):
 
 def test_window_is_inclusive_both_ends():
     ms = make_ms(n=20)
-    w = window(ms, "2020-01-03", "2020-01-12")
+    w = window(ms, parse_date("2020-01-03"), parse_date("2020-01-12"))
     assert len(w) == 10
     assert w.timestamps[0] == np.datetime64("2020-01-03")
     assert w.timestamps[-1] == np.datetime64("2020-01-12")
@@ -291,17 +291,17 @@ def test_window_accepts_date_objects():
 def test_window_start_after_end():
     ms = make_ms(n=20)
     with pytest.raises(DataError, match="is after end"):
-        window(ms, "2020-01-10", "2020-01-05")
+        window(ms, parse_date("2020-01-10"), parse_date("2020-01-05"))
 
 
 def test_window_empty_selection():
     ms = make_ms(n=20)
     with pytest.raises(DataError, match="selects no samples"):
-        window(ms, "2021-06-01", "2021-06-30")
+        window(ms, parse_date("2021-06-01"), parse_date("2021-06-30"))
 
 
 def test_window_too_short():
     ms = make_ms(n=20)
     with pytest.raises(DataError, match="need at least 8"):
-        window(ms, "2020-01-03", "2020-01-06")
+        window(ms, parse_date("2020-01-03"), parse_date("2020-01-06"))
 

@@ -231,7 +231,7 @@ def test_simulate_satisfies_recursion(p):
     sigma = b @ b.T + np.eye(p)
     mu = rng.normal(size=p)
     m = VarmaModel(mu=mu, phi=phi, theta=theta, sigma=sigma, n_obs=0)
-    n, burn_in, seed = 700, 300, 35
+    n, burn_in, seed = 700, 500, 35  # simulate_varma's fixed burn-in
     chol = np.linalg.cholesky(sigma + 1e-12 * np.eye(p))
     eps = np.random.default_rng(seed).standard_normal((n + burn_in, p)) @ chol.T
     z = np.zeros((n + burn_in, p))
@@ -239,7 +239,7 @@ def test_simulate_satisfies_recursion(p):
     for t in range(1, n + burn_in):
         z[t] = phi @ z[t - 1] + eps[t] + theta @ eps[t - 1]
     want = z[burn_in:] + mu
-    got = simulate_varma(m, n, seed=seed, burn_in=burn_in)
+    got = simulate_varma(m, n, seed=seed)
     assert np.abs(got - want).max() <= 1e-11 * np.abs(want).max()
 
 
@@ -268,8 +268,6 @@ def test_simulate_error_contracts():
     m = VarmaModel(mu=[0.0], phi=[[0.5]], theta=[[0.0]], sigma=[[1.0]], n_obs=0)
     with pytest.raises(ValueError, match="n must be positive"):
         simulate_varma(m, 0, seed=0)
-    with pytest.raises(ValueError, match="burn_in must be nonnegative"):
-        simulate_varma(m, 10, seed=0, burn_in=-1)
 
 
 # ---------------------------------------------------------------- fitting
@@ -830,11 +828,11 @@ def test_residuals_shape_contracts():
 def test_arma_forecast_closed_form():
     m = VarmaModel(mu=[0.0], phi=[[0.5]], theta=[[0.2]], sigma=[[1.0]], n_obs=100)
     fc = forecast(m, y_last=2.0, e_last=1.0, horizon=2)
-    assert fc.horizon == 2
+    assert fc.points.shape == fc.lower.shape == fc.upper.shape == (2, 1)
     # one step: phi*y + theta*e; two steps: phi * (one step)
     np.testing.assert_allclose(fc.points.ravel(), [1.2, 0.6], atol=1e-12)
     # psi_1 = phi + theta = 0.7, so var_2 = 1 + 0.49
-    np.testing.assert_allclose(fc.cov.ravel(), [1.0, 1.49], atol=1e-12)
+    np.testing.assert_allclose((((fc.upper - fc.points) / 1.96) ** 2).ravel(), [1.0, 1.49], atol=1e-12)
     np.testing.assert_allclose(
         fc.lower.ravel(), fc.points.ravel() - 1.96 * np.sqrt([1.0, 1.49]), atol=1e-12
     )
@@ -854,10 +852,11 @@ def test_var_forecast_closed_form():
     m = VarmaModel(
         mu=np.zeros(2), phi=phi, theta=np.zeros((2, 2)), sigma=np.eye(2), n_obs=100
     )
-    fc = forecast(m, y_last=np.array([2.0, -1.0]), e_last=None, horizon=2)
+    fc = forecast(m, y_last=np.array([2.0, -1.0]), e_last=np.zeros(2), horizon=2)
     np.testing.assert_allclose(fc.points, [[1.0, -0.5], [0.5, -0.25]], atol=1e-12)
-    np.testing.assert_allclose(fc.cov[0], np.eye(2), atol=1e-12)
-    np.testing.assert_allclose(fc.cov[1], np.eye(2) + phi @ phi.T, atol=1e-12)
+    var = ((fc.upper - fc.points) / 1.96) ** 2
+    np.testing.assert_allclose(var[0], np.diag(np.eye(2)), atol=1e-12)
+    np.testing.assert_allclose(var[1], np.diag(np.eye(2) + phi @ phi.T), atol=1e-12)
 
 
 def test_varma_forecast_variance_accumulates_psi_weights():
@@ -877,13 +876,8 @@ def test_varma_forecast_variance_accumulates_psi_weights():
     acc = np.zeros((2, 2))
     for k in range(h):
         acc = acc + psi[k] @ m.sigma @ psi[k].T
-        np.testing.assert_allclose(fc.cov[k], acc, atol=1e-10)
-
-
-def test_forecast_requires_e_last_with_ma_part():
-    m = VarmaModel(mu=[0.0], phi=[[0.5]], theta=[[0.2]], sigma=[[1.0]], n_obs=100)
-    with pytest.raises(ValueError, match="moving-average part"):
-        forecast(m, y_last=1.0, e_last=None, horizon=2)
+        np.testing.assert_allclose(((fc.upper[k] - fc.points[k]) / 1.96) ** 2, np.diag(acc), atol=1e-10)
+        np.testing.assert_allclose(((fc.points[k] - fc.lower[k]) / 1.96) ** 2, np.diag(acc), atol=1e-10)
 
 
 def test_forecast_error_contracts():
@@ -895,9 +889,9 @@ def test_forecast_error_contracts():
         n_obs=100,
     )
     with pytest.raises(ValueError, match="horizon must be at least 1"):
-        forecast(m, np.zeros(2), None, horizon=0)
+        forecast(m, np.zeros(2), np.zeros(2), horizon=0)
     with pytest.raises(ValueError, match="y_last must have shape"):
-        forecast(m, np.zeros(3), None, horizon=2)
+        forecast(m, np.zeros(3), np.zeros(2), horizon=2)
     with pytest.raises(ValueError, match="e_last must have shape"):
         forecast(m, np.zeros(2), np.zeros(3), horizon=2)
 
@@ -927,8 +921,7 @@ def test_evaluate_mse_hand_values():
     m = VarmaModel(mu=[0.0], phi=[[0.5]], theta=[[0.2]], sigma=[[1.0]], n_obs=100)
     fc = forecast(m, y_last=2.0, e_last=1.0, horizon=2)
     ev = evaluate_mse(fc, np.array([1.0, 1.0]))
-    np.testing.assert_allclose(ev.squared_errors.ravel(), [0.04, 0.16], atol=1e-12)
-    # running mean over horizons 1..H
+    # squared errors 0.04 and 0.16, averaged over horizons 1..H
     np.testing.assert_allclose(ev.cum_mse.ravel(), [0.1], atol=1e-12)
 
 
@@ -937,7 +930,7 @@ def test_evaluate_mse_ignores_extra_rows():
     fc = forecast(m, y_last=2.0, e_last=1.0, horizon=2)
     a = evaluate_mse(fc, np.array([1.0, 1.0]))
     b = evaluate_mse(fc, np.array([1.0, 1.0, 99.0, -99.0]))
-    np.testing.assert_allclose(a.squared_errors, b.squared_errors, atol=0)
+    np.testing.assert_allclose(a.cum_mse, b.cum_mse, atol=0)
 
 
 def test_evaluate_mse_error_contracts():
@@ -952,7 +945,7 @@ def test_evaluate_mse_error_contracts():
         sigma=np.eye(2),
         n_obs=100,
     )
-    fcv = forecast(mv, np.zeros(2), None, horizon=2)
+    fcv = forecast(mv, np.zeros(2), np.zeros(2), horizon=2)
     with pytest.raises(ValueError, match="series"):
         evaluate_mse(fcv, np.zeros((2, 3)))
 
@@ -989,6 +982,16 @@ def test_mse_comparison_winners_do_not_depend_on_units():
 def test_mse_comparison_length_mismatch():
     with pytest.raises(ValueError, match="matching lengths"):
         mse_comparison(("a",), np.array([1.0, 2.0]), np.array([1.0]))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("family", ["arma", "varma"])
+def test_mse_comparison_refuses_a_non_finite_mse(bad, family):
+    # every comparison with NaN is false and an inf MSE passes the tie test, so neither ranks
+    mse = {"arma": np.array([1.0, 2.0]), "varma": np.array([1.0, 1.5])}
+    mse[family][1] = bad
+    with pytest.raises(ValueError, match="series 'b' has a non-finite MSE"):
+        mse_comparison(("a", "b"), mse["arma"], mse["varma"])
 
 
 # ---------------------------------------------------------------- prefix scan
