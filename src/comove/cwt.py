@@ -116,21 +116,22 @@ def make_scale_grid(
     Raises
     ------
     ValueError
-        If n < 8, if dt, s0 or dj is not finite and positive (named as
-        :class:`ScaleGrid` names it), if s0 exceeds the record length, or if
-        the span ``n * dt / s0`` or its octave count over dj overflows.
+        If n < 8, if n is not an integer or dt, s0 or dj is not finite and
+        positive (named as :class:`ScaleGrid` names them), if s0 exceeds the
+        record length, or if the span ``n * dt / s0`` or its octave count
+        over dj overflows.
     """
     if n < 8:
         raise ValueError(f"need at least 8 samples, got {n}")
-    # a one-scale grid checks dt, s0 and dj before the scale count is read off them
-    grid = ScaleGrid(int(n), float(dt), float(2.0 * dt if s0 is None else s0), float(dj), 1)
+    # a one-scale grid checks n, dt, s0 and dj before the scale count is read off them
+    grid = ScaleGrid(n, float(dt), float(2.0 * dt if s0 is None else s0), float(dj), 1)
     span = grid.n * grid.dt / grid.s0
     if span < 1.0:
         raise ValueError(f"smallest scale {grid.s0} exceeds record length {grid.n * grid.dt}")
     octaves = float(np.log2(span)) / grid.dj  # inf for an overflowing span or a subnormal dj
     if not np.isfinite(octaves):
         raise ValueError(f"span n * dt / s0 = {span} with dj = {grid.dj} gives no finite number of scales")
-    return ScaleGrid(grid.n, grid.dt, grid.s0, grid.dj, int(np.floor(octaves)) + 1)
+    return ScaleGrid(int(n), grid.dt, grid.s0, grid.dj, int(np.floor(octaves)) + 1)
 
 
 @dataclass(frozen=True)
@@ -260,60 +261,51 @@ def _gaussian_gains(grid: ScaleGrid) -> tuple[np.ndarray, np.ndarray]:
     return alpha, beta
 
 
-def _time_pass(values: np.ndarray, grid: ScaleGrid):
-    """Gaussian time pass of :func:`smooth`, a few rows at a time.
+def _time_pass(values: np.ndarray, grid: ScaleGrid, rows: slice, out: np.ndarray) -> None:
+    """Gaussian time pass of :func:`smooth` on ``values[rows]``, into ``out``.
 
-    Yields ``(r, block)``: rows r, r + 1, ... of the filtered ``grid.shape``
-    field, row j filtered with :func:`_gaussian_gains`' row j. ``block`` is
-    a view of a scratch buffer that the next block overwrites.
-
-    Each block is reordered as the even times, then the odd times reversed
-    (Makhoul, IEEE TASSP 1980): the order in which the DCT-II of the samples
-    is one FFT of length n. A float block takes a real FFT, on which
-    ``V_{n-k} = conj(V_k)``. A complex one takes a complex FFT in place;
-    bins 0 .. n // 2 and their mirrors n - k are copied out, mixed, and
-    copied back (a bin that is its own mirror has ``beta = 0``).
+    Row j of the ``grid.shape`` field is filtered with :func:`_gaussian_gains`'
+    row j. The rows are reordered as the even times, then the odd times
+    reversed (Makhoul, IEEE TASSP 1980): the order in which the DCT-II of
+    the samples is one FFT of length n. A float block takes a real FFT, on
+    which ``V_{n-k} = conj(V_k)``. A complex one takes a complex FFT in
+    place; bins 0 .. n // 2 and their mirrors n - k are copied out, mixed,
+    and copied back (a bin that is its own mirror has ``beta = 0``).
     """
     n = grid.n
     alpha, beta = _gaussian_gains(grid)
+    a, b = alpha[rows], beta[rows]
     half, m = (n + 1) // 2, n // 2 + 1
-    rows_out, w_buf = (np.empty((_TIME_PASS_ROWS, n), dtype=values.dtype) for _ in range(2))
-    spec_buf, mirror_buf, term_buf = (np.empty((_TIME_PASS_ROWS, m), dtype=complex) for _ in range(3))
-    for r in range(0, len(values), _TIME_PASS_ROWS):
-        rows = slice(r, r + _TIME_PASS_ROWS)
-        a, b = alpha[rows], beta[rows]
-        k = len(a)
-        w, spec, mirror, term = w_buf[:k], spec_buf[:k], mirror_buf[:k], term_buf[:k]
-        w[:, :half] = values[rows, 0::2]
-        w[:, half:] = values[rows, 1::2][:, ::-1]
-        if np.iscomplexobj(w):
-            np.fft.fft(w, axis=1, out=w)
-            # V_k and V_{n-k} for k = 0 .. n // 2, each contiguous
-            spec[...] = w[:, :m]
-            mirror[:, 0] = w[:, 0]
-            mirror[:, 1:] = w[:, : n - m : -1]
-            # bin k gets alpha V_k + beta V_{n-k}
-            np.multiply(mirror, b, out=term)
-            np.multiply(spec, a, out=w[:, :m])
-            w[:, :m] += term
-            # bin n - k gets alpha V_{n-k} + conj(beta) V_k
-            mirror *= a
-            np.conj(b, out=term)
-            term *= spec
-            mirror += term
-            w[:, : n - m : -1] = mirror[:, 1:]
-            np.fft.ifft(w, axis=1, out=w)
-        else:
-            np.fft.rfft(w, axis=1, out=spec)
-            np.conj(spec, out=mirror)
-            mirror *= b
-            spec *= a
-            spec += mirror
-            np.fft.irfft(spec, n, axis=1, out=w)
-        block = rows_out[:k]
-        block[:, 0::2] = w[:, :half]
-        block[:, 1::2] = w[:, half:][:, ::-1]
-        yield r, block
+    w = np.empty((len(a), n), dtype=values.dtype)
+    spec, mirror, term = (np.empty((len(a), m), dtype=complex) for _ in range(3))
+    w[:, :half] = values[rows, 0::2]
+    w[:, half:] = values[rows, 1::2][:, ::-1]
+    if np.iscomplexobj(w):
+        np.fft.fft(w, axis=1, out=w)
+        # V_k and V_{n-k} for k = 0 .. n // 2, each contiguous
+        spec[...] = w[:, :m]
+        mirror[:, 0] = w[:, 0]
+        mirror[:, 1:] = w[:, : n - m : -1]
+        # bin k gets alpha V_k + beta V_{n-k}
+        np.multiply(mirror, b, out=term)
+        np.multiply(spec, a, out=w[:, :m])
+        w[:, :m] += term
+        # bin n - k gets alpha V_{n-k} + conj(beta) V_k
+        mirror *= a
+        np.conj(b, out=term)
+        term *= spec
+        mirror += term
+        w[:, : n - m : -1] = mirror[:, 1:]
+        np.fft.ifft(w, axis=1, out=w)
+    else:
+        np.fft.rfft(w, axis=1, out=spec)
+        np.conj(spec, out=mirror)
+        mirror *= b
+        spec *= a
+        spec += mirror
+        np.fft.irfft(spec, n, axis=1, out=w)
+    out[:, 0::2] = w[:, :half]
+    out[:, 1::2] = w[:, half:][:, ::-1]
 
 
 def smooth(a: WaveletField, b: WaveletField) -> WaveletField:
@@ -346,10 +338,10 @@ def smooth(a: WaveletField, b: WaveletField) -> WaveletField:
     large relative error (``coherence`` flags such cells). The boxcar is a
     direct sum of the ``width`` neighbouring rows, edge rows repeated, not a
     running sum, so small auto-spectra next to large ones do not pick up
-    cancellation error. The time pass runs a few rows at a time, and each
-    block is added into the boxcar's rows while it is in cache, so the
-    filtered field is never stored whole. The weights are built once per
-    grid and cached.
+    cancellation error. The filtered field is stored once, edge-padded, in
+    place of the output: the time pass fills it a few rows at a time, and
+    each block of output rows is summed from it while in cache and written
+    over padded rows that no later sum reads. The weights are cached per grid.
 
     Both kernels are nonnegative and shared across series, so smoothing a
     matrix of cross-spectra cell by cell preserves positive semidefiniteness;
@@ -380,28 +372,26 @@ def _smooth(vals: np.ndarray, grid: ScaleGrid) -> np.ndarray:
     if width % 2 == 0:
         width += 1
     # Output row r sums rows r - half .. r + half of the time pass, clamped
-    # to the grid, in that order: rows r .. r + 2 half of the edge-padded
-    # sequence, whose row q is time-pass row clip(q - half). Each block,
-    # padded at the grid's ends, starts at padded row q; at step d its rows
-    # go to output rows q - d onward. So every output row takes its terms in
-    # order, the sums match those over an edge-padded copy to the bit, and
-    # each block is added while in cache.
+    # to the grid, in that order: rows r .. r + 2 half of ``padded``, the
+    # time pass with its edge rows repeated. Each block is time-passed into
+    # it, and the rows whose window it completes are summed while it is in
+    # cache, then written over the padded rows they start at, which no later
+    # output row reads.
     half, rows = width // 2, vals.shape[0]
-    out = np.zeros_like(vals)
+    padded = np.empty((rows + 2 * half, vals.shape[1]), dtype=vals.dtype)
     done = 0
-    for r, block in _time_pass(vals, grid):
-        lead = half if r == 0 else 0
-        trail = half if r + len(block) == rows else 0
-        if lead or trail:
-            block = block[np.clip(np.arange(-lead, len(block) + trail), 0, len(block) - 1)]
-        q = r + half - lead
+    for r in range(0, rows, _TIME_PASS_ROWS):
+        last = min(r + _TIME_PASS_ROWS, rows)
+        _time_pass(vals, grid, slice(r, last), padded[half + r : half + last])
+        if r == 0:
+            padded[:half] = padded[half]
+        if last == rows:
+            padded[half + rows :] = padded[half + rows - 1]
+        end = rows if last == rows else max(last - half, done)
+        total = np.zeros((end - done, vals.shape[1]), dtype=vals.dtype)
         for d in range(width):
-            lo, hi = max(q - d, 0), min(q + len(block) - d, rows)
-            if lo < hi:
-                out[lo:hi] += block[lo - q + d : hi - q + d]
-        # rows whose last term is in; numpy divides complex by real as this
-        # product with the reciprocal
-        end = max(q + len(block) - 2 * half, done)
-        np.multiply(out[done:end], 1.0 / width, out=out[done:end])
+            total += padded[done + d : end + d]
+        # numpy divides complex by real as this product with the reciprocal
+        np.multiply(total, 1.0 / width, out=padded[done:end])
         done = end
-    return out
+    return padded[:rows]

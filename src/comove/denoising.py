@@ -204,7 +204,7 @@ def _thresholds(methods: list[str], details: list[np.ndarray], n: int) -> np.nda
 def denoise(
     x: np.ndarray,
     method: str = "SURE",
-    rule: str = "garrote",
+    rule: str | None = None,
     level: int = 4,
     wavelet: str = "db3",
 ) -> np.ndarray:
@@ -213,7 +213,8 @@ def denoise(
     Decomposes to ``level``, thresholds the detail levels with the chosen
     selector and rule (approximation untouched), reconstructs, and returns a
     signal of the original length: row ``METHODS.index(method)`` of the
-    sweep's estimates under ``rule``, on the sweep's own path.
+    sweep's estimates under ``rule``, on the sweep's own path. Default None
+    pairs the method with its conventional rule, as the sweep does.
 
     Raises
     ------
@@ -221,7 +222,9 @@ def denoise(
         An unknown method or rule, all detail coefficients zero, or a signal
         the transform refuses.
     """
-    return _denoised(x, [canonical_method(method)], (rule,), level, wavelet)[1][0]
+    method = canonical_method(method)
+    rule = CONVENTIONAL_RULE[method] if rule is None else rule
+    return _denoised(x, [method], (rule,), level, wavelet)[1][0]
 
 
 def _denoised(x: np.ndarray, methods: list[str], rules: tuple[str, ...], level: int,

@@ -77,12 +77,16 @@ _PRINTED_LEVEL = 14000
 
 def _shortfall(n: int, level: int, minimum: Callable[[int], int] = min_length) -> int | str | None:
     """None if n samples reach ``minimum(level)``, else that minimum as a
-    message writes it (``2**level`` past _PRINTED_LEVEL). Every minimum here
-    is at least 2**level, more than n once level reaches n's bit length, so
-    such a level falls short without building 2**level."""
+    message writes it (past _PRINTED_LEVEL, as its rule ``a * 2**level + b``).
+    Every minimum here is such a rule with a >= 1 and b >= 0, so it exceeds n
+    once level reaches n's bit length, and such a level falls short without
+    building 2**level."""
     if level < n.bit_length() and n >= minimum(level):
         return None
-    return minimum(level) if level <= _PRINTED_LEVEL else f"2**{level}"
+    if level <= _PRINTED_LEVEL:
+        return minimum(level)
+    a, b = minimum(1) - minimum(0), 2 * minimum(0) - minimum(1)
+    return ("" if a == 1 else f"{a} * ") + f"2**{level}" + (f" + {b}" if b else "")
 
 
 def _prepare(x: np.ndarray, level: int) -> np.ndarray:

@@ -435,12 +435,14 @@ def residuals(model: VarmaModel, data: np.ndarray) -> np.ndarray:
 
     ``data`` is (n, p), or (n,) when p = 1. Returns an array of the same
     shape: row/element t is the residual at time t, with e_0 = 0 by
-    convention.
+    convention. Non-finite data is refused.
     """
     x = np.asarray(data, dtype=float)
     z = x[:, None] if x.ndim == 1 else x
     if z.ndim != 2 or z.shape[1] != model.p:
         raise ValueError(f"data must be (n, {model.p})")
+    if not np.isfinite(z).all():
+        raise ValueError("data contains non-finite values")
     return _varma_residuals(z - model.mu, model.phi, model.theta).reshape(x.shape)
 
 
@@ -481,7 +483,8 @@ def forecast(
     Raises
     ------
     ValueError
-        Nonpositive horizon or shape mismatches.
+        Nonpositive horizon, shape mismatches, or a non-finite y_last or
+        e_last.
     """
     if horizon < 1:
         raise ValueError(f"horizon must be at least 1, got {horizon}")
@@ -492,6 +495,9 @@ def forecast(
     e = np.atleast_1d(np.asarray(e_last, dtype=float))
     if e.shape != (p,):
         raise ValueError(f"e_last must have shape ({p},), got {e.shape}")
+    for name, v in (("y_last", y), ("e_last", e)):
+        if not np.isfinite(v).all():
+            raise ValueError(f"{name} contains non-finite values")
 
     dev = np.zeros((horizon, p))
     dev[0] = phi @ (y - mu) + theta @ e
@@ -518,7 +524,8 @@ def evaluate_mse(result: ForecastResult, actual: np.ndarray) -> MseEvaluation:
     """Score a forecast against realized observations.
 
     ``actual`` must supply a row per forecast horizon (extra rows are
-    ignored); a one-dimensional array is accepted for univariate forecasts.
+    ignored, and only the scored rows must be finite); a one-dimensional
+    array is accepted for univariate forecasts.
     The cumulative MSE is the mean squared error over horizons 1..H, the
     quantity the model comparison ranks.
     """
@@ -530,6 +537,8 @@ def evaluate_mse(result: ForecastResult, actual: np.ndarray) -> MseEvaluation:
         raise ValueError(f"need {h} realized rows, got {a.shape[0]}")
     if a.shape[1] != p:
         raise ValueError(f"actual has {a.shape[1]} series, forecast has {p}")
+    if not np.isfinite(a[:h]).all():
+        raise ValueError(f"actual contains non-finite values in its first {h} rows")
     return MseEvaluation(cum_mse=((a[:h] - result.points) ** 2).mean(axis=0))
 
 

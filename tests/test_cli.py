@@ -873,10 +873,12 @@ def test_bad_window_refused_before_the_input_is_read(tmp_path, capsys, flags, me
         ("pipeline", 45, ["--denoise-level", "2"], "the forecast fit needs at least 50 rows in the analysis window, got 45"),
         ("packet", 20, ["--depth", "5"], "depth 5 needs at least 32 rows in the analysis window, got 20"),
         ("packet", 300, ["--depth", "40"], "depth 40 needs at least 1099511627776 rows in the analysis window, got 300"),
-        # past the levels whose minimum prints, the message gives its bound 2**level
+        # past the levels whose minimum prints, the message gives the rule it checked
         ("packet", 300, ["--depth", "20000"], "depth 20000 needs at least 2**20000 rows in the analysis window, got 300"),
         ("denoise", 300, ["--denoise-level", "20000"],
-         "denoise_level 20000 needs at least 2**20000 rows in the analysis window, got 300"),
+         "denoise_level 20000 needs at least 7 * 2**20000 + 1 rows in the analysis window, got 300"),
+        ("denoise", 300, ["--denoise-level", "14001"],
+         "denoise_level 14001 needs at least 7 * 2**14001 + 1 rows in the analysis window, got 300"),
         ("pipeline", 300, ["--depth", "4000000000"],
          "depth 4000000000 needs at least 2**4000000000 rows in the analysis window, got 300"),
         # a horizon past the window is refused before the forecast allocates a row per step
@@ -885,7 +887,7 @@ def test_bad_window_refused_before_the_input_is_read(tmp_path, capsys, flags, me
         ("forecast", 300, ["--end", date_str(199), "--horizon", "201"],
          "horizon 201 exceeds the 200 rows of the analysis window"),
     ],
-    ids=["sweep", "fit", "depth", "depth-40", "depth-20000", "denoise-level-20000", "depth-4e9",
+    ids=["sweep", "fit", "depth", "depth-40", "depth-20000", "denoise-level-20000", "denoise-level-14001", "depth-4e9",
          "horizon", "horizon-pipeline", "horizon-window"],
 )
 def test_short_window_refused_before_output(tmp_path, capsys, subcommand, rows, flags, message):

@@ -124,6 +124,8 @@ def test_grid_compares_unequal_to_other_types():
         (dict(n=64, dt=np.nan), "^dt must be positive and finite"),
         (dict(n=64, dt=1e300, s0=1e-300), r"^span n \* dt / s0 = inf with dj = 0\.083"),
         (dict(n=64, dt=1.0, dj=1e-310), r"^span n \* dt / s0 = 32\.0 with dj = 1e-310 gives no finite"),
+        # a fractional length is refused as ScaleGrid refuses it, not truncated
+        (dict(n=64.5, dt=1.0), r"^n must be a positive integer, got 64\.5$"),
     ],
 )
 def test_grid_error_contracts(kwargs, msg):
@@ -495,32 +497,41 @@ def test_time_pass_weights_are_cached_read_only():
 
 
 def _padded_boxcar_smooth(values, grid):
-    """Reference: smooth's time pass, then the scale boxcar summed over an
-    edge-padded copy of the rows and divided by its width."""
-    out = np.concatenate([block.copy() for _, block in cwt._time_pass(values, grid)])
+    """Reference: smooth's time pass over the whole field at once, then the
+    scale boxcar summed over an edge-padded copy of the rows and scaled by
+    1 / width (numpy divides a complex array by a real as that product)."""
+    out = np.empty_like(values)
+    cwt._time_pass(values, grid, slice(None), out)
     width = int(round(0.6 / grid.dj)) | 1
     half, rows = width // 2, out.shape[0]
     padded = np.pad(out, ((half, half), (0, 0)), mode="edge")
     total = padded[:rows].copy()
     for k in range(1, width):
         total += padded[k : k + rows]
-    return total / width
+    return total * (1.0 / width)
 
 
 # grids of 85 rows (width 7), 21 rows (width 3), 4 rows (width 13, wider
-# than the grid) and 251 rows (width 31, wider than a time-pass block)
+# than the grid), 251 rows (width 31, wider than a time-pass block) and, on
+# an odd n, 89 rows (width 13, also wider than a block)
 @pytest.mark.parametrize(
-    "n,s0,dj", [(256, None, 1.0 / 12.0), (64, None, 0.25), (8, 7.0, 0.05), (64, None, 0.02)]
+    "n,s0,dj",
+    [(256, None, 1.0 / 12.0), (64, None, 0.25), (8, 7.0, 0.05), (64, None, 0.02), (65, 3.0, 0.05)],
 )
 def test_boxcar_matches_edge_padded_sum(n, s0, dj):
+    # the blocked gather against one whole-field time pass, float and complex
     g = make_scale_grid(n, 1.0, s0=s0, dj=dj)
     rng = np.random.default_rng([n, 7])
-    values = rng.normal(size=(g.num_scales, n)) + 1j * rng.normal(size=(g.num_scales, n))
-    out = cwt._smooth(values, g)
-    ref = _padded_boxcar_smooth(values, g)
+    re, im = rng.normal(size=(2, g.num_scales, n))
     half = (int(round(0.6 / dj)) | 1) // 2
-    assert np.array_equal(out[:half], ref[:half]) and np.array_equal(out[-half:], ref[-half:])
-    assert np.array_equal(out, ref)
+    for values in (re, re + 1j * im):
+        before = values.copy()
+        out = cwt._smooth(values, g)
+        assert values.tobytes() == before.tobytes()  # the input is left as it was
+        ref = _padded_boxcar_smooth(values, g)
+        assert out.dtype == values.dtype
+        assert np.array_equal(out[:half], ref[:half]) and np.array_equal(out[-half:], ref[-half:])
+        assert np.array_equal(out, ref)
 
 
 def test_smooth_reduces_time_variation():

@@ -572,10 +572,18 @@ def test_sweep_checks_its_length_before_decomposing():
 @pytest.mark.parametrize("level", [20000, 10**8])
 def test_sweep_refuses_huge_levels_by_its_own_message(level):
     # the level is compared with the length's bit length before 2**level is
-    # built; past _PRINTED_LEVEL the message writes the bound as a power
+    # built; past _PRINTED_LEVEL the message writes the sweep's rule
     x = np.random.default_rng(15).standard_normal(300)
-    with pytest.raises(ValueError, match=rf"level {level} needs at least 2\*\*{level} samples, got 300$"):
+    with pytest.raises(ValueError, match=rf"level {level} needs at least 7 \* 2\*\*{level} \+ 1 samples, got 300$"):
         method_sweep(x, level=level)
+
+
+def test_sweep_message_writes_its_rule_just_past_the_printed_level():
+    level = _PRINTED_LEVEL + 1
+    x = np.random.default_rng(15).standard_normal(300)
+    with pytest.raises(ValueError) as info:
+        method_sweep(x, level=level)
+    assert str(info.value) == f"the sweep at level {level} needs at least 7 * 2**{level} + 1 samples, got 300"
 
 
 def test_level_shortfall_prints_the_bound_up_to_the_printed_level():
@@ -583,7 +591,8 @@ def test_level_shortfall_prints_the_bound_up_to_the_printed_level():
     top = _PRINTED_LEVEL
     assert _shortfall(300, top, sweep_min_length) == 7 * 2**top + 1
     assert len(str(7 * 2**top + 1)) < 4300
-    assert _shortfall(300, top + 1, sweep_min_length) == f"2**{top + 1}"
+    assert _shortfall(300, top + 1, sweep_min_length) == f"7 * 2**{top + 1} + 1"
+    assert _shortfall(300, top + 1) == f"2**{top + 1}"
     assert _shortfall(300, 8) is None and _shortfall(300, 9) == 512
     assert _shortfall(113, 4, sweep_min_length) is None
     assert _shortfall(112, 4, sweep_min_length) == 113
@@ -618,6 +627,17 @@ def test_sweep_rows_match_denoise(rule):
     for method, use_rule, _, snr, psnr, identical in method_sweep(noisy, rule=rule, level=3).rows():
         fid = _fidelities(noisy, denoise(noisy, method, use_rule, level=3)[None])
         assert (snr, psnr, identical) == tuple(a.item() for a in fid)
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_denoise_defaults_to_the_conventional_rule(method):
+    # denoise(x, m) is the default sweep's row m, Universal with hard as
+    # CONVENTIONAL_RULE pairs them, not every method with garrote; the jumps
+    # put signal above every method's threshold, so the rules differ
+    _, noisy = noisy_sinusoid(seed=43)
+    x = noisy + 5.0 * (np.arange(noisy.size) % 256 < 128)
+    report = method_sweep(x)
+    assert np.array_equal(denoise(x, method), report.estimates[METHODS.index(method)])
 
 
 @pytest.mark.parametrize("rule", [None, "hard", "soft", "garrote"])

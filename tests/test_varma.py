@@ -896,6 +896,30 @@ def test_forecast_error_contracts():
         forecast(m, np.zeros(2), np.zeros(3), horizon=2)
 
 
+def _refusal_cases():
+    walk = np.cumsum(np.random.default_rng(43).standard_normal(300))
+    arma = fit_arma11(walk)
+    var = VarmaModel(mu=np.zeros(2), phi=0.3 * np.eye(2), theta=np.zeros((2, 2)), sigma=np.eye(2), n_obs=100)
+    fc = forecast(arma, walk[-1], 0.0, 3)
+    return {
+        "arma-y_last": (lambda: forecast(arma, np.nan, 0.0, 3), "^y_last contains non-finite values$"),
+        "arma-e_last": (lambda: forecast(arma, walk[-1], -np.inf, 3), "^e_last contains non-finite values$"),
+        "varma-y_last": (lambda: forecast(var, [0.0, np.inf], np.zeros(2), 3), "^y_last contains non-finite"),
+        "residuals": (lambda: residuals(arma, np.where(np.arange(300) == 150, np.nan, walk)),
+                      "^data contains non-finite values$"),
+        "evaluate_mse": (lambda: evaluate_mse(fc, [1.0, np.nan, 2.0]),
+                         "^actual contains non-finite values in its first 3 rows$"),
+    }
+
+
+@pytest.mark.parametrize("case", list(_refusal_cases()))
+def test_library_calls_refuse_non_finite_input(case):
+    # a NaN or inf is refused by the argument's name, not carried into the output
+    call, message = _refusal_cases()[case]
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 def test_one_step_forecast_errors_are_filtered_residuals():
     # forecasting one step from each time point and filtering residuals
     # through the realized path are the same computation
@@ -931,6 +955,8 @@ def test_evaluate_mse_ignores_extra_rows():
     a = evaluate_mse(fc, np.array([1.0, 1.0]))
     b = evaluate_mse(fc, np.array([1.0, 1.0, 99.0, -99.0]))
     np.testing.assert_allclose(a.cum_mse, b.cum_mse, atol=0)
+    # only the scored rows must be finite
+    np.testing.assert_allclose(a.cum_mse, evaluate_mse(fc, np.array([1.0, 1.0, np.nan])).cum_mse, atol=0)
 
 
 def test_evaluate_mse_error_contracts():
