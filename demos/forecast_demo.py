@@ -11,9 +11,7 @@ import numpy as np
 import comove as cm
 
 phi = np.array([[0.6, 0.3], [0.3, 0.6]])
-truth = cm.VarmaModel(
-    mu=np.zeros(2), phi=phi, theta=np.zeros((2, 2)), sigma=np.eye(2), n_obs=0
-)
+truth = cm.VarmaModel(mu=np.zeros(2), phi=phi, theta=np.zeros((2, 2)), sigma=np.eye(2))
 n, held_out = 256, 30
 path = cm.simulate_varma(truth, n + held_out, seed=31_000)
 train = path[:n]

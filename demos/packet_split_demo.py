@@ -22,7 +22,7 @@ x = walk + seasonal + 0.5 * rng.standard_normal(n)
 
 depth = 4
 tree = cm.wpt_forward(x, level=depth)
-fractions = cm.energy_fractions(tree, ordering="frequency")
+fractions = cm.energy_fractions(tree)
 
 print(f"depth-{depth} packet tree on n={n}: {len(fractions)} leaf nodes")
 print()

@@ -301,8 +301,7 @@ def _packet(run: _Run) -> list[tuple]:
     ms, config = run.series["original"], run.config
     trees = [_named(f"series {name!r}", pk.wpt_forward, x, level=config.depth, wavelet=config.wavelet)
              for name, x in zip(ms.names, ms.values.T)]
-    energy = [_named(f"series {name!r}", pk.energy_fractions, tree, ordering="natural")
-              for name, tree in zip(ms.names, trees)]
+    energy = [_named(f"series {name!r}", pk.energy_fractions, tree) for name, tree in zip(ms.names, trees)]
     trend = np.column_stack([pk.reconstruct_node(tree, (0,) * config.depth) for tree in trees])
     run.series["trend"], run.series["noise"] = replace(ms, values=trend), replace(ms, values=ms.values - trend)
     return [
@@ -375,8 +374,6 @@ def _forecast(run: _Run) -> list[tuple]:
     fits = [_fit(work, [k], h) for k in range(p)]
     if p >= 2:
         fits.append(_fit(work, list(range(p)), h))
-    else:
-        print("single series: VARMA comparison skipped")
 
     # realized data after the fit window, if the full file extends past it
     future_mask = full.timestamps > work.timestamps[-1]

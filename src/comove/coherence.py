@@ -99,10 +99,6 @@ class CoherenceField:
     def p(self) -> int:
         return len(self.labels)
 
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.grid.shape
-
 
 def coherence_matrix_field(
     fields: list[WaveletField] | tuple[WaveletField, ...],
@@ -298,10 +294,10 @@ def coherence_result(field: CoherenceField, target: int = 0) -> CoherenceResult:
     Raises
     ------
     ValueError
-        ``target`` is not an index into the field's series.
+        ``target`` is not an integer index into the field's series.
     """
-    if not 0 <= target < field.p:
-        raise ValueError(f"target index {target} out of range for {field.p} series")
+    if not isinstance(target, (int, np.integer)) or not 0 <= target < field.p:
+        raise ValueError(f"target must be an integer index below {field.p}, got {target!r}")
     r2, partial_sq, partial_phase, singular, partial_bad = _solve(field.pairs, field.p, target)
     return CoherenceResult(
         multiple=r2,

@@ -88,24 +88,11 @@ class ScaleGrid:
         return self.scales[:, None] > self.coi[None, :]
 
 
-def make_scale_grid(
-    n: int,
-    dt: float,
-    s0: float | None = None,
-    dj: float = DEFAULT_DJ,
-) -> ScaleGrid:
-    """Build the default dyadic scale grid for a signal of length n.
+def make_scale_grid(n: int, dt: float) -> ScaleGrid:
+    """The default plane of a signal of n samples at step dt: the smallest
+    scale ``s0 = 2 * dt`` and ``DEFAULT_DJ`` (twelve voices per octave).
 
-    Parameters
-    ----------
-    n : int
-        Signal length in samples, at least 8.
-    dt : float
-        Sampling step.
-    s0 : float, optional
-        Smallest scale; defaults to ``2 * dt``.
-    dj : float, optional
-        Scale resolution in octaves (default 1/12, twelve voices per octave).
+    Any other plane is built directly as ``ScaleGrid(n, dt, s0, dj, num_scales)``.
 
     Returns
     -------
@@ -116,19 +103,16 @@ def make_scale_grid(
     Raises
     ------
     ValueError
-        If n < 8, if n is not an integer or dt, s0 or dj is not finite and
-        positive (named as :class:`ScaleGrid` names them), if s0 exceeds the
-        record length, or if the span ``n * dt / s0`` or its octave count
-        over dj overflows.
+        If n < 8, if n is not an integer or dt is not finite and positive
+        (named as :class:`ScaleGrid` names them), or if the span
+        ``n * dt / s0`` overflows.
     """
     if n < 8:
         raise ValueError(f"need at least 8 samples, got {n}")
-    # a one-scale grid checks n, dt, s0 and dj before the scale count is read off them
-    grid = ScaleGrid(n, float(dt), float(2.0 * dt if s0 is None else s0), float(dj), 1)
-    span = grid.n * grid.dt / grid.s0
-    if span < 1.0:
-        raise ValueError(f"smallest scale {grid.s0} exceeds record length {grid.n * grid.dt}")
-    octaves = float(np.log2(span)) / grid.dj  # inf for an overflowing span or a subnormal dj
+    # a one-scale grid checks n and dt before the scale count is read off them
+    grid = ScaleGrid(n, float(dt), float(2.0 * dt), DEFAULT_DJ, 1)
+    span = grid.n * grid.dt / grid.s0  # about n / 2, at least 4, unless n * dt overflows
+    octaves = float(np.log2(span)) / grid.dj
     if not np.isfinite(octaves):
         raise ValueError(f"span n * dt / s0 = {span} with dj = {grid.dj} gives no finite number of scales")
     return ScaleGrid(int(n), grid.dt, grid.s0, grid.dj, int(np.floor(octaves)) + 1)
@@ -162,7 +146,7 @@ def _morlet_window(grid: ScaleGrid, npad: int) -> np.ndarray:
     return window
 
 
-def cwt_morlet(x: np.ndarray, dt: float, grid: ScaleGrid | None = None) -> WaveletField:
+def cwt_morlet(x: np.ndarray, dt: float, grid: ScaleGrid) -> WaveletField:
     """Continuous wavelet transform with the analytic Morlet wavelet.
 
     The signal is demeaned, zero-padded to the next power of two strictly
@@ -175,10 +159,10 @@ def cwt_morlet(x: np.ndarray, dt: float, grid: ScaleGrid | None = None) -> Wavel
     x : ndarray, shape (n,)
         Real signal, finite values, n >= 8.
     dt : float
-        Sampling step; must equal ``grid.dt`` when ``grid`` is given.
-    grid : ScaleGrid, optional
-        Defaults to ``make_scale_grid(len(x), dt)``; a grid built for another
-        length or step is refused.
+        Sampling step; must equal ``grid.dt``.
+    grid : ScaleGrid
+        The plane of the transform, ``make_scale_grid(len(x), dt)`` for the
+        default one; a grid built for another length or step is refused.
 
     Returns
     -------
@@ -199,9 +183,7 @@ def cwt_morlet(x: np.ndarray, dt: float, grid: ScaleGrid | None = None) -> Wavel
         raise ValueError(f"need at least 8 samples, got {n}")
     if not np.all(np.isfinite(x)):
         raise ValueError("signal contains non-finite values")
-    if grid is None:
-        grid = make_scale_grid(n, dt)
-    elif grid.n != n or grid.dt != dt:
+    if grid.n != n or grid.dt != dt:
         raise ValueError(f"grid is for {grid.n} samples at step {grid.dt}, got {n} at step {dt}")
 
     npad = 2 ** int(np.ceil(np.log2(n)))

@@ -330,9 +330,10 @@ def method_sweep(
     Raises
     ------
     ValueError
-        A signal shorter than :func:`sweep_min_length` at ``level``, a
-        reference of another shape, non-finite or with zero energy, an
-        unknown rule, or a signal the transform refuses.
+        A level that is not a positive integer, a signal shorter than
+        :func:`sweep_min_length` at ``level``, a reference of another shape,
+        non-finite or with zero energy, an unknown rule, or a signal the
+        transform refuses.
     """
     x = np.asarray(x, dtype=float)
     ref = x if reference is None else np.asarray(reference, dtype=float)
@@ -343,7 +344,7 @@ def method_sweep(
     if rule is not None and rule not in SHRINKAGE_RULES:
         raise ValueError(f"unknown rule {rule!r}; have {SHRINKAGE_RULES}")
     need = _shortfall(x.size, level, sweep_min_length)
-    if level >= 1 and need is not None:  # the transform names a level below 1
+    if need is not None:
         raise ValueError(f"the sweep at level {level} needs at least {need} samples, got {x.size}")
     rules = tuple(rule if rule is not None else CONVENTIONAL_RULE[m] for m in METHODS)
     thresholds, estimates = _denoised(x, list(METHODS), rules, level, wavelet)

@@ -80,7 +80,9 @@ def _shortfall(n: int, level: int, minimum: Callable[[int], int] = min_length) -
     message writes it (past _PRINTED_LEVEL, as its rule ``a * 2**level + b``).
     Every minimum here is such a rule with a >= 1 and b >= 0, so it exceeds n
     once level reaches n's bit length, and such a level falls short without
-    building 2**level."""
+    building 2**level. A level that is not a positive integer is refused."""
+    if not isinstance(level, (int, np.integer)) or level < 1:
+        raise ValueError(f"level must be a positive integer, got {level!r}")
     if level < n.bit_length() and n >= minimum(level):
         return None
     if level <= _PRINTED_LEVEL:
@@ -96,8 +98,6 @@ def _prepare(x: np.ndarray, level: int) -> np.ndarray:
         raise ValueError("signal must be one-dimensional")
     if not np.isfinite(x).all():
         raise ValueError("signal contains non-finite values")
-    if level < 1:
-        raise ValueError(f"level must be at least 1, got {level}")
     if _shortfall(x.size, level) is not None:
         raise ValueError(f"{x.size} samples cannot be split {level} times")
     pad = -x.size % 2**level  # fewer than x.size, which is at least 2**level
@@ -186,12 +186,6 @@ class PacketTree:
         leaves.flags.writeable = False
         object.__setattr__(self, "leaves", leaves)
 
-    def paths(self, ordering: str = "natural") -> list[tuple[int, ...]]:
-        """Leaf paths in natural (Paley) or frequency order."""
-        if ordering not in ("natural", "frequency"):
-            raise ValueError(f"unknown ordering {ordering!r}")
-        return sorted(_paths(self.level), key=frequency_index if ordering == "frequency" else None)
-
 
 def frequency_index(path: tuple[int, ...]) -> int:
     """Position of a packet node when leaves are sorted by center frequency.
@@ -211,9 +205,9 @@ def wpt_forward(x: np.ndarray, level: int, wavelet: str = "db3") -> PacketTree:
     Raises
     ------
     ValueError
-        level < 1, unknown wavelet, non-finite input, or a signal too short
-        to survive ``level`` halvings (padded length must leave at least one
-        coefficient per leaf).
+        A level that is not a positive integer, an unknown wavelet,
+        non-finite input, or a signal too short to survive ``level``
+        halvings (padded length must leave at least one coefficient per leaf).
     """
     xp = _prepare(x, level)
     rows = xp[None]
@@ -246,20 +240,19 @@ def reconstruct_node(tree: PacketTree, path: tuple[int, ...]) -> np.ndarray:
     return c[: tree.original_length]
 
 
-def energy_fractions(
-    tree: PacketTree, ordering: str = "natural"
-) -> dict[tuple[int, ...], float]:
-    """Fraction of total coefficient energy in each leaf.
+def energy_fractions(tree: PacketTree) -> dict[tuple[int, ...], float]:
+    """Fraction of total coefficient energy in each leaf, keyed by path in
+    natural order, the order of the leaf stack; ``frequency_index(path)``
+    gives a leaf's band.
 
     Fractions are nonnegative and sum to 1 (the bank preserves energy). An
     all-zero signal has no energy to apportion and raises ValueError.
     """
     energies = (tree.leaves**2).sum(axis=1).tolist()
-    total = sum(energies)  # in natural order for every ordering, so the fractions agree bit for bit
+    total = sum(energies)
     if total <= 0.0:
         raise ValueError("signal has zero energy; fractions undefined")
-    fractions = dict(zip(_paths(tree.level), (e / total for e in energies)))
-    return {p: fractions[p] for p in tree.paths(ordering)}
+    return dict(zip(_paths(tree.level), (e / total for e in energies)))
 
 
 def _dwt(x: np.ndarray, level: int, wavelet: str) -> np.ndarray:

@@ -72,7 +72,6 @@ class VarmaModel:
     phi: np.ndarray
     theta: np.ndarray
     sigma: np.ndarray
-    n_obs: int
     warnings: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
@@ -388,9 +387,7 @@ def _fit_two_stage(x: np.ndarray) -> VarmaModel:
         raise ValueError(f"{where}innovation variance is outside float64's range; rescale the series")
     phi, theta = (np.ldexp(a, e[:, None] - e) for a in (phi, theta))  # D A D^-1, exactly
     sigma = np.ldexp(sigma, e[:, None] + e)
-    return VarmaModel(
-        mu=mu, phi=phi, theta=theta, sigma=sigma, n_obs=n, warnings=tuple(notes)
-    )
+    return VarmaModel(mu=mu, phi=phi, theta=theta, sigma=sigma, warnings=tuple(notes))
 
 
 def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -483,11 +480,11 @@ def forecast(
     Raises
     ------
     ValueError
-        Nonpositive horizon, shape mismatches, or a non-finite y_last or
-        e_last.
+        A horizon that is not a positive integer, shape mismatches, or a
+        non-finite y_last or e_last.
     """
-    if horizon < 1:
-        raise ValueError(f"horizon must be at least 1, got {horizon}")
+    if not isinstance(horizon, (int, np.integer)) or horizon < 1:
+        raise ValueError(f"horizon must be a positive integer, got {horizon!r}")
     mu, phi, theta, p = model.mu, model.phi, model.theta, model.p
     y = np.atleast_1d(np.asarray(y_last, dtype=float))
     if y.shape != (p,):
@@ -592,8 +589,8 @@ def simulate_varma(model: VarmaModel, n: int, seed: int) -> np.ndarray:
     ndarray, shape (n, p)
         One column per series.
     """
-    if n < 1:
-        raise ValueError(f"n must be positive, got {n}")
+    if not isinstance(n, (int, np.integer)) or n < 1:
+        raise ValueError(f"n must be a positive integer, got {n!r}")
     p = model.p
     rng = np.random.default_rng(seed)
     try:

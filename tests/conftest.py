@@ -77,7 +77,7 @@ def multiple_from_partials(field: CoherenceField, target: int = 0) -> np.ndarray
     pair = np.zeros((p, p), dtype=int)  # row of field.pairs holding entry (i, j), i < j
     pair[np.triu_indices(p, 1)] = np.arange(len(field.pairs))
     others = [j for j in range(p) if j != target]
-    prod = np.ones(field.shape)
+    prod = np.ones(field.grid.shape)
     for k in range(1, p):
         keep = sorted([target, *others[:k]])
         sub = field.pairs[pair[np.ix_(keep, keep)][np.triu_indices(k + 1, 1)]]
@@ -162,7 +162,7 @@ def dense_cells(field) -> np.ndarray:
     p = field.p
     i, j = np.triu_indices(p, 1)
     upper = np.moveaxis(field.pairs, 0, -1)
-    cells = np.empty(field.shape + (p, p), dtype=complex)
+    cells = np.empty(field.grid.shape + (p, p), dtype=complex)
     cells[..., i, j] = upper
     cells[..., j, i] = np.conj(upper)
     cells[..., np.arange(p), np.arange(p)] = 1.0

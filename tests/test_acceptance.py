@@ -256,9 +256,7 @@ def test_joint_model_forecast_advantage(capsys):
     t0 = time.monotonic()
     n, horizon, reps = 256, 30, 100
     phi = np.array([[0.6, 0.3], [0.3, 0.6]])
-    truth = cm.VarmaModel(
-        mu=np.zeros(2), phi=phi, theta=np.zeros((2, 2)), sigma=np.eye(2), n_obs=0
-    )
+    truth = cm.VarmaModel(mu=np.zeros(2), phi=phi, theta=np.zeros((2, 2)), sigma=np.eye(2))
 
     # Scoring is rolling one-step MSE over the held-out points: both model
     # classes forecast each point from the realized history, the regime where
@@ -348,9 +346,7 @@ def test_estimator_recovery(capsys):
     for k in range(20):
         rng = np.random.default_rng(16_000 + k)
         phi, theta = _draw_identifiable_model(rng)
-        truth = cm.VarmaModel(
-            mu=np.zeros(2), phi=phi, theta=theta, sigma=np.eye(2), n_obs=0
-        )
+        truth = cm.VarmaModel(mu=np.zeros(2), phi=phi, theta=theta, sigma=np.eye(2))
         path = cm.simulate_varma(truth, 10_000, seed=26_000 + k)
         fit = cm.fit_varma11(path)
         errors.append(
@@ -454,14 +450,14 @@ def test_degenerate_inputs(tmp_path, capsys):
 
     # representative error contracts, one or two per module (the unit suite
     # carries the full matrix)
-    arma = cm.VarmaModel(mu=[0.0], phi=[[0.5]], theta=[[0.2]], sigma=[[1.0]], n_obs=100)
+    arma = cm.VarmaModel(mu=[0.0], phi=[[0.5]], theta=[[0.2]], sigma=[[1.0]])
     tree = cm.wpt_forward(np.arange(64.0), 3)
     fc = cm.forecast(arma, 1.0, 0.5, 3)
     contracts = [
         (tsm.DataError, lambda: tsm.load_csv(str(tmp_path / "missing.csv"))),
         (ValueError, lambda: tsm.parse_date("not-a-date")),
         (ValueError, lambda: cm.make_scale_grid(4, 0.0)),
-        (ValueError, lambda: cm.cwt_morlet(np.array([1.0, np.nan, 2.0]), 1.0)),
+        (ValueError, lambda: cm.cwt_morlet(np.array([1.0, np.nan, 2.0]), 1.0, grid)),
         (ValueError, lambda: cm.coherence_matrix_field([fx])),
         (ValueError, lambda: cm.coherence_result(cm.coherence_matrix_field([fx, fy]), 9)),
         (ValueError, lambda: cm.wpt_forward(np.arange(64.0), 0)),

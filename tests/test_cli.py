@@ -660,7 +660,8 @@ def test_forecast_single_series_skips_comparison(tmp_path, capsys):
     )
     assert code == 0
     printed = capsys.readouterr().out
-    assert "VARMA comparison skipped" in printed
+    # the empty comparison is explained once, by the missing realized data
+    assert "VARMA" not in printed
     assert "no realized data beyond the fit window" in printed
     models = read_lines(out / "models.csv")
     assert all(ln.startswith("arma,") for ln in models[1:])

@@ -80,8 +80,8 @@ def test_multiple_matches_laplace_oracle(p, target):
     field = build_field(p, seed=p)
     got = coherence_result(field, target).multiple
     cells = dense_cells(field)
-    for a in range(field.shape[0]):
-        for b in range(field.shape[1]):
+    for a in range(field.grid.shape[0]):
+        for b in range(field.grid.shape[1]):
             want = oracle_multiple(cells[a, b], target)
             assert got[a, b] == pytest.approx(want, abs=1e-10)
 
@@ -92,8 +92,8 @@ def test_partial_matches_laplace_oracle(p):
     res = coherence_result(field, 0)
     rho, r2, phase = solved_rho(field, 0, p - 1), res.partial_sq[p - 1], res.partial_phase[p - 1]
     cells = dense_cells(field)
-    for a in range(field.shape[0]):
-        for b in range(field.shape[1]):
+    for a in range(field.grid.shape[0]):
+        for b in range(field.grid.shape[1]):
             want = oracle_partial(cells[a, b], 0, p - 1)
             assert rho[a, b] == pytest.approx(want, abs=1e-10)
             assert r2[a, b] == pytest.approx(abs(want) ** 2, abs=1e-10)
@@ -307,8 +307,8 @@ def test_four_series_expansion_agrees_with_field_form():
     field = build_field(4, seed=8)
     r2_field = coherence_result(field, 0).multiple
     cells = dense_cells(field)
-    for a in range(field.shape[0]):
-        for b in range(field.shape[1]):
+    for a in range(field.grid.shape[0]):
+        for b in range(field.grid.shape[1]):
             _, _, r2 = four_series_expansion(cells[a, b])
             assert r2 == pytest.approx(r2_field[a, b], abs=1e-12)
 
@@ -338,7 +338,8 @@ def test_four_series_expansion_error_contracts(cell, msg):
 
 
 def _wavelet_fields(n, columns, dt=1.0):
-    return [cwt_morlet(c, dt) for c in columns]
+    grid = make_scale_grid(n, dt)
+    return [cwt_morlet(c, dt, grid) for c in columns]
 
 
 def test_matrix_field_from_signals():
@@ -382,7 +383,7 @@ def test_matrix_field_constant_series_is_degenerate():
 
 
 def test_matrix_field_needs_two_series():
-    f = cwt_morlet(np.random.default_rng(1).normal(size=64), 1.0)
+    f = cwt_morlet(np.random.default_rng(1).normal(size=64), 1.0, make_scale_grid(64, 1.0))
     with pytest.raises(ValueError, match="at least two"):
         coherence_matrix_field([f])
 
@@ -396,8 +397,8 @@ def test_matrix_field_caps_at_eight_series():
 
 def test_matrix_field_rejects_mixed_lengths():
     rng = np.random.default_rng(16)
-    a = cwt_morlet(rng.normal(size=64), 1.0)
-    b = cwt_morlet(rng.normal(size=100), 1.0)
+    a = cwt_morlet(rng.normal(size=64), 1.0, make_scale_grid(64, 1.0))
+    b = cwt_morlet(rng.normal(size=100), 1.0, make_scale_grid(100, 1.0))
     with pytest.raises(ValueError, match="different grids"):
         coherence_matrix_field([a, b])
 
@@ -461,7 +462,7 @@ def test_packed_assembly_matches_dense_assembly(p, monkeypatch):
     field = coherence_matrix_field(fields)
     assert len(calls) == p * (p + 1) // 2  # one smoothing call per spectrum
     cells = dense_cells(field)
-    assert field.pairs.shape == (p * (p - 1) // 2,) + field.shape
+    assert field.pairs.shape == (p * (p - 1) // 2,) + field.grid.shape
     assert np.array_equal(cells, _dense_assembly(fields))
     assert np.array_equal(cells, np.conj(np.swapaxes(cells, -1, -2)))
     assert np.all(np.diagonal(cells, axis1=-2, axis2=-1) == 1.0)
@@ -553,9 +554,9 @@ def test_field_rejects_single_series():
 
 def test_target_out_of_range():
     field = build_field(3, seed=9)
-    with pytest.raises(ValueError, match="out of range"):
+    with pytest.raises(ValueError, match=r"^target must be an integer index below 3, got 3$"):
         coherence_result(field, 3)
-    with pytest.raises(ValueError, match="out of range"):
+    with pytest.raises(ValueError, match=r"^target must be an integer index below 3, got -1$"):
         coherence_result(field, -1)
 
 

@@ -8,6 +8,7 @@ from scipy.ndimage import convolve1d, gaussian_filter1d
 
 from comove import cwt
 from comove.cwt import (
+    ScaleGrid,
     WaveletField,
     cwt_morlet,
     make_scale_grid,
@@ -44,9 +45,10 @@ def test_grid_8_has_25_scales():
 
 
 def test_grid_coarse_voicing():
-    g = make_scale_grid(1024, 1.0, dj=1.0)
-    assert g.num_scales == 10
+    # one voice per octave from 2 up to the record length
+    g = ScaleGrid(1024, 1.0, 2.0, 1.0, 10)
     np.testing.assert_allclose(g.scales, 2.0 ** np.arange(1, 11), rtol=1e-14)
+    assert g.scales[-1] == 1024.0
 
 
 def test_grid_scales_are_geometric():
@@ -97,7 +99,7 @@ def test_grids_that_differ_in_one_value_compare_unequal(change):
 
 
 def test_grid_scales_are_s0_times_powers_of_two_and_read_only():
-    for g in (make_scale_grid(1461, 1.0), make_scale_grid(300, 0.5, s0=3.0, dj=0.25),
+    for g in (make_scale_grid(1461, 1.0), ScaleGrid(300, 0.5, 3.0, 0.25, 23),
               replace(make_scale_grid(64, 1.0), s0=1 / 3, num_scales=5)):
         assert np.array_equal(g.scales, g.s0 * 2.0 ** (np.arange(g.num_scales) * g.dj))
         assert g.scales.shape == (g.num_scales,) and g.scales is g.scales
@@ -118,12 +120,13 @@ def test_grid_compares_unequal_to_other_types():
     [
         (dict(n=7, dt=1.0), "at least 8"),
         (dict(n=64, dt=0.0), "dt must be positive"),
-        (dict(n=64, dt=1.0, s0=-1.0), "s0 must be positive"),
-        (dict(n=64, dt=1.0, dj=0.0), "dj must be positive"),
-        (dict(n=64, dt=1.0, s0=100.0), "exceeds record length"),
+        (dict(n=64, dt=1e308), "s0 must be positive"),  # s0 = 2 * dt overflows
+        (dict(n=64.0, dt=1.0), r"^n must be a positive integer, got 64\.0$"),
+        (dict(n=64, dt=-1.0), r"^dt must be positive and finite, got -1\.0$"),
         (dict(n=64, dt=np.nan), "^dt must be positive and finite"),
-        (dict(n=64, dt=1e300, s0=1e-300), r"^span n \* dt / s0 = inf with dj = 0\.083"),
-        (dict(n=64, dt=1.0, dj=1e-310), r"^span n \* dt / s0 = 32\.0 with dj = 1e-310 gives no finite"),
+        # n * dt overflows while dt and s0 = 2 * dt are finite
+        (dict(n=64, dt=1e307), r"^span n \* dt / s0 = inf with dj = 0\.083"),
+        (dict(n=64, dt=np.inf), "^dt must be positive and finite, got inf$"),
         # a fractional length is refused as ScaleGrid refuses it, not truncated
         (dict(n=64.5, dt=1.0), r"^n must be a positive integer, got 64\.5$"),
     ],
@@ -164,14 +167,14 @@ def test_cwt_of_constant_is_zero():
     for c, n in [(7.5, 64), (0.1, 100), (0.1, 300), (7.77, 61), (100.3, 300)]:
         x = np.full(n, c)
         assert (x - x.mean()).any() == (c != 7.5)
-        assert not cwt_morlet(x, 1.0).values.any()
+        assert not cwt_morlet(x, 1.0, make_scale_grid(n, 1.0)).values.any()
 
 
 def test_cwt_sinusoid_peaks_at_matching_scale():
     n = 512
     t = np.arange(n)
     x = np.sin(2.0 * np.pi * t / 64.0)
-    w = cwt_morlet(x, 1.0)
+    w = cwt_morlet(x, 1.0, make_scale_grid(n, 1.0))
     power_mid = np.abs(w.values[:, n // 2]) ** 2
     peak_scale = w.grid.scales[int(np.argmax(power_mid))]
     expected = 64.0 / FF
@@ -191,7 +194,7 @@ def test_cwt_shapes_and_grid_passthrough():
 @pytest.mark.parametrize("n", [100, 128])
 def test_cwt_coefficients_own_their_data(n):
     # a view of the padded (S, npad) transform would pin twice the memory at n = 2^k
-    w = cwt_morlet(np.random.default_rng(1).normal(size=n), 1.0)
+    w = cwt_morlet(np.random.default_rng(1).normal(size=n), 1.0, make_scale_grid(n, 1.0))
     assert w.values.flags.c_contiguous and w.values.flags.owndata
 
 
@@ -246,7 +249,7 @@ def test_cached_window_is_read_only_and_keyed_by_length_and_dt():
 )
 def test_cwt_error_contracts(x, msg):
     with pytest.raises(ValueError, match=msg):
-        cwt_morlet(x, 1.0)
+        cwt_morlet(x, 1.0, make_scale_grid(64, 1.0))
 
 
 @pytest.mark.parametrize("dt", [-1.0, 0.0, np.nan, np.inf])
@@ -257,7 +260,7 @@ def test_cwt_rejects_bad_dt_with_or_without_grid(dt):
     with pytest.raises(ValueError, match="^grid is for 64 samples at step 1.0"):
         cwt_morlet(x, dt, grid)
     with pytest.raises(ValueError, match="^dt must be positive and finite"):
-        cwt_morlet(x, dt)
+        make_scale_grid(64, dt)
 
 
 @pytest.mark.parametrize("n,dt", [(65, 1.0), (64, 2.0)], ids=["length", "step"])
@@ -272,27 +275,27 @@ def test_cwt_refuses_a_grid_for_another_length_or_step(n, dt):
 
 def test_coi_interior_formula():
     n = 64
-    w = cwt_morlet(np.random.default_rng(2).normal(size=n), 1.0)
+    w = cwt_morlet(np.random.default_rng(2).normal(size=n), 1.0, make_scale_grid(n, 1.0))
     t = np.arange(1, n - 1)
     expected = np.minimum(t, n - 1 - t) / np.sqrt(2.0)
     np.testing.assert_allclose(w.grid.coi[1:-1], expected, rtol=1e-14)
 
 
 def test_coi_symmetric_and_positive():
-    w = cwt_morlet(np.random.default_rng(2).normal(size=101), 0.5)
+    w = cwt_morlet(np.random.default_rng(2).normal(size=101), 0.5, make_scale_grid(101, 0.5))
     np.testing.assert_allclose(w.grid.coi, w.grid.coi[::-1], rtol=1e-14)
     assert np.all(w.grid.coi > 0)
 
 
 def test_coi_scales_with_dt():
     x = np.random.default_rng(2).normal(size=64)
-    c1 = cwt_morlet(x, 1.0).grid.coi
-    c2 = cwt_morlet(x, 2.0).grid.coi
+    c1 = cwt_morlet(x, 1.0, make_scale_grid(64, 1.0)).grid.coi
+    c2 = cwt_morlet(x, 2.0, make_scale_grid(64, 2.0)).grid.coi
     np.testing.assert_allclose(c2, 2.0 * c1, rtol=1e-14)
 
 
 def test_outside_coi_mask():
-    w = cwt_morlet(np.random.default_rng(2).normal(size=64), 1.0)
+    w = cwt_morlet(np.random.default_rng(2).normal(size=64), 1.0, make_scale_grid(64, 1.0))
     mask = w.grid.outside_coi()
     assert mask.shape == w.values.shape
     # edges are fully outside, the very center of small scales is inside
@@ -307,8 +310,9 @@ def test_outside_coi_mask():
 
 def _pair(n=128, seed=3):
     rng = np.random.default_rng(seed)
-    a = cwt_morlet(rng.normal(size=n), 1.0)
-    b = cwt_morlet(rng.normal(size=n), 1.0)
+    grid = make_scale_grid(n, 1.0)
+    a = cwt_morlet(rng.normal(size=n), 1.0, grid)
+    b = cwt_morlet(rng.normal(size=n), 1.0, grid)
     return a, b
 
 
@@ -367,8 +371,9 @@ def test_phase_of_lagged_sinusoid():
     t = np.arange(n)
     x = np.sin(2.0 * np.pi * t / 64.0)
     y = np.sin(2.0 * np.pi * (t - 16) / 64.0)
-    wx = cwt_morlet(x, 1.0)
-    wy = cwt_morlet(y, 1.0)
+    grid = make_scale_grid(n, 1.0)
+    wx = cwt_morlet(x, 1.0, grid)
+    wy = cwt_morlet(y, 1.0, grid)
     cs = smooth(wx, wy)
     j = int(np.argmin(np.abs(wx.grid.scales - 64.0 / FF)))
     phase = np.angle(cs.values[j, n // 2])
@@ -519,8 +524,10 @@ def _padded_boxcar_smooth(values, grid):
     [(256, None, 1.0 / 12.0), (64, None, 0.25), (8, 7.0, 0.05), (64, None, 0.02), (65, 3.0, 0.05)],
 )
 def test_boxcar_matches_edge_padded_sum(n, s0, dj):
-    # the blocked gather against one whole-field time pass, float and complex
-    g = make_scale_grid(n, 1.0, s0=s0, dj=dj)
+    # the blocked gather against one whole-field time pass, float and complex;
+    # the grid's largest scale is the last within the record, s0 = 2 by default
+    s0 = 2.0 if s0 is None else s0
+    g = ScaleGrid(n, 1.0, s0, dj, int(np.log2(n / s0) / dj) + 1)
     rng = np.random.default_rng([n, 7])
     re, im = rng.normal(size=(2, g.num_scales, n))
     half = (int(round(0.6 / dj)) | 1) // 2
@@ -536,7 +543,7 @@ def test_boxcar_matches_edge_padded_sum(n, s0, dj):
 
 def test_smooth_reduces_time_variation():
     rng = np.random.default_rng(4)
-    a = cwt_morlet(rng.normal(size=256), 1.0)
+    a = cwt_morlet(rng.normal(size=256), 1.0, make_scale_grid(256, 1.0))
     raw = np.square(a.values.real) + np.square(a.values.imag)
     sm = smooth(a, a)
     # pick a mid scale: smoothing must shrink the local wiggle

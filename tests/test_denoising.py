@@ -565,7 +565,7 @@ def test_sweep_checks_its_length_before_decomposing():
     # 10 samples cannot be split 4 times either; the sweep's own minimum is named
     with pytest.raises(ValueError, match="level 4 needs at least 113 samples, got 10"):
         method_sweep(np.arange(10.0), level=4)
-    with pytest.raises(ValueError, match="level must be at least 1"):
+    with pytest.raises(ValueError, match="^level must be a positive integer, got 0$"):
         method_sweep(np.arange(10.0), level=0)
 
 

@@ -12,6 +12,7 @@ from comove.packets import (
     _dwt,
     _filter_bank,
     _idwt,
+    _paths,
     energy_fractions,
     frequency_index,
     reconstruct_node,
@@ -225,7 +226,7 @@ def test_node_reconstructions_sum_to_signal():
     x = np.random.default_rng(6).normal(size=64)
     tree = wpt_forward(x, 3)
     total = np.zeros(64)
-    for path in tree.paths():
+    for path in _paths(3):
         part = reconstruct_node(tree, path)
         assert part.size == 64
         total += part
@@ -238,7 +239,7 @@ def test_node_reconstructions_sum_to_signal():
 def test_reconstruct_node_matches_zeroed_tree_inverse(wavelet, level, n):
     x = np.cumsum(np.random.default_rng(12).normal(size=n))
     tree = wpt_forward(x, level, wavelet=wavelet)
-    for i, path in enumerate(tree.paths()):
+    for i, path in enumerate(_paths(level)):
         # oracle: zero every other leaf, then invert the whole tree
         leaves = np.zeros_like(tree.leaves)
         leaves[i] = tree.leaves[i]
@@ -287,7 +288,7 @@ def test_banks_match_the_per_depth_cascade(wavelet, level):
         tree = wpt_forward(x, level, wavelet)
         assert np.abs(tree.leaves - rows).max() <= tol, n
         assert np.abs(wpt_inverse(tree) - _cascade_inverse(rows, wavelet)[:n]).max() <= tol, n
-        for path in {(0,) * level, (1,) * level, tree.paths()[n % 2**level]}:
+        for path in {(0,) * level, (1,) * level, _paths(level)[n % 2**level]}:
             lone = np.zeros_like(rows)
             i = np.ravel_multi_index(path, (2,) * level)
             lone[i] = tree.leaves[i]
@@ -352,7 +353,7 @@ def test_reconstruct_unknown_node():
     [
         (np.zeros((8, 8)), 1, "one-dimensional"),
         (np.array([1.0, np.inf, 0, 0]), 1, "non-finite"),
-        (np.arange(16.0), 0, "at least 1"),
+        (np.arange(16.0), 0, "^level must be a positive integer, got 0$"),
         (np.arange(8.0), 9, "cannot be split"),
         # refused from the length's bit length, before 2**level is built
         (np.arange(300.0), 20000, "^300 samples cannot be split 20000 times$"),
@@ -397,11 +398,10 @@ def test_frequency_index_is_a_bijection():
 
 
 def test_paths_orderings():
-    tree = wpt_forward(np.arange(32.0), 2)
-    assert tree.paths("natural") == [(0, 0), (0, 1), (1, 0), (1, 1)]
-    assert tree.paths("frequency") == [(0, 0), (0, 1), (1, 1), (1, 0)]
-    with pytest.raises(ValueError, match="unknown ordering"):
-        tree.paths("alphabetical")
+    # the fractions come keyed in natural order; frequency_index sorts them by band
+    natural = list(energy_fractions(wpt_forward(np.arange(32.0), 2)))
+    assert natural == [(0, 0), (0, 1), (1, 0), (1, 1)]
+    assert sorted(natural, key=frequency_index) == [(0, 0), (0, 1), (1, 1), (1, 0)]
 
 
 # ---------------------------------------------------------------- energies
@@ -417,22 +417,29 @@ def test_energy_fractions_sum_to_one():
 
 @pytest.mark.parametrize("ordering", ["natural", "frequency"])
 def test_energy_fractions_follow_the_ordering_and_per_leaf_sums(ordering):
+    # keyed in the stack's natural order, and read in band order by sorting
+    # the paths with frequency_index, as the CLI and the demo read them
     tree = wpt_forward(np.random.default_rng(8).normal(size=1461), 4)
-    fr = energy_fractions(tree, ordering)
-    assert list(fr) == tree.paths(ordering)
-    rows = dict(zip(tree.paths(), tree.leaves))  # natural order, as the stack holds them
-    energies = [float(np.sum(rows[p] ** 2)) for p in tree.paths(ordering)]
-    np.testing.assert_allclose(list(fr.values()), np.array(energies) / sum(energies), rtol=1e-15)
+    fr = energy_fractions(tree)
+    assert list(fr) == list(_paths(4))
+    paths = sorted(fr, key=frequency_index if ordering == "frequency" else None)
+    rows = dict(zip(_paths(4), tree.leaves))  # natural order, as the stack holds them
+    energies = [float(np.sum(rows[p] ** 2)) for p in paths]
+    np.testing.assert_allclose([fr[p] for p in paths], np.array(energies) / sum(energies), rtol=1e-15)
 
 
 @pytest.mark.parametrize("seed", [80, 250, 363])
 def test_energy_fractions_agree_across_orderings(seed):
-    # the total is summed once in natural order, so reordering the leaves
-    # moves no fraction's last bit (on these walks a total summed in
-    # frequency order did, for all 16 fractions)
+    # every leaf's energy is divided by one total, summed in natural order, so
+    # a reader that lists the leaves in band order reads the same bits (on
+    # these walks a total summed in frequency order moved all 16 fractions' last bit)
     tree = wpt_forward(np.random.default_rng(seed).standard_normal(1461).cumsum(), 4)
-    natural = energy_fractions(tree, "natural")
-    assert energy_fractions(tree, "frequency") == {p: natural[p] for p in tree.paths("frequency")}
+    energies = (tree.leaves**2).sum(axis=1).tolist()
+    total = sum(energies)
+    fr = energy_fractions(tree)
+    assert fr == {p: e / total for p, e in zip(_paths(4), energies)}
+    in_frequency_order = sorted(zip(_paths(4), energies), key=lambda pe: frequency_index(pe[0]))
+    assert sum(e for _, e in in_frequency_order) != total  # the order these seeds pin
 
 
 def test_constant_signal_energy_in_trend_node():
@@ -511,7 +518,7 @@ def test_malformed_coefficients_are_refused():
 
 
 def test_dwt_error_contracts():
-    with pytest.raises(ValueError, match="at least 1"):
+    with pytest.raises(ValueError, match="^level must be a positive integer, got 0$"):
         _dwt(np.arange(16.0), 0, "db3")
     with pytest.raises(ValueError, match="cannot be split"):
         _dwt(np.arange(8.0), 9, "db3")

@@ -17,6 +17,7 @@ from scipy.optimize import minimize
 from scipy.signal import lfilter
 from scipy.stats import chi2
 
+import comove as cm
 from comove import varma
 
 from comove.varma import (
@@ -39,34 +40,33 @@ def test_arma_model_validation():
     # an ARMA(1,1) is the p = 1 model: the same checks refuse a unit root,
     # a noninvertible theta and a zero innovation variance
     with pytest.raises(ValueError, match="phi has an eigenvalue"):
-        VarmaModel(mu=[0.0], phi=[[1.0]], theta=[[0.2]], sigma=[[1.0]], n_obs=10)
+        VarmaModel(mu=[0.0], phi=[[1.0]], theta=[[0.2]], sigma=[[1.0]])
     with pytest.raises(ValueError, match="theta has an eigenvalue"):
-        VarmaModel(mu=[0.0], phi=[[0.2]], theta=[[-1.0]], sigma=[[1.0]], n_obs=10)
+        VarmaModel(mu=[0.0], phi=[[0.2]], theta=[[-1.0]], sigma=[[1.0]])
     with pytest.raises(ValueError, match="diagonal must be positive"):
-        VarmaModel(mu=[0.0], phi=[[0.2]], theta=[[0.2]], sigma=[[0.0]], n_obs=10)
+        VarmaModel(mu=[0.0], phi=[[0.2]], theta=[[0.2]], sigma=[[0.0]])
 
 
 def test_varma_model_validation():
     eye = np.eye(2)
     zero = np.zeros((2, 2))
     with pytest.raises(ValueError, match="must be \\(2, 2\\)"):
-        VarmaModel(mu=np.zeros(2), phi=np.zeros((3, 2)), theta=zero, sigma=eye, n_obs=9)
+        VarmaModel(mu=np.zeros(2), phi=np.zeros((3, 2)), theta=zero, sigma=eye)
     with pytest.raises(ValueError, match="phi has an eigenvalue"):
-        VarmaModel(mu=np.zeros(2), phi=1.1 * eye, theta=zero, sigma=eye, n_obs=9)
+        VarmaModel(mu=np.zeros(2), phi=1.1 * eye, theta=zero, sigma=eye)
     with pytest.raises(ValueError, match="theta has an eigenvalue"):
-        VarmaModel(mu=np.zeros(2), phi=zero, theta=1.0 * eye, sigma=eye, n_obs=9)
+        VarmaModel(mu=np.zeros(2), phi=zero, theta=1.0 * eye, sigma=eye)
     with pytest.raises(ValueError, match="must be symmetric"):
         VarmaModel(
             mu=np.zeros(2),
             phi=zero,
             theta=zero,
             sigma=np.array([[1.0, 0.5], [0.2, 1.0]]),
-            n_obs=9,
         )
     with pytest.raises(ValueError, match="positive semidefinite"):
-        VarmaModel(mu=np.zeros(2), phi=zero, theta=zero, sigma=-eye, n_obs=9)
+        VarmaModel(mu=np.zeros(2), phi=zero, theta=zero, sigma=-eye)
     with pytest.raises(ValueError, match="diagonal must be positive"):
-        VarmaModel(mu=np.zeros(2), phi=zero, theta=zero, sigma=np.diag([1.0, 0.0]), n_obs=9)
+        VarmaModel(mu=np.zeros(2), phi=zero, theta=zero, sigma=np.diag([1.0, 0.0]))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -83,11 +83,11 @@ def test_model_rejects_non_finite_entries(field, bad):
     fields[field] = fields[field].copy()
     fields[field].flat[-1] = bad
     with pytest.raises(ValueError, match=f"^{field} contains non-finite values$"):
-        VarmaModel(**fields, n_obs=9)
+        VarmaModel(**fields)
 
 
 def test_models_default_to_no_warnings():
-    m = VarmaModel(mu=[0.0], phi=[[0.5]], theta=[[0.1]], sigma=[[1.0]], n_obs=10)
+    m = VarmaModel(mu=[0.0], phi=[[0.5]], theta=[[0.1]], sigma=[[1.0]])
     assert m.warnings == ()
 
 
@@ -126,9 +126,9 @@ def test_radius_bound_agrees_with_eigvals(monkeypatch, p):
             fields = {"phi": inside, "theta": inside, field: a}
             if rho >= 1.0:
                 with pytest.raises(ValueError, match=f"{field} has an eigenvalue"):
-                    VarmaModel(mu=np.zeros(p), sigma=np.eye(p), n_obs=9, **fields)
+                    VarmaModel(mu=np.zeros(p), sigma=np.eye(p), **fields)
             else:
-                VarmaModel(mu=np.zeros(p), sigma=np.eye(p), n_obs=9, **fields)
+                VarmaModel(mu=np.zeros(p), sigma=np.eye(p), **fields)
     assert seen >= {(False, False), (True, True)} | ({(False, True)} if p > 1 else set())
 
 
@@ -164,9 +164,9 @@ def test_sigma_bound_never_accepts_what_eigvalsh_refuses(p):
         refused = np.linalg.eigvalsh(sigma)[0] < -tol
         if refused:
             with pytest.raises(ValueError, match="positive semidefinite"):
-                VarmaModel(mu=np.zeros(p), phi=zero, theta=zero, sigma=sigma, n_obs=9)
+                VarmaModel(mu=np.zeros(p), phi=zero, theta=zero, sigma=sigma)
         elif np.all(np.diagonal(sigma) > 0.0):
-            VarmaModel(mu=np.zeros(p), phi=zero, theta=zero, sigma=sigma, n_obs=9)
+            VarmaModel(mu=np.zeros(p), phi=zero, theta=zero, sigma=sigma)
 
 
 def test_sigma_checks_are_relative_to_its_scale():
@@ -182,22 +182,22 @@ def test_sigma_checks_are_relative_to_its_scale():
         sigma = (sigma + sigma.T) / 2
         assert np.linalg.eigvalsh(sigma)[0] < -1e-10  # refused by an absolute bound
         if ok:
-            VarmaModel(mu=np.zeros(7), phi=zero, theta=zero, sigma=sigma, n_obs=9)
+            VarmaModel(mu=np.zeros(7), phi=zero, theta=zero, sigma=sigma)
         else:
             with pytest.raises(ValueError, match="positive semidefinite"):
-                VarmaModel(mu=np.zeros(7), phi=zero, theta=zero, sigma=sigma, n_obs=9)
+                VarmaModel(mu=np.zeros(7), phi=zero, theta=zero, sigma=sigma)
     # asymmetry is judged on the same scale
     sigma = np.diag([3.4e8, 2.0e8])
-    VarmaModel(mu=np.zeros(2), phi=zero[:2, :2], theta=zero[:2, :2], sigma=sigma + [[0, 1e-8], [0, 0]], n_obs=9)
+    VarmaModel(mu=np.zeros(2), phi=zero[:2, :2], theta=zero[:2, :2], sigma=sigma + [[0, 1e-8], [0, 0]])
     with pytest.raises(ValueError, match="must be symmetric"):
-        VarmaModel(mu=np.zeros(2), phi=zero[:2, :2], theta=zero[:2, :2], sigma=sigma + [[0, 1.0], [0, 0]], n_obs=9)
+        VarmaModel(mu=np.zeros(2), phi=zero[:2, :2], theta=zero[:2, :2], sigma=sigma + [[0, 1.0], [0, 0]])
 
 
 # ---------------------------------------------------------------- simulate
 
 
 def test_simulate_is_deterministic():
-    m = VarmaModel(mu=[0.0], phi=[[0.6]], theta=[[0.2]], sigma=[[1.0]], n_obs=0)
+    m = VarmaModel(mu=[0.0], phi=[[0.6]], theta=[[0.2]], sigma=[[1.0]])
     a = simulate_varma(m, 200, seed=5)
     b = simulate_varma(m, 200, seed=5)
     np.testing.assert_array_equal(a, b)
@@ -206,14 +206,13 @@ def test_simulate_is_deterministic():
 
 
 def test_simulate_shapes():
-    m1 = VarmaModel(mu=[0.0], phi=[[0.5]], theta=[[0.0]], sigma=[[1.0]], n_obs=0)
+    m1 = VarmaModel(mu=[0.0], phi=[[0.5]], theta=[[0.0]], sigma=[[1.0]])
     assert simulate_varma(m1, 100, seed=0).shape == (100, 1)
     m2 = VarmaModel(
         mu=np.zeros(3),
         phi=0.4 * np.eye(3),
         theta=np.zeros((3, 3)),
         sigma=np.eye(3),
-        n_obs=0,
     )
     assert simulate_varma(m2, 50, seed=0).shape == (50, 3)
 
@@ -230,7 +229,7 @@ def test_simulate_satisfies_recursion(p):
     b = rng.normal(size=(p, p))
     sigma = b @ b.T + np.eye(p)
     mu = rng.normal(size=p)
-    m = VarmaModel(mu=mu, phi=phi, theta=theta, sigma=sigma, n_obs=0)
+    m = VarmaModel(mu=mu, phi=phi, theta=theta, sigma=sigma)
     n, burn_in, seed = 700, 500, 35  # simulate_varma's fixed burn-in
     chol = np.linalg.cholesky(sigma + 1e-12 * np.eye(p))
     eps = np.random.default_rng(seed).standard_normal((n + burn_in, p)) @ chol.T
@@ -244,7 +243,7 @@ def test_simulate_satisfies_recursion(p):
 
 
 def test_simulate_respects_mean():
-    m = VarmaModel(mu=[10.0], phi=[[0.3]], theta=[[0.0]], sigma=[[0.25]], n_obs=0)
+    m = VarmaModel(mu=[10.0], phi=[[0.3]], theta=[[0.0]], sigma=[[0.25]])
     z = simulate_varma(m, 20_000, seed=1)
     assert float(z.mean()) == pytest.approx(10.0, abs=0.05)
 
@@ -252,7 +251,7 @@ def test_simulate_respects_mean():
 def test_simulate_scales_with_the_model():
     # mu c and sigma c^2 draw c times the path, bit for bit at a power of two
     m = VarmaModel(mu=[1.0, -2.0], phi=[[0.5, 0.1], [0.0, 0.3]], theta=[[0.2, 0.0], [0.1, -0.4]],
-                   sigma=[[1.0, 0.3], [0.3, 2.0]], n_obs=0)
+                   sigma=[[1.0, 0.3], [0.3, 2.0]])
     c = 2.0**-30
     scaled = dataclasses.replace(m, mu=m.mu * c, sigma=m.sigma * c * c)
     np.testing.assert_array_equal(simulate_varma(scaled, 300, seed=9), c * simulate_varma(m, 300, seed=9))
@@ -260,13 +259,13 @@ def test_simulate_scales_with_the_model():
 
 def test_simulate_draws_a_tiny_innovation_variance():
     # the jitter that keeps the Cholesky factor defined is relative to sigma
-    m = VarmaModel(mu=[0.0], phi=[[0.0]], theta=[[0.0]], sigma=[[1e-16]], n_obs=0)
+    m = VarmaModel(mu=[0.0], phi=[[0.0]], theta=[[0.0]], sigma=[[1e-16]])
     assert float(simulate_varma(m, 20_000, seed=3).var()) == pytest.approx(1e-16, rel=0.05)
 
 
 def test_simulate_error_contracts():
-    m = VarmaModel(mu=[0.0], phi=[[0.5]], theta=[[0.0]], sigma=[[1.0]], n_obs=0)
-    with pytest.raises(ValueError, match="n must be positive"):
+    m = VarmaModel(mu=[0.0], phi=[[0.5]], theta=[[0.0]], sigma=[[1.0]])
+    with pytest.raises(ValueError, match=r"^n must be a positive integer, got 0$"):
         simulate_varma(m, 0, seed=0)
 
 
@@ -274,18 +273,17 @@ def test_simulate_error_contracts():
 
 
 def test_arma_fit_recovers_parameters():
-    true = VarmaModel(mu=[0.0], phi=[[0.8]], theta=[[0.3]], sigma=[[1.0]], n_obs=0)
+    true = VarmaModel(mu=[0.0], phi=[[0.8]], theta=[[0.3]], sigma=[[1.0]])
     z = simulate_varma(true, 4096, seed=11).ravel()
     fit = fit_arma11(z)
     assert fit.phi[0, 0] == pytest.approx(0.8, abs=0.05)
     assert fit.theta[0, 0] == pytest.approx(0.3, abs=0.05)
     assert fit.sigma[0, 0] == pytest.approx(1.0, abs=0.1)
-    assert fit.n_obs == 4096
     assert fit.warnings == ()
 
 
 def test_arma_fit_is_the_p1_varma_model():
-    true = VarmaModel(mu=[2.0], phi=[[0.7]], theta=[[0.2]], sigma=[[1.0]], n_obs=0)
+    true = VarmaModel(mu=[2.0], phi=[[0.7]], theta=[[0.2]], sigma=[[1.0]])
     x = simulate_varma(true, 600, seed=14).ravel()
     m = fit_arma11(x)
     assert isinstance(m, VarmaModel) and m.p == 1
@@ -295,17 +293,17 @@ def test_arma_fit_is_the_p1_varma_model():
     assert e.shape == (600,)
     np.testing.assert_array_equal(e, residuals(m, x[:, None])[:, 0])
     joint = VarmaModel(
-        mu=np.zeros(2), phi=0.3 * np.eye(2), theta=np.zeros((2, 2)), sigma=np.eye(2), n_obs=0
+        mu=np.zeros(2), phi=0.3 * np.eye(2), theta=np.zeros((2, 2)), sigma=np.eye(2)
     )
     with pytest.raises(ValueError, match="must be \\(n, 2\\)"):
         residuals(joint, x)
     with pytest.raises(ValueError, match="diagonal must be positive"):
-        VarmaModel(mu=m.mu, phi=m.phi, theta=m.theta, sigma=[[0.0]], n_obs=m.n_obs)
+        VarmaModel(mu=m.mu, phi=m.phi, theta=m.theta, sigma=[[0.0]])
 
 
 def test_arma_fit_two_stage_only():
     # the univariate fit is the p = 1 two-stage fit
-    true = VarmaModel(mu=[0.0], phi=[[0.8]], theta=[[0.3]], sigma=[[1.0]], n_obs=0)
+    true = VarmaModel(mu=[0.0], phi=[[0.8]], theta=[[0.3]], sigma=[[1.0]])
     z = simulate_varma(true, 4096, seed=11).ravel()
     fit = fit_arma11(z)
     assert fit.phi[0, 0] == pytest.approx(0.8, abs=0.05)
@@ -316,7 +314,7 @@ def test_arma_fit_two_stage_only():
 
 
 def test_arma_fit_handles_nonzero_mean():
-    true = VarmaModel(mu=[50.0], phi=[[0.6]], theta=[[0.2]], sigma=[[1.0]], n_obs=0)
+    true = VarmaModel(mu=[50.0], phi=[[0.6]], theta=[[0.2]], sigma=[[1.0]])
     z = simulate_varma(true, 4096, seed=12).ravel()
     fit = fit_arma11(z)
     assert fit.mu[0] == pytest.approx(50.0, abs=0.5)
@@ -333,7 +331,7 @@ def test_arma_fit_collapses_on_white_noise():
 
 
 def test_arma_fit_keeps_genuine_structure():
-    true = VarmaModel(mu=[0.0], phi=[[0.8]], theta=[[0.3]], sigma=[[1.0]], n_obs=0)
+    true = VarmaModel(mu=[0.0], phi=[[0.8]], theta=[[0.3]], sigma=[[1.0]])
     z = simulate_varma(true, 4096, seed=13).ravel()
     fit = fit_arma11(z)
     assert fit.phi[0, 0] != 0.0
@@ -370,20 +368,18 @@ def test_varma_fit_recovers_diagonal_system():
         phi=np.diag([0.7, 0.4]),
         theta=np.diag([0.2, 0.1]),
         sigma=np.eye(2),
-        n_obs=0,
     )
     data = simulate_varma(true, 10_000, seed=21)
     fit = fit_varma11(data)
     assert np.abs(fit.phi - true.phi).max() < 0.05
     assert np.abs(fit.theta - true.theta).max() < 0.05
     assert np.abs(fit.sigma - np.eye(2)).max() < 0.1
-    assert fit.n_obs == 10_000
 
 
 def test_varma_fit_recovers_coupling():
     phi = np.array([[0.5, 0.25], [0.25, 0.5]])
     true = VarmaModel(
-        mu=np.zeros(2), phi=phi, theta=np.zeros((2, 2)), sigma=np.eye(2), n_obs=0
+        mu=np.zeros(2), phi=phi, theta=np.zeros((2, 2)), sigma=np.eye(2)
     )
     data = simulate_varma(true, 10_000, seed=22)
     fit = fit_varma11(data)
@@ -496,7 +492,6 @@ def _varma_panel(p, n):
         phi=0.6 * np.eye(p) + 0.15 * np.eye(p, k=1),
         theta=0.3 * np.eye(p),
         sigma=np.eye(p) + 0.25,
-        n_obs=0,
     )
     return simulate_varma(true, n, seed=42)
 
@@ -733,7 +728,6 @@ def test_varma_fit_keeps_coupled_structure():
         phi=np.array([[0.5, 0.2, 0.0], [0.0, 0.4, 0.2], [0.2, 0.0, 0.3]]),
         theta=0.2 * np.eye(3),
         sigma=np.eye(3) + 0.3,
-        n_obs=0,
     )
     fit = fit_varma11(simulate_varma(true, 4096, seed=6))
     assert fit.warnings == ()
@@ -758,7 +752,7 @@ def test_lagged_design_matches_column_stack(p):
 
 
 def test_arma_residuals_satisfy_recursion():
-    m = VarmaModel(mu=[1.0], phi=[[0.6]], theta=[[0.25]], sigma=[[1.0]], n_obs=0)
+    m = VarmaModel(mu=[1.0], phi=[[0.6]], theta=[[0.25]], sigma=[[1.0]])
     z = simulate_varma(m, 300, seed=30).ravel()
     e = residuals(m, z)
     assert e.shape == (300,)
@@ -776,7 +770,6 @@ def test_varma_residuals_satisfy_recursion():
         phi=np.array([[0.5, 0.2], [0.1, 0.4]]),
         theta=np.array([[0.2, 0.0], [0.0, 0.1]]),
         sigma=np.eye(2),
-        n_obs=0,
     )
     z = simulate_varma(m, 200, seed=31)
     e = residuals(m, z)
@@ -789,7 +782,7 @@ def test_varma_residuals_satisfy_recursion():
 
 
 def test_arma_residuals_match_lfilter():
-    m = VarmaModel(mu=[0.4], phi=[[0.8]], theta=[[-0.7]], sigma=[[2.0]], n_obs=0)
+    m = VarmaModel(mu=[0.4], phi=[[0.8]], theta=[[-0.7]], sigma=[[2.0]])
     x = simulate_varma(m, 3000, seed=33).ravel()
     z = x - m.mu[0]
     want = np.zeros_like(z)
@@ -800,7 +793,7 @@ def test_arma_residuals_match_lfilter():
 
 
 def test_residuals_recover_innovations():
-    m = VarmaModel(mu=[0.0], phi=[[0.7]], theta=[[0.2]], sigma=[[1.0]], n_obs=0)
+    m = VarmaModel(mu=[0.0], phi=[[0.7]], theta=[[0.2]], sigma=[[1.0]])
     z = simulate_varma(m, 5000, seed=32).ravel()
     e = residuals(m, z)
     # after the startup transient the filtered residuals are the shocks
@@ -808,7 +801,7 @@ def test_residuals_recover_innovations():
 
 
 def test_residuals_shape_contracts():
-    arma = VarmaModel(mu=[0.0], phi=[[0.5]], theta=[[0.1]], sigma=[[1.0]], n_obs=0)
+    arma = VarmaModel(mu=[0.0], phi=[[0.5]], theta=[[0.1]], sigma=[[1.0]])
     with pytest.raises(ValueError, match="must be \\(n, 1\\)"):
         residuals(arma, np.zeros((50, 2)))
     varma = VarmaModel(
@@ -816,7 +809,6 @@ def test_residuals_shape_contracts():
         phi=0.3 * np.eye(2),
         theta=np.zeros((2, 2)),
         sigma=np.eye(2),
-        n_obs=0,
     )
     with pytest.raises(ValueError, match="must be \\(n, 2\\)"):
         residuals(varma, np.zeros((50, 3)))
@@ -826,7 +818,7 @@ def test_residuals_shape_contracts():
 
 
 def test_arma_forecast_closed_form():
-    m = VarmaModel(mu=[0.0], phi=[[0.5]], theta=[[0.2]], sigma=[[1.0]], n_obs=100)
+    m = VarmaModel(mu=[0.0], phi=[[0.5]], theta=[[0.2]], sigma=[[1.0]])
     fc = forecast(m, y_last=2.0, e_last=1.0, horizon=2)
     assert fc.points.shape == fc.lower.shape == fc.upper.shape == (2, 1)
     # one step: phi*y + theta*e; two steps: phi * (one step)
@@ -842,7 +834,7 @@ def test_arma_forecast_closed_form():
 
 
 def test_arma_forecast_reverts_to_mean():
-    m = VarmaModel(mu=[5.0], phi=[[0.5]], theta=[[0.0]], sigma=[[1.0]], n_obs=100)
+    m = VarmaModel(mu=[5.0], phi=[[0.5]], theta=[[0.0]], sigma=[[1.0]])
     fc = forecast(m, y_last=7.0, e_last=0.0, horizon=3)
     np.testing.assert_allclose(fc.points.ravel(), [6.0, 5.5, 5.25], atol=1e-12)
 
@@ -850,7 +842,7 @@ def test_arma_forecast_reverts_to_mean():
 def test_var_forecast_closed_form():
     phi = 0.5 * np.eye(2)
     m = VarmaModel(
-        mu=np.zeros(2), phi=phi, theta=np.zeros((2, 2)), sigma=np.eye(2), n_obs=100
+        mu=np.zeros(2), phi=phi, theta=np.zeros((2, 2)), sigma=np.eye(2)
     )
     fc = forecast(m, y_last=np.array([2.0, -1.0]), e_last=np.zeros(2), horizon=2)
     np.testing.assert_allclose(fc.points, [[1.0, -0.5], [0.5, -0.25]], atol=1e-12)
@@ -865,7 +857,6 @@ def test_varma_forecast_variance_accumulates_psi_weights():
         phi=np.array([[0.5, 0.2], [0.0, 0.4]]),
         theta=np.array([[0.1, 0.0], [0.05, 0.2]]),
         sigma=np.array([[1.0, 0.3], [0.3, 2.0]]),
-        n_obs=100,
     )
     h = 4
     fc = forecast(m, np.zeros(2), np.zeros(2), horizon=h)
@@ -886,9 +877,8 @@ def test_forecast_error_contracts():
         phi=0.3 * np.eye(2),
         theta=np.zeros((2, 2)),
         sigma=np.eye(2),
-        n_obs=100,
     )
-    with pytest.raises(ValueError, match="horizon must be at least 1"):
+    with pytest.raises(ValueError, match=r"^horizon must be a positive integer, got 0$"):
         forecast(m, np.zeros(2), np.zeros(2), horizon=0)
     with pytest.raises(ValueError, match="y_last must have shape"):
         forecast(m, np.zeros(3), np.zeros(2), horizon=2)
@@ -899,7 +889,7 @@ def test_forecast_error_contracts():
 def _refusal_cases():
     walk = np.cumsum(np.random.default_rng(43).standard_normal(300))
     arma = fit_arma11(walk)
-    var = VarmaModel(mu=np.zeros(2), phi=0.3 * np.eye(2), theta=np.zeros((2, 2)), sigma=np.eye(2), n_obs=100)
+    var = VarmaModel(mu=np.zeros(2), phi=0.3 * np.eye(2), theta=np.zeros((2, 2)), sigma=np.eye(2))
     fc = forecast(arma, walk[-1], 0.0, 3)
     return {
         "arma-y_last": (lambda: forecast(arma, np.nan, 0.0, 3), "^y_last contains non-finite values$"),
@@ -920,6 +910,34 @@ def test_library_calls_refuse_non_finite_input(case):
         call()
 
 
+def _fractional_count_cases():
+    x = np.random.default_rng(44).standard_normal(256)
+    arma = VarmaModel(mu=[0.0], phi=[[0.5]], theta=[[0.2]], sigma=[[1.0]])
+    grid = cm.make_scale_grid(64, 1.0)
+    field = cm.coherence_matrix_field([cm.cwt_morlet(x[:64], 1.0, grid), cm.cwt_morlet(x[64:128], 1.0, grid)])
+    level = r"^level must be a positive integer, got 2\.5$"
+    return {
+        "wpt_forward": (lambda: cm.wpt_forward(x, 2.5), level),
+        "method_sweep": (lambda: cm.method_sweep(x, level=2.5), level),
+        "denoise": (lambda: cm.denoise(x, level=2.5), level),
+        "forecast": (lambda: forecast(arma, 1.0, 0.0, 2.5), r"^horizon must be a positive integer, got 2\.5$"),
+        "simulate_varma": (lambda: simulate_varma(arma, 2.5, 1), r"^n must be a positive integer, got 2\.5$"),
+        "target-1.0": (lambda: cm.coherence_result(field, 1.0),
+                       r"^target must be an integer index below 2, got 1\.0$"),
+        "target-0.5": (lambda: cm.coherence_result(field, 0.5),
+                       r"^target must be an integer index below 2, got 0\.5$"),
+    }
+
+
+@pytest.mark.parametrize("case", list(_fractional_count_cases()))
+def test_library_calls_refuse_a_fractional_count(case):
+    # a count or index must be an int or np.integer, as ScaleGrid requires of
+    # its own, and is refused by the argument's name before numpy sees it
+    call, message = _fractional_count_cases()[case]
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 def test_one_step_forecast_errors_are_filtered_residuals():
     # forecasting one step from each time point and filtering residuals
     # through the realized path are the same computation
@@ -928,7 +946,6 @@ def test_one_step_forecast_errors_are_filtered_residuals():
         phi=np.array([[0.6, 0.3], [0.3, 0.6]]),
         theta=np.zeros((2, 2)),
         sigma=np.eye(2),
-        n_obs=256,
     )
     path = simulate_varma(m, 286, seed=40)
     res = residuals(m, path)
@@ -942,7 +959,7 @@ def test_one_step_forecast_errors_are_filtered_residuals():
 
 
 def test_evaluate_mse_hand_values():
-    m = VarmaModel(mu=[0.0], phi=[[0.5]], theta=[[0.2]], sigma=[[1.0]], n_obs=100)
+    m = VarmaModel(mu=[0.0], phi=[[0.5]], theta=[[0.2]], sigma=[[1.0]])
     fc = forecast(m, y_last=2.0, e_last=1.0, horizon=2)
     ev = evaluate_mse(fc, np.array([1.0, 1.0]))
     # squared errors 0.04 and 0.16, averaged over horizons 1..H
@@ -950,7 +967,7 @@ def test_evaluate_mse_hand_values():
 
 
 def test_evaluate_mse_ignores_extra_rows():
-    m = VarmaModel(mu=[0.0], phi=[[0.5]], theta=[[0.2]], sigma=[[1.0]], n_obs=100)
+    m = VarmaModel(mu=[0.0], phi=[[0.5]], theta=[[0.2]], sigma=[[1.0]])
     fc = forecast(m, y_last=2.0, e_last=1.0, horizon=2)
     a = evaluate_mse(fc, np.array([1.0, 1.0]))
     b = evaluate_mse(fc, np.array([1.0, 1.0, 99.0, -99.0]))
@@ -960,7 +977,7 @@ def test_evaluate_mse_ignores_extra_rows():
 
 
 def test_evaluate_mse_error_contracts():
-    m = VarmaModel(mu=[0.0], phi=[[0.5]], theta=[[0.2]], sigma=[[1.0]], n_obs=100)
+    m = VarmaModel(mu=[0.0], phi=[[0.5]], theta=[[0.2]], sigma=[[1.0]])
     fc = forecast(m, y_last=2.0, e_last=1.0, horizon=3)
     with pytest.raises(ValueError, match="realized rows"):
         evaluate_mse(fc, np.array([1.0, 1.0]))
@@ -969,7 +986,6 @@ def test_evaluate_mse_error_contracts():
         phi=0.3 * np.eye(2),
         theta=np.zeros((2, 2)),
         sigma=np.eye(2),
-        n_obs=100,
     )
     fcv = forecast(mv, np.zeros(2), np.zeros(2), horizon=2)
     with pytest.raises(ValueError, match="series"):
