@@ -58,7 +58,7 @@ from . import packets as pk
 from . import timeseries as ts
 from . import varma as vm
 from .cwt import ScaleGrid, cwt_morlet, make_scale_grid
-from .denoising import METHODS, SHRINKAGE_RULES, canonical_method, method_sweep, sweep_min_length
+from .denoising import METHODS, SHRINKAGE_RULES, canonical_method, method_sweep, sweep_max_level
 
 class UsageError(Exception):
     """Bad invocation: unknown keys, unparseable or refused values, unknown subcommand."""
@@ -446,11 +446,11 @@ def _check_data(needs: set[str], config: PipelineConfig, work: ts.MultiSeries) -
             raise ts.DataError(f"series {work.names[int(np.argmax(constant))]!r}: constant series has no "
                                "wavelet power; coherence is undefined")
     n = len(work)
-    for key, minimum in (("depth", pk.min_length), ("denoise_level", sweep_min_length)):
+    for key, deepest in (("depth", pk.max_level(n)), ("denoise_level", sweep_max_level(n))):
         level = getattr(config, key)
-        need = pk._shortfall(n, level, minimum) if key in needs else None
-        if need is not None:
-            raise ts.DataError(f"{key} {level} needs at least {need} rows in the analysis window, got {n}")
+        if key in needs and pk._too_deep(level, deepest):
+            raise ts.DataError(f"{key} {level} exceeds {deepest}, the deepest level the {n} rows of the "
+                               "analysis window allow")
     if "fit rows" in needs and n < vm.MIN_OBS:
         raise ts.DataError(f"the forecast fit needs at least {vm.MIN_OBS} rows in the analysis window, got {n}")
     if "fit rows" in needs and config.horizon > n:

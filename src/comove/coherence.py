@@ -296,7 +296,7 @@ def coherence_result(field: CoherenceField, target: int = 0) -> CoherenceResult:
     ValueError
         ``target`` is not an integer index into the field's series.
     """
-    if not isinstance(target, (int, np.integer)) or not 0 <= target < field.p:
+    if isinstance(target, bool) or not isinstance(target, (int, np.integer)) or not 0 <= target < field.p:
         raise ValueError(f"target must be an integer index below {field.p}, got {target!r}")
     r2, partial_sq, partial_phase, singular, partial_bad = _solve(field.pairs, field.p, target)
     return CoherenceResult(

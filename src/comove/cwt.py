@@ -53,7 +53,7 @@ class ScaleGrid:
     def __post_init__(self) -> None:
         for name in ("n", "num_scales"):
             value = getattr(self, name)
-            if not isinstance(value, (int, np.integer)) or value < 1:
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
                 raise ValueError(f"{name} must be a positive integer, got {value!r}")
         for name in ("dt", "s0", "dj"):
             value = getattr(self, name)
@@ -186,9 +186,7 @@ def cwt_morlet(x: np.ndarray, dt: float, grid: ScaleGrid) -> WaveletField:
     if grid.n != n or grid.dt != dt:
         raise ValueError(f"grid is for {grid.n} samples at step {grid.dt}, got {n} at step {dt}")
 
-    npad = 2 ** int(np.ceil(np.log2(n)))
-    if npad <= n:
-        npad *= 2
+    npad = 1 << n.bit_length()
     xpad = np.zeros(npad)
     if x.max() > x.min():  # a constant stays the zero signal, whatever its mean's rounding
         xpad[:n] = x - x.mean()
@@ -350,9 +348,7 @@ def smooth(a: WaveletField, b: WaveletField) -> WaveletField:
 def _smooth(vals: np.ndarray, grid: ScaleGrid) -> np.ndarray:
     """The operator of :func:`smooth` on a float or complex ``grid.shape``
     array: a new array of its dtype."""
-    width = int(round(SCALE_SMOOTH_OCTAVES / grid.dj))
-    if width % 2 == 0:
-        width += 1
+    width = int(round(SCALE_SMOOTH_OCTAVES / grid.dj)) | 1  # odd, so the boxcar centers on its row
     # Output row r sums rows r - half .. r + half of the time pass, clamped
     # to the grid, in that order: rows r .. r + 2 half of ``padded``, the
     # time pass with its edge rows repeated. Each block is time-passed into

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .packets import _dwt, _idwt, _shortfall
+from .packets import _dwt, _idwt, _too_deep
 
 MAD_SCALE = 0.6745
 MIN_MAD_COEFFS = 8  # fewest detail coefficients a MAD noise estimate is taken from
@@ -67,14 +67,14 @@ def _mad_sigma(magnitudes: np.ndarray) -> float:
     return float(mid / MAD_SCALE)
 
 
-def sweep_min_length(level: int) -> int:
-    """Fewest samples :func:`method_sweep` takes at ``level``.
+def sweep_max_level(n: int) -> int:
+    """The deepest level :func:`method_sweep` takes on n samples.
 
-    The per-level selectors estimate the noise at every detail level, and
-    the coarsest holds ceil(n / 2**level) coefficients, so n must exceed
-    (MIN_MAD_COEFFS - 1) * 2**level.
+    The per-level selectors estimate the noise at every detail level from
+    at least MIN_MAD_COEFFS coefficients, and the coarsest holds
+    ceil(n / 2**level), so a level needs (MIN_MAD_COEFFS - 1) * 2**level < n.
     """
-    return (MIN_MAD_COEFFS - 1) * 2**level + 1
+    return max(0, ((n - 1) // (MIN_MAD_COEFFS - 1)).bit_length() - 1)
 
 
 def _shrink(w: np.ndarray, t: np.ndarray | float, rule: str) -> np.ndarray:
@@ -330,10 +330,10 @@ def method_sweep(
     Raises
     ------
     ValueError
-        A level that is not a positive integer, a signal shorter than
-        :func:`sweep_min_length` at ``level``, a reference of another shape,
-        non-finite or with zero energy, an unknown rule, or a signal the
-        transform refuses.
+        A level that is not a positive integer or exceeds
+        :func:`sweep_max_level` of the signal's length, a reference of
+        another shape, non-finite or with zero energy, an unknown rule, or a
+        signal the transform refuses.
     """
     x = np.asarray(x, dtype=float)
     ref = x if reference is None else np.asarray(reference, dtype=float)
@@ -343,9 +343,9 @@ def method_sweep(
         raise ValueError("reference contains non-finite values")
     if rule is not None and rule not in SHRINKAGE_RULES:
         raise ValueError(f"unknown rule {rule!r}; have {SHRINKAGE_RULES}")
-    need = _shortfall(x.size, level, sweep_min_length)
-    if need is not None:
-        raise ValueError(f"the sweep at level {level} needs at least {need} samples, got {x.size}")
+    deepest = sweep_max_level(x.size)
+    if _too_deep(level, deepest):
+        raise ValueError(f"level {level} exceeds {deepest}, the deepest the sweep takes on {x.size} samples")
     rules = tuple(rule if rule is not None else CONVENTIONAL_RULE[m] for m in METHODS)
     thresholds, estimates = _denoised(x, list(METHODS), rules, level, wavelet)
     return DenoiseReport(rules, thresholds, *_fidelities(ref, estimates), estimates, _SWEEP_CONVENTION)

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,30 +64,16 @@ def _analysis_step(x: np.ndarray, h: np.ndarray, g: np.ndarray) -> tuple[np.ndar
     return windows @ h, windows @ g
 
 
-def min_length(level: int) -> int:
-    """Fewest samples a transform to ``level`` takes: one per leaf."""
-    return 2**level
+def max_level(n: int) -> int:
+    """The deepest level n samples can be split to: one sample per leaf, 2**level <= n."""
+    return n.bit_length() - 1
 
 
-# the deepest level whose minimum length a message writes out: 7 * 2**14000 + 1
-# has 4216 digits, under the 4300 Python prints of an int by default
-_PRINTED_LEVEL = 14000
-
-
-def _shortfall(n: int, level: int, minimum: Callable[[int], int] = min_length) -> int | str | None:
-    """None if n samples reach ``minimum(level)``, else that minimum as a
-    message writes it (past _PRINTED_LEVEL, as its rule ``a * 2**level + b``).
-    Every minimum here is such a rule with a >= 1 and b >= 0, so it exceeds n
-    once level reaches n's bit length, and such a level falls short without
-    building 2**level. A level that is not a positive integer is refused."""
-    if not isinstance(level, (int, np.integer)) or level < 1:
+def _too_deep(level: int, deepest: int) -> bool:
+    """Whether ``level`` exceeds ``deepest``; a level that is not a positive integer is refused."""
+    if isinstance(level, bool) or not isinstance(level, (int, np.integer)) or level < 1:
         raise ValueError(f"level must be a positive integer, got {level!r}")
-    if level < n.bit_length() and n >= minimum(level):
-        return None
-    if level <= _PRINTED_LEVEL:
-        return minimum(level)
-    a, b = minimum(1) - minimum(0), 2 * minimum(0) - minimum(1)
-    return ("" if a == 1 else f"{a} * ") + f"2**{level}" + (f" + {b}" if b else "")
+    return level > deepest
 
 
 def _prepare(x: np.ndarray, level: int) -> np.ndarray:
@@ -98,7 +83,7 @@ def _prepare(x: np.ndarray, level: int) -> np.ndarray:
         raise ValueError("signal must be one-dimensional")
     if not np.isfinite(x).all():
         raise ValueError("signal contains non-finite values")
-    if _shortfall(x.size, level) is not None:
+    if _too_deep(level, max_level(x.size)):
         raise ValueError(f"{x.size} samples cannot be split {level} times")
     pad = -x.size % 2**level  # fewer than x.size, which is at least 2**level
     return np.concatenate([x, x[:pad]])
@@ -179,8 +164,7 @@ class PacketTree:
     def __post_init__(self) -> None:
         leaves = np.asarray(self.leaves, dtype=float).view()  # read-only without freezing the caller's array
         rows = len(leaves) if leaves.ndim == 2 and leaves.shape[1] else 0
-        # a level past the row count's bit length cannot match, so 2**level is never built for it
-        if self.level < 1 or rows != 2 ** min(self.level, rows.bit_length()):
+        if not 1 <= self.level == max_level(rows) or rows & (rows - 1):  # rows is 2**level
             raise ValueError(f"a level-{self.level} tree holds 2**{self.level} leaves of equal length, "
                              f"got a stack of shape {np.shape(self.leaves)}")
         leaves.flags.writeable = False
@@ -205,9 +189,8 @@ def wpt_forward(x: np.ndarray, level: int, wavelet: str = "db3") -> PacketTree:
     Raises
     ------
     ValueError
-        A level that is not a positive integer, an unknown wavelet,
-        non-finite input, or a signal too short to survive ``level``
-        halvings (padded length must leave at least one coefficient per leaf).
+        A level that is not a positive integer or exceeds :func:`max_level`
+        of the signal's length, an unknown wavelet, or non-finite input.
     """
     xp = _prepare(x, level)
     rows = xp[None]

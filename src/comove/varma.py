@@ -483,7 +483,7 @@ def forecast(
         A horizon that is not a positive integer, shape mismatches, or a
         non-finite y_last or e_last.
     """
-    if not isinstance(horizon, (int, np.integer)) or horizon < 1:
+    if isinstance(horizon, bool) or not isinstance(horizon, (int, np.integer)) or horizon < 1:
         raise ValueError(f"horizon must be a positive integer, got {horizon!r}")
     mu, phi, theta, p = model.mu, model.phi, model.theta, model.p
     y = np.atleast_1d(np.asarray(y_last, dtype=float))
@@ -589,8 +589,10 @@ def simulate_varma(model: VarmaModel, n: int, seed: int) -> np.ndarray:
     ndarray, shape (n, p)
         One column per series.
     """
-    if not isinstance(n, (int, np.integer)) or n < 1:
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
         raise ValueError(f"n must be a positive integer, got {n!r}")
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
     p = model.p
     rng = np.random.default_rng(seed)
     try:

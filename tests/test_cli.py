@@ -870,18 +870,22 @@ def test_bad_window_refused_before_the_input_is_read(tmp_path, capsys, flags, me
 @pytest.mark.parametrize(
     "subcommand,rows,flags,message",
     [
-        ("pipeline", 100, ["--target", "a"], "denoise_level 4 needs at least 113 rows in the analysis window, got 100"),
+        ("pipeline", 100, ["--target", "a"],
+         "denoise_level 4 exceeds 3, the deepest level the 100 rows of the analysis window allow"),
         ("pipeline", 45, ["--denoise-level", "2"], "the forecast fit needs at least 50 rows in the analysis window, got 45"),
-        ("packet", 20, ["--depth", "5"], "depth 5 needs at least 32 rows in the analysis window, got 20"),
-        ("packet", 300, ["--depth", "40"], "depth 40 needs at least 1099511627776 rows in the analysis window, got 300"),
-        # past the levels whose minimum prints, the message gives the rule it checked
-        ("packet", 300, ["--depth", "20000"], "depth 20000 needs at least 2**20000 rows in the analysis window, got 300"),
+        ("packet", 20, ["--depth", "5"],
+         "depth 5 exceeds 4, the deepest level the 20 rows of the analysis window allow"),
+        ("packet", 300, ["--depth", "40"],
+         "depth 40 exceeds 8, the deepest level the 300 rows of the analysis window allow"),
+        # a huge level is compared with the deepest one, so 2**level is never built
+        ("packet", 300, ["--depth", "20000"],
+         "depth 20000 exceeds 8, the deepest level the 300 rows of the analysis window allow"),
         ("denoise", 300, ["--denoise-level", "20000"],
-         "denoise_level 20000 needs at least 7 * 2**20000 + 1 rows in the analysis window, got 300"),
+         "denoise_level 20000 exceeds 5, the deepest level the 300 rows of the analysis window allow"),
         ("denoise", 300, ["--denoise-level", "14001"],
-         "denoise_level 14001 needs at least 7 * 2**14001 + 1 rows in the analysis window, got 300"),
+         "denoise_level 14001 exceeds 5, the deepest level the 300 rows of the analysis window allow"),
         ("pipeline", 300, ["--depth", "4000000000"],
-         "depth 4000000000 needs at least 2**4000000000 rows in the analysis window, got 300"),
+         "depth 4000000000 exceeds 8, the deepest level the 300 rows of the analysis window allow"),
         # a horizon past the window is refused before the forecast allocates a row per step
         ("forecast", 300, ["--horizon", "301"], "horizon 301 exceeds the 300 rows of the analysis window"),
         ("pipeline", 300, ["--horizon", "301"], "horizon 301 exceeds the 300 rows of the analysis window"),

@@ -11,10 +11,9 @@ from comove.denoising import (
     canonical_method,
     denoise,
     method_sweep,
-    sweep_min_length,
 )
 from comove.denoising import _fidelities, _mad_sigma, _shrink, _shrink_and_invert, _sparsity_bound, _thresholds
-from comove.packets import _PRINTED_LEVEL, _dwt, _idwt, _shortfall
+from comove.packets import _dwt, _idwt, wpt_forward
 
 
 def threshold_row(method, *detail_levels, n=None):
@@ -550,52 +549,40 @@ def test_sweep_against_external_reference():
     assert sure > baseline
 
 
-@pytest.mark.parametrize("level", [1, 2, 4])
-def test_sweep_names_its_minimum_length(level):
-    # every per-level MAD needs 8 coefficients: ceil(n / 2**level) >= 8
-    need = sweep_min_length(level)
-    assert need == 7 * 2**level + 1
-    walk = np.cumsum(np.random.default_rng(14).standard_normal(need))
-    assert len(method_sweep(walk, level=level).rows()) == 9
-    with pytest.raises(ValueError, match=f"level {level} needs at least {need} samples, got {need - 1}"):
-        method_sweep(walk[:-1], level=level)
-
-
 def test_sweep_checks_its_length_before_decomposing():
-    # 10 samples cannot be split 4 times either; the sweep's own minimum is named
-    with pytest.raises(ValueError, match="level 4 needs at least 113 samples, got 10"):
+    # 10 samples cannot be split 4 times either; the sweep's own limit is named
+    with pytest.raises(ValueError, match="^level 4 exceeds 0, the deepest the sweep takes on 10 samples$"):
         method_sweep(np.arange(10.0), level=4)
     with pytest.raises(ValueError, match="^level must be a positive integer, got 0$"):
         method_sweep(np.arange(10.0), level=0)
 
 
-@pytest.mark.parametrize("level", [20000, 10**8])
-def test_sweep_refuses_huge_levels_by_its_own_message(level):
-    # the level is compared with the length's bit length before 2**level is
-    # built; past _PRINTED_LEVEL the message writes the sweep's rule
-    x = np.random.default_rng(15).standard_normal(300)
-    with pytest.raises(ValueError, match=rf"level {level} needs at least 7 \* 2\*\*{level} \+ 1 samples, got 300$"):
-        method_sweep(x, level=level)
-
-
-def test_sweep_message_writes_its_rule_just_past_the_printed_level():
-    level = _PRINTED_LEVEL + 1
-    x = np.random.default_rng(15).standard_normal(300)
-    with pytest.raises(ValueError) as info:
-        method_sweep(x, level=level)
-    assert str(info.value) == f"the sweep at level {level} needs at least 7 * 2**{level} + 1 samples, got 300"
-
-
-def test_level_shortfall_prints_the_bound_up_to_the_printed_level():
-    # the one rule of the sweep, the transforms and the CLI's data check
-    top = _PRINTED_LEVEL
-    assert _shortfall(300, top, sweep_min_length) == 7 * 2**top + 1
-    assert len(str(7 * 2**top + 1)) < 4300
-    assert _shortfall(300, top + 1, sweep_min_length) == f"7 * 2**{top + 1} + 1"
-    assert _shortfall(300, top + 1) == f"2**{top + 1}"
-    assert _shortfall(300, 8) is None and _shortfall(300, 9) == 512
-    assert _shortfall(113, 4, sweep_min_length) is None
-    assert _shortfall(112, 4, sweep_min_length) == 113
+def test_levels_are_taken_exactly_when_they_fit():
+    # the packet split keeps a sample per leaf, 2**L <= n; the sweep keeps
+    # MIN_MAD_COEFFS = 8 coefficients at its coarsest detail level,
+    # ceil(n / 2**L) >= 8, which is 7 * 2**L < n
+    walk = np.cumsum(np.random.default_rng(14).standard_normal(600))
+    for n in range(8, 601):
+        x = walk[:n]
+        deepest = max(level for level in range(11) if level == 0 or 7 * 2**level < n)
+        for level in range(1, 11):
+            if 2**level <= n:
+                assert wpt_forward(x, level).level == level
+            else:
+                with pytest.raises(ValueError, match=f"^{n} samples cannot be split {level} times$"):
+                    wpt_forward(x, level)
+            if 7 * 2**level < n:
+                assert method_sweep(x, level=level).thresholds.shape == (9, level)
+            else:
+                with pytest.raises(ValueError, match=f"^level {level} exceeds {deepest}, the deepest the sweep "
+                                                     f"takes on {n} samples$"):
+                    method_sweep(x, level=level)
+    # a huge level is compared with the deepest one, so 2**level is never built
+    for level in (20000, 10**8, 4 * 10**9):
+        with pytest.raises(ValueError, match=f"^300 samples cannot be split {level} times$"):
+            wpt_forward(walk[:300], level)
+        with pytest.raises(ValueError, match=f"^level {level} exceeds 5, the deepest the sweep takes on 300 samples$"):
+            method_sweep(walk[:300], level=level)
 
 
 def test_denoising_leaves_no_reference_cycles():

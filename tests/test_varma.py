@@ -916,6 +916,7 @@ def _fractional_count_cases():
     grid = cm.make_scale_grid(64, 1.0)
     field = cm.coherence_matrix_field([cm.cwt_morlet(x[:64], 1.0, grid), cm.cwt_morlet(x[64:128], 1.0, grid)])
     level = r"^level must be a positive integer, got 2\.5$"
+    level_true, seed = "^level must be a positive integer, got True$", "^seed must be a non-negative integer, got "
     return {
         "wpt_forward": (lambda: cm.wpt_forward(x, 2.5), level),
         "method_sweep": (lambda: cm.method_sweep(x, level=2.5), level),
@@ -926,13 +927,27 @@ def _fractional_count_cases():
                        r"^target must be an integer index below 2, got 1\.0$"),
         "target-0.5": (lambda: cm.coherence_result(field, 0.5),
                        r"^target must be an integer index below 2, got 0\.5$"),
+        # a bool is an int to Python, and each call took True as 1
+        "wpt_forward-True": (lambda: cm.wpt_forward(x, True), level_true),
+        "method_sweep-True": (lambda: cm.method_sweep(x, level=True), level_true),
+        "forecast-True": (lambda: forecast(arma, 1.0, 0.0, True), r"^horizon must be a positive integer, got True$"),
+        "simulate_varma-True": (lambda: simulate_varma(arma, True, 1), r"^n must be a positive integer, got True$"),
+        "ScaleGrid-True": (lambda: cm.ScaleGrid(64, 1.0, 2.0, 0.25, True),
+                           r"^num_scales must be a positive integer, got True$"),
+        "target-True": (lambda: cm.coherence_result(field, True),
+                        r"^target must be an integer index below 2, got True$"),
+        "seed-2.5": (lambda: simulate_varma(arma, 10, seed=2.5), seed + r"2\.5$"),
+        "seed-a": (lambda: simulate_varma(arma, 10, seed="a"), seed + "'a'$"),
+        "seed-negative": (lambda: simulate_varma(arma, 10, seed=-1), seed + "-1$"),
+        "seed-True": (lambda: simulate_varma(arma, 10, seed=True), seed + "True$"),
     }
 
 
 @pytest.mark.parametrize("case", list(_fractional_count_cases()))
 def test_library_calls_refuse_a_fractional_count(case):
-    # a count or index must be an int or np.integer, as ScaleGrid requires of
-    # its own, and is refused by the argument's name before numpy sees it
+    # a count, index or seed must be an int or np.integer other than a bool, as
+    # ScaleGrid requires of its own, and is refused by the argument's name
+    # before numpy sees it
     call, message = _fractional_count_cases()[case]
     with pytest.raises(ValueError, match=message):
         call()
