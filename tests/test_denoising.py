@@ -11,9 +11,10 @@ from comove.denoising import (
     canonical_method,
     denoise,
     method_sweep,
+    sweep_max_level,
 )
 from comove.denoising import _fidelities, _mad_sigma, _shrink, _shrink_and_invert, _sparsity_bound, _thresholds
-from comove.packets import _dwt, _idwt, wpt_forward
+from comove.packets import _dwt, _idwt, max_level, wpt_forward
 
 
 def threshold_row(method, *detail_levels, n=None):
@@ -549,12 +550,55 @@ def test_sweep_against_external_reference():
     assert sure > baseline
 
 
+@pytest.mark.parametrize("level", [1, 2, 4])
+def test_sweep_names_its_minimum_length(level):
+    # every per-level MAD needs 8 coefficients: ceil(n / 2**level) >= 8, so
+    # 7 * 2**level + 1 samples are the fewest the sweep takes at this level
+    need = 7 * 2**level + 1
+    assert sweep_max_level(need) == level and sweep_max_level(need - 1) == level - 1
+    walk = np.cumsum(np.random.default_rng(14).standard_normal(need))
+    assert len(method_sweep(walk, level=level).rows()) == 9
+    with pytest.raises(ValueError, match=f"^level {level} exceeds {level - 1}, the deepest the sweep "
+                                         f"takes on {need - 1} samples$"):
+        method_sweep(walk[:-1], level=level)
+
+
 def test_sweep_checks_its_length_before_decomposing():
     # 10 samples cannot be split 4 times either; the sweep's own limit is named
     with pytest.raises(ValueError, match="^level 4 exceeds 0, the deepest the sweep takes on 10 samples$"):
         method_sweep(np.arange(10.0), level=4)
     with pytest.raises(ValueError, match="^level must be a positive integer, got 0$"):
         method_sweep(np.arange(10.0), level=0)
+
+
+@pytest.mark.parametrize("level", [20000, 10**8, 4 * 10**9])
+def test_sweep_refuses_huge_levels_by_its_own_message(level):
+    # a huge level is compared with the deepest one, so 2**level is never built
+    x = np.random.default_rng(15).standard_normal(300)
+    with pytest.raises(ValueError, match=f"^level {level} exceeds 5, the deepest the sweep takes on 300 samples$"):
+        method_sweep(x, level=level)
+    with pytest.raises(ValueError, match=f"^300 samples cannot be split {level} times$"):
+        wpt_forward(x, level)
+
+
+def test_sweep_message_writes_its_rule_just_past_the_printed_level():
+    # past level 14000 a minimum sample count would print with thousands of
+    # digits; the deepest level keeps the message the same at every level
+    for level in (14000, 14001):
+        x = np.random.default_rng(15).standard_normal(300)
+        with pytest.raises(ValueError) as info:
+            method_sweep(x, level=level)
+        assert str(info.value) == f"level {level} exceeds 5, the deepest the sweep takes on 300 samples"
+
+
+def test_level_shortfall_prints_the_bound_up_to_the_printed_level():
+    # the one rule of the sweep, the transforms and the CLI's data check:
+    # the deepest level, an integer however long the series
+    assert max_level(300) == 8 and max_level(512) == 9 and max_level(511) == 8
+    assert sweep_max_level(300) == 5 and sweep_max_level(113) == 4 and sweep_max_level(112) == 3
+    assert sweep_max_level(8) == 0 and sweep_max_level(1) == 0
+    assert max_level(2**14001) == 14001 and sweep_max_level(7 * 2**14001 + 1) == 14001
+    assert sweep_max_level(7 * 2**14001) == 14000
 
 
 def test_levels_are_taken_exactly_when_they_fit():
@@ -565,6 +609,7 @@ def test_levels_are_taken_exactly_when_they_fit():
     for n in range(8, 601):
         x = walk[:n]
         deepest = max(level for level in range(11) if level == 0 or 7 * 2**level < n)
+        assert sweep_max_level(n) == deepest
         for level in range(1, 11):
             if 2**level <= n:
                 assert wpt_forward(x, level).level == level
@@ -577,12 +622,6 @@ def test_levels_are_taken_exactly_when_they_fit():
                 with pytest.raises(ValueError, match=f"^level {level} exceeds {deepest}, the deepest the sweep "
                                                      f"takes on {n} samples$"):
                     method_sweep(x, level=level)
-    # a huge level is compared with the deepest one, so 2**level is never built
-    for level in (20000, 10**8, 4 * 10**9):
-        with pytest.raises(ValueError, match=f"^300 samples cannot be split {level} times$"):
-            wpt_forward(walk[:300], level)
-        with pytest.raises(ValueError, match=f"^level {level} exceeds 5, the deepest the sweep takes on 300 samples$"):
-            method_sweep(walk[:300], level=level)
 
 
 def test_denoising_leaves_no_reference_cycles():
