@@ -25,7 +25,7 @@ series = {
 # One shared scale grid so the transforms are comparable cell by cell.
 grid = cm.make_scale_grid(n, dt=1.0)
 fields = [cm.cwt_morlet(x, 1.0, grid) for x in series.values()]
-cf = cm.coherence_matrix_field(fields, labels=tuple(series))
+cf = cm.coherence_matrix_field(fields)
 res = cm.coherence_result(cf, target=0)
 
 print(f"{len(series)} series, {grid.scales.size} scales, {n} samples")
@@ -51,7 +51,7 @@ print()
 band = (grid.scales >= 48) & (grid.scales <= 80)
 use = band[:, None] & inside
 mwc = res.multiple[use].mean()
-partners = {cf.labels[j]: res.partial_sq[j][use].mean() for j in (1, 2, 3)}
+partners = {name: res.partial_sq[j][use].mean() for j, name in enumerate(series) if j != 0}
 best = max(partners, key=partners.get)
 print(f"factor band multiple coherence: {mwc:.3f}")
 print(f"strongest partial partner: {best} ({partners[best]:.3f}), as constructed")

@@ -448,7 +448,7 @@ def _check_data(needs: set[str], config: PipelineConfig, work: ts.MultiSeries) -
     n = len(work)
     for key, deepest in (("depth", pk.max_level(n)), ("denoise_level", sweep_max_level(n))):
         level = getattr(config, key)
-        if key in needs and pk._too_deep(level, deepest):
+        if key in needs and level > deepest:
             raise ts.DataError(f"{key} {level} exceeds {deepest}, the deepest level the {n} rows of the "
                                "analysis window allow")
     if "fit rows" in needs and n < vm.MIN_OBS:
@@ -463,7 +463,7 @@ def _coherence(variant: str, prefix: str, partials: bool = True) -> tuple:
     def files(run: _Run):
         ms, target = run.series[variant], run.target
         grid = make_scale_grid(len(ms), 1.0)  # one time step per row
-        cf = coh.coherence_matrix_field([cwt_morlet(x, 1.0, grid) for x in ms.values.T], labels=ms.names)
+        cf = coh.coherence_matrix_field([cwt_morlet(x, 1.0, grid) for x in ms.values.T])
         res = coh.coherence_result(cf, target)
         tname = _safe_name(ms.names[target])
         yield f"mwc_{prefix}{tname}.csv", _grid(grid, res.multiple)

@@ -21,11 +21,13 @@ each scale row with the target ordered last: the last pivot is
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .cwt import ScaleGrid, WaveletField, smooth
+from .packets import _count
 
 _SINGULAR_MINOR_TOL = 1e-14
 _UNIT_DISC_TOL = 1e-9
@@ -51,9 +53,9 @@ class CoherenceField:
     pairs : ndarray, complex, shape (p * (p - 1) // 2, num_scales, n)
         Entry (i, j), i < j, of every cell, one row per pair in
         ``np.triu_indices(p, 1)`` order; magnitudes at most 1 up to rounding.
-        Entry (j, i) is its conjugate and the diagonal is one.
-    labels : tuple of str
-        Distinct series names, one per matrix row; their number is p.
+        Entry (j, i) is its conjugate and the diagonal is one, so the
+        number of rows gives p, from 2 to 8; a stack of any other shape is
+        refused.
     grid : ScaleGrid
         The time-scale plane of every pair grid, ``grid.shape == (num_scales,
         n)``; ``grid.outside_coi()`` marks the cells outside the cone of
@@ -66,20 +68,14 @@ class CoherenceField:
     """
 
     pairs: np.ndarray
-    labels: tuple[str, ...]
     grid: ScaleGrid
     degenerate: np.ndarray
 
     def __post_init__(self) -> None:
-        p = len(self.labels)
-        if not 2 <= p <= 8:
-            raise ValueError(f"need between 2 and 8 series, got {p}")
-        if len(set(self.labels)) != p:
-            dup = next(s for s in self.labels if self.labels.count(s) > 1)
-            raise ValueError(f"duplicate series label {dup!r}")
         pairs = np.asarray(self.pairs, dtype=complex)
-        if pairs.ndim != 3 or pairs.shape[0] != p * (p - 1) // 2:
-            raise ValueError(f"pairs shape {pairs.shape} does not fit {p} series")
+        object.__setattr__(self, "pairs", pairs)
+        if pairs.ndim != 3 or self.p * (self.p - 1) // 2 != len(pairs) or not 2 <= self.p <= 8:
+            raise ValueError(f"pairs shape {pairs.shape} is not p(p-1)/2 pair grids for p between 2 and 8")
         degenerate = np.asarray(self.degenerate)
         for name, shape in (("grid", self.grid.shape), ("degenerate", degenerate.shape)):
             if shape != pairs.shape[1:]:
@@ -93,16 +89,15 @@ class CoherenceField:
         if not mag <= 1.0 + _UNIT_DISC_TOL:
             raise ValueError(f"coherency magnitude {mag} exceeds 1")
         pairs.flags.writeable = False
-        object.__setattr__(self, "pairs", pairs)
 
     @property
     def p(self) -> int:
-        return len(self.labels)
+        """The number of series, read off the p(p-1)/2 pair rows."""
+        return (1 + math.isqrt(1 + 8 * len(self.pairs))) // 2
 
 
 def coherence_matrix_field(
     fields: list[WaveletField] | tuple[WaveletField, ...],
-    labels: tuple[str, ...] | None = None,
 ) -> CoherenceField:
     """Assemble the packed coherency field from per-series wavelet fields.
 
@@ -120,9 +115,7 @@ def coherence_matrix_field(
     Parameters
     ----------
     fields : sequence of WaveletField
-        Two to eight transforms on equal grids.
-    labels : tuple of str, optional
-        Names for the series, defaulting to series0..seriesN.
+        Two to eight transforms on equal grids, in the field's series order.
 
     Raises
     ------
@@ -138,10 +131,6 @@ def coherence_matrix_field(
     grid = fields[0].grid
     if any(f.grid != grid for f in fields[1:]):
         raise ValueError("wavelet fields are on different grids")
-    if labels is None:
-        labels = tuple(f"series{i}" for i in range(p))
-    elif len(labels) != p:
-        raise ValueError(f"{len(labels)} labels for {p} series")
     tiny = np.finfo(float).tiny
 
     autos = np.empty((p,) + grid.shape)
@@ -159,7 +148,7 @@ def coherence_matrix_field(
         np.multiply(spectrum, 1.0 / (denom[i] * denom[j]), out=pairs[k])
     # by index, so a field without degenerate cells scans none of the pairs
     pairs.reshape(len(pairs), -1)[:, np.flatnonzero(degenerate)] = 0.0
-    return CoherenceField(pairs=pairs, labels=tuple(labels), grid=grid, degenerate=degenerate)
+    return CoherenceField(pairs=pairs, grid=grid, degenerate=degenerate)
 
 
 def _solve(
@@ -296,8 +285,7 @@ def coherence_result(field: CoherenceField, target: int = 0) -> CoherenceResult:
     ValueError
         ``target`` is not an integer index into the field's series.
     """
-    if isinstance(target, bool) or not isinstance(target, (int, np.integer)) or not 0 <= target < field.p:
-        raise ValueError(f"target must be an integer index below {field.p}, got {target!r}")
+    _count("target", target, least=0, below=field.p)
     r2, partial_sq, partial_phase, singular, partial_bad = _solve(field.pairs, field.p, target)
     return CoherenceResult(
         multiple=r2,

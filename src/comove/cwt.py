@@ -22,6 +22,8 @@ import functools
 from dataclasses import dataclass
 import numpy as np
 
+from .packets import _count
+
 OMEGA0 = 6.0
 DEFAULT_DJ = 1.0 / 12.0
 SCALE_SMOOTH_OCTAVES = 0.6
@@ -52,9 +54,7 @@ class ScaleGrid:
 
     def __post_init__(self) -> None:
         for name in ("n", "num_scales"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
-                raise ValueError(f"{name} must be a positive integer, got {value!r}")
+            _count(name, getattr(self, name))
         for name in ("dt", "s0", "dj"):
             value = getattr(self, name)
             if not (np.isfinite(value) and value > 0):

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .packets import _dwt, _idwt, _too_deep
+from .packets import _count, _dwt, _idwt
 
 MAD_SCALE = 0.6745
 MIN_MAD_COEFFS = 8  # fewest detail coefficients a MAD noise estimate is taken from
@@ -219,8 +219,9 @@ def denoise(
     Raises
     ------
     ValueError
-        An unknown method or rule, all detail coefficients zero, or a signal
-        the transform refuses.
+        An unknown method or rule, a level the sweep refuses (not a positive
+        integer, or past :func:`sweep_max_level` of the signal's length), all
+        detail coefficients zero, or a signal the transform refuses.
     """
     method = canonical_method(method)
     rule = CONVENTIONAL_RULE[method] if rule is None else rule
@@ -229,14 +230,17 @@ def denoise(
 
 def _denoised(x: np.ndarray, methods: list[str], rules: tuple[str, ...], level: int,
               wavelet: str) -> tuple[np.ndarray, np.ndarray]:
-    """The one path of :func:`denoise` and :func:`method_sweep`: the DWT, the
-    (methods, levels) threshold table, and the (methods, n) estimates, row i
+    """The one path of :func:`denoise` and :func:`method_sweep`: the level check, the
+    DWT, the (methods, levels) threshold table, and the (methods, n) estimates, row i
     shrunk under rules[i]. A constant signal has exactly zero details, whatever
     rounding the transform leaves in them, and is refused."""
+    n = np.size(x)
+    deepest = sweep_max_level(n)
+    if _count("level", level) > deepest:
+        raise ValueError(f"level {level} exceeds {deepest}, the deepest the sweep takes on {n} samples")
     c = _dwt(x, level, wavelet)
     if np.max(x) == np.min(x):
         raise ValueError("all detail coefficients are zero; nothing to threshold")
-    n = np.size(x)
     thresholds = _thresholds(methods, [c[c.size >> (j + 1) : c.size >> j] for j in range(level)], n)
     return thresholds, _shrink_and_invert(c, level, wavelet, n, thresholds, rules)
 
@@ -343,9 +347,6 @@ def method_sweep(
         raise ValueError("reference contains non-finite values")
     if rule is not None and rule not in SHRINKAGE_RULES:
         raise ValueError(f"unknown rule {rule!r}; have {SHRINKAGE_RULES}")
-    deepest = sweep_max_level(x.size)
-    if _too_deep(level, deepest):
-        raise ValueError(f"level {level} exceeds {deepest}, the deepest the sweep takes on {x.size} samples")
     rules = tuple(rule if rule is not None else CONVENTIONAL_RULE[m] for m in METHODS)
     thresholds, estimates = _denoised(x, list(METHODS), rules, level, wavelet)
     return DenoiseReport(rules, thresholds, *_fidelities(ref, estimates), estimates, _SWEEP_CONVENTION)

@@ -69,11 +69,13 @@ def max_level(n: int) -> int:
     return n.bit_length() - 1
 
 
-def _too_deep(level: int, deepest: int) -> bool:
-    """Whether ``level`` exceeds ``deepest``; a level that is not a positive integer is refused."""
-    if isinstance(level, bool) or not isinstance(level, (int, np.integer)) or level < 1:
-        raise ValueError(f"level must be a positive integer, got {level!r}")
-    return level > deepest
+def _count(name: str, value: int, least: int = 1, below: float = np.inf) -> int:
+    """``value`` if it is an int or np.integer, not a bool, in [least, below) with least 1 or 0;
+    else a ValueError naming it as a positive or non-negative integer, or as an index below ``below``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or not least <= value < below:
+        kind = "a positive integer" if least else "a non-negative integer"
+        raise ValueError(f"{name} must be {kind if below == np.inf else f'an integer index below {below}'}, got {value!r}")
+    return value
 
 
 def _prepare(x: np.ndarray, level: int) -> np.ndarray:
@@ -83,7 +85,7 @@ def _prepare(x: np.ndarray, level: int) -> np.ndarray:
         raise ValueError("signal must be one-dimensional")
     if not np.isfinite(x).all():
         raise ValueError("signal contains non-finite values")
-    if _too_deep(level, max_level(x.size)):
+    if _count("level", level) > max_level(x.size):
         raise ValueError(f"{x.size} samples cannot be split {level} times")
     pad = -x.size % 2**level  # fewer than x.size, which is at least 2**level
     return np.concatenate([x, x[:pad]])
@@ -176,7 +178,10 @@ def frequency_index(path: tuple[int, ...]) -> int:
 
     Gray-code accumulation: each highpass branch mirrors the spectrum, so the
     natural (Paley) order 00, 01, 10, 11 maps to frequencies 0, 1, 3, 2.
+    A path with a digit other than 0 or 1 names no node and is refused.
     """
+    if not set(path) <= {0, 1}:
+        raise ValueError(f"no node {tuple(path)}: a path's digits are 0 or 1")
     idx = 0
     for b in path:
         idx = (idx << 1) | (b ^ (idx & 1))

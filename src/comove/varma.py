@@ -28,6 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .packets import _count
+
 _STATIONARITY_MARGIN = 1e-4
 # 99% points of chi-square(2 p^2), p = 1..8: the white-noise collapse's thresholds
 _WHITE_NOISE_CHI2_99 = (9.21, 20.09, 34.81, 53.49, 76.15, 102.82, 133.48, 168.13)
@@ -483,8 +485,7 @@ def forecast(
         A horizon that is not a positive integer, shape mismatches, or a
         non-finite y_last or e_last.
     """
-    if isinstance(horizon, bool) or not isinstance(horizon, (int, np.integer)) or horizon < 1:
-        raise ValueError(f"horizon must be a positive integer, got {horizon!r}")
+    _count("horizon", horizon)
     mu, phi, theta, p = model.mu, model.phi, model.theta, model.p
     y = np.atleast_1d(np.asarray(y_last, dtype=float))
     if y.shape != (p,):
@@ -589,10 +590,8 @@ def simulate_varma(model: VarmaModel, n: int, seed: int) -> np.ndarray:
     ndarray, shape (n, p)
         One column per series.
     """
-    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
-        raise ValueError(f"n must be a positive integer, got {n!r}")
-    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
-        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
+    _count("n", n)
+    _count("seed", seed, least=0)
     p = model.p
     rng = np.random.default_rng(seed)
     try:

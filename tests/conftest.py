@@ -186,7 +186,6 @@ def unsmoothed_field(fields):
     pairs = w[i] * np.conj(w[j]) / (np.abs(w[i]) * np.abs(w[j]))
     return CoherenceField(
         pairs=pairs,
-        labels=tuple(f"series{k}" for k in range(len(fields))),
         grid=fields[0].grid,
         degenerate=np.zeros(pairs.shape[1:], dtype=bool),
     )

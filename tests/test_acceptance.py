@@ -57,7 +57,6 @@ def test_coherence_determinant_identities(capsys):
 
     field = CoherenceField(
         pairs=pack_cells(cells),
-        labels=("a", "b", "c", "d"),
         grid=synthetic_grid(10, 10),
         degenerate=np.zeros((10, 10), dtype=bool),
     )

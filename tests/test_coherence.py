@@ -41,7 +41,6 @@ def build_field(p, nj=4, nt=6, seed=0):
             cells[a, b] = random_coherency_cell(rng, p)
     return CoherenceField(
         pairs=pack_cells(cells),
-        labels=tuple(f"s{i}" for i in range(p)),
         grid=synthetic_grid(nj, nt),
         degenerate=np.zeros((nj, nt), dtype=bool),
     )
@@ -141,7 +140,6 @@ def test_results_invariant_to_series_permutation():
     cells_p = dense_cells(field)[:, :, perm, :][:, :, :, perm]
     field_p = CoherenceField(
         pairs=pack_cells(cells_p),
-        labels=tuple(field.labels[i] for i in perm),
         grid=field.grid,
         degenerate=field.degenerate,
     )
@@ -161,7 +159,6 @@ def test_singular_minor_reports_one():
     cells = np.broadcast_to(cell, (2, 2, p, p)).copy()
     field = CoherenceField(
         pairs=pack_cells(cells),
-        labels=("a", "b", "c"),
         grid=synthetic_grid(2, 2),
         degenerate=np.zeros((2, 2), dtype=bool),
     )
@@ -229,7 +226,7 @@ def test_solve_matches_determinant_route(p, eps):
             v /= np.linalg.norm(v, axis=1, keepdims=True)
             cells[0, 0] = v @ v.conj().T
             cells[0, 0][np.arange(p), np.arange(p)] = 1.0
-        field = CoherenceField(**_field_kwargs(cells, p))
+        field = CoherenceField(**_field_kwargs(cells))
         r2_old, rho_old, flagged_old = _determinant_route(dense_cells(field), target)
         res = coherence_result(field, target)
         assert np.array_equal(res.flagged, flagged_old)
@@ -278,7 +275,7 @@ def test_nested_partials_match_determinant_route(p):
         v /= np.linalg.norm(v, axis=1, keepdims=True)
         cells[a, b] = v @ v.conj().T
         cells[a, b][np.arange(p), np.arange(p)] = 1.0
-    field = CoherenceField(**_field_kwargs(cells, p))
+    field = CoherenceField(**_field_kwargs(cells))
     cells = dense_cells(field)
     for target in range(p):
         want = _nested_determinant_route(cells, target)
@@ -347,19 +344,11 @@ def test_matrix_field_from_signals():
     cols = [rng.normal(size=200) for _ in range(3)]
     field = coherence_matrix_field(_wavelet_fields(200, cols))
     assert field.p == 3
-    assert field.labels == ("series0", "series1", "series2")
     cells = dense_cells(field)
     assert cells.shape[2:] == (3, 3)
     assert not field.degenerate.any()
     # valid coherency structure comes from the shared smoother
     assert np.abs(cells).max() <= 1.0 + 1e-9
-
-
-def test_matrix_field_custom_labels():
-    rng = np.random.default_rng(12)
-    cols = [rng.normal(size=100) for _ in range(2)]
-    field = coherence_matrix_field(_wavelet_fields(100, cols), labels=("au", "ag"))
-    assert field.labels == ("au", "ag")
 
 
 def test_matrix_field_identity_smoother_gives_unit_coherence():
@@ -415,18 +404,6 @@ def test_matrix_field_rejects_mixed_time_axes(n, dt):
         coherence_matrix_field([a, b])
 
 
-@pytest.mark.parametrize(
-    "labels,msg",
-    [(("only-one",), "labels for"), (("a", "a"), "duplicate series label 'a'")],
-    ids=["count", "duplicate"],
-)
-def test_matrix_field_rejects_bad_labels(labels, msg):
-    rng = np.random.default_rng(17)
-    fields = _wavelet_fields(64, [rng.normal(size=64) for _ in range(2)])
-    with pytest.raises(ValueError, match=msg):
-        coherence_matrix_field(fields, labels=labels)
-
-
 def _dense_assembly(fields):
     """The per-pair dense assembly the packed field replaced: each smoothed
     pair, normalised, and its conjugate scattered into (scales, n, p, p)."""
@@ -472,11 +449,10 @@ def test_packed_assembly_matches_dense_assembly(p, monkeypatch):
 # ----------------------------------------------------- CoherenceField checks
 
 
-def _field_kwargs(cells, p):
+def _field_kwargs(cells):
     nj, nt = cells.shape[:2]
     return dict(
         pairs=pack_cells(cells),
-        labels=tuple(f"s{i}" for i in range(p)),
         grid=synthetic_grid(nj, nt),
         degenerate=np.zeros((nj, nt), dtype=bool),
     )
@@ -486,7 +462,7 @@ def test_field_rejects_coherency_above_one():
     cells = np.zeros((1, 1, 2, 2), dtype=complex)
     cells[0, 0] = [[1.0, 1.5], [1.5, 1.0]]
     with pytest.raises(ValueError, match="exceeds 1"):
-        CoherenceField(**_field_kwargs(cells, 2))
+        CoherenceField(**_field_kwargs(cells))
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, complex(np.nan, 0.5)])
@@ -498,7 +474,7 @@ def test_field_rejects_non_finite_cells(value):
     cells[a, b, i, j] = value
     cells[a, b, j, i] = np.conj(value)
     with pytest.raises(ValueError, match="exceeds 1"):
-        CoherenceField(**_field_kwargs(cells, 4))
+        CoherenceField(**_field_kwargs(cells))
 
 
 @pytest.mark.parametrize("factor,accepted", [(0.99, True), (1.01, False)])
@@ -516,10 +492,10 @@ def test_field_checks_sit_at_their_tolerances(kind, factor, accepted):
     cells[a, b, i, j] = (1.0 + factor * 1e-9) * phase
     cells[a, b, j, i] = np.conj(cells[a, b, i, j])
     if accepted:
-        CoherenceField(**_field_kwargs(cells, 4))
+        CoherenceField(**_field_kwargs(cells))
     else:
         with pytest.raises(ValueError, match="exceeds 1"):
-            CoherenceField(**_field_kwargs(cells, 4))
+            CoherenceField(**_field_kwargs(cells))
 
 
 @pytest.mark.parametrize(
@@ -532,24 +508,27 @@ def test_field_rejects_mismatched_grid_shapes(name, shape):
     # A (1, n) mask on a 4-row field would broadcast over every row, and a
     # one-scale grid would label four rows; both must be refused.
     rng = np.random.default_rng(43)
-    kwargs = _field_kwargs(dense_cells(build_field(3, seed=43)), 3)
+    kwargs = _field_kwargs(dense_cells(build_field(3, seed=43)))
     kwargs[name] = rng.random(shape) < 0.5 if name == "degenerate" else synthetic_grid(*shape)
     with pytest.raises(ValueError, match=f"{name} has shape"):
         CoherenceField(**kwargs)
 
 
 def test_field_rejects_pairs_of_the_wrong_count():
-    pairs = build_field(3, seed=44).pairs
-    kwargs = _field_kwargs(dense_cells(build_field(4, seed=44)), 4)
-    kwargs["pairs"] = pairs
-    with pytest.raises(ValueError, match="does not fit"):
-        CoherenceField(**kwargs)
+    # the field reads p off its p(p-1)/2 pair rows: no p gives 2 or 4 rows,
+    # 0 rows is one series and 36 rows is nine
+    kwargs = _field_kwargs(dense_cells(build_field(4, seed=44)))
+    for rows in (0, 2, 4, 36):
+        kwargs["pairs"] = np.zeros((rows,) + kwargs["grid"].shape, dtype=complex)
+        message = rf"^pairs shape \({rows}, 4, 6\) is not p\(p-1\)/2 pair grids for p between 2 and 8$"
+        with pytest.raises(ValueError, match=message):
+            CoherenceField(**kwargs)
 
 
 def test_field_rejects_single_series():
     cells = np.ones((1, 1, 1, 1), dtype=complex)
     with pytest.raises(ValueError, match="between 2 and 8"):
-        CoherenceField(**_field_kwargs(cells, 1))
+        CoherenceField(**_field_kwargs(cells))
 
 
 def test_target_out_of_range():

@@ -140,7 +140,7 @@ def test_grid_error_contracts(kwargs, msg):
     "field,value",
     [("n", 0), ("n", -64), ("n", 64.0), ("dt", 0.0), ("dt", np.inf), ("dj", 0.0), ("dj", np.nan),
      ("dj", -0.25), ("num_scales", 0), ("num_scales", 12.0), ("s0", np.nan), ("s0", np.inf),
-     ("s0", -2.0), ("s0", 0.0), ("num_scales", -3)],
+     ("s0", -2.0), ("s0", 0.0), ("num_scales", -3), ("n", True), ("num_scales", True)],
 )
 def test_grid_refuses_a_plane_no_consumer_can_use(field, value):
     # a hand-built plane is checked where it is built, not deep in the

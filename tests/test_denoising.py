@@ -684,3 +684,24 @@ def test_sweep_estimates_are_denoise_bit_for_bit(rule, wavelet):
             assert np.array_equal(estimate, expected), (level, method)
             row = _thresholds([method], details, walk.size)[0]
             assert np.array_equal(row, report.thresholds[i]), (level, method)
+
+
+@pytest.mark.parametrize("n", [100, 1461])
+def test_denoise_refuses_exactly_the_levels_the_sweep_refuses(n):
+    # denoise is one row of the sweep's path, so it takes the sweep's levels
+    # and refuses the rest by the sweep's message: on 100 samples SURE and
+    # GCVLevel at level 5 would return an estimate no sweep row holds
+    x = np.cumsum(np.random.default_rng(47).standard_normal(n))
+    for level in range(1, max_level(n) + 1):
+        try:
+            method_sweep(x, level=level)
+            refused = None
+        except ValueError as exc:
+            refused = str(exc)
+        for method in METHODS:
+            if refused is None:
+                assert denoise(x, method, level=level).shape == (n,)
+            else:
+                with pytest.raises(ValueError) as info:
+                    denoise(x, method, level=level)
+                assert str(info.value) == refused, (level, method)

@@ -397,6 +397,14 @@ def test_frequency_index_is_a_bijection():
         assert indices == list(range(2**depth))
 
 
+def test_frequency_index_refuses_a_path_that_names_no_node():
+    # reconstruct_node refuses these paths as naming no node; a band for them
+    # would be a position no leaf holds
+    for path in ((2,), (0, 3), (1, -1)):
+        with pytest.raises(ValueError, match=rf"^no node {re.escape(str(path))}: a path's digits are 0 or 1$"):
+            frequency_index(path)
+
+
 def test_paths_orderings():
     # the fractions come keyed in natural order; frequency_index sorts them by band
     natural = list(energy_fractions(wpt_forward(np.arange(32.0), 2)))

@@ -940,6 +940,26 @@ def _fractional_count_cases():
         "seed-a": (lambda: simulate_varma(arma, 10, seed="a"), seed + "'a'$"),
         "seed-negative": (lambda: simulate_varma(arma, 10, seed=-1), seed + "-1$"),
         "seed-True": (lambda: simulate_varma(arma, 10, seed=True), seed + "True$"),
+        # one check states every count's rule: True, a whole float and the
+        # first value below the range are refused for each argument
+        "wpt_forward-2.0": (lambda: cm.wpt_forward(x, 2.0), r"^level must be a positive integer, got 2\.0$"),
+        "wpt_forward-0": (lambda: cm.wpt_forward(x, 0), "^level must be a positive integer, got 0$"),
+        "method_sweep-2.0": (lambda: cm.method_sweep(x, level=2.0), r"^level must be a positive integer, got 2\.0$"),
+        "method_sweep-0": (lambda: cm.method_sweep(x, level=0), "^level must be a positive integer, got 0$"),
+        "denoise-True": (lambda: cm.denoise(x, level=True), level_true),
+        "denoise-2.0": (lambda: cm.denoise(x, level=2.0), r"^level must be a positive integer, got 2\.0$"),
+        "denoise-0": (lambda: cm.denoise(x, level=0), "^level must be a positive integer, got 0$"),
+        "forecast-2.0": (lambda: forecast(arma, 1.0, 0.0, 2.0), r"^horizon must be a positive integer, got 2\.0$"),
+        "forecast-0": (lambda: forecast(arma, 1.0, 0.0, 0), "^horizon must be a positive integer, got 0$"),
+        "simulate_varma-2.0": (lambda: simulate_varma(arma, 2.0, 1), r"^n must be a positive integer, got 2\.0$"),
+        "simulate_varma-0": (lambda: simulate_varma(arma, 0, 1), "^n must be a positive integer, got 0$"),
+        "ScaleGrid-2.0": (lambda: cm.ScaleGrid(64, 1.0, 2.0, 0.25, 2.0),
+                          r"^num_scales must be a positive integer, got 2\.0$"),
+        "ScaleGrid-0": (lambda: cm.ScaleGrid(64, 1.0, 2.0, 0.25, 0), "^num_scales must be a positive integer, got 0$"),
+        # an index's range starts at 0, so its first value past the range is p
+        "target-2.0": (lambda: cm.coherence_result(field, 2.0), r"^target must be an integer index below 2, got 2\.0$"),
+        "target-2": (lambda: cm.coherence_result(field, 2), "^target must be an integer index below 2, got 2$"),
+        "seed-2.0": (lambda: simulate_varma(arma, 10, seed=2.0), seed + r"2\.0$"),
     }
 
 
