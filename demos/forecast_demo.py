@@ -50,12 +50,12 @@ marginal_mse = np.array(
     [(cm.residuals(m, path[:, k])[n:] ** 2).mean() for k, m in enumerate(marginals)]
 )
 
-rows = cm.mse_comparison(names, marginal_mse, joint_mse)
+verdicts = cm.mse_comparison(names, marginal_mse, joint_mse)
 print()
 print("rolling one-step MSE over the held-out tail:")
 print("series   arma     varma    winner")
-for row in rows:
-    print(f"{row.name:<8} {row.arma_mse:.4f}   {row.varma_mse:.4f}   {row.winner}")
+for name, am, vm, verdict in zip(names, marginal_mse, joint_mse, verdicts):
+    print(f"{name:<8} {am:.4f}   {vm:.4f}   {verdict}")
 print()
 ratio = joint_mse.mean() / marginal_mse.mean()
 print(f"overall MSE ratio (joint / marginal): {ratio:.4f}"

@@ -387,8 +387,8 @@ def _forecast(run: _Run) -> list[tuple]:
         # each fit is scored on its own columns: one (steps, p) ARMA stack would
         # sum the squared errors in another order and move last digits
         cum_mse = [vm.evaluate_mse(_truncate(r, steps), actual[:, cols]).cum_mse for _, cols, _, r in fits]
-        rows = [(row.name, steps, row.arma_mse, row.varma_mse, row.winner)
-                for row in vm.mse_comparison(names, np.concatenate(cum_mse[:-1]), cum_mse[-1])]
+        arma_mse, varma_mse = np.concatenate(cum_mse[:-1]).tolist(), cum_mse[-1].tolist()
+        rows = list(zip(names, [steps] * p, arma_mse, varma_mse, vm.mse_comparison(names, arma_mse, varma_mse)))
     if steps < 1:
         print("no realized data beyond the fit window; comparison left empty")
     elif not rows:

@@ -1,4 +1,4 @@
-"""Multiple and partial wavelet coherence for up to eight series.
+"""Multiple and partial wavelet coherence for up to ``MAX_SERIES`` series.
 
 Everything here operates on a field of small Hermitian matrices: at each
 (scale, time) cell, entry (i, j) is the smoothed cross-coherency between
@@ -28,6 +28,7 @@ import numpy as np
 
 from .cwt import ScaleGrid, WaveletField, smooth
 from .packets import _count
+from .timeseries import MAX_SERIES
 
 _SINGULAR_MINOR_TOL = 1e-14
 _UNIT_DISC_TOL = 1e-9
@@ -54,8 +55,8 @@ class CoherenceField:
         Entry (i, j), i < j, of every cell, one row per pair in
         ``np.triu_indices(p, 1)`` order; magnitudes at most 1 up to rounding.
         Entry (j, i) is its conjugate and the diagonal is one, so the
-        number of rows gives p, from 2 to 8; a stack of any other shape is
-        refused.
+        number of rows gives p, from 2 to ``MAX_SERIES``; a stack of any
+        other shape is refused.
     grid : ScaleGrid
         The time-scale plane of every pair grid, ``grid.shape == (num_scales,
         n)``; ``grid.outside_coi()`` marks the cells outside the cone of
@@ -74,8 +75,8 @@ class CoherenceField:
     def __post_init__(self) -> None:
         pairs = np.asarray(self.pairs, dtype=complex)
         object.__setattr__(self, "pairs", pairs)
-        if pairs.ndim != 3 or self.p * (self.p - 1) // 2 != len(pairs) or not 2 <= self.p <= 8:
-            raise ValueError(f"pairs shape {pairs.shape} is not p(p-1)/2 pair grids for p between 2 and 8")
+        if pairs.ndim != 3 or self.p * (self.p - 1) // 2 != len(pairs) or not 2 <= self.p <= MAX_SERIES:
+            raise ValueError(f"pairs shape {pairs.shape} is not p(p-1)/2 pair grids for p between 2 and {MAX_SERIES}")
         degenerate = np.asarray(self.degenerate)
         for name, shape in (("grid", self.grid.shape), ("degenerate", degenerate.shape)):
             if shape != pairs.shape[1:]:
@@ -115,19 +116,18 @@ def coherence_matrix_field(
     Parameters
     ----------
     fields : sequence of WaveletField
-        Two to eight transforms on equal grids, in the field's series order.
+        Two to ``MAX_SERIES`` transforms on equal grids, in the field's
+        series order.
 
     Raises
     ------
     ValueError
-        Fewer than two or more than eight fields, or mismatched grids.
+        Fewer than two or more than ``MAX_SERIES`` fields, or mismatched grids.
     """
     fields = list(fields)
     p = len(fields)
-    if p < 2:
-        raise ValueError(f"need at least two series, got {p}")
-    if p > 8:
-        raise ValueError(f"need at most eight series, got {p}")
+    if not 2 <= p <= MAX_SERIES:
+        raise ValueError(f"need between 2 and {MAX_SERIES} series, got {p}")
     grid = fields[0].grid
     if any(f.grid != grid for f in fields[1:]):
         raise ValueError("wavelet fields are on different grids")

@@ -22,7 +22,7 @@ import functools
 from dataclasses import dataclass
 import numpy as np
 
-from .packets import _count
+from .packets import _count, _signal
 
 OMEGA0 = 6.0
 DEFAULT_DJ = 1.0 / 12.0
@@ -103,14 +103,14 @@ def make_scale_grid(n: int, dt: float) -> ScaleGrid:
     Raises
     ------
     ValueError
-        If n < 8, if n is not an integer or dt is not finite and positive
-        (named as :class:`ScaleGrid` names them), or if the span
+        If n is not a positive integer or dt is not finite and positive
+        (named as :class:`ScaleGrid` names them), if n < 8, or if the span
         ``n * dt / s0`` overflows.
     """
-    if n < 8:
-        raise ValueError(f"need at least 8 samples, got {n}")
-    # a one-scale grid checks n and dt before the scale count is read off them
+    # a one-scale grid checks n and dt before the length or the scale count is read off them
     grid = ScaleGrid(n, float(dt), float(2.0 * dt), DEFAULT_DJ, 1)
+    if grid.n < 8:
+        raise ValueError(f"need at least 8 samples, got {n}")
     span = grid.n * grid.dt / grid.s0  # about n / 2, at least 4, unless n * dt overflows
     octaves = float(np.log2(span)) / grid.dj
     if not np.isfinite(octaves):
@@ -175,14 +175,10 @@ def cwt_morlet(x: np.ndarray, dt: float, grid: ScaleGrid) -> WaveletField:
     linear. A constant input transforms to exactly the zero field: its padded
     copy stays zero, where demeaning would leave its mean's rounding error.
     """
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 1:
-        raise ValueError("signal must be one-dimensional")
+    x = _signal(x)
     n = x.size
     if n < 8:
         raise ValueError(f"need at least 8 samples, got {n}")
-    if not np.all(np.isfinite(x)):
-        raise ValueError("signal contains non-finite values")
     if grid.n != n or grid.dt != dt:
         raise ValueError(f"grid is for {grid.n} samples at step {grid.dt}, got {n} at step {dt}")
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .packets import _count, _dwt, _idwt
+from .packets import _count, _dwt, _idwt, _signal
 
 MAD_SCALE = 0.6745
 MIN_MAD_COEFFS = 8  # fewest detail coefficients a MAD noise estimate is taken from
@@ -225,16 +225,16 @@ def denoise(
     """
     method = canonical_method(method)
     rule = CONVENTIONAL_RULE[method] if rule is None else rule
-    return _denoised(x, [method], (rule,), level, wavelet)[1][0]
+    return _denoised(_signal(x), [method], (rule,), level, wavelet)[1][0]
 
 
 def _denoised(x: np.ndarray, methods: list[str], rules: tuple[str, ...], level: int,
               wavelet: str) -> tuple[np.ndarray, np.ndarray]:
-    """The one path of :func:`denoise` and :func:`method_sweep`: the level check, the
-    DWT, the (methods, levels) threshold table, and the (methods, n) estimates, row i
-    shrunk under rules[i]. A constant signal has exactly zero details, whatever
-    rounding the transform leaves in them, and is refused."""
-    n = np.size(x)
+    """The one path of :func:`denoise` and :func:`method_sweep`, on a checked signal: the
+    level check, the DWT, the (methods, levels) threshold table, and the (methods, n)
+    estimates, row i shrunk under rules[i]. A constant signal has exactly zero details,
+    whatever rounding the transform leaves in them, and is refused."""
+    n = x.size
     deepest = sweep_max_level(n)
     if _count("level", level) > deepest:
         raise ValueError(f"level {level} exceeds {deepest}, the deepest the sweep takes on {n} samples")
@@ -339,12 +339,13 @@ def method_sweep(
         another shape, non-finite or with zero energy, an unknown rule, or a
         signal the transform refuses.
     """
-    x = np.asarray(x, dtype=float)
-    ref = x if reference is None else np.asarray(reference, dtype=float)
-    if ref.shape != x.shape:
-        raise ValueError(f"shape mismatch: reference {ref.shape} vs signal {x.shape}")
-    if not np.isfinite(ref).all():
-        raise ValueError("reference contains non-finite values")
+    x = ref = _signal(x)
+    if reference is not None:
+        ref = np.asarray(reference, dtype=float)
+        if ref.shape != x.shape:
+            raise ValueError(f"shape mismatch: reference {ref.shape} vs signal {x.shape}")
+        if not np.isfinite(ref).all():
+            raise ValueError("reference contains non-finite values")
     if rule is not None and rule not in SHRINKAGE_RULES:
         raise ValueError(f"unknown rule {rule!r}; have {SHRINKAGE_RULES}")
     rules = tuple(rule if rule is not None else CONVENTIONAL_RULE[m] for m in METHODS)

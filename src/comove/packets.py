@@ -78,13 +78,19 @@ def _count(name: str, value: int, least: int = 1, below: float = np.inf) -> int:
     return value
 
 
-def _prepare(x: np.ndarray, level: int) -> np.ndarray:
-    """Validated signal, extended periodically to a multiple of 2**level."""
+def _signal(x: np.ndarray) -> np.ndarray:
+    """``x`` as a float array, refused unless it is one-dimensional and finite: the check
+    every transform runs once, before any rule reads the signal's length."""
     x = np.asarray(x, dtype=float)
     if x.ndim != 1:
         raise ValueError("signal must be one-dimensional")
     if not np.isfinite(x).all():
         raise ValueError("signal contains non-finite values")
+    return x
+
+
+def _prepare(x: np.ndarray, level: int) -> np.ndarray:
+    """A checked :func:`_signal`, extended periodically to a multiple of 2**level."""
     if _count("level", level) > max_level(x.size):
         raise ValueError(f"{x.size} samples cannot be split {level} times")
     pad = -x.size % 2**level  # fewer than x.size, which is at least 2**level
@@ -197,12 +203,12 @@ def wpt_forward(x: np.ndarray, level: int, wavelet: str = "db3") -> PacketTree:
         A level that is not a positive integer or exceeds :func:`max_level`
         of the signal's length, an unknown wavelet, or non-finite input.
     """
-    xp = _prepare(x, level)
-    rows = xp[None]
+    x = _signal(x)
+    rows = _prepare(x, level)[None]
     for lo, hi in _stages(level):
         n = rows.shape[-1]
         rows = _analyze(rows, _plan(n, wavelet, _paths(hi - lo))).reshape(-1, n >> (hi - lo))
-    return PacketTree(rows, level, wavelet, np.size(x))
+    return PacketTree(rows, level, wavelet, x.size)
 
 
 def wpt_inverse(tree: PacketTree) -> np.ndarray:
@@ -244,10 +250,10 @@ def energy_fractions(tree: PacketTree) -> dict[tuple[int, ...], float]:
 
 
 def _dwt(x: np.ndarray, level: int, wavelet: str) -> np.ndarray:
-    """Discrete wavelet transform, splitting the approximation branch only, as one
-    padded-length array P in Mallat order: the level-L approximation ``c[: P >> L]``,
-    then detail level j (finest j = 0) at ``c[P >> (j + 1) : P >> j]``. Each stage
-    rewrites the approximation it splits in place; its bank writes that order."""
+    """Discrete wavelet transform of a checked :func:`_signal`, splitting the approximation
+    branch only, as one padded-length array P in Mallat order: the level-L approximation
+    ``c[: P >> L]``, then detail level j (finest j = 0) at ``c[P >> (j + 1) : P >> j]``. Each
+    stage rewrites the approximation it splits in place; its bank writes that order."""
     c = _prepare(x, level)
     for lo, hi in _stages(level):
         k = c.size >> lo

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 MIN_LENGTH = 8
-MAX_SERIES = 8
+MAX_SERIES = 8  # the one series limit: the loader, the coherence field and the joint fit read it
 
 _DATE_FORMATS = ("%Y-%m-%d", "%d.%m.%Y")
 

@@ -29,9 +29,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .packets import _count
+from .timeseries import MAX_SERIES
 
 _STATIONARITY_MARGIN = 1e-4
-# 99% points of chi-square(2 p^2), p = 1..8: the white-noise collapse's thresholds
+# 99% points of chi-square(2 p^2), p = 1..MAX_SERIES: the white-noise collapse's thresholds
 _WHITE_NOISE_CHI2_99 = (9.21, 20.09, 34.81, 53.49, 76.15, 102.82, 133.48, 168.13)
 MIN_OBS = 50  # fewest observations either fit takes
 _COLLINEARITY_LIMIT = 1e12
@@ -280,8 +281,8 @@ def fit_varma11(data: np.ndarray) -> VarmaModel:
     Parameters
     ----------
     data : ndarray, shape (n, p)
-        Columns are series; 2 <= p <= 8, n >= 50, finite, and no constant
-        column.
+        Columns are series; 2 <= p <= ``MAX_SERIES``, n >= 50, finite, and
+        no constant column.
 
     Returns
     -------
@@ -303,13 +304,13 @@ def fit_varma11(data: np.ndarray) -> VarmaModel:
     x = np.asarray(data, dtype=float)
     if x.ndim != 2:
         raise ValueError("data must be a (n, p) matrix")
-    if not 2 <= x.shape[1] <= 8:
-        raise ValueError(f"need between 2 and 8 series, got {x.shape[1]}")
+    if not 2 <= x.shape[1] <= MAX_SERIES:
+        raise ValueError(f"need between 2 and {MAX_SERIES} series, got {x.shape[1]}")
     return _fit_two_stage(x)
 
 
 def _fit_two_stage(x: np.ndarray) -> VarmaModel:
-    """The two-stage fit of an (n, p) block ``x``, 1 <= p <= 8.
+    """The two-stage fit of an (n, p) block ``x``, 1 <= p <= ``MAX_SERIES``.
 
     Both fits check their input here: at least MIN_OBS rows, finite values
     and no constant column, judged on the raw values. They read one
@@ -540,26 +541,17 @@ def evaluate_mse(result: ForecastResult, actual: np.ndarray) -> MseEvaluation:
     return MseEvaluation(cum_mse=((a[:h] - result.points) ** 2).mean(axis=0))
 
 
-@dataclass(frozen=True)
-class ComparisonRow:
-    """Per-series cumulative MSE of the two model families and the winner."""
-
-    name: str
-    arma_mse: float
-    varma_mse: float
-    winner: str
-
-
 def mse_comparison(
     names: tuple[str, ...],
     arma_mse: np.ndarray,
     varma_mse: np.ndarray,
-) -> list[ComparisonRow]:
-    """Rank per-series ARMA and VARMA cumulative MSEs.
+) -> tuple[str, ...]:
+    """Rank per-series ARMA and VARMA cumulative MSEs: one verdict per series,
+    in order, ``"ARMA"``, ``"VARMA"`` or ``"tie"``.
 
-    A difference of at most 1e-12 of the larger MSE counts as no winner, so
-    a change of units, which scales both alike, moves no verdict. A
-    non-finite MSE, which that rule cannot rank, is refused, naming its series.
+    A difference of at most 1e-12 of the larger MSE counts as a tie, so a
+    change of units, which scales both alike, moves no verdict. A non-finite
+    MSE, which that rule cannot rank, is refused, naming its series.
     """
     arma_mse = np.atleast_1d(np.asarray(arma_mse, dtype=float))
     varma_mse = np.atleast_1d(np.asarray(varma_mse, dtype=float))
@@ -568,14 +560,8 @@ def mse_comparison(
     bad = ~(np.isfinite(arma_mse) & np.isfinite(varma_mse))
     if bad.any():
         raise ValueError(f"series {names[int(np.argmax(bad))]!r} has a non-finite MSE")
-    rows = []
-    for name, am, vm in zip(names, arma_mse, varma_mse):
-        if abs(am - vm) <= _TIE_RTOL * max(am, vm):
-            winner = "tie"
-        else:
-            winner = "VARMA" if vm < am else "ARMA"
-        rows.append(ComparisonRow(name=name, arma_mse=float(am), varma_mse=float(vm), winner=winner))
-    return rows
+    return tuple("tie" if abs(am - vm) <= _TIE_RTOL * max(am, vm) else "VARMA" if vm < am else "ARMA"
+                 for am, vm in zip(arma_mse.tolist(), varma_mse.tolist()))
 
 
 def simulate_varma(model: VarmaModel, n: int, seed: int) -> np.ndarray:

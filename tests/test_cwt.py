@@ -129,6 +129,10 @@ def test_grid_compares_unequal_to_other_types():
         (dict(n=64, dt=np.inf), "^dt must be positive and finite, got inf$"),
         # a fractional length is refused as ScaleGrid refuses it, not truncated
         (dict(n=64.5, dt=1.0), r"^n must be a positive integer, got 64\.5$"),
+        # n is counted as ScaleGrid counts it before it is compared with 8
+        (dict(n="64", dt=1.0), r"^n must be a positive integer, got '64'$"),
+        (dict(n=None, dt=1.0), r"^n must be a positive integer, got None$"),
+        (dict(n=True, dt=1.0), r"^n must be a positive integer, got True$"),
     ],
 )
 def test_grid_error_contracts(kwargs, msg):

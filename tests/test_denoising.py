@@ -507,6 +507,22 @@ def test_fidelity_error_contracts():
             method_sweep(noisy, reference=np.where(np.arange(256) == 100, bad, noisy))
 
 
+@pytest.mark.parametrize("run", [method_sweep, denoise])
+@pytest.mark.parametrize(
+    "x,msg",
+    [
+        # checked before the level rule reads its length: 100 values are not 100 samples
+        (np.zeros((10, 10)), "^signal must be one-dimensional$"),
+        # the sweep's default reference is the signal, and the signal is named
+        (np.r_[np.arange(255.0), np.nan], "^signal contains non-finite values$"),
+        (np.r_[np.arange(255.0), np.inf], "^signal contains non-finite values$"),
+    ],
+)
+def test_sweep_checks_the_signal_before_its_length(run, x, msg):
+    with pytest.raises(ValueError, match=msg):
+        run(x)
+
+
 # ---------------------------------------------------------------- sweep
 
 

@@ -30,6 +30,7 @@ from comove.varma import (
     residuals,
     simulate_varma,
 )
+from comove.timeseries import MAX_SERIES
 from comove.varma import _linear_recursion
 
 
@@ -512,7 +513,7 @@ def test_fits_do_not_depend_on_memory_layout(p):
 
 
 def _held_out_winners(data, fit_rows):
-    """mse_comparison's winners of one ARMA per column and the joint VARMA,
+    """mse_comparison's verdicts on one ARMA per column and the joint VARMA,
     fitted on the first fit_rows rows and scored on the rest."""
     win, future = data[:fit_rows], data[fit_rows:]
     arma = []
@@ -524,7 +525,7 @@ def _held_out_winners(data, fit_rows):
     e = residuals(joint, win)
     joint_mse = evaluate_mse(forecast(joint, win[-1], e[-1], len(future)), future).cum_mse
     names = tuple(f"s{k}" for k in range(data.shape[1]))
-    return [r.winner for r in mse_comparison(names, np.array(arma), joint_mse)]
+    return mse_comparison(names, np.array(arma), joint_mse)
 
 
 @pytest.mark.parametrize("factor", [2.0**17, 2.0**-17, 2.0**40, 2.0**-40])
@@ -710,7 +711,8 @@ def test_arma_fit_matches_lstsq_route_on_deterministic_series(kind):
 
 def test_white_noise_thresholds_are_chi2_points():
     # one collapse rule for every p: 2 p^2 fitted coefficients
-    want = chi2.ppf(0.99, 2 * np.arange(1, 9) ** 2)
+    # one point for each p up to the series limit, so the table cannot fall short of it
+    want = chi2.ppf(0.99, 2 * np.arange(1, MAX_SERIES + 1) ** 2)
     np.testing.assert_allclose(varma._WHITE_NOISE_CHI2_99, want, rtol=1e-3)
 
 
@@ -1028,19 +1030,17 @@ def test_evaluate_mse_error_contracts():
 
 
 def test_mse_comparison_winners():
-    rows = mse_comparison(
+    # one verdict per series, in the names' order
+    verdicts = mse_comparison(
         ("a", "b", "c"),
         np.array([1.0, 2.0, 1.5]),
         np.array([1.0, 1.5, 2.0]),
     )
-    assert [r.winner for r in rows] == ["tie", "VARMA", "ARMA"]
-    assert rows[1].name == "b"
-    assert rows[1].arma_mse == 2.0 and rows[1].varma_mse == 1.5
+    assert verdicts == ("tie", "VARMA", "ARMA")
 
 
 def test_mse_comparison_tie_tolerance():
-    rows = mse_comparison(("a",), np.array([1.0]), np.array([1.0 + 1e-13]))
-    assert rows[0].winner == "tie"
+    assert mse_comparison(("a",), np.array([1.0]), np.array([1.0 + 1e-13])) == ("tie",)
 
 
 def test_mse_comparison_winners_do_not_depend_on_units():
@@ -1050,10 +1050,10 @@ def test_mse_comparison_winners_do_not_depend_on_units():
     arma = rng.uniform(0.5, 2.0, 16)
     varma_mse = arma * (1.0 + rng.choice([-1.0, 1.0], 16) * 10.0 ** rng.uniform(-9, -3, 16))
     names = tuple(f"s{j}" for j in range(16))
-    want = [r.winner for r in mse_comparison(names, arma, varma_mse)]
+    want = mse_comparison(names, arma, varma_mse)
     assert "tie" not in want and len(set(want)) == 2
     for scale in (2.0**20, 2.0**-20):
-        assert [r.winner for r in mse_comparison(names, arma * scale, varma_mse * scale)] == want
+        assert mse_comparison(names, arma * scale, varma_mse * scale) == want
 
 
 def test_mse_comparison_length_mismatch():
