@@ -19,7 +19,7 @@ cell's; ``coherence`` sets its degenerate floor from that fraction.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 import numpy as np
 
 from .packets import _count, _signal
@@ -41,9 +41,10 @@ class ScaleGrid:
 
     The one record of the plane: the transform, every spectrum, the smoother
     (``dj`` sets its scale boxcar) and the coherence field read their length,
-    step, scales and COI from it. It is these five numbers, so grids are
-    equal, and hash alike, when they agree; the caches key on them. A plane
-    no consumer can use is refused with a ValueError naming the field.
+    step, scales and COI from it. It is these five numbers, dt, s0 and dj as
+    floats, so grids are equal, and hash alike, when they agree; the caches key
+    on them. A plane no consumer can use, or a bool or non-real dt, s0 or dj,
+    is refused with a ValueError naming the field.
     """
 
     n: int
@@ -57,8 +58,10 @@ class ScaleGrid:
             _count(name, getattr(self, name))
         for name in ("dt", "s0", "dj"):
             value = getattr(self, name)
-            if not (np.isfinite(value) and value > 0):
-                raise ValueError(f"{name} must be positive and finite, got {value!r}")
+            real = isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
+            if not (real and 0 < value < np.inf):
+                raise ValueError(f"{name} must be {'positive and finite' if real else 'a real number'}, got {value!r}")
+            object.__setattr__(self, name, float(value))
 
     @functools.cached_property
     def scales(self) -> np.ndarray:
@@ -88,6 +91,13 @@ class ScaleGrid:
         return self.scales[:, None] > self.coi[None, :]
 
 
+def _enough_samples(n: int) -> int:
+    """n, refused below the 8 samples that a transform and the default grid take."""
+    if n < 8:
+        raise ValueError(f"need at least 8 samples, got {n}")
+    return n
+
+
 def make_scale_grid(n: int, dt: float) -> ScaleGrid:
     """The default plane of a signal of n samples at step dt: the smallest
     scale ``s0 = 2 * dt`` and ``DEFAULT_DJ`` (twelve voices per octave).
@@ -103,15 +113,13 @@ def make_scale_grid(n: int, dt: float) -> ScaleGrid:
     Raises
     ------
     ValueError
-        If n is not a positive integer or dt is not finite and positive
+        If n is not a positive integer or dt is not a finite positive real
         (named as :class:`ScaleGrid` names them), if n < 8, or if the span
         ``n * dt / s0`` overflows.
     """
-    # a one-scale grid checks n and dt before the length or the scale count is read off them
-    grid = ScaleGrid(n, float(dt), float(2.0 * dt), DEFAULT_DJ, 1)
-    if grid.n < 8:
-        raise ValueError(f"need at least 8 samples, got {n}")
-    span = grid.n * grid.dt / grid.s0  # about n / 2, at least 4, unless n * dt overflows
+    grid = ScaleGrid(n, dt, DEFAULT_DJ, DEFAULT_DJ, 1)  # a one-scale grid checks n and dt first,
+    grid = replace(grid, s0=2.0 * grid.dt)  # then s0, before the length or the scale count is read off them
+    span = _enough_samples(grid.n) * grid.dt / grid.s0  # about n / 2, at least 4, unless n * dt overflows
     octaves = float(np.log2(span)) / grid.dj
     if not np.isfinite(octaves):
         raise ValueError(f"span n * dt / s0 = {span} with dj = {grid.dj} gives no finite number of scales")
@@ -176,9 +184,7 @@ def cwt_morlet(x: np.ndarray, dt: float, grid: ScaleGrid) -> WaveletField:
     copy stays zero, where demeaning would leave its mean's rounding error.
     """
     x = _signal(x)
-    n = x.size
-    if n < 8:
-        raise ValueError(f"need at least 8 samples, got {n}")
+    n = _enough_samples(x.size)
     if grid.n != n or grid.dt != dt:
         raise ValueError(f"grid is for {grid.n} samples at step {grid.dt}, got {n} at step {dt}")
 

@@ -14,8 +14,8 @@ the convention string travels inside the report.
 
 from __future__ import annotations
 
-import functools
 import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -85,10 +85,9 @@ def _shrink(w: np.ndarray, t: np.ndarray | float, rule: str) -> np.ndarray:
 
     hard zeroes below the threshold and keeps the rest; soft also pulls
     survivors toward zero by the threshold; garrote shrinks survivors by
-    ``t**2 / w``, so large coefficients are nearly untouched.
+    ``t**2 / w``, so large coefficients are nearly untouched. Any other rule is
+    garrote: :func:`_denoised`, the one path that reaches this, refuses it first.
     """
-    if rule not in SHRINKAGE_RULES:
-        raise ValueError(f"unknown rule {rule!r}; have {SHRINKAGE_RULES}")
     keep = np.abs(w) > t
     if rule == "hard":
         return np.where(keep, w, 0.0)
@@ -120,22 +119,6 @@ def _minimizers(rule: str, y: np.ndarray, n: np.ndarray) -> np.ndarray:
     return y[np.arange(len(y)), score.argmin(axis=-1)]
 
 
-def _sparse(d: np.ndarray, s: float) -> bool:
-    """SUREShrink's test that a detail level at noise s > 0 is too sparse
-    for SURE, so the universal threshold serves it."""
-    n = np.size(d)
-    return (float((np.divide(d, s) ** 2).sum()) - n) / n <= _sparsity_bound(n)
-
-
-@functools.lru_cache(maxsize=1024)
-def _sparsity_bound(n: int) -> float:
-    """log2(n)**1.5 / sqrt(n), the right side of :func:`_sparse`, once per level size, on
-    numpy's scalar route: over an array the expression differs in the last bit at 226
-    of the sizes 1..4999 (first 40, 44, 57, 128), which flips SUREShrink between its
-    universal and SURE thresholds at a level whose statistic lands on the bound."""
-    return float(np.log2(n) ** 1.5 / np.sqrt(n))
-
-
 def _thresholds(methods: list[str], details: list[np.ndarray], n: int) -> np.ndarray:
     """The shrinkage thresholds of each canonical method name for the detail levels
     (finest first) of an n-sample signal: one (methods, levels) table, a pooled
@@ -151,8 +134,9 @@ def _thresholds(methods: list[str], details: list[np.ndarray], n: int) -> np.nda
     selector reads the noise of may hold fewer than MIN_MAD_COEFFS; a zero
     noise level gives a zero threshold. Each rule takes all levels in one array
     pass: universal as one vector, SURE at each level's own noise and at the
-    finest level's as the rows of one table, GCV as another; SUREShrink's
-    sparsity test sums each level's raw coefficients.
+    finest level's as the rows of one table, GCV as another. SUREShrink's
+    sparsity test sums each level's raw coefficients and compares all levels
+    with the bound log2(m)**1.5 / sqrt(m) of their sizes m in one array.
 
     Raises
     ------
@@ -192,9 +176,10 @@ def _thresholds(methods: list[str], details: list[np.ndarray], n: int) -> np.nda
         sure = s.ravel() * _minimizers("sure", y, np.concatenate([sizes] * len(noise)))
         got.update(((r, True), t) for r, t in zip(noise, sure.reshape(len(noise), -1).tolist()))
     if "sureshrink" in per:  # s * min(t, u) is min(s * t, s * u): s >= 0 keeps the order
-        su = (s_g * universal).ravel().tolist()
-        got["sureshrink", True] = [u if s_g == 0.0 or _sparse(d, s_g) else min(t, u)
-                                   for d, u, t in zip(details, su, got["sureshrink", True])]
+        m, su = sizes.ravel(), (s_g * universal).ravel()  # s = 0 gives t = u = 0 either way
+        stat = (np.array([((d / (s_g or 1.0)) ** 2).sum() for d in details]) - m) / m
+        sparse = stat <= np.log2(m) ** 1.5 / np.sqrt(m)  # too sparse for SURE: the universal threshold serves
+        got["sureshrink", True] = np.where(sparse, su, np.minimum(got["sureshrink", True], su)).tolist()
     if "gcv" in per:
         got["gcv", True] = _minimizers("gcv", table, sizes).tolist()
     return np.array([got[rule, per_level] if per_level else [got[rule, per_level]] * len(details)
@@ -225,24 +210,32 @@ def denoise(
     """
     method = canonical_method(method)
     rule = CONVENTIONAL_RULE[method] if rule is None else rule
-    return _denoised(_signal(x), [method], (rule,), level, wavelet)[1][0]
+    _, estimates, e = _denoised(_signal(x), [method], (rule,), level, wavelet)
+    return np.ldexp(estimates[0], e)
 
 
 def _denoised(x: np.ndarray, methods: list[str], rules: tuple[str, ...], level: int,
-              wavelet: str) -> tuple[np.ndarray, np.ndarray]:
+              wavelet: str) -> tuple[np.ndarray, np.ndarray, int]:
     """The one path of :func:`denoise` and :func:`method_sweep`, on a checked signal: the
-    level check, the DWT, the (methods, levels) threshold table, and the (methods, n)
-    estimates, row i shrunk under rules[i]. A constant signal has exactly zero details,
-    whatever rounding the transform leaves in them, and is refused."""
+    rule and level checks, the DWT, the (methods, levels) threshold table, and the
+    (methods, n) estimates, row i shrunk under rules[i], in units of 2**e. It runs on
+    x / 2**e, max|x| = f 2**e with 1/2 <= f < 1, which is exact: no square overflows or
+    underflows, and x * 2**k gives thresholds and estimates times 2**k exactly. A constant
+    signal has exactly zero details, whatever rounding the transform leaves, and is refused."""
+    unknown = [r for r in rules if r not in SHRINKAGE_RULES]
+    if unknown:
+        raise ValueError(f"unknown rule {unknown[0]!r}; have {SHRINKAGE_RULES}")
     n = x.size
     deepest = sweep_max_level(n)
     if _count("level", level) > deepest:
         raise ValueError(f"level {level} exceeds {deepest}, the deepest the sweep takes on {n} samples")
-    c = _dwt(x, level, wavelet)
-    if np.max(x) == np.min(x):
+    top, bottom = np.max(x), np.min(x)
+    e = math.frexp(max(top, -bottom))[1]
+    c = _dwt(np.ldexp(x, -e), level, wavelet)
+    if top == bottom:
         raise ValueError("all detail coefficients are zero; nothing to threshold")
     thresholds = _thresholds(methods, [c[c.size >> (j + 1) : c.size >> j] for j in range(level)], n)
-    return thresholds, _shrink_and_invert(c, level, wavelet, n, thresholds, rules)
+    return np.ldexp(thresholds, e), _shrink_and_invert(c, level, wavelet, n, thresholds, rules), e
 
 
 def _shrink_and_invert(c: np.ndarray, level: int, wavelet: str, n: int, thresholds: np.ndarray,
@@ -270,7 +263,8 @@ def _fidelities(ref: np.ndarray, estimates: np.ndarray) -> tuple[np.ndarray, np.
     against ``ref``, as arrays snr, psnr and identical: the reference's energy
     and peak once, the residual energies and the decibels of all rows in one
     pass each. A zero residual is identical and gives infinite decibels; a
-    reference with zero energy raises ValueError."""
+    reference with zero energy raises ValueError. The sweep passes both in its
+    power-of-two units, where no square overflows and the decibels are exact."""
     energy = float((ref**2).sum())
     if energy <= 0.0:
         raise ValueError("reference signal has zero energy")
@@ -346,8 +340,7 @@ def method_sweep(
             raise ValueError(f"shape mismatch: reference {ref.shape} vs signal {x.shape}")
         if not np.isfinite(ref).all():
             raise ValueError("reference contains non-finite values")
-    if rule is not None and rule not in SHRINKAGE_RULES:
-        raise ValueError(f"unknown rule {rule!r}; have {SHRINKAGE_RULES}")
     rules = tuple(rule if rule is not None else CONVENTIONAL_RULE[m] for m in METHODS)
-    thresholds, estimates = _denoised(x, list(METHODS), rules, level, wavelet)
-    return DenoiseReport(rules, thresholds, *_fidelities(ref, estimates), estimates, _SWEEP_CONVENTION)
+    thresholds, estimates, e = _denoised(x, list(METHODS), rules, level, wavelet)
+    return DenoiseReport(rules, thresholds, *_fidelities(np.ldexp(ref, -e), estimates),
+                         np.ldexp(estimates, e), _SWEEP_CONVENTION)

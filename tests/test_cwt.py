@@ -83,6 +83,9 @@ def test_equal_grids_compare_and_hash_equal_and_share_cache_entries():
     assert len({g, same}) == 1
     assert cwt._morlet_window(g, 128) is cwt._morlet_window(same, 128)
     assert cwt._gaussian_gains(g) is cwt._gaussian_gains(same)
+    # the grid holds its step, s0 and dj as floats, whatever real type built it
+    for dt in (1, np.float32(1.0), np.int64(1)):
+        assert make_scale_grid(64, dt) == g and type(make_scale_grid(64, dt).dt) is float
 
 
 @pytest.mark.parametrize(
@@ -133,6 +136,11 @@ def test_grid_compares_unequal_to_other_types():
         (dict(n="64", dt=1.0), r"^n must be a positive integer, got '64'$"),
         (dict(n=None, dt=1.0), r"^n must be a positive integer, got None$"),
         (dict(n=True, dt=1.0), r"^n must be a positive integer, got True$"),
+        # dt is checked by the grid before s0 = 2 * dt is formed from it, not converted first
+        (dict(n=64, dt=True), r"^dt must be a real number, got True$"),
+        (dict(n=64, dt=None), r"^dt must be a real number, got None$"),
+        (dict(n=64, dt="1.0"), r"^dt must be a real number, got '1\.0'$"),
+        (dict(n=64, dt=1j), r"^dt must be a real number, got 1j$"),
     ],
 )
 def test_grid_error_contracts(kwargs, msg):
@@ -144,7 +152,8 @@ def test_grid_error_contracts(kwargs, msg):
     "field,value",
     [("n", 0), ("n", -64), ("n", 64.0), ("dt", 0.0), ("dt", np.inf), ("dj", 0.0), ("dj", np.nan),
      ("dj", -0.25), ("num_scales", 0), ("num_scales", 12.0), ("s0", np.nan), ("s0", np.inf),
-     ("s0", -2.0), ("s0", 0.0), ("num_scales", -3), ("n", True), ("num_scales", True)],
+     ("s0", -2.0), ("s0", 0.0), ("num_scales", -3), ("n", True), ("num_scales", True),
+     ("dt", True), ("s0", False), ("dj", np.True_), ("dt", None), ("s0", "2.0"), ("dj", 0.25j)],
 )
 def test_grid_refuses_a_plane_no_consumer_can_use(field, value):
     # a hand-built plane is checked where it is built, not deep in the

@@ -13,7 +13,7 @@ from comove.denoising import (
     method_sweep,
     sweep_max_level,
 )
-from comove.denoising import _fidelities, _mad_sigma, _shrink, _shrink_and_invert, _sparsity_bound, _thresholds
+from comove.denoising import _fidelities, _mad_sigma, _shrink, _shrink_and_invert, _thresholds
 from comove.packets import _dwt, _idwt, max_level, wpt_forward
 
 
@@ -192,8 +192,14 @@ def test_garrote_handles_zero_without_warning():
 
 
 def test_shrinkage_error_contracts():
-    with pytest.raises(ValueError, match="unknown rule"):
-        _shrink(np.ones(3), 1.0, "medium")
+    # the rule is checked once, on the path denoise and the sweep share, before
+    # the level is read: the level here is past the deepest the sweep takes
+    x = np.cumsum(np.random.default_rng(48).standard_normal(256))
+    msg = r"^unknown rule 'medium'; have \('hard', 'soft', 'garrote'\)$"
+    for run in (lambda: denoise(x, rule="medium", level=9), lambda: method_sweep(x, rule="medium", level=9),
+                lambda: denoise(x, "GCV", rule="medium")):
+        with pytest.raises(ValueError, match=msg):
+            run()
 
 
 @pytest.mark.parametrize("rule", ["hard", "soft", "garrote"])
@@ -287,15 +293,6 @@ def test_sureshrink_dense_branch_caps_at_universal():
     (t,) = threshold_row("SUREShrink", y)
     universal = np.sqrt(2.0 * np.log(256.0))
     assert t == pytest.approx(s * min(sure_oracle(y / s), universal), abs=1e-12)
-
-
-def test_sparsity_bound_takes_numpys_scalar_route():
-    # SUREShrink's sparsity test compares a level's statistic with this bound,
-    # and numpy's array route to the same expression differs in the last bit
-    # at some sizes (first n = 40 on common builds); a batched sweep must
-    # keep the scalar route, or a statistic on the boundary flips the branch
-    for n in range(1, 5000):
-        assert _sparsity_bound(n) == float(np.log2(n) ** 1.5 / np.sqrt(n)), n
 
 
 def test_gcv_matches_brute_force():
@@ -470,6 +467,23 @@ def test_denoise_unknown_rule():
         denoise(noisy, rule="medium")
     with pytest.raises(ValueError, match="^unknown rule 'bogus'"):
         method_sweep(noisy, rule="bogus")
+
+
+@pytest.mark.parametrize("k", [17, -17, 600, -600, 1000, -1000])
+def test_sweep_and_denoise_do_not_depend_on_power_of_two_units(k):
+    # the sweep runs in power-of-two units, so x * 2**k rescales every threshold
+    # and estimate by exactly 2**k and leaves the scores where they were; no
+    # square overflows or underflows, which the suite's RuntimeWarning filter
+    # would turn into a failure
+    t = np.arange(1024.0)
+    x = np.sin(t / 9.0) + 0.3 * np.random.default_rng(49).standard_normal(t.size)
+    base, scaled = method_sweep(x, level=4), method_sweep(np.ldexp(x, k), level=4)
+    assert np.array_equal(scaled.thresholds, np.ldexp(base.thresholds, k))
+    assert np.array_equal(scaled.estimates, np.ldexp(base.estimates, k))
+    for name in ("snr", "psnr", "identical"):
+        assert np.array_equal(getattr(scaled, name), getattr(base, name)), name
+    for method in METHODS:
+        assert np.array_equal(denoise(np.ldexp(x, k), method), np.ldexp(denoise(x, method), k)), method
 
 
 def test_denoise_with_haar_and_other_levels():
