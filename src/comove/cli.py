@@ -75,12 +75,6 @@ class Kind:
     check: Callable[[str, object], object] = lambda key, value: value
 
 
-def _at_least_1(key: str, value: int) -> int:
-    if value < 1:
-        raise ValueError(f"{key} must be at least 1, got {value}")
-    return value
-
-
 def _rule(rule: str) -> str:
     if rule != "auto" and rule not in SHRINKAGE_RULES:
         raise ValueError(f"unknown rule {rule!r}; have {SHRINKAGE_RULES} or 'auto'")
@@ -97,7 +91,7 @@ TEXT = Kind("text")
 OPTIONAL_TEXT = Kind("optional text", lambda text: text or None)
 NAMES = Kind("names", lambda text: tuple(v.strip() for v in text.split(",") if v.strip()) or None)
 BOOL = Kind("a boolean", lambda text: _BOOLS[text.lower()])
-COUNT = Kind("an integer", int, _at_least_1)
+COUNT = Kind("an integer", int, pk._count)
 DATE = Kind("a date", OPTIONAL_TEXT.parse, lambda key, value: None if value is None else ts.parse_date(value))
 
 

@@ -23,6 +23,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .packets import _count, _signal
+from .timeseries import MIN_LENGTH
 
 OMEGA0 = 6.0
 DEFAULT_DJ = 1.0 / 12.0
@@ -59,7 +60,11 @@ class ScaleGrid:
         for name in ("dt", "s0", "dj"):
             value = getattr(self, name)
             real = isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
-            if not (real and 0 < value < np.inf):
+            try:
+                finite = real and 0 < float(value) < np.inf
+            except OverflowError:  # an int beyond float range
+                finite = False
+            if not finite:
                 raise ValueError(f"{name} must be {'positive and finite' if real else 'a real number'}, got {value!r}")
             object.__setattr__(self, name, float(value))
 
@@ -92,9 +97,9 @@ class ScaleGrid:
 
 
 def _enough_samples(n: int) -> int:
-    """n, refused below the 8 samples that a transform and the default grid take."""
-    if n < 8:
-        raise ValueError(f"need at least 8 samples, got {n}")
+    """n, refused below the ``MIN_LENGTH`` samples that a transform and the default grid take."""
+    if n < MIN_LENGTH:
+        raise ValueError(f"need at least {MIN_LENGTH} samples, got {n}")
     return n
 
 
@@ -114,7 +119,7 @@ def make_scale_grid(n: int, dt: float) -> ScaleGrid:
     ------
     ValueError
         If n is not a positive integer or dt is not a finite positive real
-        (named as :class:`ScaleGrid` names them), if n < 8, or if the span
+        (named as :class:`ScaleGrid` names them), if n < ``MIN_LENGTH``, or if the span
         ``n * dt / s0`` overflows.
     """
     grid = ScaleGrid(n, dt, DEFAULT_DJ, DEFAULT_DJ, 1)  # a one-scale grid checks n and dt first,

@@ -8,8 +8,8 @@ finest detail level (of each level, for the per-level universal and SURE
 selectors). Approximation coefficients are never thresholded.
 
 The method sweep reports SNR/PSNR of each method's reconstruction against the
-supplied reference (by default the input itself, so larger means gentler);
-the convention string travels inside the report.
+input itself, so larger means gentler; the convention string travels inside
+the report.
 """
 
 from __future__ import annotations
@@ -41,8 +41,8 @@ SELECTORS = {
 METHODS = tuple(SELECTORS)
 CONVENTIONAL_RULE = {name: shrinkage for name, (_, _, shrinkage) in SELECTORS.items()}
 _SWEEP_CONVENTION = (
-    "SNR/PSNR measured against the supplied reference (default: the original "
-    "input), so larger means a gentler de-noising, not closer to the truth."
+    "SNR/PSNR measured against the original input, so larger means a gentler "
+    "de-noising, not closer to the truth."
 )
 
 
@@ -262,12 +262,10 @@ def _fidelities(ref: np.ndarray, estimates: np.ndarray) -> tuple[np.ndarray, np.
     max(|ref|)^2 / sum((ref - est)^2)) of each row ``est`` of ``estimates``
     against ``ref``, as arrays snr, psnr and identical: the reference's energy
     and peak once, the residual energies and the decibels of all rows in one
-    pass each. A zero residual is identical and gives infinite decibels; a
-    reference with zero energy raises ValueError. The sweep passes both in its
-    power-of-two units, where no square overflows and the decibels are exact."""
+    pass each. A zero residual is identical and gives infinite decibels. The
+    sweep passes both in its power-of-two units, where no square overflows and
+    the decibels are exact; it refuses a constant signal, so ``ref`` has energy."""
     energy = float((ref**2).sum())
-    if energy <= 0.0:
-        raise ValueError("reference signal has zero energy")
     n = ref.size
     peak = float(np.abs(ref).max())
     resid = ((ref - estimates) ** 2).sum(axis=-1)
@@ -304,9 +302,8 @@ def method_sweep(
     rule: str | None = None,
     level: int = 4,
     wavelet: str = "db3",
-    reference: np.ndarray | None = None,
 ) -> DenoiseReport:
-    """Run all nine threshold selectors on one signal and score them.
+    """Run all nine threshold selectors on one signal and score them against it.
 
     Parameters
     ----------
@@ -316,9 +313,6 @@ def method_sweep(
         Shrinkage rule for every method. Default None pairs each method with
         its conventional rule (Universal/hard, VisuShrink/soft, SURE and
         GCV families/garrote).
-    reference : ndarray, optional
-        Scoring reference. Default is ``x`` itself; see the report's
-        ``convention`` field for the caveat.
 
     Returns
     -------
@@ -329,18 +323,11 @@ def method_sweep(
     ------
     ValueError
         A level that is not a positive integer or exceeds
-        :func:`sweep_max_level` of the signal's length, a reference of
-        another shape, non-finite or with zero energy, an unknown rule, or a
-        signal the transform refuses.
+        :func:`sweep_max_level` of the signal's length, an unknown rule, all
+        detail coefficients zero, or a signal the transform refuses.
     """
-    x = ref = _signal(x)
-    if reference is not None:
-        ref = np.asarray(reference, dtype=float)
-        if ref.shape != x.shape:
-            raise ValueError(f"shape mismatch: reference {ref.shape} vs signal {x.shape}")
-        if not np.isfinite(ref).all():
-            raise ValueError("reference contains non-finite values")
+    x = _signal(x)
     rules = tuple(rule if rule is not None else CONVENTIONAL_RULE[m] for m in METHODS)
     thresholds, estimates, e = _denoised(x, list(METHODS), rules, level, wavelet)
-    return DenoiseReport(rules, thresholds, *_fidelities(np.ldexp(ref, -e), estimates),
+    return DenoiseReport(rules, thresholds, *_fidelities(np.ldexp(x, -e), estimates),
                          np.ldexp(estimates, e), _SWEEP_CONVENTION)

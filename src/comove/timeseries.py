@@ -3,9 +3,10 @@
 The CLI loads its input as a :class:`MultiSeries`: named series held as
 one (n, p) matrix on one strictly increasing date grid; the analysis
 modules take plain arrays. Loading is deliberately strict: rows with
-missing values are dropped (and counted), duplicate or unparseable dates are
-errors, and any window handed to the transforms must keep at least
-``MIN_LENGTH`` samples.
+missing values are dropped (and counted), and unparseable dates are errors.
+The panel's rules (the series count, ``MIN_LENGTH`` rows, finite values,
+strictly increasing dates) are checked by :class:`MultiSeries` alone;
+``load_csv`` and ``window`` relay its refusal prefixed with the file or window.
 """
 
 from __future__ import annotations
@@ -79,7 +80,9 @@ class MultiSeries:
     """Up to ``MAX_SERIES`` named series as one (n, p) matrix on one date grid.
 
     Arrays are copied and locked read-only on construction; derive new
-    instances (``dataclasses.replace``) rather than mutating in place.
+    instances (``dataclasses.replace``) rather than mutating in place. A
+    panel breaking a rule below is refused with a :class:`DataError`; a
+    repeated date is named, as ``duplicate date 2020-01-04`` (the earliest).
 
     Parameters
     ----------
@@ -118,8 +121,10 @@ class MultiSeries:
             raise DataError(
                 f"series {names[int(np.argmax(bad))]!r} contains non-finite values"
             )
-        if np.any(np.diff(stamps.astype("int64")) <= 0):
-            raise DataError("timestamps not strictly increasing")
+        steps = np.diff(stamps.astype("int64"))
+        if (steps <= 0).any():
+            repeat = np.flatnonzero(steps == 0)
+            raise DataError(f"duplicate date {stamps[repeat[0]]}" if repeat.size else "timestamps not strictly increasing")
         stamps.flags.writeable = False
         vals.flags.writeable = False
         object.__setattr__(self, "names", names)
@@ -149,7 +154,7 @@ def load_csv(
 
     Rows where any selected value is missing (empty field) are dropped and
     counted; the counts are attached to the result as ``.load_report``.
-    Rows are sorted by date before alignment checks. A UTF-8 byte-order mark is skipped.
+    Rows are sorted by date before the panel is checked. A UTF-8 byte-order mark is skipped.
 
     Parameters
     ----------
@@ -164,9 +169,9 @@ def load_csv(
     Raises
     ------
     DataError
-        Missing columns, unparseable or duplicate dates, non-numeric values,
-        fewer than ``MIN_LENGTH`` complete rows, or what :func:`read_text` or
-        the ``csv`` module (a field over its size limit) refuses.
+        Missing columns, unparseable dates, non-numeric values, what
+        :func:`read_text` or the ``csv`` module (a field over its size limit)
+        refuses, or the panel :class:`MultiSeries` refuses, as ``{path}: ...``.
     """
     reader = csv.DictReader(io.StringIO(read_text(path), newline=""))
     try:
@@ -182,8 +187,6 @@ def load_csv(
             missing = [c for c in value_columns if c not in header]
             if missing:
                 raise DataError(f"{path}: missing value columns {missing}")
-        if not value_columns:
-            raise DataError(f"{path}: no value columns")
 
         rows_read = 0
         dates: list[_dt.date] = []
@@ -210,25 +213,14 @@ def load_csv(
     except csv.Error as exc:  # a field over the size limit; the DictReader's line_num lags it
         raise DataError(f"{path}: line {reader.reader.line_num}: {exc}") from exc
 
-    if len(dates) != len(set(dates)):
-        seen: set[_dt.date] = set()
-        for day in dates:
-            if day in seen:
-                raise DataError(f"{path}: duplicate date {day}")
-            seen.add(day)
     stamps = np.array(dates, dtype="datetime64[D]")
-    if len(stamps) < MIN_LENGTH:
-        raise DataError(
-            f"{path}: {len(stamps)} complete rows, need at least {MIN_LENGTH}"
-        )
     order = np.argsort(stamps)
-    stamps = stamps[order]
-    data = np.asarray(rows, dtype=float)[order]
-
-    report = LoadReport(
-        path=path, rows_read=rows_read, rows_kept=len(stamps), rows_dropped=dropped
-    )
-    return MultiSeries(value_columns, stamps, data, load_report=report)
+    data = np.asarray(rows, dtype=float).reshape(len(rows), len(value_columns))  # (0, p) when no row is complete
+    report = LoadReport(path=path, rows_read=rows_read, rows_kept=len(rows), rows_dropped=dropped)
+    try:
+        return MultiSeries(value_columns, stamps[order], data[order], load_report=report)
+    except DataError as exc:
+        raise DataError(f"{path}: {exc}") from exc
 
 
 def window(ms: MultiSeries, start: _dt.date, end: _dt.date) -> MultiSeries:
@@ -238,19 +230,13 @@ def window(ms: MultiSeries, start: _dt.date, end: _dt.date) -> MultiSeries:
     Raises
     ------
     DataError
-        If start > end, the window is empty, or fewer than ``MIN_LENGTH``
-        samples survive.
+        If start > end; or, as ``window [start, end]: ...``, the panel's
+        refusal of the rows kept (fewer than ``MIN_LENGTH``).
     """
     if start > end:
         raise DataError(f"window start {start} is after end {end}")
-    lo = np.datetime64(start, "D")
-    hi = np.datetime64(end, "D")
-    mask = (ms.timestamps >= lo) & (ms.timestamps <= hi)
-    kept = int(mask.sum())
-    if kept == 0:
-        raise DataError(f"window [{start}, {end}] selects no samples")
-    if kept < MIN_LENGTH:
-        raise DataError(
-            f"window [{start}, {end}] keeps {kept} samples, need at least {MIN_LENGTH}"
-        )
-    return replace(ms, timestamps=ms.timestamps[mask], values=ms.values[mask])
+    mask = (ms.timestamps >= np.datetime64(start, "D")) & (ms.timestamps <= np.datetime64(end, "D"))
+    try:
+        return replace(ms, timestamps=ms.timestamps[mask], values=ms.values[mask])
+    except DataError as exc:
+        raise DataError(f"window [{start}, {end}]: {exc}") from exc

@@ -689,7 +689,7 @@ def test_forecast_bad_horizon(tmp_path, capsys):
         ["forecast", "--input", str(src), "--horizon", "0", "--out-dir", str(tmp_path / "o")]
     )
     assert code == 1
-    assert "horizon must be at least 1" in capsys.readouterr().err
+    assert "error: horizon must be a positive integer, got 0" in capsys.readouterr().err.splitlines()
 
 
 # ---------------------------------------------------------------- pipeline

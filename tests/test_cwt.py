@@ -14,6 +14,7 @@ from comove.cwt import (
     make_scale_grid,
     smooth,
 )
+from comove.timeseries import MIN_LENGTH
 
 FF = 1.0330436477492537  # 4 pi / (6 + sqrt(38)), frozen
 
@@ -141,11 +142,15 @@ def test_grid_compares_unequal_to_other_types():
         (dict(n=64, dt=None), r"^dt must be a real number, got None$"),
         (dict(n=64, dt="1.0"), r"^dt must be a real number, got '1\.0'$"),
         (dict(n=64, dt=1j), r"^dt must be a real number, got 1j$"),
+        # an int past float range is refused by name, not left to float() to overflow
+        (dict(n=64, dt=10**400), r"^dt must be positive and finite, got 10{400}$"),
+        (dict(n=64, dt=1.0, s0=2.0, dj=10**400, num_scales=3), r"^dj must be positive and finite, got 10{400}$"),
     ],
 )
 def test_grid_error_contracts(kwargs, msg):
+    build = ScaleGrid if "num_scales" in kwargs else make_scale_grid  # any other plane is built directly
     with pytest.raises(ValueError, match=msg):
-        make_scale_grid(**kwargs)
+        build(**kwargs)
 
 
 @pytest.mark.parametrize(
@@ -256,7 +261,7 @@ def test_cached_window_is_read_only_and_keyed_by_length_and_dt():
     "x,msg",
     [
         (np.zeros((4, 4)), "one-dimensional"),
-        (np.zeros(7), "at least 8"),
+        (np.zeros(MIN_LENGTH - 1), "at least 8"),  # the panel's floor: every window the loader keeps transforms
         (np.array([1.0, np.nan, 0, 0, 0, 0, 0, 0]), "non-finite"),
     ],
 )

@@ -1,6 +1,7 @@
 """CSV loading, validation and windowing."""
 
 import datetime as dt
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -77,7 +78,7 @@ def test_timeseries_rejects_unsorted_dates():
 def test_timeseries_rejects_duplicate_dates():
     stamps = days(10).copy()
     stamps[4] = stamps[3]
-    with pytest.raises(DataError, match="strictly increasing"):
+    with pytest.raises(DataError, match="^duplicate date 2020-01-04$"):
         MultiSeries(("x",), stamps, np.ones((10, 1)))
 
 
@@ -198,7 +199,7 @@ def test_load_csv_drops_and_counts_a_row_without_a_date(tmp_path):
 
 def test_load_csv_refuses_an_empty_value_column_list(tmp_path):
     lines = ["date,a"] + [f"2020-01-{k + 1:02d},{k}" for k in range(10)]
-    with pytest.raises(DataError, match="no value columns"):
+    with pytest.raises(DataError, match="m.csv: need between 1 and 8 series, got 0$"):
         load_csv(write_csv(tmp_path / "m.csv", lines), value_columns=())
 
 
@@ -253,8 +254,43 @@ def test_load_csv_missing_value_column(tmp_path):
 
 def test_load_csv_too_few_rows(tmp_path):
     lines = ["date,v"] + [f"2020-01-{k + 1:02d},{k}" for k in range(7)]
-    with pytest.raises(DataError, match="complete rows"):
+    with pytest.raises(DataError, match="m.csv: 7 samples, need at least 8$"):
         load_csv(write_csv(tmp_path / "m.csv", lines))
+
+
+def _panel_lines(n, p=1, dates=None, bad=None):
+    """A header and n rows of p series; ``dates`` overrides the row dates, ``bad`` is one row's first value."""
+    dates = dates or [f"2020-01-{k + 1:02d}" for k in range(n)]
+    rows = [[day] + [str(k + j) for j in range(p)] for k, day in enumerate(dates)]
+    if bad is not None:
+        rows[3][1] = bad
+    return [",".join(["date", *(f"s{j}" for j in range(p))])] + [",".join(r) for r in rows]
+
+
+@pytest.mark.parametrize(
+    "lines,msg,bounds",
+    [
+        (_panel_lines(5), "5 samples, need at least 8", ("2020-01-01", "2020-01-05")),
+        (["date,s0"] + [f"2020-01-{k + 1:02d}," for k in range(9)], "0 samples, need at least 8",
+         ("2021-06-01", "2021-06-30")),
+        # rows are sorted first, so the earliest repeated date is named, not the first in file order
+        (_panel_lines(11, dates=[f"2020-01-{k + 1:02d}" for k in range(9)] + ["2020-01-04", "2020-01-02"]),
+         "duplicate date 2020-01-02", None),
+        (["date"] + [f"2020-01-{k + 1:02d}" for k in range(9)], "need between 1 and 8 series, got 0", None),
+        (_panel_lines(9, p=9), "need between 1 and 8 series, got 9", None),
+        (_panel_lines(9, bad="nan"), "series 's0' contains non-finite values", None),
+    ],
+    ids=["5-rows", "0-rows", "repeated-date", "no-value-columns", "nine-series", "nan"],
+)
+def test_panel_refusals_name_the_file_or_the_window(tmp_path, lines, msg, bounds):
+    # MultiSeries alone checks the panel; load_csv and window relay its refusal, saying where
+    path = write_csv(tmp_path / "m.csv", lines)
+    with pytest.raises(DataError, match=f"^{re.escape(path)}: {msg}$"):
+        load_csv(path)
+    if bounds:  # a window of a valid panel keeping as few rows is refused alike, naming its bounds
+        start, end = map(parse_date, bounds)
+        with pytest.raises(DataError, match=rf"^window \[{start}, {end}\]: {msg}$"):
+            window(make_ms(n=20), start, end)
 
 
 def test_load_csv_nonexistent_file(tmp_path):
@@ -296,7 +332,7 @@ def test_window_start_after_end():
 
 def test_window_empty_selection():
     ms = make_ms(n=20)
-    with pytest.raises(DataError, match="selects no samples"):
+    with pytest.raises(DataError, match=r"^window \[2021-06-01, 2021-06-30\]: 0 samples, need at least 8$"):
         window(ms, parse_date("2021-06-01"), parse_date("2021-06-30"))
 
 
